@@ -7,9 +7,10 @@
 //! `exp`, declared in one table ([`EXP_ALIASES`]) instead of one match
 //! arm each.
 
-use pipefill_core::{BackendKind, PolicyKind};
+use pipefill_core::BackendKind;
 use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_pipeline::ScheduleKind;
+use pipefill_scenario::{ScenarioSpec, SpecError};
 
 /// Usage text printed on parse errors and `help`.
 pub const USAGE: &str = "\
@@ -86,58 +87,17 @@ pub enum Command {
         /// Key/value overrides applied after parsing.
         sets: Vec<(String, String)>,
     },
-    /// Multi-job fleet simulation on one global fill queue.
-    Fleet {
-        /// Concurrent main jobs.
-        jobs: usize,
-        /// Total GPU budget split across jobs.
-        gpus: usize,
-        /// Main-job iterations per job.
-        iterations: usize,
-        /// RNG seed (fleet generation + failure streams).
-        seed: u64,
-        /// Mean time between device failures in seconds (`'none'`
-        /// disables injection and with it all global-queue traffic).
-        mtbf_secs: f64,
-        /// Policy of the cluster-wide fill queue.
-        policy: PolicyKind,
-        /// Pipeline schedule every main job runs.
-        schedule: ScheduleKind,
-        /// Steady-state fast-forward (results are bit-for-bit identical
-        /// either way; `off` forces full event fidelity).
-        fast_forward: bool,
-    },
+    /// Multi-job fleet simulation on one global fill queue: the fleet
+    /// scenario the flags spell.
+    Fleet(ScenarioSpec),
     /// Everything, with CSV output.
     All {
         /// Output directory.
         out: String,
     },
-    /// One simulation at a chosen fidelity.
-    Sim {
-        /// Which backend runs it.
-        backend: BackendKind,
-        /// RNG seed.
-        seed: u64,
-        /// Main-job iterations (physical backend).
-        iterations: usize,
-        /// Trace horizon in seconds (coarse backend).
-        horizon_secs: u64,
-        /// Offered-load multiplier (coarse backend).
-        load: f64,
-        /// Fill fraction (physical and fault backends).
-        fill_fraction: f64,
-        /// Mean time between device failures in seconds (fault backend;
-        /// `'none'` disables injection).
-        mtbf_secs: f64,
-        /// Checkpoint-restart cost per eviction in seconds (fault
-        /// backend).
-        checkpoint_secs: f64,
-        /// Pipeline schedule the main job runs (all backends).
-        schedule: ScheduleKind,
-        /// Steady-state fast-forward (physical and fault backends;
-        /// results are bit-for-bit identical either way).
-        fast_forward: bool,
-    },
+    /// One simulation at a chosen fidelity: the run scenario the flags
+    /// spell.
+    Sim(ScenarioSpec),
     /// ASCII schedule rendering.
     Timeline {
         /// Pipeline schedule.
@@ -255,6 +215,31 @@ const EXP_ALIASES: &[(&[&str], &str, &[GridFlag])] = &[
     ),
 ];
 
+/// The `sim` flags: scenario keys spelled with dashes.
+const SIM_FLAGS: &[&str] = &[
+    "seed",
+    "schedule",
+    "iterations",
+    "horizon-secs",
+    "load",
+    "fill-fraction",
+    "mtbf-secs",
+    "checkpoint-secs",
+    "fast-forward",
+];
+
+/// The `fleet` flags: scenario keys spelled with dashes.
+const FLEET_FLAGS: &[&str] = &[
+    "jobs",
+    "gpus",
+    "iterations",
+    "seed",
+    "mtbf-secs",
+    "policy",
+    "schedule",
+    "fast-forward",
+];
+
 /// Every grid flag, for the generic `exp <name>` command.
 const ALL_GRID_FLAGS: &[GridFlag] = &[
     GridFlag::IterationsMin1,
@@ -322,34 +307,7 @@ pub fn parse(argv: &[String]) -> Result<Invocation, String> {
             }
             Command::RunScenario { path, sets }
         }
-        "fleet" => {
-            let jobs = flags.take_usize("jobs", 8)?;
-            if jobs == 0 {
-                return Err("--jobs must be at least 1 for fleet".into());
-            }
-            let gpus = flags.take_usize("gpus", jobs * 128)?;
-            if gpus / jobs < 8 {
-                return Err(format!(
-                    "--gpus {gpus} leaves under 8 GPUs per job; the smallest pipeline needs 8"
-                ));
-            }
-            let iterations = flags.take_usize("iterations", 150)?;
-            if iterations == 0 {
-                return Err("--iterations must be at least 1 for fleet".into());
-            }
-            Command::Fleet {
-                jobs,
-                gpus,
-                iterations,
-                seed: flags.take_u64("seed", 7)?,
-                mtbf_secs: take_duration_secs(&mut flags, &MTBF_FLAG, "1800")?,
-                policy: flags.take_string("policy", "fifo")?.parse::<PolicyKind>()?,
-                schedule: flags
-                    .take_string("schedule", "gpipe")?
-                    .parse::<ScheduleKind>()?,
-                fast_forward: take_on_off(&mut flags, "fast-forward", true)?,
-            }
-        }
+        "fleet" => Command::Fleet(take_scenario(&mut flags, BackendKind::Fleet, FLEET_FLAGS)?),
         "all" => Command::All {
             out: flags.take_string("out", "target/experiments")?,
         },
@@ -362,49 +320,7 @@ pub fn parse(argv: &[String]) -> Result<Invocation, String> {
                     "the fleet backend simulates many jobs; use the 'fleet' subcommand".into(),
                 );
             }
-            // Each fidelity has its own knobs; reject the other backends'
-            // so a sweep over an inapplicable flag can't silently no-op.
-            let inapplicable: &[&str] = match backend {
-                BackendKind::Coarse => &[
-                    "iterations",
-                    "fill-fraction",
-                    "mtbf-secs",
-                    "checkpoint-secs",
-                    "fast-forward",
-                ],
-                BackendKind::Physical => &["horizon-secs", "load", "mtbf-secs", "checkpoint-secs"],
-                BackendKind::Fault => &["horizon-secs", "load"],
-                BackendKind::Fleet => unreachable!("rejected above"),
-            };
-            for flag in inapplicable {
-                if flags.provided(flag) {
-                    return Err(format!("--{flag} does not apply to the {backend} backend"));
-                }
-            }
-            let load = flags.take_f64("load", 1.0)?;
-            if !(load > 0.0 && load.is_finite()) {
-                return Err(format!("--load must be a positive number, got {load}"));
-            }
-            let fill_fraction = flags.take_f64("fill-fraction", 0.68)?;
-            if !(0.0..=1.0).contains(&fill_fraction) {
-                return Err(format!(
-                    "--fill-fraction must be within [0, 1], got {fill_fraction}"
-                ));
-            }
-            Command::Sim {
-                backend,
-                seed: flags.take_u64("seed", 7)?,
-                iterations: flags.take_usize("iterations", 300)?,
-                horizon_secs: flags.take_u64("horizon-secs", 3600)?,
-                load,
-                fill_fraction,
-                mtbf_secs: take_duration_secs(&mut flags, &MTBF_FLAG, "none")?,
-                checkpoint_secs: take_duration_secs(&mut flags, &CHECKPOINT_FLAG, "2.0")?,
-                schedule: flags
-                    .take_string("schedule", "gpipe")?
-                    .parse::<ScheduleKind>()?,
-                fast_forward: take_on_off(&mut flags, "fast-forward", true)?,
-            }
+            Command::Sim(take_scenario(&mut flags, backend, SIM_FLAGS)?)
         }
         "timeline" => Command::Timeline {
             schedule: flags
@@ -562,88 +478,26 @@ fn take_grid_flags(
     Ok(grid)
 }
 
-/// The shape of an `f64` duration-valued flag. Every such flag shares
-/// one parse-and-reject path ([`take_duration_secs`]): numeric infinity
-/// spellings (`inf`, `Infinity`, overflowing literals like `1e999`) and
-/// `NaN` are rejected everywhere — `f64::from_str` happily produces
-/// them, and they would flow into `SimDuration::from_secs_f64` and the
-/// exponential MTBF sampler as garbage rather than as a documented off
-/// switch.
-struct DurationFlag {
-    name: &'static str,
-    /// The explicit sentinel `'none'` disables the mechanism (surfaced
-    /// to the backends as `f64::INFINITY`).
-    none_disables: bool,
-    /// Whether an exact 0 is meaningful (free checkpoints: yes; a mean
-    /// time between failures: no).
-    allow_zero: bool,
-}
-
-/// `--mtbf-secs`: positive, `'none'` disables injection.
-const MTBF_FLAG: DurationFlag = DurationFlag {
-    name: "mtbf-secs",
-    none_disables: true,
-    allow_zero: false,
-};
-
-/// `--checkpoint-secs`: non-negative, no disable sentinel.
-const CHECKPOINT_FLAG: DurationFlag = DurationFlag {
-    name: "checkpoint-secs",
-    none_disables: false,
-    allow_zero: true,
-};
-
-/// All `f64` duration flags — the table the rejection tests sweep.
-#[cfg(test)]
-const DURATION_FLAGS: &[&DurationFlag] = &[&MTBF_FLAG, &CHECKPOINT_FLAG];
-
-/// Parses one duration flag according to its [`DurationFlag`] shape.
-fn take_duration_secs(
+/// Builds a run scenario from a command's flags. Each `--flag value` is
+/// sugar for `--set flag=value` with dashes as underscores, so values
+/// parse, default and validate exactly as scenario keys do — including
+/// the per-backend applicability table, which rejects another
+/// fidelity's knobs instead of silently dropping them. Diagnostics name
+/// the flag, not the key.
+fn take_scenario(
     flags: &mut FlagSet,
-    spec: &DurationFlag,
-    default: &str,
-) -> Result<f64, String> {
-    let name = spec.name;
-    let v = flags.take_string(name, default)?;
-    if spec.none_disables && v == "none" {
-        return Ok(f64::INFINITY);
-    }
-    let secs: f64 = v.parse().map_err(|_| {
-        if spec.none_disables {
-            format!("--{name} expects a number of seconds or 'none', got '{v}'")
-        } else {
-            format!("--{name} expects a number of seconds, got '{v}'")
+    backend: BackendKind,
+    accepted: &[&str],
+) -> Result<ScenarioSpec, String> {
+    let as_flag = |err: SpecError| err.render(|key| format!("--{}", key.replace('_', "-")));
+    let mut spec = ScenarioSpec::run(backend);
+    for flag in accepted {
+        if let Some(value) = flags.take(flag) {
+            spec.set(&flag.replace('-', "_"), &value).map_err(as_flag)?;
         }
-    })?;
-    let in_range = secs.is_finite()
-        && if spec.allow_zero {
-            secs >= 0.0
-        } else {
-            secs > 0.0
-        };
-    if !in_range {
-        return Err(if spec.none_disables {
-            format!(
-                "--{name} must be a finite positive number of seconds \
-                 (use 'none' to disable failure injection), got '{v}'"
-            )
-        } else {
-            format!("--{name} must be a finite non-negative number, got '{v}'")
-        });
     }
-    Ok(secs)
-}
-
-/// Parses an on/off-valued flag (`on`/`off`, also `true`/`false`).
-fn take_on_off(flags: &mut FlagSet, name: &str, default: bool) -> Result<bool, String> {
-    match flags.take(name) {
-        None => Ok(default),
-        Some(v) => match v.as_str() {
-            "on" | "true" => Ok(true),
-            "off" | "false" => Ok(false),
-            _ => Err(format!("--{name} expects on|off, got '{v}'")),
-        },
-    }
+    spec.validate().map_err(as_flag)?;
+    Ok(spec)
 }
 
 fn parse_model(name: &str) -> Result<ModelId, String> {
@@ -718,22 +572,6 @@ impl FlagSet {
         }
     }
 
-    fn take_u64(&mut self, name: &str, default: u64) -> Result<u64, String> {
-        match self.take(name) {
-            None => Ok(default),
-            Some(v) => parse_u64(name, &v),
-        }
-    }
-
-    fn take_f64(&mut self, name: &str, default: f64) -> Result<f64, String> {
-        match self.take(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{name} expects a number, got '{v}'")),
-        }
-    }
-
     fn finish(self) -> Result<(), String> {
         for (n, _, consumed) in &self.pairs {
             if !consumed {
@@ -747,6 +585,9 @@ impl FlagSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipefill_core::{BackendConfig, PolicyKind};
+    use pipefill_sim_core::SimDuration;
+    use pipefill_trace::TraceConfig;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -754,6 +595,14 @@ mod tests {
 
     fn cmd(s: &str) -> Command {
         parse(&argv(s)).unwrap().command
+    }
+
+    /// The backend configuration a `sim` or `fleet` command runs.
+    fn lowered(s: &str) -> BackendConfig {
+        match cmd(s) {
+            Command::Sim(spec) | Command::Fleet(spec) => spec.lower().unwrap(),
+            other => panic!("{s} is not a scenario command: {other:?}"),
+        }
     }
 
     /// An `Exp` command with no overrides.
@@ -878,35 +727,41 @@ mod tests {
 
     #[test]
     fn parses_sim_command() {
+        // Flags are scenario keys: unset flags stay unset and take the
+        // scenario's lowering defaults.
         assert_eq!(
             cmd("sim"),
-            Command::Sim {
-                backend: BackendKind::Coarse,
-                seed: 7,
-                iterations: 300,
-                horizon_secs: 3600,
-                load: 1.0,
-                fill_fraction: 0.68,
-                mtbf_secs: f64::INFINITY,
-                checkpoint_secs: 2.0,
-                schedule: ScheduleKind::GPipe,
-                fast_forward: true,
-            }
+            Command::Sim(ScenarioSpec::run(BackendKind::Coarse))
         );
+        // `sim` runs a one-hour coarse trace at load 1.0, seed 7.
+        match lowered("sim") {
+            BackendConfig::Coarse(cfg) => {
+                assert_eq!(cfg.trace.horizon, SimDuration::from_secs(3600));
+                assert_eq!(cfg.trace.seed, 7);
+                assert_eq!(
+                    cfg.trace.mean_interarrival,
+                    TraceConfig::physical(7).mean_interarrival
+                );
+            }
+            other => panic!("wrong backend: {other:?}"),
+        }
+        // `sim --backend physical` runs 300 iterations at fill 0.68.
+        match lowered("sim --backend physical") {
+            BackendConfig::Physical(cfg) => {
+                assert_eq!(cfg.iterations, 300);
+                assert_eq!(cfg.seed, 7);
+                assert_eq!(cfg.executor.fill_fraction, 0.68);
+                assert!(cfg.fast_forward);
+            }
+            other => panic!("wrong backend: {other:?}"),
+        }
         assert_eq!(
             cmd("sim --backend physical --fill-fraction 0.9 --seed 3"),
-            Command::Sim {
-                backend: BackendKind::Physical,
-                seed: 3,
-                iterations: 300,
-                horizon_secs: 3600,
-                load: 1.0,
-                fill_fraction: 0.9,
-                mtbf_secs: f64::INFINITY,
-                checkpoint_secs: 2.0,
-                schedule: ScheduleKind::GPipe,
-                fast_forward: true,
-            }
+            Command::Sim(
+                ScenarioSpec::run(BackendKind::Physical)
+                    .with_fill_fraction(0.9)
+                    .with_seed(3)
+            )
         );
         assert!(parse(&argv("sim --backend quantum")).is_err());
         assert!(parse(&argv("sim --load 0")).is_err());
@@ -927,23 +782,28 @@ mod tests {
     fn parses_fault_backend_sim() {
         assert_eq!(
             cmd("sim --backend fault --mtbf-secs 600 --checkpoint-secs 4 --seed 5"),
-            Command::Sim {
-                backend: BackendKind::Fault,
-                seed: 5,
-                iterations: 300,
-                horizon_secs: 3600,
-                load: 1.0,
-                fill_fraction: 0.68,
-                mtbf_secs: 600.0,
-                checkpoint_secs: 4.0,
-                schedule: ScheduleKind::GPipe,
-                fast_forward: true,
-            }
+            Command::Sim(
+                ScenarioSpec::run(BackendKind::Fault)
+                    .with_seed(5)
+                    .with_mtbf_secs(600.0)
+                    .with_checkpoint_secs(4.0)
+            )
         );
+        // Defaults: no failure injection, a 2 s checkpoint restore, and
+        // the physical backend's 300 iterations at fill 0.68.
+        match lowered("sim --backend fault") {
+            BackendConfig::Fault(cfg) => {
+                assert_eq!(cfg.mtbf, SimDuration::MAX);
+                assert_eq!(cfg.checkpoint_cost, SimDuration::from_secs(2));
+                assert_eq!(cfg.iterations, 300);
+                assert_eq!(cfg.executor.fill_fraction, 0.68);
+            }
+            other => panic!("wrong backend: {other:?}"),
+        }
         // 'none' spelled out disables injection.
         assert!(matches!(
             cmd("sim --backend fault --mtbf-secs none"),
-            Command::Sim { mtbf_secs, .. } if mtbf_secs.is_infinite()
+            Command::Sim(spec) if spec.mtbf_secs.is_some_and(f64::is_infinite)
         ));
         let err = parse(&argv("sim --backend fault --mtbf-secs 0")).unwrap_err();
         assert!(err.contains("finite positive"), "{err}");
@@ -961,24 +821,18 @@ mod tests {
 
     /// Every duration-valued flag rejects non-finite spellings: `inf`
     /// and friends parse as f64 infinity and would otherwise flow into
-    /// `SimDuration` and the MTBF sampler. The sweep is table-driven
-    /// over [`DURATION_FLAGS`], so a new duration flag is covered by
-    /// adding it to the table.
+    /// `SimDuration` and the MTBF sampler.
     #[test]
     fn duration_flags_reject_non_finite_values() {
         for spelling in ["inf", "infinity", "Infinity", "INF", "1e999", "-inf", "NaN"] {
-            for flag in DURATION_FLAGS {
-                let err = parse(&argv(&format!(
-                    "sim --backend fault --{} {spelling}",
-                    flag.name
-                )))
-                .unwrap_err();
+            for flag in ["mtbf-secs", "checkpoint-secs"] {
+                let err =
+                    parse(&argv(&format!("sim --backend fault --{flag} {spelling}"))).unwrap_err();
                 assert!(
                     err.contains("finite positive")
                         || err.contains("'none'")
                         || err.contains("finite non-negative"),
-                    "--{} {spelling}: {err}",
-                    flag.name
+                    "--{flag} {spelling}: {err}"
                 );
             }
             let err = parse(&argv(&format!("fleet --mtbf-secs {spelling}"))).unwrap_err();
@@ -1002,7 +856,7 @@ mod tests {
         assert!(err.contains("'none'"), "{err}");
         assert!(matches!(
             cmd("fleet --mtbf-secs none"),
-            Command::Fleet { mtbf_secs, .. } if mtbf_secs.is_infinite()
+            Command::Fleet(spec) if spec.mtbf_secs.is_some_and(f64::is_infinite)
         ));
         // 'none' only disables flags documented to support it.
         let err = parse(&argv("sim --backend fault --checkpoint-secs none")).unwrap_err();
@@ -1013,31 +867,19 @@ mod tests {
     fn parses_schedule_flag_everywhere() {
         assert!(matches!(
             cmd("sim --backend physical --schedule zb-h1"),
-            Command::Sim {
-                schedule: ScheduleKind::ZbH1,
-                ..
-            }
+            Command::Sim(spec) if spec.schedule == Some(ScheduleKind::ZbH1)
         ));
         assert!(matches!(
             cmd("sim --backend coarse --schedule interleaved"),
-            Command::Sim {
-                schedule: ScheduleKind::Interleaved { chunks: 2 },
-                ..
-            }
+            Command::Sim(spec) if spec.schedule == Some(ScheduleKind::Interleaved { chunks: 2 })
         ));
         assert!(matches!(
             cmd("sim --backend fault --schedule interleaved:4"),
-            Command::Sim {
-                schedule: ScheduleKind::Interleaved { chunks: 4 },
-                ..
-            }
+            Command::Sim(spec) if spec.schedule == Some(ScheduleKind::Interleaved { chunks: 4 })
         ));
         assert!(matches!(
             cmd("fleet --schedule zb-h1"),
-            Command::Fleet {
-                schedule: ScheduleKind::ZbH1,
-                ..
-            }
+            Command::Fleet(spec) if spec.schedule == Some(ScheduleKind::ZbH1)
         ));
         assert!(matches!(
             cmd("timeline --schedule interleaved:3"),
@@ -1221,41 +1063,51 @@ mod tests {
     fn parses_fleet_command_with_defaults() {
         assert_eq!(
             cmd("fleet"),
-            Command::Fleet {
-                jobs: 8,
-                gpus: 8 * 128,
-                iterations: 150,
-                seed: 7,
-                mtbf_secs: 1800.0,
-                policy: PolicyKind::Fifo,
-                schedule: ScheduleKind::GPipe,
-                fast_forward: true,
-            }
+            Command::Fleet(ScenarioSpec::run(BackendKind::Fleet))
         );
+        // Unset flags take the fleet scenario's defaults at lowering.
+        match lowered("fleet") {
+            BackendConfig::Fleet(cfg) => {
+                assert_eq!(cfg.jobs.len(), 8);
+                assert!(cfg.jobs.iter().all(|job| job.iterations == 150));
+                assert_eq!(cfg.seed, 7);
+                assert_eq!(cfg.mtbf, SimDuration::from_secs(1800));
+                assert_eq!(cfg.policy, PolicyKind::Fifo);
+                assert!(cfg.fast_forward);
+            }
+            other => panic!("wrong backend: {other:?}"),
+        }
+        // The GPU budget defaults to 128 per job.
+        match lowered("fleet --jobs 4") {
+            BackendConfig::Fleet(cfg) => {
+                let gpus: usize = cfg
+                    .jobs
+                    .iter()
+                    .map(|job| job.main_job.parallelism.total_gpus())
+                    .sum();
+                assert_eq!((cfg.jobs.len(), gpus), (4, 512));
+            }
+            other => panic!("wrong backend: {other:?}"),
+        }
+        // 'none' disables fault injection.
+        match lowered("fleet --mtbf-secs none") {
+            BackendConfig::Fleet(cfg) => assert_eq!(cfg.mtbf, SimDuration::MAX),
+            other => panic!("wrong backend: {other:?}"),
+        }
         assert_eq!(
             cmd("fleet --jobs 64 --gpus 8192 --iterations 200 --seed 3 \
                  --mtbf-secs 600 --policy sjf --schedule 1f1b"),
-            Command::Fleet {
-                jobs: 64,
-                gpus: 8192,
-                iterations: 200,
-                seed: 3,
-                mtbf_secs: 600.0,
-                policy: PolicyKind::Sjf,
-                schedule: ScheduleKind::OneFOneB,
-                fast_forward: true,
-            }
+            Command::Fleet(
+                ScenarioSpec::run(BackendKind::Fleet)
+                    .with_jobs(64)
+                    .with_gpus(8192)
+                    .with_iterations(200)
+                    .with_seed(3)
+                    .with_mtbf_secs(600.0)
+                    .with_policy(PolicyKind::Sjf)
+                    .with_schedule(ScheduleKind::OneFOneB)
+            )
         );
-        // The GPU budget defaults to 128 per job.
-        assert!(matches!(
-            cmd("fleet --jobs 4"),
-            Command::Fleet { gpus: 512, .. }
-        ));
-        // 'none' disables fault injection.
-        assert!(matches!(
-            cmd("fleet --mtbf-secs none"),
-            Command::Fleet { mtbf_secs, .. } if mtbf_secs.is_infinite()
-        ));
     }
 
     #[test]
@@ -1295,24 +1147,15 @@ mod tests {
         // Applies to the iteration-loop backends and the fleet; default on.
         assert!(matches!(
             cmd("sim --backend physical --fast-forward off"),
-            Command::Sim {
-                fast_forward: false,
-                ..
-            }
+            Command::Sim(spec) if spec.fast_forward == Some(false)
         ));
         assert!(matches!(
             cmd("sim --backend fault --fast-forward on"),
-            Command::Sim {
-                fast_forward: true,
-                ..
-            }
+            Command::Sim(spec) if spec.fast_forward == Some(true)
         ));
         assert!(matches!(
             cmd("fleet --fast-forward off"),
-            Command::Fleet {
-                fast_forward: false,
-                ..
-            }
+            Command::Fleet(spec) if spec.fast_forward == Some(false)
         ));
         // The coarse backend has no iteration loop to skip.
         let err = parse(&argv("sim --backend coarse --fast-forward off")).unwrap_err();

@@ -3,17 +3,18 @@
 //!
 //! A command either resolves to registry experiments (`exp`, `all`, the
 //! legacy per-figure aliases) and runs them through the generic
-//! table/CSV path, or builds a [`ScenarioSpec`] (`run <file>`, `sim`,
+//! table/CSV path, or builds a
+//! [`ScenarioSpec`](pipefill_scenario::ScenarioSpec) (`run <file>`, `sim`,
 //! `fleet`) and lowers it to a backend run. No command owns bespoke
 //! persistence or per-driver printing anymore.
 
 use std::process::ExitCode;
 
 use pipefill_core::experiments::sweep;
-use pipefill_core::{BackendKind, BackendMetrics, FleetSimResult};
+use pipefill_core::{BackendConfig, BackendKind, BackendMetrics, FleetSimResult};
 use pipefill_executor::{plan_best, ExecutorConfig, FillJobSpec};
 use pipefill_pipeline::{render_timeline, EngineConfig, MainJobSpec, ScheduleKind};
-use pipefill_scenario::{toml as scenario_toml, Axis, Experiment, Grid, Scale, ScenarioSpec};
+use pipefill_scenario::{toml as scenario_toml, Axis, Experiment, Grid, Scale};
 use pipefill_schedverify::{certificate, verify, StreamSet, Verdict, VerifyConfig};
 use pipefill_sim_core::SimDuration;
 
@@ -171,27 +172,13 @@ pub fn run(invocation: Invocation) -> Result<ExitCode, String> {
                 }
             }
         }
-        Command::Fleet {
-            jobs,
-            gpus,
-            iterations,
-            seed,
-            mtbf_secs,
-            policy,
-            schedule,
-            fast_forward,
-        } => {
-            let spec = ScenarioSpec::run(BackendKind::Fleet)
-                .with_jobs(jobs)
-                .with_gpus(gpus)
-                .with_iterations(iterations)
-                .with_seed(seed)
-                .with_mtbf_secs(mtbf_secs)
-                .with_policy(policy)
-                .with_schedule(schedule)
-                .with_fast_forward(fast_forward);
-            let run = spec.lower()?.run();
-            let metrics = run.metrics();
+        Command::Fleet(spec) => {
+            let BackendConfig::Fleet(cfg) = spec.lower()? else {
+                unreachable!("fleet scenarios lower to the fleet backend");
+            };
+            let (jobs, iterations) = (cfg.jobs.len(), cfg.jobs[0].iterations);
+            let (schedule, policy) = (cfg.jobs[0].main_job.schedule, cfg.policy);
+            let run = BackendConfig::Fleet(cfg).run();
             let detail = run.as_fleet().expect("fleet scenario yields fleet detail");
             println!(
                 "fleet of {jobs} jobs over {} GPUs ({} simulated devices, \
@@ -201,49 +188,14 @@ pub fn run(invocation: Invocation) -> Result<ExitCode, String> {
             );
             print_fleet_jobs(detail);
             println!();
-            print_metrics(metrics);
+            print_metrics(run.metrics());
             println!("failures:           {}", detail.failures);
             println!(
                 "cross-job resumes:  {} (peak queue depth {})",
                 detail.cross_job_dispatches, detail.peak_queue_depth
             );
         }
-        Command::Sim {
-            backend,
-            seed,
-            iterations,
-            horizon_secs,
-            load,
-            fill_fraction,
-            mtbf_secs,
-            checkpoint_secs,
-            schedule,
-            fast_forward,
-        } => {
-            // Only the backend's own knobs are set on the spec: the
-            // parser already rejected inapplicable flags, and the spec's
-            // validator enforces the same table.
-            let base = ScenarioSpec::run(backend)
-                .with_schedule(schedule)
-                .with_seed(seed);
-            let spec = match backend {
-                BackendKind::Coarse => base.with_horizon_secs(horizon_secs).with_load(load),
-                BackendKind::Physical => base
-                    .with_iterations(iterations)
-                    .with_fill_fraction(fill_fraction)
-                    .with_fast_forward(fast_forward),
-                BackendKind::Fault => base
-                    .with_iterations(iterations)
-                    .with_fill_fraction(fill_fraction)
-                    .with_mtbf_secs(mtbf_secs)
-                    .with_checkpoint_secs(checkpoint_secs)
-                    .with_fast_forward(fast_forward),
-                // The parser routes the fleet backend to its own
-                // subcommand (it simulates many main jobs, not one).
-                BackendKind::Fleet => unreachable!("rejected by the argument parser"),
-            };
-            print_metrics(spec.lower()?.run().metrics());
-        }
+        Command::Sim(spec) => print_metrics(spec.lower()?.run().metrics()),
         Command::Timeline {
             schedule,
             stages,

@@ -16,7 +16,7 @@
 //! [`BackendConfig::run`], which returns the fidelity-independent
 //! [`BackendMetrics`] plus the backend-specific detail.
 
-use pipefill_sim_core::{EventHandler, EventQueue, SimDuration, SimTime, Simulation, StepOutcome};
+use pipefill_sim_core::{EventHandler, SimDuration, SimTime, Simulation, StepOutcome};
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::{ClusterSimConfig, ClusterSimResult, CoarseBackend};
@@ -91,19 +91,17 @@ pub enum ClusterEvent {
         device: usize,
     },
     /// Execute the bubbles of one pipeline stage for the current main-job
-    /// iteration (fine-grained backends only).
+    /// iteration (pipeline-filling backends only). `stage` is a *flat*
+    /// index over every pipeline's stages.
     StageBubbles {
-        /// Pipeline stage index.
+        /// Flat pipeline stage index.
         stage: usize,
     },
-    /// A main-job iteration boundary: aggregate per-stage stalls into the
-    /// pipeline's critical path (fine-grained backends only).
-    IterationEnd,
-    /// Iteration boundary of one main job of a fleet (`stage` fields of
-    /// fleet events are *flat* indices over all pipelines; this carries
-    /// the job whose pipeline wrapped). Fleet backends only.
+    /// Iteration boundary of one main job: aggregate its per-stage stalls
+    /// into the pipeline's critical path (pipeline-filling backends
+    /// only).
     JobIterationEnd {
-        /// Fleet main-job index.
+        /// Main-job index.
         job: usize,
     },
     /// The GPU driving `device` failed: evict its fill job and take the
@@ -177,9 +175,8 @@ impl BackendMetrics {
 ///
 /// A backend never owns a time loop: it schedules [`ClusterEvent`]s, reacts
 /// to them in [`EventHandler::handle`], and reads the clock the kernel
-/// hands it. The lifecycle is `prime` → kernel dispatch (fine-grained
-/// backends route each bubble window of a `StageBubbles` event through
-/// their own [`SimBackend::on_bubble`]) → `drain` → `metrics`.
+/// hands it. The lifecycle is `prime` → kernel dispatch → `drain` →
+/// `metrics`.
 pub trait SimBackend: EventHandler<Event = ClusterEvent> {
     /// Which fidelity level this backend implements.
     fn kind(&self) -> BackendKind;
@@ -192,20 +189,6 @@ pub trait SimBackend: EventHandler<Event = ClusterEvent> {
     /// the queue drains.
     fn horizon(&self) -> Option<SimTime> {
         None
-    }
-
-    /// Executes one bubble window of `stage`. Fine-grained backends do the
-    /// per-bubble work (context switch, fill partition, jitter) here;
-    /// backends whose unit of progress is coarser than a bubble keep the
-    /// default no-op.
-    fn on_bubble(
-        &mut self,
-        now: SimTime,
-        stage: usize,
-        slot: usize,
-        queue: &mut EventQueue<ClusterEvent>,
-    ) {
-        let _ = (now, stage, slot, queue);
     }
 
     /// Final accounting once the kernel stops dispatching; `now` is the

@@ -14,8 +14,8 @@
 //! The simulator is implemented as [`CoarseBackend`], a
 //! [`SimBackend`](crate::SimBackend) over the shared
 //! [`ClusterEvent`](crate::ClusterEvent) alphabet: it owns no time loop and
-//! is driven entirely by the `sim-core` kernel. [`ClusterSim`] remains the
-//! convenience entry point wrapping the backend in a driver.
+//! is driven entirely by the `sim-core` kernel.
+//! [`CoarseBackend::simulate`] is the convenience entry point.
 
 use std::collections::HashMap;
 
@@ -307,6 +307,12 @@ impl CoarseBackend {
         }
     }
 
+    /// Runs a configuration to completion (all trace jobs finished) on
+    /// the shared event kernel.
+    pub fn simulate(config: ClusterSimConfig) -> ClusterSimResult {
+        BackendDriver::new(Self::new(config)).run().1.into_result()
+    }
+
     /// The detailed result. Only valid after the driver has run.
     ///
     /// # Panics
@@ -409,7 +415,6 @@ impl EventHandler for CoarseBackend {
                 self.dispatch_idle(now, queue);
             }
             ClusterEvent::StageBubbles { .. }
-            | ClusterEvent::IterationEnd
             | ClusterEvent::JobIterationEnd { .. }
             | ClusterEvent::DeviceFailure { .. }
             | ClusterEvent::DeviceRecovery { .. } => {
@@ -503,26 +508,6 @@ impl SimBackend for CoarseBackend {
     }
 }
 
-/// The coarse cluster simulator: the convenience entry point wrapping
-/// [`CoarseBackend`] in a [`BackendDriver`]. See the module docs.
-pub struct ClusterSim {
-    config: ClusterSimConfig,
-}
-
-impl ClusterSim {
-    /// Creates the simulator.
-    pub fn new(config: ClusterSimConfig) -> Self {
-        ClusterSim { config }
-    }
-
-    /// Runs the simulation to completion (all trace jobs finished) on the
-    /// shared event kernel.
-    pub fn run(&mut self) -> ClusterSimResult {
-        let (_, backend) = BackendDriver::new(CoarseBackend::new(self.config.clone())).run();
-        backend.into_result()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,8 +523,7 @@ mod tests {
 
     #[test]
     fn simulation_completes_all_accepted_jobs() {
-        let mut sim = ClusterSim::new(quick_config(1));
-        let result = sim.run();
+        let result = CoarseBackend::simulate(quick_config(1));
         assert!(
             result.completed.len() > 10,
             "only {}",
@@ -555,15 +539,15 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        let a = ClusterSim::new(quick_config(2)).run();
-        let b = ClusterSim::new(quick_config(2)).run();
+        let a = CoarseBackend::simulate(quick_config(2));
+        let b = CoarseBackend::simulate(quick_config(2));
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.recovered_tflops_per_gpu, b.recovered_tflops_per_gpu);
     }
 
     #[test]
     fn recovered_utilization_is_positive_and_bounded() {
-        let result = ClusterSim::new(quick_config(3)).run();
+        let result = CoarseBackend::simulate(quick_config(3));
         assert!(result.recovered_tflops_per_gpu > 0.0);
         // Cannot exceed peak × bubble ratio.
         assert!(
@@ -576,16 +560,14 @@ mod tests {
 
     #[test]
     fn higher_load_increases_makespan_and_jct() {
-        let lo = ClusterSim::new(ClusterSimConfig {
+        let lo = CoarseBackend::simulate(ClusterSimConfig {
             trace: TraceConfig::physical(4).with_load(0.3).clone(),
             ..quick_config(4)
-        })
-        .run();
-        let hi = ClusterSim::new(ClusterSimConfig {
+        });
+        let hi = CoarseBackend::simulate(ClusterSimConfig {
             trace: TraceConfig::physical(4).with_load(3.0).clone(),
             ..quick_config(4)
-        })
-        .run();
+        });
         assert!(hi.completed.len() > lo.completed.len());
         assert!(hi.jct.mean_secs > lo.jct.mean_secs);
     }
@@ -598,7 +580,7 @@ mod tests {
             cfg.trace.deadline_fraction = 0.6;
             cfg.trace.deadline_slack = 5.0;
             cfg.policy = policy;
-            ClusterSim::new(cfg).run()
+            CoarseBackend::simulate(cfg)
         };
         let edf = mk(PolicyKind::DeadlineThenSjf);
         let fifo = mk(PolicyKind::Fifo);
@@ -620,7 +602,7 @@ mod tests {
             let mut cfg = quick_config(5);
             cfg.trace = cfg.trace.with_load(1.5);
             cfg.policy = policy;
-            ClusterSim::new(cfg).run()
+            CoarseBackend::simulate(cfg)
         };
         let sjf = mk(PolicyKind::Sjf);
         let fifo = mk(PolicyKind::Fifo);

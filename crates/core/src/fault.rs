@@ -16,9 +16,8 @@
 //!   configurable MTBF ([`FaultSimConfig::mtbf`]). A failure evicts the
 //!   fill job running on that stage: work since the job's last checkpoint
 //!   is charged to `lost_fill_flops`, the executor rewinds to the
-//!   checkpoint, and the job re-enters the
-//!   [`FillJobScheduler`](pipefill_scheduler::FillJobScheduler) with its
-//!   original arrival time (FreeRide-style preemption accounting: side
+//!   checkpoint, and the job re-enters the fill queue with its original
+//!   arrival time (FreeRide-style preemption accounting: side
 //!   jobs survive eviction but pay for it). When the stage recovers, the
 //!   revived job must burn [`FaultSimConfig::checkpoint_cost`] of bubble
 //!   time reloading state before it makes progress. Bubbles that pass
@@ -28,8 +27,10 @@
 //!   FreeRide shows must survive preemption — so `main_slowdown` keeps
 //!   the physical backend's meaning (fill-overrun stalls only).
 //!
-//! With an infinite MTBF and a homogeneous device list, every code path
-//! that consumes randomness is identical to
+//! The backend is [`FaultBackend`], the fault preset of the
+//! pipeline-filling engine (`crate::filling`): a one-job fleet with
+//! per-stage devices. With an infinite MTBF and a homogeneous device list
+//! every code path that consumes randomness is therefore
 //! [`PhysicalBackend`](crate::PhysicalBackend)'s, so the no-fault fault
 //! backend reproduces the physical backend *bit for bit* — which is what
 //! makes the cross-backend conformance suite
@@ -37,32 +38,21 @@
 //! a statistical one.
 //!
 //! Determinism is structural, as everywhere else: workload randomness
-//! comes from one seeded [`DeterministicRng`] stream shared with the
-//! physical backend's draw order, failure processes own per-stage forked
-//! streams (so sweeping the MTBF never perturbs the workload), and all
-//! event ordering goes through the kernel queue.
-
-use std::collections::HashMap;
-use std::sync::Arc;
+//! comes from one seeded stream shared with the physical backend's draw
+//! order, failure processes own per-stage forked streams (so sweeping the
+//! MTBF never perturbs the workload), and all event ordering goes through
+//! the kernel queue.
 
 use pipefill_device::DeviceSpec;
-use pipefill_executor::{
-    exclusive_throughput, plan_best, ExecutionPlan, ExecutorConfig, FillJobExecutor, FillJobSpec,
-    JobId,
-};
-use pipefill_model_zoo::{JobKind, ModelId};
-use pipefill_pipeline::{BubbleWindow, MainJobSpec};
-use pipefill_scheduler::{Fifo, FillJobScheduler, JobInfo, SystemState};
-use pipefill_sim_core::rng::DeterministicRng;
-use pipefill_sim_core::{EventHandler, EventQueue, SimDuration, SimTime, Simulation};
+use pipefill_executor::{ExecutorConfig, JobId};
+use pipefill_pipeline::MainJobSpec;
+use pipefill_sim_core::SimDuration;
 use pipefill_trace::ModelMix;
 use serde::{Deserialize, Serialize};
 
-use crate::backend::{BackendDriver, BackendKind, BackendMetrics, ClusterEvent, SimBackend};
-use crate::ff::{SteadyCounters, SteadyDetector};
-use crate::physical::{
-    critical_path_delay, sig_executor, sig_rotation, MixRotation, STEADY_HISTORY,
-};
+use crate::backend::{BackendDriver, BackendKind};
+use crate::filling::FillBackend;
+use crate::fleet::FleetSimConfig;
 
 /// Heterogeneous + fault-injecting simulation parameters.
 #[derive(Debug, Clone)]
@@ -224,83 +214,10 @@ impl FaultSimResult {
     }
 }
 
-/// A fill job bound to a stage, with the checkpoint state eviction needs.
-#[derive(Debug)]
-struct StageJob {
-    exec: FillJobExecutor,
-    ckpt: pipefill_executor::ExecutorCheckpoint,
-    /// FLOPs executed since `ckpt` — lost if the device fails now.
-    unsaved_flops: f64,
-    /// Bubble partitions executed since `ckpt`.
-    runs_since_ckpt: usize,
-    /// Bubble time still owed to checkpoint reloading after a revival.
-    restart_debt: SimDuration,
-}
-
-impl StageJob {
-    fn fresh(exec: FillJobExecutor) -> Self {
-        let ckpt = exec.checkpoint();
-        StageJob {
-            exec,
-            ckpt,
-            unsaved_flops: 0.0,
-            runs_since_ckpt: 0,
-            restart_debt: SimDuration::ZERO,
-        }
-    }
-}
-
-/// The heterogeneous, failure-injecting backend. See the module docs for
-/// the model; see [`PhysicalBackend`](crate::PhysicalBackend) for the
-/// bubble-execution mechanics the two fidelities share.
-pub struct FaultBackend {
-    cfg: FaultSimConfig,
-    /// Stretched iteration period (pacing-stage adjusted).
-    period: SimDuration,
-    /// Main-job TFLOPS per GPU at the stretched period, before slowdown.
-    main_nominal: f64,
-    /// Estimated bubble ratio of the heterogeneous pipeline.
-    bubble_ratio: f64,
-    stage_windows: Vec<Vec<BubbleWindow>>,
-    stage_slots: Vec<Vec<(SimDuration, pipefill_device::Bytes)>>,
-    stage_devices: Vec<DeviceSpec>,
-    /// For each stage, the index of the first stage with an identical
-    /// device spec — the throughput-cache key, so homogeneous clusters
-    /// profile each (model, kind) once, not once per stage.
-    stage_class: Vec<usize>,
-    /// Workload stream — draw order mirrors the physical backend.
-    rng: DeterministicRng,
-    /// Per-stage failure processes, independent of the workload stream.
-    fail_rngs: Vec<DeterministicRng>,
-    plan_cache: HashMap<(ModelId, JobKind, usize), Option<Arc<ExecutionPlan>>>,
-    /// Exclusive throughput per (model, kind, device class).
-    tput_cache: HashMap<(ModelId, JobKind, usize), Option<f64>>,
-    rotation: Option<MixRotation>,
-    /// Evicted jobs wait here; `evicted` parks their executor state.
-    scheduler: FillJobScheduler,
-    evicted: HashMap<JobId, StageJob>,
-    stage_jobs: Vec<Option<StageJob>>,
-    up: Vec<bool>,
-    /// End of each stage's outage in flight, for clamping the last
-    /// outage's downtime to the run.
-    down_until: Vec<SimTime>,
-    next_job_id: u64,
-    iterations_done: usize,
-    stage_delays: Vec<SimDuration>,
-    total_delay: SimDuration,
-    downtime: SimDuration,
-    /// All fill FLOPs executed, surviving or not.
-    executed_flops: f64,
-    lost_flops: f64,
-    jobs_completed: usize,
-    completed_ids: Vec<JobId>,
-    failures: u64,
-    evictions: u64,
-    bubbles_lost: u64,
-    detector: SteadyDetector,
-    fast_forwarded: u64,
-    result: Option<FaultSimResult>,
-}
+/// The heterogeneous, failure-injecting backend: the pipeline-filling
+/// engine's fault preset, a one-job fleet whose stages may run different
+/// GPUs. See the module docs for the model.
+pub type FaultBackend = FillBackend<FaultSimResult>;
 
 impl FaultBackend {
     /// Builds the backend: profiles the baseline pipeline once, then
@@ -311,268 +228,12 @@ impl FaultBackend {
     /// Panics if `stage_devices` is non-empty with a length different
     /// from the pipeline depth.
     pub fn new(cfg: FaultSimConfig) -> Self {
-        let timeline = cfg.main_job.engine_timeline();
-        let base_period = timeline.period;
-        let base_nominal = cfg.main_job.main_job_tflops_per_gpu(&timeline);
-        let base_ratio = timeline.bubble_ratio();
-        let p = timeline.stages.len();
-        let baseline = &cfg.main_job.device;
-
-        let stage_devices: Vec<DeviceSpec> = if cfg.stage_devices.is_empty() {
-            vec![baseline.clone(); p]
-        } else {
-            assert_eq!(
-                cfg.stage_devices.len(),
-                p,
-                "stage_devices must cover every pipeline stage ({p})"
-            );
-            cfg.stage_devices.clone()
-        };
-        // slow_s > 1 ⇒ stage s is slower than the baseline; the slowest
-        // stage paces the pipeline.
-        let slow: Vec<f64> = stage_devices
-            .iter()
-            .map(|d| 1.0 / d.relative_speed(baseline))
-            .collect();
-        let max_slow = slow.iter().cloned().fold(f64::MIN, f64::max);
-        let period = base_period.mul_f64(max_slow);
-
-        // Stage s keeps its busy time (scaled by its own slowness) and
-        // absorbs the pacing slack as extra fillable span:
-        //   W'_s = P' − slow_s × (P − W_s)
-        // which reduces to W_s when the cluster is homogeneous.
-        let stage_windows: Vec<Vec<BubbleWindow>> = timeline
-            .stages
-            .iter()
-            .enumerate()
-            .map(|(s, stage)| {
-                let windows = stage.fillable_windows();
-                let w_total: SimDuration = windows.iter().map(|w| w.duration).sum();
-                if w_total.is_zero() {
-                    return windows;
-                }
-                let busy = base_period.saturating_sub(w_total).mul_f64(slow[s]);
-                let w_new = period.saturating_sub(busy);
-                let scale = w_new.as_secs_f64() / w_total.as_secs_f64();
-                let mem_scale = stage_devices[s].hbm.as_f64() / baseline.hbm.as_f64();
-                windows
-                    .into_iter()
-                    .map(|w| BubbleWindow {
-                        duration: w.duration.mul_f64(scale),
-                        free_memory: w.free_memory.mul_f64(mem_scale),
-                        offset: w.offset.mul_f64(slow[s]),
-                        kind: w.kind,
-                    })
-                    .collect()
-            })
-            .collect();
-        let stage_slots: Vec<Vec<(SimDuration, pipefill_device::Bytes)>> = stage_windows
-            .iter()
-            .map(|ws| ws.iter().map(|w| (w.duration, w.free_memory)).collect())
-            .collect();
-
-        // The main job's FLOPs per iteration are unchanged; only the
-        // period stretched, so the per-GPU rate scales by P/P'. The
-        // bubble-ratio estimate scales the busy share the same way.
-        let period_ratio = base_period.as_secs_f64() / period.as_secs_f64();
-        let avg_slow = slow.iter().sum::<f64>() / p as f64;
-        let main_nominal = base_nominal * period_ratio;
-        let bubble_ratio = (1.0 - (1.0 - base_ratio) * avg_slow * period_ratio).clamp(0.0, 1.0);
-
-        let stage_class: Vec<usize> = (0..p)
-            .map(|s| {
-                (0..s)
-                    .find(|&t| stage_devices[t] == stage_devices[s])
-                    .unwrap_or(s)
-            })
-            .collect();
-
-        let rng = DeterministicRng::seed_from(cfg.seed);
-        // Failure streams are forked from a *separate* root so MTBF
-        // sweeps never perturb the workload stream.
-        let mut fail_root = DeterministicRng::seed_from(cfg.seed ^ 0x9e37_79b9_7f4a_7c15);
-        let fail_rngs: Vec<DeterministicRng> = (0..p).map(|_| fail_root.fork()).collect();
-        let rotation = cfg.deterministic_mix.then(|| MixRotation::new(&cfg.mix));
-        // Failure events are external transitions that would invalidate
-        // any detected cycle, so fast-forward only arms with faults off —
-        // the configuration where this backend is a (possibly
-        // heterogeneous) pure iteration loop like the physical one.
-        let detector = SteadyDetector::new(
-            cfg.fast_forward && cfg.mtbf == SimDuration::MAX,
-            cfg.steady_confirm,
-            STEADY_HISTORY,
-        );
-
-        FaultBackend {
-            period,
-            main_nominal,
-            bubble_ratio,
-            stage_windows,
-            stage_slots,
-            stage_devices,
-            stage_class,
-            rng,
-            fail_rngs,
-            plan_cache: HashMap::new(),
-            tput_cache: HashMap::new(),
-            rotation,
-            scheduler: FillJobScheduler::new(Box::new(Fifo)),
-            evicted: HashMap::new(),
-            stage_jobs: (0..p).map(|_| None).collect(),
-            up: vec![true; p],
-            down_until: vec![SimTime::ZERO; p],
-            next_job_id: 0,
-            iterations_done: 0,
-            stage_delays: Vec::with_capacity(p),
-            total_delay: SimDuration::ZERO,
-            downtime: SimDuration::ZERO,
-            executed_flops: 0.0,
-            lost_flops: 0.0,
-            jobs_completed: 0,
-            completed_ids: Vec::new(),
-            failures: 0,
-            evictions: 0,
-            bubbles_lost: 0,
-            detector,
-            fast_forwarded: 0,
-            result: None,
-            cfg,
-        }
+        FillBackend::build(FleetSimConfig::fault_preset(cfg), BackendKind::Fault)
     }
 
-    /// Pipeline depth.
-    fn stages(&self) -> usize {
-        self.stage_windows.len()
-    }
-
-    /// True while fill events exist (mirrors the physical prime guard;
-    /// failure processes are pointless without them).
-    fn filling(&self) -> bool {
-        self.cfg.executor.fill_fraction != 0.0 && self.cfg.iterations > 0
-    }
-
-    /// Draws the next backlog job for a stage against that stage's device
-    /// and bubble geometry.
-    ///
-    /// PARITY: this mirrors `PhysicalBackend::draw_job` — same RNG draw
-    /// order, same retry budget — so the no-fault homogeneous run stays
-    /// bit-identical to the physical backend (the conformance suite pins
-    /// this). Keep the two in sync when touching either.
-    fn draw_job(&mut self, stage: usize) -> Option<FillJobExecutor> {
-        const MAX_TRIES: usize = 5;
-        let cfg = &self.cfg;
-        let device = self.stage_devices[stage].clone();
-        for _ in 0..MAX_TRIES {
-            let (model, kind) = match self.rotation.as_mut() {
-                Some(r) => r.next(),
-                None => {
-                    let model = cfg.mix.sample_model(&mut self.rng);
-                    (model, cfg.mix.sample_kind(model, &mut self.rng))
-                }
-            };
-            let plan = self
-                .plan_cache
-                .entry((model, kind, stage))
-                .or_insert_with(|| {
-                    let slots = &self.stage_slots[stage];
-                    if slots.is_empty() {
-                        return None;
-                    }
-                    let probe = FillJobSpec::new(u64::MAX, model, kind, u64::MAX / 2);
-                    plan_best(&probe, slots, &device, &cfg.executor)
-                        .ok()
-                        .map(Arc::new)
-                })
-                // Refcount bump, not a deep plan copy (hot path).
-                .clone();
-            let Some(plan) = plan else { continue };
-            let class = self.stage_class[stage];
-            let throughput = *self
-                .tput_cache
-                .entry((model, kind, class))
-                .or_insert_with(|| {
-                    let graph = model.build();
-                    exclusive_throughput(&graph, kind, &device, &FillJobSpec::default_batch_sizes())
-                        .map(|(t, _)| t)
-                });
-            let Some(throughput) = throughput else {
-                continue;
-            };
-            let samples = ((cfg.backlog_job_gpu_hours * 3600.0 * throughput).round() as u64).max(1);
-            let id = self.next_job_id;
-            self.next_job_id += 1;
-            let job = FillJobSpec::new(id, model, kind, samples);
-            return Some(FillJobExecutor::new(job, plan));
-        }
-        None
-    }
-
-    /// Finds work for an idle stage: evicted jobs waiting in the
-    /// scheduler take priority over fresh backlog draws.
-    fn acquire_job(&mut self, stage: usize, now: SimTime) -> Option<StageJob> {
-        let state = SystemState::idle(now, self.stages());
-        if let Some(info) = self.scheduler.pick_for(stage, &state) {
-            let job = self
-                .evicted
-                .remove(&info.id)
-                .expect("scheduler queue and evicted map must stay in sync");
-            return Some(job);
-        }
-        self.draw_job(stage).map(StageJob::fresh)
-    }
-
-    /// Evicts the fill job running on `stage` (device failed): work since
-    /// the last checkpoint is lost, the executor rewinds, and the job
-    /// re-enters the scheduler owing the restart cost.
-    fn evict(&mut self, stage: usize) {
-        let Some(mut job) = self.stage_jobs[stage].take() else {
-            return;
-        };
-        self.evictions += 1;
-        self.lost_flops += job.unsaved_flops;
-        job.exec.restore(job.ckpt);
-        job.unsaved_flops = 0.0;
-        job.runs_since_ckpt = 0;
-        job.restart_debt = self.cfg.checkpoint_cost;
-
-        // Plans are stage-specific (bubble geometry and device differ),
-        // so the job is only feasible back on its origin stage.
-        let remaining = self.period * job.exec.remaining_main_iterations();
-        let mut proc_times = vec![None; self.stages()];
-        proc_times[stage] = Some(remaining);
-        let info = JobInfo::new(job.exec.job().id, job.exec.job().arrival, proc_times);
-        self.scheduler.requeue(info);
-        self.evicted.insert(job.exec.job().id, job);
-    }
-
-    /// Critical-path aggregation of the in-flight iteration's fill
-    /// stalls (shared with the physical backend).
-    fn aggregate_delay(&self) -> SimDuration {
-        critical_path_delay(&self.stage_delays)
-    }
-
-    /// Full behavioral state at an iteration boundary (see
-    /// `PhysicalBackend::steady_sig` for the contract). On top of the
-    /// shared rotation + executor state this fidelity adds its fault
-    /// layer: device up flags, checkpoint-window progress and restart
-    /// debt — everything that could make two boundaries diverge later.
-    fn steady_sig(&self) -> Vec<u64> {
-        let mut sig = Vec::with_capacity(3 + 11 * self.stages());
-        sig_rotation(&self.rotation, &mut sig);
-        sig.push(self.evicted.len() as u64);
-        for (s, job) in self.stage_jobs.iter().enumerate() {
-            sig.push(self.up[s] as u64);
-            match job {
-                None => sig_executor(None, &mut sig),
-                Some(j) => {
-                    sig_executor(Some(&j.exec), &mut sig);
-                    sig.push(j.unsaved_flops.to_bits());
-                    sig.push(j.runs_since_ckpt as u64);
-                    sig.push(j.restart_debt.as_nanos());
-                }
-            }
-        }
-        sig
+    /// Runs a configuration to completion on the shared event kernel.
+    pub fn simulate(cfg: FaultSimConfig) -> FaultSimResult {
+        BackendDriver::new(Self::new(cfg)).run().1.into_result()
     }
 
     /// The detailed result. Only valid after the driver has run.
@@ -581,314 +242,33 @@ impl FaultBackend {
     ///
     /// Panics if the backend has not been drained yet.
     pub fn into_result(self) -> FaultSimResult {
-        self.result
-            .expect("backend not drained; drive it with BackendDriver::run")
-    }
-}
-
-impl EventHandler for FaultBackend {
-    type Event = ClusterEvent;
-
-    fn handle(&mut self, now: SimTime, event: ClusterEvent, queue: &mut EventQueue<ClusterEvent>) {
-        match event {
-            ClusterEvent::StageBubbles { stage } => {
-                self.stage_delays.push(SimDuration::ZERO);
-                for slot in 0..self.stage_windows[stage].len() {
-                    self.on_bubble(now, stage, slot, queue);
-                }
-                if stage + 1 == self.stages() {
-                    queue.push(
-                        now + self.period + self.aggregate_delay(),
-                        ClusterEvent::IterationEnd,
-                    );
-                }
-            }
-            ClusterEvent::IterationEnd => {
-                let delay = self.aggregate_delay();
-                self.total_delay += delay;
-                self.stage_delays.clear();
-                self.iterations_done += 1;
-                if self.iterations_done < self.cfg.iterations {
-                    // Steady-state fast-forward, exactly as in the
-                    // physical backend — only armed with faults off, so
-                    // the completed-id stream is the one extra accumulator
-                    // to replay (ids advance by `draws` per cycle).
-                    let mut next_at = now;
-                    if self.detector.enabled() {
-                        let counters = SteadyCounters {
-                            completions: self.jobs_completed as u64,
-                            draws: self.next_job_id,
-                            aux: self.bubbles_lost,
-                        };
-                        if self
-                            .detector
-                            .observe(self.rng.state_fingerprint(), counters)
-                        {
-                            let sig = self.steady_sig();
-                            let remaining = (self.cfg.iterations - self.iterations_done) as u64;
-                            if let Some(skip) = self.detector.end_iteration(sig, delay, remaining) {
-                                let stride = skip.counters.draws;
-                                for m in 1..=skip.cycles {
-                                    for rec in &skip.records {
-                                        for &f in &rec.flops {
-                                            self.executed_flops += f;
-                                        }
-                                        for &id in &rec.completed {
-                                            self.completed_ids.push(JobId(id + m * stride));
-                                        }
-                                    }
-                                }
-                                self.total_delay += skip.delay_sum * skip.cycles;
-                                self.iterations_done += skip.iterations() as usize;
-                                self.jobs_completed +=
-                                    (skip.counters.completions * skip.cycles) as usize;
-                                self.next_job_id += skip.counters.draws * skip.cycles;
-                                self.bubbles_lost += skip.counters.aux * skip.cycles;
-                                // In-flight jobs were drawn a fixed number
-                                // of cycles before they complete; their
-                                // ids advance with the skipped draws so
-                                // post-skip completions continue the
-                                // event-fidelity id stream exactly.
-                                for job in self.stage_jobs.iter_mut().flatten() {
-                                    job.exec.advance_job_id(stride * skip.cycles);
-                                }
-                                self.fast_forwarded += skip.iterations();
-                                queue.credit(skip.iterations() * (self.stages() as u64 + 1));
-                                next_at =
-                                    now + (self.period * skip.len + skip.delay_sum) * skip.cycles;
-                            }
-                        }
-                    }
-                    for stage in 0..self.stages() {
-                        queue.push(next_at, ClusterEvent::StageBubbles { stage });
-                    }
-                }
-            }
-            ClusterEvent::DeviceFailure { device } => {
-                // A failure landing after the last iteration has nothing
-                // left to attack; dropping it (and its recovery) lets the
-                // queue drain.
-                if self.iterations_done >= self.cfg.iterations {
-                    return;
-                }
-                debug_assert!(self.up[device], "failure on an already-down device");
-                // Defensive: faults gate the detector off at construction,
-                // but a failure is exactly the external transition that
-                // voids a cycle hypothesis, so say so explicitly too.
-                self.detector.reset();
-                self.failures += 1;
-                self.up[device] = false;
-                self.evict(device);
-                let outage = self.fail_rngs[device].exponential_duration(self.cfg.mean_recovery);
-                self.downtime += outage;
-                self.down_until[device] = now + outage;
-                queue.push(now + outage, ClusterEvent::DeviceRecovery { device });
-            }
-            ClusterEvent::DeviceRecovery { device } => {
-                self.up[device] = true;
-                // Keep the failure process alive only while iterations
-                // remain; otherwise the chain would outlive the run.
-                if self.iterations_done < self.cfg.iterations {
-                    let gap = self.fail_rngs[device].exponential_duration(self.cfg.mtbf);
-                    if let Some(at) = now.checked_add(gap) {
-                        queue.push(at, ClusterEvent::DeviceFailure { device });
-                    }
-                }
-            }
-            ClusterEvent::JobArrival(_)
-            | ClusterEvent::JobCompletion { .. }
-            | ClusterEvent::JobIterationEnd { .. } => {
-                debug_assert!(false, "fault backend received a foreign event");
-            }
+        let fleet = self.into_report();
+        let job = &fleet.jobs[0];
+        FaultSimResult {
+            iterations: job.iterations,
+            nominal_period: job.nominal_period,
+            mean_period: job.mean_period,
+            main_slowdown: job.main_slowdown,
+            fill_flops: job.fill_flops,
+            lost_fill_flops: job.lost_fill_flops,
+            recovered_tflops_per_gpu: job.recovered_tflops_per_gpu,
+            main_tflops_per_gpu: job.main_tflops_per_gpu,
+            jobs_completed: job.fill_jobs_completed,
+            failures: job.failures,
+            evictions: job.evictions,
+            bubbles_lost: job.bubbles_lost,
+            downtime: job.downtime,
+            goodput_fraction: fleet.goodput_fraction,
+            iterations_fast_forwarded: fleet.iterations_fast_forwarded,
+            completed_job_ids: fleet.completed_fill_ids,
         }
-    }
-}
-
-impl SimBackend for FaultBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Fault
-    }
-
-    fn prime(&mut self, sim: &mut Simulation<ClusterEvent>) {
-        if !self.filling() {
-            return;
-        }
-        for stage in 0..self.stages() {
-            sim.schedule(SimTime::ZERO, ClusterEvent::StageBubbles { stage });
-        }
-        if self.cfg.mtbf != SimDuration::MAX {
-            for stage in 0..self.stages() {
-                let gap = self.fail_rngs[stage].exponential_duration(self.cfg.mtbf);
-                if let Some(at) = SimTime::ZERO.checked_add(gap) {
-                    sim.schedule(at, ClusterEvent::DeviceFailure { device: stage });
-                }
-            }
-        }
-    }
-
-    fn on_bubble(
-        &mut self,
-        now: SimTime,
-        stage: usize,
-        slot: usize,
-        _queue: &mut EventQueue<ClusterEvent>,
-    ) {
-        if !self.up[stage] {
-            self.bubbles_lost += 1;
-            return;
-        }
-        let window = self.stage_windows[stage][slot];
-        if self.stage_jobs[stage].is_none() {
-            self.stage_jobs[stage] = self.acquire_job(stage, now);
-        }
-        let cfg_jitter = self.cfg.jitter_cv;
-        let usable_fraction = self.cfg.usable_fraction;
-        let switch_overhead = self.cfg.executor.switch_overhead;
-        let ckpt_every = self.cfg.checkpoint_every_bubbles;
-        let Some(job) = self.stage_jobs[stage].as_mut() else {
-            return;
-        };
-        // A revived job reloads its checkpoint before any new work: the
-        // restart debt consumes whole bubbles (no stall — the reload fits
-        // inside the usable span it displaces).
-        if !job.restart_debt.is_zero() {
-            let usable = window.duration.mul_f64(usable_fraction);
-            job.restart_debt = job.restart_debt.saturating_sub(usable);
-            return;
-        }
-        let run = job.exec.on_bubble(slot);
-        if run.time_used.is_zero() && run.samples_completed == 0 && !run.job_finished {
-            return;
-        }
-        job.unsaved_flops += run.flops;
-        job.runs_since_ckpt += 1;
-        let finished = run.job_finished;
-        let finished_id = job.exec.job().id;
-        if !finished && job.runs_since_ckpt >= ckpt_every {
-            job.ckpt = job.exec.checkpoint();
-            job.unsaved_flops = 0.0;
-            job.runs_since_ckpt = 0;
-        }
-        self.executed_flops += run.flops;
-        self.detector.record_flops(run.flops);
-        // Jittered reality, identical to the physical backend: bubble and
-        // partition both deviate from their profiled durations.
-        let actual_window = window.duration.mul_f64(self.rng.jitter(cfg_jitter));
-        let used = switch_overhead + run.time_used.mul_f64(self.rng.jitter(cfg_jitter));
-        let usable = actual_window.mul_f64(usable_fraction);
-        let delay = used.saturating_sub(usable);
-        if self.stage_delays.is_empty() {
-            self.stage_delays.push(SimDuration::ZERO);
-        }
-        *self
-            .stage_delays
-            .last_mut()
-            .expect("just ensured non-empty") += delay;
-        if finished {
-            self.jobs_completed += 1;
-            self.completed_ids.push(finished_id);
-            self.detector.record_completion(finished_id.0);
-            self.stage_jobs[stage] = None;
-        }
-    }
-
-    fn drain(&mut self, _now: SimTime) {
-        let p = self.stages();
-        let iterations = self.cfg.iterations;
-        let nominal_total = self.period * iterations as u64;
-        let elapsed = nominal_total + self.total_delay;
-        // An outage in flight when the run ends only counts up to the
-        // final iteration boundary: downtime must never exceed the span
-        // the run actually observed. Only the last outage per device can
-        // overhang (later failures are dropped by the post-run guard).
-        let run_end = SimTime::ZERO + elapsed;
-        for &until in &self.down_until {
-            self.downtime = self
-                .downtime
-                .saturating_sub(until.saturating_since(run_end));
-        }
-        let slowdown = if iterations == 0 {
-            0.0
-        } else {
-            self.total_delay.as_secs_f64() / nominal_total.as_secs_f64()
-        };
-        let surviving = (self.executed_flops - self.lost_flops).max(0.0);
-        self.result = Some(FaultSimResult {
-            iterations,
-            nominal_period: self.period,
-            mean_period: if iterations == 0 {
-                self.period
-            } else {
-                self.period + self.total_delay / iterations as u64
-            },
-            main_slowdown: slowdown,
-            fill_flops: surviving,
-            lost_fill_flops: self.lost_flops,
-            recovered_tflops_per_gpu: if surviving == 0.0 {
-                0.0
-            } else {
-                surviving / (p as f64 * elapsed.as_secs_f64()) / 1e12
-            },
-            main_tflops_per_gpu: self.main_nominal / (1.0 + slowdown),
-            jobs_completed: self.jobs_completed,
-            completed_job_ids: std::mem::take(&mut self.completed_ids),
-            failures: self.failures,
-            evictions: self.evictions,
-            bubbles_lost: self.bubbles_lost,
-            downtime: self.downtime,
-            goodput_fraction: BackendMetrics::goodput_of(surviving, self.lost_flops),
-            iterations_fast_forwarded: self.fast_forwarded,
-        });
-    }
-
-    fn metrics(&self, events_dispatched: u64) -> BackendMetrics {
-        let result = self
-            .result
-            .as_ref()
-            .expect("metrics requested before drain");
-        let elapsed = self.period * result.iterations as u64 + self.total_delay;
-        BackendMetrics {
-            kind: BackendKind::Fault,
-            num_devices: self.stages(),
-            elapsed,
-            events_dispatched,
-            fill_flops: result.fill_flops,
-            recovered_tflops_per_gpu: result.recovered_tflops_per_gpu,
-            main_tflops_per_gpu: result.main_tflops_per_gpu,
-            main_slowdown: result.main_slowdown,
-            bubble_ratio: self.bubble_ratio,
-            jobs_completed: result.jobs_completed,
-            evictions: result.evictions,
-            lost_fill_flops: result.lost_fill_flops,
-            goodput_fraction: result.goodput_fraction,
-        }
-    }
-}
-
-/// The heterogeneous + fault simulator: the convenience entry point
-/// wrapping [`FaultBackend`] in a [`BackendDriver`]. See module docs.
-#[derive(Debug)]
-pub struct FaultSim {
-    config: FaultSimConfig,
-}
-
-impl FaultSim {
-    /// Creates a simulator.
-    pub fn new(config: FaultSimConfig) -> Self {
-        FaultSim { config }
-    }
-
-    /// Runs the simulation on the shared event kernel.
-    pub fn run(&self) -> FaultSimResult {
-        let (_, backend) = BackendDriver::new(FaultBackend::new(self.config.clone())).run();
-        backend.into_result()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::{PhysicalSim, PhysicalSimConfig};
+    use crate::physical::{PhysicalBackend, PhysicalSimConfig};
     use pipefill_pipeline::ScheduleKind;
 
     fn config(fill: f64) -> FaultSimConfig {
@@ -910,8 +290,8 @@ mod tests {
         // The headline conformance property: with faults off and a
         // homogeneous device list, every randomness-consuming code path
         // is identical to the physical backend's.
-        let fault = FaultSim::new(config(0.68)).run();
-        let phys = PhysicalSim::new(physical_config(0.68)).run();
+        let fault = FaultBackend::simulate(config(0.68));
+        let phys = PhysicalBackend::simulate(physical_config(0.68));
         assert_eq!(fault.fill_flops, phys.fill_flops);
         assert_eq!(
             fault.recovered_tflops_per_gpu,
@@ -929,15 +309,15 @@ mod tests {
     fn deterministic_per_seed() {
         let mut cfg = config(0.68).with_mtbf(SimDuration::from_secs(600));
         cfg.seed = 11;
-        let a = FaultSim::new(cfg.clone()).run();
-        let b = FaultSim::new(cfg).run();
+        let a = FaultBackend::simulate(cfg.clone());
+        let b = FaultBackend::simulate(cfg);
         assert_eq!(a, b);
     }
 
     #[test]
     fn failures_cause_evictions_and_lost_work() {
         let cfg = config(0.68).with_mtbf(SimDuration::from_secs(300));
-        let r = FaultSim::new(cfg).run();
+        let r = FaultBackend::simulate(cfg);
         assert!(r.failures > 0, "no failures at a 5-minute MTBF");
         assert!(r.evictions > 0, "failures never evicted a job");
         assert!(r.lost_fill_flops > 0.0);
@@ -951,8 +331,8 @@ mod tests {
 
     #[test]
     fn faults_reduce_recovered_throughput() {
-        let clean = FaultSim::new(config(0.68)).run();
-        let faulty = FaultSim::new(config(0.68).with_mtbf(SimDuration::from_secs(300))).run();
+        let clean = FaultBackend::simulate(config(0.68));
+        let faulty = FaultBackend::simulate(config(0.68).with_mtbf(SimDuration::from_secs(300)));
         assert!(
             faulty.recovered_tflops_per_gpu < clean.recovered_tflops_per_gpu,
             "faulty {} vs clean {}",
@@ -964,7 +344,7 @@ mod tests {
     #[test]
     fn evicted_jobs_complete_at_most_once() {
         let cfg = config(0.68).with_mtbf(SimDuration::from_secs(200));
-        let r = FaultSim::new(cfg).run();
+        let r = FaultBackend::simulate(cfg);
         assert!(r.evictions > 0);
         let mut ids = r.completed_job_ids.clone();
         ids.sort_unstable();
@@ -990,11 +370,11 @@ mod tests {
         devices[p / 2] = slowpoke;
         let mut cfg = FaultSimConfig::heterogeneous(main.clone(), devices);
         cfg.iterations = 60;
-        let het = FaultSim::new(cfg).run();
+        let het = FaultBackend::simulate(cfg);
 
         let mut homo_cfg = FaultSimConfig::new(main);
         homo_cfg.iterations = 60;
-        let homo = FaultSim::new(homo_cfg).run();
+        let homo = FaultBackend::simulate(homo_cfg);
 
         let ratio = het.nominal_period.as_secs_f64() / homo.nominal_period.as_secs_f64();
         assert!((ratio - 2.0).abs() < 1e-9, "period ratio {ratio}");
@@ -1022,11 +402,11 @@ mod tests {
         }
         let mut cfg = FaultSimConfig::heterogeneous(main.clone(), devices);
         cfg.iterations = 60;
-        let upgraded = FaultSim::new(cfg).run();
+        let upgraded = FaultBackend::simulate(cfg);
 
         let mut homo_cfg = FaultSimConfig::new(main);
         homo_cfg.iterations = 60;
-        let homo = FaultSim::new(homo_cfg).run();
+        let homo = FaultBackend::simulate(homo_cfg);
 
         assert_eq!(upgraded.nominal_period, homo.nominal_period);
         assert!(
@@ -1039,37 +419,10 @@ mod tests {
 
     #[test]
     fn no_fill_baseline_is_inert() {
-        let r = FaultSim::new(config(0.0).with_mtbf(SimDuration::from_secs(60))).run();
+        let r = FaultBackend::simulate(config(0.0).with_mtbf(SimDuration::from_secs(60)));
         assert_eq!(r.main_slowdown, 0.0);
         assert_eq!(r.recovered_tflops_per_gpu, 0.0);
         assert_eq!(r.failures, 0, "failure chain must not outlive filling");
-    }
-
-    #[test]
-    fn fast_forward_matches_event_fidelity_bit_for_bit() {
-        // Quiescent config (no jitter draws, deterministic mix, small
-        // jobs so the executor cycle recurs quickly): fast-forward must
-        // fire, and the results must match the event-by-event run down
-        // to the last bit — including the completed-id stream, whose
-        // replay shifts ids by the per-cycle draw stride.
-        let mut on = config(0.68);
-        on.jitter_cv = 0.0;
-        on.deterministic_mix = true;
-        on.mix = ModelMix::single(pipefill_model_zoo::ModelId::EfficientNet);
-        on.backlog_job_gpu_hours = 0.002;
-        on.iterations = 400;
-        let mut off = on.clone();
-        off.fast_forward = false;
-        let mut r_on = FaultSim::new(on).run();
-        let r_off = FaultSim::new(off).run();
-        assert!(
-            r_on.iterations_fast_forwarded > 0,
-            "steady state never detected"
-        );
-        assert_eq!(r_off.iterations_fast_forwarded, 0);
-        assert_eq!(r_on.fill_flops.to_bits(), r_off.fill_flops.to_bits());
-        r_on.iterations_fast_forwarded = 0;
-        assert_eq!(r_on, r_off);
     }
 
     #[test]
@@ -1091,23 +444,11 @@ mod tests {
         cfg.iterations = 800;
         let mut off = cfg.clone();
         off.fast_forward = false;
-        let mut r_on = FaultSim::new(cfg).run();
-        let r_off = FaultSim::new(off).run();
+        let mut r_on = FaultBackend::simulate(cfg);
+        let r_off = FaultBackend::simulate(off);
         assert!(r_on.iterations_fast_forwarded > 0);
         r_on.iterations_fast_forwarded = 0;
         assert_eq!(r_on, r_off);
-    }
-
-    #[test]
-    fn faulty_runs_never_fast_forward() {
-        let mut cfg = config(0.68).with_mtbf(SimDuration::from_secs(300));
-        cfg.jitter_cv = 0.0;
-        cfg.deterministic_mix = true;
-        let r = FaultSim::new(cfg).run();
-        assert_eq!(
-            r.iterations_fast_forwarded, 0,
-            "fault injection must gate fast-forward off"
-        );
     }
 
     #[test]

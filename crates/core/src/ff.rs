@@ -1,9 +1,9 @@
 //! Steady-state fast-forward: cycle detection over iteration signatures.
 //!
-//! The fine-grained backends simulate every bubble of every iteration, but
+//! The pipeline-filling backends simulate every bubble of every iteration, but
 //! over a week-long fleet horizon almost all of that work is repetitive
 //! steady state. This module implements the detection half of the
-//! fast-forward machinery: each backend summarizes its *complete*
+//! fast-forward machinery: each main-job pipeline summarizes its *complete*
 //! behavioral state at every iteration boundary into a signature (a
 //! `Vec<u64>` of exact bit patterns — accumulator bits, plan identities,
 //! executor cursors), and the [`SteadyDetector`] looks for a previous
@@ -44,10 +44,12 @@ pub(crate) struct SteadyCounters {
     pub completions: u64,
     /// Fill jobs drawn from the backlog (absolute; advances job ids).
     pub draws: u64,
-    /// Backend-specific third counter (physical: isolated OOMs, fault:
-    /// bubbles lost to downtime) — zero in quiescent runs but carried so
-    /// the replay stays fully general.
-    pub aux: u64,
+    /// Fill partitions killed by isolated OOMs (absolute).
+    pub isolated_ooms: u64,
+    /// Bubbles lost to device downtime (absolute). Both this and
+    /// `isolated_ooms` stay zero in quiescent runs but are carried so the
+    /// replay stays fully general.
+    pub bubbles_lost: u64,
 }
 
 impl SteadyCounters {
@@ -55,7 +57,8 @@ impl SteadyCounters {
         SteadyCounters {
             completions: self.completions - earlier.completions,
             draws: self.draws - earlier.draws,
-            aux: self.aux - earlier.aux,
+            isolated_ooms: self.isolated_ooms - earlier.isolated_ooms,
+            bubbles_lost: self.bubbles_lost - earlier.bubbles_lost,
         }
     }
 }
@@ -117,8 +120,7 @@ fn hash_sig(sig: &[u64]) -> u64 {
 }
 
 /// Detects steady-state cycles at iteration boundaries. One instance per
-/// independent iteration stream (the whole backend for physical/fault,
-/// one per job for the fleet).
+/// independent iteration stream (one per main-job pipeline).
 #[derive(Debug)]
 pub(crate) struct SteadyDetector {
     enabled: bool,
@@ -274,7 +276,8 @@ impl SteadyDetector {
             .fold(SteadyCounters::default(), |acc, r| SteadyCounters {
                 completions: acc.completions + r.counters.completions,
                 draws: acc.draws + r.counters.draws,
-                aux: acc.aux + r.counters.aux,
+                isolated_ooms: acc.isolated_ooms + r.counters.isolated_ooms,
+                bubbles_lost: acc.bubbles_lost + r.counters.bubbles_lost,
             });
         Some(Skip {
             cycles,
@@ -422,7 +425,7 @@ mod tests {
         let at = |n: u64| SteadyCounters {
             completions: n,
             draws: 2 * n,
-            aux: 0,
+            ..SteadyCounters::default()
         };
         assert!(!d.observe(fp(&rng), at(0)));
         assert!(!d.observe(fp(&rng), at(1)));

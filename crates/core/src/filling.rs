@@ -1,0 +1,1303 @@
+//! The one pipeline-filling core.
+//!
+//! The physical, fault and fleet fidelities are one model: pipeline-parallel
+//! main jobs whose stages execute fill work inside their bubbles. Each main
+//! job is a [`Pipeline`] — its workload stream, the fill lease running on
+//! each stage, its stall and fast-forward state — and [`FillBackend`] is a
+//! set of pipelines on one kernel sharing one cluster-wide
+//! [`GlobalFillQueue`] for fill jobs evicted by device failures. Everything
+//! per-bubble (backlog draw, plan and throughput caches, jitter, stall
+//! accounting, checkpointing), per-iteration (`critical_path_delay`
+//! folding, the steady-state skip) and per-failure (eviction, outage,
+//! recovery) lives here once.
+//!
+//! The three public backends are presets of this engine, selected by the
+//! [`BackendKind`] they lower with:
+//!
+//! * **Fleet** runs the [`FleetSimConfig`] as given.
+//! * **Fault** is a one-pipeline fleet whose stages may run different GPUs
+//!   (`FleetJobConfig::stage_devices`): the slowest stage paces the
+//!   pipeline and every other stage gains its slack as fillable span.
+//! * **Physical** is a one-pipeline fleet without a fault layer: fill jobs
+//!   never checkpoint, and memory jitter can kill a partition with an
+//!   isolated OOM (§4.3).
+//!
+//! Because the presets share every randomness-consuming code path, a
+//! no-fault homogeneous fault run and a one-job fleet both reproduce the
+//! physical run bit for bit — the conformance suite pins it.
+//!
+//! A preset also fixes the fast-forward detector's history (the fleet
+//! keeps a short one per job) and which result view the run reports: the
+//! fleet aggregate, or the single pipeline's own numbers. `Preset::of`
+//! is the one place these differences are decided.
+
+use std::collections::HashMap;
+use std::marker::PhantomData;
+use std::sync::Arc;
+
+use pipefill_device::{Bytes, DeviceSpec};
+use pipefill_executor::{
+    exclusive_throughput, plan_best, ExecutionPlan, ExecutorCheckpoint, ExecutorConfig,
+    FillJobExecutor, FillJobSpec, JobId,
+};
+use pipefill_model_zoo::{JobKind, ModelId};
+use pipefill_pipeline::BubbleWindow;
+use pipefill_scheduler::{GlobalFillQueue, JobInfo, SystemState};
+use pipefill_sim_core::rng::DeterministicRng;
+use pipefill_sim_core::{EventHandler, EventQueue, SimDuration, SimTime, Simulation};
+use pipefill_trace::ModelMix;
+
+use crate::backend::{BackendKind, BackendMetrics, ClusterEvent, SimBackend};
+use crate::experiments::sweep;
+use crate::ff::{SteadyCounters, SteadyDetector};
+use crate::fleet::{FleetJobConfig, FleetJobResult, FleetSimConfig, FleetSimResult};
+
+/// Signature-history depth for the single-pipeline presets: long enough
+/// for the realistic fill-cycle periods (plan cursor × rotation ×
+/// job-completion interleavings), small enough that an undetectable
+/// workload just falls back to event fidelity.
+const STEADY_HISTORY: usize = 512;
+
+/// Per-job signature history of the fleet preset. A fleet carries one
+/// detector per main job and observed steady cycles are short (a few
+/// iterations), so a modest window keeps thousand-job fleets cheap while
+/// still detecting every cycle the single-pipeline presets do.
+const FLEET_STEADY_HISTORY: usize = 64;
+
+/// Draws per refill before a bubble is left idle this round.
+const MAX_DRAW_TRIES: usize = 5;
+
+/// Everything the engine does differently per preset.
+#[derive(Debug, Clone, Copy)]
+struct Preset {
+    kind: BackendKind,
+    /// False for the physical preset: fill jobs never checkpoint, and
+    /// checkpoint progress is no part of the steady-state signature.
+    fault_layer: bool,
+    /// Fast-forward signature history per pipeline.
+    history: usize,
+    /// Whether the run records completed fill ids (the physical result
+    /// does not report them).
+    records_completed_ids: bool,
+    /// Whether the metrics report the fleet aggregate rather than the
+    /// single pipeline's own numbers (the device-weighted aggregates are
+    /// not bit-identical to them).
+    aggregate_metrics: bool,
+}
+
+impl Preset {
+    fn of(kind: BackendKind) -> Self {
+        let (fault_layer, history, aggregate_metrics) = match kind {
+            BackendKind::Physical => (false, STEADY_HISTORY, false),
+            BackendKind::Fault => (true, STEADY_HISTORY, false),
+            BackendKind::Fleet => (true, FLEET_STEADY_HISTORY, true),
+            BackendKind::Coarse => unreachable!("the coarse backend is not a filling preset"),
+        };
+        Preset {
+            kind,
+            fault_layer,
+            history,
+            records_completed_ids: fault_layer,
+            aggregate_metrics,
+        }
+    }
+}
+
+/// Bubble geometry and profiled caches of one pipeline *shape*. Jobs with
+/// identical main-job spec, executor tuning and stage devices share one
+/// shape, so an 8K-GPU fleet profiles each distinct shape once.
+struct Shape {
+    /// GPUs one job of this shape occupies, and their generation (the
+    /// main job's device), for the report.
+    gpus: usize,
+    device: String,
+    period: SimDuration,
+    /// Main-job TFLOPS per GPU at `period`, before fill slowdown.
+    main_nominal: f64,
+    bubble_ratio: f64,
+    windows: Vec<Vec<BubbleWindow>>,
+    /// The same windows as `(duration, free_memory)` planner slots.
+    slots: Vec<Vec<(SimDuration, Bytes)>>,
+    devices: Vec<DeviceSpec>,
+    /// For each stage, the first stage with an identical device: the
+    /// throughput-cache key, so a homogeneous pipeline profiles each
+    /// (model, kind) once, not once per stage.
+    device_class: Vec<usize>,
+    executor: ExecutorConfig,
+    /// Profiled plans per (model, kind, stage); `None` caches "does not
+    /// fit". Plans are `Arc`s, so binding one to an executor is a
+    /// refcount bump, never a deep copy.
+    plans: HashMap<(ModelId, JobKind, usize), Option<Arc<ExecutionPlan>>>,
+    /// Exclusive throughput per (model, kind, device class).
+    throughputs: HashMap<(ModelId, JobKind, usize), Option<f64>>,
+}
+
+impl Shape {
+    /// Profiles a job's pipeline once. A homogeneous job keeps the
+    /// engine's geometry; with per-stage devices the slowest stage paces
+    /// the pipeline, so the period stretches to `period × max(slow)` and
+    /// stage `s` keeps its busy time (scaled by its own slowness) while
+    /// absorbing the pacing slack as fillable span:
+    /// `W'_s = P' − slow_s × (P − W_s)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stage_devices` is non-empty with a length different
+    /// from the pipeline depth.
+    fn profile(job: &FleetJobConfig) -> Shape {
+        let main = &job.main_job;
+        let timeline = main.engine_timeline();
+        let p = timeline.stages.len();
+        let base_period = timeline.period;
+        let base_nominal = main.main_job_tflops_per_gpu(&timeline);
+        let base_windows: Vec<Vec<BubbleWindow>> = timeline
+            .stages
+            .iter()
+            .map(|s| s.fillable_windows())
+            .collect();
+        let (period, main_nominal, bubble_ratio, windows, devices) = if job.stage_devices.is_empty()
+        {
+            let devices = vec![main.device.clone(); p];
+            let ratio = timeline.bubble_ratio();
+            (base_period, base_nominal, ratio, base_windows, devices)
+        } else {
+            assert_eq!(
+                job.stage_devices.len(),
+                p,
+                "stage_devices must cover every pipeline stage ({p})"
+            );
+            let devices = job.stage_devices.clone();
+            let baseline = &main.device;
+            // slow_s > 1 ⇒ stage s is slower than the baseline.
+            let slow: Vec<f64> = devices
+                .iter()
+                .map(|d| 1.0 / d.relative_speed(baseline))
+                .collect();
+            let max_slow = slow.iter().cloned().fold(f64::MIN, f64::max);
+            let period = base_period.mul_f64(max_slow);
+            let windows = base_windows
+                .into_iter()
+                .enumerate()
+                .map(|(s, windows)| {
+                    let w_total: SimDuration = windows.iter().map(|w| w.duration).sum();
+                    if w_total.is_zero() {
+                        return windows;
+                    }
+                    let busy = base_period.saturating_sub(w_total).mul_f64(slow[s]);
+                    let scale = period.saturating_sub(busy).as_secs_f64() / w_total.as_secs_f64();
+                    let mem_scale = devices[s].hbm.as_f64() / baseline.hbm.as_f64();
+                    windows
+                        .into_iter()
+                        .map(|w| BubbleWindow {
+                            duration: w.duration.mul_f64(scale),
+                            free_memory: w.free_memory.mul_f64(mem_scale),
+                            offset: w.offset.mul_f64(slow[s]),
+                            kind: w.kind,
+                        })
+                        .collect()
+                })
+                .collect();
+            // The main job's FLOPs per iteration are unchanged; only the
+            // period stretched, so the per-GPU rate scales by P/P'. The
+            // bubble-ratio estimate scales the busy share the same way.
+            let period_ratio = base_period.as_secs_f64() / period.as_secs_f64();
+            let avg_slow = slow.iter().sum::<f64>() / p as f64;
+            let ratio =
+                (1.0 - (1.0 - timeline.bubble_ratio()) * avg_slow * period_ratio).clamp(0.0, 1.0);
+            (period, base_nominal * period_ratio, ratio, windows, devices)
+        };
+        let slots = windows
+            .iter()
+            .map(|ws| ws.iter().map(|w| (w.duration, w.free_memory)).collect())
+            .collect();
+        let device_class = (0..p)
+            .map(|s| (0..s).find(|&t| devices[t] == devices[s]).unwrap_or(s))
+            .collect();
+        Shape {
+            gpus: main.parallelism.total_gpus(),
+            device: main.device.name.clone(),
+            period,
+            main_nominal,
+            bubble_ratio,
+            windows,
+            slots,
+            devices,
+            device_class,
+            executor: job.executor,
+            plans: HashMap::new(),
+            throughputs: HashMap::new(),
+        }
+    }
+
+    fn stages(&self) -> usize {
+        self.windows.len()
+    }
+
+    /// The profiled plan of a (model, kind) fill job on `stage`.
+    fn plan(&mut self, model: ModelId, kind: JobKind, stage: usize) -> Option<Arc<ExecutionPlan>> {
+        let (slots, device, executor) = (&self.slots[stage], &self.devices[stage], &self.executor);
+        self.plans
+            .entry((model, kind, stage))
+            .or_insert_with(|| {
+                if slots.is_empty() {
+                    return None;
+                }
+                let probe = FillJobSpec::new(u64::MAX, model, kind, u64::MAX / 2);
+                plan_best(&probe, slots, device, executor)
+                    .ok()
+                    .map(Arc::new)
+            })
+            .clone()
+    }
+
+    /// Exclusive throughput of a (model, kind) fill job on `stage`'s GPU.
+    fn throughput(&mut self, model: ModelId, kind: JobKind, stage: usize) -> Option<f64> {
+        let device = &self.devices[stage];
+        *self
+            .throughputs
+            .entry((model, kind, self.device_class[stage]))
+            .or_insert_with(|| {
+                let graph = model.build();
+                exclusive_throughput(&graph, kind, device, &FillJobSpec::default_batch_sizes())
+                    .map(|(t, _)| t)
+            })
+    }
+}
+
+/// A fill job bound to a stage, with the checkpoint state eviction needs.
+struct FillLease {
+    exec: FillJobExecutor,
+    ckpt: ExecutorCheckpoint,
+    /// FLOPs executed since `ckpt` — lost if the device fails now.
+    unsaved_flops: f64,
+    /// Bubble partitions executed since `ckpt`.
+    runs_since_ckpt: usize,
+    /// Bubble time still owed to checkpoint reloading after a revival.
+    restart_debt: SimDuration,
+}
+
+impl FillLease {
+    fn fresh(exec: FillJobExecutor) -> Self {
+        let ckpt = exec.checkpoint();
+        FillLease {
+            exec,
+            ckpt,
+            unsaved_flops: 0.0,
+            runs_since_ckpt: 0,
+            restart_debt: SimDuration::ZERO,
+        }
+    }
+}
+
+/// One main job: its shape, workload stream, the fill lease on each
+/// stage, and its stall, counter and fast-forward state.
+struct Pipeline {
+    shape: usize,
+    /// First flat device of this pipeline.
+    base: usize,
+    iterations: usize,
+    /// False when the job declines filling or runs no iterations: it then
+    /// schedules no events at all.
+    filling: bool,
+    rng: DeterministicRng,
+    rotation: Option<MixRotation>,
+    /// Boxed so an idle stage costs a pointer, not a lease: a
+    /// thousand-job fleet starts with every stage idle.
+    leases: Vec<Option<Box<FillLease>>>,
+    up: Vec<bool>,
+    next_fill_id: u64,
+    iterations_done: usize,
+    /// Per-stage stall of the iteration in flight.
+    stage_delays: Vec<SimDuration>,
+    total_delay: SimDuration,
+    downtime: SimDuration,
+    /// All fill FLOPs executed on this pipeline, surviving or not.
+    executed_flops: f64,
+    lost_flops: f64,
+    completed: usize,
+    isolated_ooms: u64,
+    failures: u64,
+    evictions: u64,
+    bubbles_lost: u64,
+    /// Steady-state detector over this pipeline's iteration stream.
+    detector: SteadyDetector,
+    fast_forwarded: u64,
+}
+
+impl Pipeline {
+    /// Draws the next backlog fill job for `stage` and binds it to its
+    /// plan. Returns `None` (leaving the bubble idle this round) if
+    /// several draws in a row are infeasible on this stage.
+    fn draw(
+        &mut self,
+        shape: &mut Shape,
+        job: usize,
+        stage: usize,
+        cfg: &FleetSimConfig,
+    ) -> Option<FillJobExecutor> {
+        for _ in 0..MAX_DRAW_TRIES {
+            let (model, kind) = match self.rotation.as_mut() {
+                Some(r) => r.next(),
+                None => {
+                    let model = cfg.mix.sample_model(&mut self.rng);
+                    (model, cfg.mix.sample_kind(model, &mut self.rng))
+                }
+            };
+            let Some(plan) = shape.plan(model, kind, stage) else {
+                continue;
+            };
+            let Some(throughput) = shape.throughput(model, kind, stage) else {
+                continue;
+            };
+            let samples = ((cfg.backlog_job_gpu_hours * 3600.0 * throughput).round() as u64).max(1);
+            let id = ((job as u64) << 32) | self.next_fill_id;
+            self.next_fill_id += 1;
+            return Some(FillJobExecutor::new(
+                FillJobSpec::new(id, model, kind, samples),
+                plan,
+            ));
+        }
+        None
+    }
+
+    /// Executes one bubble window on `stage` with the lease already
+    /// acquired (if any work was available); returns the stall it caused.
+    /// Without a fault layer fill jobs never checkpoint.
+    #[inline]
+    fn run_bubble(
+        &mut self,
+        stage: usize,
+        slot: usize,
+        shape: &Shape,
+        cfg: &FleetSimConfig,
+        fault_layer: bool,
+        completed_ids: Option<&mut Vec<JobId>>,
+    ) -> SimDuration {
+        let window = shape.windows[stage][slot];
+        let Some(lease) = self.leases[stage].as_mut() else {
+            return SimDuration::ZERO;
+        };
+        // A revived job reloads its checkpoint before any new work: the
+        // restart debt consumes whole bubbles (no stall — the reload fits
+        // inside the usable span it displaces).
+        if !lease.restart_debt.is_zero() {
+            let usable = window.duration.mul_f64(cfg.usable_fraction);
+            lease.restart_debt = lease.restart_debt.saturating_sub(usable);
+            return SimDuration::ZERO;
+        }
+        // Memory failure injection: the engine capped the executor at the
+        // profiled free memory, but the *actual* free memory this bubble
+        // may be less. A request over the cap dies as an isolated OOM; the
+        // bubble idles and the partition retries next cycle.
+        if cfg.memory_jitter_cv > 0.0 {
+            if let Some(need) = lease.exec.pending_memory(slot) {
+                let actual_free = window
+                    .free_memory
+                    .mul_f64(self.rng.jitter(cfg.memory_jitter_cv));
+                if need > actual_free {
+                    self.isolated_ooms += 1;
+                    return SimDuration::ZERO;
+                }
+            }
+        }
+        let run = lease.exec.on_bubble(slot);
+        if run.time_used.is_zero() && run.samples_completed == 0 && !run.job_finished {
+            return SimDuration::ZERO;
+        }
+        let finished_id = lease.exec.job().id;
+        if fault_layer {
+            lease.unsaved_flops += run.flops;
+            lease.runs_since_ckpt += 1;
+            if !run.job_finished && lease.runs_since_ckpt >= cfg.checkpoint_every_bubbles {
+                lease.ckpt = lease.exec.checkpoint();
+                lease.unsaved_flops = 0.0;
+                lease.runs_since_ckpt = 0;
+            }
+        }
+        self.executed_flops += run.flops;
+        self.detector.record_flops(run.flops);
+        // Jittered reality: the bubble and the partition both deviate from
+        // their profiled durations.
+        let actual_window = window.duration.mul_f64(self.rng.jitter(cfg.jitter_cv));
+        let used =
+            shape.executor.switch_overhead + run.time_used.mul_f64(self.rng.jitter(cfg.jitter_cv));
+        if run.job_finished {
+            self.completed += 1;
+            self.detector.record_completion(finished_id.0);
+            self.leases[stage] = None;
+            if let Some(ids) = completed_ids {
+                ids.push(finished_id);
+            }
+        }
+        used.saturating_sub(actual_window.mul_f64(cfg.usable_fraction))
+    }
+
+    /// This pipeline's share of the report. An outage in flight when the
+    /// run ends only counts up to the final iteration boundary: downtime
+    /// never exceeds the span the run actually observed.
+    fn result(&mut self, job: usize, shape: &Shape, down_until: &[SimTime]) -> FleetJobResult {
+        let p = shape.stages();
+        let iterations = self.iterations;
+        let nominal_total = shape.period * iterations as u64;
+        let elapsed = nominal_total + self.total_delay;
+        let run_end = SimTime::ZERO + elapsed;
+        for &until in down_until {
+            self.downtime = self
+                .downtime
+                .saturating_sub(until.saturating_since(run_end));
+        }
+        let slowdown = if iterations == 0 {
+            0.0
+        } else {
+            self.total_delay.as_secs_f64() / nominal_total.as_secs_f64()
+        };
+        let surviving = (self.executed_flops - self.lost_flops).max(0.0);
+        FleetJobResult {
+            job,
+            gpus: shape.gpus,
+            stages: p,
+            device: shape.device.clone(),
+            fill_fraction: shape.executor.fill_fraction,
+            iterations,
+            nominal_period: shape.period,
+            mean_period: if iterations == 0 {
+                shape.period
+            } else {
+                shape.period + self.total_delay / iterations as u64
+            },
+            main_slowdown: slowdown,
+            bubble_ratio: shape.bubble_ratio,
+            elapsed,
+            fill_flops: surviving,
+            lost_fill_flops: self.lost_flops,
+            recovered_tflops_per_gpu: if surviving == 0.0 || elapsed.is_zero() {
+                // The elapsed guard covers degenerate zero-iteration
+                // jobs, where the division would mint a NaN that flows
+                // straight into fleet_scale.csv.
+                0.0
+            } else {
+                surviving / (p as f64 * elapsed.as_secs_f64()) / 1e12
+            },
+            main_tflops_per_gpu: shape.main_nominal / (1.0 + slowdown),
+            fill_jobs_completed: self.completed,
+            isolated_ooms: self.isolated_ooms,
+            failures: self.failures,
+            evictions: self.evictions,
+            bubbles_lost: self.bubbles_lost,
+            downtime: self.downtime,
+        }
+    }
+
+    /// The absolute counters the detector differences per iteration.
+    fn counters(&self) -> SteadyCounters {
+        SteadyCounters {
+            completions: self.completed as u64,
+            draws: self.next_fill_id,
+            isolated_ooms: self.isolated_ooms,
+            bubbles_lost: self.bubbles_lost,
+        }
+    }
+
+    /// Full behavioral state at an iteration boundary, as exact bit
+    /// patterns. Two boundaries with equal signatures (and no randomness
+    /// consumed in between — enforced separately by the RNG fingerprint)
+    /// evolve identically, which is what licenses a fast-forward skip.
+    /// Fill ids are deliberately excluded: they are the one monotone,
+    /// behavior-neutral component, and the skip advances them in closed
+    /// form instead. With a fault layer, device state and checkpoint
+    /// progress are part of the state too.
+    fn steady_sig(&self, fault_layer: bool) -> Vec<u64> {
+        let mut sig = Vec::with_capacity(2 + 10 * self.leases.len());
+        match &self.rotation {
+            None => sig.push(0),
+            Some(r) => {
+                sig.push(1);
+                r.sig_into(&mut sig);
+            }
+        }
+        for (s, lease) in self.leases.iter().enumerate() {
+            if fault_layer {
+                sig.push(self.up[s] as u64);
+            }
+            match lease {
+                None => sig.push(0),
+                Some(l) => {
+                    // The plan's `Arc` pointer stands in for (model, kind,
+                    // stage, plan) identity: cache entries live for the
+                    // whole run, so equal pointers mean the same plan.
+                    let ex = &l.exec;
+                    sig.extend([
+                        1,
+                        Arc::as_ptr(ex.plan_handle()) as usize as u64,
+                        ex.cursor() as u64,
+                        ex.samples_done(),
+                        ex.flops_done().to_bits(),
+                        ex.bubble_time_used().as_nanos(),
+                        ex.job().samples,
+                    ]);
+                    if fault_layer {
+                        sig.extend([
+                            l.unsaved_flops.to_bits(),
+                            l.runs_since_ckpt as u64,
+                            l.restart_debt.as_nanos(),
+                        ]);
+                    }
+                }
+            }
+        }
+        sig
+    }
+
+    /// Closes the iteration in flight: folds its stalls into the critical
+    /// path and, if iterations remain, returns when the next one starts.
+    ///
+    /// Steady-state fast-forward happens here: if this boundary's full
+    /// state matches an earlier one (with the RNG frozen in between), the
+    /// iterations separating them form a cycle that would repeat
+    /// verbatim. The cycle's recorded effects are replayed M times instead
+    /// of simulating M × cycle events, and event fidelity resumes at the
+    /// advanced clock — bit-for-bit identical by construction.
+    fn end_iteration(
+        &mut self,
+        now: SimTime,
+        period: SimDuration,
+        fault_layer: bool,
+        mut completed_ids: Option<&mut Vec<JobId>>,
+        queue: &mut EventQueue<ClusterEvent>,
+    ) -> Option<SimTime> {
+        let delay = critical_path_delay(&self.stage_delays);
+        self.total_delay += delay;
+        self.stage_delays.clear();
+        self.iterations_done += 1;
+        if self.iterations_done >= self.iterations {
+            return None;
+        }
+        if !self.detector.enabled()
+            || !self
+                .detector
+                .observe(self.rng.state_fingerprint(), self.counters())
+        {
+            return Some(now);
+        }
+        let sig = self.steady_sig(fault_layer);
+        let remaining = (self.iterations - self.iterations_done) as u64;
+        let Some(skip) = self.detector.end_iteration(sig, delay, remaining) else {
+            return Some(now);
+        };
+        // Fill ids are the only non-cyclic state: each cycle's sit exactly
+        // `draws` above the previous cycle's.
+        let stride = skip.counters.draws;
+        for m in 1..=skip.cycles {
+            for rec in &skip.records {
+                for &f in &rec.flops {
+                    self.executed_flops += f;
+                }
+                if let Some(ids) = completed_ids.as_deref_mut() {
+                    ids.extend(rec.completed.iter().map(|&id| JobId(id + m * stride)));
+                }
+            }
+        }
+        self.total_delay += skip.delay_sum * skip.cycles;
+        self.iterations_done += skip.iterations() as usize;
+        self.completed += (skip.counters.completions * skip.cycles) as usize;
+        self.next_fill_id += stride * skip.cycles;
+        self.isolated_ooms += skip.counters.isolated_ooms * skip.cycles;
+        self.bubbles_lost += skip.counters.bubbles_lost * skip.cycles;
+        self.fast_forwarded += skip.iterations();
+        // In-flight jobs were drawn a fixed number of cycles before they
+        // complete; their ids advance with the skipped draws so post-skip
+        // completions continue the event-fidelity id stream exactly.
+        for lease in self.leases.iter_mut().flatten() {
+            lease.exec.advance_job_id(stride * skip.cycles);
+        }
+        // Each skipped iteration would have fired one StageBubbles per
+        // stage plus one JobIterationEnd.
+        queue.credit(skip.iterations() * (self.leases.len() as u64 + 1));
+        Some(now + (period * skip.len + skip.delay_sum) * skip.cycles)
+    }
+}
+
+/// The pipeline-filling backend: main-job pipelines on one kernel over a
+/// flat device space, sharing one global fill queue. See the module docs;
+/// [`PhysicalBackend`](crate::PhysicalBackend),
+/// [`FaultBackend`](crate::FaultBackend) and
+/// [`FleetBackend`](crate::FleetBackend) are its presets, and `R` is the
+/// result view the preset reports.
+pub struct FillBackend<R> {
+    /// The lowered configuration: workload, failure and queue knobs.
+    cfg: FleetSimConfig,
+    preset: Preset,
+    shapes: Vec<Shape>,
+    /// Owning pipeline per flat device.
+    flat_owner: Vec<usize>,
+    queue: GlobalFillQueue,
+    /// Reusable all-idle occupancy snapshot for queue picks (occupancy
+    /// is not tracked at this fidelity; only the clock changes).
+    idle_state: SystemState,
+    /// Evicted fill leases waiting in the global queue.
+    parked: HashMap<JobId, Box<FillLease>>,
+    /// Per-flat-device failure processes, independent of the workloads.
+    fail_rngs: Vec<DeterministicRng>,
+    /// End of each flat device's outage in flight, for clamping the last
+    /// outage's downtime to the run.
+    down_until: Vec<SimTime>,
+    pipes: Vec<Pipeline>,
+    /// Completed fill ids in completion order; `None` unless the preset
+    /// records them.
+    completed_ids: Option<Vec<JobId>>,
+    report: Option<FleetSimResult>,
+    view: PhantomData<fn() -> R>,
+}
+
+impl<R> FillBackend<R> {
+    /// Builds the engine for a preset: assigns shape classes, profiles
+    /// each class once (fanned across cores through the sweep driver),
+    /// and lays the pipelines out on a flat device index space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.jobs` is empty.
+    pub(crate) fn build(cfg: FleetSimConfig, kind: BackendKind) -> Self {
+        assert!(!cfg.jobs.is_empty(), "a fleet needs at least one main job");
+        let mut class_of: Vec<usize> = Vec::with_capacity(cfg.jobs.len());
+        let mut class_reps: Vec<usize> = Vec::new();
+        for (j, job) in cfg.jobs.iter().enumerate() {
+            let class = class_reps
+                .iter()
+                .position(|&r| {
+                    let rep = &cfg.jobs[r];
+                    rep.main_job == job.main_job
+                        && rep.executor == job.executor
+                        && rep.stage_devices == job.stage_devices
+                })
+                .unwrap_or_else(|| {
+                    class_reps.push(j);
+                    class_reps.len() - 1
+                });
+            class_of.push(class);
+        }
+        let shapes: Vec<Shape> = sweep::par_map(class_reps, |rep| Shape::profile(&cfg.jobs[rep]));
+
+        // Faults feed the global queue and entangle the pipelines;
+        // fast-forward only arms while each pipeline's iteration stream is
+        // provably private.
+        let ff_armed = cfg.fast_forward && cfg.mtbf == SimDuration::MAX;
+        let preset = Preset::of(kind);
+        let mut base = Vec::with_capacity(cfg.jobs.len());
+        let mut flat_owner = Vec::new();
+        for (j, &class) in class_of.iter().enumerate() {
+            base.push(flat_owner.len());
+            flat_owner.extend(std::iter::repeat_n(j, shapes[class].stages()));
+        }
+        // Failure streams fork from a root separate from every workload
+        // stream, one per flat device in layout order, so sweeping the
+        // MTBF never perturbs a workload.
+        let mut fail_root = DeterministicRng::seed_from(cfg.seed ^ 0x9e37_79b9_7f4a_7c15);
+        let fail_rngs = (0..flat_owner.len()).map(|_| fail_root.fork()).collect();
+        let queue = GlobalFillQueue::new(
+            cfg.policy.build(),
+            flat_owner.clone(),
+            cfg.jobs.iter().map(|job| job.admits_foreign).collect(),
+        );
+        let pipes = cfg
+            .jobs
+            .iter()
+            .enumerate()
+            .map(|(j, job)| {
+                let stages = shapes[class_of[j]].stages();
+                Pipeline {
+                    shape: class_of[j],
+                    base: base[j],
+                    iterations: job.iterations,
+                    filling: job.executor.fill_fraction != 0.0 && job.iterations > 0,
+                    rng: DeterministicRng::seed_from(job.seed),
+                    rotation: cfg.deterministic_mix.then(|| MixRotation::new(&cfg.mix)),
+                    leases: (0..stages).map(|_| None).collect(),
+                    up: vec![true; stages],
+                    next_fill_id: 0,
+                    iterations_done: 0,
+                    stage_delays: Vec::with_capacity(stages),
+                    total_delay: SimDuration::ZERO,
+                    downtime: SimDuration::ZERO,
+                    executed_flops: 0.0,
+                    lost_flops: 0.0,
+                    completed: 0,
+                    isolated_ooms: 0,
+                    failures: 0,
+                    evictions: 0,
+                    bubbles_lost: 0,
+                    detector: SteadyDetector::new(ff_armed, cfg.steady_confirm, preset.history),
+                    fast_forwarded: 0,
+                }
+            })
+            .collect();
+        FillBackend {
+            preset,
+            shapes,
+            idle_state: SystemState::idle(SimTime::ZERO, flat_owner.len()),
+            down_until: vec![SimTime::ZERO; flat_owner.len()],
+            flat_owner,
+            queue,
+            parked: HashMap::new(),
+            fail_rngs,
+            pipes,
+            completed_ids: preset.records_completed_ids.then(Vec::new),
+            report: None,
+            view: PhantomData,
+            cfg,
+        }
+    }
+
+    /// Decomposes a flat device index into (pipeline, local stage).
+    fn locate(&self, flat: usize) -> (usize, usize) {
+        let j = self.flat_owner[flat];
+        (j, flat - self.pipes[j].base)
+    }
+
+    /// The fleet-shaped report of the drained run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the backend has not been drained yet.
+    pub(crate) fn into_report(self) -> FleetSimResult {
+        self.report
+            .expect("backend not drained; drive it with BackendDriver::run")
+    }
+
+    /// Executes one bubble window of pipeline `j`'s stage `s`: refill the
+    /// stage if idle, then run the lease's next partition. Returns the
+    /// stall the window caused.
+    #[inline]
+    fn fill_bubble(&mut self, now: SimTime, j: usize, s: usize, slot: usize) -> SimDuration {
+        if !self.pipes[j].up[s] {
+            self.pipes[j].bubbles_lost += 1;
+            return SimDuration::ZERO;
+        }
+        if self.pipes[j].leases[s].is_none() {
+            let lease = self.acquire(j, s, now);
+            self.pipes[j].leases[s] = lease;
+        }
+        let pipe = &mut self.pipes[j];
+        let shape = &self.shapes[pipe.shape];
+        pipe.run_bubble(
+            s,
+            slot,
+            shape,
+            &self.cfg,
+            self.preset.fault_layer,
+            self.completed_ids.as_mut(),
+        )
+    }
+
+    /// Finds work for an idle stage: evicted fill jobs in the global
+    /// queue take priority over fresh backlog draws.
+    fn acquire(&mut self, j: usize, s: usize, now: SimTime) -> Option<Box<FillLease>> {
+        if self.queue.queue_len() > 0 {
+            // Reuse the all-idle snapshot (only the clock moves) rather
+            // than allocating a devices-sized state per pick — this is
+            // the hot path of every refill in a large fleet.
+            self.idle_state.now = now;
+            if let Some(info) = self
+                .queue
+                .pick_for(self.pipes[j].base + s, &self.idle_state)
+            {
+                let lease = self
+                    .parked
+                    .remove(&info.id)
+                    .expect("global queue and parked map must stay in sync");
+                return Some(lease);
+            }
+        }
+        let shape = self.pipes[j].shape;
+        self.pipes[j]
+            .draw(&mut self.shapes[shape], j, s, &self.cfg)
+            .map(|exec| Box::new(FillLease::fresh(exec)))
+    }
+
+    /// Evicts the fill job running on pipeline `j`'s stage `s` (device
+    /// failed): work since the last checkpoint is lost, the executor
+    /// rewinds, and the fill job re-enters the global queue owing the
+    /// restart cost. Its plan is bound to this bubble geometry, so it is
+    /// feasible exactly on stage `s` of every pipeline of the same shape;
+    /// admission masking happens inside the queue.
+    fn evict(&mut self, j: usize, s: usize) {
+        let pipe = &mut self.pipes[j];
+        let Some(mut lease) = pipe.leases[s].take() else {
+            return;
+        };
+        pipe.evictions += 1;
+        pipe.lost_flops += lease.unsaved_flops;
+        lease.exec.restore(lease.ckpt);
+        lease.unsaved_flops = 0.0;
+        lease.runs_since_ckpt = 0;
+        lease.restart_debt = self.cfg.checkpoint_cost;
+
+        let shape = pipe.shape;
+        let remaining = self.shapes[shape].period * lease.exec.remaining_main_iterations();
+        let mut proc_times = vec![None; self.flat_owner.len()];
+        for other in self.pipes.iter().filter(|o| o.shape == shape) {
+            proc_times[other.base + s] = Some(remaining);
+        }
+        let id = lease.exec.job().id;
+        let info = JobInfo::new(id, lease.exec.job().arrival, proc_times);
+        self.queue.requeue_from(j, info);
+        self.parked.insert(id, lease);
+    }
+
+    /// Per-pipeline results plus fleet aggregates.
+    fn collect(&mut self) -> FleetSimResult {
+        let jobs: Vec<FleetJobResult> = self
+            .pipes
+            .iter_mut()
+            .enumerate()
+            .map(|(j, pipe)| {
+                let stages = pipe.base..pipe.base + pipe.leases.len();
+                pipe.result(j, &self.shapes[pipe.shape], &self.down_until[stages])
+            })
+            .collect();
+        // Fleet aggregates fold in job order from +0.0, weighting by
+        // simulated devices.
+        let fold = |f: &dyn Fn(&FleetJobResult) -> f64| jobs.iter().fold(0.0, |acc, r| acc + f(r));
+        let total_stages: usize = jobs.iter().map(|r| r.stages).sum();
+        let device_time = fold(&|r| r.stages as f64 * r.elapsed.as_secs_f64());
+        let fill_flops = fold(&|r| r.fill_flops);
+        let lost_fill_flops = fold(&|r| r.lost_fill_flops);
+        // A degenerate fleet — no stages or a zero horizon — must
+        // aggregate to zeros, not to the NaNs the unguarded divisions
+        // would produce (which then land silently in fleet_scale.csv).
+        let per_stage = |f: &dyn Fn(&FleetJobResult) -> f64| {
+            if total_stages == 0 {
+                0.0
+            } else {
+                fold(&|r| f(r) * r.stages as f64) / total_stages as f64
+            }
+        };
+        FleetSimResult {
+            total_gpus: jobs.iter().map(|r| r.gpus).sum(),
+            num_devices: self.flat_owner.len(),
+            elapsed: jobs
+                .iter()
+                .map(|r| r.elapsed)
+                .max()
+                .unwrap_or(SimDuration::ZERO),
+            fill_flops,
+            lost_fill_flops,
+            recovered_tflops_per_gpu: if fill_flops == 0.0 || device_time == 0.0 {
+                0.0
+            } else {
+                fill_flops / device_time / 1e12
+            },
+            main_tflops_per_gpu: per_stage(&|r| r.main_tflops_per_gpu),
+            mean_slowdown: per_stage(&|r| r.main_slowdown),
+            bubble_ratio: per_stage(&|r| r.bubble_ratio),
+            fill_jobs_completed: jobs.iter().map(|r| r.fill_jobs_completed).sum(),
+            completed_fill_ids: self.completed_ids.take().unwrap_or_default(),
+            failures: jobs.iter().map(|r| r.failures).sum(),
+            evictions: jobs.iter().map(|r| r.evictions).sum(),
+            cross_job_dispatches: self.queue.cross_job_dispatches(),
+            peak_queue_depth: self.queue.peak_depth(),
+            left_in_queue: self.queue.queue_len(),
+            goodput_fraction: BackendMetrics::goodput_of(fill_flops, lost_fill_flops),
+            iterations_fast_forwarded: self.pipes.iter().map(|p| p.fast_forwarded).sum(),
+            jobs,
+        }
+    }
+}
+
+impl<R> EventHandler for FillBackend<R> {
+    type Event = ClusterEvent;
+
+    fn handle(&mut self, now: SimTime, event: ClusterEvent, queue: &mut EventQueue<ClusterEvent>) {
+        match event {
+            ClusterEvent::StageBubbles { stage } => {
+                let (j, s) = self.locate(stage);
+                let shape = &self.shapes[self.pipes[j].shape];
+                let (slots, p, period) = (shape.windows[s].len(), shape.stages(), shape.period);
+                let delay = (0..slots)
+                    .map(|slot| self.fill_bubble(now, j, s, slot))
+                    .sum();
+                self.pipes[j].stage_delays.push(delay);
+                // Once the pipeline's last stage ran, its stall aggregate
+                // is known; the iteration boundary lands at the
+                // *stretched* period so the kernel clock carries the
+                // emergent slowdown.
+                if s + 1 == p {
+                    let delay = critical_path_delay(&self.pipes[j].stage_delays);
+                    queue.push(
+                        now + period + delay,
+                        ClusterEvent::JobIterationEnd { job: j },
+                    );
+                }
+            }
+            ClusterEvent::JobIterationEnd { job } => {
+                let fault_layer = self.preset.fault_layer;
+                let pipe = &mut self.pipes[job];
+                let period = self.shapes[pipe.shape].period;
+                let ids = self.completed_ids.as_mut();
+                let next = pipe.end_iteration(now, period, fault_layer, ids, queue);
+                if let Some(at) = next {
+                    for flat in pipe.base..pipe.base + pipe.leases.len() {
+                        queue.push(at, ClusterEvent::StageBubbles { stage: flat });
+                    }
+                }
+            }
+            ClusterEvent::DeviceFailure { device } => {
+                let (j, s) = self.locate(device);
+                let pipe = &mut self.pipes[j];
+                // A failure landing after the pipeline's last iteration
+                // has nothing left to attack; dropping it (and its
+                // recovery) lets the queue drain.
+                if pipe.iterations_done >= pipe.iterations {
+                    return;
+                }
+                debug_assert!(pipe.up[s], "failure on an already-down device");
+                // Defensive: faults gate the detector off at construction,
+                // but a failure is exactly the external transition that
+                // voids a cycle hypothesis, so say so explicitly too.
+                pipe.detector.reset();
+                pipe.failures += 1;
+                pipe.up[s] = false;
+                let outage = self.fail_rngs[device].exponential_duration(self.cfg.mean_recovery);
+                pipe.downtime += outage;
+                self.down_until[device] = now + outage;
+                self.evict(j, s);
+                queue.push(now + outage, ClusterEvent::DeviceRecovery { device });
+            }
+            ClusterEvent::DeviceRecovery { device } => {
+                let (j, s) = self.locate(device);
+                let pipe = &mut self.pipes[j];
+                pipe.up[s] = true;
+                // Keep the failure process alive only while iterations
+                // remain; otherwise the chain would outlive the run.
+                if pipe.iterations_done < pipe.iterations {
+                    let gap = self.fail_rngs[device].exponential_duration(self.cfg.mtbf);
+                    if let Some(at) = now.checked_add(gap) {
+                        queue.push(at, ClusterEvent::DeviceFailure { device });
+                    }
+                }
+            }
+            ClusterEvent::JobArrival(_) | ClusterEvent::JobCompletion { .. } => {
+                debug_assert!(false, "pipeline-filling backend received a foreign event");
+            }
+        }
+    }
+}
+
+impl<R> SimBackend for FillBackend<R> {
+    fn kind(&self) -> BackendKind {
+        self.preset.kind
+    }
+
+    fn prime(&mut self, sim: &mut Simulation<ClusterEvent>) {
+        // A job that declines filling (fill fraction exactly 0.0) runs as
+        // the nominal pipeline: no bubble events, no failure chain.
+        for pipe in self.pipes.iter().filter(|p| p.filling) {
+            for flat in pipe.base..pipe.base + pipe.leases.len() {
+                sim.schedule(SimTime::ZERO, ClusterEvent::StageBubbles { stage: flat });
+            }
+        }
+        if self.cfg.mtbf != SimDuration::MAX {
+            for pipe in self.pipes.iter().filter(|p| p.filling) {
+                for device in pipe.base..pipe.base + pipe.leases.len() {
+                    let gap = self.fail_rngs[device].exponential_duration(self.cfg.mtbf);
+                    if let Some(at) = SimTime::ZERO.checked_add(gap) {
+                        sim.schedule(at, ClusterEvent::DeviceFailure { device });
+                    }
+                }
+            }
+        }
+    }
+
+    fn drain(&mut self, _now: SimTime) {
+        self.report = Some(self.collect());
+    }
+
+    fn metrics(&self, events_dispatched: u64) -> BackendMetrics {
+        let r = self
+            .report
+            .as_ref()
+            .expect("metrics requested before drain");
+        let kind = self.preset.kind;
+        if self.preset.aggregate_metrics {
+            return BackendMetrics {
+                kind,
+                num_devices: r.num_devices,
+                elapsed: r.elapsed,
+                events_dispatched,
+                fill_flops: r.fill_flops,
+                recovered_tflops_per_gpu: r.recovered_tflops_per_gpu,
+                main_tflops_per_gpu: r.main_tflops_per_gpu,
+                main_slowdown: r.mean_slowdown,
+                bubble_ratio: r.bubble_ratio,
+                jobs_completed: r.fill_jobs_completed,
+                evictions: r.evictions,
+                lost_fill_flops: r.lost_fill_flops,
+                goodput_fraction: r.goodput_fraction,
+            };
+        }
+        let job = &r.jobs[0];
+        BackendMetrics {
+            kind,
+            num_devices: job.stages,
+            elapsed: job.elapsed,
+            events_dispatched,
+            fill_flops: job.fill_flops,
+            recovered_tflops_per_gpu: job.recovered_tflops_per_gpu,
+            main_tflops_per_gpu: job.main_tflops_per_gpu,
+            main_slowdown: job.main_slowdown,
+            bubble_ratio: job.bubble_ratio,
+            jobs_completed: job.fill_jobs_completed,
+            evictions: job.evictions,
+            lost_fill_flops: job.lost_fill_flops,
+            goodput_fraction: BackendMetrics::goodput_of(job.fill_flops, job.lost_fill_flops),
+        }
+    }
+}
+
+/// Critical-path aggregation of one iteration's per-stage stalls: stalls
+/// on different stages partially overlap, so the longest is fully paid
+/// and the rest half.
+fn critical_path_delay(stage_delays: &[SimDuration]) -> SimDuration {
+    let max = stage_delays
+        .iter()
+        .copied()
+        .max()
+        .unwrap_or(SimDuration::ZERO);
+    let sum: SimDuration = stage_delays.iter().copied().sum();
+    max + (sum - max).mul_f64(0.5)
+}
+
+/// Weighted round-robin over a model mix (largest-accumulator rule), with
+/// training/inference alternation for the sub-700M models — realizes mix
+/// weights exactly, without sampling noise.
+#[derive(Debug)]
+pub(crate) struct MixRotation {
+    weights: Vec<(ModelId, f64)>,
+    acc: Vec<f64>,
+    kind_flip: HashMap<ModelId, bool>,
+}
+
+impl MixRotation {
+    /// Validates the mix and builds the rotation. Non-finite, negative or
+    /// all-zero weights are reported as an error instead of deferring a
+    /// panic into the per-draw selection loop.
+    pub(crate) fn try_new(mix: &ModelMix) -> Result<Self, String> {
+        Self::try_from_weights(mix.weights())
+    }
+
+    pub(crate) fn try_from_weights(raw: &[(ModelId, f64)]) -> Result<Self, String> {
+        if raw.is_empty() {
+            return Err("model mix has no entries".to_string());
+        }
+        for &(m, w) in raw {
+            if !w.is_finite() || w < 0.0 {
+                return Err(format!("model mix weight for {m:?} is not usable: {w}"));
+            }
+        }
+        let total: f64 = raw.iter().map(|&(_, w)| w).sum();
+        if !total.is_finite() || total <= 0.0 {
+            return Err(format!("model mix weights sum to {total}, need > 0"));
+        }
+        let weights: Vec<(ModelId, f64)> = raw.iter().map(|&(m, w)| (m, w / total)).collect();
+        Ok(MixRotation {
+            acc: vec![0.0; weights.len()],
+            weights,
+            kind_flip: HashMap::new(),
+        })
+    }
+
+    /// # Panics
+    ///
+    /// Panics if the mix fails [`Self::try_new`] validation. Every
+    /// in-tree [`ModelMix`] constructor produces valid weights.
+    pub(crate) fn new(mix: &ModelMix) -> Self {
+        Self::try_new(mix).expect("invalid model mix")
+    }
+
+    pub(crate) fn next(&mut self) -> (ModelId, JobKind) {
+        for (i, &(_, w)) in self.weights.iter().enumerate() {
+            self.acc[i] += w;
+        }
+        // Manual total-order scan with a fixed index-order tie rule:
+        // `>=` keeps the *highest* maximal index, so exact ties (e.g. a
+        // 50/50 blend) resolve identically on every run and platform.
+        // This replaces `max_by(partial_cmp(..).expect(..))`, which
+        // panicked on NaN; the tie direction deliberately matches
+        // `max_by`'s last-maximum rule so realized sequences (and the
+        // golden experiment outputs derived from them) are unchanged.
+        let mut best = 0;
+        for i in 1..self.acc.len() {
+            if self.acc[i] >= self.acc[best] {
+                best = i;
+            }
+        }
+        self.acc[best] -= 1.0;
+        let model = self.weights[best].0;
+        let kind = if model.trainable_as_fill_job() {
+            let flip = self.kind_flip.entry(model).or_insert(false);
+            *flip = !*flip;
+            if *flip {
+                JobKind::Training
+            } else {
+                JobKind::BatchInference
+            }
+        } else {
+            JobKind::BatchInference
+        };
+        (model, kind)
+    }
+
+    /// Appends the rotation's full state (accumulators and
+    /// training/inference flips) to a steady-state signature, iterating
+    /// in stable weight order — never over the `HashMap`.
+    fn sig_into(&self, out: &mut Vec<u64>) {
+        for (i, &(m, _)) in self.weights.iter().enumerate() {
+            out.push(self.acc[i].to_bits());
+            out.push(self.kind_flip.get(&m).copied().unwrap_or(false) as u64);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{FaultBackend, FaultSimConfig, FleetBackend, PhysicalBackend, PhysicalSimConfig};
+    use pipefill_pipeline::{MainJobSpec, ScheduleKind};
+
+    /// A quiescent physical run: no jitter draws, a deterministic
+    /// one-model mix and small fill jobs — the regime in which steady
+    /// state is provable.
+    fn quiet_physical() -> PhysicalSimConfig {
+        let main = MainJobSpec::physical_5b(8, ScheduleKind::GPipe);
+        let mut cfg = PhysicalSimConfig::new(main)
+            .with_fill_fraction(0.68)
+            .with_mix(ModelMix::single(ModelId::EfficientNet));
+        cfg.jitter_cv = 0.0;
+        cfg.deterministic_mix = true;
+        cfg.backlog_job_gpu_hours = 0.002;
+        cfg.iterations = 400;
+        cfg
+    }
+
+    /// The same quiescent run through the fault preset (faults off).
+    fn quiet_fault() -> FaultSimConfig {
+        let phys = quiet_physical();
+        let mut cfg = FaultSimConfig::new(phys.main_job.clone()).with_mix(phys.mix.clone());
+        cfg.executor = phys.executor;
+        cfg.jitter_cv = 0.0;
+        cfg.deterministic_mix = true;
+        cfg.backlog_job_gpu_hours = phys.backlog_job_gpu_hours;
+        cfg.iterations = phys.iterations;
+        cfg
+    }
+
+    #[test]
+    fn fast_forward_is_invisible_in_every_preset_result() {
+        // The skip lives once, in `Pipeline::end_iteration`: every
+        // preset's full result — completed-id stream included, whose
+        // replay shifts ids by the per-cycle draw stride — must equal the
+        // event-by-event run except for the skip counter.
+        let phys = quiet_physical();
+        let on = PhysicalBackend::simulate(phys.clone());
+        let off = PhysicalBackend::simulate(PhysicalSimConfig {
+            fast_forward: false,
+            ..phys.clone()
+        });
+        assert!(on.iterations_fast_forwarded > 0, "physical never skipped");
+        assert_eq!(off.iterations_fast_forwarded, 0);
+        assert_eq!(on.fill_flops.to_bits(), off.fill_flops.to_bits());
+        assert_eq!(
+            crate::PhysicalSimResult {
+                iterations_fast_forwarded: 0,
+                ..on
+            },
+            off
+        );
+
+        let fault = quiet_fault();
+        let on = FaultBackend::simulate(fault.clone());
+        let off = FaultBackend::simulate(FaultSimConfig {
+            fast_forward: false,
+            ..fault
+        });
+        assert!(on.iterations_fast_forwarded > 0, "fault never skipped");
+        assert_eq!(
+            crate::FaultSimResult {
+                iterations_fast_forwarded: 0,
+                ..on
+            },
+            off
+        );
+
+        let fleet = FleetSimConfig::from_physical(&phys);
+        let on = FleetBackend::simulate(fleet.clone());
+        let off = FleetBackend::simulate(FleetSimConfig {
+            fast_forward: false,
+            ..fleet
+        });
+        assert!(on.iterations_fast_forwarded > 0, "fleet never skipped");
+        assert_eq!(
+            FleetSimResult {
+                iterations_fast_forwarded: 0,
+                ..on
+            },
+            off
+        );
+    }
+
+    #[test]
+    fn randomness_or_faults_keep_fast_forward_disarmed() {
+        // Jitter consumes randomness every iteration and failures are
+        // external transitions: either keeps every preset at event
+        // fidelity.
+        let jittered = PhysicalSimConfig {
+            jitter_cv: 0.08,
+            ..quiet_physical()
+        };
+        let fleet = FleetSimConfig::from_physical(&jittered);
+        assert_eq!(
+            PhysicalBackend::simulate(jittered).iterations_fast_forwarded,
+            0
+        );
+        assert_eq!(FleetBackend::simulate(fleet).iterations_fast_forwarded, 0);
+        let faulty = quiet_fault().with_mtbf(SimDuration::from_secs(300));
+        let r = FaultBackend::simulate(faulty);
+        assert!(r.failures > 0);
+        assert_eq!(r.iterations_fast_forwarded, 0);
+    }
+
+    #[test]
+    fn rotation_ties_resolve_by_index_deterministically() {
+        // A 50/50 blend produces exact accumulator ties every other draw;
+        // the fixed index-order rule (last maximal index wins, matching
+        // the historical `max_by` behavior) must alternate
+        // deterministically instead of depending on float comparison
+        // quirks.
+        let mix = ModelMix::blend(ModelId::XlmRobertaXl, ModelId::EfficientNet, 0.5);
+        let mut r = MixRotation::new(&mix);
+        let seq: Vec<ModelId> = (0..8).map(|_| r.next().0).collect();
+        let expect: Vec<ModelId> = (0..8)
+            .map(|i| {
+                if i % 2 == 0 {
+                    ModelId::EfficientNet
+                } else {
+                    ModelId::XlmRobertaXl
+                }
+            })
+            .collect();
+        assert_eq!(seq, expect);
+    }
+
+    #[test]
+    fn rotation_rejects_unusable_weights() {
+        // Regression: non-finite weights used to panic inside the
+        // per-draw `max_by(partial_cmp)` selection; they now surface as a
+        // constructor error.
+        assert!(MixRotation::try_from_weights(&[]).is_err());
+        assert!(MixRotation::try_from_weights(&[(ModelId::BertBase, f64::NAN)]).is_err());
+        assert!(MixRotation::try_from_weights(&[(ModelId::BertBase, f64::INFINITY)]).is_err());
+        assert!(MixRotation::try_from_weights(&[(ModelId::BertBase, -1.0)]).is_err());
+        assert!(MixRotation::try_from_weights(&[(ModelId::BertBase, 0.0)]).is_err());
+        assert!(MixRotation::try_new(&ModelMix::paper_mix()).is_ok());
+    }
+}

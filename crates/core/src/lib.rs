@@ -5,31 +5,34 @@
 //! into a cluster-level simulation, plus the experiment drivers that
 //! regenerate every figure of the paper's evaluation (§6).
 //!
-//! Three simulators are provided; the first two mirror the paper's
-//! methodology (§5.1):
+//! Four simulation fidelities are provided; the first two mirror the
+//! paper's methodology (§5.1):
 //!
-//! * [`ClusterSim`] — the *coarse, profile-driven* simulator. Like the
+//! * [`CoarseBackend`] — the *coarse, profile-driven* simulator. Like the
 //!   paper's, its events are fill-job arrivals and completions; the time
 //!   in between is computed from execution plans ("deep learning jobs
 //!   have repetitive patterns, so an accurate simulator only needs to
 //!   profile a pattern once").
-//! * [`PhysicalSim`] — the *fine-grained* stand-in for the paper's 16-GPU
-//!   physical cluster: it executes every bubble of every iteration with
-//!   multiplicative timing jitter, explicit context-switch costs and
+//! * [`PhysicalBackend`] — the *fine-grained* stand-in for the paper's
+//!   16-GPU physical cluster: it executes every bubble of every iteration
+//!   with multiplicative timing jitter, explicit context-switch costs and
 //!   engine slack, so main-job slowdown is an emergent measurement rather
 //!   than an assumption. Comparing the two reproduces the paper's
 //!   simulator-validation experiment (Fig. 6, max error <2%).
-//! * [`FaultSim`] — the *heterogeneous, failure-injecting* extension of
-//!   the fine-grained model: per-stage GPU specs reshape bubble geometry
-//!   and fill throughput, and seeded device failures evict running fill
-//!   jobs with FreeRide-style checkpoint/restart accounting. With faults
-//!   off and a homogeneous cluster it reproduces [`PhysicalSim`] bit for
-//!   bit.
-//! * [`FleetSim`] — the *fleet-scale multi-job* simulator: N concurrent
-//!   pipeline-parallel main jobs (heterogeneous depths, periods, device
-//!   generations) on one kernel, sharing one cluster-wide fill queue
-//!   with per-job admission and locality-aware dispatch. A 1-job
-//!   homogeneous fleet reproduces [`PhysicalSim`] bit for bit.
+//! * [`FaultBackend`] — the *heterogeneous, failure-injecting* extension
+//!   of the fine-grained model: per-stage GPU specs reshape bubble
+//!   geometry and fill throughput, and seeded device failures evict
+//!   running fill jobs with FreeRide-style checkpoint/restart accounting.
+//! * [`FleetBackend`] — the *fleet-scale multi-job* simulator: N
+//!   concurrent pipeline-parallel main jobs (heterogeneous depths,
+//!   periods, device generations) on one kernel, sharing one
+//!   cluster-wide fill queue with per-job admission and locality-aware
+//!   dispatch.
+//!
+//! The last three are presets of one pipeline-filling engine,
+//! [`FillBackend`]: physical and fault are one-job fleets, so with faults
+//! off and a homogeneous cluster all three reproduce each other bit for
+//! bit. Each backend's `simulate` runs a configuration to completion.
 //!
 //! All are [`SimBackend`]s over the shared [`ClusterEvent`] alphabet,
 //! driven by the `pipefill-sim-core` kernel through [`BackendDriver`];
@@ -49,6 +52,7 @@ mod convert;
 mod csv;
 mod fault;
 mod ff;
+mod filling;
 mod fleet;
 mod metrics;
 mod physical;
@@ -60,15 +64,12 @@ pub use backend::{
     BackendConfig, BackendDetail, BackendDriver, BackendKind, BackendMetrics, BackendRun,
     ClusterEvent, SimBackend,
 };
-pub use cluster::{
-    ClusterSim, ClusterSimConfig, ClusterSimResult, CoarseBackend, CompletedJob, PolicyKind,
-};
+pub use cluster::{ClusterSimConfig, ClusterSimResult, CoarseBackend, CompletedJob, PolicyKind};
 pub use convert::{kind_allowed, samples_for_trace_job, trace_job_to_spec};
 pub use csv::{experiments_dir, CsvWriter};
-pub use fault::{FaultBackend, FaultSim, FaultSimConfig, FaultSimResult};
-pub use fleet::{
-    FleetBackend, FleetJobConfig, FleetJobResult, FleetSim, FleetSimConfig, FleetSimResult,
-};
+pub use fault::{FaultBackend, FaultSimConfig, FaultSimResult};
+pub use filling::FillBackend;
+pub use fleet::{FleetBackend, FleetJobConfig, FleetJobResult, FleetSimConfig, FleetSimResult};
 pub use metrics::{gpus_saved, JctStats, UtilizationBreakdown};
-pub use physical::{PhysicalBackend, PhysicalSim, PhysicalSimConfig, PhysicalSimResult};
+pub use physical::{PhysicalBackend, PhysicalSimConfig, PhysicalSimResult};
 pub use steady::{stage_plans, steady_rate, steady_recovered_tflops, SteadyRate};

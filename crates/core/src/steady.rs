@@ -4,7 +4,7 @@
 //! When the fill-job queue never empties — the regime of the utilization
 //! figures — each device cycles through its plan indefinitely, so the
 //! recovered rate is a property of the plan itself: FLOPs per pass over
-//! the main-job iterations the pass spans. The event-driven [`crate::ClusterSim`]
+//! the main-job iterations the pass spans. The event-driven [`crate::CoarseBackend`]
 //! converges to these rates at saturation (asserted in the integration
 //! tests), exactly as the paper's arrival/completion simulator replays
 //! profiled patterns between events.

@@ -8,8 +8,9 @@
 //!
 //! * [`ScenarioSpec`] — a typed builder describing one run end to end
 //!   (backend fidelity, pipeline schedule, workload knobs, seeds,
-//!   fault/fleet shape), which validates against the same per-backend
-//!   applicability rules the CLI enforces, lowers to a runnable
+//!   fault/fleet shape), which validates against the one per-backend
+//!   applicability table (the CLI's `sim`/`fleet` flags are sugar for
+//!   its keys), lowers to a runnable
 //!   `BackendConfig`, and round-trips through a hand-rolled TOML subset
 //!   ([`toml::parse`] / [`toml::render`]).
 //! * [`Experiment`] — every paper table/figure driver behind one trait
@@ -33,4 +34,4 @@ pub mod toml;
 
 pub use experiment::{Axis, Experiment, Grid, Scale, Table, Value};
 pub use registry::{find, resolve, REGISTRY};
-pub use spec::{parse_mtbf_secs, ScenarioSpec};
+pub use spec::{ScenarioSpec, SpecError};

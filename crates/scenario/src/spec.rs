@@ -4,8 +4,9 @@
 //! schedule, workload knobs, seeds, fault/fleet shape — everything the
 //! old `sim`/`fleet` flag plumbing carried) or a *registered experiment*
 //! with grid overrides. Specs are built with a typed builder, validated
-//! against the same per-backend applicability rules the CLI enforces,
-//! and lowered to a runnable [`BackendConfig`]. The TOML-subset reader
+//! against the one per-backend applicability table (the CLI's `sim` and
+//! `fleet` flags are sugar for these keys), and lowered to a runnable
+//! [`BackendConfig`]. The TOML-subset reader
 //! and writer live in [`crate::toml`]; `render → parse` is identity.
 //!
 //! Every optional field uses `Option` to mean *explicitly set*: defaults
@@ -73,9 +74,10 @@ pub struct ScenarioSpec {
     pub seeds: Option<u64>,
 }
 
-/// Field-applicability table: which keys each backend accepts, mirroring
-/// the CLI's per-backend flag rejection so a sweep over an inapplicable
-/// key can't silently no-op. `schedule` and `seed` apply everywhere.
+/// Field-applicability table: which keys each backend rejects, so a
+/// sweep over an inapplicable key can't silently no-op. `schedule` and
+/// `seed` apply everywhere. This is the only copy: the CLI's `sim` and
+/// `fleet` flags are spellings of these keys and validate through it.
 fn inapplicable(backend: BackendKind) -> &'static [&'static str] {
     match backend {
         BackendKind::Coarse => &[
@@ -106,6 +108,51 @@ fn inapplicable(backend: BackendKind) -> &'static [&'static str] {
             "checkpoint_secs",
             "seeds",
         ],
+    }
+}
+
+/// A scenario diagnostic. A message about one key keeps the key apart
+/// from the text, so each surface spells the key its own way: scenario
+/// files and `--set` name the key (`mtbf_secs must be ...`), the CLI's
+/// `sim` and `fleet` name the flag (`--mtbf-secs must be ...`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpecError {
+    key: Option<String>,
+    message: String,
+}
+
+impl SpecError {
+    fn about(key: &str, message: String) -> Self {
+        SpecError {
+            key: Some(key.to_string()),
+            message,
+        }
+    }
+
+    /// The full message, leading with the key as `spell` spells it.
+    pub fn render(&self, spell: impl FnOnce(&str) -> String) -> String {
+        match &self.key {
+            Some(key) => format!("{} {}", spell(key), self.message),
+            None => self.message.clone(),
+        }
+    }
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.render(str::to_string))
+    }
+}
+
+impl From<String> for SpecError {
+    fn from(message: String) -> Self {
+        SpecError { key: None, message }
+    }
+}
+
+impl From<SpecError> for String {
+    fn from(err: SpecError) -> String {
+        err.to_string()
     }
 }
 
@@ -217,49 +264,52 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// Returns a message for unknown keys or malformed/degenerate
-    /// values (the same rules the CLI flags enforce).
-    pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+    /// values.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), SpecError> {
+        let about = |message: String| SpecError::about(key, message);
         match key {
             "name" => self.name = Some(value.to_string()),
             "experiment" => self.experiment = Some(value.to_string()),
             "backend" => self.backend = Some(value.parse::<BackendKind>()?),
             "schedule" => self.schedule = Some(value.parse::<ScheduleKind>()?),
-            "seed" => self.seed = Some(parse_int(key, value)?),
-            "iterations" => self.iterations = Some(parse_int(key, value)? as usize),
-            "horizon_secs" => self.horizon_secs = Some(parse_int(key, value)?),
+            "seed" => self.seed = Some(parse_int(value).map_err(about)?),
+            "iterations" => self.iterations = Some(parse_int(value).map_err(about)? as usize),
+            "horizon_secs" => self.horizon_secs = Some(parse_int(value).map_err(about)?),
             "load" => {
-                let load = parse_f64(key, value)?;
+                let load = parse_f64(value).map_err(about)?;
                 if !(load > 0.0 && load.is_finite()) {
-                    return Err(format!("load must be a positive number, got {value}"));
+                    return Err(about(format!("must be a positive number, got {value}")));
                 }
                 self.load = Some(load);
             }
             "fill_fraction" => {
-                let f = parse_f64(key, value)?;
+                let f = parse_f64(value).map_err(about)?;
                 if !(0.0..=1.0).contains(&f) {
-                    return Err(format!("fill_fraction must be within [0, 1], got {value}"));
+                    return Err(about(format!("must be within [0, 1], got {value}")));
                 }
                 self.fill_fraction = Some(f);
             }
-            "mtbf_secs" => self.mtbf_secs = Some(parse_mtbf_secs(value)?),
+            "mtbf_secs" => self.mtbf_secs = Some(parse_mtbf_secs(value).map_err(about)?),
             "checkpoint_secs" => {
-                let c = parse_f64(key, value)?;
+                let c: f64 = value
+                    .parse()
+                    .map_err(|_| about(format!("expects a number of seconds, got '{value}'")))?;
                 if !(c >= 0.0 && c.is_finite()) {
-                    return Err(format!(
-                        "checkpoint_secs must be a finite non-negative number, got {value}"
-                    ));
+                    return Err(about(format!(
+                        "must be a finite non-negative number, got {value}"
+                    )));
                 }
                 self.checkpoint_secs = Some(c);
             }
-            "fast_forward" => self.fast_forward = Some(parse_on_off(key, value)?),
+            "fast_forward" => self.fast_forward = Some(parse_on_off(value).map_err(about)?),
             "policy" => self.policy = Some(value.parse::<PolicyKind>()?),
-            "jobs" => self.jobs = Some(parse_int(key, value)? as usize),
-            "gpus" => self.gpus = Some(parse_int(key, value)? as usize),
-            "seeds" => self.seeds = Some(parse_int(key, value)?),
+            "jobs" => self.jobs = Some(parse_int(value).map_err(about)? as usize),
+            "gpus" => self.gpus = Some(parse_int(value).map_err(about)? as usize),
+            "seeds" => self.seeds = Some(parse_int(value).map_err(about)?),
             other => {
-                return Err(format!(
+                return Err(SpecError::from(format!(
                     "unknown scenario key '{other}' (see ScenarioSpec for the accepted set)"
-                ))
+                )))
             }
         }
         Ok(())
@@ -271,27 +321,27 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// Returns a human-readable message naming the offending field.
-    pub fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self) -> Result<(), SpecError> {
         match (&self.experiment, self.backend) {
             (Some(_), Some(_)) => {
-                return Err(
+                return Err(SpecError::from(
                     "a scenario is either an experiment or a backend run, not both \
                      (set 'experiment' or 'backend', not the two together)"
-                        .into(),
-                )
+                        .to_string(),
+                ))
             }
             (None, None) => {
-                return Err(
+                return Err(SpecError::from(
                     "a scenario needs 'backend = \"...\"' (coarse|physical|fault|fleet) \
                             or 'experiment = \"...\"' (see pipefill-cli exp --list)"
-                        .into(),
-                )
+                        .to_string(),
+                ))
             }
             (Some(exp), None) => {
                 let Some(exps) = registry::resolve(exp) else {
-                    return Err(format!(
+                    return Err(SpecError::from(format!(
                         "unknown experiment '{exp}'; run pipefill-cli exp --list"
-                    ));
+                    )));
                 };
                 // Experiment grids read only iterations/seed/horizon/seeds.
                 for (key, set) in [
@@ -306,9 +356,11 @@ impl ScenarioSpec {
                     ("gpus", self.gpus.is_some()),
                 ] {
                     if set {
-                        return Err(format!(
-                            "'{key}' does not apply to experiment scenarios \
+                        return Err(SpecError::about(
+                            key,
+                            "does not apply to experiment scenarios \
                              (grids take iterations/seed/horizon_secs/seeds)"
+                                .to_string(),
                         ));
                     }
                 }
@@ -321,21 +373,22 @@ impl ScenarioSpec {
                     (Axis::Seeds, self.seeds.is_some()),
                 ] {
                     if set && !exps.iter().any(|e| e.axes().contains(&axis)) {
-                        return Err(format!(
-                            "'{axis}' does not apply to experiment '{exp}' \
-                             (its grid does not sweep it)"
+                        return Err(SpecError::about(
+                            &axis.to_string(),
+                            format!(
+                                "does not apply to experiment '{exp}' (its grid does not sweep it)"
+                            ),
                         ));
                     }
                 }
                 // The degenerate grids the CLI flags reject: a zero
                 // would silently produce an empty or all-zero table.
+                let at_least_one = format!("must be at least 1 for experiment '{exp}'");
                 if self.iterations == Some(0) {
-                    return Err(format!(
-                        "iterations must be at least 1 for experiment '{exp}'"
-                    ));
+                    return Err(SpecError::about("iterations", at_least_one));
                 }
                 if self.seeds == Some(0) {
-                    return Err(format!("seeds must be at least 1 for experiment '{exp}'"));
+                    return Err(SpecError::about("seeds", at_least_one));
                 }
             }
             (None, Some(backend)) => {
@@ -355,22 +408,29 @@ impl ScenarioSpec {
                         _ => unreachable!("applicability table names a tracked field"),
                     };
                     if set {
-                        return Err(format!("'{key}' does not apply to the {backend} backend"));
+                        return Err(SpecError::about(
+                            key,
+                            format!("does not apply to the {backend} backend"),
+                        ));
                     }
                 }
                 if backend == BackendKind::Fleet {
+                    let at_least_one = "must be at least 1 for a fleet scenario";
                     let jobs = self.jobs.unwrap_or(8);
                     if jobs == 0 {
-                        return Err("jobs must be at least 1 for a fleet scenario".into());
+                        return Err(SpecError::about("jobs", at_least_one.into()));
                     }
                     if self.iterations == Some(0) {
-                        return Err("iterations must be at least 1 for a fleet scenario".into());
+                        return Err(SpecError::about("iterations", at_least_one.into()));
                     }
                     let gpus = self.gpus.unwrap_or(jobs * 128);
                     if gpus / jobs < 8 {
-                        return Err(format!(
-                            "gpus = {gpus} leaves under 8 GPUs per job; \
-                             the smallest pipeline needs 8"
+                        return Err(SpecError::about(
+                            "gpus",
+                            format!(
+                                "{gpus} leaves under 8 GPUs per job over {jobs} jobs; \
+                                 the smallest pipeline needs 8"
+                            ),
                         ));
                     }
                 }
@@ -380,9 +440,12 @@ impl ScenarioSpec {
             // INFINITY is the internal disabled sentinel; every other
             // spelling must be a finite positive duration.
             if m.is_nan() || m <= 0.0 {
-                return Err(format!(
-                    "mtbf_secs must be a finite positive number of seconds \
-                     (use \"none\" to disable failure injection), got {m}"
+                return Err(SpecError::about(
+                    "mtbf_secs",
+                    format!(
+                        "must be a finite positive number of seconds \
+                         (use \"none\" to disable failure injection), got {m}"
+                    ),
                 ));
             }
         }
@@ -420,13 +483,13 @@ impl ScenarioSpec {
     ///
     /// Returns the [`ScenarioSpec::validate`] error, or a message when
     /// called on an experiment-mode spec.
-    pub fn lower(&self) -> Result<BackendConfig, String> {
+    pub fn lower(&self) -> Result<BackendConfig, SpecError> {
         self.validate()?;
         let Some(backend) = self.backend else {
-            return Err(format!(
+            return Err(SpecError::from(format!(
                 "scenario runs experiment '{}'; resolve it through the registry, not lower()",
                 self.experiment.as_deref().unwrap_or("?")
-            ));
+            )));
         };
         let schedule = self.schedule.unwrap_or(ScheduleKind::GPipe);
         let seed = self.seed.unwrap_or(7);
@@ -495,19 +558,18 @@ fn mtbf_duration(secs: f64) -> SimDuration {
 /// happily produces them, and they would flow into the exponential MTBF
 /// sampler as garbage rather than as the documented off switch.
 ///
-/// # Errors
-///
-/// Returns a message matching the CLI's `--mtbf-secs` diagnostics.
-pub fn parse_mtbf_secs(value: &str) -> Result<f64, String> {
+/// The value parsers below return the message without its key;
+/// [`ScenarioSpec::set`] attaches it.
+fn parse_mtbf_secs(value: &str) -> Result<f64, String> {
     if value == "none" {
         return Ok(f64::INFINITY);
     }
     let secs: f64 = value
         .parse()
-        .map_err(|_| format!("mtbf_secs expects a number of seconds or 'none', got '{value}'"))?;
+        .map_err(|_| format!("expects a number of seconds or 'none', got '{value}'"))?;
     if !(secs > 0.0 && secs.is_finite()) {
         return Err(format!(
-            "mtbf_secs must be a finite positive number of seconds \
+            "must be a finite positive number of seconds \
              (use 'none' to disable failure injection), got '{value}'"
         ));
     }
@@ -515,24 +577,24 @@ pub fn parse_mtbf_secs(value: &str) -> Result<f64, String> {
 }
 
 /// Parses an on/off switch spelling (`on`/`off`, also `true`/`false`).
-fn parse_on_off(key: &str, value: &str) -> Result<bool, String> {
+fn parse_on_off(value: &str) -> Result<bool, String> {
     match value {
         "on" | "true" => Ok(true),
         "off" | "false" => Ok(false),
-        _ => Err(format!("{key} expects on|off, got '{value}'")),
+        _ => Err(format!("expects on|off, got '{value}'")),
     }
 }
 
-fn parse_int(key: &str, value: &str) -> Result<u64, String> {
+fn parse_int(value: &str) -> Result<u64, String> {
     value
         .parse()
-        .map_err(|_| format!("{key} expects an integer, got '{value}'"))
+        .map_err(|_| format!("expects an integer, got '{value}'"))
 }
 
-fn parse_f64(key: &str, value: &str) -> Result<f64, String> {
+fn parse_f64(value: &str) -> Result<f64, String> {
     value
         .parse()
-        .map_err(|_| format!("{key} expects a number, got '{value}'"))
+        .map_err(|_| format!("expects a number, got '{value}'"))
 }
 
 #[cfg(test)]
@@ -598,7 +660,8 @@ mod tests {
         let err = ScenarioSpec::run(BackendKind::Coarse)
             .with_fast_forward(false)
             .validate()
-            .unwrap_err();
+            .unwrap_err()
+            .to_string();
         assert!(
             err.contains("does not apply to the coarse backend"),
             "{err}"
@@ -606,19 +669,41 @@ mod tests {
         let err = ScenarioSpec::experiment("table1")
             .with_fast_forward(false)
             .validate()
-            .unwrap_err();
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("does not apply to experiment"), "{err}");
     }
 
     #[test]
     fn lowering_matches_cli_defaults() {
-        // The spec's defaults are the CLI's defaults: an empty fault
-        // spec is `sim --backend fault`.
+        // The spec's defaults are the CLI's defaults: an empty coarse
+        // spec is `sim`, an empty fault spec is `sim --backend fault`.
+        match ScenarioSpec::run(BackendKind::Coarse).lower().unwrap() {
+            BackendConfig::Coarse(cfg) => {
+                assert_eq!(cfg.trace.horizon, SimDuration::from_secs(3600));
+                assert_eq!(cfg.trace.seed, 7);
+                // Load 1.0 keeps the physical trace's arrival rate.
+                assert_eq!(
+                    cfg.trace.mean_interarrival,
+                    TraceConfig::physical(7).mean_interarrival
+                );
+            }
+            other => panic!("wrong backend: {other:?}"),
+        }
+        match ScenarioSpec::run(BackendKind::Physical).lower().unwrap() {
+            BackendConfig::Physical(cfg) => {
+                assert_eq!(cfg.iterations, 300);
+                assert_eq!(cfg.seed, 7);
+                assert_eq!(cfg.executor.fill_fraction, 0.68);
+            }
+            other => panic!("wrong backend: {other:?}"),
+        }
         match ScenarioSpec::run(BackendKind::Fault).lower().unwrap() {
             BackendConfig::Fault(cfg) => {
                 assert_eq!(cfg.iterations, 300);
                 assert_eq!(cfg.seed, 7);
                 assert_eq!(cfg.mtbf, SimDuration::MAX);
+                assert_eq!(cfg.checkpoint_cost, SimDuration::from_secs(2));
                 assert_eq!(cfg.executor.fill_fraction, 0.68);
             }
             other => panic!("wrong backend: {other:?}"),
@@ -626,6 +711,7 @@ mod tests {
         match ScenarioSpec::run(BackendKind::Fleet).lower().unwrap() {
             BackendConfig::Fleet(cfg) => {
                 assert_eq!(cfg.jobs.len(), 8);
+                assert!(cfg.jobs.iter().all(|job| job.iterations == 150));
                 assert_eq!(cfg.policy, PolicyKind::Fifo);
                 assert_eq!(cfg.mtbf, SimDuration::from_secs(1800));
             }
@@ -638,7 +724,8 @@ mod tests {
         let err = ScenarioSpec::run(BackendKind::Coarse)
             .with_fill_fraction(0.9)
             .validate()
-            .unwrap_err();
+            .unwrap_err()
+            .to_string();
         assert!(
             err.contains("does not apply to the coarse backend"),
             "{err}"
@@ -646,7 +733,8 @@ mod tests {
         let err = ScenarioSpec::run(BackendKind::Physical)
             .with_load(2.0)
             .validate()
-            .unwrap_err();
+            .unwrap_err()
+            .to_string();
         assert!(
             err.contains("does not apply to the physical backend"),
             "{err}"
@@ -654,12 +742,14 @@ mod tests {
         let err = ScenarioSpec::run(BackendKind::Fault)
             .with_jobs(4)
             .validate()
-            .unwrap_err();
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("does not apply to the fault backend"), "{err}");
         let err = ScenarioSpec::run(BackendKind::Fleet)
             .with_fill_fraction(0.5)
             .validate()
-            .unwrap_err();
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("does not apply to the fleet backend"), "{err}");
     }
 
@@ -667,18 +757,30 @@ mod tests {
     fn validation_rejects_mode_confusion_and_bad_fleets() {
         let mut both = ScenarioSpec::run(BackendKind::Coarse);
         both.experiment = Some("table1".into());
-        assert!(both.validate().unwrap_err().contains("not both"));
+        assert!(both
+            .validate()
+            .unwrap_err()
+            .to_string()
+            .contains("not both"));
 
         let neither = ScenarioSpec::default();
-        assert!(neither.validate().unwrap_err().contains("backend"));
+        assert!(neither
+            .validate()
+            .unwrap_err()
+            .to_string()
+            .contains("backend"));
 
-        let err = ScenarioSpec::experiment("nonesuch").validate().unwrap_err();
+        let err = ScenarioSpec::experiment("nonesuch")
+            .validate()
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("unknown experiment"), "{err}");
 
         let err = ScenarioSpec::experiment("table1")
             .with_jobs(4)
             .validate()
-            .unwrap_err();
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("does not apply to experiment"), "{err}");
 
         // Overriding an axis the experiment does not sweep is rejected
@@ -687,31 +789,36 @@ mod tests {
         let err = ScenarioSpec::experiment("table1")
             .with_iterations(50)
             .validate()
-            .unwrap_err();
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("does not sweep"), "{err}");
         let err = ScenarioSpec::experiment("fig5_fill_fraction")
             .with_iterations(0)
             .validate()
-            .unwrap_err();
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("iterations must be at least 1"), "{err}");
         let err = ScenarioSpec::experiment("fig6_agreement")
             .with_seeds(0)
             .validate()
-            .unwrap_err();
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("seeds must be at least 1"), "{err}");
         // Multi-experiment spellings validate (no axis overrides).
         ScenarioSpec::experiment("fig10").validate().unwrap();
         let err = ScenarioSpec::run(BackendKind::Fleet)
             .with_iterations(0)
             .validate()
-            .unwrap_err();
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("at least 1 for a fleet"), "{err}");
 
         let err = ScenarioSpec::run(BackendKind::Fleet)
             .with_jobs(4)
             .with_gpus(16)
             .validate()
-            .unwrap_err();
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("under 8 GPUs per job"), "{err}");
     }
 
@@ -723,7 +830,7 @@ mod tests {
         spec.set("mtbf_secs", "none").unwrap();
         assert_eq!(spec.mtbf_secs, Some(f64::INFINITY));
         for bad in ["inf", "infinity", "Infinity", "1e999", "-inf", "NaN", "0"] {
-            let err = spec.set("mtbf_secs", bad).unwrap_err();
+            let err = spec.set("mtbf_secs", bad).unwrap_err().to_string();
             assert!(
                 err.contains("finite positive") || err.contains("'none'"),
                 "{bad}: {err}"
@@ -739,10 +846,39 @@ mod tests {
         assert_eq!(spec.fast_forward, Some(false));
         spec.set("fast_forward", "on").unwrap();
         assert_eq!(spec.fast_forward, Some(true));
-        let err = spec.set("fast_forward", "maybe").unwrap_err();
+        let err = spec.set("fast_forward", "maybe").unwrap_err().to_string();
         assert!(err.contains("expects on|off"), "{err}");
         spec.set("schedule", "interleaved:4").unwrap();
         assert_eq!(spec.schedule, Some(ScheduleKind::Interleaved { chunks: 4 }));
+    }
+
+    #[test]
+    fn errors_carry_their_key_apart_from_the_message() {
+        let flag = |key: &str| format!("--{}", key.replace('_', "-"));
+        let err = ScenarioSpec::run(BackendKind::Fault)
+            .set("checkpoint_secs", "-1")
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "checkpoint_secs must be a finite non-negative number, got -1"
+        );
+        assert_eq!(
+            err.render(flag),
+            "--checkpoint-secs must be a finite non-negative number, got -1"
+        );
+        let err = ScenarioSpec::run(BackendKind::Coarse)
+            .with_iterations(5)
+            .validate()
+            .unwrap_err();
+        assert_eq!(
+            err.render(flag),
+            "--iterations does not apply to the coarse backend"
+        );
+        // Messages about no single key render unchanged.
+        let err = ScenarioSpec::run(BackendKind::Coarse)
+            .set("schedule", "2f2b")
+            .unwrap_err();
+        assert_eq!(err.render(|_| unreachable!()), err.to_string());
     }
 
     #[test]

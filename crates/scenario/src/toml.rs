@@ -75,7 +75,7 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, String> {
                 "duplicate key '{key}' (first set at line {first})"
             )));
         }
-        spec.set(key, &value).map_err(&at)?;
+        spec.set(key, &value).map_err(|e| at(e.to_string()))?;
         seen_keys.push((key.to_string(), idx + 1));
     }
     if !seen_header {

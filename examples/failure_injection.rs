@@ -7,7 +7,7 @@
 //! cargo run --release --example failure_injection
 //! ```
 
-use pipefill::core::{PhysicalSim, PhysicalSimConfig};
+use pipefill::core::{PhysicalBackend, PhysicalSimConfig};
 use pipefill::pipeline::{MainJobSpec, ScheduleKind};
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
         let mut cfg = PhysicalSimConfig::new(main);
         cfg.iterations = 300;
         cfg.memory_jitter_cv = cv;
-        let r = PhysicalSim::new(cfg).run();
+        let r = PhysicalBackend::simulate(cfg);
         println!(
             "{:>13.0}% {:>14} {:>13.2} {:>13.2}% {:>12}",
             100.0 * cv,

@@ -6,7 +6,7 @@
 //! cargo run --release --example fill_job_scheduling
 //! ```
 
-use pipefill::core::{ClusterSim, ClusterSimConfig, PolicyKind};
+use pipefill::core::{ClusterSimConfig, CoarseBackend, PolicyKind};
 use pipefill::pipeline::{MainJobSpec, ScheduleKind};
 use pipefill::sim::SimDuration;
 use pipefill::trace::TraceConfig;
@@ -19,7 +19,7 @@ fn main() {
         trace.horizon = SimDuration::from_secs(3600);
         let mut cfg = ClusterSimConfig::new(main, trace);
         cfg.policy = policy;
-        let result = ClusterSim::new(cfg).run();
+        let result = CoarseBackend::simulate(cfg);
 
         if first {
             println!(

@@ -15,7 +15,7 @@
 //! cargo run --release --example fleet_simulation
 //! ```
 
-use pipefill::core::{FleetSim, FleetSimConfig, PhysicalSim, PhysicalSimConfig};
+use pipefill::core::{FleetBackend, FleetSimConfig, PhysicalBackend, PhysicalSimConfig};
 use pipefill::pipeline::{MainJobSpec, ScheduleKind};
 use pipefill::sim::SimDuration;
 use pipefill::trace::FleetWorkloadConfig;
@@ -25,7 +25,7 @@ fn main() {
     let mut workload = FleetWorkloadConfig::rack_scale(7);
     workload.iterations = 150;
     let cfg = FleetSimConfig::from_workload(&workload).with_mtbf(SimDuration::from_secs(1800));
-    let fleet = FleetSim::new(cfg).run();
+    let fleet = FleetBackend::simulate(cfg);
     println!(
         "{:>4} {:>6} {:>7} {:>9} {:>6} {:>12} {:>12} {:>9}",
         "job", "GPUs", "stages", "device", "fill%", "fill TFLOPS", "main TFLOPS", "slowdown"
@@ -58,8 +58,8 @@ fn main() {
     let main = MainJobSpec::physical_5b(8, ScheduleKind::GPipe);
     let mut phys_cfg = PhysicalSimConfig::new(main);
     phys_cfg.iterations = 120;
-    let phys = PhysicalSim::new(phys_cfg.clone()).run();
-    let solo = FleetSim::new(FleetSimConfig::from_physical(&phys_cfg)).run();
+    let phys = PhysicalBackend::simulate(phys_cfg.clone());
+    let solo = FleetBackend::simulate(FleetSimConfig::from_physical(&phys_cfg));
     let job = &solo.jobs[0];
     println!(
         "physical: {:>10.4} fill TFLOPS/GPU, slowdown {:.4}%",

@@ -2,7 +2,7 @@
 //! seeds and configuration, so every number in EXPERIMENTS.md can be
 //! regenerated to the digit.
 
-use pipefill::core::{ClusterSim, ClusterSimConfig, PhysicalSim, PhysicalSimConfig};
+use pipefill::core::{ClusterSimConfig, CoarseBackend, PhysicalBackend, PhysicalSimConfig};
 use pipefill::executor::{plan_best, ExecutorConfig, FillJobSpec};
 use pipefill::models::{JobKind, ModelId};
 use pipefill::pipeline::{MainJobSpec, ScheduleKind};
@@ -42,7 +42,7 @@ fn traces_and_cluster_runs_reproduce() {
         let main = MainJobSpec::physical_5b(8, ScheduleKind::GPipe);
         let mut trace = TraceConfig::physical(78);
         trace.horizon = SimDuration::from_secs(1200);
-        ClusterSim::new(ClusterSimConfig::new(main, trace)).run()
+        CoarseBackend::simulate(ClusterSimConfig::new(main, trace))
     };
     let a = mk();
     let b = mk();
@@ -56,7 +56,7 @@ fn physical_sim_reproduces_and_seeds_differ() {
         let mut cfg = PhysicalSimConfig::new(main);
         cfg.iterations = 60;
         cfg.seed = seed;
-        PhysicalSim::new(cfg).run()
+        PhysicalBackend::simulate(cfg)
     };
     assert_eq!(mk(5), mk(5));
     let a = mk(5);

@@ -1,7 +1,7 @@
 //! End-to-end integration: trace generation → job conversion → planning →
 //! cluster simulation → metrics, across every crate boundary.
 
-use pipefill::core::{steady_recovered_tflops, ClusterSim, ClusterSimConfig, PolicyKind};
+use pipefill::core::{steady_recovered_tflops, ClusterSimConfig, CoarseBackend, PolicyKind};
 use pipefill::executor::ExecutorConfig;
 use pipefill::pipeline::{MainJobSpec, ScheduleKind};
 use pipefill::sim::SimDuration;
@@ -18,7 +18,7 @@ fn base_config(seed: u64) -> ClusterSimConfig {
 fn cluster_simulation_full_stack() {
     let mut cfg = base_config(100);
     cfg.trace = cfg.trace.with_load(2.0);
-    let result = ClusterSim::new(cfg).run();
+    let result = CoarseBackend::simulate(cfg);
 
     assert_eq!(result.num_devices, 16);
     assert!(
@@ -58,7 +58,7 @@ fn saturated_cluster_approaches_steady_state_rate() {
     cfg.trace = cfg.trace.with_load(8.0); // deep backlog
     cfg.trace.horizon = SimDuration::from_secs(7200);
     let main = cfg.main_job.clone();
-    let result = ClusterSim::new(cfg).run();
+    let result = CoarseBackend::simulate(cfg);
     let steady = steady_recovered_tflops(&main, &ExecutorConfig::default(), &ModelMix::paper_mix());
     let ratio = result.recovered_tflops_per_gpu / steady;
     // The trace's model mix and job granularity differ from the
@@ -79,7 +79,7 @@ fn policies_change_outcomes_not_throughput() {
         let mut cfg = base_config(102);
         cfg.trace = cfg.trace.with_load(3.0);
         cfg.policy = policy;
-        ClusterSim::new(cfg).run()
+        CoarseBackend::simulate(cfg)
     };
     let sjf = run(PolicyKind::Sjf);
     let fifo = run(PolicyKind::Fifo);
@@ -97,7 +97,7 @@ fn deadline_aware_policy_meets_more_deadlines() {
         cfg.trace = cfg.trace.with_load(2.5);
         cfg.trace.deadline_fraction = 0.5;
         cfg.policy = policy;
-        let result = ClusterSim::new(cfg).run();
+        let result = CoarseBackend::simulate(cfg);
         let spec_deadlines: Vec<_> = result
             .completed
             .iter()
@@ -120,7 +120,7 @@ fn forty_b_cluster_simulation_at_scale() {
     let main = MainJobSpec::simulator_40b(8, ScheduleKind::GPipe);
     let mut trace = TraceConfig::simulator(104).with_load(3.0);
     trace.horizon = SimDuration::from_secs(3 * 3600);
-    let result = ClusterSim::new(ClusterSimConfig::new(main, trace)).run();
+    let result = CoarseBackend::simulate(ClusterSimConfig::new(main, trace));
     assert!(result.bubble_ratio > 0.6);
     assert!(result.completed.len() > 20);
     assert!(result.recovered_tflops_per_gpu > 1.0);

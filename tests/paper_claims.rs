@@ -2,7 +2,7 @@
 //! EXPERIMENTS.md records the full-scale numbers from the benches.
 
 use pipefill::core::experiments::*;
-use pipefill::core::{gpus_saved, PhysicalSim, PhysicalSimConfig};
+use pipefill::core::{gpus_saved, PhysicalBackend, PhysicalSimConfig};
 use pipefill::executor::ExecutorConfig;
 use pipefill::pipeline::{bubble_fraction, MainJobSpec, ScheduleKind};
 
@@ -12,7 +12,7 @@ fn claim_sub_two_percent_overhead() {
     let main = MainJobSpec::physical_5b(8, ScheduleKind::GPipe);
     let mut cfg = PhysicalSimConfig::new(main);
     cfg.iterations = 150;
-    let result = PhysicalSim::new(cfg).run();
+    let result = PhysicalBackend::simulate(cfg);
     assert!(
         result.main_slowdown < 0.02,
         "main-job slowdown {} ≥ 2%",
@@ -139,7 +139,7 @@ fn claim_oom_isolation() {
     let mut cfg = PhysicalSimConfig::new(main);
     cfg.iterations = 120;
     cfg.memory_jitter_cv = 0.35;
-    let result = PhysicalSim::new(cfg).run();
+    let result = PhysicalBackend::simulate(cfg);
     assert!(result.isolated_ooms > 0, "injection produced no OOMs");
     assert!(
         result.main_slowdown < 0.02,

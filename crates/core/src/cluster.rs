@@ -354,7 +354,7 @@ impl CoarseBackend {
                 .remove(&info.id)
                 .expect("spec recorded at arrival");
             let stage = self.devices[device].stage;
-            let proc = info.proc_times[device].expect("picked job is feasible here");
+            let proc = info.proc_time(device).expect("picked job is feasible here");
             let flops = self.job_flops(&spec, stage);
             let completes = now + proc;
             self.devices[device].busy_until = completes;

@@ -630,6 +630,10 @@ pub struct FillBackend<R> {
     shapes: Vec<Shape>,
     /// Owning pipeline per flat device.
     flat_owner: Vec<usize>,
+    /// First flat device of every pipeline of each shape, ascending: an
+    /// evicted job of shape `c` and stage `s` is feasible exactly on
+    /// `base + s` for each `base` in `shape_bases[c]`.
+    shape_bases: Vec<Vec<usize>>,
     queue: GlobalFillQueue,
     /// Reusable all-idle occupancy snapshot for queue picks (occupancy
     /// is not tracked at this fidelity; only the clock changes).
@@ -685,8 +689,10 @@ impl<R> FillBackend<R> {
         let preset = Preset::of(kind);
         let mut base = Vec::with_capacity(cfg.jobs.len());
         let mut flat_owner = Vec::new();
+        let mut shape_bases = vec![Vec::new(); shapes.len()];
         for (j, &class) in class_of.iter().enumerate() {
             base.push(flat_owner.len());
+            shape_bases[class].push(flat_owner.len());
             flat_owner.extend(std::iter::repeat_n(j, shapes[class].stages()));
         }
         // Failure streams fork from a root separate from every workload
@@ -737,6 +743,7 @@ impl<R> FillBackend<R> {
             idle_state: SystemState::idle(SimTime::ZERO, flat_owner.len()),
             down_until: vec![SimTime::ZERO; flat_owner.len()],
             flat_owner,
+            shape_bases,
             queue,
             parked: HashMap::new(),
             fail_rngs,
@@ -834,12 +841,17 @@ impl<R> FillBackend<R> {
 
         let shape = pipe.shape;
         let remaining = self.shapes[shape].period * lease.exec.remaining_main_iterations();
-        let mut proc_times = vec![None; self.flat_owner.len()];
-        for other in self.pipes.iter().filter(|o| o.shape == shape) {
-            proc_times[other.base + s] = Some(remaining);
-        }
+        let feasible = self.shape_bases[shape]
+            .iter()
+            .map(|&base| (base + s, remaining))
+            .collect();
         let id = lease.exec.job().id;
-        let info = JobInfo::new(id, lease.exec.job().arrival, proc_times);
+        let info = JobInfo::sparse(
+            id,
+            lease.exec.job().arrival,
+            self.flat_owner.len(),
+            feasible,
+        );
         self.queue.requeue_from(j, info);
         self.parked.insert(id, lease);
     }

@@ -3,35 +3,57 @@
 //! A fleet runs many pipeline-parallel main jobs at once; their stages
 //! form one flat executor space. Evicted fill jobs re-enter here rather
 //! than a per-pipeline queue, so any compatible idle stage in the whole
-//! fleet can resume them. [`GlobalFillQueue`] wraps a
-//! [`FillJobScheduler`] with the two fleet-level concerns:
+//! fleet can resume them. [`GlobalFillQueue`] scores candidates with a
+//! [`SchedulingPolicy`] exactly like [`FillJobScheduler`] and adds the
+//! fleet-level concerns:
 //!
+//! * **Locality buckets** — the caller encodes locality in a job's
+//!   sparse feasibility (a fill job is only feasible on stages whose
+//!   bubble geometry matches its execution plan: one stage of every
+//!   pipeline of its shape class). Each queued job sits in exactly one
+//!   bucket, keyed by that feasible set as requeued, and a pick for a
+//!   device scans only the buckets whose set contains it. Requeue and
+//!   the empty-handed picks of unrelated devices never touch the rest of
+//!   the queue, and nothing devices-sized is ever allocated.
 //! * **Per-job admission** — each main job declares whether its stages
-//!   accept fill work evicted from *other* jobs. Admission is applied by
-//!   masking the foreign entries of a job's `proc_times` at requeue time,
-//!   so the underlying policy machinery stays single-sourced: a masked
-//!   device is simply infeasible.
-//! * **Locality-aware dispatch** — the caller encodes locality in
-//!   `proc_times` (a fill job is only feasible on stages whose bubble
-//!   geometry matches its execution plan); the queue tracks each job's
-//!   origin so cross-job dispatches can be counted and audited.
+//!   accept fill work evicted from *other* jobs. A device admits a
+//!   bucketed job if its owner is the job's origin or admits foreign
+//!   work; the stored [`JobInfo`] is masked the same way at requeue, so
+//!   policies score exactly the feasibility the job has.
+//! * **Origin tracking** — each queued job remembers the main job it was
+//!   evicted from, so cross-job dispatches are counted and audited.
+//!
+//! [`FillJobScheduler`]: crate::FillJobScheduler
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use pipefill_executor::JobId;
 
 use crate::policy::SchedulingPolicy;
-use crate::scheduler::{FillJobScheduler, JobInfo, SystemState};
+use crate::scheduler::{outranks, JobInfo, SystemState};
+
+/// A queued fill job and the main job it was evicted from.
+struct Queued {
+    origin: usize,
+    info: JobInfo,
+}
 
 /// One global fill queue shared by every main job of a fleet.
 pub struct GlobalFillQueue {
-    scheduler: FillJobScheduler,
+    policy: Box<dyn SchedulingPolicy>,
     /// Owning main-job index per flat executor.
     owner: Vec<usize>,
     /// Per main job: whether its stages accept foreign fill work.
     admits_foreign: Vec<bool>,
-    /// Origin main job of each queued fill job.
-    origin: HashMap<JobId, usize>,
+    /// Queued jobs, one bucket per distinct requeued feasible set.
+    buckets: Vec<Vec<Queued>>,
+    /// Bucket index by feasible executor set (lookup only).
+    bucket_of: HashMap<Vec<usize>, usize>,
+    /// Buckets whose feasible set contains a device, for every device
+    /// some bucket covers (lookup only).
+    device_buckets: HashMap<usize, Vec<usize>>,
+    /// Ids of every queued job.
+    queued: HashSet<JobId>,
     peak_depth: usize,
     cross_job_dispatches: u64,
 }
@@ -41,7 +63,8 @@ impl std::fmt::Debug for GlobalFillQueue {
         f.debug_struct("GlobalFillQueue")
             .field("devices", &self.owner.len())
             .field("main_jobs", &self.admits_foreign.len())
-            .field("queued", &self.scheduler.queue_len())
+            .field("buckets", &self.buckets.len())
+            .field("queued", &self.queue_len())
             .finish()
     }
 }
@@ -64,10 +87,13 @@ impl GlobalFillQueue {
             "every executor owner must index a main job"
         );
         GlobalFillQueue {
-            scheduler: FillJobScheduler::new(policy),
+            policy,
             owner,
             admits_foreign,
-            origin: HashMap::new(),
+            buckets: Vec::new(),
+            bucket_of: HashMap::new(),
+            device_buckets: HashMap::new(),
+            queued: HashSet::new(),
             peak_depth: 0,
             cross_job_dispatches: 0,
         }
@@ -85,7 +111,15 @@ impl GlobalFillQueue {
 
     /// The active policy's name.
     pub fn policy_name(&self) -> &str {
-        self.scheduler.policy_name()
+        self.policy.name()
+    }
+
+    /// Whether `device` accepts work evicted from main job `origin`: the
+    /// origin's own devices always do, other jobs' only if they admit
+    /// foreign work.
+    fn admits(&self, device: usize, origin: usize) -> bool {
+        let receiver = self.owner[device];
+        receiver == origin || self.admits_foreign[receiver]
     }
 
     /// Re-enqueues a fill job evicted from `origin_job`. Devices of main
@@ -96,33 +130,70 @@ impl GlobalFillQueue {
     ///
     /// # Panics
     ///
-    /// Panics if `proc_times` does not cover every flat executor, or if a
-    /// job with the same id is already queued (a fill job re-enters the
-    /// fleet exactly once per eviction).
+    /// Panics if the job's executor space is not the fleet's flat
+    /// executor space, or if a job with the same id is already queued (a
+    /// fill job re-enters the fleet exactly once per eviction).
     pub fn requeue_from(&mut self, origin_job: usize, mut info: JobInfo) {
         assert_eq!(
-            info.proc_times.len(),
+            info.num_executors(),
             self.owner.len(),
-            "proc_times must cover every flat executor"
+            "the job's executor space must cover every flat executor"
         );
-        for (d, t) in info.proc_times.iter_mut().enumerate() {
-            let receiver = self.owner[d];
-            if receiver != origin_job && !self.admits_foreign[receiver] {
-                *t = None;
-            }
+        assert!(
+            self.queued.insert(info.id),
+            "job {} is already queued; evicted jobs re-enter exactly once",
+            info.id
+        );
+        let key: Vec<usize> = info.feasible().iter().map(|&(e, _)| e).collect();
+        let bucket = match self.bucket_of.get(&key) {
+            Some(&b) => b,
+            None => self.open_bucket(key),
+        };
+        info.retain_executors(|d| self.admits(d, origin_job));
+        self.buckets[bucket].push(Queued {
+            origin: origin_job,
+            info,
+        });
+        self.peak_depth = self.peak_depth.max(self.queued.len());
+    }
+
+    /// Creates the bucket of a feasible set not seen before and indexes
+    /// it under every device of the set.
+    fn open_bucket(&mut self, key: Vec<usize>) -> usize {
+        let b = self.buckets.len();
+        self.buckets.push(Vec::new());
+        for &d in &key {
+            self.device_buckets.entry(d).or_default().push(b);
         }
-        self.origin.insert(info.id, origin_job);
-        self.scheduler.requeue(info);
-        self.peak_depth = self.peak_depth.max(self.scheduler.queue_len());
+        self.bucket_of.insert(key, b);
+        b
     }
 
     /// Picks the best queued fill job for flat executor `device` under
     /// the active policy, or `None` if nothing queued is feasible there.
+    /// Ties break by earlier arrival, then lower id, exactly as
+    /// [`FillJobScheduler::pick_for`](crate::FillJobScheduler::pick_for).
     pub fn pick_for(&mut self, device: usize, state: &SystemState) -> Option<JobInfo> {
-        let info = self.scheduler.pick_for(device, state)?;
-        let origin = self.origin.remove(&info.id);
-        debug_assert!(origin.is_some(), "every queued job has a recorded origin");
-        if origin.is_some_and(|origin| origin != self.owner[device]) {
+        let buckets = self.device_buckets.get(&device)?;
+        // (bucket, slot, score) of the best candidate so far.
+        let mut best: Option<(usize, usize, f64)> = None;
+        for &b in buckets {
+            for (slot, q) in self.buckets[b].iter().enumerate() {
+                if !self.admits(device, q.origin) {
+                    continue;
+                }
+                let score = self.policy.score(&q.info, state, device);
+                if best.is_none_or(|(bb, bs, bscore)| {
+                    outranks(&q.info, score, &self.buckets[bb][bs].info, bscore)
+                }) {
+                    best = Some((b, slot, score));
+                }
+            }
+        }
+        let (b, slot, _) = best?;
+        let Queued { origin, info } = self.buckets[b].swap_remove(slot);
+        self.queued.remove(&info.id);
+        if origin != self.owner[device] {
             self.cross_job_dispatches += 1;
         }
         Some(info)
@@ -130,7 +201,7 @@ impl GlobalFillQueue {
 
     /// Fill jobs currently waiting.
     pub fn queue_len(&self) -> usize {
-        self.scheduler.queue_len()
+        self.queued.len()
     }
 
     /// Deepest the queue has ever been.

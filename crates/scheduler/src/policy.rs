@@ -61,10 +61,10 @@ impl SchedulingPolicy for MakespanMin {
     }
 
     fn score(&self, job: &JobInfo, state: &SystemState, executor: usize) -> f64 {
-        let Some(Some(proc)) = job.proc_times.get(executor) else {
+        let Some(proc) = job.proc_time(executor) else {
             return f64::MIN;
         };
-        let makespan = proc.max(&state.max_remaining()).as_secs_f64();
+        let makespan = proc.max(state.max_remaining()).as_secs_f64();
         if makespan == 0.0 {
             f64::MAX
         } else {

@@ -8,9 +8,15 @@ use serde::{Deserialize, Serialize};
 use crate::policy::SchedulingPolicy;
 
 /// What the Scheduler knows about one job: arrival, optional deadline,
-/// and its processing time on every device (`None` where the Executor
-/// found no feasible plan — e.g. the device's bubbles are too small for
-/// any configuration of the model).
+/// and its processing time on every device where it can run. Devices
+/// missing from the list are infeasible (the Executor found no plan —
+/// e.g. the device's bubbles are too small for any configuration of the
+/// model).
+///
+/// Feasibility is stored sparsely, as `(executor, proc_time)` pairs in
+/// ascending executor order over an executor space of known size: a
+/// fleet-scale fill job is feasible on a few dozen of tens of thousands
+/// of devices.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobInfo {
     /// Job identifier.
@@ -19,19 +25,54 @@ pub struct JobInfo {
     pub arrival: SimTime,
     /// Optional completion deadline.
     pub deadline: Option<SimTime>,
-    /// Wall-clock processing time on each device's bubbles, indexed by
-    /// executor.
-    pub proc_times: Vec<Option<SimDuration>>,
+    /// Processing time on each feasible executor, ascending by executor.
+    feasible: Vec<(usize, SimDuration)>,
+    /// Size of the executor space `feasible` indexes into.
+    executors: usize,
 }
 
 impl JobInfo {
-    /// Creates a job description.
+    /// Creates a job description from a dense per-executor list:
+    /// `proc_times[e]` is the processing time on executor `e`, `None`
+    /// where infeasible.
     pub fn new(id: JobId, arrival: SimTime, proc_times: Vec<Option<SimDuration>>) -> Self {
+        let executors = proc_times.len();
+        let feasible = proc_times
+            .into_iter()
+            .enumerate()
+            .filter_map(|(e, t)| Some((e, t?)))
+            .collect();
+        Self::sparse(id, arrival, executors, feasible)
+    }
+
+    /// Creates a job description from its feasible executors only:
+    /// `(executor, proc_time)` pairs over an executor space of
+    /// `executors` devices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the executors are not strictly ascending or one lies
+    /// outside the executor space.
+    pub fn sparse(
+        id: JobId,
+        arrival: SimTime,
+        executors: usize,
+        feasible: Vec<(usize, SimDuration)>,
+    ) -> Self {
+        assert!(
+            feasible.windows(2).all(|w| w[0].0 < w[1].0),
+            "feasible executors must be strictly ascending"
+        );
+        assert!(
+            feasible.last().is_none_or(|&(e, _)| e < executors),
+            "feasible executor outside the executor space ({executors})"
+        );
         JobInfo {
             id,
             arrival,
             deadline: None,
-            proc_times,
+            feasible,
+            executors,
         }
     }
 
@@ -41,14 +82,38 @@ impl JobInfo {
         self
     }
 
+    /// Size of the executor space this job was described over.
+    pub(crate) fn num_executors(&self) -> usize {
+        self.executors
+    }
+
+    /// The feasible executors with their processing times, ascending by
+    /// executor.
+    pub(crate) fn feasible(&self) -> &[(usize, SimDuration)] {
+        &self.feasible
+    }
+
+    /// Processing time on `executor`, or `None` where infeasible.
+    pub fn proc_time(&self, executor: usize) -> Option<SimDuration> {
+        self.feasible
+            .binary_search_by_key(&executor, |&(e, _)| e)
+            .ok()
+            .map(|i| self.feasible[i].1)
+    }
+
     /// Fastest processing time across devices, if feasible anywhere.
     pub fn min_proc_time(&self) -> Option<SimDuration> {
-        self.proc_times.iter().flatten().min().copied()
+        self.feasible.iter().map(|&(_, t)| t).min()
     }
 
     /// True if this job can run on the given executor.
     pub fn feasible_on(&self, executor: usize) -> bool {
-        self.proc_times.get(executor).copied().flatten().is_some()
+        self.proc_time(executor).is_some()
+    }
+
+    /// Keeps only the feasible executors `keep` accepts.
+    pub(crate) fn retain_executors(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        self.feasible.retain(|&(e, _)| keep(e));
     }
 }
 
@@ -175,11 +240,9 @@ impl FillJobScheduler {
     /// ours answers the same query for the head-of-queue case exactly).
     pub fn estimate_completion(&self, job_id: JobId, state: &SystemState) -> Option<SimTime> {
         let job = self.queue.iter().find(|j| j.id == job_id)?;
-        job.proc_times
+        job.feasible()
             .iter()
-            .enumerate()
-            .filter_map(|(e, t)| {
-                let t = (*t)?;
+            .filter_map(|&(e, t)| {
                 let rem = state.executors.get(e)?.remaining;
                 Some(state.now + rem + t)
             })
@@ -234,10 +297,10 @@ impl FillJobScheduler {
                     .collect(),
             };
             // `best_index` only returns feasible picks, so the `?` on
-            // `proc_times` never fires; folding it into the match keeps
+            // `proc_time` never fires; folding it into the match keeps
             // this total without a panic path.
             let pick = best_index(&queue, self.policy.as_ref(), executor, &projected)
-                .and_then(|idx| Some((idx, queue[idx].proc_times[executor]?)));
+                .and_then(|idx| Some((idx, queue[idx].proc_time(executor)?)));
             match pick {
                 Some((idx, proc)) => {
                     let job = queue.swap_remove(idx);
@@ -254,12 +317,9 @@ impl FillJobScheduler {
                     // Nothing feasible on this executor; park it so the
                     // projection can make progress on others. If every
                     // executor is parked past every job, drop the rest.
-                    let others_can: bool = queue.iter().any(|j| {
-                        j.proc_times
-                            .iter()
-                            .enumerate()
-                            .any(|(e, p)| e != executor && p.is_some())
-                    });
+                    let others_can: bool = queue
+                        .iter()
+                        .any(|j| j.feasible().iter().any(|&(e, _)| e != executor));
                     if !others_can {
                         break;
                     }
@@ -298,18 +358,19 @@ fn best_index(
             continue;
         }
         let score = policy.score(job, state, executor);
-        let better = match best {
-            None => true,
-            Some((bidx, bscore)) => {
-                let b = &queue[bidx];
-                score > bscore || (score == bscore && (job.arrival, job.id) < (b.arrival, b.id))
-            }
-        };
-        if better {
+        if best.is_none_or(|(b, bscore)| outranks(job, score, &queue[b], bscore)) {
             best = Some((idx, score));
         }
     }
     best.map(|(idx, _)| idx)
+}
+
+/// The placement order every pick uses: higher score first, then earlier
+/// arrival, then lower id. For non-NaN scores this is a strict total
+/// order over distinct jobs, so the winner does not depend on the order
+/// candidates are scanned in.
+pub(crate) fn outranks(job: &JobInfo, score: f64, best: &JobInfo, best_score: f64) -> bool {
+    score > best_score || (score == best_score && (job.arrival, job.id) < (best.arrival, best.id))
 }
 
 #[cfg(test)]

@@ -129,7 +129,7 @@ proptest! {
         }
         for p in &projection {
             let job = jobs.iter().find(|j| j.id == p.id).unwrap();
-            let proc = job.proc_times[p.executor].unwrap();
+            let proc = job.proc_time(p.executor).unwrap();
             prop_assert_eq!(p.completes, p.starts + proc);
         }
     }

@@ -267,11 +267,23 @@ mod tests {
     use super::prelude::*;
     use super::*;
 
-    /// Serializes the tests that mutate the global worker configuration.
+    /// Serializes every test in this module. The worker configuration
+    /// and the `ACTIVE_WORKERS` budget are process-wide, so a test that
+    /// spawns workers while another reconfigures the width, or asserts
+    /// the budget is back to zero, would observe its sibling mid-run.
     static CONFIG_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Takes [`CONFIG_LOCK`], recovering it if an earlier test panicked
+    /// while holding it (that test already failed on its own).
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        CONFIG_LOCK
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn map_collect_preserves_order() {
+        let _guard = serial();
         let v: Vec<u64> = (0..1000).collect();
         let doubled: Vec<u64> = v.into_par_iter().map(|x| x * 2).collect();
         assert_eq!(doubled, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
@@ -279,6 +291,7 @@ mod tests {
 
     #[test]
     fn par_iter_borrows() {
+        let _guard = serial();
         let v: Vec<String> = (0..64).map(|i| i.to_string()).collect();
         let lens: Vec<usize> = v.par_iter().map(|s| s.len()).collect();
         assert_eq!(lens.len(), 64);
@@ -287,6 +300,7 @@ mod tests {
 
     #[test]
     fn chained_maps_compose() {
+        let _guard = serial();
         let v: Vec<i64> = (0..100).collect();
         let out: Vec<i64> = v.into_par_iter().map(|x| x + 1).map(|x| x * 3).collect();
         assert_eq!(out[0], 3);
@@ -295,7 +309,7 @@ mod tests {
 
     #[test]
     fn nested_parallelism_stays_within_budget() {
-        let _guard = CONFIG_LOCK.lock().unwrap();
+        let _guard = serial();
         ThreadPoolBuilder::new()
             .num_threads(2)
             .build_global()
@@ -325,6 +339,7 @@ mod tests {
 
     #[test]
     fn thread_pool_builder_configures_count() {
+        let _guard = serial();
         ThreadPoolBuilder::new()
             .num_threads(3)
             .build_global()

@@ -13,6 +13,14 @@
 //! `schedverify` crate's static dependency graph, which proves streams
 //! deadlock-free *before* execution by checking the very same edges for
 //! acyclicity.
+//!
+//! Both also share the storage of that keying: [`DepSlots`] numbers every
+//! in-range `(iteration, DepKey)` densely, so a whole-stream pass looks a
+//! key up in O(1) without hashing, and [`consumer_device`] names the one
+//! device a published key can unblock, so list schedulers wake exactly
+//! that device instead of polling every stage.
+
+use std::collections::BTreeMap;
 
 use crate::instructions::PipelineInstruction;
 
@@ -139,6 +147,108 @@ pub fn consumed(
     }
 }
 
+/// The device whose stream waits on `key` in a `p`-device pipeline: the
+/// device hosting the next virtual stage for activations, the previous
+/// one for gradients.
+///
+/// Every instruction [`consumed`] keys on `key` runs on this device,
+/// whatever its chunk or stage, so publishing `key` can unblock no other
+/// device.
+pub fn consumer_device(key: DepKey, p: usize) -> usize {
+    match key {
+        DepKey::Fwd { vs, .. } => match vs % p + 1 {
+            next if next == p => 0,
+            next => next,
+        },
+        DepKey::Bwd { vs, .. } => match vs % p {
+            0 => p - 1,
+            device => device - 1,
+        },
+    }
+}
+
+/// A map from `(iteration, DepKey)` to `T`, stored densely for the keys a
+/// well-formed run can publish.
+///
+/// The dense range is iterations `0..iterations`, virtual stages
+/// `0..chunks·p` and microbatches `0..m`, both directions: one slot per
+/// key, laid out `((iteration·2 + direction)·chunks·p + vs)·m +
+/// microbatch`. Anything outside it (only malformed streams name such
+/// keys) lands in a small ordered overflow map and behaves identically.
+/// The dense table is only allocated when it holds no more slots than the
+/// run has instructions: a well-formed run publishes one key per
+/// forward and backward, so a larger table could never fill, and an
+/// oversized shape cannot drive an allocation.
+#[derive(Debug)]
+pub struct DepSlots<T> {
+    virtual_stages: usize,
+    microbatches: usize,
+    iterations: usize,
+    dense: Vec<Option<T>>,
+    overflow: BTreeMap<(usize, DepKey), T>,
+}
+
+impl<T: Copy> DepSlots<T> {
+    /// An empty map for `iterations` unrolled iterations of a `p`-device,
+    /// `chunks`-chunk, `microbatches`-microbatch run of `instructions`
+    /// instruction occurrences in all.
+    pub fn new(
+        p: usize,
+        chunks: usize,
+        microbatches: usize,
+        iterations: usize,
+        instructions: usize,
+    ) -> Self {
+        let slots = chunks
+            .checked_mul(p)
+            .and_then(|vs| vs.checked_mul(microbatches))
+            .and_then(|n| n.checked_mul(2))
+            .and_then(|n| n.checked_mul(iterations))
+            .filter(|&n| n <= instructions);
+        let (virtual_stages, microbatches, iterations) = match slots {
+            Some(_) => (chunks * p, microbatches, iterations),
+            None => (0, 0, 0),
+        };
+        DepSlots {
+            virtual_stages,
+            microbatches,
+            iterations,
+            dense: vec![None; slots.unwrap_or(0)],
+            overflow: BTreeMap::new(),
+        }
+    }
+
+    fn slot(&self, iteration: usize, key: DepKey) -> Option<usize> {
+        let (direction, vs, microbatch) = match key {
+            DepKey::Fwd { vs, microbatch } => (0, vs, microbatch),
+            DepKey::Bwd { vs, microbatch } => (1, vs, microbatch),
+        };
+        (iteration < self.iterations && vs < self.virtual_stages && microbatch < self.microbatches)
+            .then(|| {
+                ((iteration * 2 + direction) * self.virtual_stages + vs) * self.microbatches
+                    + microbatch
+            })
+    }
+
+    /// The value stored for `key` in `iteration`, if any.
+    pub fn get(&self, iteration: usize, key: DepKey) -> Option<T> {
+        match self.slot(iteration, key) {
+            Some(i) => self.dense[i],
+            None => self.overflow.get(&(iteration, key)).copied(),
+        }
+    }
+
+    /// Stores `value` for `key` in `iteration`, replacing any earlier one.
+    pub fn insert(&mut self, iteration: usize, key: DepKey, value: T) {
+        match self.slot(iteration, key) {
+            Some(i) => self.dense[i] = Some(value),
+            None => {
+                self.overflow.insert((iteration, key), value);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,5 +341,74 @@ mod tests {
             assert_eq!(produced(instr, 1, 4), None, "{instr:?}");
             assert_eq!(consumed(instr, 1, 4, 1), None, "{instr:?}");
         }
+    }
+
+    /// Whatever instruction waits on a key, on whatever device, it runs
+    /// on the key's consumer device — chunked or not, in or out of the
+    /// configured chunk range, at every pipeline depth including p = 1.
+    #[test]
+    fn consumer_device_runs_every_consumer_of_a_key() {
+        for p in 1..6 {
+            for chunks in 1..4 {
+                for stage in 0..p {
+                    for chunk in 0..chunks + 2 {
+                        for instr in [
+                            PipelineInstruction::Forward { microbatch: 1 },
+                            PipelineInstruction::Backward { microbatch: 1 },
+                            PipelineInstruction::BackwardInput { microbatch: 1 },
+                            PipelineInstruction::ForwardChunk {
+                                chunk,
+                                microbatch: 1,
+                            },
+                            PipelineInstruction::BackwardChunk {
+                                chunk,
+                                microbatch: 1,
+                            },
+                        ] {
+                            if let Some(edge) = consumed(instr, stage, p, chunks) {
+                                assert_eq!(
+                                    consumer_device(edge.key, p),
+                                    stage,
+                                    "{instr:?} on device {stage} of p={p} v={chunks}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// In-range keys take dense slots and out-of-range ones the overflow
+    /// map; both read back exactly what was stored last, and no two keys
+    /// share a slot.
+    #[test]
+    fn dep_slots_store_every_key_once() {
+        let fwd = |vs, microbatch| DepKey::Fwd { vs, microbatch };
+        let bwd = |vs, microbatch| DepKey::Bwd { vs, microbatch };
+        let (p, chunks, m, iters) = (3, 2, 4, 2);
+        let mut slots = DepSlots::new(p, chunks, m, iters, 1_000);
+        let keys: Vec<(usize, DepKey)> = (0..iters + 1)
+            .flat_map(|it| {
+                (0..chunks * p + 2).flat_map(move |vs| {
+                    (0..m + 2).flat_map(move |mb| [(it, fwd(vs, mb)), (it, bwd(vs, mb))])
+                })
+            })
+            .collect();
+        for (n, &(it, key)) in keys.iter().enumerate() {
+            assert_eq!(slots.get(it, key), None);
+            slots.insert(it, key, n);
+        }
+        for (n, &(it, key)) in keys.iter().enumerate() {
+            assert_eq!(slots.get(it, key), Some(n), "{it} {key:?}");
+        }
+        slots.insert(0, fwd(0, 0), 7);
+        assert_eq!(slots.get(0, fwd(0, 0)), Some(7));
+        // A shape too large for its instruction count allocates nothing
+        // dense, yet still stores and reads back.
+        let mut sparse = DepSlots::new(usize::MAX, 2, 2, 4, 10);
+        assert!(sparse.dense.is_empty());
+        sparse.insert(3, bwd(5, 1), 'x');
+        assert_eq!(sparse.get(3, bwd(5, 1)), Some('x'));
     }
 }

@@ -10,13 +10,11 @@
 //! non-contiguous bubbles — the ones PipeFill deliberately does not fill
 //! (§4.5) — emergent rather than asserted.
 
-use std::collections::HashMap;
-
 use pipefill_sim_core::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::bubbles::{BubbleKind, BubbleWindow};
-use crate::deps::{self, DepKey};
+use crate::deps::{self, DepSlots};
 use crate::instructions::PipelineInstruction;
 use crate::memory::BubbleMemoryModel;
 use crate::schedule::ScheduleKind;
@@ -61,9 +59,19 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// One executed instruction, as the list scheduler records it:
-/// `(iteration, instruction, start, end)`.
-type ExecRecord = (usize, PipelineInstruction, SimTime, SimTime);
+/// When one executed instruction ran: `(start, end)`. A device's records
+/// follow its stream replayed iteration after iteration, so record `k`
+/// is iteration `k / len` at stream position `k % len`.
+type ExecRecord = (SimTime, SimTime);
+
+/// One stream position as the list scheduler replays it.
+struct Step {
+    /// The key it waits on, if any.
+    dep: Option<deps::DepEdge>,
+    /// The key it publishes, if any.
+    publishes: Option<deps::DepKey>,
+    duration: SimDuration,
+}
 
 /// Everything the engine needs to run one main job.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -144,25 +152,14 @@ impl EngineConfig {
         let p = self.num_stages();
         let m = self.microbatches;
 
-        // Build per-stage instruction streams for SIM_ITERATIONS. One
-        // generator pass covers every stage (the interleaved schedule
-        // derives all streams from a single constructive simulation),
-        // and the per-iteration stream is the same emission repeated.
-        let streams: Vec<Vec<(usize, PipelineInstruction)>> = self
-            .schedule
-            .all_stage_instructions(p, m)
-            .into_iter()
-            .map(|stage_stream| {
-                (0..SIM_ITERATIONS)
-                    .flat_map(|iter| stage_stream.iter().map(move |&i| (iter, i)))
-                    .collect()
-            })
-            .collect();
-
+        // One generator pass covers every stage (the interleaved schedule
+        // derives all streams from a single constructive simulation);
+        // every simulated iteration replays the same emission.
+        let streams = self.schedule.all_stage_instructions(p, m);
         let records = self
-            .simulate(&streams)
+            .simulate(&streams, SIM_ITERATIONS)
             .unwrap_or_else(|e| panic!("{e} (generator bug)"));
-        self.extract_timeline(&records)
+        self.extract_timeline(&streams, &records)
     }
 
     /// Executes arbitrary per-device instruction streams (one iteration
@@ -188,66 +185,121 @@ impl EngineConfig {
             self.num_stages(),
             "stream count must match the configured stage count"
         );
-        let tagged: Vec<Vec<(usize, PipelineInstruction)>> = streams
-            .iter()
-            .map(|stream| stream.iter().map(|&i| (0, i)).collect())
-            .collect();
-        self.simulate(&tagged).map(|_| ())
+        self.simulate(streams, 1).map(|_| ())
     }
 
-    /// Dependency-driven list scheduling over iteration-tagged streams.
-    /// End-time maps are keyed by `(iteration, DepKey)`; the keying
+    /// Dependency-driven list scheduling of `iterations` back-to-back
+    /// replays of one iteration's per-device streams.
+    ///
+    /// Each device runs its stream in order, every instruction starting
+    /// at `max(device free, dependency end [+ comm])`. A device that
+    /// reaches an unpublished dependency blocks; publishing a key wakes
+    /// the one device that can consume it ([`deps::consumer_device`]), so
+    /// the pass is linear in the instruction count. For streams with one
+    /// producer per key, start times are longest paths and the set of
+    /// instructions that can ever run is unique, so the result does not
+    /// depend on which ready device runs first. End times live in
+    /// [`deps::DepSlots`], keyed by `(iteration, DepKey)`; the keying
     /// itself — virtual stages, cross-device hand-offs — lives in
     /// [`crate::deps`], shared with the static verifier.
     fn simulate(
         &self,
-        streams: &[Vec<(usize, PipelineInstruction)>],
+        streams: &[Vec<PipelineInstruction>],
+        iterations: usize,
     ) -> Result<Vec<Vec<ExecRecord>>, EngineError> {
         let p = self.num_stages();
         let chunks = self.schedule.chunk_count();
-        let mut done: HashMap<(usize, DepKey), SimTime> = HashMap::new();
-        let mut next = vec![0usize; p];
+        // Each stream position's dependency, publication and duration,
+        // resolved once and replayed every iteration.
+        let steps: Vec<Vec<Step>> = streams
+            .iter()
+            .enumerate()
+            .map(|(s, stream)| {
+                stream
+                    .iter()
+                    .map(|&instr| Step {
+                        dep: deps::consumed(instr, s, p, chunks),
+                        publishes: deps::produced(instr, s, p),
+                        duration: self.instruction_duration(instr, s),
+                    })
+                    .collect()
+            })
+            .collect();
+        let instructions = streams.iter().map(Vec::len).sum::<usize>() * iterations;
+        let mut done = DepSlots::new(p, chunks, self.microbatches, iterations, instructions);
+        // Per device: the iteration and stream position it is at.
+        let mut at = vec![(0usize, 0usize); p];
         let mut free = vec![SimTime::ZERO; p];
-        let mut records: Vec<Vec<ExecRecord>> = vec![Vec::new(); p];
+        let mut records: Vec<Vec<ExecRecord>> = streams
+            .iter()
+            .map(|s| Vec::with_capacity(s.len() * iterations))
+            .collect();
+        let mut blocked = vec![false; p];
+        let mut ready: Vec<usize> = (0..p).rev().collect();
+        let mut settled = usize::MAX;
 
         loop {
-            let mut progressed = false;
-            for s in 0..p {
-                while next[s] < streams[s].len() {
-                    let (iter, instr) = streams[s][next[s]];
-                    let dep = match deps::consumed(instr, s, p, chunks) {
+            while let Some(s) = ready.pop() {
+                let stream = &steps[s];
+                let (mut iter, mut pos) = at[s];
+                while iter < iterations && !stream.is_empty() {
+                    let step = &stream[pos];
+                    let dep = match step.dep {
                         None => SimTime::ZERO,
-                        Some(edge) => match done.get(&(iter, edge.key)) {
-                            Some(&t) if edge.crosses_device => t + self.comm,
-                            Some(&t) => t,
-                            None => break,
+                        Some(edge) => match done.get(iter, edge.key) {
+                            Some(t) if edge.crosses_device => t + self.comm,
+                            Some(t) => t,
+                            None => {
+                                blocked[s] = true;
+                                break;
+                            }
                         },
                     };
                     let start = free[s].max(dep);
-                    let end = start + self.instruction_duration(instr, s);
-                    if let Some(key) = deps::produced(instr, s, p) {
-                        done.insert((iter, key), end);
+                    let end = start + step.duration;
+                    if let Some(key) = step.publishes {
+                        done.insert(iter, key, end);
+                        let consumer = deps::consumer_device(key, p);
+                        if std::mem::take(&mut blocked[consumer]) {
+                            ready.push(consumer);
+                        }
                     }
-                    records[s].push((iter, instr, start, end));
+                    records[s].push((start, end));
                     free[s] = end;
-                    next[s] += 1;
-                    progressed = true;
+                    pos += 1;
+                    if pos == stream.len() {
+                        (iter, pos) = (iter + 1, 0);
+                    }
+                }
+                at[s] = (iter, pos);
+            }
+            // Quiescent: every device is done or blocked. Confirm the
+            // fixpoint by retrying each blocked device once — only a key
+            // whose virtual-stage arithmetic wrapped (a malformed chunk
+            // index) can have missed its wake-up — and stop when a retry
+            // round runs nothing.
+            let executed = records.iter().map(Vec::len).sum();
+            if executed == settled {
+                break;
+            }
+            settled = executed;
+            for s in (0..p).rev() {
+                if std::mem::take(&mut blocked[s]) {
+                    ready.push(s);
                 }
             }
-            if !progressed {
+            if ready.is_empty() {
                 break;
             }
         }
-        for s in 0..p {
-            if next[s] < streams[s].len() {
-                return Err(EngineError::Deadlock {
-                    stage: s,
-                    position: next[s],
-                    instruction: streams[s][next[s]].1,
-                });
-            }
+        match (0..p).find(|&s| records[s].len() < streams[s].len() * iterations) {
+            Some(s) => Err(EngineError::Deadlock {
+                stage: s,
+                position: records[s].len(),
+                instruction: streams[s][at[s].1],
+            }),
+            None => Ok(records),
         }
-        Ok(records)
     }
 
     /// How long `instr` occupies device `stage` — exactly the durations
@@ -295,17 +347,25 @@ impl EngineConfig {
         }
     }
 
-    fn extract_timeline(&self, records: &[Vec<ExecRecord>]) -> EngineTimeline {
+    fn extract_timeline(
+        &self,
+        streams: &[Vec<PipelineInstruction>],
+        records: &[Vec<ExecRecord>],
+    ) -> EngineTimeline {
         let p = self.num_stages();
+        // Stage `s`'s instructions of iteration `k`, with their records.
+        let iteration = |s: usize, k: usize| {
+            let len = streams[s].len();
+            records[s][k * len..(k + 1) * len].iter().zip(&streams[s])
+        };
         // Start of an iteration on a stage = start of its first busy
         // (non-zero-duration) instruction of that iteration. A miss means
         // the schedule emitted an all-idle iteration — a bug worth a loud
         // panic, not a defaulted timestamp.
         let iter_start = |s: usize, k: usize| -> SimTime {
-            records[s]
-                .iter()
-                .find(|(iter, _, start, end)| *iter == k && end > start)
-                .map(|&(_, _, start, _)| start)
+            iteration(s, k)
+                .find(|((start, end), _)| end > start)
+                .map(|(&(start, _), _)| start)
                 .expect("iteration has at least one busy instruction")
         };
 
@@ -320,17 +380,17 @@ impl EngineConfig {
         );
 
         let mut stages = Vec::with_capacity(p);
-        for (s, stage_records) in records.iter().enumerate().take(p) {
+        for s in 0..p {
             let window_start = iter_start(s, STEADY_ITER);
             let window_end = iter_start(s, STEADY_ITER + 1);
             let anchor_offset = window_start.saturating_since(t0);
 
             // Busy intervals inside the stage's window, in time order.
-            let mut intervals: Vec<(SimTime, SimTime, PipelineInstruction)> = stage_records
-                .iter()
-                .filter(|(iter, _, start, end)| *iter == STEADY_ITER && end > start)
-                .map(|&(_, instr, start, end)| (start, end, instr))
-                .collect();
+            let mut intervals: Vec<(SimTime, SimTime, PipelineInstruction)> =
+                iteration(s, STEADY_ITER)
+                    .filter(|((start, end), _)| end > start)
+                    .map(|(&(start, end), &instr)| (start, end, instr))
+                    .collect();
             intervals.sort_by_key(|&(start, _, _)| start);
 
             let first_bwd_start = intervals

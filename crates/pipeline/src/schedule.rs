@@ -248,94 +248,49 @@ impl ScheduleKind {
 /// globally-earliest start first, backwards preferred over forwards on
 /// ties (the 1F1B discipline; forward run-ahead is bounded only by this
 /// preference plus dependency latency, not by an explicit warmup cap),
-/// Megatron round order breaking the rest. The committed order is a
-/// linearization of a real execution, so the engine's in-order replay can
-/// never deadlock, whatever the stage timings.
+/// Megatron round order breaking the rest, then the lowest virtual
+/// stage. The committed order is a linearization of a real execution, so
+/// the engine's in-order replay can never deadlock, whatever the stage
+/// timings.
+///
+/// Each virtual stage offers at most one runnable unit at a time, and a
+/// tournament tree over the virtual stages keeps the earliest of them at
+/// its root. Committing a unit changes only its device's `v` stages (the
+/// device's free time moved) and the adjacent virtual stages `vs ± 1`
+/// (their dependency may have landed), so each of the `2·v·p·m` commits
+/// costs `O(v·log(v·p))` rather than a scan of every virtual stage.
 fn interleaved_all_stage_instructions(
     p: usize,
     m: usize,
     v: usize,
 ) -> Vec<Vec<PipelineInstruction>> {
     assert!(m > 0, "need at least one microbatch");
-    const UNSCHEDULED: u64 = u64::MAX;
+    let mut greedy = Greedy::new(p, m, v);
     let vs_total = v * p;
-    let (t_fwd, t_bwd) = (1u64, 2u64);
-    // Megatron's microbatch grouping: forwards proceed in rounds of
-    // `g` microbatches per chunk (chunk 0's round, then chunk 1's, …).
-    let g = p.min(m);
-    // Per-virtual-stage cursors (microbatches run in order) and unit
-    // completion times.
-    let mut next_f = vec![0usize; vs_total];
-    let mut next_b = vec![0usize; vs_total];
-    let mut f_end = vec![vec![UNSCHEDULED; m]; vs_total];
-    let mut b_end = vec![vec![UNSCHEDULED; m]; vs_total];
-    let mut dev_free = vec![0u64; p];
+    let mut tree = Tournament::new(vs_total);
+    for vs in 0..vs_total {
+        tree.set(vs, greedy.candidate(vs));
+    }
 
     let mut per_device: Vec<Vec<PipelineInstruction>> = vec![Vec::new(); p];
-    let total_units = 2 * vs_total * m;
-    let mut committed = 0usize;
-    while committed < total_units {
-        // The globally earliest-starting runnable unit. Ties prefer
-        // backwards over forwards (the 1F1B discipline that bounds
-        // activation run-ahead), then Megatron's round order: forwards
-        // chunk-ascending within a round, backwards chunk-descending.
-        let mut best: Option<(u64, u8, usize, bool, usize)> = None;
-        for vs in 0..vs_total {
-            let dev = vs % p;
-            let chunk = vs / p;
-            let i = next_b[vs];
-            if i < m && f_end[vs][i] != UNSCHEDULED {
-                let dep = if vs == vs_total - 1 {
-                    f_end[vs][i]
-                } else {
-                    b_end[vs + 1][i]
-                };
-                if dep != UNSCHEDULED {
-                    let rank = (i / g) * v + (v - 1 - chunk);
-                    let key = (dev_free[dev].max(dep), 0u8, rank);
-                    if best.is_none_or(|(s0, k0, r0, _, _)| key < (s0, k0, r0)) {
-                        best = Some((key.0, key.1, key.2, false, vs));
-                    }
-                }
-            }
-            let i = next_f[vs];
-            if i < m {
-                let dep = if vs == 0 { 0 } else { f_end[vs - 1][i] };
-                if dep != UNSCHEDULED {
-                    let rank = (i / g) * v + chunk;
-                    let key = (dev_free[dev].max(dep), 1u8, rank);
-                    if best.is_none_or(|(s0, k0, r0, _, _)| key < (s0, k0, r0)) {
-                        best = Some((key.0, key.1, key.2, true, vs));
-                    }
-                }
-            }
-        }
+    for _ in 0..2 * vs_total * m {
+        let unit = tree.best();
         // Deadlock detector: a wedged schedule must panic loudly rather
         // than emit a truncated timeline.
-        let (start, _, _, is_fwd, vs) =
-            best.expect("interleaved schedule wedged: no runnable unit");
-        let dev = vs % p;
-        let chunk = vs / p;
-        if is_fwd {
-            let i = next_f[vs];
-            f_end[vs][i] = start + t_fwd;
-            next_f[vs] += 1;
-            dev_free[dev] = start + t_fwd;
-            per_device[dev].push(PipelineInstruction::ForwardChunk {
-                chunk,
-                microbatch: i,
-            });
-        } else {
-            let i = next_b[vs];
-            b_end[vs][i] = start + t_bwd;
-            next_b[vs] += 1;
-            dev_free[dev] = start + t_bwd;
-            per_device[dev].push(PipelineInstruction::BackwardChunk {
-                chunk,
-                microbatch: i,
-            });
+        assert!(
+            unit != Unit::NONE,
+            "interleaved schedule wedged: no runnable unit"
+        );
+        let dev = unit.vs % p;
+        per_device[dev].push(greedy.commit(unit));
+        for vs in (dev..vs_total).step_by(p) {
+            tree.set(vs, greedy.candidate(vs));
         }
-        committed += 1;
+        for vs in [unit.vs.wrapping_sub(1), unit.vs + 1] {
+            if vs < vs_total {
+                tree.set(vs, greedy.candidate(vs));
+            }
+        }
     }
 
     per_device
@@ -359,6 +314,173 @@ fn interleaved_all_stage_instructions(
             out
         })
         .collect()
+}
+
+/// One runnable (chunk, microbatch) unit of the interleaved greedy, in
+/// the order it is picked: earliest start, backward (`kind` 0) before
+/// forward (1), lower Megatron rank, lower virtual stage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Unit {
+    start: u64,
+    kind: u8,
+    rank: usize,
+    vs: usize,
+}
+
+impl Unit {
+    /// No runnable unit: loses to every real one.
+    const NONE: Unit = Unit {
+        start: u64::MAX,
+        kind: u8::MAX,
+        rank: usize::MAX,
+        vs: usize::MAX,
+    };
+}
+
+/// The interleaved greedy's state: per-virtual-stage microbatch cursors
+/// (microbatches run in order) and unit completion times.
+struct Greedy {
+    p: usize,
+    m: usize,
+    v: usize,
+    /// Megatron's microbatch grouping: forwards proceed in rounds of `g`
+    /// microbatches per chunk (chunk 0's round, then chunk 1's, …).
+    g: usize,
+    next_f: Vec<usize>,
+    next_b: Vec<usize>,
+    /// Completion time of each (virtual stage, microbatch) unit, at
+    /// `vs·m + microbatch`; [`Greedy::UNSCHEDULED`] until committed.
+    f_end: Vec<u64>,
+    b_end: Vec<u64>,
+    dev_free: Vec<u64>,
+}
+
+impl Greedy {
+    const UNSCHEDULED: u64 = u64::MAX;
+    const T_FWD: u64 = 1;
+    const T_BWD: u64 = 2;
+
+    fn new(p: usize, m: usize, v: usize) -> Greedy {
+        let vs_total = v * p;
+        Greedy {
+            p,
+            m,
+            v,
+            g: p.min(m),
+            next_f: vec![0; vs_total],
+            next_b: vec![0; vs_total],
+            f_end: vec![Self::UNSCHEDULED; vs_total * m],
+            b_end: vec![Self::UNSCHEDULED; vs_total * m],
+            dev_free: vec![0; p],
+        }
+    }
+
+    /// Virtual stage `vs`'s earliest runnable unit, or [`Unit::NONE`].
+    /// Ties prefer backwards over forwards (the 1F1B discipline that
+    /// bounds activation run-ahead), then Megatron's round order:
+    /// forwards chunk-ascending within a round, backwards
+    /// chunk-descending.
+    fn candidate(&self, vs: usize) -> Unit {
+        let (m, v) = (self.m, self.v);
+        let vs_total = v * self.p;
+        let free = self.dev_free[vs % self.p];
+        let chunk = vs / self.p;
+        let mut best = Unit::NONE;
+        let i = self.next_b[vs];
+        if i < m && self.f_end[vs * m + i] != Self::UNSCHEDULED {
+            let dep = if vs == vs_total - 1 {
+                self.f_end[vs * m + i]
+            } else {
+                self.b_end[(vs + 1) * m + i]
+            };
+            if dep != Self::UNSCHEDULED {
+                best = Unit {
+                    start: free.max(dep),
+                    kind: 0,
+                    rank: (i / self.g) * v + (v - 1 - chunk),
+                    vs,
+                };
+            }
+        }
+        let i = self.next_f[vs];
+        if i < m {
+            let dep = if vs == 0 {
+                0
+            } else {
+                self.f_end[(vs - 1) * m + i]
+            };
+            if dep != Self::UNSCHEDULED {
+                best = best.min(Unit {
+                    start: free.max(dep),
+                    kind: 1,
+                    rank: (i / self.g) * v + chunk,
+                    vs,
+                });
+            }
+        }
+        best
+    }
+
+    /// Runs `unit`, returning the instruction it becomes.
+    fn commit(&mut self, unit: Unit) -> PipelineInstruction {
+        let (vs, m) = (unit.vs, self.m);
+        let chunk = vs / self.p;
+        if unit.kind == 1 {
+            let i = self.next_f[vs];
+            self.next_f[vs] += 1;
+            self.f_end[vs * m + i] = unit.start + Self::T_FWD;
+            self.dev_free[vs % self.p] = unit.start + Self::T_FWD;
+            PipelineInstruction::ForwardChunk {
+                chunk,
+                microbatch: i,
+            }
+        } else {
+            let i = self.next_b[vs];
+            self.next_b[vs] += 1;
+            self.b_end[vs * m + i] = unit.start + Self::T_BWD;
+            self.dev_free[vs % self.p] = unit.start + Self::T_BWD;
+            PipelineInstruction::BackwardChunk {
+                chunk,
+                microbatch: i,
+            }
+        }
+    }
+}
+
+/// A tournament (segment) tree holding one [`Unit`] per leaf, with the
+/// least of them at the root.
+struct Tournament {
+    /// Leaf count, a power of two; leaf `i` lives at `leaves + i`.
+    leaves: usize,
+    nodes: Vec<Unit>,
+}
+
+impl Tournament {
+    fn new(len: usize) -> Tournament {
+        let leaves = len.next_power_of_two();
+        Tournament {
+            leaves,
+            nodes: vec![Unit::NONE; 2 * leaves],
+        }
+    }
+
+    fn set(&mut self, leaf: usize, unit: Unit) {
+        let mut i = self.leaves + leaf;
+        self.nodes[i] = unit;
+        while i > 1 {
+            i /= 2;
+            let best = self.nodes[2 * i].min(self.nodes[2 * i + 1]);
+            if self.nodes[i] == best {
+                // Every ancestor already holds what it would recompute.
+                break;
+            }
+            self.nodes[i] = best;
+        }
+    }
+
+    fn best(&self) -> Unit {
+        self.nodes[1]
+    }
 }
 
 #[cfg(test)]

@@ -1,0 +1,381 @@
+//! Reference oracle for the engine's list scheduler.
+//!
+//! `reference_simulate` is the straightforward formulation of in-order
+//! list scheduling: poll every stage round-robin until none progresses,
+//! with end times in an ordered map keyed by `(iteration, DepKey)`. It is
+//! slow (every round re-polls every blocked stage) but obviously
+//! correct, so the engine's wake-on-publish scheduler over dense
+//! dependency slots is pinned against it:
+//!
+//! * `EngineConfig::run` timelines equal the reference's, for every
+//!   schedule and shape (including `m < p` and `p = 1`), non-uniform
+//!   stage times, optimizer and sync time, and comm latency;
+//! * `EngineConfig::execute_streams` returns exactly the reference's
+//!   `Ok`/`Err` — the `Deadlock` payload included — on randomly mutated
+//!   streams: swapped, dropped, moved and duplicated instructions (so
+//!   duplicated producers), and out-of-range microbatch and chunk
+//!   indices.
+
+use std::collections::BTreeMap;
+
+use proptest::prelude::*;
+
+use pipefill_pipeline::deps;
+use pipefill_pipeline::{
+    BubbleKind, BubbleWindow, EngineConfig, EngineError, EngineTimeline, PipelineInstruction,
+    ScheduleKind, StageTimeline,
+};
+use pipefill_sim_core::{SimDuration, SimTime};
+
+/// The engine's unroll horizon and steady iteration.
+const SIM_ITERATIONS: usize = 4;
+const STEADY_ITER: usize = 2;
+
+type Record = (usize, PipelineInstruction, SimTime, SimTime);
+
+/// Round-robin list scheduling over iteration-tagged streams.
+fn reference_simulate(
+    cfg: &EngineConfig,
+    streams: &[Vec<(usize, PipelineInstruction)>],
+) -> Result<Vec<Vec<Record>>, EngineError> {
+    let p = cfg.num_stages();
+    let chunks = cfg.schedule.chunk_count();
+    let mut done: BTreeMap<(usize, deps::DepKey), SimTime> = BTreeMap::new();
+    let mut next = vec![0usize; p];
+    let mut free = vec![SimTime::ZERO; p];
+    let mut records: Vec<Vec<Record>> = vec![Vec::new(); p];
+    loop {
+        let mut progressed = false;
+        for s in 0..p {
+            while next[s] < streams[s].len() {
+                let (iter, instr) = streams[s][next[s]];
+                let dep = match deps::consumed(instr, s, p, chunks) {
+                    None => SimTime::ZERO,
+                    Some(edge) => match done.get(&(iter, edge.key)) {
+                        Some(&t) if edge.crosses_device => t + cfg.comm,
+                        Some(&t) => t,
+                        None => break,
+                    },
+                };
+                let start = free[s].max(dep);
+                let end = start + cfg.instruction_duration(instr, s);
+                if let Some(key) = deps::produced(instr, s, p) {
+                    done.insert((iter, key), end);
+                }
+                records[s].push((iter, instr, start, end));
+                free[s] = end;
+                next[s] += 1;
+                progressed = true;
+            }
+        }
+        if !progressed {
+            break;
+        }
+    }
+    for s in 0..p {
+        if next[s] < streams[s].len() {
+            return Err(EngineError::Deadlock {
+                stage: s,
+                position: next[s],
+                instruction: streams[s][next[s]].1,
+            });
+        }
+    }
+    Ok(records)
+}
+
+/// The steady-state timeline of the reference records, extracted as the
+/// engine does.
+fn reference_run(cfg: &EngineConfig) -> EngineTimeline {
+    let p = cfg.num_stages();
+    let streams: Vec<Vec<(usize, PipelineInstruction)>> = cfg
+        .schedule
+        .all_stage_instructions(p, cfg.microbatches)
+        .into_iter()
+        .map(|stream| {
+            (0..SIM_ITERATIONS)
+                .flat_map(|iter| stream.iter().map(move |&i| (iter, i)))
+                .collect()
+        })
+        .collect();
+    let records = reference_simulate(cfg, &streams).expect("generated streams complete");
+    let iter_start = |s: usize, k: usize| -> SimTime {
+        records[s]
+            .iter()
+            .find(|(iter, _, start, end)| *iter == k && end > start)
+            .map(|&(_, _, start, _)| start)
+            .expect("iteration has a busy instruction")
+    };
+    let t0 = iter_start(0, STEADY_ITER);
+    let period = iter_start(0, STEADY_ITER + 1) - t0;
+    let stages = records
+        .iter()
+        .enumerate()
+        .map(|(s, stage_records)| {
+            let window_start = iter_start(s, STEADY_ITER);
+            let window_end = iter_start(s, STEADY_ITER + 1);
+            let mut intervals: Vec<(SimTime, SimTime, PipelineInstruction)> = stage_records
+                .iter()
+                .filter(|(iter, _, start, end)| *iter == STEADY_ITER && end > start)
+                .map(|&(_, instr, start, end)| (start, end, instr))
+                .collect();
+            intervals.sort_by_key(|&(start, _, _)| start);
+            let first_bwd_start = intervals
+                .iter()
+                .find(|(_, _, i)| i.is_backward())
+                .map(|&(start, _, _)| start);
+            let stage_period = window_end - window_start;
+            let mut windows = Vec::new();
+            let mut busy = SimDuration::ZERO;
+            let mut cursor = window_start;
+            for &(start, end, _) in &intervals {
+                if start > cursor {
+                    let kind = if Some(start) == first_bwd_start {
+                        BubbleKind::FwdBwd
+                    } else {
+                        BubbleKind::NonContiguous
+                    };
+                    windows.push(BubbleWindow::within_period(
+                        kind,
+                        cursor - window_start,
+                        start - cursor,
+                        cfg.memory.free(s, kind),
+                        stage_period,
+                    ));
+                }
+                busy += end - start;
+                cursor = cursor.max(end);
+            }
+            if window_end > cursor {
+                windows.push(BubbleWindow::within_period(
+                    BubbleKind::FillDrain,
+                    cursor - window_start,
+                    window_end - cursor,
+                    cfg.memory.free(s, BubbleKind::FillDrain),
+                    stage_period,
+                ));
+            }
+            StageTimeline {
+                stage: s,
+                anchor_offset: window_start.saturating_since(t0),
+                windows,
+                busy,
+            }
+        })
+        .collect();
+    EngineTimeline { period, stages }
+}
+
+fn schedule() -> impl Strategy<Value = ScheduleKind> {
+    prop_oneof![
+        Just(ScheduleKind::GPipe),
+        Just(ScheduleKind::OneFOneB),
+        Just(ScheduleKind::Interleaved { chunks: 1 }),
+        Just(ScheduleKind::Interleaved { chunks: 2 }),
+        Just(ScheduleKind::Interleaved { chunks: 3 }),
+        Just(ScheduleKind::ZbH1),
+    ]
+}
+
+/// A config with per-stage times drawn from `times` (cycled), so stages
+/// differ.
+fn config(
+    kind: ScheduleKind,
+    p: usize,
+    m: usize,
+    times: &[(u64, u64, u64)],
+    comm_us: u64,
+    grad_sync_us: Option<u64>,
+) -> EngineConfig {
+    let us = SimDuration::from_micros;
+    let mut cfg = EngineConfig::uniform(kind, p, m, us(1), us(1));
+    cfg.stage_fwd = (0..p).map(|s| us(times[s % times.len()].0)).collect();
+    cfg.stage_bwd = (0..p).map(|s| us(times[s % times.len()].1)).collect();
+    cfg.stage_opt = (0..p).map(|s| us(times[s % times.len()].2)).collect();
+    cfg.comm = us(comm_us);
+    if let Some(sync) = grad_sync_us {
+        cfg.grad_sync = us(sync);
+        cfg.overlap_grad_sync = false;
+    }
+    cfg
+}
+
+/// Applies one mutation to the streams. `op` picks the kind; `a`, `b`
+/// and `c` pick devices, positions and replacement indices.
+fn mutate(
+    streams: &mut [Vec<PipelineInstruction>],
+    m: usize,
+    chunks: usize,
+    (op, a, b, c): (u8, usize, usize, usize),
+) {
+    let p = streams.len();
+    let dev = a % p;
+    if streams[dev].is_empty() {
+        return;
+    }
+    let len = streams[dev].len();
+    let (i, j) = (b % len, c % len);
+    match op {
+        // Swap two instructions on one device.
+        0 => streams[dev].swap(i, j),
+        // Drop one.
+        1 => {
+            streams[dev].remove(i);
+        }
+        // Duplicate one onto a (possibly different) device: a second
+        // producer of the same key.
+        2 => {
+            let instr = streams[dev][i];
+            let to = c % p;
+            let at = b % (streams[to].len() + 1);
+            streams[to].insert(at, instr);
+        }
+        // Move one to another device.
+        3 => {
+            let instr = streams[dev].remove(i);
+            let to = c % p;
+            let at = b % (streams[to].len() + 1);
+            streams[to].insert(at, instr);
+        }
+        // Point one at a microbatch past the end.
+        4 => {
+            let mb = m + c % 3;
+            streams[dev][i] = match streams[dev][i] {
+                PipelineInstruction::Forward { .. } => {
+                    PipelineInstruction::Forward { microbatch: mb }
+                }
+                PipelineInstruction::Backward { .. } => {
+                    PipelineInstruction::Backward { microbatch: mb }
+                }
+                PipelineInstruction::ForwardChunk { chunk, .. } => {
+                    PipelineInstruction::ForwardChunk {
+                        chunk,
+                        microbatch: mb,
+                    }
+                }
+                PipelineInstruction::BackwardChunk { chunk, .. } => {
+                    PipelineInstruction::BackwardChunk {
+                        chunk,
+                        microbatch: mb,
+                    }
+                }
+                PipelineInstruction::BackwardInput { .. } => {
+                    PipelineInstruction::BackwardInput { microbatch: mb }
+                }
+                other => other,
+            };
+        }
+        // Point one at a chunk past the end (or rewrite unchunked
+        // compute as chunked).
+        _ => {
+            let chunk = chunks + c % 2;
+            streams[dev][i] = match streams[dev][i] {
+                PipelineInstruction::Forward { microbatch }
+                | PipelineInstruction::ForwardChunk { microbatch, .. } => {
+                    PipelineInstruction::ForwardChunk { chunk, microbatch }
+                }
+                PipelineInstruction::Backward { microbatch }
+                | PipelineInstruction::BackwardChunk { microbatch, .. }
+                | PipelineInstruction::BackwardInput { microbatch } => {
+                    PipelineInstruction::BackwardChunk { chunk, microbatch }
+                }
+                other => other,
+            };
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `run()` reproduces the reference timeline exactly.
+    #[test]
+    fn run_matches_the_round_robin_reference(
+        kind in schedule(),
+        p in 1usize..9,
+        m in 1usize..13,
+        times in prop::collection::vec((1u64..40, 1u64..80, 0u64..10), 1..5),
+        comm_us in prop_oneof![Just(0u64), 1u64..30],
+        grad_sync_us in prop::option::of(1u64..50),
+    ) {
+        let cfg = config(kind, p, m, &times, comm_us, grad_sync_us);
+        prop_assert_eq!(cfg.run(), reference_run(&cfg), "{} p={} m={}", kind, p, m);
+    }
+
+    /// `execute_streams` agrees with the reference on mutated streams,
+    /// deadlock payload included.
+    #[test]
+    fn execute_streams_matches_the_reference_on_mutated_streams(
+        kind in schedule(),
+        p in 1usize..7,
+        m in 1usize..9,
+        times in prop::collection::vec((1u64..40, 1u64..80, 0u64..10), 1..4),
+        comm_us in 0u64..20,
+        mutations in prop::collection::vec(
+            (0u8..6, 0usize..1_000, 0usize..1_000, 0usize..1_000),
+            0..6,
+        ),
+    ) {
+        let cfg = config(kind, p, m, &times, comm_us, None);
+        let mut streams = kind.all_stage_instructions(p, m);
+        for &op in &mutations {
+            mutate(&mut streams, m, kind.chunk_count(), op);
+        }
+        let tagged: Vec<Vec<(usize, PipelineInstruction)>> = streams
+            .iter()
+            .map(|s| s.iter().map(|&i| (0, i)).collect())
+            .collect();
+        prop_assert_eq!(
+            cfg.execute_streams(&streams),
+            reference_simulate(&cfg, &tagged).map(|_| ()),
+            "{} p={} m={} mutations {:?}",
+            kind,
+            p,
+            m,
+            mutations
+        );
+    }
+}
+
+/// Shapes the random draws above reach rarely: one stage, a single
+/// microbatch, and far fewer microbatches than stages.
+#[test]
+fn degenerate_shapes_match_the_reference() {
+    for kind in ScheduleKind::ALL
+        .into_iter()
+        .chain([ScheduleKind::Interleaved { chunks: 4 }])
+    {
+        for (p, m) in [(1, 1), (1, 5), (2, 1), (8, 1), (9, 2), (16, 3)] {
+            let cfg = config(kind, p, m, &[(7, 15, 2), (11, 19, 0)], 3, Some(9));
+            assert_eq!(cfg.run(), reference_run(&cfg), "{kind} p={p} m={m}");
+        }
+    }
+}
+
+/// A chunk index so large that `chunk · p + stage` wraps (release builds
+/// only; debug builds panic on the overflow). With `c = 2 · 3⁻¹ mod 2⁶⁴`,
+/// `F<c>.0` on device 1 of a 3-device pipeline waits on the activation
+/// device 2's `F0` publishes, although that key's consumer device is 0.
+/// The wake-up misses device 1, and only the fixpoint retry lets it run,
+/// as the reference does.
+#[cfg(not(debug_assertions))]
+#[test]
+fn a_wrapped_chunk_index_still_runs_once_its_key_is_published() {
+    use PipelineInstruction::{Forward, ForwardChunk};
+    let wrapped = ForwardChunk {
+        chunk: 0x5555_5555_5555_5556,
+        microbatch: 0,
+    };
+    let streams = vec![
+        vec![Forward { microbatch: 0 }],
+        vec![Forward { microbatch: 0 }, wrapped],
+        vec![Forward { microbatch: 0 }],
+    ];
+    let cfg = config(ScheduleKind::OneFOneB, 3, 1, &[(5, 9, 0)], 2, None);
+    let tagged: Vec<Vec<(usize, PipelineInstruction)>> = streams
+        .iter()
+        .map(|s| s.iter().map(|&i| (0, i)).collect())
+        .collect();
+    assert_eq!(reference_simulate(&cfg, &tagged).map(|_| ()), Ok(()));
+    assert_eq!(cfg.execute_streams(&streams), Ok(()));
+}

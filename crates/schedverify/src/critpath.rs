@@ -20,10 +20,8 @@
 //!
 //! [`EngineTimeline::bubble_ratio`]: pipefill_pipeline::EngineTimeline::bubble_ratio
 
-use std::collections::BTreeMap;
-
-use pipefill_pipeline::deps::{self, DepKey};
-use pipefill_pipeline::{EngineConfig, PipelineInstruction};
+use pipefill_pipeline::deps::{self, DepEdge, DepKey, DepSlots};
+use pipefill_pipeline::EngineConfig;
 use pipefill_sim_core::{SimDuration, SimTime};
 
 use crate::stream::{token, StreamSet};
@@ -33,6 +31,13 @@ use crate::{Finding, Property};
 /// horizon the engine simulates (its `SIM_ITERATIONS`/`STEADY_ITER`).
 const ITERATIONS: usize = 4;
 const STEADY_ITER: usize = 2;
+
+/// One stream position of the weighted dependency DAG.
+struct Node {
+    waits_on: Option<DepEdge>,
+    publishes: Option<DepKey>,
+    weight: SimDuration,
+}
 
 /// The steady-state quantities the longest-path analysis proves.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,72 +64,123 @@ pub struct CritPath {
 pub fn analyze(set: &StreamSet, engine: &EngineConfig) -> Result<CritPath, Finding> {
     let p = set.stages();
     let chunks = set.chunks;
+    // The weighted DAG, one node per stream position: the key it waits
+    // on, the key it publishes and how long it runs. Every unrolled
+    // iteration replays the same nodes.
+    let nodes: Vec<Vec<Node>> = set
+        .streams
+        .iter()
+        .enumerate()
+        .map(|(s, stream)| {
+            stream
+                .iter()
+                .map(|&instr| Node {
+                    waits_on: deps::consumed(instr, s, p, chunks),
+                    publishes: deps::produced(instr, s, p),
+                    weight: engine.instruction_duration(instr, s),
+                })
+                .collect()
+        })
+        .collect();
 
     // Earliest-start evaluation, iteration-tagged exactly like the
-    // engine: key availability is per (iteration, DepKey).
-    let mut done: BTreeMap<(usize, DepKey), SimTime> = BTreeMap::new();
-    let mut next = vec![0usize; p];
-    let mut free = vec![SimTime::ZERO; p];
-    // Per stage: (iteration, start, end) per occurrence, program order.
-    let mut records: Vec<Vec<(usize, SimTime, SimTime)>> = vec![Vec::new(); p];
+    // engine: key availability is per (iteration, DepKey). A stage that
+    // reaches an unpublished key waits until that key's one consumer
+    // device is woken by its publication; longest paths do not depend on
+    // the order ready stages are evaluated in.
     let total: usize = set.instruction_count() * ITERATIONS;
-    let at = |stream: &[PipelineInstruction], flat: usize| -> (usize, PipelineInstruction) {
-        (flat / stream.len(), stream[flat % stream.len()])
-    };
+    let mut done = DepSlots::new(p, chunks, set.microbatches, ITERATIONS, total);
+    let mut free = vec![SimTime::ZERO; p];
+    // Per stage: (start, end) per evaluated occurrence of the unrolled
+    // stream, so occurrence `k` is iteration `k / len` at position
+    // `k % len`.
+    let mut records: Vec<Vec<(SimTime, SimTime)>> = set
+        .streams
+        .iter()
+        .map(|s| Vec::with_capacity(s.len() * ITERATIONS))
+        .collect();
+    let mut waiting = vec![false; p];
+    let mut ready: Vec<usize> = (0..p).rev().collect();
+    let mut settled = usize::MAX;
 
     loop {
-        let mut progressed = false;
-        for s in 0..p {
-            let stream = &set.streams[s];
-            while next[s] < stream.len() * ITERATIONS {
-                let (iter, instr) = at(stream, next[s]);
-                let dep = match deps::consumed(instr, s, p, chunks) {
+        while let Some(s) = ready.pop() {
+            let stream = &nodes[s];
+            if stream.is_empty() {
+                continue;
+            }
+            let evaluated = records[s].len();
+            let (mut iter, mut pos) = (evaluated / stream.len(), evaluated % stream.len());
+            while iter < ITERATIONS {
+                let node = &stream[pos];
+                let dep = match node.waits_on {
                     None => SimTime::ZERO,
-                    Some(edge) => match done.get(&(iter, edge.key)) {
-                        Some(&t) if edge.crosses_device => t + engine.comm,
-                        Some(&t) => t,
-                        None => break,
+                    Some(edge) => match done.get(iter, edge.key) {
+                        Some(t) if edge.crosses_device => t + engine.comm,
+                        Some(t) => t,
+                        None => {
+                            waiting[s] = true;
+                            break;
+                        }
                     },
                 };
                 let start = free[s].max(dep);
-                let end = start + engine.instruction_duration(instr, s);
-                if let Some(key) = deps::produced(instr, s, p) {
-                    done.insert((iter, key), end);
+                let end = start + node.weight;
+                if let Some(key) = node.publishes {
+                    done.insert(iter, key, end);
+                    let consumer = deps::consumer_device(key, p);
+                    if std::mem::take(&mut waiting[consumer]) {
+                        ready.push(consumer);
+                    }
                 }
-                records[s].push((iter, start, end));
+                records[s].push((start, end));
                 free[s] = end;
-                next[s] += 1;
-                progressed = true;
+                pos += 1;
+                if pos == stream.len() {
+                    (iter, pos) = (iter + 1, 0);
+                }
             }
         }
-        if !progressed {
+        // Every stage is finished or waiting. Re-examine the waiting ones
+        // once (a wrapped virtual-stage index can miss its wake-up) and
+        // stop when a round evaluates nothing new.
+        let evaluated = records.iter().map(Vec::len).sum();
+        if evaluated == settled {
+            break;
+        }
+        settled = evaluated;
+        for s in (0..p).rev() {
+            if std::mem::take(&mut waiting[s]) {
+                ready.push(s);
+            }
+        }
+        if ready.is_empty() {
             break;
         }
     }
-    let evaluated: usize = next.iter().sum();
-    if evaluated < total {
-        let s = (0..p)
-            .find(|&s| next[s] < set.streams[s].len() * ITERATIONS)
-            .expect("some stage is short");
-        let (_, instr) = at(&set.streams[s], next[s]);
+    if let Some(s) = (0..p).find(|&s| records[s].len() < set.streams[s].len() * ITERATIONS) {
+        let position = records[s].len() % set.streams[s].len();
         return Err(Finding::on_device(
             Property::Deadlock,
             s,
             format!(
-                "longest-path evaluation wedged at position {} ({})",
-                next[s] % set.streams[s].len(),
-                token(instr)
+                "longest-path evaluation wedged at position {position} ({})",
+                token(set.streams[s][position])
             ),
         ));
     }
 
     // Steady state: iteration k starts (per stage) at its first busy
     // instruction; the stage-0 deltas must agree across iterations.
+    let iteration = |s: usize, k: usize| {
+        let len = set.streams[s].len();
+        &records[s][k * len..(k + 1) * len]
+    };
     let iter_start = |s: usize, k: usize| -> Result<SimTime, Finding> {
-        records[s]
+        iteration(s, k)
             .iter()
-            .find(|&&(iter, start, end)| iter == k && end > start)
-            .map(|&(_, start, _)| start)
+            .find(|&&(start, end)| end > start)
+            .map(|&(start, _)| start)
             .ok_or_else(|| {
                 Finding::on_device(
                     Property::Bubble,
@@ -152,12 +208,12 @@ pub fn analyze(set: &StreamSet, engine: &EngineConfig) -> Result<CritPath, Findi
 
     let mut busy = Vec::with_capacity(p);
     let mut total_bubble = SimDuration::ZERO;
-    for (s, stage_records) in records.iter().enumerate() {
+    for s in 0..p {
         let window = iter_start(s, STEADY_ITER + 1)? - iter_start(s, STEADY_ITER)?;
-        let stage_busy: SimDuration = stage_records
+        let stage_busy: SimDuration = iteration(s, STEADY_ITER)
             .iter()
-            .filter(|&&(iter, start, end)| iter == STEADY_ITER && end > start)
-            .map(|&(_, start, end)| end - start)
+            .filter(|&&(start, end)| end > start)
+            .map(|&(start, end)| end - start)
             .sum();
         total_bubble += window - stage_busy;
         busy.push(stage_busy);

@@ -63,9 +63,11 @@ impl StreamSet {
     ///
     /// A human-readable message naming the offending line, key, or token.
     pub fn parse(text: &str) -> Result<StreamSet, String> {
-        let mut stages: Option<usize> = None;
-        let mut microbatches: Option<usize> = None;
-        let mut chunks: usize = 1;
+        // Each count is kept with its (1-based) line number, so a bound
+        // violation can name the line that set it.
+        let mut stages: Option<(usize, usize)> = None;
+        let mut microbatches: Option<(usize, usize)> = None;
+        let mut chunks: (usize, Option<usize>) = (1, None);
         let mut devices: Vec<(usize, Vec<PipelineInstruction>)> = Vec::new();
 
         for (lineno, raw) in text.lines().enumerate() {
@@ -79,9 +81,9 @@ impl StreamSet {
             let key = key.trim();
             let value = value.trim().trim_matches('"').trim();
             match key {
-                "stages" => stages = Some(parse_count(key, value)?),
-                "microbatches" => microbatches = Some(parse_count(key, value)?),
-                "chunks" => chunks = parse_count(key, value)?,
+                "stages" => stages = Some((parse_count(key, value)?, lineno + 1)),
+                "microbatches" => microbatches = Some((parse_count(key, value)?, lineno + 1)),
+                "chunks" => chunks = (parse_count(key, value)?, Some(lineno + 1)),
                 _ => {
                     let idx: usize = key
                         .strip_prefix("device_")
@@ -108,23 +110,46 @@ impl StreamSet {
             }
         }
 
-        let p = stages.ok_or("missing 'stages'")?;
-        let m = microbatches.ok_or("missing 'microbatches'")?;
+        let (p, stages_line) = stages.ok_or("missing 'stages'")?;
+        let (m, microbatches_line) = microbatches.ok_or("missing 'microbatches'")?;
+        let (chunks, chunks_line) = chunks;
         if p == 0 || m == 0 || chunks == 0 {
             return Err("stages, microbatches and chunks must all be >= 1".into());
         }
-        let mut streams = vec![None; p];
-        for (idx, stream) in devices {
-            let slot = streams
-                .get_mut(idx)
-                .ok_or_else(|| format!("device_{idx} out of range for {p} stages"))?;
-            *slot = Some(stream);
+        // Bound every count by the text before anything is sized by it:
+        // each stage needs its own device line, and each device needs a
+        // forward per (chunk, microbatch).
+        if let Some((idx, _)) = devices.iter().find(|(idx, _)| *idx >= p) {
+            return Err(format!("device_{idx} out of range for {p} stages"));
         }
-        let streams: Vec<Vec<PipelineInstruction>> = streams
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| s.ok_or(format!("missing device_{i}")))
-            .collect::<Result<_, _>>()?;
+        if p > devices.len() {
+            let mut present: Vec<usize> = devices.iter().map(|(idx, _)| *idx).collect();
+            present.sort_unstable();
+            let missing = (0..)
+                .zip(&present)
+                .find(|&(i, &idx)| i != idx)
+                .map_or(present.len(), |(i, _)| i);
+            return Err(format!(
+                "line {stages_line}: stages = {p}, but the file has {} device line(s) \
+                 (missing device_{missing})",
+                devices.len()
+            ));
+        }
+        let longest = devices.iter().map(|(_, s)| s.len()).max().unwrap_or(0);
+        if chunks.checked_mul(m).is_none_or(|keys| keys > longest) {
+            let keys = match chunks_line {
+                Some(line) => format!("microbatches = {m} × chunks = {chunks} (line {line})"),
+                None => format!("microbatches = {m}"),
+            };
+            return Err(format!(
+                "line {microbatches_line}: {keys} exceeds the {longest} instructions \
+                 of the longest device line; each device needs one forward per \
+                 chunk and microbatch"
+            ));
+        }
+        devices.sort_unstable_by_key(|(idx, _)| *idx);
+        let streams: Vec<Vec<PipelineInstruction>> =
+            devices.into_iter().map(|(_, stream)| stream).collect();
         Ok(StreamSet {
             streams,
             microbatches: m,

@@ -6,27 +6,42 @@
 //! microbatch)` key has exactly one producer per device; checking that
 //! here keeps their diagnostics sharp instead of cascading.
 
-use std::collections::BTreeMap;
-
 use pipefill_pipeline::PipelineInstruction;
 
 use crate::stream::{token, StreamSet};
 use crate::{Finding, Property};
 
-/// Which position list of a [`Tally`] an instruction lands in.
-type TallySlot = fn(&mut Tally) -> &mut Vec<usize>;
+/// How often one kind of instruction occurs for a (chunk, microbatch),
+/// and where it first does — all the findings below ever read.
+#[derive(Debug, Clone, Copy, Default)]
+struct Seen {
+    count: usize,
+    first: usize,
+}
+
+impl Seen {
+    fn record(&mut self, pos: usize) {
+        if self.count == 0 {
+            self.first = pos;
+        }
+        self.count += 1;
+    }
+}
+
+/// Which counter of a [`Tally`] an instruction lands in.
+type TallySlot = fn(&mut Tally) -> &mut Seen;
 
 /// Per-(chunk, microbatch) tally on one device.
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Tally {
-    /// Positions of forward instructions.
-    fwd: Vec<usize>,
-    /// Positions of full backwards (`B` / chunked `B`).
-    bwd_full: Vec<usize>,
-    /// Positions of ZB-H1 `B` halves.
-    bwd_input: Vec<usize>,
-    /// Positions of ZB-H1 `W` halves.
-    bwd_weight: Vec<usize>,
+    /// Forward instructions.
+    fwd: Seen,
+    /// Full backwards (`B` / chunked `B`).
+    bwd_full: Seen,
+    /// ZB-H1 `B` halves.
+    bwd_input: Seen,
+    /// ZB-H1 `W` halves.
+    bwd_weight: Seen,
 }
 
 /// Checks stream-set well-formedness, returning one finding per defect.
@@ -34,9 +49,15 @@ pub fn check(set: &StreamSet) -> Vec<Finding> {
     let mut findings = Vec::new();
     let m = set.microbatches;
     let chunks = set.chunks;
+    // One dense tally per (chunk, microbatch), reused across devices.
+    // Parsed sets bound chunks × microbatches by their own length.
+    let keys = chunks
+        .checked_mul(m)
+        .expect("chunks × microbatches overflows usize");
+    let mut tallies = vec![Tally::default(); keys];
 
     for (s, stream) in set.streams.iter().enumerate() {
-        let mut tallies: BTreeMap<(usize, usize), Tally> = BTreeMap::new();
+        tallies.fill(Tally::default());
         let mut shape_ok = true;
         for (pos, &instr) in stream.iter().enumerate() {
             // Range checks on the instruction's own indices.
@@ -114,7 +135,7 @@ pub fn check(set: &StreamSet) -> Vec<Finding> {
                 shape_ok = false;
                 continue;
             }
-            slot(tallies.entry((chunk, mb)).or_default()).push(pos);
+            slot(&mut tallies[chunk * m + mb]).record(pos);
         }
         if !shape_ok {
             // Counting against a malformed shape would only add noise.
@@ -123,7 +144,7 @@ pub fn check(set: &StreamSet) -> Vec<Finding> {
 
         for chunk in 0..chunks {
             for mb in 0..m {
-                let t = tallies.entry((chunk, mb)).or_default();
+                let t = tallies[chunk * m + mb];
                 let at = |chunk: usize, mb: usize| -> String {
                     if chunks > 1 {
                         format!("chunk {chunk} microbatch {mb}")
@@ -131,19 +152,19 @@ pub fn check(set: &StreamSet) -> Vec<Finding> {
                         format!("microbatch {mb}")
                     }
                 };
-                if t.fwd.len() != 1 {
+                if t.fwd.count != 1 {
                     findings.push(Finding::on_device(
                         Property::Wellformed,
                         s,
                         format!(
                             "{} has {} forward instructions, expected exactly 1",
                             at(chunk, mb),
-                            t.fwd.len()
+                            t.fwd.count
                         ),
                     ));
                 }
-                let full = t.bwd_full.len();
-                let (bi, bw) = (t.bwd_input.len(), t.bwd_weight.len());
+                let full = t.bwd_full.count;
+                let (bi, bw) = (t.bwd_input.count, t.bwd_weight.count);
                 let legal_full = full == 1 && bi == 0 && bw == 0;
                 let legal_split = full == 0 && bi == 1 && bw == 1;
                 if !legal_full && !legal_split {
@@ -158,12 +179,12 @@ pub fn check(set: &StreamSet) -> Vec<Finding> {
                     ));
                 }
                 // Order checks only once the counts are unambiguous.
-                if t.fwd.len() == 1 && (legal_full || legal_split) {
-                    let f_pos = t.fwd[0];
+                if t.fwd.count == 1 && (legal_full || legal_split) {
+                    let f_pos = t.fwd.first;
                     let b_pos = if legal_full {
-                        t.bwd_full[0]
+                        t.bwd_full.first
                     } else {
-                        t.bwd_input[0]
+                        t.bwd_input.first
                     };
                     if b_pos < f_pos {
                         findings.push(Finding::on_device(
@@ -176,15 +197,15 @@ pub fn check(set: &StreamSet) -> Vec<Finding> {
                             ),
                         ));
                     }
-                    if legal_split && t.bwd_weight[0] < t.bwd_input[0] {
+                    if legal_split && t.bwd_weight.first < t.bwd_input.first {
                         findings.push(Finding::on_device(
                             Property::Wellformed,
                             s,
                             format!(
                                 "{}: BW at position {} precedes its BI at position {}",
                                 at(chunk, mb),
-                                t.bwd_weight[0],
-                                t.bwd_input[0]
+                                t.bwd_weight.first,
+                                t.bwd_input.first
                             ),
                         ));
                     }

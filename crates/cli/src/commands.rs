@@ -11,7 +11,9 @@
 use std::process::ExitCode;
 
 use pipefill_core::experiments::sweep;
-use pipefill_core::{BackendConfig, BackendKind, BackendMetrics, FleetSimResult};
+use pipefill_core::{
+    BackendConfig, BackendDetail, BackendKind, BackendMetrics, BackendRun, FleetSimResult,
+};
 use pipefill_executor::{plan_best, ExecutorConfig, FillJobSpec};
 use pipefill_pipeline::{render_timeline, EngineConfig, MainJobSpec, ScheduleKind};
 use pipefill_scenario::{toml as scenario_toml, Axis, Experiment, Grid, Scale};
@@ -161,6 +163,7 @@ pub fn run(invocation: Invocation) -> Result<ExitCode, String> {
             } else {
                 let run = spec.lower()?.run();
                 print_metrics(run.metrics());
+                print_fast_forward(&run);
                 if let Some(detail) = run.as_fleet() {
                     println!();
                     print_fleet_jobs(detail);
@@ -189,13 +192,18 @@ pub fn run(invocation: Invocation) -> Result<ExitCode, String> {
             print_fleet_jobs(detail);
             println!();
             print_metrics(run.metrics());
+            print_fast_forward(&run);
             println!("failures:           {}", detail.failures);
             println!(
                 "cross-job resumes:  {} (peak queue depth {})",
                 detail.cross_job_dispatches, detail.peak_queue_depth
             );
         }
-        Command::Sim(spec) => print_metrics(spec.lower()?.run().metrics()),
+        Command::Sim(spec) => {
+            let run = spec.lower()?.run();
+            print_metrics(run.metrics());
+            print_fast_forward(&run);
+        }
         Command::Timeline {
             schedule,
             stages,
@@ -429,6 +437,18 @@ fn print_metrics(m: &BackendMetrics) {
         println!("lost fill FLOPs:    {:.3e}", m.lost_fill_flops);
         println!("goodput fraction:   {:.1}%", 100.0 * m.goodput_fraction);
     }
+}
+
+/// Prints how many iterations steady-state fast-forward skipped. The
+/// coarse backend has no iteration loop, so it prints nothing.
+fn print_fast_forward(run: &BackendRun) {
+    let skipped = match run.detail() {
+        BackendDetail::Coarse(_) => return,
+        BackendDetail::Physical(r) => r.iterations_fast_forwarded,
+        BackendDetail::Fault(r) => r.iterations_fast_forwarded,
+        BackendDetail::Fleet(r) => r.iterations_fast_forwarded,
+    };
+    println!("iterations fast-forwarded: {skipped}");
 }
 
 #[cfg(test)]

@@ -14,11 +14,22 @@
 //! (a fault, an arrival, the horizon) perturbs the state.
 //!
 //! Once a cycle of length `L` is confirmed, the backend skips `M` whole
-//! cycles in O(cycle) time by *replaying the recorded per-iteration
-//! effects* `M` times — floating-point accumulator updates are applied in
-//! the exact order and magnitude the event loop would have produced, so
-//! the skip is bit-for-bit identical to simulating the events, not merely
-//! close. Clocks and integer counters advance in closed form.
+//! cycles. Clocks and integer counters advance in closed form. The
+//! floating-point accumulators cannot: `M` replays of one cycle's
+//! additions round differently from one multiplied sum. The backend
+//! instead replays them exactly, in time proportional to the cycle times
+//! the binades the accumulator crosses, not to `M`. Under
+//! round-to-nearest-even, an accumulator in the binade `[2^e, 2^(e+1))`
+//! has the fixed ulp `u = 2^(e-52)`, and adding a finite `f ≥ 0` adds
+//! exactly `round(f/u)` ulps while the sum stays in the binade and `f/u`
+//! is not a tie (a fractional part of exactly one half). One cycle then
+//! adds a constant integer `D` ulps, so every whole cycle that stays in
+//! the binade collapses into one integer step, and one plain cycle
+//! crosses into the next binade, where the argument restarts. A binade
+//! where the jump cannot be proven (a tie, a zero or subnormal
+//! accumulator, a negative or non-finite addition) is replayed cycle by
+//! cycle. Either way the skip is bit-for-bit identical to simulating the
+//! events, not merely close.
 //!
 //! # Randomness gates the whole mechanism
 //!
@@ -66,7 +77,7 @@ impl SteadyCounters {
 /// Everything one iteration did to the backend's monotone accumulators,
 /// in exact order. Replaying the record reproduces the iteration's metric
 /// updates bit for bit.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct IterRecord {
     /// Per-bubble FLOP additions in event order.
     pub flops: Vec<f64>,
@@ -92,8 +103,10 @@ pub(crate) struct Skip {
     pub delay_sum: SimDuration,
     /// Counter deltas across one cycle.
     pub counters: SteadyCounters,
-    /// The cycle's iteration records, oldest first.
-    pub records: Vec<IterRecord>,
+    /// One cycle's per-bubble FLOP additions, in event order.
+    pub flops: Vec<f64>,
+    /// Ids of the fill jobs one cycle completes, in completion order.
+    pub completed: Vec<u64>,
 }
 
 impl Skip {
@@ -104,7 +117,6 @@ impl Skip {
 }
 
 struct HistEntry {
-    hash: u64,
     sig: Vec<u64>,
     rec: IterRecord,
 }
@@ -132,10 +144,17 @@ pub(crate) struct SteadyDetector {
     /// True while the RNG fingerprint has been frozen across at least one
     /// full iteration, i.e. the current iteration is being recorded.
     active: bool,
+    /// Signature hashes, index-aligned with `hist`. The backward scan
+    /// reads only this contiguous ring until a hash matches.
+    hashes: VecDeque<u64>,
     hist: VecDeque<HistEntry>,
     cap: usize,
     cur_flops: Vec<f64>,
     cur_completed: Vec<u64>,
+    /// Signature buffer handed out by [`Self::sig_buffer`], recycled from
+    /// the entry the full history evicts, so a steady boundary allocates
+    /// nothing.
+    spare_sig: Vec<u64>,
     /// Counters at the last recorded boundary.
     snap: SteadyCounters,
     /// Counters at the boundary currently being observed.
@@ -145,7 +164,7 @@ pub(crate) struct SteadyDetector {
 impl std::fmt::Debug for HistEntry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HistEntry")
-            .field("hash", &self.hash)
+            .field("sig_len", &self.sig.len())
             .finish()
     }
 }
@@ -160,10 +179,12 @@ impl SteadyDetector {
             matches_seen: 0,
             last_fp: None,
             active: false,
+            hashes: VecDeque::new(),
             hist: VecDeque::new(),
             cap,
             cur_flops: Vec::new(),
             cur_completed: Vec::new(),
+            spare_sig: Vec::new(),
             snap: SteadyCounters::default(),
             pending: SteadyCounters::default(),
         }
@@ -222,6 +243,14 @@ impl SteadyDetector {
         true
     }
 
+    /// An empty buffer for the caller to write the boundary's signature
+    /// into before passing it back to [`Self::end_iteration`].
+    pub fn sig_buffer(&mut self) -> Vec<u64> {
+        let mut sig = std::mem::take(&mut self.spare_sig);
+        sig.clear();
+        sig
+    }
+
     /// Phase 2: closes the iteration with its post-state signature and
     /// clock stall, then hunts for a cycle. Returns a [`Skip`] when a
     /// confirmed cycle allows skipping at least one whole cycle within
@@ -242,50 +271,61 @@ impl SteadyDetector {
         };
         self.snap = self.pending;
         if self.hist.len() == self.cap {
-            self.hist.pop_front();
+            self.hashes.pop_front();
+            if let Some(old) = self.hist.pop_front() {
+                // Recycle the evicted entry's buffers for the next boundary.
+                self.spare_sig = old.sig;
+                self.cur_flops = old.rec.flops;
+                self.cur_flops.clear();
+                self.cur_completed = old.rec.completed;
+                self.cur_completed.clear();
+            }
         }
-        let hash = hash_sig(&sig);
-        self.hist.push_back(HistEntry { hash, sig, rec });
 
         // Scan backwards (nearest previous boundary first → minimal cycle
         // length) for a boundary with an identical signature.
-        let n = self.hist.len();
-        let cur = &self.hist[n - 1];
-        let mut found = None;
-        for i in (0..n - 1).rev() {
-            let e = &self.hist[i];
-            if e.hash == cur.hash && e.sig == cur.sig {
-                found = Some(i);
-                break;
+        let hash = hash_sig(&sig);
+        let mut upto = self.hashes.len();
+        let found = loop {
+            let Some(i) = self.hashes.range(..upto).rposition(|&h| h == hash) else {
+                break None;
+            };
+            if self.hist[i].sig == sig {
+                break Some(i);
             }
-        }
+            upto = i;
+        };
+        self.hashes.push_back(hash);
+        self.hist.push_back(HistEntry { sig, rec });
         let i = found?;
         self.matches_seen = self.matches_seen.saturating_add(1);
         if self.confirm == u32::MAX || self.matches_seen < self.confirm {
             return None;
         }
-        let len = (n - 1 - i) as u64;
+        let len = (self.hist.len() - 1 - i) as u64;
         let cycles = remaining.saturating_sub(1) / len;
         if cycles == 0 {
             return None;
         }
-        let records: Vec<IterRecord> = self.hist.range(i + 1..n).map(|e| e.rec.clone()).collect();
-        let delay_sum = records.iter().map(|r| r.delay).sum();
-        let counters = records
-            .iter()
-            .fold(SteadyCounters::default(), |acc, r| SteadyCounters {
-                completions: acc.completions + r.counters.completions,
-                draws: acc.draws + r.counters.draws,
-                isolated_ooms: acc.isolated_ooms + r.counters.isolated_ooms,
-                bubbles_lost: acc.bubbles_lost + r.counters.bubbles_lost,
-            });
-        Some(Skip {
+        let mut skip = Skip {
             cycles,
             len,
-            delay_sum,
-            counters,
-            records,
-        })
+            delay_sum: SimDuration::ZERO,
+            counters: SteadyCounters::default(),
+            flops: Vec::new(),
+            completed: Vec::new(),
+        };
+        for e in self.hist.range(i + 1..) {
+            let r = &e.rec;
+            skip.delay_sum += r.delay;
+            skip.counters.completions += r.counters.completions;
+            skip.counters.draws += r.counters.draws;
+            skip.counters.isolated_ooms += r.counters.isolated_ooms;
+            skip.counters.bubbles_lost += r.counters.bubbles_lost;
+            skip.flops.extend_from_slice(&r.flops);
+            skip.completed.extend_from_slice(&r.completed);
+        }
+        Some(skip)
     }
 
     /// Discards every cycle hypothesis (history, partial records, match
@@ -294,6 +334,7 @@ impl SteadyDetector {
     pub fn reset(&mut self) {
         self.active = false;
         self.matches_seen = 0;
+        self.hashes.clear();
         self.hist.clear();
         self.cur_flops.clear();
         self.cur_completed.clear();
@@ -358,7 +399,7 @@ mod tests {
         // (998 - 1) / 2 whole cycles fit while leaving one real iteration.
         assert_eq!(skip.cycles, 498);
         assert_eq!(skip.iterations(), 996);
-        assert_eq!(skip.records.len(), 2);
+        assert!(skip.flops.is_empty() && skip.completed.is_empty());
         assert_eq!(skip.delay_sum, SimDuration::from_secs(3));
     }
 
@@ -442,8 +483,37 @@ mod tests {
         assert_eq!(skip.len, 1);
         assert_eq!(skip.counters.completions, 1);
         assert_eq!(skip.counters.draws, 2);
-        assert_eq!(skip.records[0].flops, vec![2.5]);
-        assert_eq!(skip.records[0].completed, vec![41]);
+        assert_eq!(skip.flops, vec![2.5]);
+        assert_eq!(skip.completed, vec![41]);
+    }
+
+    #[test]
+    fn full_history_recycles_buffers_and_still_finds_the_nearest_match() {
+        let mut d = SteadyDetector::new(true, 1, 3);
+        let rng = DeterministicRng::seed_from(9);
+        let c = SteadyCounters::default();
+        assert!(!d.observe(fp(&rng), c));
+        assert!(!d.observe(fp(&rng), c));
+        // Five distinct boundaries overflow the 3-entry history twice.
+        for w in [10u64, 11, 12, 13, 14] {
+            assert!(d.observe(fp(&rng), c));
+            d.record_flops(w as f64);
+            let mut sig = d.sig_buffer();
+            assert!(sig.is_empty(), "a recycled buffer comes back cleared");
+            sig.extend([w, w + 100]);
+            assert!(d.end_iteration(sig, SimDuration::ZERO, 100).is_none());
+        }
+        // The history now holds 12, 13, 14: repeating 13 closes a cycle of
+        // length 2 whose records are the iterations after it.
+        assert!(d.observe(fp(&rng), c));
+        d.record_flops(15.0);
+        let mut sig = d.sig_buffer();
+        sig.extend([13, 113]);
+        let skip = d
+            .end_iteration(sig, SimDuration::ZERO, 100)
+            .expect("13 repeated within the history");
+        assert_eq!(skip.len, 2);
+        assert_eq!(skip.flops, vec![14.0, 15.0]);
     }
 
     #[test]

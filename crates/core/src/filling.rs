@@ -502,17 +502,28 @@ impl Pipeline {
     /// patterns. Two boundaries with equal signatures (and no randomness
     /// consumed in between — enforced separately by the RNG fingerprint)
     /// evolve identically, which is what licenses a fast-forward skip.
-    /// Fill ids are deliberately excluded: they are the one monotone,
+    /// Fill ids themselves are excluded: they are the one monotone,
     /// behavior-neutral component, and the skip advances them in closed
-    /// form instead. With a fault layer, device state and checkpoint
-    /// progress are part of the state too.
-    fn steady_sig(&self, fault_layer: bool) -> Vec<u64> {
-        let mut sig = Vec::with_capacity(2 + 10 * self.leases.len());
+    /// form instead. Each in-flight job's draw age (`next_fill_id` minus
+    /// its id) is included: without it two boundaries can match while
+    /// their in-flight jobs sit at different distances from the draw
+    /// counter, and shifting the recorded ids by the per-cycle stride
+    /// would then permute the completion order. With a fault layer,
+    /// device state and checkpoint progress are part of the state too.
+    /// Appends to `sig`, a buffer the detector recycles.
+    fn steady_sig(&self, fault_layer: bool, sig: &mut Vec<u64>) {
+        // Exact for a fully leased pipeline, so a fresh buffer is
+        // allocated once, at its final size, before the detector recycles it.
+        let per_lease = if fault_layer { 12 } else { 8 };
+        sig.reserve(
+            1 + self.rotation.as_ref().map_or(0, MixRotation::sig_len)
+                + per_lease * self.leases.len(),
+        );
         match &self.rotation {
             None => sig.push(0),
             Some(r) => {
                 sig.push(1);
-                r.sig_into(&mut sig);
+                r.sig_into(sig);
             }
         }
         for (s, lease) in self.leases.iter().enumerate() {
@@ -534,6 +545,7 @@ impl Pipeline {
                         ex.flops_done().to_bits(),
                         ex.bubble_time_used().as_nanos(),
                         ex.job().samples,
+                        self.next_fill_id.wrapping_sub(ex.job().id.0),
                     ]);
                     if fault_layer {
                         sig.extend([
@@ -545,7 +557,6 @@ impl Pipeline {
                 }
             }
         }
-        sig
     }
 
     /// Closes the iteration in flight: folds its stalls into the critical
@@ -554,15 +565,16 @@ impl Pipeline {
     /// Steady-state fast-forward happens here: if this boundary's full
     /// state matches an earlier one (with the RNG frozen in between), the
     /// iterations separating them form a cycle that would repeat
-    /// verbatim. The cycle's recorded effects are replayed M times instead
-    /// of simulating M × cycle events, and event fidelity resumes at the
-    /// advanced clock — bit-for-bit identical by construction.
+    /// verbatim. The cycle's recorded effects are applied M times over
+    /// (the FLOP sum through [`replay_adds`]) instead of simulating
+    /// M × cycle events, and event fidelity resumes at the advanced
+    /// clock — bit-for-bit identical by construction.
     fn end_iteration(
         &mut self,
         now: SimTime,
         period: SimDuration,
         fault_layer: bool,
-        mut completed_ids: Option<&mut Vec<JobId>>,
+        completed_ids: Option<&mut Vec<JobId>>,
         queue: &mut EventQueue<ClusterEvent>,
     ) -> Option<SimTime> {
         let delay = critical_path_delay(&self.stage_delays);
@@ -579,22 +591,20 @@ impl Pipeline {
         {
             return Some(now);
         }
-        let sig = self.steady_sig(fault_layer);
+        let mut sig = self.detector.sig_buffer();
+        self.steady_sig(fault_layer, &mut sig);
         let remaining = (self.iterations - self.iterations_done) as u64;
         let Some(skip) = self.detector.end_iteration(sig, delay, remaining) else {
             return Some(now);
         };
+        self.executed_flops = replay_adds(self.executed_flops, &skip.flops, skip.cycles);
         // Fill ids are the only non-cyclic state: each cycle's sit exactly
         // `draws` above the previous cycle's.
         let stride = skip.counters.draws;
-        for m in 1..=skip.cycles {
-            for rec in &skip.records {
-                for &f in &rec.flops {
-                    self.executed_flops += f;
-                }
-                if let Some(ids) = completed_ids.as_deref_mut() {
-                    ids.extend(rec.completed.iter().map(|&id| JobId(id + m * stride)));
-                }
+        if let Some(ids) = completed_ids {
+            ids.reserve(skip.completed.len() * skip.cycles as usize);
+            for m in 1..=skip.cycles {
+                ids.extend(skip.completed.iter().map(|&id| JobId(id + m * stride)));
             }
         }
         self.total_delay += skip.delay_sum * skip.cycles;
@@ -615,6 +625,78 @@ impl Pipeline {
         queue.credit(skip.iterations() * (self.leases.len() as u64 + 1));
         Some(now + (period * skip.len + skip.delay_sum) * skip.cycles)
     }
+}
+
+/// Ulps in one binade: an accumulator `m·u` with ulp `u` stays in its
+/// binade exactly while `m < BINADE_ULPS`.
+const BINADE_ULPS: u64 = 1 << 53;
+
+/// `acc` after `cycles` rounds of `for &f in adds { acc += f }`, bit for
+/// bit, in O(`adds` × binades crossed) rather than O(`adds` × `cycles`).
+///
+/// Under round-to-nearest-even, a positive normal `acc = m·u` (`u` its
+/// ulp) plus a finite `f ≥ 0` is exactly `(m + round(f/u))·u` while the
+/// sum stays in `acc`'s binade, provided `f/u` is not a tie (fractional
+/// part exactly one half). One round of `adds` then adds a constant `D`
+/// ulps, so all whole rounds that stay in the binade collapse into the
+/// integer step `m + k·D` (below 2^53, so exact). One plain round then
+/// crosses into the next binade, where the argument restarts. A binade
+/// without that proof — a tie, a zero or subnormal `acc`, a negative or
+/// non-finite add — is replayed round by round; a plain round that leaves
+/// `acc` bit-identical is a fixed point and ends the replay.
+fn replay_adds(mut acc: f64, adds: &[f64], mut cycles: u64) -> f64 {
+    while cycles > 0 {
+        if let Some((m, ulp, step)) = binade_step(acc, adds) {
+            if step == 0 {
+                return acc;
+            }
+            let k = ((BINADE_ULPS - 1 - m) / step).min(cycles);
+            acc = (m + k * step) as f64 * ulp;
+            cycles -= k;
+            if cycles == 0 {
+                break;
+            }
+        }
+        let before = acc.to_bits();
+        for &f in adds {
+            acc += f;
+        }
+        cycles -= 1;
+        if acc.to_bits() == before {
+            break;
+        }
+    }
+    acc
+}
+
+/// For a positive normal `acc = m·u` (`u` its ulp), returns `(m, u, D)`,
+/// where one round of `adds` moves `acc` by exactly `D` ulps while it
+/// stays in the binade. `None` when `acc` is not positive and normal, or
+/// when an add is negative, NaN, a tie at `u` or leaves the binade on its
+/// own.
+fn binade_step(acc: f64, adds: &[f64]) -> Option<(u64, f64, u64)> {
+    if !acc.is_normal() || acc.is_sign_negative() {
+        return None;
+    }
+    let bits = acc.to_bits();
+    let exp = bits >> 52;
+    let m = (bits & (BINADE_ULPS / 2 - 1)) | (BINADE_ULPS / 2);
+    // u = 2^(exp - 1075): normal from exp 53 on, subnormal below.
+    let ulp = f64::from_bits(if exp > 52 {
+        (exp - 52) << 52
+    } else {
+        1 << (exp - 1)
+    });
+    let mut step = 0u64;
+    for &f in adds {
+        // Exact: division by a power of two, and q < 2^53 below.
+        let q = f / ulp;
+        if !(f >= 0.0 && q < BINADE_ULPS as f64) || q - q.floor() == 0.5 {
+            return None;
+        }
+        step = step.saturating_add(q.round() as u64);
+    }
+    Some((m, ulp, step))
 }
 
 /// The pipeline-filling backend: main-job pipelines on one kernel over a
@@ -1159,6 +1241,11 @@ impl MixRotation {
         (model, kind)
     }
 
+    /// Words [`Self::sig_into`] appends.
+    fn sig_len(&self) -> usize {
+        2 * self.weights.len()
+    }
+
     /// Appends the rotation's full state (accumulators and
     /// training/inference flips) to a steady-state signature, iterating
     /// in stable weight order — never over the `HashMap`.
@@ -1311,5 +1398,142 @@ mod tests {
         assert!(MixRotation::try_from_weights(&[(ModelId::BertBase, -1.0)]).is_err());
         assert!(MixRotation::try_from_weights(&[(ModelId::BertBase, 0.0)]).is_err());
         assert!(MixRotation::try_new(&ModelMix::paper_mix()).is_ok());
+    }
+}
+
+/// `replay_adds` against the loop it replaces, bit for bit.
+#[cfg(test)]
+mod replay_oracle {
+    use super::replay_adds;
+    use proptest::prelude::*;
+
+    /// The naive replay: every add of every cycle, in order.
+    fn naive(mut acc: f64, adds: &[f64], cycles: u64) -> f64 {
+        for _ in 0..cycles {
+            for &f in adds {
+                acc += f;
+            }
+        }
+        acc
+    }
+
+    /// `2^k` for a normal exponent `k`.
+    fn pow2(k: i64) -> f64 {
+        f64::from_bits(((k + 1023) as u64) << 52)
+    }
+
+    /// The accumulator spacing at `acc`: its ulp if normal, the subnormal
+    /// spacing at zero or below the normal range.
+    fn ulp_at(acc: f64) -> f64 {
+        f64::from_bits(acc.to_bits() + 1) - acc
+    }
+
+    /// Accumulators: zero, subnormal, exactly `2^k`, `2^k − ulp` (one
+    /// add from the next binade) and random normal values.
+    fn accumulator() -> impl Strategy<Value = f64> {
+        (0u8..5, -1000i64..1000, 0u64..1 << 52).prop_map(|(kind, k, mantissa)| match kind {
+            0 => 0.0,
+            1 => f64::from_bits(mantissa.max(1)),
+            2 => pow2(k),
+            3 => f64::from_bits(pow2(k).to_bits() - 1),
+            _ => f64::from_bits(pow2(k).to_bits() | mantissa),
+        })
+    }
+
+    /// One add scaled to `acc`'s binade: zeros, fractions of an ulp,
+    /// small and large fractions of `acc`, and values at or above the
+    /// binade's width.
+    fn add_at(acc: f64, kind: u8, x: f64) -> f64 {
+        let ulp = ulp_at(acc);
+        let scale = acc.max(ulp);
+        match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => ulp * 6.0 * x,
+            3 => scale * x * 2f64.powi(-20),
+            4 => scale * x * 2f64.powi(-9),
+            5 => scale * (1.0 + x),
+            _ => scale * 2.0 * (1.0 + x),
+        }
+    }
+
+    /// How a case's adds may break the jump's proof.
+    #[derive(Debug, Clone, Copy)]
+    enum Hazard {
+        None,
+        /// An odd multiple of half an ulp at `acc`'s binade.
+        Tie,
+        Negative,
+        Nan,
+    }
+
+    fn hazard() -> impl Strategy<Value = Hazard> {
+        prop_oneof![
+            Just(Hazard::None),
+            Just(Hazard::None),
+            Just(Hazard::Tie),
+            Just(Hazard::Negative),
+            Just(Hazard::Nan),
+        ]
+    }
+
+    fn cycles() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..4, 0u64..10_001]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn replay_matches_the_naive_loop_bit_for_bit(
+            acc in accumulator(),
+            raw in prop::collection::vec((0u8..7, 0.0f64..1.0), 0..16),
+            hazard in hazard(),
+            at in 0usize..16,
+            odd in 0u64..64,
+            cycles in cycles(),
+        ) {
+            let mut adds: Vec<f64> = raw.iter().map(|&(kind, x)| add_at(acc, kind, x)).collect();
+            let slot = at.min(adds.len());
+            let ulp = ulp_at(acc);
+            match hazard {
+                Hazard::None => {}
+                Hazard::Tie => adds.insert(slot, (2 * odd + 1) as f64 * (ulp / 2.0)),
+                Hazard::Negative => adds.insert(slot, -acc.max(ulp) * 2f64.powi(-12)),
+                Hazard::Nan => adds.insert(slot, f64::NAN),
+            }
+            let fast = replay_adds(acc, &adds, cycles);
+            let slow = naive(acc, &adds, cycles);
+            prop_assert_eq!(
+                fast.to_bits(),
+                slow.to_bits(),
+                "acc {:e} ({:#x}), {} cycles of {:?}: {:e} vs {:e}",
+                acc, acc.to_bits(), cycles, adds, fast, slow
+            );
+        }
+    }
+
+    #[test]
+    fn sub_half_ulp_adds_are_a_fixed_point_at_any_horizon() {
+        // At 2^60 the ulp is 256: every add rounds away, so no cycle
+        // count, however far beyond a naive loop, changes the sum.
+        let acc = pow2(60);
+        assert_eq!(replay_adds(acc, &[1.0; 16], 1_000_000_000_000_000), acc);
+    }
+
+    #[test]
+    fn binade_steps_cover_fifty_binades_then_stop_at_a_tie() {
+        // 1 + n/2 is exact up to 2^52, where 0.5 becomes a tie at an even
+        // significand and rounds away forever.
+        assert_eq!(replay_adds(1.0, &[0.5], 1_000_000_000_000_000), 5e14 + 1.0);
+        assert_eq!(replay_adds(1.0, &[0.5], u64::MAX), pow2(52));
+    }
+
+    #[test]
+    fn empty_or_zero_cycle_replays_leave_the_accumulator_alone() {
+        for acc in [0.0, -0.0, 1.5, f64::MIN_POSITIVE / 4.0] {
+            assert_eq!(replay_adds(acc, &[], 1 << 40).to_bits(), acc.to_bits());
+            assert_eq!(replay_adds(acc, &[3.0], 0).to_bits(), acc.to_bits());
+        }
     }
 }

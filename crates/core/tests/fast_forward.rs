@@ -60,11 +60,21 @@ fn quiet_fault(seed: u64, schedule: ScheduleKind) -> FaultSimConfig {
 
 /// A quiescent two-job fleet: per-job detectors, distinct per-job seeds.
 fn quiet_fleet(seed: u64, schedule: ScheduleKind) -> FleetSimConfig {
+    quiet_fleet_of(2, ITERS, seed, schedule)
+}
+
+/// A quiescent fleet of `jobs` main jobs running `iterations` each.
+fn quiet_fleet_of(
+    jobs: usize,
+    iterations: usize,
+    seed: u64,
+    schedule: ScheduleKind,
+) -> FleetSimConfig {
     let main = MainJobSpec::physical_5b(8, schedule);
-    let jobs = (0..2)
+    let jobs = (0..jobs)
         .map(|j| {
             let mut job = FleetJobConfig::new(main.clone());
-            job.iterations = ITERS;
+            job.iterations = iterations;
             job.seed = seed + j as u64;
             job
         })
@@ -217,6 +227,51 @@ fn infinite_confirm_threshold_never_skips() {
             metric_bits(r_pinned.metrics()),
             metric_bits(r_off.metrics()),
             "{kind}: observing without skipping perturbed the run"
+        );
+    }
+}
+
+/// Iterations per job of the long-horizon pin: long enough that the skip
+/// dwarfs the detection prefix, so the replayed FLOP sum crosses several
+/// binades and the replay mixes in-binade jumps with crossing cycles.
+const LONG_ITERS: usize = 5_000;
+
+/// Long horizons are where the FLOP replay leaves the binade it started
+/// in. A four-job fleet must agree with its event-by-event twin bit for
+/// bit on every result field. Jobs that skip append a whole skip's
+/// completions at once, so the fleet's completion order interleaves
+/// differently and the ids are compared sorted; a one-job fleet has no
+/// interleaving and must agree in sequence.
+#[test]
+fn long_horizon_skips_agree_bit_for_bit() {
+    for jobs in [4, 1] {
+        let cfg = quiet_fleet_of(jobs, LONG_ITERS, 11, ScheduleKind::GPipe);
+        let (r_on, r_off) = on_off(BackendConfig::Fleet(cfg));
+        assert_eq!(
+            metric_bits(r_on.metrics()),
+            metric_bits(r_off.metrics()),
+            "{jobs}-job fleet: fast-forward changed the metrics"
+        );
+        let mut on = r_on.as_fleet().expect("fleet detail").clone();
+        let mut off = r_off.as_fleet().expect("fleet detail").clone();
+        let total = (jobs * LONG_ITERS) as u64;
+        // At least 15/16 skipped: the skipped span is 15 times the
+        // simulated prefix or more, so the FLOP sums grow about 16x while
+        // fast-forward replays them.
+        assert!(
+            16 * on.iterations_fast_forwarded >= 15 * total,
+            "{jobs}-job fleet skipped only {} of {total} iterations",
+            on.iterations_fast_forwarded
+        );
+        assert_eq!(off.iterations_fast_forwarded, 0);
+        on.iterations_fast_forwarded = 0;
+        if jobs > 1 {
+            on.completed_fill_ids.sort_unstable();
+            off.completed_fill_ids.sort_unstable();
+        }
+        assert!(
+            on == off,
+            "{jobs}-job fleet: fast-forward changed the fleet result"
         );
     }
 }

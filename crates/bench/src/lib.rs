@@ -1,71 +1,15 @@
 //! # pipefill-bench
 //!
-//! Criterion benchmark targets, one per table/figure of the paper's
-//! evaluation. Each bench first *regenerates* its artifact — printing the
-//! same rows/series the paper reports and writing CSV under the workspace
-//! `target/experiments/` — and then measures the driver's core kernel so
-//! regressions in the reproduction pipeline are caught.
-//!
-//! Run everything with:
+//! The perf-snapshot harness: the `perf_snapshot` binary measures the
+//! steady-state fast-forward's wall-clock win and pins it in the
+//! checked-in `BENCH_fleet.json` / `BENCH_engine.json`, whose document
+//! model is [`snapshot`]. Run it with:
 //!
 //! ```sh
-//! cargo bench --workspace
+//! cargo run --release -p pipefill-bench --bin perf_snapshot -- --check
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::path::PathBuf;
-
 pub mod snapshot;
-
-/// Path of an experiment CSV inside the shared workspace target
-/// directory (benches run with the package directory as cwd).
-pub fn experiment_csv(name: &str) -> String {
-    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    p.push("../../target/experiments");
-    p.push(name);
-    p.to_string_lossy().into_owned()
-}
-
-/// Regenerates one registered experiment at full scale: prints the
-/// table and writes `target/experiments/<name>.csv`. Returns the table
-/// so benches can derive summary lines from its columns.
-///
-/// # Panics
-///
-/// Panics on unknown experiment names or CSV I/O failures (benches want
-/// loud failures).
-pub fn regenerate(name: &str) -> pipefill_scenario::Table {
-    let exp = pipefill_scenario::find(name).expect("registered experiment");
-    let table = exp.run(&exp.grid(pipefill_scenario::Scale::Full));
-    table.print();
-    if let Some(summary) = exp.summary(&table) {
-        println!("{summary}");
-    }
-    table
-        .save(&experiment_csv(&format!("{name}.csv")))
-        .expect("csv");
-    table
-}
-
-/// A short Criterion configuration suitable for simulation-scale
-/// workloads: 10 samples, bounded measurement time.
-pub fn criterion_config() -> criterion::Criterion {
-    criterion::Criterion::default()
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_secs(4))
-        .warm_up_time(std::time::Duration::from_secs(1))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn csv_paths_land_in_workspace_target() {
-        let p = experiment_csv("x.csv");
-        assert!(p.contains("target"));
-        assert!(p.ends_with("x.csv"));
-    }
-}

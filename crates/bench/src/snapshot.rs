@@ -1,18 +1,18 @@
 //! The perf-snapshot format: a checked-in JSON record of wall-clock
 //! timings pinning the simulator's performance trajectory.
 //!
-//! The workspace's dependency policy has no JSON crate, so the writer
-//! and the reader are hand-rolled for exactly this document shape — one
-//! flat object with a list of flat entry objects, no escapes, no
-//! nesting beyond that. A snapshot that fails [`Snapshot::validate`]
-//! (wrong schema, non-finite numbers, an entry whose fast-forward never
-//! fired) is rejected loudly by the `perf_snapshot --check` CI gate.
+//! It is written and read through `pipefill_textfmt::json`. A snapshot
+//! that fails [`Snapshot::validate`] (wrong schema, non-finite numbers,
+//! an entry whose fast-forward never fired) is rejected loudly by the
+//! `perf_snapshot --check` CI gate.
 //!
 //! Wall-clock numbers are only comparable on the same machine class, so
 //! every snapshot carries a `runner_class` tag (the `PERF_RUNNER_CLASS`
 //! environment variable at generation time); the regression gate
 //! compares a fresh run against a recorded entry only when the classes
 //! match, and otherwise falls back to schema + speedup-floor checks.
+
+use pipefill_textfmt::json::{self, Json, Layout};
 
 /// Schema tag every snapshot must carry.
 pub const SCHEMA: &str = "pipefill-perf-snapshot/v1";
@@ -30,7 +30,7 @@ pub const REGRESSION_TOLERANCE: f64 = 0.25;
 pub const NOISE_FLOOR_SECS: f64 = 0.1;
 
 /// One checked-in perf-snapshot document.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// Must equal [`SCHEMA`].
     pub schema: String,
@@ -41,7 +41,7 @@ pub struct Snapshot {
 }
 
 /// One measured configuration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Entry {
     /// Stable name the regression gate matches entries by.
     pub name: String,
@@ -69,67 +69,49 @@ pub struct Entry {
 impl Snapshot {
     /// Renders the document; `parse(to_json(s)) == s`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"schema\": \"{}\",\n", self.schema));
-        out.push_str(&format!("  \"runner_class\": \"{}\",\n", self.runner_class));
-        out.push_str("  \"entries\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"name\": \"{}\",\n", e.name));
-            out.push_str(&format!("      \"profile\": \"{}\",\n", e.profile));
-            out.push_str(&format!("      \"jobs\": {},\n", e.jobs));
-            out.push_str(&format!("      \"gpus\": {},\n", e.gpus));
-            out.push_str(&format!(
-                "      \"simulated_secs\": {:?},\n",
-                e.simulated_secs
-            ));
-            out.push_str(&format!(
-                "      \"iterations_fast_forwarded\": {},\n",
-                e.iterations_fast_forwarded
-            ));
-            out.push_str(&format!(
-                "      \"wall_secs_ff_on\": {:?},\n",
-                e.wall_secs_ff_on
-            ));
-            out.push_str(&format!(
-                "      \"wall_secs_ff_off\": {:?},\n",
-                e.wall_secs_ff_off
-            ));
-            out.push_str(&format!("      \"speedup\": {:?}\n", e.speedup));
-            out.push_str(if i + 1 == self.entries.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let entries = self.entries.iter().map(|e| {
+            let skipped = e.iterations_fast_forwarded;
+            let fields = [
+                ("name", e.name.as_str().into()),
+                ("profile", e.profile.as_str().into()),
+                ("jobs", e.jobs.into()),
+                ("gpus", e.gpus.into()),
+                ("simulated_secs", e.simulated_secs.into()),
+                ("iterations_fast_forwarded", skipped.into()),
+                ("wall_secs_ff_on", e.wall_secs_ff_on.into()),
+                ("wall_secs_ff_off", e.wall_secs_ff_off.into()),
+                ("speedup", e.speedup.into()),
+            ];
+            Json::object(Layout::Block, fields)
+        });
+        let fields = [
+            ("schema", self.schema.as_str().into()),
+            ("runner_class", self.runner_class.as_str().into()),
+            ("entries", Json::Array(Layout::Block, entries.collect())),
+        ];
+        Json::object(Layout::Block, fields).render()
     }
 
     /// Parses a snapshot document.
     ///
     /// # Errors
     ///
-    /// Returns a message for malformed JSON (within the subset the
-    /// writer emits), missing or mistyped fields, and unknown keys.
+    /// Returns a message for malformed JSON (located at a line and
+    /// column), missing or mistyped fields, and unknown keys.
     pub fn parse(text: &str) -> Result<Snapshot, String> {
-        let value = json::parse(text)?;
-        let obj = value.as_object("document")?;
-        let mut snapshot = Snapshot {
-            schema: String::new(),
-            runner_class: String::new(),
-            entries: Vec::new(),
-        };
-        for (key, v) in obj {
-            match key.as_str() {
-                "schema" => snapshot.schema = v.as_string("schema")?,
-                "runner_class" => snapshot.runner_class = v.as_string("runner_class")?,
-                "entries" => {
-                    for (i, item) in v.as_array("entries")?.iter().enumerate() {
-                        snapshot.entries.push(parse_entry(item, i)?);
-                    }
+        let mut snapshot = Snapshot::default();
+        for (key, v) in object(&json::parse(text)?, "document")? {
+            match (key.as_str(), v) {
+                ("schema", Json::Str(s)) => snapshot.schema = s.clone(),
+                ("runner_class", Json::Str(s)) => snapshot.runner_class = s.clone(),
+                ("entries", Json::Array(_, items)) => {
+                    let entries = items.iter().enumerate().map(|(i, e)| parse_entry(e, i));
+                    snapshot.entries = entries.collect::<Result<_, _>>()?;
                 }
-                other => return Err(format!("unknown snapshot key '{other}'")),
+                ("schema" | "runner_class" | "entries", other) => {
+                    return Err(format!("{key}: mistyped value {other:?}"))
+                }
+                (other, _) => return Err(format!("unknown snapshot key '{other}'")),
             }
         }
         if snapshot.schema.is_empty() {
@@ -196,218 +178,45 @@ impl Snapshot {
     }
 }
 
-fn parse_entry(value: &json::Value, index: usize) -> Result<Entry, String> {
-    let obj = value.as_object(&format!("entries[{index}]"))?;
-    let mut e = Entry {
-        name: String::new(),
-        profile: String::new(),
-        jobs: 0,
-        gpus: 0,
-        simulated_secs: 0.0,
-        iterations_fast_forwarded: 0,
-        wall_secs_ff_on: 0.0,
-        wall_secs_ff_off: 0.0,
-        speedup: 0.0,
-    };
-    for (key, v) in obj {
-        match key.as_str() {
-            "name" => e.name = v.as_string(key)?,
-            "profile" => e.profile = v.as_string(key)?,
-            "jobs" => e.jobs = v.as_u64(key)?,
-            "gpus" => e.gpus = v.as_u64(key)?,
-            "simulated_secs" => e.simulated_secs = v.as_f64(key)?,
-            "iterations_fast_forwarded" => e.iterations_fast_forwarded = v.as_u64(key)?,
-            "wall_secs_ff_on" => e.wall_secs_ff_on = v.as_f64(key)?,
-            "wall_secs_ff_off" => e.wall_secs_ff_off = v.as_f64(key)?,
-            "speedup" => e.speedup = v.as_f64(key)?,
-            other => return Err(format!("entries[{index}]: unknown key '{other}'")),
+fn parse_entry(value: &Json, index: usize) -> Result<Entry, String> {
+    let what = format!("entries[{index}]");
+    let mut e = Entry::default();
+    for (key, v) in object(value, &what)? {
+        match (key.as_str(), v) {
+            ("name", Json::Str(s)) => e.name = s.clone(),
+            ("profile", Json::Str(s)) => e.profile = s.clone(),
+            ("jobs", _) => e.jobs = number(v, key)?,
+            ("gpus", _) => e.gpus = number(v, key)?,
+            ("simulated_secs", _) => e.simulated_secs = number(v, key)?,
+            ("iterations_fast_forwarded", _) => e.iterations_fast_forwarded = number(v, key)?,
+            ("wall_secs_ff_on", _) => e.wall_secs_ff_on = number(v, key)?,
+            ("wall_secs_ff_off", _) => e.wall_secs_ff_off = number(v, key)?,
+            ("speedup", _) => e.speedup = number(v, key)?,
+            ("name" | "profile", other) => return Err(format!("{key}: mistyped value {other:?}")),
+            (other, _) => return Err(format!("{what}: unknown key '{other}'")),
         }
     }
     if e.name.is_empty() {
-        return Err(format!("entries[{index}] is missing 'name'"));
+        return Err(format!("{what} is missing 'name'"));
     }
     Ok(e)
 }
 
-/// The minimal JSON reader backing [`Snapshot::parse`]: objects, arrays,
-/// escape-free strings, numbers. Exactly the subset the writer emits —
-/// a snapshot hand-edited beyond it fails loudly rather than silently.
-mod json {
-    /// A parsed JSON value (the supported subset).
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// Escape-free string.
-        String(String),
-        /// Any JSON number.
-        Number(f64),
-        /// `{...}` with string keys, insertion order kept.
-        Object(Vec<(String, Value)>),
-        /// `[...]`.
-        Array(Vec<Value>),
+fn object<'a>(value: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
+    match value {
+        Json::Object(_, pairs) => Ok(pairs),
+        other => Err(format!("{what}: expected an object, got {other:?}")),
     }
+}
 
-    impl Value {
-        pub fn as_object(&self, what: &str) -> Result<&[(String, Value)], String> {
-            match self {
-                Value::Object(pairs) => Ok(pairs),
-                other => Err(format!("{what}: expected an object, got {other:?}")),
-            }
-        }
-
-        pub fn as_array(&self, what: &str) -> Result<&[Value], String> {
-            match self {
-                Value::Array(items) => Ok(items),
-                other => Err(format!("{what}: expected an array, got {other:?}")),
-            }
-        }
-
-        pub fn as_string(&self, what: &str) -> Result<String, String> {
-            match self {
-                Value::String(s) => Ok(s.clone()),
-                other => Err(format!("{what}: expected a string, got {other:?}")),
-            }
-        }
-
-        pub fn as_f64(&self, what: &str) -> Result<f64, String> {
-            match self {
-                Value::Number(n) => Ok(*n),
-                other => Err(format!("{what}: expected a number, got {other:?}")),
-            }
-        }
-
-        pub fn as_u64(&self, what: &str) -> Result<u64, String> {
-            let n = self.as_f64(what)?;
-            if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
-                return Err(format!("{what}: expected a non-negative integer, got {n}"));
-            }
-            Ok(n as u64)
-        }
-    }
-
-    /// Parses one document; trailing garbage is an error.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing content at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {pos}", c as char))
-        }
-    }
-
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b'{') => parse_object(bytes, pos),
-            Some(b'[') => parse_array(bytes, pos),
-            Some(b'"') => Ok(Value::String(parse_string(bytes, pos)?)),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
-            _ => Err(format!("unexpected content at byte {pos}")),
-        }
-    }
-
-    fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(bytes, pos, b'{')?;
-        let mut pairs = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Object(pairs));
-        }
-        loop {
-            skip_ws(bytes, pos);
-            let key = parse_string(bytes, pos)?;
-            expect(bytes, pos, b':')?;
-            let value = parse_value(bytes, pos)?;
-            pairs.push((key, value));
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Object(pairs));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-            }
-        }
-    }
-
-    fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(bytes, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(parse_value(bytes, pos)?);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-            }
-        }
-    }
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected a string at byte {pos}"));
-        }
-        let start = *pos + 1;
-        let mut end = start;
-        while let Some(&c) = bytes.get(end) {
-            match c {
-                b'"' => {
-                    *pos = end + 1;
-                    return String::from_utf8(bytes[start..end].to_vec())
-                        .map_err(|_| "invalid UTF-8 in string".to_string());
-                }
-                b'\\' => return Err(format!("escape sequences unsupported (byte {end})")),
-                _ => end += 1,
-            }
-        }
-        Err(format!("unterminated string starting at byte {start}"))
-    }
-
-    fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        let mut end = *pos;
-        while let Some(&c) = bytes.get(end) {
-            if c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E') {
-                end += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&bytes[start..end]).expect("ascii number bytes");
-        let n: f64 = text
-            .parse()
-            .map_err(|_| format!("malformed number '{text}' at byte {start}"))?;
-        *pos = end;
-        Ok(Value::Number(n))
-    }
+/// A number that fits `T`: an integer field rejects `1.5` and `-3`.
+fn number<T: std::str::FromStr>(value: &Json, what: &str) -> Result<T, String> {
+    let parsed = match value {
+        Json::Num(n) => n.parse().ok(),
+        _ => None,
+    };
+    let kind = std::any::type_name::<T>();
+    parsed.ok_or_else(|| format!("{what}: expected a {kind}, got {value:?}"))
 }
 
 #[cfg(test)]
@@ -502,9 +311,47 @@ mod tests {
         assert!(Snapshot::parse("{\"schema\": \"x\", \"entries\": [{\"warp\": 1}]}").is_err());
         assert!(Snapshot::parse("{\"schema\": \"x\", \"entries\": [{\"jobs\": -3}]}").is_err());
         assert!(Snapshot::parse("{\"schema\": \"x\", \"entries\": [{\"jobs\": 1.5}]}").is_err());
-        // Escapes are outside the supported subset.
-        assert!(Snapshot::parse("{\"schema\": \"a\\\"b\"}").is_err());
+        // Escapes read back; an unknown one is an error.
+        let snap = Snapshot::parse("{\"schema\": \"a\\\"b\"}").unwrap();
+        assert_eq!(snap.schema, "a\"b");
+        assert!(Snapshot::parse("{\"schema\": \"a\\qb\"}").is_err());
         // An entries list of non-objects is mistyped.
         assert!(Snapshot::parse("{\"entries\": [3]}").is_err());
+    }
+
+    #[test]
+    fn duplicate_keys_are_rejected_not_overwritten() {
+        let err = Snapshot::parse("{\"schema\": \"x\",\n \"schema\": \"y\"}").unwrap_err();
+        assert_eq!(
+            err,
+            "line 2, col 2: duplicate key 'schema' (first set at line 1)"
+        );
+        let entry = "{\"name\": \"a\", \"jobs\": 1, \"jobs\": 2}";
+        let err =
+            Snapshot::parse(&format!("{{\"schema\": \"x\", \"entries\": [{entry}]}}")).unwrap_err();
+        assert!(err.contains("duplicate key 'jobs'"), "{err}");
+    }
+
+    #[test]
+    fn a_runner_class_needing_escapes_round_trips() {
+        let mut snap = sample();
+        snap.runner_class = "ci \"a\" \\b".to_string();
+        let text = snap.to_json();
+        assert!(
+            text.contains(r#""runner_class": "ci \"a\" \\b","#),
+            "{text}"
+        );
+        assert_eq!(Snapshot::parse(&text).unwrap(), snap);
+    }
+
+    #[test]
+    fn checked_in_snapshots_reproduce_byte_for_byte() {
+        for name in ["BENCH_fleet.json", "BENCH_engine.json"] {
+            let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../").to_string() + name;
+            let text = std::fs::read_to_string(&path).unwrap();
+            let snap = Snapshot::parse(&text).unwrap();
+            snap.validate().unwrap();
+            assert_eq!(snap.to_json(), text, "{name}");
+        }
     }
 }

@@ -19,8 +19,10 @@
 //! ([`report`], checked in as `detlint-report.json`). The `detlint` bin
 //! exposes `human` and `json` output and exits nonzero on violations.
 //!
-//! The crate has zero dependencies — it must stay buildable offline and
-//! must not depend on anything it audits.
+//! The crate depends only on zero-dependency in-tree leaf crates
+//! (`pipefill-textfmt`, for its policy and report formats), which it
+//! also audits — so it stays buildable offline, and nothing it checks can
+//! reach it through a dependency chain.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -4,13 +4,12 @@
 //! The policy is deliberately *total*: every crate directory under
 //! `crates/` (plus the root `pipefill` facade package) must be assigned
 //! a tier, and every known rule must be configured — a new crate or a
-//! new rule cannot slip in un-audited. The file is a TOML subset in the
-//! same spirit as the scenario reader (`crates/scenario/src/toml.rs`):
-//! `[section]` headers, `key = value` lines, `#` comments, and — because
-//! silent last-write-wins is itself a reproducibility hazard — duplicate
-//! keys are rejected with the line of the first occurrence.
+//! new rule cannot slip in un-audited. The file is a `[tiers]` section
+//! and one `[rules.<id>]` section per rule in the workspace TOML subset.
 
 use std::collections::BTreeMap;
+
+use pipefill_textfmt::toml::{self, Entry, Value};
 
 use crate::rules::RULE_IDS;
 
@@ -29,14 +28,10 @@ pub enum Tier {
 
 impl Tier {
     fn parse(s: &str) -> Result<Tier, String> {
-        match s {
-            "deterministic" => Ok(Tier::Deterministic),
-            "driver" => Ok(Tier::Driver),
-            "exempt" => Ok(Tier::Exempt),
-            other => Err(format!(
-                "unknown tier '{other}' (expected deterministic|driver|exempt)"
-            )),
-        }
+        let all = [Tier::Deterministic, Tier::Driver, Tier::Exempt];
+        all.into_iter()
+            .find(|t| t.as_str() == s)
+            .ok_or_else(|| format!("unknown tier '{s}' (expected deterministic|driver|exempt)"))
     }
 
     /// The policy-file spelling.
@@ -96,97 +91,55 @@ impl Policy {
 ///
 /// # Errors
 ///
-/// `line N: message` for syntax errors; unknown sections, unknown or
-/// unconfigured rules, duplicate keys and bad tier names are all errors.
+/// `line N, col M: message` for syntax errors; unknown sections,
+/// unknown or unconfigured rules, duplicate keys and bad tier names are
+/// all errors.
 pub fn parse(text: &str) -> Result<Policy, String> {
+    let doc = toml::parse(text)?;
+    if let Some(entry) = doc.preamble.first() {
+        return Err(entry.pos.error("keys must follow a section header").into());
+    }
     let mut tiers: BTreeMap<String, Tier> = BTreeMap::new();
     let mut rules: BTreeMap<String, RuleConfig> = BTreeMap::new();
-    // (section, key) → first-occurrence line, for duplicate reporting.
-    let mut seen: BTreeMap<(String, String), usize> = BTreeMap::new();
-    let mut section: Option<String> = None;
-    let mut tiers_section_seen = false;
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let at = |msg: String| format!("line {lineno}: {msg}");
-        let line = strip_comment(raw).trim().to_string();
-        if line.is_empty() {
+    for section in &doc.sections {
+        let name = section.name.as_str();
+        if name == "tiers" {
+            for entry in &section.entries {
+                let tier = Tier::parse(string(entry)?).map_err(|e| entry.pos.error(e))?;
+                tiers.insert(entry.key.clone(), tier);
+            }
             continue;
         }
-        if let Some(rest) = line.strip_prefix('[') {
-            let Some(name) = rest.strip_suffix(']') else {
-                return Err(at(format!("unterminated section header '{line}'")));
-            };
-            let name = name.trim();
-            if name == "tiers" && !tiers_section_seen {
-                tiers_section_seen = true;
-            } else if name == "tiers" {
-                return Err(at("duplicate section '[tiers]'".into()));
-            }
-            if name != "tiers" && !name.starts_with("rules.") {
-                return Err(at(format!(
-                    "unknown section '[{name}]' (expected [tiers] or [rules.<id>])"
-                )));
-            }
-            if let Some(rule) = name.strip_prefix("rules.") {
-                if !RULE_IDS.contains(&rule) {
-                    return Err(at(format!(
-                        "unknown rule '{rule}' (known: {})",
-                        RULE_IDS.join(", ")
-                    )));
-                }
-                if rules.contains_key(rule) {
-                    return Err(at(format!("duplicate section '[rules.{rule}]'")));
-                }
-                rules.insert(
-                    rule.to_string(),
-                    RuleConfig {
-                        tiers: Vec::new(),
-                        in_tests: true,
-                        files: Vec::new(),
-                    },
-                );
-            }
-            section = Some(name.to_string());
-            continue;
-        }
-        let Some(current) = section.clone() else {
-            return Err(at("keys must follow a section header".into()));
+        let Some(rule) = name.strip_prefix("rules.") else {
+            let msg = format!("unknown section '[{name}]' (expected [tiers] or [rules.<id>])");
+            return Err(section.pos.error(msg).into());
         };
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(at(format!("expected 'key = value', got '{line}'")));
-        };
-        let key = key.trim().to_string();
-        let value = value.trim();
-        if let Some(&first) = seen.get(&(current.clone(), key.clone())) {
-            return Err(at(format!(
-                "duplicate key '{key}' in [{current}] (first set at line {first})"
-            )));
+        if !RULE_IDS.contains(&rule) {
+            let msg = format!("unknown rule '{rule}' (known: {})", RULE_IDS.join(", "));
+            return Err(section.pos.error(msg).into());
         }
-        seen.insert((current.clone(), key.clone()), lineno);
-        if current == "tiers" {
-            let tier = Tier::parse(&parse_string(value).map_err(&at)?).map_err(&at)?;
-            tiers.insert(key, tier);
-        } else {
-            let rule = current.strip_prefix("rules.").expect("checked above");
-            let cfg = rules.get_mut(rule).expect("inserted with the section");
-            match key.as_str() {
-                "tiers" => {
-                    let names = parse_string_array(value).map_err(&at)?;
-                    cfg.tiers = names
-                        .iter()
-                        .map(|n| Tier::parse(n))
-                        .collect::<Result<_, _>>()
-                        .map_err(&at)?;
+        let mut cfg = RuleConfig {
+            tiers: Vec::new(),
+            in_tests: true,
+            files: Vec::new(),
+        };
+        for entry in &section.entries {
+            let fail = |msg: &str| Err(entry.error(msg).into());
+            match (entry.key.as_str(), &entry.value) {
+                ("tiers", Value::Array(names)) => {
+                    let tiers: Result<_, _> = names.iter().map(|n| Tier::parse(n)).collect();
+                    cfg.tiers = tiers.map_err(|e| entry.pos.error(e))?;
                 }
-                "in_tests" => cfg.in_tests = parse_bool(value).map_err(&at)?,
-                "files" => cfg.files = parse_string_array(value).map_err(&at)?,
-                other => {
-                    return Err(at(format!(
-                        "unknown rule key '{other}' (expected tiers, in_tests or files)"
-                    )))
+                ("files", Value::Array(files)) => cfg.files = files.clone(),
+                ("in_tests", Value::Bare(b)) if b == "true" || b == "false" => {
+                    cfg.in_tests = b == "true";
                 }
+                ("tiers" | "files", _) => return fail("expects an array like [\"a\", \"b\"]"),
+                ("in_tests", _) => return fail("expects true or false"),
+                _ => return fail("is not a rule key (expected tiers, in_tests or files)"),
             }
         }
+        rules.insert(rule.to_string(), cfg);
     }
     for rule in RULE_IDS {
         let Some(cfg) = rules.get(*rule) else {
@@ -204,47 +157,12 @@ pub fn parse(text: &str) -> Result<Policy, String> {
     Ok(Policy { tiers, rules })
 }
 
-fn strip_comment(line: &str) -> &str {
-    let mut in_string = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
-            _ => {}
-        }
+/// A `[tiers]` value: a quoted string.
+fn string(entry: &Entry) -> Result<&str, String> {
+    match &entry.value {
+        Value::Str(s) => Ok(s),
+        _ => Err(entry.error("expects a quoted string").into()),
     }
-    line
-}
-
-fn parse_string(value: &str) -> Result<String, String> {
-    let inner = value
-        .strip_prefix('"')
-        .and_then(|v| v.strip_suffix('"'))
-        .ok_or_else(|| format!("expected a quoted string, got '{value}'"))?;
-    if inner.contains('"') {
-        return Err(format!("embedded quote in string {value}"));
-    }
-    Ok(inner.to_string())
-}
-
-fn parse_bool(value: &str) -> Result<bool, String> {
-    match value {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(format!("expected true or false, got '{other}'")),
-    }
-}
-
-fn parse_string_array(value: &str) -> Result<Vec<String>, String> {
-    let inner = value
-        .strip_prefix('[')
-        .and_then(|v| v.strip_suffix(']'))
-        .ok_or_else(|| format!("expected an array like [\"a\", \"b\"], got '{value}'"))?;
-    let inner = inner.trim();
-    if inner.is_empty() {
-        return Ok(Vec::new());
-    }
-    inner.split(',').map(|e| parse_string(e.trim())).collect()
 }
 
 #[cfg(test)]

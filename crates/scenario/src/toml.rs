@@ -1,26 +1,14 @@
-//! A hand-rolled TOML-subset reader and writer for [`ScenarioSpec`].
+//! The scenario-file reader and writer for [`ScenarioSpec`]: one flat
+//! `[scenario]` table (`backend = "fault"`, `iterations = 120`, ...) in
+//! the workspace TOML subset, `pipefill_textfmt::toml`.
 //!
-//! The workspace's dependency policy has no TOML crate (serde is a no-op
-//! shim, like the hand-rolled CSV writer), and a scenario is one flat
-//! table — so the grammar here is the minimal subset a spec needs:
-//!
-//! ```toml
-//! # comment
-//! [scenario]
-//! backend = "fault"          # quoted strings
-//! iterations = 120           # integers
-//! mtbf_secs = 600.5          # floats
-//! ```
-//!
-//! One `[scenario]` header, `key = value` lines, `#` comments (full-line
-//! or trailing), blank lines. Unknown keys, duplicate keys, malformed
-//! values and stray sections are errors — a typo'd scenario fails
-//! loudly, never silently no-ops (the same stance the CLI flags take).
-//! [`render`] writes only explicitly-set fields, so `render → parse` is
-//! identity on the spec.
+//! Unknown keys, malformed values and stray sections are errors — a
+//! typo'd scenario fails loudly, never silently no-ops (the same stance
+//! the CLI flags take). [`render`] writes only explicitly-set fields, so
+//! `render → parse` is identity on the spec.
 
-use pipefill_core::{BackendKind, PolicyKind};
-use pipefill_pipeline::ScheduleKind;
+use pipefill_core::PolicyKind;
+use pipefill_textfmt::toml::{self, quote};
 
 use crate::spec::ScenarioSpec;
 
@@ -28,57 +16,29 @@ use crate::spec::ScenarioSpec;
 ///
 /// # Errors
 ///
-/// Returns `line N: message` for syntax errors and the underlying
-/// [`ScenarioSpec::set`] message for value errors. The parsed spec is
-/// *not* validated — callers validate (or lower) after applying any
-/// `--set` overrides, so an override can fix an incomplete file.
+/// Returns `line N, col M: message` for syntax errors and for the
+/// underlying [`ScenarioSpec::set`] message of a bad value. The parsed
+/// spec is *not* validated — callers validate (or lower) after applying
+/// any `--set` overrides, so an override can fix an incomplete file.
 pub fn parse(text: &str) -> Result<ScenarioSpec, String> {
-    let mut spec = ScenarioSpec::default();
-    let mut seen_header = false;
-    // Key → line it was first set on, so a duplicate's error points at
-    // both occurrences (in a hand-edited file the first one is usually
-    // the stale line the author forgot to delete).
-    let mut seen_keys: Vec<(String, usize)> = Vec::new();
-    for (idx, raw_line) in text.lines().enumerate() {
-        let at = |msg: String| format!("line {}: {msg}", idx + 1);
-        let line = strip_comment(raw_line);
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(section) = line.strip_prefix('[') {
-            let Some(section) = section.strip_suffix(']') else {
-                return Err(at(format!("unterminated section header '{line}'")));
-            };
-            if section.trim() != "scenario" {
-                return Err(at(format!(
-                    "unknown section '[{}]' (only [scenario] is accepted)",
-                    section.trim()
-                )));
-            }
-            if seen_header {
-                return Err(at("duplicate [scenario] section".into()));
-            }
-            seen_header = true;
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(at(format!("expected 'key = value', got '{line}'")));
-        };
-        if !seen_header {
-            return Err(at("keys must follow the [scenario] header".into()));
-        }
-        let key = key.trim();
-        let value = unquote(value.trim()).map_err(&at)?;
-        if let Some((_, first)) = seen_keys.iter().find(|(k, _)| k == key) {
-            return Err(at(format!(
-                "duplicate key '{key}' (first set at line {first})"
-            )));
-        }
-        spec.set(key, &value).map_err(|e| at(e.to_string()))?;
-        seen_keys.push((key.to_string(), idx + 1));
+    let doc = toml::parse(text)?;
+    if let Some(entry) = doc.preamble.first() {
+        let err = entry.pos.error("keys must follow the [scenario] header");
+        return Err(err.into());
     }
-    if !seen_header {
+    let mut spec = ScenarioSpec::default();
+    for section in &doc.sections {
+        let name = &section.name;
+        if name != "scenario" {
+            let msg = format!("unknown section '[{name}]' (only [scenario] is accepted)");
+            return Err(section.pos.error(msg).into());
+        }
+        for entry in &section.entries {
+            let set = spec.set(&entry.key, entry.scalar()?);
+            set.map_err(|e| entry.pos.error(e.to_string()))?;
+        }
+    }
+    if doc.sections.is_empty() {
         return Err("a scenario file needs a [scenario] section".into());
     }
     Ok(spec)
@@ -88,85 +48,43 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, String> {
 /// explicitly-set fields, in canonical key order. `parse(render(spec))
 /// == spec`.
 pub fn render(spec: &ScenarioSpec) -> String {
-    let mut out = String::from("[scenario]\n");
-    let mut kv = |key: &str, value: String| {
-        out.push_str(key);
-        out.push_str(" = ");
-        out.push_str(&value);
-        out.push('\n');
+    fn text<T: ToString>(v: Option<T>) -> Option<String> {
+        v.map(|v| v.to_string())
+    }
+    let mtbf = |v: f64| match v.is_finite() {
+        true => v.to_string(),
+        false => quote("none"),
     };
-    if let Some(v) = &spec.name {
-        kv("name", quote(v));
-    }
-    if let Some(v) = &spec.experiment {
-        kv("experiment", quote(v));
-    }
-    if let Some(v) = spec.backend {
-        kv("backend", quote(&backend_str(v)));
-    }
-    if let Some(v) = spec.schedule {
-        kv("schedule", quote(&schedule_str(v)));
-    }
-    if let Some(v) = spec.seed {
-        kv("seed", v.to_string());
-    }
-    if let Some(v) = spec.iterations {
-        kv("iterations", v.to_string());
-    }
-    if let Some(v) = spec.horizon_secs {
-        kv("horizon_secs", v.to_string());
-    }
-    if let Some(v) = spec.load {
-        kv("load", v.to_string());
-    }
-    if let Some(v) = spec.fill_fraction {
-        kv("fill_fraction", v.to_string());
-    }
-    if let Some(v) = spec.mtbf_secs {
-        if v.is_finite() {
-            kv("mtbf_secs", v.to_string());
-        } else {
-            kv("mtbf_secs", quote("none"));
+    let fast_forward = spec.fast_forward.map(|on| if on { "on" } else { "off" });
+    // A backend's `Display` is already its parseable lowercase spelling,
+    // and a schedule's is one once lowercased (`GPipe`, `ZB-H1`): the
+    // writer emits the forms a human would type.
+    let schedule = text(spec.schedule).map(|s| quote(&s.to_lowercase()));
+    let fields = [
+        ("name", spec.name.as_deref().map(quote)),
+        ("experiment", spec.experiment.as_deref().map(quote)),
+        ("backend", text(spec.backend).as_deref().map(quote)),
+        ("schedule", schedule),
+        ("seed", text(spec.seed)),
+        ("iterations", text(spec.iterations)),
+        ("horizon_secs", text(spec.horizon_secs)),
+        ("load", text(spec.load)),
+        ("fill_fraction", text(spec.fill_fraction)),
+        ("mtbf_secs", spec.mtbf_secs.map(mtbf)),
+        ("checkpoint_secs", text(spec.checkpoint_secs)),
+        ("fast_forward", fast_forward.map(quote)),
+        ("policy", spec.policy.map(|v| quote(policy_str(v)))),
+        ("jobs", text(spec.jobs)),
+        ("gpus", text(spec.gpus)),
+        ("seeds", text(spec.seeds)),
+    ];
+    let mut out = String::from("[scenario]\n");
+    for (key, value) in fields {
+        if let Some(value) = value {
+            out += &format!("{key} = {value}\n");
         }
     }
-    if let Some(v) = spec.checkpoint_secs {
-        kv("checkpoint_secs", v.to_string());
-    }
-    if let Some(v) = spec.fast_forward {
-        kv("fast_forward", quote(if v { "on" } else { "off" }));
-    }
-    if let Some(v) = spec.policy {
-        kv("policy", quote(policy_str(v)));
-    }
-    if let Some(v) = spec.jobs {
-        kv("jobs", v.to_string());
-    }
-    if let Some(v) = spec.gpus {
-        kv("gpus", v.to_string());
-    }
-    if let Some(v) = spec.seeds {
-        kv("seeds", v.to_string());
-    }
     out
-}
-
-/// The canonical parseable spelling of a backend (its `Display` is
-/// already lowercase).
-fn backend_str(backend: BackendKind) -> String {
-    backend.to_string()
-}
-
-/// The canonical parseable spelling of a schedule. `ScheduleKind`'s
-/// `Display` prints presentation casing (`GPipe`, `ZB-H1`); its parser
-/// is case-insensitive, but the writer emits the documented lowercase
-/// forms so rendered files match what a human would type.
-fn schedule_str(schedule: ScheduleKind) -> String {
-    match schedule {
-        ScheduleKind::GPipe => "gpipe".to_string(),
-        ScheduleKind::OneFOneB => "1f1b".to_string(),
-        ScheduleKind::Interleaved { chunks } => format!("interleaved:{chunks}"),
-        ScheduleKind::ZbH1 => "zb-h1".to_string(),
-    }
 }
 
 /// The canonical parseable spelling of a policy (`Display` prints
@@ -180,49 +98,11 @@ fn policy_str(policy: PolicyKind) -> &'static str {
     }
 }
 
-fn quote(s: &str) -> String {
-    format!("\"{s}\"")
-}
-
-/// Drops a trailing `#` comment, respecting double quotes.
-fn strip_comment(line: &str) -> &str {
-    let mut in_string = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-/// Removes surrounding double quotes from a value, rejecting embedded
-/// quotes and half-quoted forms. Bare (unquoted) values pass through for
-/// the numeric keys.
-fn unquote(value: &str) -> Result<String, String> {
-    if let Some(inner) = value.strip_prefix('"') {
-        let Some(inner) = inner.strip_suffix('"') else {
-            return Err(format!("unterminated string {value}"));
-        };
-        if inner.contains('"') {
-            return Err(format!("embedded quote in string {value}"));
-        }
-        return Ok(inner.to_string());
-    }
-    if value.contains('"') {
-        return Err(format!("misplaced quote in value {value}"));
-    }
-    if value.is_empty() {
-        return Err("missing value".into());
-    }
-    Ok(value.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pipefill_core::BackendKind;
+    use pipefill_pipeline::ScheduleKind;
 
     #[test]
     fn parses_a_full_fault_scenario() {
@@ -273,7 +153,7 @@ checkpoint_secs = 2.5
         let err = parse("backend = \"coarse\"").unwrap_err();
         assert!(err.contains("[scenario]"), "{err}");
         let err = parse("[scenario]\n[scenario]\n").unwrap_err();
-        assert!(err.contains("duplicate [scenario]"), "{err}");
+        assert!(err.contains("duplicate section '[scenario]'"), "{err}");
         let err = parse("[workload]\n").unwrap_err();
         assert!(err.contains("unknown section"), "{err}");
         let err = parse("[scenario]\nbackend \"coarse\"\n").unwrap_err();
@@ -298,7 +178,10 @@ checkpoint_secs = 2.5
         // skew either line number.
         let text = "[scenario]\n\n# pick a seed\nseed = 1\nbackend = \"coarse\"\n\nseed = 7\n";
         let err = parse(text).unwrap_err();
-        assert_eq!(err, "line 7: duplicate key 'seed' (first set at line 4)");
+        assert_eq!(
+            err,
+            "line 7, col 1: duplicate key 'seed' in [scenario] (first set at line 4)"
+        );
         // Same key, different casing is a different key (the unknown-key
         // error fires first), so the duplicate check stays exact-match.
         let err = parse("[scenario]\nseed = 1\nSeed = 2\n").unwrap_err();

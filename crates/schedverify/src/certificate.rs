@@ -1,14 +1,12 @@
-//! Deterministic JSON certificates.
-//!
-//! Same contract as detlint's report module: pure function of the
-//! verdicts, keys in a fixed order, stable float formatting (Rust's
-//! shortest-roundtrip `Display`), `\n` line endings, trailing newline —
-//! so CI can regenerate the certificate grid and `cmp` it byte-for-byte
-//! against the checked-in copy. Serialization is hand-rolled; the schema
-//! is versioned by [`SCHEMA`].
+//! Deterministic JSON certificates, written through
+//! `pipefill_textfmt::json`: a pure function of the verdicts with keys
+//! in a fixed order, so CI can regenerate the certificate grid and `cmp`
+//! it byte-for-byte against the checked-in copy. The schema is versioned
+//! by [`SCHEMA`].
 
 use pipefill_pipeline::ScheduleKind;
 use pipefill_sim_core::SimDuration;
+use pipefill_textfmt::json::{Json, Layout};
 
 use crate::stream::StreamSet;
 use crate::{verify, Verdict, VerifyConfig};
@@ -34,13 +32,10 @@ pub fn grid() -> Vec<(ScheduleKind, usize, usize)> {
         ScheduleKind::Interleaved { chunks: 2 },
         ScheduleKind::Interleaved { chunks: 4 },
     ];
-    let mut grid = Vec::with_capacity(kinds.len() * shapes.len());
-    for kind in kinds {
-        for (p, m) in shapes {
-            grid.push((kind, p, m));
-        }
-    }
-    grid
+    let grid = kinds
+        .into_iter()
+        .flat_map(|kind| shapes.map(|(p, m)| (kind, p, m)));
+    grid.collect()
 }
 
 /// A rendered certificate grid plus whether every entry certified.
@@ -60,132 +55,72 @@ pub fn certify_grid() -> GridReport {
         let set = StreamSet::from_schedule(kind, p, m);
         let cfg = VerifyConfig::new(GRID_T_FWD, GRID_T_BWD).with_schedule(kind);
         let verdict = verify(&set, &cfg);
-        if verdict.certified() {
-            certified += 1;
-        }
-        entries.push(format!(
-            "    {{\n{}\n    }}",
-            render_fields(&format!("{kind}"), &set, &verdict, "      ").join(",\n")
-        ));
+        certified += usize::from(verdict.certified());
+        let entry = fields(&kind.to_string(), &set, &verdict);
+        entries.push(Json::object(Layout::Block, entry));
     }
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": {SCHEMA},\n"));
-    out.push_str("  \"tool\": \"schedcheck\",\n");
-    out.push_str(&format!("  \"t_fwd_nanos\": {},\n", GRID_T_FWD.as_nanos()));
-    out.push_str(&format!("  \"t_bwd_nanos\": {},\n", GRID_T_BWD.as_nanos()));
-    out.push_str(&format!("  \"entries\": {},\n", entries.len()));
-    out.push_str(&format!("  \"certified\": {certified},\n"));
-    out.push_str("  \"grid\": [\n");
-    out.push_str(&entries.join(",\n"));
-    out.push_str("\n  ]\n}\n");
+    let all_certified = certified == entries.len();
+    let fields = [
+        ("schema", SCHEMA.into()),
+        ("tool", "schedcheck".into()),
+        ("t_fwd_nanos", GRID_T_FWD.as_nanos().into()),
+        ("t_bwd_nanos", GRID_T_BWD.as_nanos().into()),
+        ("entries", entries.len().into()),
+        ("certified", certified.into()),
+        ("grid", Json::Array(Layout::Block, entries)),
+    ];
+    let doc = Json::object(Layout::Block, fields);
     GridReport {
-        all_certified: certified == entries.len(),
-        json: out,
+        all_certified,
+        json: doc.render(),
     }
 }
 
 /// Renders one verdict as a standalone JSON document (the CLI's
 /// `verify-schedule --format json` output).
 pub fn verdict_json(target: &str, set: &StreamSet, verdict: &Verdict) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": {SCHEMA},\n"));
-    out.push_str("  \"tool\": \"schedcheck\",\n");
-    out.push_str(&render_fields(target, set, verdict, "  ").join(",\n"));
-    out.push_str("\n}\n");
-    out
+    let head = [("schema", SCHEMA.into()), ("tool", "schedcheck".into())];
+    let doc = head.into_iter().chain(fields(target, set, verdict));
+    Json::object(Layout::Block, doc).render()
 }
 
-/// Renders a verdict's fields as `"key": value` lines at `pad`
-/// indentation, in schema order.
-fn render_fields(target: &str, set: &StreamSet, verdict: &Verdict, pad: &str) -> Vec<String> {
-    let field = |k: &str, v: String| format!("{pad}\"{k}\": {v}");
+/// A verdict's fields in schema order.
+fn fields(target: &str, set: &StreamSet, verdict: &Verdict) -> Vec<(&'static str, Json)> {
     let mut fields = vec![
-        field("target", json_str(target)),
-        field("stages", set.stages().to_string()),
-        field("microbatches", set.microbatches.to_string()),
-        field("chunks", set.chunks.to_string()),
-        field("certified", verdict.certified().to_string()),
+        ("target", target.into()),
+        ("stages", set.stages().into()),
+        ("microbatches", set.microbatches.into()),
+        ("chunks", set.chunks.into()),
+        ("certified", verdict.certified().into()),
     ];
     if let Some(stats) = &verdict.stats {
-        fields.push(field("instructions", stats.instructions.to_string()));
-        fields.push(field(
-            "dependency_edges",
-            stats.dependency_edges.to_string(),
-        ));
-        let peaks: Vec<String> = stats.memory_peaks.iter().map(u64::to_string).collect();
-        fields.push(field("memory_peaks", format!("[{}]", peaks.join(", "))));
-        fields.push(field("period_nanos", stats.period.as_nanos().to_string()));
-        fields.push(field(
-            "bubble_fraction_static",
-            json_f64(stats.bubble_fraction_static),
-        ));
+        let peaks = stats.memory_peaks.iter().map(|&p| p.into()).collect();
+        let bubble = stats.bubble_fraction_static;
+        fields.extend([
+            ("instructions", stats.instructions.into()),
+            ("dependency_edges", stats.dependency_edges.into()),
+            ("memory_peaks", Json::Array(Layout::Inline, peaks)),
+            ("period_nanos", stats.period.as_nanos().into()),
+            ("bubble_fraction_static", bubble.into()),
+        ]);
         if let Some(cf) = stats.closed_form {
-            fields.push(field("bubble_fraction_closed_form", json_f64(cf.expected)));
-            fields.push(field(
-                "closed_form_relation",
-                json_str(cf.relation.as_str()),
-            ));
-            fields.push(field("closed_form_holds", cf.holds.to_string()));
+            fields.extend([
+                ("bubble_fraction_closed_form", cf.expected.into()),
+                ("closed_form_relation", cf.relation.as_str().into()),
+                ("closed_form_holds", cf.holds.into()),
+            ]);
         }
     }
-    if verdict.findings.is_empty() {
-        fields.push(field("findings", "[]".to_string()));
-    } else {
-        let rendered: Vec<String> = verdict
-            .findings
-            .iter()
-            .map(|f| {
-                let device = match f.device {
-                    Some(d) => d.to_string(),
-                    None => "null".to_string(),
-                };
-                format!(
-                    "{pad}  {{\"property\": {}, \"device\": {device}, \"message\": {}}}",
-                    json_str(f.property.as_str()),
-                    json_str(&f.message)
-                )
-            })
-            .collect();
-        fields.push(format!(
-            "{pad}\"findings\": [\n{}\n{pad}]",
-            rendered.join(",\n")
-        ));
-    }
+    let findings = verdict.findings.iter().map(|f| {
+        let fields = [
+            ("property", f.property.as_str().into()),
+            ("device", f.device.map_or(Json::Null, Json::from)),
+            ("message", f.message.as_str().into()),
+        ];
+        Json::object(Layout::Inline, fields)
+    });
+    fields.push(("findings", Json::Array(Layout::Block, findings.collect())));
     fields
-}
-
-/// Floats in certificates: Rust's shortest round-trip `Display`, which is
-/// deterministic across platforms; integral values gain a `.0` so the
-/// JSON stays a float.
-fn json_f64(v: f64) -> String {
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-        s
-    } else {
-        format!("{s}.0")
-    }
-}
-
-/// JSON string escaping (quotes, backslashes, control characters).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -219,13 +154,5 @@ mod tests {
         assert!(json.contains("\"certified\": false"));
         assert!(json.contains("\"property\": \"deadlock\""));
         assert!(json.ends_with("\n}\n"));
-    }
-
-    #[test]
-    fn float_formatting_keeps_numbers_json_floats() {
-        assert_eq!(json_f64(0.25), "0.25");
-        assert_eq!(json_f64(3.0), "3.0");
-        assert_eq!(json_f64(0.0), "0.0");
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 }

@@ -4,9 +4,8 @@
 //! the two shape parameters the streams are keyed against (microbatch
 //! count and chunks per device). Sets come from two places: the built-in
 //! schedule generators ([`StreamSet::from_schedule`]) and external stream
-//! files ([`StreamSet::parse`]) written in the same TOML subset the
-//! scenario layer uses — `key = value` lines, `#` comments, quoted
-//! instruction strings:
+//! files ([`StreamSet::parse`]): the workspace TOML subset with no
+//! section header, one quoted instruction string per device:
 //!
 //! ```text
 //! # 1F1B on two devices, two microbatches
@@ -23,6 +22,7 @@
 //! `bubble:fwd-bwd|non-contiguous|fill-drain` markers.
 
 use pipefill_pipeline::{BubbleKind, PipelineInstruction, ScheduleKind};
+use pipefill_textfmt::toml::{self, quote};
 
 /// One iteration's per-device instruction streams, plus the shape they
 /// are keyed against.
@@ -63,48 +63,42 @@ impl StreamSet {
     ///
     /// A human-readable message naming the offending line, key, or token.
     pub fn parse(text: &str) -> Result<StreamSet, String> {
+        let doc = toml::parse(text)?;
+        if let Some(section) = doc.sections.first() {
+            let msg = format!("unexpected section '[{}]'", section.name);
+            return Err(section.pos.error(msg).into());
+        }
         // Each count is kept with its (1-based) line number, so a bound
         // violation can name the line that set it.
         let mut stages: Option<(usize, usize)> = None;
         let mut microbatches: Option<(usize, usize)> = None;
         let mut chunks: (usize, Option<usize>) = (1, None);
         let mut devices: Vec<(usize, Vec<PipelineInstruction>)> = Vec::new();
-
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (key, value) = line.split_once('=').ok_or_else(|| {
-                format!("line {}: expected 'key = value', got '{line}'", lineno + 1)
-            })?;
-            let key = key.trim();
-            let value = value.trim().trim_matches('"').trim();
+        for entry in &doc.preamble {
+            let (key, line, value) = (entry.key.as_str(), entry.pos.line, entry.scalar()?);
+            let count = || {
+                let msg = format!("must be a non-negative integer, got '{value}'");
+                value.parse().map_err(|_| entry.error(&msg))
+            };
             match key {
-                "stages" => stages = Some((parse_count(key, value)?, lineno + 1)),
-                "microbatches" => microbatches = Some((parse_count(key, value)?, lineno + 1)),
-                "chunks" => chunks = (parse_count(key, value)?, Some(lineno + 1)),
+                "stages" => stages = Some((count()?, line)),
+                "microbatches" => microbatches = Some((count()?, line)),
+                "chunks" => chunks = (count()?, Some(line)),
                 _ => {
-                    let idx: usize = key
-                        .strip_prefix("device_")
-                        .and_then(|d| d.parse().ok())
-                        .ok_or_else(|| {
-                            format!(
-                                "line {}: unknown key '{key}' \
-                                 (stages|microbatches|chunks|device_<i>)",
-                                lineno + 1
-                            )
-                        })?;
-                    if devices.iter().any(|(i, _)| *i == idx) {
-                        return Err(format!("line {}: duplicate device_{idx}", lineno + 1));
-                    }
-                    let mut stream = Vec::new();
-                    for tok in value.split_whitespace() {
-                        stream.push(
-                            parse_token(tok)
-                                .map_err(|e| format!("line {}: device_{idx}: {e}", lineno + 1))?,
-                        );
-                    }
+                    // Only the canonical spelling, so the shared
+                    // duplicate-key check also catches duplicate devices.
+                    let idx = key.strip_prefix("device_").and_then(|d| d.parse().ok());
+                    let Some(idx) = idx.filter(|idx: &usize| *key == format!("device_{idx}"))
+                    else {
+                        let msg =
+                            format!("unknown key '{key}' (stages|microbatches|chunks|device_<i>)");
+                        return Err(entry.pos.error(msg).into());
+                    };
+                    let stream = value
+                        .split_whitespace()
+                        .map(parse_token)
+                        .collect::<Result<_, _>>()
+                        .map_err(|e| entry.pos.error(format!("{key}: {e}")))?;
                     devices.push((idx, stream));
                 }
             }
@@ -122,13 +116,10 @@ impl StreamSet {
         if let Some((idx, _)) = devices.iter().find(|(idx, _)| *idx >= p) {
             return Err(format!("device_{idx} out of range for {p} stages"));
         }
+        devices.sort_unstable_by_key(|(idx, _)| *idx);
         if p > devices.len() {
-            let mut present: Vec<usize> = devices.iter().map(|(idx, _)| *idx).collect();
-            present.sort_unstable();
-            let missing = (0..)
-                .zip(&present)
-                .find(|&(i, &idx)| i != idx)
-                .map_or(present.len(), |(i, _)| i);
+            let missing = (0..).zip(&devices).find(|&(i, (idx, _))| i != *idx);
+            let missing = missing.map_or(devices.len(), |(i, _)| i);
             return Err(format!(
                 "line {stages_line}: stages = {p}, but the file has {} device line(s) \
                  (missing device_{missing})",
@@ -147,7 +138,6 @@ impl StreamSet {
                  chunk and microbatch"
             ));
         }
-        devices.sort_unstable_by_key(|(idx, _)| *idx);
         let streams: Vec<Vec<PipelineInstruction>> =
             devices.into_iter().map(|(_, stream)| stream).collect();
         Ok(StreamSet {
@@ -160,39 +150,30 @@ impl StreamSet {
     /// Renders the set back to the stream-file format; `parse` of the
     /// output reproduces the set exactly.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("stages = {}\n", self.stages()));
-        out.push_str(&format!("microbatches = {}\n", self.microbatches));
-        out.push_str(&format!("chunks = {}\n", self.chunks));
+        let (p, m, v) = (self.stages(), self.microbatches, self.chunks);
+        let mut out = format!("stages = {p}\nmicrobatches = {m}\nchunks = {v}\n");
         for (s, stream) in self.streams.iter().enumerate() {
             let tokens: Vec<String> = stream.iter().map(|&i| token(i)).collect();
-            out.push_str(&format!("device_{s} = \"{}\"\n", tokens.join(" ")));
+            out += &format!("device_{s} = {}\n", quote(&tokens.join(" ")));
         }
         out
     }
 }
 
-fn parse_count(key: &str, value: &str) -> Result<usize, String> {
-    value
-        .parse()
-        .map_err(|_| format!("'{key}' must be a non-negative integer, got '{value}'"))
-}
-
 /// The mnemonic for one instruction (inverse of token parsing); also used
 /// by findings so diagnostics read like stream files.
 pub fn token(instr: PipelineInstruction) -> String {
+    use PipelineInstruction as I;
     match instr {
-        PipelineInstruction::Forward { microbatch } => format!("F{microbatch}"),
-        PipelineInstruction::Backward { microbatch } => format!("B{microbatch}"),
-        PipelineInstruction::ForwardChunk { chunk, microbatch } => format!("F{chunk}.{microbatch}"),
-        PipelineInstruction::BackwardChunk { chunk, microbatch } => {
-            format!("B{chunk}.{microbatch}")
-        }
-        PipelineInstruction::BackwardInput { microbatch } => format!("BI{microbatch}"),
-        PipelineInstruction::BackwardWeight { microbatch } => format!("BW{microbatch}"),
-        PipelineInstruction::GradSync => "sync".into(),
-        PipelineInstruction::OptimizerStep => "opt".into(),
-        PipelineInstruction::Bubble { kind } => match kind {
+        I::Forward { microbatch } => format!("F{microbatch}"),
+        I::Backward { microbatch } => format!("B{microbatch}"),
+        I::ForwardChunk { chunk, microbatch } => format!("F{chunk}.{microbatch}"),
+        I::BackwardChunk { chunk, microbatch } => format!("B{chunk}.{microbatch}"),
+        I::BackwardInput { microbatch } => format!("BI{microbatch}"),
+        I::BackwardWeight { microbatch } => format!("BW{microbatch}"),
+        I::GradSync => "sync".into(),
+        I::OptimizerStep => "opt".into(),
+        I::Bubble { kind } => match kind {
             BubbleKind::FwdBwd => "bubble:fwd-bwd".into(),
             BubbleKind::NonContiguous => "bubble:non-contiguous".into(),
             BubbleKind::FillDrain => "bubble:fill-drain".into(),
@@ -201,24 +182,14 @@ pub fn token(instr: PipelineInstruction) -> String {
 }
 
 fn parse_token(tok: &str) -> Result<PipelineInstruction, String> {
+    use PipelineInstruction as I;
+    let bubble = |kind| Ok(I::Bubble { kind });
     match tok {
-        "sync" => return Ok(PipelineInstruction::GradSync),
-        "opt" => return Ok(PipelineInstruction::OptimizerStep),
-        "bubble:fwd-bwd" => {
-            return Ok(PipelineInstruction::Bubble {
-                kind: BubbleKind::FwdBwd,
-            })
-        }
-        "bubble:non-contiguous" => {
-            return Ok(PipelineInstruction::Bubble {
-                kind: BubbleKind::NonContiguous,
-            })
-        }
-        "bubble:fill-drain" => {
-            return Ok(PipelineInstruction::Bubble {
-                kind: BubbleKind::FillDrain,
-            })
-        }
+        "sync" => return Ok(I::GradSync),
+        "opt" => return Ok(I::OptimizerStep),
+        "bubble:fwd-bwd" => return bubble(BubbleKind::FwdBwd),
+        "bubble:non-contiguous" => return bubble(BubbleKind::NonContiguous),
+        "bubble:fill-drain" => return bubble(BubbleKind::FillDrain),
         _ => {}
     }
     let bad = || {
@@ -228,39 +199,21 @@ fn parse_token(tok: &str) -> Result<PipelineInstruction, String> {
         )
     };
     let num = |s: &str| -> Result<usize, String> { s.parse().map_err(|_| bad()) };
-    if let Some(rest) = tok.strip_prefix("BI") {
-        return Ok(PipelineInstruction::BackwardInput {
-            microbatch: num(rest)?,
-        });
-    }
-    if let Some(rest) = tok.strip_prefix("BW") {
-        return Ok(PipelineInstruction::BackwardWeight {
-            microbatch: num(rest)?,
-        });
-    }
-    if let Some(rest) = tok.strip_prefix('F') {
-        return match rest.split_once('.') {
-            Some((c, m)) => Ok(PipelineInstruction::ForwardChunk {
-                chunk: num(c)?,
-                microbatch: num(m)?,
-            }),
-            None => Ok(PipelineInstruction::Forward {
-                microbatch: num(rest)?,
-            }),
-        };
-    }
-    if let Some(rest) = tok.strip_prefix('B') {
-        return match rest.split_once('.') {
-            Some((c, m)) => Ok(PipelineInstruction::BackwardChunk {
-                chunk: num(c)?,
-                microbatch: num(m)?,
-            }),
-            None => Ok(PipelineInstruction::Backward {
-                microbatch: num(rest)?,
-            }),
-        };
-    }
-    Err(bad())
+    // A letter prefix, then `<m>` or `<c>.<m>`.
+    let (head, tail) = tok.split_at(tok.find(|c: char| c.is_ascii_digit()).unwrap_or(tok.len()));
+    let (chunk, microbatch) = match tail.split_once('.') {
+        Some((c, m)) => (Some(num(c)?), num(m)?),
+        None => (None, num(tail)?),
+    };
+    Ok(match (head, chunk) {
+        ("F", None) => I::Forward { microbatch },
+        ("B", None) => I::Backward { microbatch },
+        ("BI", None) => I::BackwardInput { microbatch },
+        ("BW", None) => I::BackwardWeight { microbatch },
+        ("F", Some(chunk)) => I::ForwardChunk { chunk, microbatch },
+        ("B", Some(chunk)) => I::BackwardChunk { chunk, microbatch },
+        _ => return Err(bad()),
+    })
 }
 
 #[cfg(test)]
@@ -317,7 +270,7 @@ mod tests {
             ),
             (
                 "stages = 1\nmicrobatches = 1\ndevice_0 = \"F0\"\ndevice_0 = \"F0\"",
-                "duplicate device_0",
+                "duplicate key 'device_0' (first set at line 3)",
             ),
             (
                 "stages = 1\nmicrobatches = 1\ndevice_4 = \"F0\"",

@@ -55,3 +55,37 @@ fn the_chunk_count_counts_toward_the_bound() {
     let text = "stages = 1\nmicrobatches = 2\nchunks = 2\ndevice_0 = \"F0.0 F0.1 F1.0 F1.1\"\n";
     assert!(StreamSet::parse(text).is_ok());
 }
+
+/// The stream reader shares the workspace TOML lexer, so a half-quoted
+/// value is the same error it is in a scenario file, not a value whose
+/// stray quote was silently trimmed.
+#[test]
+fn half_quoted_values_are_rejected_like_scenario_files() {
+    let open_count = "stages = \"2\nmicrobatches = 2\n\
+                      device_0 = \"F0 F1 B0 B1 sync opt\"\n\
+                      device_1 = \"F0 B0 F1 B1 sync opt\"\n";
+    let err = StreamSet::parse(open_count).expect_err("unterminated count");
+    assert_eq!(err, "line 1, col 10: unterminated string \"2");
+    let trailing_quote = "stages = 2\nmicrobatches = 2\n\
+                          device_0 = \"F0 F1 B0 B1 sync opt\"\n\
+                          device_1 = F0 B0 F1 B1 sync opt\"\n";
+    let err = StreamSet::parse(trailing_quote).expect_err("misplaced quote");
+    assert_eq!(
+        err,
+        "line 4, col 12: misplaced quote in value F0 B0 F1 B1 sync opt\""
+    );
+    // A repeated count is a duplicate key, not last-write-wins.
+    let err = StreamSet::parse("stages = 2\nstages = 1\n").expect_err("duplicate");
+    assert_eq!(
+        err,
+        "line 2, col 1: duplicate key 'stages' (first set at line 1)"
+    );
+    // The checked-in examples still parse.
+    for name in ["deadlock.toml", "hand-1f1b.toml"] {
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../examples/streams")
+            .join(name);
+        let text = std::fs::read_to_string(&path).expect("example stream");
+        StreamSet::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+}

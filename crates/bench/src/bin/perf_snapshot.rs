@@ -18,10 +18,13 @@
 //! * `perf_snapshot --check [--profile ci|full|all]` parses and
 //!   validates the checked-in files, enforces the recorded speedup
 //!   floor, then re-measures the selected profile (default `ci`) and
-//!   fails on a fresh speedup below the floor or — when the recorded
+//!   fails on a skip count that differs from the recorded one, on a
+//!   fresh speedup below the floor or — when the recorded
 //!   `runner_class` matches `PERF_RUNNER_CLASS` (default `local-dev`) —
-//!   a wall-clock regression beyond the tolerance. Wall numbers from a
-//!   different machine class are reported but not compared.
+//!   on a wall-clock regression beyond the tolerance. The skip count is
+//!   deterministic, so it is compared on every machine class; wall
+//!   numbers from a different machine class are reported but not
+//!   compared.
 #![forbid(unsafe_code)]
 
 use std::time::Instant;
@@ -292,6 +295,9 @@ fn check_snapshots(profile: &str) -> Result<(), String> {
                 recorded.wall_secs_ff_on,
                 recorded.wall_secs_ff_off,
             );
+            recorded
+                .check_skip_count(&fresh)
+                .map_err(|e| format!("{file}: {e}"))?;
             if fresh.speedup < SPEEDUP_FLOOR {
                 return Err(format!(
                     "{file}: fresh speedup for '{}' is {:.1}x, below the {SPEEDUP_FLOOR}x floor",

@@ -9,8 +9,10 @@
 //! Wall-clock numbers are only comparable on the same machine class, so
 //! every snapshot carries a `runner_class` tag (the `PERF_RUNNER_CLASS`
 //! environment variable at generation time); the regression gate
-//! compares a fresh run against a recorded entry only when the classes
-//! match, and otherwise falls back to schema + speedup-floor checks.
+//! compares a fresh run's wall times against a recorded entry only when
+//! the classes match, and otherwise falls back to schema + speedup-floor
+//! checks. The skip count is deterministic, so [`Entry::check_skip_count`]
+//! compares it exactly on every machine class.
 
 use pipefill_textfmt::json::{self, Json, Layout};
 
@@ -64,6 +66,26 @@ pub struct Entry {
     pub wall_secs_ff_off: f64,
     /// `wall_secs_ff_off / wall_secs_ff_on`; 0 when off was unmeasured.
     pub speedup: f64,
+}
+
+impl Entry {
+    /// Checks a fresh measurement's skip count against this recorded
+    /// entry. The count is a pure function of the configuration, not of
+    /// the machine, so it must match exactly.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the entry and both counts.
+    pub fn check_skip_count(&self, fresh: &Entry) -> Result<(), String> {
+        if fresh.iterations_fast_forwarded == self.iterations_fast_forwarded {
+            Ok(())
+        } else {
+            Err(format!(
+                "'{}' skipped {} iterations, but the snapshot records {}",
+                self.name, fresh.iterations_fast_forwarded, self.iterations_fast_forwarded
+            ))
+        }
+    }
 }
 
 impl Snapshot {
@@ -252,6 +274,20 @@ mod tests {
                 },
             ],
         }
+    }
+
+    #[test]
+    fn skip_count_must_match_exactly() {
+        let recorded = &sample().entries[1];
+        let mut fresh = recorded.clone();
+        fresh.wall_secs_ff_on *= 3.0;
+        recorded.check_skip_count(&fresh).unwrap();
+        fresh.iterations_fast_forwarded += 1;
+        let err = recorded.check_skip_count(&fresh).unwrap_err();
+        assert_eq!(
+            err,
+            "'fleet_speedup' skipped 400001 iterations, but the snapshot records 400000"
+        );
     }
 
     #[test]

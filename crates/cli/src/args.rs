@@ -795,8 +795,8 @@ mod tests {
             BackendConfig::Fault(cfg) => {
                 assert_eq!(cfg.mtbf, SimDuration::MAX);
                 assert_eq!(cfg.checkpoint_cost, SimDuration::from_secs(2));
-                assert_eq!(cfg.iterations, 300);
-                assert_eq!(cfg.executor.fill_fraction, 0.68);
+                assert_eq!(cfg.jobs[0].iterations, 300);
+                assert_eq!(cfg.jobs[0].executor.fill_fraction, 0.68);
             }
             other => panic!("wrong backend: {other:?}"),
         }
@@ -821,23 +821,33 @@ mod tests {
 
     /// Every duration-valued flag rejects non-finite spellings: `inf`
     /// and friends parse as f64 infinity and would otherwise flow into
-    /// `SimDuration` and the MTBF sampler.
+    /// `SimDuration` and the MTBF sampler. A finite value too long for
+    /// the simulated clock (`1e300`) is rejected the same way, naming
+    /// the flag.
     #[test]
     fn duration_flags_reject_non_finite_values() {
-        for spelling in ["inf", "infinity", "Infinity", "INF", "1e999", "-inf", "NaN"] {
+        let overflow = |flag: &str, err: &str| {
+            err.starts_with(&format!("--{flag} must be under")) && err.contains("simulated clock")
+        };
+        for spelling in [
+            "inf", "infinity", "Infinity", "INF", "1e999", "-inf", "NaN", "1e300",
+        ] {
             for flag in ["mtbf-secs", "checkpoint-secs"] {
                 let err =
                     parse(&argv(&format!("sim --backend fault --{flag} {spelling}"))).unwrap_err();
                 assert!(
                     err.contains("finite positive")
                         || err.contains("'none'")
-                        || err.contains("finite non-negative"),
+                        || err.contains("finite non-negative")
+                        || overflow(flag, &err),
                     "--{flag} {spelling}: {err}"
                 );
             }
             let err = parse(&argv(&format!("fleet --mtbf-secs {spelling}"))).unwrap_err();
             assert!(
-                err.contains("finite positive") || err.contains("'none'"),
+                err.contains("finite positive")
+                    || err.contains("'none'")
+                    || overflow("mtbf-secs", &err),
                 "fleet mtbf {spelling}: {err}"
             );
             // Integer-valued duration flags reject them at the integer
@@ -861,6 +871,10 @@ mod tests {
         // 'none' only disables flags documented to support it.
         let err = parse(&argv("sim --backend fault --checkpoint-secs none")).unwrap_err();
         assert!(err.contains("expects a number of seconds"), "{err}");
+        // A load that rounds the mean inter-arrival time to zero is
+        // rejected too, instead of reaching the arrival sampler.
+        let err = parse(&argv("sim --load 1e300")).unwrap_err();
+        assert!(err.starts_with("--load must be a positive number"), "{err}");
     }
 
     #[test]

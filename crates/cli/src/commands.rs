@@ -164,7 +164,9 @@ pub fn run(invocation: Invocation) -> Result<ExitCode, String> {
                 let run = spec.lower()?.run();
                 print_metrics(run.metrics());
                 print_fast_forward(&run);
-                if let Some(detail) = run.as_fleet() {
+                // Fault runs carry a one-job fleet detail too; only a
+                // fleet run prints the per-job table.
+                if let (BackendKind::Fleet, Some(detail)) = (run.metrics().kind, run.as_fleet()) {
                     println!();
                     print_fleet_jobs(detail);
                     println!("failures:           {}", detail.failures);
@@ -445,7 +447,6 @@ fn print_fast_forward(run: &BackendRun) {
     let skipped = match run.detail() {
         BackendDetail::Coarse(_) => return,
         BackendDetail::Physical(r) => r.iterations_fast_forwarded,
-        BackendDetail::Fault(r) => r.iterations_fast_forwarded,
         BackendDetail::Fleet(r) => r.iterations_fast_forwarded,
     };
     println!("iterations fast-forwarded: {skipped}");

@@ -20,7 +20,6 @@ use pipefill_sim_core::{EventHandler, SimDuration, SimTime, Simulation, StepOutc
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::{ClusterSimConfig, ClusterSimResult, CoarseBackend};
-use crate::fault::{FaultBackend, FaultSimConfig, FaultSimResult};
 use crate::fleet::{FleetBackend, FleetSimConfig, FleetSimResult};
 use crate::physical::{PhysicalBackend, PhysicalSimConfig, PhysicalSimResult};
 
@@ -252,8 +251,9 @@ pub enum BackendConfig {
     Coarse(ClusterSimConfig),
     /// Run the fine-grained physical backend.
     Physical(PhysicalSimConfig),
-    /// Run the heterogeneous, failure-injecting backend.
-    Fault(FaultSimConfig),
+    /// Run the heterogeneous, failure-injecting backend: a one-job fleet
+    /// (see [`FleetBackend::fault`]).
+    Fault(FleetSimConfig),
     /// Run the fleet-scale multi-job backend.
     Fleet(FleetSimConfig),
 }
@@ -287,20 +287,17 @@ impl BackendConfig {
                     detail: BackendDetail::Physical(backend.into_result()),
                 }
             }
-            BackendConfig::Fault(config) => {
-                let (metrics, backend) = BackendDriver::new(FaultBackend::new(config)).run();
-                BackendRun {
-                    metrics,
-                    detail: BackendDetail::Fault(backend.into_result()),
-                }
-            }
-            BackendConfig::Fleet(config) => {
-                let (metrics, backend) = BackendDriver::new(FleetBackend::new(config)).run();
-                BackendRun {
-                    metrics,
-                    detail: BackendDetail::Fleet(backend.into_result()),
-                }
-            }
+            BackendConfig::Fault(config) => Self::run_fleet(FleetBackend::fault(config)),
+            BackendConfig::Fleet(config) => Self::run_fleet(FleetBackend::new(config)),
+        }
+    }
+
+    /// Drives a fault or fleet backend; both report the fleet detail.
+    fn run_fleet(backend: FleetBackend) -> BackendRun {
+        let (metrics, backend) = BackendDriver::new(backend).run();
+        BackendRun {
+            metrics,
+            detail: BackendDetail::Fleet(backend.into_result()),
         }
     }
 }
@@ -321,10 +318,9 @@ pub enum BackendDetail {
     Coarse(ClusterSimResult),
     /// Full physical-simulation output (slowdown, OOM isolation).
     Physical(PhysicalSimResult),
-    /// Full fault-simulation output (failures, evictions, goodput).
-    Fault(FaultSimResult),
     /// Full fleet-simulation output (per-job and aggregate metrics,
-    /// global-queue statistics).
+    /// global-queue statistics). Fault runs report it too: a fault run is
+    /// a one-job fleet.
     Fleet(FleetSimResult),
 }
 
@@ -360,15 +356,7 @@ impl BackendRun {
         }
     }
 
-    /// The fault detail by reference, if this was a fault run.
-    pub fn as_fault(&self) -> Option<&FaultSimResult> {
-        match &self.detail {
-            BackendDetail::Fault(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The fleet detail by reference, if this was a fleet run.
+    /// The fleet detail by reference, if this was a fault or fleet run.
     pub fn as_fleet(&self) -> Option<&FleetSimResult> {
         match &self.detail {
             BackendDetail::Fleet(r) => Some(r),
@@ -392,15 +380,7 @@ impl BackendRun {
         }
     }
 
-    /// The fault detail, if this was a fault run.
-    pub fn fault(self) -> Option<FaultSimResult> {
-        match self.detail {
-            BackendDetail::Fault(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The fleet detail, if this was a fleet run.
+    /// The fleet detail, if this was a fault or fleet run.
     pub fn fleet(self) -> Option<FleetSimResult> {
         match self.detail {
             BackendDetail::Fleet(r) => Some(r),
@@ -468,16 +448,14 @@ mod tests {
         assert!(phys.metrics.events_dispatched > 0);
         assert!(phys.physical().is_some());
 
-        let mut fault_cfg =
-            crate::fault::FaultSimConfig::new(MainJobSpec::physical_5b(8, ScheduleKind::GPipe));
+        let mut fault_cfg = physical_config(3);
         fault_cfg.iterations = 40;
-        fault_cfg.seed = 3;
-        let fault = BackendConfig::Fault(fault_cfg).run();
+        let fault = BackendConfig::Fault(FleetSimConfig::from_physical(&fault_cfg)).run();
         assert_eq!(fault.metrics.kind, BackendKind::Fault);
         assert!(fault.metrics.recovered_tflops_per_gpu > 0.0);
         assert_eq!(fault.metrics.evictions, 0); // faults disabled by default
         assert_eq!(fault.metrics.goodput_fraction, 1.0);
-        assert!(fault.fault().is_some());
+        assert!(fault.fleet().is_some());
     }
 
     #[test]

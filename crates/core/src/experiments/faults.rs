@@ -13,7 +13,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::backend::BackendConfig;
 use crate::experiments::sweep;
-use crate::fault::FaultSimConfig;
+use crate::fleet::FleetSimConfig;
+use crate::physical::PhysicalSimConfig;
 
 /// One MTBF × checkpoint-cost point.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -45,24 +46,23 @@ pub const FAULT_MTBFS_SECS: [f64; 5] = [600.0, 1800.0, 7200.0, 28800.0, f64::INF
 /// The checkpoint-cost axis, in seconds of bubble time per restart.
 pub const FAULT_CHECKPOINT_COSTS_SECS: [f64; 3] = [0.5, 2.0, 8.0];
 
-/// Builds the fault configuration for one grid point.
+/// Builds the fault configuration (a one-job fleet) for one grid point.
 pub fn fault_grid_config(
     iterations: usize,
     seed: u64,
     mtbf_secs: f64,
     checkpoint_cost_secs: f64,
-) -> FaultSimConfig {
-    let main = MainJobSpec::physical_5b(8, ScheduleKind::GPipe);
+) -> FleetSimConfig {
+    let mut phys = PhysicalSimConfig::new(MainJobSpec::physical_5b(8, ScheduleKind::GPipe));
+    phys.iterations = iterations;
+    phys.seed = seed;
     let mtbf = if mtbf_secs.is_finite() {
         SimDuration::from_secs_f64(mtbf_secs)
     } else {
         SimDuration::MAX
     };
-    let mut cfg = FaultSimConfig::new(main)
-        .with_mtbf(mtbf)
-        .with_checkpoint_cost(SimDuration::from_secs_f64(checkpoint_cost_secs));
-    cfg.iterations = iterations;
-    cfg.seed = seed;
+    let mut cfg = FleetSimConfig::from_physical(&phys).with_mtbf(mtbf);
+    cfg.checkpoint_cost = SimDuration::from_secs_f64(checkpoint_cost_secs);
     cfg
 }
 
@@ -76,16 +76,19 @@ pub fn whatif_faults(iterations: usize, seed: u64) -> Vec<FaultWhatIfRow> {
     sweep::par_map(grid, |(mtbf_secs, ckpt_secs)| {
         let cfg = fault_grid_config(iterations, seed, mtbf_secs, ckpt_secs);
         let run = BackendConfig::Fault(cfg).run();
-        let detail = run.fault().expect("fault config yields fault detail");
+        let fleet = run.fleet().expect("fault config yields fleet detail");
+        // The row reads the one job's own numbers: the fleet aggregates
+        // are device-weighted and need not match them bit for bit.
+        let job = &fleet.jobs[0];
         FaultWhatIfRow {
             mtbf_secs,
             checkpoint_cost_secs: ckpt_secs,
-            failures: detail.failures,
-            evictions: detail.evictions,
-            lost_fill_flops: detail.lost_fill_flops,
-            recovered_tflops: detail.recovered_tflops_per_gpu,
-            goodput_fraction: detail.goodput_fraction,
-            main_slowdown: detail.main_slowdown,
+            failures: job.failures,
+            evictions: job.evictions,
+            lost_fill_flops: job.lost_fill_flops,
+            recovered_tflops: job.recovered_tflops_per_gpu,
+            goodput_fraction: fleet.goodput_fraction,
+            main_slowdown: job.main_slowdown,
         }
     })
 }

@@ -11,25 +11,25 @@
 //! folding, the steady-state skip) and per-failure (eviction, outage,
 //! recovery) lives here once.
 //!
-//! The three public backends are presets of this engine, selected by the
-//! [`BackendKind`] they lower with:
+//! The engine reads every switch off its [`FleetSimConfig`]:
 //!
-//! * **Fleet** runs the [`FleetSimConfig`] as given.
-//! * **Fault** is a one-pipeline fleet whose stages may run different GPUs
-//!   (`FleetJobConfig::stage_devices`): the slowest stage paces the
-//!   pipeline and every other stage gains its slack as fillable span.
-//! * **Physical** is a one-pipeline fleet without a fault layer: fill jobs
-//!   never checkpoint, and memory jitter can kill a partition with an
-//!   isolated OOM (§4.3).
+//! * **Fault layer.** Fill jobs checkpoint, and devices fail and recover,
+//!   only when a device can fail (`mtbf` finite). Fast-forward arms only
+//!   when none can, so the steady-state signature never carries device or
+//!   checkpoint state.
+//! * **Per-stage devices.** A job with `FleetJobConfig::stage_devices`
+//!   runs a heterogeneous pipeline: the slowest stage paces it and every
+//!   other stage gains its slack as fillable span.
+//! * **Detector history.** A one-pipeline run keeps a long signature
+//!   history; a multi-pipeline fleet keeps a short one per job.
 //!
-//! Because the presets share every randomness-consuming code path, a
-//! no-fault homogeneous fault run and a one-job fleet both reproduce the
-//! physical run bit for bit — the conformance suite pins it.
-//!
-//! A preset also fixes the fast-forward detector's history (the fleet
-//! keeps a short one per job) and which result view the run reports: the
-//! fleet aggregate, or the single pipeline's own numbers. `Preset::of`
-//! is the one place these differences are decided.
+//! The [`BackendKind`] a run is built with is only its label, plus the
+//! two choices tied to it: a physical run records no completed fill ids,
+//! and only a fleet run reports the device-weighted aggregate metrics.
+//! The physical and fault fidelities are one-job fleets, so every
+//! randomness-consuming code path is shared: a no-fault homogeneous fault
+//! run and a one-job fleet both reproduce the physical run bit for bit —
+//! the conformance suite pins it.
 
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -52,56 +52,19 @@ use crate::experiments::sweep;
 use crate::ff::{SteadyCounters, SteadyDetector};
 use crate::fleet::{FleetJobConfig, FleetJobResult, FleetSimConfig, FleetSimResult};
 
-/// Signature-history depth for the single-pipeline presets: long enough
-/// for the realistic fill-cycle periods (plan cursor × rotation ×
-/// job-completion interleavings), small enough that an undetectable
-/// workload just falls back to event fidelity.
+/// Signature-history depth of a one-pipeline run: long enough for the
+/// realistic fill-cycle periods (plan cursor × rotation × job-completion
+/// interleavings), small enough that an undetectable workload just falls
+/// back to event fidelity.
 const STEADY_HISTORY: usize = 512;
 
-/// Per-job signature history of the fleet preset. A fleet carries one
-/// detector per main job and observed steady cycles are short (a few
-/// iterations), so a modest window keeps thousand-job fleets cheap while
-/// still detecting every cycle the single-pipeline presets do.
+/// Per-pipeline signature history of a multi-pipeline fleet. Each main
+/// job carries its own detector and observed fleet cycles are short (a
+/// few iterations), so a modest window keeps thousand-job fleets cheap.
 const FLEET_STEADY_HISTORY: usize = 64;
 
 /// Draws per refill before a bubble is left idle this round.
 const MAX_DRAW_TRIES: usize = 5;
-
-/// Everything the engine does differently per preset.
-#[derive(Debug, Clone, Copy)]
-struct Preset {
-    kind: BackendKind,
-    /// False for the physical preset: fill jobs never checkpoint, and
-    /// checkpoint progress is no part of the steady-state signature.
-    fault_layer: bool,
-    /// Fast-forward signature history per pipeline.
-    history: usize,
-    /// Whether the run records completed fill ids (the physical result
-    /// does not report them).
-    records_completed_ids: bool,
-    /// Whether the metrics report the fleet aggregate rather than the
-    /// single pipeline's own numbers (the device-weighted aggregates are
-    /// not bit-identical to them).
-    aggregate_metrics: bool,
-}
-
-impl Preset {
-    fn of(kind: BackendKind) -> Self {
-        let (fault_layer, history, aggregate_metrics) = match kind {
-            BackendKind::Physical => (false, STEADY_HISTORY, false),
-            BackendKind::Fault => (true, STEADY_HISTORY, false),
-            BackendKind::Fleet => (true, FLEET_STEADY_HISTORY, true),
-            BackendKind::Coarse => unreachable!("the coarse backend is not a filling preset"),
-        };
-        Preset {
-            kind,
-            fault_layer,
-            history,
-            records_completed_ids: fault_layer,
-            aggregate_metrics,
-        }
-    }
-}
 
 /// Bubble geometry and profiled caches of one pipeline *shape*. Jobs with
 /// identical main-job spec, executor tuning and stage devices share one
@@ -362,7 +325,8 @@ impl Pipeline {
 
     /// Executes one bubble window on `stage` with the lease already
     /// acquired (if any work was available); returns the stall it caused.
-    /// Without a fault layer fill jobs never checkpoint.
+    /// Fill jobs checkpoint only when a device can fail (`mtbf` finite):
+    /// without failures a checkpoint is never restored.
     #[inline]
     fn run_bubble(
         &mut self,
@@ -370,7 +334,6 @@ impl Pipeline {
         slot: usize,
         shape: &Shape,
         cfg: &FleetSimConfig,
-        fault_layer: bool,
         completed_ids: Option<&mut Vec<JobId>>,
     ) -> SimDuration {
         let window = shape.windows[stage][slot];
@@ -405,7 +368,7 @@ impl Pipeline {
             return SimDuration::ZERO;
         }
         let finished_id = lease.exec.job().id;
-        if fault_layer {
+        if cfg.mtbf != SimDuration::MAX {
             lease.unsaved_flops += run.flops;
             lease.runs_since_ckpt += 1;
             if !run.job_finished && lease.runs_since_ckpt >= cfg.checkpoint_every_bubbles {
@@ -508,16 +471,15 @@ impl Pipeline {
     /// its id) is included: without it two boundaries can match while
     /// their in-flight jobs sit at different distances from the draw
     /// counter, and shifting the recorded ids by the per-cycle stride
-    /// would then permute the completion order. With a fault layer,
-    /// device state and checkpoint progress are part of the state too.
-    /// Appends to `sig`, a buffer the detector recycles.
-    fn steady_sig(&self, fault_layer: bool, sig: &mut Vec<u64>) {
+    /// would then permute the completion order. Device state and
+    /// checkpoint progress are not part of it: the detector only arms
+    /// when no device can fail, and then every stage stays up and no fill
+    /// job checkpoints. Appends to `sig`, a buffer the detector recycles.
+    fn steady_sig(&self, sig: &mut Vec<u64>) {
         // Exact for a fully leased pipeline, so a fresh buffer is
         // allocated once, at its final size, before the detector recycles it.
-        let per_lease = if fault_layer { 12 } else { 8 };
         sig.reserve(
-            1 + self.rotation.as_ref().map_or(0, MixRotation::sig_len)
-                + per_lease * self.leases.len(),
+            1 + self.rotation.as_ref().map_or(0, MixRotation::sig_len) + 8 * self.leases.len(),
         );
         match &self.rotation {
             None => sig.push(0),
@@ -526,10 +488,7 @@ impl Pipeline {
                 r.sig_into(sig);
             }
         }
-        for (s, lease) in self.leases.iter().enumerate() {
-            if fault_layer {
-                sig.push(self.up[s] as u64);
-            }
+        for lease in &self.leases {
             match lease {
                 None => sig.push(0),
                 Some(l) => {
@@ -547,13 +506,6 @@ impl Pipeline {
                         ex.job().samples,
                         self.next_fill_id.wrapping_sub(ex.job().id.0),
                     ]);
-                    if fault_layer {
-                        sig.extend([
-                            l.unsaved_flops.to_bits(),
-                            l.runs_since_ckpt as u64,
-                            l.restart_debt.as_nanos(),
-                        ]);
-                    }
                 }
             }
         }
@@ -573,7 +525,6 @@ impl Pipeline {
         &mut self,
         now: SimTime,
         period: SimDuration,
-        fault_layer: bool,
         completed_ids: Option<&mut Vec<JobId>>,
         queue: &mut EventQueue<ClusterEvent>,
     ) -> Option<SimTime> {
@@ -592,7 +543,7 @@ impl Pipeline {
             return Some(now);
         }
         let mut sig = self.detector.sig_buffer();
-        self.steady_sig(fault_layer, &mut sig);
+        self.steady_sig(&mut sig);
         let remaining = (self.iterations - self.iterations_done) as u64;
         let Some(skip) = self.detector.end_iteration(sig, delay, remaining) else {
             return Some(now);
@@ -701,14 +652,13 @@ fn binade_step(acc: f64, adds: &[f64]) -> Option<(u64, f64, u64)> {
 
 /// The pipeline-filling backend: main-job pipelines on one kernel over a
 /// flat device space, sharing one global fill queue. See the module docs;
-/// [`PhysicalBackend`](crate::PhysicalBackend),
-/// [`FaultBackend`](crate::FaultBackend) and
-/// [`FleetBackend`](crate::FleetBackend) are its presets, and `R` is the
-/// result view the preset reports.
+/// [`PhysicalBackend`](crate::PhysicalBackend) and
+/// [`FleetBackend`](crate::FleetBackend) are its two result views, `R`.
 pub struct FillBackend<R> {
     /// The lowered configuration: workload, failure and queue knobs.
     cfg: FleetSimConfig,
-    preset: Preset,
+    /// The label the run reports under.
+    kind: BackendKind,
     shapes: Vec<Shape>,
     /// Owning pipeline per flat device.
     flat_owner: Vec<usize>,
@@ -728,17 +678,18 @@ pub struct FillBackend<R> {
     /// outage's downtime to the run.
     down_until: Vec<SimTime>,
     pipes: Vec<Pipeline>,
-    /// Completed fill ids in completion order; `None` unless the preset
-    /// records them.
+    /// Completed fill ids in completion order; `None` for a physical run,
+    /// whose result does not report them.
     completed_ids: Option<Vec<JobId>>,
     report: Option<FleetSimResult>,
     view: PhantomData<fn() -> R>,
 }
 
 impl<R> FillBackend<R> {
-    /// Builds the engine for a preset: assigns shape classes, profiles
-    /// each class once (fanned across cores through the sweep driver),
-    /// and lays the pipelines out on a flat device index space.
+    /// Builds the engine: assigns shape classes, profiles each class once
+    /// (fanned across cores through the sweep driver), and lays the
+    /// pipelines out on a flat device index space. `kind` is the label
+    /// the run reports under.
     ///
     /// # Panics
     ///
@@ -768,7 +719,11 @@ impl<R> FillBackend<R> {
         // fast-forward only arms while each pipeline's iteration stream is
         // provably private.
         let ff_armed = cfg.fast_forward && cfg.mtbf == SimDuration::MAX;
-        let preset = Preset::of(kind);
+        let history = if cfg.jobs.len() == 1 {
+            STEADY_HISTORY
+        } else {
+            FLEET_STEADY_HISTORY
+        };
         let mut base = Vec::with_capacity(cfg.jobs.len());
         let mut flat_owner = Vec::new();
         let mut shape_bases = vec![Vec::new(); shapes.len()];
@@ -814,13 +769,13 @@ impl<R> FillBackend<R> {
                     failures: 0,
                     evictions: 0,
                     bubbles_lost: 0,
-                    detector: SteadyDetector::new(ff_armed, cfg.steady_confirm, preset.history),
+                    detector: SteadyDetector::new(ff_armed, cfg.steady_confirm, history),
                     fast_forwarded: 0,
                 }
             })
             .collect();
         FillBackend {
-            preset,
+            kind,
             shapes,
             idle_state: SystemState::idle(SimTime::ZERO, flat_owner.len()),
             down_until: vec![SimTime::ZERO; flat_owner.len()],
@@ -830,7 +785,7 @@ impl<R> FillBackend<R> {
             parked: HashMap::new(),
             fail_rngs,
             pipes,
-            completed_ids: preset.records_completed_ids.then(Vec::new),
+            completed_ids: (kind != BackendKind::Physical).then(Vec::new),
             report: None,
             view: PhantomData,
             cfg,
@@ -868,14 +823,7 @@ impl<R> FillBackend<R> {
         }
         let pipe = &mut self.pipes[j];
         let shape = &self.shapes[pipe.shape];
-        pipe.run_bubble(
-            s,
-            slot,
-            shape,
-            &self.cfg,
-            self.preset.fault_layer,
-            self.completed_ids.as_mut(),
-        )
+        pipe.run_bubble(s, slot, shape, &self.cfg, self.completed_ids.as_mut())
     }
 
     /// Finds work for an idle stage: evicted fill jobs in the global
@@ -1024,11 +972,10 @@ impl<R> EventHandler for FillBackend<R> {
                 }
             }
             ClusterEvent::JobIterationEnd { job } => {
-                let fault_layer = self.preset.fault_layer;
                 let pipe = &mut self.pipes[job];
                 let period = self.shapes[pipe.shape].period;
                 let ids = self.completed_ids.as_mut();
-                let next = pipe.end_iteration(now, period, fault_layer, ids, queue);
+                let next = pipe.end_iteration(now, period, ids, queue);
                 if let Some(at) = next {
                     for flat in pipe.base..pipe.base + pipe.leases.len() {
                         queue.push(at, ClusterEvent::StageBubbles { stage: flat });
@@ -1079,7 +1026,7 @@ impl<R> EventHandler for FillBackend<R> {
 
 impl<R> SimBackend for FillBackend<R> {
     fn kind(&self) -> BackendKind {
-        self.preset.kind
+        self.kind
     }
 
     fn prime(&mut self, sim: &mut Simulation<ClusterEvent>) {
@@ -1111,8 +1058,11 @@ impl<R> SimBackend for FillBackend<R> {
             .report
             .as_ref()
             .expect("metrics requested before drain");
-        let kind = self.preset.kind;
-        if self.preset.aggregate_metrics {
+        let kind = self.kind;
+        // Only the fleet reports the device-weighted aggregates; a
+        // one-pipeline label reports its pipeline's own numbers, which
+        // the aggregates do not reproduce bit for bit.
+        if kind == BackendKind::Fleet {
             return BackendMetrics {
                 kind,
                 num_devices: r.num_devices,
@@ -1260,7 +1210,7 @@ impl MixRotation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultBackend, FaultSimConfig, FleetBackend, PhysicalBackend, PhysicalSimConfig};
+    use crate::{FleetBackend, PhysicalBackend, PhysicalSimConfig};
     use pipefill_pipeline::{MainJobSpec, ScheduleKind};
 
     /// A quiescent physical run: no jitter draws, a deterministic
@@ -1278,22 +1228,18 @@ mod tests {
         cfg
     }
 
-    /// The same quiescent run through the fault preset (faults off).
-    fn quiet_fault() -> FaultSimConfig {
-        let phys = quiet_physical();
-        let mut cfg = FaultSimConfig::new(phys.main_job.clone()).with_mix(phys.mix.clone());
-        cfg.executor = phys.executor;
-        cfg.jitter_cv = 0.0;
-        cfg.deterministic_mix = true;
-        cfg.backlog_job_gpu_hours = phys.backlog_job_gpu_hours;
-        cfg.iterations = phys.iterations;
-        cfg
+    /// A fault run to completion.
+    fn simulate_fault(cfg: FleetSimConfig) -> FleetSimResult {
+        crate::BackendDriver::new(FleetBackend::fault(cfg))
+            .run()
+            .1
+            .into_result()
     }
 
     #[test]
     fn fast_forward_is_invisible_in_every_preset_result() {
         // The skip lives once, in `Pipeline::end_iteration`: every
-        // preset's full result — completed-id stream included, whose
+        // fidelity's full result — completed-id stream included, whose
         // replay shifts ids by the per-cycle draw stride — must equal the
         // event-by-event run except for the skip counter.
         let phys = quiet_physical();
@@ -1313,28 +1259,26 @@ mod tests {
             off
         );
 
-        let fault = quiet_fault();
-        let on = FaultBackend::simulate(fault.clone());
-        let off = FaultBackend::simulate(FaultSimConfig {
+        let fleet = FleetSimConfig::from_physical(&phys);
+        let off_cfg = FleetSimConfig {
             fast_forward: false,
-            ..fault
-        });
-        assert!(on.iterations_fast_forwarded > 0, "fault never skipped");
+            ..fleet.clone()
+        };
+        let on = FleetBackend::simulate(fleet.clone());
+        let off = FleetBackend::simulate(off_cfg.clone());
+        assert!(on.iterations_fast_forwarded > 0, "fleet never skipped");
         assert_eq!(
-            crate::FaultSimResult {
+            FleetSimResult {
                 iterations_fast_forwarded: 0,
                 ..on
             },
             off
         );
 
-        let fleet = FleetSimConfig::from_physical(&phys);
-        let on = FleetBackend::simulate(fleet.clone());
-        let off = FleetBackend::simulate(FleetSimConfig {
-            fast_forward: false,
-            ..fleet
-        });
-        assert!(on.iterations_fast_forwarded > 0, "fleet never skipped");
+        // The fault label over the same one-job fleet (faults off).
+        let on = simulate_fault(fleet);
+        let off = simulate_fault(off_cfg);
+        assert!(on.iterations_fast_forwarded > 0, "fault never skipped");
         assert_eq!(
             FleetSimResult {
                 iterations_fast_forwarded: 0,
@@ -1347,7 +1291,7 @@ mod tests {
     #[test]
     fn randomness_or_faults_keep_fast_forward_disarmed() {
         // Jitter consumes randomness every iteration and failures are
-        // external transitions: either keeps every preset at event
+        // external transitions: either keeps every fidelity at event
         // fidelity.
         let jittered = PhysicalSimConfig {
             jitter_cv: 0.08,
@@ -1359,8 +1303,9 @@ mod tests {
             0
         );
         assert_eq!(FleetBackend::simulate(fleet).iterations_fast_forwarded, 0);
-        let faulty = quiet_fault().with_mtbf(SimDuration::from_secs(300));
-        let r = FaultBackend::simulate(faulty);
+        let faulty =
+            FleetSimConfig::from_physical(&quiet_physical()).with_mtbf(SimDuration::from_secs(300));
+        let r = simulate_fault(faulty);
         assert!(r.failures > 0);
         assert_eq!(r.iterations_fast_forwarded, 0);
     }

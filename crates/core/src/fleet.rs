@@ -1,6 +1,6 @@
 //! The fleet-scale multi-job cluster simulator.
 //!
-//! Every other backend in this crate simulates exactly one
+//! The physical and fault fidelities simulate exactly one
 //! pipeline-parallel main job with a private fill queue; the paper's
 //! headline projections (Figs. 9/10, §6.2) are about *fleets* — thousands
 //! of GPUs running many jobs at once, with bubble-filling operated as a
@@ -31,8 +31,10 @@
 //!   counted, making "how much does a global queue buy over per-job
 //!   queues" a measurable quantity.
 //!
-//! The fleet *is* the pipeline-filling engine (`crate::filling`) run as
-//! given; the physical and fault backends are one-job presets of it.
+//! The fleet *is* the pipeline-filling engine (`crate::filling`), and
+//! [`FleetSimConfig`] is its one configuration: the physical fidelity
+//! lowers to a one-job fleet ([`FleetSimConfig::from_physical`]), and a
+//! fault run *is* a one-job fleet, built with [`FleetBackend::fault`].
 //! Construction profiles each distinct job *shape* once (jobs with
 //! identical main-job spec, executor tuning and stage devices share bubble
 //! geometry and plan caches) and fans the profiling across cores through
@@ -49,7 +51,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::backend::{BackendDriver, BackendKind};
 use crate::cluster::PolicyKind;
-use crate::fault::FaultSimConfig;
 use crate::filling::FillBackend;
 use crate::physical::PhysicalSimConfig;
 
@@ -69,10 +70,12 @@ pub struct FleetJobConfig {
     /// Whether this job's stages accept fill work evicted from other
     /// jobs (per-job admission at the global queue).
     pub admits_foreign: bool,
-    /// Per-stage GPU specs; empty means homogeneous. Only the fault
-    /// preset's lowering sets them (see
-    /// [`FaultSimConfig::stage_devices`]).
-    pub(crate) stage_devices: Vec<DeviceSpec>,
+    /// Per-stage GPU specs. Empty means homogeneous: every stage runs
+    /// `main_job.device`, the baseline heterogeneous stages are expressed
+    /// relative to. When non-empty the length must equal the pipeline
+    /// depth; the slowest stage then paces the pipeline (see
+    /// [`FleetBackend::fault`]).
+    pub stage_devices: Vec<DeviceSpec>,
 }
 
 impl FleetJobConfig {
@@ -142,7 +145,7 @@ pub struct FleetSimConfig {
     /// sampling (exact mix realization).
     pub deterministic_mix: bool,
     /// Coefficient of variation of the actual free bubble memory; only
-    /// the physical preset's lowering sets it (see
+    /// the physical lowering sets it (see
     /// [`PhysicalSimConfig::memory_jitter_cv`]).
     pub(crate) memory_jitter_cv: f64,
     /// Fleet-level seed; failure streams fork from it per flat device,
@@ -156,7 +159,8 @@ pub struct FleetSimConfig {
     /// Bubble time an evicted fill job burns reloading its checkpoint
     /// before it resumes making progress.
     pub checkpoint_cost: SimDuration,
-    /// A fill job checkpoints after this many executed bubble partitions.
+    /// A fill job checkpoints after this many executed bubble partitions
+    /// (only while `mtbf` is finite: without failures nothing restores).
     pub checkpoint_every_bubbles: usize,
     /// Steady-state fast-forward (see
     /// [`PhysicalSimConfig::fast_forward`]). Per job: each main job owns
@@ -201,20 +205,16 @@ impl FleetSimConfig {
     /// The degenerate fleet: one job carrying exactly the given physical
     /// configuration. This fleet reproduces
     /// [`PhysicalBackend`](crate::PhysicalBackend) bit for bit — the
-    /// conformance suite's pin — and is what the physical preset lowers
-    /// to.
+    /// conformance suite's pin — and is what the physical fidelity
+    /// lowers to. Add `mtbf`, `checkpoint_cost` and per-stage devices to
+    /// make it a fault run.
     pub fn from_physical(phys: &PhysicalSimConfig) -> Self {
-        Self::physical_preset(phys.clone())
-    }
-
-    /// [`FleetSimConfig::from_physical`], consuming the configuration.
-    pub(crate) fn physical_preset(phys: PhysicalSimConfig) -> Self {
-        let mut job = FleetJobConfig::new(phys.main_job);
+        let mut job = FleetJobConfig::new(phys.main_job.clone());
         job.executor = phys.executor;
         job.iterations = phys.iterations;
         job.seed = phys.seed;
         let mut cfg = FleetSimConfig::new(vec![job]);
-        cfg.mix = phys.mix;
+        cfg.mix = phys.mix.clone();
         cfg.jitter_cv = phys.jitter_cv;
         cfg.usable_fraction = phys.usable_fraction;
         cfg.backlog_job_gpu_hours = phys.backlog_job_gpu_hours;
@@ -223,30 +223,6 @@ impl FleetSimConfig {
         cfg.seed = phys.seed;
         cfg.fast_forward = phys.fast_forward;
         cfg.steady_confirm = phys.steady_confirm;
-        cfg
-    }
-
-    /// The one-job fleet the fault preset lowers to: the fault
-    /// configuration's pipeline, stage devices and failure model.
-    pub(crate) fn fault_preset(fault: FaultSimConfig) -> Self {
-        let mut job = FleetJobConfig::new(fault.main_job);
-        job.executor = fault.executor;
-        job.iterations = fault.iterations;
-        job.seed = fault.seed;
-        job.stage_devices = fault.stage_devices;
-        let mut cfg = FleetSimConfig::new(vec![job]);
-        cfg.mix = fault.mix;
-        cfg.jitter_cv = fault.jitter_cv;
-        cfg.usable_fraction = fault.usable_fraction;
-        cfg.backlog_job_gpu_hours = fault.backlog_job_gpu_hours;
-        cfg.deterministic_mix = fault.deterministic_mix;
-        cfg.seed = fault.seed;
-        cfg.mtbf = fault.mtbf;
-        cfg.mean_recovery = fault.mean_recovery;
-        cfg.checkpoint_cost = fault.checkpoint_cost;
-        cfg.checkpoint_every_bubbles = fault.checkpoint_every_bubbles;
-        cfg.fast_forward = fault.fast_forward;
-        cfg.steady_confirm = fault.steady_confirm;
         cfg
     }
 
@@ -398,9 +374,9 @@ impl FleetSimResult {
     }
 }
 
-/// The fleet backend: the pipeline-filling engine's fleet preset, many
-/// physical-model pipelines on one kernel and one global fill queue. See
-/// the module docs for the model.
+/// The fleet backend: the pipeline-filling engine reporting the whole
+/// fleet, many physical-model pipelines on one kernel and one global
+/// fill queue. See the module docs for the model.
 pub type FleetBackend = FillBackend<FleetSimResult>;
 
 impl FleetBackend {

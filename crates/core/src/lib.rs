@@ -19,20 +19,25 @@
 //!   engine slack, so main-job slowdown is an emergent measurement rather
 //!   than an assumption. Comparing the two reproduces the paper's
 //!   simulator-validation experiment (Fig. 6, max error <2%).
-//! * [`FaultBackend`] — the *heterogeneous, failure-injecting* extension
-//!   of the fine-grained model: per-stage GPU specs reshape bubble
-//!   geometry and fill throughput, and seeded device failures evict
-//!   running fill jobs with FreeRide-style checkpoint/restart accounting.
+//! * [`FleetBackend::fault`] — the *heterogeneous, failure-injecting*
+//!   extension of the fine-grained model: per-stage GPU specs reshape
+//!   bubble geometry and fill throughput, and seeded device failures
+//!   evict running fill jobs with FreeRide-style checkpoint/restart
+//!   accounting. It is a one-job [`FleetSimConfig`].
 //! * [`FleetBackend`] — the *fleet-scale multi-job* simulator: N
 //!   concurrent pipeline-parallel main jobs (heterogeneous depths,
 //!   periods, device generations) on one kernel, sharing one
 //!   cluster-wide fill queue with per-job admission and locality-aware
 //!   dispatch.
 //!
-//! The last three are presets of one pipeline-filling engine,
-//! [`FillBackend`]: physical and fault are one-job fleets, so with faults
-//! off and a homogeneous cluster all three reproduce each other bit for
-//! bit. Each backend's `simulate` runs a configuration to completion.
+//! The last three are one pipeline-filling engine, [`FillBackend`],
+//! configured by one [`FleetSimConfig`]: physical and fault are one-job
+//! fleets, so with faults off and a homogeneous cluster all three
+//! reproduce each other bit for bit. The engine reads every behavioural
+//! switch off the configuration; the [`BackendKind`] it is built with
+//! labels the run and picks what it reports.
+//! [`PhysicalBackend::simulate`] and [`FleetBackend::simulate`] run a
+//! configuration to completion.
 //!
 //! All are [`SimBackend`]s over the shared [`ClusterEvent`] alphabet,
 //! driven by the `pipefill-sim-core` kernel through [`BackendDriver`];
@@ -67,7 +72,6 @@ pub use backend::{
 pub use cluster::{ClusterSimConfig, ClusterSimResult, CoarseBackend, CompletedJob, PolicyKind};
 pub use convert::{kind_allowed, samples_for_trace_job, trace_job_to_spec};
 pub use csv::{experiments_dir, CsvWriter};
-pub use fault::{FaultBackend, FaultSimConfig, FaultSimResult};
 pub use filling::FillBackend;
 pub use fleet::{FleetBackend, FleetJobConfig, FleetJobResult, FleetSimConfig, FleetSimResult};
 pub use metrics::{gpus_saved, JctStats, UtilizationBreakdown};

@@ -14,8 +14,8 @@
 //! comparing its recovered FLOPS against the coarse simulator reproduces
 //! the paper's simulator-validation experiment (Fig. 6, error <2%).
 //!
-//! The simulator is [`PhysicalBackend`], the physical preset of the
-//! pipeline-filling engine (`crate::filling`): each main-job iteration
+//! The simulator is [`PhysicalBackend`], the pipeline-filling engine
+//! (`crate::filling`) run as a one-job fleet: each main-job iteration
 //! unfolds as one `StageBubbles` event per stage (which executes that
 //! stage's bubble windows) followed by a `JobIterationEnd` event that
 //! folds the per-stage stalls into the pipeline's critical path and
@@ -154,15 +154,15 @@ impl PhysicalSimResult {
     }
 }
 
-/// The fine-grained backend: the pipeline-filling engine's physical
-/// preset, a one-job fleet without a fault layer. See the module docs for
-/// the event flow.
+/// The fine-grained backend: the pipeline-filling engine run as a
+/// one-job fleet that cannot fail, reporting its pipeline's own numbers.
+/// See the module docs for the event flow.
 pub type PhysicalBackend = FillBackend<PhysicalSimResult>;
 
 impl PhysicalBackend {
     /// Builds the backend (runs the engine once to extract bubbles).
     pub fn new(cfg: PhysicalSimConfig) -> Self {
-        FillBackend::build(FleetSimConfig::physical_preset(cfg), BackendKind::Physical)
+        FillBackend::build(FleetSimConfig::from_physical(&cfg), BackendKind::Physical)
     }
 
     /// Runs a configuration to completion on the shared event kernel.

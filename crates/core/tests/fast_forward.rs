@@ -9,8 +9,7 @@
 use proptest::prelude::*;
 
 use pipefill_core::{
-    BackendConfig, BackendMetrics, BackendRun, FaultSimConfig, FleetJobConfig, FleetSimConfig,
-    PhysicalSimConfig,
+    BackendConfig, BackendMetrics, BackendRun, FleetJobConfig, FleetSimConfig, PhysicalSimConfig,
 };
 use pipefill_model_zoo::ModelId;
 use pipefill_pipeline::{MainJobSpec, ScheduleKind};
@@ -45,17 +44,10 @@ fn quiet_physical(seed: u64, schedule: ScheduleKind) -> PhysicalSimConfig {
 }
 
 /// The fault backend in the same quiescent regime (injection disabled —
-/// the gate under which its detector arms).
-fn quiet_fault(seed: u64, schedule: ScheduleKind) -> FaultSimConfig {
-    let main = MainJobSpec::physical_5b(8, schedule);
-    let mut cfg = FaultSimConfig::new(main).with_fill_fraction(0.68);
-    cfg.iterations = ITERS;
-    cfg.seed = seed;
-    cfg.jitter_cv = 0.0;
-    cfg.deterministic_mix = true;
-    cfg.mix = ModelMix::single(ModelId::EfficientNet);
-    cfg.backlog_job_gpu_hours = 0.0005;
-    cfg
+/// the gate under which its detector arms): the same job as a one-job
+/// fleet.
+fn quiet_fault(seed: u64, schedule: ScheduleKind) -> FleetSimConfig {
+    FleetSimConfig::from_physical(&quiet_physical(seed, schedule))
 }
 
 /// A quiescent two-job fleet: per-job detectors, distinct per-job seeds.
@@ -109,7 +101,6 @@ fn set_steady_confirm(cfg: &mut BackendConfig, confirm: u32) {
 fn fast_forwarded(run: &BackendRun) -> u64 {
     run.as_physical()
         .map(|r| r.iterations_fast_forwarded)
-        .or_else(|| run.as_fault().map(|r| r.iterations_fast_forwarded))
         .or_else(|| run.as_fleet().map(|r| r.iterations_fast_forwarded))
         .expect("simulation backends report the skip counter")
 }
@@ -179,12 +170,10 @@ proptest! {
     #[test]
     fn jittered_runs_never_fast_forward(seed in 0u64..1_000) {
         let main = MainJobSpec::physical_5b(8, ScheduleKind::GPipe);
-        let mut phys = PhysicalSimConfig::new(main.clone()).with_fill_fraction(0.68);
+        let mut phys = PhysicalSimConfig::new(main).with_fill_fraction(0.68);
         phys.iterations = 60;
         phys.seed = seed;
-        let mut fault = FaultSimConfig::new(main).with_fill_fraction(0.68);
-        fault.iterations = 60;
-        fault.seed = seed;
+        let fault = FleetSimConfig::from_physical(&phys);
         for cfg in [BackendConfig::Physical(phys), BackendConfig::Fault(fault)] {
             let kind = cfg.kind();
             let (r_on, r_off) = on_off(cfg);

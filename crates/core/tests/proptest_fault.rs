@@ -5,21 +5,22 @@
 
 use proptest::prelude::*;
 
-use pipefill_core::{BackendConfig, FaultSimConfig, FaultSimResult};
+use pipefill_core::{BackendConfig, FleetSimConfig, FleetSimResult, PhysicalSimConfig};
 use pipefill_pipeline::{MainJobSpec, ScheduleKind};
 use pipefill_sim_core::SimDuration;
 
-fn run_fault(seed: u64, iterations: usize, mtbf: SimDuration, ckpt_secs: f64) -> FaultSimResult {
-    let main = MainJobSpec::physical_5b(8, ScheduleKind::GPipe);
-    let mut cfg = FaultSimConfig::new(main)
-        .with_mtbf(mtbf)
-        .with_checkpoint_cost(SimDuration::from_secs_f64(ckpt_secs));
-    cfg.iterations = iterations;
-    cfg.seed = seed;
+/// One fault run: the physical defaults as a one-job fleet, plus the
+/// failure model.
+fn run_fault(seed: u64, iterations: usize, mtbf: SimDuration, ckpt_secs: f64) -> FleetSimResult {
+    let mut phys = PhysicalSimConfig::new(MainJobSpec::physical_5b(8, ScheduleKind::GPipe));
+    phys.iterations = iterations;
+    phys.seed = seed;
+    let mut cfg = FleetSimConfig::from_physical(&phys).with_mtbf(mtbf);
+    cfg.checkpoint_cost = SimDuration::from_secs_f64(ckpt_secs);
     BackendConfig::Fault(cfg)
         .run()
-        .fault()
-        .expect("fault config yields fault detail")
+        .fleet()
+        .expect("fault config yields fleet detail")
 }
 
 proptest! {
@@ -38,8 +39,8 @@ proptest! {
         prop_assert_eq!(r.evictions, 0);
         prop_assert_eq!(r.lost_fill_flops, 0.0);
         prop_assert_eq!(r.goodput_fraction, 1.0);
-        prop_assert_eq!(r.bubbles_lost, 0);
-        prop_assert_eq!(r.downtime, SimDuration::ZERO);
+        prop_assert_eq!(r.jobs[0].bubbles_lost, 0);
+        prop_assert_eq!(r.jobs[0].downtime, SimDuration::ZERO);
     }
 
     /// Raising the failure rate (lowering the MTBF) never *increases*
@@ -59,7 +60,7 @@ proptest! {
         ];
         let recovered: Vec<f64> = ladder
             .iter()
-            .map(|&mtbf| run_fault(seed, 60, mtbf, 2.0).recovered_tflops_per_gpu)
+            .map(|&mtbf| run_fault(seed, 60, mtbf, 2.0).jobs[0].recovered_tflops_per_gpu)
             .collect();
         for (i, pair) in recovered.windows(2).enumerate() {
             prop_assert!(
@@ -83,12 +84,12 @@ proptest! {
     fn evicted_jobs_are_never_double_completed(seed in 0u64..500, ckpt_pct in 0u64..80) {
         let r = run_fault(seed, 80, SimDuration::from_secs(250), ckpt_pct as f64 / 10.0);
         prop_assert!(r.failures > 0, "seed {} never failed at a 250s MTBF", seed);
-        let mut ids: Vec<_> = r.completed_job_ids.clone();
+        let mut ids: Vec<_> = r.completed_fill_ids.clone();
         ids.sort_unstable();
         let before = ids.len();
         ids.dedup();
         prop_assert_eq!(before, ids.len(), "seed {}: a job completed twice", seed);
-        prop_assert_eq!(r.completed_job_ids.len(), r.jobs_completed);
+        prop_assert_eq!(r.completed_fill_ids.len(), r.fill_jobs_completed);
         // Accounting identities hold under eviction pressure.
         prop_assert!(r.fill_flops >= 0.0);
         prop_assert!(r.lost_fill_flops >= 0.0);

@@ -14,8 +14,7 @@
 //! without inventing keys the author never wrote.
 
 use pipefill_core::{
-    BackendConfig, BackendKind, ClusterSimConfig, FaultSimConfig, FleetSimConfig,
-    PhysicalSimConfig, PolicyKind,
+    BackendConfig, BackendKind, ClusterSimConfig, FleetSimConfig, PhysicalSimConfig, PolicyKind,
 };
 use pipefill_pipeline::{MainJobSpec, ScheduleKind};
 use pipefill_sim_core::SimDuration;
@@ -448,6 +447,28 @@ impl ScenarioSpec {
                     ),
                 ));
             }
+            if m.is_finite() {
+                fits_clock("mtbf_secs", m)?;
+            }
+        }
+        if let Some(c) = self.checkpoint_secs {
+            fits_clock("checkpoint_secs", c)?;
+        }
+        if let Some(load) = self.load {
+            // The load divides the trace's mean inter-arrival time; a
+            // quotient that rounds to zero nanoseconds would hand the
+            // arrival sampler an infinite rate.
+            let scale = 1.0 / load;
+            let base = TraceConfig::physical(0).mean_interarrival;
+            if !(load > 0.0 && scale.is_finite()) || base.mul_f64(scale).is_zero() {
+                return Err(SpecError::about(
+                    "load",
+                    format!(
+                        "must be a positive number that leaves a mean inter-arrival \
+                         time of at least 1 ns, got {load:?}"
+                    ),
+                ));
+            }
         }
         Ok(())
     }
@@ -504,27 +525,24 @@ impl ScenarioSpec {
                 }
                 BackendConfig::Coarse(cfg)
             }
-            BackendKind::Physical => {
+            BackendKind::Physical | BackendKind::Fault => {
                 let main = MainJobSpec::physical_5b(8, schedule);
                 let mut cfg = PhysicalSimConfig::new(main)
                     .with_fill_fraction(self.fill_fraction.unwrap_or(0.68));
                 cfg.iterations = self.iterations.unwrap_or(300);
                 cfg.seed = seed;
                 cfg.fast_forward = self.fast_forward.unwrap_or(true);
-                BackendConfig::Physical(cfg)
-            }
-            BackendKind::Fault => {
-                let main = MainJobSpec::physical_5b(8, schedule);
-                let mut cfg = FaultSimConfig::new(main)
-                    .with_fill_fraction(self.fill_fraction.unwrap_or(0.68))
-                    .with_mtbf(mtbf_duration(self.mtbf_secs.unwrap_or(f64::INFINITY)))
-                    .with_checkpoint_cost(SimDuration::from_secs_f64(
-                        self.checkpoint_secs.unwrap_or(2.0),
-                    ));
-                cfg.iterations = self.iterations.unwrap_or(300);
-                cfg.seed = seed;
-                cfg.fast_forward = self.fast_forward.unwrap_or(true);
-                BackendConfig::Fault(cfg)
+                if backend == BackendKind::Physical {
+                    BackendConfig::Physical(cfg)
+                } else {
+                    // A fault run is the same job as a one-job fleet,
+                    // plus its failure model.
+                    let mut cfg = FleetSimConfig::from_physical(&cfg)
+                        .with_mtbf(mtbf_duration(self.mtbf_secs.unwrap_or(f64::INFINITY)));
+                    cfg.checkpoint_cost =
+                        SimDuration::from_secs_f64(self.checkpoint_secs.unwrap_or(2.0));
+                    BackendConfig::Fault(cfg)
+                }
             }
             BackendKind::Fleet => {
                 let jobs = self.jobs.unwrap_or(8);
@@ -538,6 +556,21 @@ impl ScenarioSpec {
                 BackendConfig::Fleet(cfg)
             }
         })
+    }
+}
+
+/// Rejects a span of seconds the simulated clock cannot hold: it must
+/// stay below [`SimDuration::MAX`], which also serves as the "never"
+/// sentinel.
+fn fits_clock(key: &str, secs: f64) -> Result<(), SpecError> {
+    let limit = SimDuration::MAX.as_secs_f64();
+    if secs < limit {
+        Ok(())
+    } else {
+        Err(SpecError::about(
+            key,
+            format!("must be under {limit:.0} seconds (the simulated clock's span), got {secs:?}"),
+        ))
     }
 }
 
@@ -621,7 +654,8 @@ mod tests {
             .with_checkpoint_secs(4.0);
         match spec.lower().unwrap() {
             BackendConfig::Fault(cfg) => {
-                assert_eq!(cfg.iterations, 50);
+                assert_eq!(cfg.jobs.len(), 1);
+                assert_eq!(cfg.jobs[0].iterations, 50);
                 assert_eq!(cfg.mtbf, SimDuration::from_secs(600));
                 assert_eq!(cfg.checkpoint_cost, SimDuration::from_secs(4));
             }
@@ -700,11 +734,11 @@ mod tests {
         }
         match ScenarioSpec::run(BackendKind::Fault).lower().unwrap() {
             BackendConfig::Fault(cfg) => {
-                assert_eq!(cfg.iterations, 300);
+                assert_eq!(cfg.jobs[0].iterations, 300);
                 assert_eq!(cfg.seed, 7);
                 assert_eq!(cfg.mtbf, SimDuration::MAX);
                 assert_eq!(cfg.checkpoint_cost, SimDuration::from_secs(2));
-                assert_eq!(cfg.executor.fill_fraction, 0.68);
+                assert_eq!(cfg.jobs[0].executor.fill_fraction, 0.68);
             }
             other => panic!("wrong backend: {other:?}"),
         }
@@ -850,6 +884,41 @@ mod tests {
         assert!(err.contains("expects on|off"), "{err}");
         spec.set("schedule", "interleaved:4").unwrap();
         assert_eq!(spec.schedule, Some(ScheduleKind::Interleaved { chunks: 4 }));
+    }
+
+    #[test]
+    fn validation_rejects_values_the_clock_cannot_hold() {
+        // Each of these parses as a finite number but used to panic
+        // once lowered: the durations overflow the simulated clock, and
+        // the load rounds the mean inter-arrival time to zero.
+        let cases = [
+            (BackendKind::Fault, "checkpoint_secs", "1e300"),
+            (BackendKind::Fault, "mtbf_secs", "1e300"),
+            (BackendKind::Fleet, "mtbf_secs", "1e300"),
+            (BackendKind::Fault, "mtbf_secs", "1e11"),
+            (BackendKind::Coarse, "load", "1e300"),
+            (BackendKind::Coarse, "load", "1e-320"),
+        ];
+        for (backend, key, value) in cases {
+            let mut spec = ScenarioSpec::run(backend);
+            spec.set(key, value).unwrap();
+            let err = spec.lower().unwrap_err();
+            assert!(
+                err.render(|k| format!("<{k}>"))
+                    .starts_with(&format!("<{key}> must be")),
+                "{backend} {key}={value}: {err}"
+            );
+        }
+        // Large values the clock does hold still lower.
+        for (backend, key, value) in [
+            (BackendKind::Fault, "checkpoint_secs", "1e9"),
+            (BackendKind::Fleet, "mtbf_secs", "1e9"),
+            (BackendKind::Coarse, "load", "1e9"),
+        ] {
+            let mut spec = ScenarioSpec::run(backend);
+            spec.set(key, value).unwrap();
+            assert!(spec.lower().is_ok(), "{backend} {key}={value}");
+        }
     }
 
     #[test]

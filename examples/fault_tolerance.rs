@@ -15,10 +15,25 @@
 //! cargo run --release --example fault_tolerance
 //! ```
 
-use pipefill::core::{FaultBackend, FaultSimConfig};
+use pipefill::core::{
+    BackendDriver, FleetBackend, FleetSimConfig, FleetSimResult, PhysicalSimConfig,
+};
 use pipefill::device::DeviceSpec;
 use pipefill::pipeline::{MainJobSpec, ScheduleKind};
 use pipefill::sim::SimDuration;
+
+/// A fault run is a one-job fleet: the physical 300-iteration job plus a
+/// failure model and per-stage devices.
+fn simulate(main: &MainJobSpec, mtbf: SimDuration, devices: Vec<DeviceSpec>) -> FleetSimResult {
+    let mut phys = PhysicalSimConfig::new(main.clone());
+    phys.iterations = 300;
+    let mut cfg = FleetSimConfig::from_physical(&phys).with_mtbf(mtbf);
+    cfg.jobs[0].stage_devices = devices;
+    BackendDriver::new(FleetBackend::fault(cfg))
+        .run()
+        .1
+        .into_result()
+}
 
 fn main() {
     let main = MainJobSpec::physical_5b(8, ScheduleKind::GPipe);
@@ -34,9 +49,8 @@ fn main() {
         } else {
             SimDuration::MAX
         };
-        let mut cfg = FaultSimConfig::new(main.clone()).with_mtbf(mtbf);
-        cfg.iterations = 300;
-        let r = FaultBackend::simulate(cfg);
+        let r = simulate(&main, mtbf, Vec::new());
+        let job = &r.jobs[0];
         let label = if mtbf_secs.is_finite() {
             format!("{:.0}s", mtbf_secs)
         } else {
@@ -46,9 +60,9 @@ fn main() {
             "{label:>10} {:>9} {:>10} {:>13.2} {:>8.1}% {:>9.2}%",
             r.failures,
             r.evictions,
-            r.recovered_tflops_per_gpu,
+            job.recovered_tflops_per_gpu,
             100.0 * r.goodput_fraction,
-            100.0 * r.main_slowdown,
+            100.0 * job.main_slowdown,
         );
     }
 
@@ -77,9 +91,7 @@ fn main() {
         "cluster", "period", "fill TFLOPS", "main TFLOPS"
     );
     for (name, devices) in scenarios {
-        let mut cfg = FaultSimConfig::heterogeneous(main.clone(), devices);
-        cfg.iterations = 300;
-        let r = FaultBackend::simulate(cfg);
+        let r = simulate(&main, SimDuration::MAX, devices).jobs.remove(0);
         println!(
             "{name:>34} {:>12} {:>13.2} {:>12.2}",
             r.nominal_period, r.recovered_tflops_per_gpu, r.main_tflops_per_gpu,

@@ -16,8 +16,8 @@
 
 use pipefill::core::experiments::validation::AGREEMENT_TOLERANCE;
 use pipefill::core::{
-    BackendConfig, BackendDriver, BackendMetrics, ClusterSimConfig, CoarseBackend, FaultBackend,
-    FaultSimConfig, FleetBackend, FleetSimConfig, PhysicalBackend, PhysicalSimConfig, SimBackend,
+    BackendConfig, BackendDriver, BackendMetrics, ClusterSimConfig, CoarseBackend, FleetBackend,
+    FleetSimConfig, PhysicalBackend, PhysicalSimConfig, SimBackend,
 };
 use pipefill::pipeline::{MainJobSpec, ScheduleKind};
 use pipefill::sim::{SimDuration, SimTime, StepOutcome};
@@ -38,12 +38,10 @@ fn physical_config(seed: u64) -> PhysicalSimConfig {
     cfg
 }
 
-fn fault_config(seed: u64) -> FaultSimConfig {
-    let main = MainJobSpec::physical_5b(8, ScheduleKind::GPipe);
-    let mut cfg = FaultSimConfig::new(main).with_mtbf(SimDuration::from_secs(400));
-    cfg.iterations = 60;
-    cfg.seed = seed;
-    cfg
+/// The fault fidelity: the physical job as a one-job fleet with a
+/// 400 s MTBF.
+fn fault_config(seed: u64) -> FleetSimConfig {
+    FleetSimConfig::from_physical(&physical_config(seed)).with_mtbf(SimDuration::from_secs(400))
 }
 
 /// A small heterogeneous fleet with fault injection, so the global
@@ -144,12 +142,12 @@ fn physical_backend_conforms() {
 #[test]
 fn fault_backend_conforms() {
     for seed in [1u64, 2, 3] {
-        let metrics = check_conformance("fault", || FaultBackend::new(fault_config(seed)));
-        let (_, backend) = BackendDriver::new(FaultBackend::new(fault_config(seed))).run();
+        let metrics = check_conformance("fault", || FleetBackend::fault(fault_config(seed)));
+        let (_, backend) = BackendDriver::new(FleetBackend::fault(fault_config(seed))).run();
         let detail = backend.into_result();
         // Exactly-once job accounting survives eviction/revival churn.
-        assert_eq!(detail.completed_job_ids.len(), metrics.jobs_completed);
-        let mut ids = detail.completed_job_ids.clone();
+        assert_eq!(detail.completed_fill_ids.len(), metrics.jobs_completed);
+        let mut ids = detail.completed_fill_ids.clone();
         ids.sort_unstable();
         let n = ids.len();
         ids.dedup();
@@ -213,10 +211,12 @@ fn all_backends_conform_on_every_schedule() {
             PhysicalBackend::new(cfg)
         });
         let fault = check_conformance(&format!("fault/{schedule}"), || {
-            let mut cfg = FaultSimConfig::new(main()).with_mtbf(SimDuration::from_secs(400));
+            let mut cfg = PhysicalSimConfig::new(main());
             cfg.iterations = 40;
             cfg.seed = 3;
-            FaultBackend::new(cfg)
+            FleetBackend::fault(
+                FleetSimConfig::from_physical(&cfg).with_mtbf(SimDuration::from_secs(400)),
+            )
         });
         let fleet = check_conformance(&format!("fleet/{schedule}"), || {
             let mut workload = FleetWorkloadConfig::new(2, 2 * 128, 3);
@@ -326,11 +326,9 @@ fn fleet_single_job_reproduces_physical_bit_for_bit() {
 #[test]
 fn fault_with_infinite_mtbf_agrees_with_physical() {
     for seed in [1u64, 5, 9] {
-        let mut fault_cfg = fault_config(seed);
-        fault_cfg.mtbf = SimDuration::MAX;
-        fault_cfg.iterations = 120;
         let mut phys_cfg = physical_config(seed);
         phys_cfg.iterations = 120;
+        let fault_cfg = FleetSimConfig::from_physical(&phys_cfg);
 
         let fault = BackendConfig::Fault(fault_cfg).run().metrics;
         let phys = BackendConfig::Physical(phys_cfg).run().metrics;

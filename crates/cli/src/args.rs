@@ -4,8 +4,10 @@
 //! The uniform entry points are `run <scenario.toml>` (declarative
 //! scenarios) and `exp <name>` / `exp --list` (the experiment registry).
 //! The historical per-figure subcommands survive as thin aliases over
-//! `exp`, declared in one table ([`EXP_ALIASES`]) instead of one match
-//! arm each.
+//! `exp`: each is a registry spelling listed in [`EXP_ALIASES`]. Every
+//! command that runs a simulation or an experiment parses to a
+//! [`ScenarioSpec`], so its flags validate through the one applicability
+//! table the scenario files use.
 
 use pipefill_core::BackendKind;
 use pipefill_model_zoo::{JobKind, ModelId};
@@ -24,8 +26,9 @@ scenarios & experiments:
          [--out DIR]              run one registered experiment
   exp --list                      list every registered experiment
   all    [--out DIR]              run every experiment, write CSVs
-  table1 | fig4 | fig5 | fig6 | fig7 | fig8 | fig9 | fig10 | whatif
-  faults | agree                  aliases over `exp` (same flags as before)
+  table1 | fig1 | fig4 | fig5 | fig6 | fig7 | fig8 | fig9 | fig10
+  whatif | faults | agree         aliases over `exp`; each takes the grid
+                                  flags its experiment sweeps
 
 single simulations:
   sim    [--backend coarse|physical|fault] [--seed S] [--iterations N]
@@ -62,19 +65,11 @@ global options:
 /// A parsed invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// Run one registered experiment (by canonical name or alias), with
-    /// optional grid-axis overrides.
+    /// Run registered experiments (by canonical name or alias): the
+    /// experiment scenario the command and its grid flags spell.
     Exp {
-        /// Experiment name (resolved against the registry at run time).
-        name: String,
-        /// Override: iterations per grid point.
-        iterations: Option<usize>,
-        /// Override: RNG seed.
-        seed: Option<u64>,
-        /// Override: trace horizon in seconds.
-        horizon_secs: Option<u64>,
-        /// Override: replication count for multi-seed studies.
-        seeds: Option<u64>,
+        /// The validated experiment scenario.
+        spec: ScenarioSpec,
         /// CSV output directory (default `target/experiments`).
         out: Option<String>,
     },
@@ -163,57 +158,19 @@ pub struct Invocation {
     pub threads: usize,
 }
 
-/// Which grid-axis flags a legacy experiment alias accepts. `Min1`
-/// variants reject 0 with a diagnostic carrying the alias name, exactly
-/// as the hand-written arms used to.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum GridFlag {
-    Iterations,
-    IterationsMin1,
-    Seed,
-    HorizonSecs,
-    SeedsMin1,
-}
-
-/// The legacy per-figure subcommands as data: spelling(s), the registry
-/// experiment they run, and the flags they accept. Adding an experiment
-/// needs no entry here — `exp <name>` reaches it — this table only
-/// preserves the historical short commands.
-const EXP_ALIASES: &[(&[&str], &str, &[GridFlag])] = &[
-    (&["table1"], "table1", &[]),
-    (&["fig1", "fig4"], "fig4_scaling", &[]),
-    (
-        &["fig5"],
-        "fig5_fill_fraction",
-        &[GridFlag::Iterations, GridFlag::Seed],
-    ),
-    (
-        &["fig6"],
-        "fig6_validation",
-        &[GridFlag::Iterations, GridFlag::Seed],
-    ),
-    (&["fig7"], "fig7_characterization", &[]),
-    // `fig8` and `fig10` fan out to two experiments each; the command
-    // layer resolves them through its multi-alias table.
-    (&["fig8"], "fig8", &[]),
-    (
-        &["fig9"],
-        "fig9_policies",
-        &[GridFlag::HorizonSecs, GridFlag::Seed],
-    ),
-    (&["fig10"], "fig10", &[]),
-    (&["whatif"], "whatif_offload_bandwidth", &[]),
-    (
-        &["faults"],
-        "whatif_faults",
-        &[GridFlag::IterationsMin1, GridFlag::Seed],
-    ),
-    (
-        &["agree"],
-        "fig6_agreement",
-        &[GridFlag::SeedsMin1, GridFlag::IterationsMin1],
-    ),
+/// The legacy per-figure subcommands: registry spellings accepted as
+/// command words. Adding an experiment needs no entry here — `exp
+/// <name>` reaches it — this list only preserves the historical short
+/// commands.
+const EXP_ALIASES: &[&str] = &[
+    "table1", "fig1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "whatif", "faults",
+    "agree",
 ];
+
+/// The grid flags of every experiment command: scenario keys spelled
+/// with dashes. Which of them an experiment accepts is its own `axes()`,
+/// checked by [`ScenarioSpec::validate`].
+const EXP_FLAGS: &[&str] = &["iterations", "seed", "horizon-secs", "seeds"];
 
 /// The `sim` flags: scenario keys spelled with dashes.
 const SIM_FLAGS: &[&str] = &[
@@ -238,14 +195,6 @@ const FLEET_FLAGS: &[&str] = &[
     "policy",
     "schedule",
     "fast-forward",
-];
-
-/// Every grid flag, for the generic `exp <name>` command.
-const ALL_GRID_FLAGS: &[GridFlag] = &[
-    GridFlag::IterationsMin1,
-    GridFlag::Seed,
-    GridFlag::HorizonSecs,
-    GridFlag::SeedsMin1,
 ];
 
 /// Parses an argument vector (without the binary name).
@@ -291,8 +240,10 @@ pub fn parse(argv: &[String]) -> Result<Invocation, String> {
             let Some(name) = positional else {
                 return Err("exp needs an experiment name (or --list)".into());
             };
-            let grid = take_grid_flags(&mut flags, &name, ALL_GRID_FLAGS)?;
-            grid.into_exp(name, flags.take("out"))
+            Command::Exp {
+                spec: take_scenario(&mut flags, ScenarioSpec::experiment(&name), EXP_FLAGS)?,
+                out: flags.take("out"),
+            }
         }
         "run" => {
             let Some(path) = positional else {
@@ -307,7 +258,11 @@ pub fn parse(argv: &[String]) -> Result<Invocation, String> {
             }
             Command::RunScenario { path, sets }
         }
-        "fleet" => Command::Fleet(take_scenario(&mut flags, BackendKind::Fleet, FLEET_FLAGS)?),
+        "fleet" => Command::Fleet(take_scenario(
+            &mut flags,
+            ScenarioSpec::run(BackendKind::Fleet),
+            FLEET_FLAGS,
+        )?),
         "all" => Command::All {
             out: flags.take_string("out", "target/experiments")?,
         },
@@ -320,7 +275,11 @@ pub fn parse(argv: &[String]) -> Result<Invocation, String> {
                     "the fleet backend simulates many jobs; use the 'fleet' subcommand".into(),
                 );
             }
-            Command::Sim(take_scenario(&mut flags, backend, SIM_FLAGS)?)
+            Command::Sim(take_scenario(
+                &mut flags,
+                ScenarioSpec::run(backend),
+                SIM_FLAGS,
+            )?)
         }
         "timeline" => Command::Timeline {
             schedule: flags
@@ -394,103 +353,28 @@ pub fn parse(argv: &[String]) -> Result<Invocation, String> {
             }
         }
         "help" | "--help" | "-h" => Command::Help,
-        other => {
-            let Some((_, exp, allowed)) = EXP_ALIASES
-                .iter()
-                .find(|(spellings, _, _)| spellings.contains(&other))
-            else {
-                return Err(format!("unknown command '{other}'"));
-            };
-            let grid = take_grid_flags(&mut flags, other, allowed)?;
-            grid.into_exp(exp.to_string(), None)
-        }
+        word if EXP_ALIASES.contains(&word) => Command::Exp {
+            spec: take_scenario(&mut flags, ScenarioSpec::experiment(word), EXP_FLAGS)?,
+            out: None,
+        },
+        other => return Err(format!("unknown command '{other}'")),
     };
     flags.finish()?;
     Ok(Invocation { command, threads })
 }
 
-/// The grid-axis overrides an experiment command collected.
-struct GridOverrides {
-    iterations: Option<usize>,
-    seed: Option<u64>,
-    horizon_secs: Option<u64>,
-    seeds: Option<u64>,
-}
-
-impl GridOverrides {
-    fn into_exp(self, name: String, out: Option<String>) -> Command {
-        Command::Exp {
-            name,
-            iterations: self.iterations,
-            seed: self.seed,
-            horizon_secs: self.horizon_secs,
-            seeds: self.seeds,
-            out,
-        }
-    }
-}
-
-/// Consumes the grid flags an experiment command accepts; flags not in
-/// `allowed` stay unconsumed and trip the shared unknown-flag error.
-fn take_grid_flags(
-    flags: &mut FlagSet,
-    cmd: &str,
-    allowed: &[GridFlag],
-) -> Result<GridOverrides, String> {
-    let mut grid = GridOverrides {
-        iterations: None,
-        seed: None,
-        horizon_secs: None,
-        seeds: None,
-    };
-    for flag in allowed {
-        match flag {
-            GridFlag::Iterations | GridFlag::IterationsMin1 => {
-                if let Some(v) = flags.take("iterations") {
-                    let iterations = parse_usize("iterations", &v)?;
-                    if iterations == 0 && *flag == GridFlag::IterationsMin1 {
-                        return Err(format!("--iterations must be at least 1 for {cmd}"));
-                    }
-                    grid.iterations = Some(iterations);
-                }
-            }
-            GridFlag::Seed => {
-                if let Some(v) = flags.take("seed") {
-                    grid.seed = Some(parse_u64("seed", &v)?);
-                }
-            }
-            GridFlag::HorizonSecs => {
-                if let Some(v) = flags.take("horizon-secs") {
-                    grid.horizon_secs = Some(parse_u64("horizon-secs", &v)?);
-                }
-            }
-            GridFlag::SeedsMin1 => {
-                if let Some(v) = flags.take("seeds") {
-                    let seeds = parse_u64("seeds", &v)?;
-                    if seeds == 0 {
-                        return Err(format!("--seeds must be at least 1 for {cmd}"));
-                    }
-                    grid.seeds = Some(seeds);
-                }
-            }
-        }
-    }
-    Ok(grid)
-}
-
-/// Builds a run scenario from a command's flags. Each `--flag value` is
+/// Completes a command's scenario from its flags. Each `--flag value` is
 /// sugar for `--set flag=value` with dashes as underscores, so values
 /// parse, default and validate exactly as scenario keys do — including
-/// the per-backend applicability table, which rejects another
-/// fidelity's knobs instead of silently dropping them. Diagnostics name
-/// the flag, not the key.
+/// the applicability table, which rejects another fidelity's knobs and
+/// an experiment's unswept axes instead of silently dropping them.
+/// Diagnostics name the flag, not the key.
 fn take_scenario(
     flags: &mut FlagSet,
-    backend: BackendKind,
+    mut spec: ScenarioSpec,
     accepted: &[&str],
 ) -> Result<ScenarioSpec, String> {
     let as_flag = |err: SpecError| err.render(|key| format!("--{}", key.replace('_', "-")));
-    let mut spec = ScenarioSpec::run(backend);
     for flag in accepted {
         if let Some(value) = flags.take(flag) {
             spec.set(&flag.replace('-', "_"), &value).map_err(as_flag)?;
@@ -605,68 +489,65 @@ mod tests {
         }
     }
 
-    /// An `Exp` command with no overrides.
-    fn bare_exp(name: &str) -> Command {
-        Command::Exp {
-            name: name.to_string(),
-            iterations: None,
-            seed: None,
-            horizon_secs: None,
-            seeds: None,
-            out: None,
+    /// An `Exp` command for `spec`, writing CSVs to the default place.
+    fn exp(spec: ScenarioSpec) -> Command {
+        Command::Exp { spec, out: None }
+    }
+
+    /// The registry experiments an experiment command runs, in order.
+    fn runs(s: &str) -> Vec<&'static str> {
+        match cmd(s) {
+            Command::Exp { spec, .. } => spec
+                .experiments()
+                .unwrap()
+                .into_iter()
+                .map(|(exp, _)| exp.name())
+                .collect(),
+            other => panic!("{s} is not an experiment command: {other:?}"),
         }
     }
 
     #[test]
     fn parses_bare_commands_as_registry_aliases() {
-        assert_eq!(cmd("table1"), bare_exp("table1"));
-        assert_eq!(cmd("fig4"), bare_exp("fig4_scaling"));
-        assert_eq!(cmd("fig1"), bare_exp("fig4_scaling"));
-        assert_eq!(cmd("fig7"), bare_exp("fig7_characterization"));
-        assert_eq!(cmd("fig8"), bare_exp("fig8"));
-        assert_eq!(cmd("fig10"), bare_exp("fig10"));
-        assert_eq!(cmd("whatif"), bare_exp("whatif_offload_bandwidth"));
+        assert_eq!(cmd("fig4"), exp(ScenarioSpec::experiment("fig4")));
+        assert_eq!(runs("table1"), ["table1"]);
+        assert_eq!(runs("fig4"), ["fig4_scaling"]);
+        assert_eq!(runs("fig1"), ["fig4_scaling"]);
+        assert_eq!(runs("fig7"), ["fig7_characterization"]);
+        assert_eq!(runs("fig8"), ["fig8_schedules", "schedule_depth"]);
+        assert_eq!(runs("fig10"), ["fig10a_bubble_size", "fig10b_free_memory"]);
+        assert_eq!(runs("whatif"), ["whatif_offload_bandwidth"]);
         assert_eq!(cmd("help"), Command::Help);
     }
 
     #[test]
     fn parses_alias_flags_as_grid_overrides() {
-        assert_eq!(cmd("fig5"), bare_exp("fig5_fill_fraction"));
+        assert_eq!(runs("fig5"), ["fig5_fill_fraction"]);
         assert_eq!(
             cmd("fig5 --iterations 50 --seed 9"),
-            Command::Exp {
-                name: "fig5_fill_fraction".into(),
-                iterations: Some(50),
-                seed: Some(9),
-                horizon_secs: None,
-                seeds: None,
-                out: None,
-            }
+            exp(ScenarioSpec::experiment("fig5")
+                .with_iterations(50)
+                .with_seed(9))
         );
         assert_eq!(
             cmd("fig9 --horizon-secs 1200"),
-            Command::Exp {
-                name: "fig9_policies".into(),
-                iterations: None,
-                seed: None,
-                horizon_secs: Some(1200),
-                seeds: None,
-                out: None,
-            }
+            exp(ScenarioSpec::experiment("fig9").with_horizon_secs(1200))
         );
+        assert_eq!(runs("fig9"), ["fig9_policies"]);
     }
 
     #[test]
     fn parses_exp_command() {
-        assert_eq!(cmd("exp fleet_scale"), bare_exp("fleet_scale"));
+        assert_eq!(
+            cmd("exp fleet_scale"),
+            exp(ScenarioSpec::experiment("fleet_scale"))
+        );
         assert_eq!(
             cmd("exp whatif_faults --iterations 40 --seed 3 --out /tmp/x"),
             Command::Exp {
-                name: "whatif_faults".into(),
-                iterations: Some(40),
-                seed: Some(3),
-                horizon_secs: None,
-                seeds: None,
+                spec: ScenarioSpec::experiment("whatif_faults")
+                    .with_iterations(40)
+                    .with_seed(3),
                 out: Some("/tmp/x".into()),
             }
         );
@@ -676,9 +557,66 @@ mod tests {
         let err = parse(&argv("exp --list --seed 3")).unwrap_err();
         assert!(err.contains("no other arguments"), "{err}");
         let err = parse(&argv("exp table1 --iterations 0")).unwrap_err();
-        assert!(err.contains("at least 1 for table1"), "{err}");
+        assert!(
+            err.starts_with("--iterations does not apply to experiment 'table1'"),
+            "{err}"
+        );
         let err = parse(&argv("exp table1 --bogus 3")).unwrap_err();
         assert!(err.contains("unknown flag --bogus"), "{err}");
+        // Unknown names fail at parse time, pointing at the registry.
+        let err = parse(&argv("exp warp-speed")).unwrap_err();
+        assert!(err.contains("unknown experiment 'warp-speed'"), "{err}");
+        assert!(err.contains("exp --list"), "{err}");
+    }
+
+    /// Every spelling of an experiment — the legacy word, `exp <alias>`
+    /// and `exp <canonical>` — is rejected by the one rule with the one
+    /// message, for a zero grid and for an axis it does not sweep.
+    #[test]
+    fn every_experiment_spelling_rejects_alike() {
+        // (legacy word, canonical name, an axis flag it does not sweep);
+        // a fan-out's only spelling is its legacy word.
+        let cases = [
+            ("table1", "table1", "--seed 3"),
+            ("fig1", "fig4_scaling", "--seed 3"),
+            ("fig4", "fig4_scaling", "--horizon-secs 60"),
+            ("fig5", "fig5_fill_fraction", "--horizon-secs 60"),
+            ("fig6", "fig6_validation", "--seeds 2"),
+            ("fig7", "fig7_characterization", "--iterations 5"),
+            ("fig8", "fig8", "--seed 3"),
+            ("fig9", "fig9_policies", "--iterations 5"),
+            ("fig10", "fig10", "--seed 3"),
+            ("whatif", "whatif_offload_bandwidth", "--seeds 2"),
+            ("faults", "whatif_faults", "--horizon-secs 60"),
+            ("agree", "fig6_agreement", "--seed 3"),
+        ];
+        assert_eq!(cases.map(|(word, _, _)| word), EXP_ALIASES);
+        for (word, canonical, unswept) in cases {
+            for flags in ["--iterations 0", "--seeds 0", unswept] {
+                let errs: Vec<String> = [word, &format!("exp {word}"), &format!("exp {canonical}")]
+                    .iter()
+                    .map(|spelling| parse(&argv(&format!("{spelling} {flags}"))).unwrap_err())
+                    .collect();
+                let flag = flags.split(' ').next().unwrap();
+                assert!(errs[0].starts_with(flag), "{word} {flags}: {}", errs[0]);
+                assert!(
+                    errs.iter().all(|e| *e == errs[0]),
+                    "{word} {flags}: {errs:?}"
+                );
+            }
+        }
+        // A zero grid on an axis the experiment sweeps is degenerate.
+        for (line, name) in [
+            ("fig5 --iterations 0", "fig5_fill_fraction"),
+            ("fig6 --iterations 0", "fig6_validation"),
+            ("agree --seeds 0", "fig6_agreement"),
+        ] {
+            let flag = line.split(' ').nth(1).unwrap();
+            assert_eq!(
+                parse(&argv(line)).unwrap_err(),
+                format!("{flag} must be at least 1 for experiment '{name}'")
+            );
+        }
     }
 
     #[test]
@@ -712,7 +650,7 @@ mod tests {
     fn parses_global_threads_flag() {
         let inv = parse(&argv("fig5 --threads 4")).unwrap();
         assert_eq!(inv.threads, 4);
-        assert_eq!(inv.command, bare_exp("fig5_fill_fraction"));
+        assert_eq!(inv.command, exp(ScenarioSpec::experiment("fig5")));
         // Default: 0 = all cores.
         assert_eq!(parse(&argv("fig4")).unwrap().threads, 0);
         // Accepted by every command.
@@ -1026,15 +964,11 @@ mod tests {
     fn parses_agree_command() {
         assert_eq!(
             cmd("agree --seeds 5 --iterations 100"),
-            Command::Exp {
-                name: "fig6_agreement".into(),
-                iterations: Some(100),
-                seed: None,
-                horizon_secs: None,
-                seeds: Some(5),
-                out: None,
-            }
+            exp(ScenarioSpec::experiment("agree")
+                .with_seeds(5)
+                .with_iterations(100))
         );
+        assert_eq!(runs("agree"), ["fig6_agreement"]);
     }
 
     #[test]
@@ -1043,7 +977,10 @@ mod tests {
         let err = parse(&argv("agree --bogus 3")).unwrap_err();
         assert!(err.contains("unknown flag --bogus"), "{err}");
         let err = parse(&argv("agree --seed 5")).unwrap_err();
-        assert!(err.contains("unknown flag --seed"), "{err}");
+        assert!(
+            err.starts_with("--seed does not apply to experiment 'fig6_agreement'"),
+            "{err}"
+        );
         // Degenerate grids error out instead of silently doing nothing.
         let err = parse(&argv("agree --seeds 0")).unwrap_err();
         assert!(err.contains("--seeds must be at least 1"), "{err}");
@@ -1053,17 +990,12 @@ mod tests {
 
     #[test]
     fn parses_faults_command_and_rejects_bad_flags() {
-        assert_eq!(cmd("faults"), bare_exp("whatif_faults"));
+        assert_eq!(runs("faults"), ["whatif_faults"]);
         assert_eq!(
             cmd("faults --iterations 50 --seed 9"),
-            Command::Exp {
-                name: "whatif_faults".into(),
-                iterations: Some(50),
-                seed: Some(9),
-                horizon_secs: None,
-                seeds: None,
-                out: None,
-            }
+            exp(ScenarioSpec::experiment("faults")
+                .with_iterations(50)
+                .with_seed(9))
         );
         let err = parse(&argv("faults --bogus 3")).unwrap_err();
         assert!(err.contains("unknown flag --bogus"), "{err}");
@@ -1142,6 +1074,9 @@ mod tests {
         assert!(err.contains("--iterations must be at least 1"), "{err}");
         let err = parse(&argv("fleet --jobs 4 --gpus 16")).unwrap_err();
         assert!(err.contains("under 8 GPUs per job"), "{err}");
+        // The default budget of 128 GPUs per job must not wrap.
+        let err = parse(&argv("fleet --jobs 288230376151711744")).unwrap_err();
+        assert!(err.starts_with("--jobs must be at most"), "{err}");
         let err = parse(&argv("fleet --mtbf-secs 0")).unwrap_err();
         assert!(err.contains("finite positive"), "{err}");
         let err = parse(&argv("fleet --mtbf-secs soon")).unwrap_err();

@@ -1,12 +1,13 @@
 //! Command implementations: thin glue over the scenario API and the
 //! experiment registry.
 //!
-//! A command either resolves to registry experiments (`exp`, `all`, the
-//! legacy per-figure aliases) and runs them through the generic
-//! table/CSV path, or builds a
-//! [`ScenarioSpec`](pipefill_scenario::ScenarioSpec) (`run <file>`, `sim`,
-//! `fleet`) and lowers it to a backend run. No command owns bespoke
-//! persistence or per-driver printing anymore.
+//! Every command that runs something holds a
+//! [`ScenarioSpec`](pipefill_scenario::ScenarioSpec) (`exp`, the legacy
+//! per-figure aliases, `run <file>`, `sim`, `fleet`). An experiment
+//! scenario resolves to registry experiments that run through the
+//! generic table/CSV path, as `all` runs the whole registry; a run
+//! scenario lowers to a backend run. No command owns bespoke persistence
+//! or per-driver printing anymore.
 
 use std::process::ExitCode;
 
@@ -16,45 +17,11 @@ use pipefill_core::{
 };
 use pipefill_executor::{plan_best, ExecutorConfig, FillJobSpec};
 use pipefill_pipeline::{render_timeline, EngineConfig, MainJobSpec, ScheduleKind};
-use pipefill_scenario::{toml as scenario_toml, Axis, Experiment, Grid, Scale};
+use pipefill_scenario::{toml as scenario_toml, Experiment, Grid, Scale};
 use pipefill_schedverify::{certificate, verify, StreamSet, Verdict, VerifyConfig};
 use pipefill_sim_core::SimDuration;
 
 use crate::args::{Command, Invocation, VerifyTarget, USAGE};
-
-/// Resolves an experiment spelling through the registry's shared
-/// single/multi-alias resolution, with a CLI-flavoured error.
-fn resolve(name: &str) -> Result<Vec<&'static dyn Experiment>, String> {
-    pipefill_scenario::resolve(name).ok_or_else(|| {
-        format!("unknown experiment '{name}'; run `pipefill-cli exp --list` for the registry")
-    })
-}
-
-/// Rejects grid overrides on axes none of the resolved experiments
-/// sweep — the override would otherwise be a silent no-op (the same
-/// stance the per-backend flag rejection takes).
-fn reject_unswept_axes(
-    name: &str,
-    exps: &[&'static dyn Experiment],
-    iterations: Option<usize>,
-    seed: Option<u64>,
-    horizon_secs: Option<u64>,
-    seeds: Option<u64>,
-) -> Result<(), String> {
-    for (axis, flag, set) in [
-        (Axis::Iterations, "--iterations", iterations.is_some()),
-        (Axis::Seed, "--seed", seed.is_some()),
-        (Axis::HorizonSecs, "--horizon-secs", horizon_secs.is_some()),
-        (Axis::Seeds, "--seeds", seeds.is_some()),
-    ] {
-        if set && !exps.iter().any(|e| e.axes().contains(&axis)) {
-            return Err(format!(
-                "{flag} does not apply to experiment '{name}' (its grid does not sweep it)"
-            ));
-        }
-    }
-    Ok(())
-}
 
 /// Runs one experiment: print the table, any experiment-declared
 /// summary line, and persist the CSV.
@@ -111,22 +78,10 @@ pub fn run(invocation: Invocation) -> Result<ExitCode, String> {
                 );
             }
         }
-        Command::Exp {
-            name,
-            iterations,
-            seed,
-            horizon_secs,
-            seeds,
-            out,
-        } => {
-            let out = out.unwrap_or_else(|| "target/experiments".to_string());
-            let exps = resolve(&name)?;
-            reject_unswept_axes(&name, &exps, iterations, seed, horizon_secs, seeds)?;
-            for exp in exps {
-                let grid =
-                    exp.grid(Scale::Full)
-                        .with_overrides(iterations, seed, horizon_secs, seeds);
-                run_experiment(exp, &grid, &out)?;
+        Command::Exp { spec, out } => {
+            let out = out.as_deref().unwrap_or("target/experiments");
+            for (exp, grid) in spec.experiments()? {
+                run_experiment(exp, &grid, out)?;
             }
         }
         Command::All { out } => {
@@ -148,17 +103,9 @@ pub fn run(invocation: Invocation) -> Result<ExitCode, String> {
             if let Some(name) = spec.name.as_deref() {
                 println!("scenario: {name} ({path})");
             }
-            if let Some(exp_name) = spec.experiment.clone() {
-                let out = "target/experiments".to_string();
-                for exp in resolve(&exp_name)? {
-                    // validate() already rejected unswept-axis overrides.
-                    let grid = exp.grid(Scale::Full).with_overrides(
-                        spec.iterations,
-                        spec.seed,
-                        spec.horizon_secs,
-                        spec.seeds,
-                    );
-                    run_experiment(exp, &grid, &out)?;
+            if spec.experiment.is_some() {
+                for (exp, grid) in spec.experiments()? {
+                    run_experiment(exp, &grid, "target/experiments")?;
                 }
             } else {
                 let run = spec.lower()?.run();
@@ -450,40 +397,4 @@ fn print_fast_forward(run: &BackendRun) {
         BackendDetail::Fleet(r) => r.iterations_fast_forwarded,
     };
     println!("iterations fast-forwarded: {skipped}");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn resolve_reaches_single_and_multi_spellings() {
-        assert_eq!(resolve("table1").unwrap().len(), 1);
-        assert_eq!(resolve("fig8").unwrap().len(), 2);
-        assert_eq!(resolve("fig10").unwrap().len(), 2);
-        let err = resolve("warp-speed").err().expect("unknown name errors");
-        assert!(err.contains("exp --list"), "{err}");
-    }
-
-    #[test]
-    fn unswept_axis_overrides_are_rejected_not_ignored() {
-        let table1 = resolve("table1").unwrap();
-        let err = reject_unswept_axes("table1", &table1, Some(50), None, None, None).unwrap_err();
-        assert!(err.contains("--iterations does not apply"), "{err}");
-        let err = reject_unswept_axes(
-            "fig10",
-            &resolve("fig10").unwrap(),
-            None,
-            Some(3),
-            None,
-            None,
-        )
-        .unwrap_err();
-        assert!(err.contains("--seed does not apply"), "{err}");
-        // Swept axes pass.
-        let fig9 = resolve("fig9_policies").unwrap();
-        reject_unswept_axes("fig9_policies", &fig9, None, Some(3), Some(60), None).unwrap();
-        let agree = resolve("fig6_agreement").unwrap();
-        reject_unswept_axes("fig6_agreement", &agree, Some(10), None, None, Some(2)).unwrap();
-    }
 }

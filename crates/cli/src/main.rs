@@ -1,37 +1,5 @@
-//! `pipefill-cli` — run the PipeFill reproduction from the command line.
-//!
-//! ```text
-//! pipefill-cli <command> [options]
-//!
-//! the uniform entry points:
-//!   run <scenario.toml> [--set key=value ...]
-//!                                  run a declarative scenario file
-//!                                  (see examples/scenarios/)
-//!   exp <name> [--iterations N] [--seed S] [--horizon-secs N] [--seeds N]
-//!                                  run one registered experiment
-//!   exp --list                     list the experiment registry
-//!   all    [--out DIR]             every experiment + CSV output
-//!
-//! legacy aliases over `exp` (same flags as before):
-//!   table1, fig4, fig5, fig6, fig7, fig8, fig9, fig10, whatif, faults,
-//!   agree
-//!
-//! single simulations and inspection:
-//!   sim    [--backend coarse|physical|fault] [...]
-//!                                  one simulation at a chosen fidelity
-//!   fleet  [--jobs N] [--gpus N]   multi-job fleet on one global fill queue
-//!   timeline [--schedule S] [--stages P] [--microbatches M] [--width W]
-//!                                  render a pipeline schedule as ASCII
-//!   plan   [--model NAME] [--kind training|inference] [--stage S]
-//!                                  show the Executor's plan for one job
-//!   verify-schedule <schedule|stream.toml> [--format human|json]
-//!                                  statically verify an instruction stream
-//!                                  (exit 0 certified, 1 rejected, 2 usage)
-//!   certify-schedules [--mode check|write] [--out FILE]
-//!                                  re-verify the pinned certificate grid
-//!
-//! Every command accepts `--threads N` to bound the parallel sweep pool.
-//! ```
+//! `pipefill-cli` — run the PipeFill reproduction from the command line;
+//! `pipefill-cli help` prints every command and option.
 #![forbid(unsafe_code)]
 
 mod args;

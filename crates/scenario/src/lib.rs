@@ -8,11 +8,12 @@
 //!
 //! * [`ScenarioSpec`] — a typed builder describing one run end to end
 //!   (backend fidelity, pipeline schedule, workload knobs, seeds,
-//!   fault/fleet shape), which validates against the one per-backend
-//!   applicability table (the CLI's `sim`/`fleet` flags are sugar for
-//!   its keys), lowers to a runnable
-//!   `BackendConfig`, and round-trips through the workspace TOML subset
-//!   ([`toml::parse`] / [`toml::render`]).
+//!   fault/fleet shape) or one registered experiment with grid
+//!   overrides. It validates against the one applicability table (every
+//!   CLI command's flags are sugar for its keys), lowers to a runnable
+//!   `BackendConfig` or resolves to its experiments, and round-trips
+//!   through the workspace TOML subset ([`toml::parse`] /
+//!   [`toml::render`]).
 //! * [`Experiment`] — every paper table/figure driver behind one trait
 //!   (`name`/`description`/`columns`/`grid`/`run` → schema-carrying
 //!   [`Table`]), registered in the static [`REGISTRY`]. Persistence
@@ -21,8 +22,8 @@
 //!   is automatically CLI-reachable, CSV-writing, and golden-pinned.
 //!
 //! Lifecycle: scenario text → [`ScenarioSpec`] → `lower()` →
-//! `BackendConfig::run()` → metrics, or experiment name → [`REGISTRY`]
-//! → [`Experiment::run`] → [`Table`] → CSV/golden.
+//! `BackendConfig::run()` → metrics, or [`ScenarioSpec::experiments`]
+//! (through [`REGISTRY`]) → [`Experiment::run`] → [`Table`] → CSV/golden.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -4,9 +4,9 @@
 //! schedule, workload knobs, seeds, fault/fleet shape — everything the
 //! old `sim`/`fleet` flag plumbing carried) or a *registered experiment*
 //! with grid overrides. Specs are built with a typed builder, validated
-//! against the one per-backend applicability table (the CLI's `sim` and
-//! `fleet` flags are sugar for these keys), and lowered to a runnable
-//! [`BackendConfig`]. The TOML-subset reader
+//! against the one applicability table (every CLI command's flags are
+//! sugar for these keys), and lowered to a runnable [`BackendConfig`]
+//! or resolved to the experiments they run. The TOML-subset reader
 //! and writer live in [`crate::toml`]; `render → parse` is identity.
 //!
 //! Every optional field uses `Option` to mean *explicitly set*: defaults
@@ -20,7 +20,7 @@ use pipefill_pipeline::{MainJobSpec, ScheduleKind};
 use pipefill_sim_core::SimDuration;
 use pipefill_trace::{FleetWorkloadConfig, TraceConfig};
 
-use crate::experiment::{Axis, Grid, Scale};
+use crate::experiment::{Axis, Experiment, Grid, Scale};
 use crate::registry;
 
 /// The declarative description of one run. See the module docs.
@@ -73,47 +73,71 @@ pub struct ScenarioSpec {
     pub seeds: Option<u64>,
 }
 
-/// Field-applicability table: which keys each backend rejects, so a
-/// sweep over an inapplicable key can't silently no-op. `schedule` and
-/// `seed` apply everywhere. This is the only copy: the CLI's `sim` and
-/// `fleet` flags are spellings of these keys and validate through it.
-fn inapplicable(backend: BackendKind) -> &'static [&'static str] {
+/// A mode-dependent key: its spelling and whether a spec sets it.
+type Key = (&'static str, fn(&ScenarioSpec) -> bool);
+
+const SCHEDULE: Key = ("schedule", |s| s.schedule.is_some());
+const ITERATIONS: Key = ("iterations", |s| s.iterations.is_some());
+const HORIZON_SECS: Key = ("horizon_secs", |s| s.horizon_secs.is_some());
+const LOAD: Key = ("load", |s| s.load.is_some());
+const FILL_FRACTION: Key = ("fill_fraction", |s| s.fill_fraction.is_some());
+const MTBF_SECS: Key = ("mtbf_secs", |s| s.mtbf_secs.is_some());
+const CHECKPOINT_SECS: Key = ("checkpoint_secs", |s| s.checkpoint_secs.is_some());
+const FAST_FORWARD: Key = ("fast_forward", |s| s.fast_forward.is_some());
+const POLICY: Key = ("policy", |s| s.policy.is_some());
+const JOBS: Key = ("jobs", |s| s.jobs.is_some());
+const GPUS: Key = ("gpus", |s| s.gpus.is_some());
+const SEEDS: Key = ("seeds", |s| s.seeds.is_some());
+
+/// Key-applicability table: which keys each mode rejects, so a sweep
+/// over an inapplicable key can't silently no-op. `None` is experiment
+/// mode, whose grids read only iterations/seed/horizon_secs/seeds (and
+/// of those only the axes the experiment sweeps, checked against the
+/// registry). `seed` applies everywhere. This is the only copy: every
+/// CLI command that runs a scenario or an experiment spells these keys
+/// as flags and validates through it.
+fn inapplicable(backend: Option<BackendKind>) -> &'static [Key] {
     match backend {
-        BackendKind::Coarse => &[
-            "iterations",
-            "fill_fraction",
-            "mtbf_secs",
-            "checkpoint_secs",
-            "fast_forward",
-            "jobs",
-            "gpus",
-            "seeds",
+        None => &[
+            SCHEDULE,
+            LOAD,
+            FILL_FRACTION,
+            MTBF_SECS,
+            CHECKPOINT_SECS,
+            FAST_FORWARD,
+            POLICY,
+            JOBS,
+            GPUS,
         ],
-        BackendKind::Physical => &[
-            "horizon_secs",
-            "load",
-            "mtbf_secs",
-            "checkpoint_secs",
-            "policy",
-            "jobs",
-            "gpus",
-            "seeds",
+        Some(BackendKind::Coarse) => &[
+            ITERATIONS,
+            FILL_FRACTION,
+            MTBF_SECS,
+            CHECKPOINT_SECS,
+            FAST_FORWARD,
+            JOBS,
+            GPUS,
+            SEEDS,
         ],
-        BackendKind::Fault => &["horizon_secs", "load", "policy", "jobs", "gpus", "seeds"],
-        BackendKind::Fleet => &[
-            "horizon_secs",
-            "load",
-            "fill_fraction",
-            "checkpoint_secs",
-            "seeds",
+        Some(BackendKind::Physical) => &[
+            HORIZON_SECS,
+            LOAD,
+            MTBF_SECS,
+            CHECKPOINT_SECS,
+            POLICY,
+            JOBS,
+            GPUS,
+            SEEDS,
         ],
+        Some(BackendKind::Fault) => &[HORIZON_SECS, LOAD, POLICY, JOBS, GPUS, SEEDS],
+        Some(BackendKind::Fleet) => &[HORIZON_SECS, LOAD, FILL_FRACTION, CHECKPOINT_SECS, SEEDS],
     }
 }
 
 /// A scenario diagnostic. A message about one key keeps the key apart
 /// from the text, so each surface spells the key its own way: scenario
-/// files and `--set` name the key (`mtbf_secs must be ...`), the CLI's
-/// `sim` and `fleet` name the flag (`--mtbf-secs must be ...`).
+/// files and `--set` name the key (`mtbf_secs must be ...`), CLI flags
+/// name the flag (`--mtbf-secs must be ...`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecError {
     key: Option<String>,
@@ -314,14 +338,14 @@ impl ScenarioSpec {
         Ok(())
     }
 
-    /// Checks mode exclusivity, per-backend field applicability and
-    /// value sanity.
+    /// Checks mode exclusivity, per-mode field applicability and value
+    /// sanity.
     ///
     /// # Errors
     ///
     /// Returns a human-readable message naming the offending field.
     pub fn validate(&self) -> Result<(), SpecError> {
-        match (&self.experiment, self.backend) {
+        let experiment = match (&self.experiment, self.backend) {
             (Some(_), Some(_)) => {
                 return Err(SpecError::from(
                     "a scenario is either an experiment or a backend run, not both \
@@ -336,103 +360,80 @@ impl ScenarioSpec {
                         .to_string(),
                 ))
             }
-            (Some(exp), None) => {
-                let Some(exps) = registry::resolve(exp) else {
+            (Some(name), None) => {
+                let Some(exps) = registry::resolve(name) else {
                     return Err(SpecError::from(format!(
-                        "unknown experiment '{exp}'; run pipefill-cli exp --list"
+                        "unknown experiment '{name}'; run pipefill-cli exp --list"
                     )));
                 };
-                // Experiment grids read only iterations/seed/horizon/seeds.
-                for (key, set) in [
-                    ("schedule", self.schedule.is_some()),
-                    ("load", self.load.is_some()),
-                    ("fill_fraction", self.fill_fraction.is_some()),
-                    ("mtbf_secs", self.mtbf_secs.is_some()),
-                    ("checkpoint_secs", self.checkpoint_secs.is_some()),
-                    ("fast_forward", self.fast_forward.is_some()),
-                    ("policy", self.policy.is_some()),
-                    ("jobs", self.jobs.is_some()),
-                    ("gpus", self.gpus.is_some()),
-                ] {
-                    if set {
-                        return Err(SpecError::about(
-                            key,
-                            "does not apply to experiment scenarios \
-                             (grids take iterations/seed/horizon_secs/seeds)"
-                                .to_string(),
-                        ));
-                    }
-                }
-                // …and only the axes this experiment actually sweeps:
-                // an override of an unswept axis would silently no-op.
-                for (axis, set) in [
-                    (Axis::Iterations, self.iterations.is_some()),
-                    (Axis::Seed, self.seed.is_some()),
-                    (Axis::HorizonSecs, self.horizon_secs.is_some()),
-                    (Axis::Seeds, self.seeds.is_some()),
-                ] {
-                    if set && !exps.iter().any(|e| e.axes().contains(&axis)) {
-                        return Err(SpecError::about(
-                            &axis.to_string(),
-                            format!(
-                                "does not apply to experiment '{exp}' (its grid does not sweep it)"
-                            ),
-                        ));
-                    }
-                }
-                // The degenerate grids the CLI flags reject: a zero
-                // would silently produce an empty or all-zero table.
-                let at_least_one = format!("must be at least 1 for experiment '{exp}'");
-                if self.iterations == Some(0) {
-                    return Err(SpecError::about("iterations", at_least_one));
-                }
-                if self.seeds == Some(0) {
-                    return Err(SpecError::about("seeds", at_least_one));
+                Some((name, exps))
+            }
+            (None, Some(_)) => None,
+        };
+        for (key, set) in inapplicable(self.backend) {
+            if set(self) {
+                return Err(SpecError::about(
+                    key,
+                    match self.backend {
+                        Some(backend) => format!("does not apply to the {backend} backend"),
+                        None => "does not apply to experiment scenarios \
+                                 (grids take iterations/seed/horizon_secs/seeds)"
+                            .to_string(),
+                    },
+                ));
+            }
+        }
+        if let Some((name, exps)) = experiment {
+            // Diagnostics name the canonical experiment, so every
+            // spelling of it is rejected with the same message; only a
+            // fan-out keeps its one spelling.
+            let label = match exps.as_slice() {
+                [exp] => exp.name(),
+                _ => name.as_str(),
+            };
+            // An override of an axis the experiment does not sweep
+            // would silently no-op.
+            for (axis, set) in [
+                (Axis::Iterations, self.iterations.is_some()),
+                (Axis::Seed, self.seed.is_some()),
+                (Axis::HorizonSecs, self.horizon_secs.is_some()),
+                (Axis::Seeds, self.seeds.is_some()),
+            ] {
+                if set && !exps.iter().any(|e| e.axes().contains(&axis)) {
+                    return Err(SpecError::about(
+                        &axis.to_string(),
+                        format!(
+                            "does not apply to experiment '{label}' (its grid does not sweep it)"
+                        ),
+                    ));
                 }
             }
-            (None, Some(backend)) => {
-                for key in inapplicable(backend) {
-                    let set = match *key {
-                        "iterations" => self.iterations.is_some(),
-                        "horizon_secs" => self.horizon_secs.is_some(),
-                        "load" => self.load.is_some(),
-                        "fill_fraction" => self.fill_fraction.is_some(),
-                        "mtbf_secs" => self.mtbf_secs.is_some(),
-                        "checkpoint_secs" => self.checkpoint_secs.is_some(),
-                        "fast_forward" => self.fast_forward.is_some(),
-                        "policy" => self.policy.is_some(),
-                        "jobs" => self.jobs.is_some(),
-                        "gpus" => self.gpus.is_some(),
-                        "seeds" => self.seeds.is_some(),
-                        _ => unreachable!("applicability table names a tracked field"),
-                    };
-                    if set {
-                        return Err(SpecError::about(
-                            key,
-                            format!("does not apply to the {backend} backend"),
-                        ));
-                    }
-                }
-                if backend == BackendKind::Fleet {
-                    let at_least_one = "must be at least 1 for a fleet scenario";
-                    let jobs = self.jobs.unwrap_or(8);
-                    if jobs == 0 {
-                        return Err(SpecError::about("jobs", at_least_one.into()));
-                    }
-                    if self.iterations == Some(0) {
-                        return Err(SpecError::about("iterations", at_least_one.into()));
-                    }
-                    let gpus = self.gpus.unwrap_or(jobs * 128);
-                    if gpus / jobs < 8 {
-                        return Err(SpecError::about(
-                            "gpus",
-                            format!(
-                                "{gpus} leaves under 8 GPUs per job over {jobs} jobs; \
-                                 the smallest pipeline needs 8"
-                            ),
-                        ));
-                    }
-                }
+            // A zero would silently produce an empty or all-zero table.
+            let at_least_one = || format!("must be at least 1 for experiment '{label}'");
+            if self.iterations == Some(0) {
+                return Err(SpecError::about("iterations", at_least_one()));
+            }
+            if self.seeds == Some(0) {
+                return Err(SpecError::about("seeds", at_least_one()));
+            }
+        }
+        if self.backend == Some(BackendKind::Fleet) {
+            let at_least_one = "must be at least 1 for a fleet scenario";
+            let (jobs, gpus) = self.fleet_shape()?;
+            if jobs == 0 {
+                return Err(SpecError::about("jobs", at_least_one.into()));
+            }
+            if self.iterations == Some(0) {
+                return Err(SpecError::about("iterations", at_least_one.into()));
+            }
+            if gpus / jobs < 8 {
+                return Err(SpecError::about(
+                    "gpus",
+                    format!(
+                        "{gpus} leaves under 8 GPUs per job over {jobs} jobs; \
+                         the smallest pipeline needs 8"
+                    ),
+                ));
             }
         }
         if let Some(m) = self.mtbf_secs {
@@ -473,28 +474,54 @@ impl ScenarioSpec {
         Ok(())
     }
 
-    /// The experiment grid this spec describes: the experiment's
-    /// full-scale defaults with any explicitly-set axis overridden.
-    /// Meaningful only in experiment mode.
-    pub fn grid(&self) -> Result<Grid, String> {
-        let name = self
-            .experiment
-            .as_deref()
-            .ok_or("grid() applies to experiment scenarios only")?;
-        let exps = registry::resolve(name).ok_or_else(|| format!("unknown experiment '{name}'"))?;
-        let [exp] = exps.as_slice() else {
-            return Err(format!(
-                "'{name}' fans out to {} experiments; resolve() them and build \
-                 each grid individually",
-                exps.len()
+    /// Validates an experiment-mode spec and resolves it to the
+    /// experiments it runs, in run order, each with its full-scale grid
+    /// and every explicitly-set axis overridden. A fan-out spelling such
+    /// as `fig10` yields one entry per experiment.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ScenarioSpec::validate`] error, or a message when
+    /// called on a run-mode spec.
+    pub fn experiments(&self) -> Result<Vec<(&'static dyn Experiment, Grid)>, SpecError> {
+        self.validate()?;
+        let Some(exps) = self.experiment.as_deref().and_then(registry::resolve) else {
+            return Err(SpecError::from(
+                "scenario is a backend run; lower() it, not experiments()".to_string(),
             ));
         };
-        Ok(exp.grid(Scale::Full).with_overrides(
-            self.iterations,
-            self.seed,
-            self.horizon_secs,
-            self.seeds,
-        ))
+        Ok(exps
+            .into_iter()
+            .map(|exp| {
+                let grid = exp.grid(Scale::Full).with_overrides(
+                    self.iterations,
+                    self.seed,
+                    self.horizon_secs,
+                    self.seeds,
+                );
+                (exp, grid)
+            })
+            .collect())
+    }
+
+    /// The fleet's job count and GPU budget, with their defaults: 8 jobs
+    /// and 128 GPUs per job.
+    fn fleet_shape(&self) -> Result<(usize, usize), SpecError> {
+        let jobs = self.jobs.unwrap_or(8);
+        let gpus = match self.gpus {
+            Some(gpus) => gpus,
+            None => jobs.checked_mul(128).ok_or_else(|| {
+                SpecError::about(
+                    "jobs",
+                    format!(
+                        "must be at most {} under the default budget of 128 GPUs per job, \
+                         got {jobs}",
+                        usize::MAX / 128
+                    ),
+                )
+            })?,
+        };
+        Ok((jobs, gpus))
     }
 
     /// Validates and lowers a run-mode spec to a runnable
@@ -508,7 +535,7 @@ impl ScenarioSpec {
         self.validate()?;
         let Some(backend) = self.backend else {
             return Err(SpecError::from(format!(
-                "scenario runs experiment '{}'; resolve it through the registry, not lower()",
+                "scenario runs experiment '{}'; run its experiments(), not lower()",
                 self.experiment.as_deref().unwrap_or("?")
             )));
         };
@@ -545,8 +572,7 @@ impl ScenarioSpec {
                 }
             }
             BackendKind::Fleet => {
-                let jobs = self.jobs.unwrap_or(8);
-                let gpus = self.gpus.unwrap_or(jobs * 128);
+                let (jobs, gpus) = self.fleet_shape()?;
                 let mut workload = FleetWorkloadConfig::new(jobs, gpus, seed);
                 workload.iterations = self.iterations.unwrap_or(150);
                 let mut cfg = FleetSimConfig::from_workload_scheduled(&workload, schedule)
@@ -838,8 +864,26 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("seeds must be at least 1"), "{err}");
-        // Multi-experiment spellings validate (no axis overrides).
+        // Multi-experiment spellings validate (no axis overrides), and
+        // reject an axis none of their experiments sweeps.
         ScenarioSpec::experiment("fig10").validate().unwrap();
+        let err = ScenarioSpec::experiment("fig10")
+            .with_seed(3)
+            .validate()
+            .unwrap_err()
+            .to_string();
+        assert!(err.starts_with("seed does not apply"), "{err}");
+        // Swept axes pass.
+        ScenarioSpec::experiment("fig9_policies")
+            .with_seed(3)
+            .with_horizon_secs(60)
+            .validate()
+            .unwrap();
+        ScenarioSpec::experiment("fig6_agreement")
+            .with_iterations(10)
+            .with_seeds(2)
+            .validate()
+            .unwrap();
         let err = ScenarioSpec::run(BackendKind::Fleet)
             .with_iterations(0)
             .validate()
@@ -854,6 +898,16 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("under 8 GPUs per job"), "{err}");
+        // A job count whose default GPU budget (128 per job) overflows
+        // is reported against the jobs, not as a wrapped budget.
+        for spec in [
+            ScenarioSpec::run(BackendKind::Fleet).with_jobs(1 << 58),
+            ScenarioSpec::run(BackendKind::Fleet).with_jobs(usize::MAX),
+        ] {
+            let err = spec.validate().unwrap_err().to_string();
+            assert!(err.starts_with("jobs must be at most"), "{err}");
+            assert_eq!(spec.lower().unwrap_err().to_string(), err);
+        }
     }
 
     #[test]
@@ -951,18 +1005,53 @@ mod tests {
     }
 
     #[test]
-    fn experiment_grid_applies_overrides() {
-        let spec = ScenarioSpec::experiment("fig5_fill_fraction")
+    fn experiments_apply_overrides_to_every_grid() {
+        let runs = ScenarioSpec::experiment("fig5_fill_fraction")
             .with_iterations(40)
-            .with_seed(9);
-        let grid = spec.grid().unwrap();
-        assert_eq!(grid.iterations, 40);
-        assert_eq!(grid.seed, 9);
-        // Unset axes keep the experiment's full-scale defaults.
-        let default_grid = ScenarioSpec::experiment("fig5_fill_fraction")
-            .grid()
+            .with_seed(9)
+            .experiments()
             .unwrap();
-        assert_eq!(default_grid.iterations, 300);
-        assert!(ScenarioSpec::run(BackendKind::Coarse).grid().is_err());
+        let [(exp, grid)] = runs.as_slice() else {
+            panic!("fig5_fill_fraction runs one experiment");
+        };
+        assert_eq!(exp.name(), "fig5_fill_fraction");
+        assert_eq!((grid.iterations, grid.seed), (40, 9));
+        // Unset axes keep the experiment's full-scale defaults.
+        let runs = ScenarioSpec::experiment("fig5").experiments().unwrap();
+        assert_eq!(runs[0].1.iterations, 300);
+        // A fan-out yields one grid per experiment, each carrying the
+        // spec's overrides. fig10's panels sweep no axis, so the only
+        // overrides it accepts are none.
+        let spec = ScenarioSpec::experiment("fig10");
+        let runs = spec.experiments().unwrap();
+        let names: Vec<&str> = runs.iter().map(|(exp, _)| exp.name()).collect();
+        assert_eq!(names, ["fig10a_bubble_size", "fig10b_free_memory"]);
+        for (exp, grid) in &runs {
+            let overridden = exp.grid(Scale::Full).with_overrides(
+                spec.iterations,
+                spec.seed,
+                spec.horizon_secs,
+                spec.seeds,
+            );
+            assert_eq!(grid, &overridden, "{}", exp.name());
+        }
+        assert_eq!(
+            ScenarioSpec::experiment("fig8")
+                .experiments()
+                .unwrap()
+                .len(),
+            2
+        );
+        // Invalid and run-mode specs are errors, not empty runs.
+        let err = ScenarioSpec::experiment("fig5")
+            .with_iterations(0)
+            .experiments()
+            .err()
+            .expect("a zero grid is rejected")
+            .to_string();
+        assert!(err.starts_with("iterations must be at least 1"), "{err}");
+        assert!(ScenarioSpec::run(BackendKind::Coarse)
+            .experiments()
+            .is_err());
     }
 }

@@ -281,14 +281,23 @@ pub fn parse(argv: &[String]) -> Result<Invocation, String> {
                 SIM_FLAGS,
             )?)
         }
-        "timeline" => Command::Timeline {
-            schedule: flags
+        "timeline" => {
+            let schedule = flags
                 .take_string("schedule", "gpipe")?
-                .parse::<ScheduleKind>()?,
-            stages: flags.take_usize("stages", 8)?,
-            microbatches: flags.take_usize("microbatches", 8)?,
-            width: flags.take_usize("width", 96)?,
-        },
+                .parse::<ScheduleKind>()?;
+            let stages = flags.take_usize("stages", 8)?;
+            let microbatches = flags.take_usize("microbatches", 8)?;
+            let width = flags.take_usize("width", 96)?;
+            if stages == 0 || microbatches == 0 || width == 0 {
+                return Err("--stages, --microbatches and --width must be at least 1".into());
+            }
+            Command::Timeline {
+                schedule,
+                stages,
+                microbatches,
+                width,
+            }
+        }
         "plan" => Command::Plan {
             model: parse_model(&flags.take_string("model", "bert-base")?)?,
             kind: match flags.take_string("kind", "inference")?.as_str() {
@@ -1130,6 +1139,10 @@ mod tests {
                 width: 80
             }
         );
+        for zero in ["--stages 0", "--microbatches 0", "--width 0"] {
+            let err = parse(&argv(&format!("timeline {zero}"))).unwrap_err();
+            assert!(err.contains("must be at least 1"), "{zero}: {err}");
+        }
     }
 
     #[test]

@@ -471,7 +471,12 @@ impl SimBackend for CoarseBackend {
             horizon,
             rejected: self.rejected,
             fill_flops_in_horizon: flops_in_horizon,
-            recovered_tflops_per_gpu: flops_in_horizon / (num_devices as f64 * horizon_secs) / 1e12,
+            recovered_tflops_per_gpu: if horizon.is_zero() {
+                // A zero horizon would divide 0 by 0 and print NaN.
+                0.0
+            } else {
+                flops_in_horizon / (num_devices as f64 * horizon_secs) / 1e12
+            },
             main_tflops_per_gpu: self.main_tflops,
             bubble_ratio: self.bubble_ratio,
             jct: JctStats::from_secs(&jcts),
@@ -556,6 +561,28 @@ mod tests {
             result.recovered_tflops_per_gpu
         );
         assert!(result.total_tflops_per_gpu() > result.main_tflops_per_gpu);
+    }
+
+    #[test]
+    fn degenerate_zero_horizon_reports_finite_zeros() {
+        // No time passes, so nothing is recovered; the per-GPU rate must
+        // be 0, not the NaN of dividing by zero device-seconds.
+        let mut cfg = quick_config(5);
+        cfg.trace.horizon = SimDuration::ZERO;
+        let result = CoarseBackend::simulate(cfg);
+        assert_eq!(result.horizon, SimDuration::ZERO);
+        assert_eq!(result.fill_flops_in_horizon, 0.0);
+        assert_eq!(result.recovered_tflops_per_gpu, 0.0);
+        for (name, v) in [
+            ("main", result.main_tflops_per_gpu),
+            ("total", result.total_tflops_per_gpu()),
+            ("bubble", result.bubble_ratio),
+            ("jct", result.jct.mean_secs),
+        ] {
+            assert!(v.is_finite(), "{name} = {v}");
+        }
+        // The main job's rate is still its nominal one.
+        assert!(result.main_tflops_per_gpu > 0.0);
     }
 
     #[test]

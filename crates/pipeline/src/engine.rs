@@ -25,7 +25,8 @@ const SIM_ITERATIONS: usize = 4;
 /// Which iteration the timeline is extracted from.
 const STEADY_ITER: usize = 2;
 
-/// Why an instruction-stream execution could not complete.
+/// Why an instruction-stream execution could not complete, or had no
+/// steady state to read a timeline from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// In-order execution wedged: every device is either done or blocked
@@ -37,6 +38,22 @@ pub enum EngineError {
         position: usize,
         /// The blocked instruction itself.
         instruction: PipelineInstruction,
+    },
+    /// A simulated iteration ran no non-zero-duration instruction on a
+    /// stage, so it has no start to measure a period from.
+    IdleIteration {
+        /// The idle stage.
+        stage: usize,
+        /// The iteration found idle.
+        iteration: usize,
+    },
+    /// Stage 0's iteration starts were not evenly spaced by the steady
+    /// iteration.
+    NonPeriodic {
+        /// Distance from the previous iteration start to the steady one.
+        previous: SimDuration,
+        /// Distance from the steady iteration start to the next one.
+        period: SimDuration,
     },
 }
 
@@ -52,6 +69,15 @@ impl std::fmt::Display for EngineError {
                 "pipeline schedule deadlocked on stage {stage}: \
                  position {position} ({instruction:?}) waits on a \
                  dependency no instruction publishes"
+            ),
+            EngineError::IdleIteration { stage, iteration } => write!(
+                f,
+                "stage {stage}: iteration {iteration} has no busy instruction"
+            ),
+            EngineError::NonPeriodic { previous, period } => write!(
+                f,
+                "not periodic by iteration {STEADY_ITER}: consecutive \
+                 iteration starts are {previous} then {period} apart"
             ),
         }
     }
@@ -149,17 +175,35 @@ impl EngineConfig {
     /// deadlocks (which would indicate a generator bug).
     pub fn run(&self) -> EngineTimeline {
         self.validate();
-        let p = self.num_stages();
-        let m = self.microbatches;
-
         // One generator pass covers every stage (the interleaved schedule
         // derives all streams from a single constructive simulation);
         // every simulated iteration replays the same emission.
-        let streams = self.schedule.all_stage_instructions(p, m);
-        let records = self
-            .simulate(&streams, SIM_ITERATIONS)
-            .unwrap_or_else(|e| panic!("{e} (generator bug)"));
-        self.extract_timeline(&streams, &records)
+        let streams = self
+            .schedule
+            .all_stage_instructions(self.num_stages(), self.microbatches);
+        self.timeline_of(&streams)
+            .unwrap_or_else(|e| panic!("{e} (generator bug)"))
+    }
+
+    /// The steady-state timeline of arbitrary per-device instruction
+    /// streams (one iteration each), by the simulation and extraction
+    /// [`EngineConfig::run`] applies to the generated ones. The static
+    /// verifier's bubble bound is this function applied to stream text.
+    ///
+    /// # Errors
+    ///
+    /// Any [`EngineError`]: a deadlock, an idle iteration or a
+    /// non-periodic stage 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `streams.len()` differs from the configured stage count.
+    pub fn timeline_of(
+        &self,
+        streams: &[Vec<PipelineInstruction>],
+    ) -> Result<EngineTimeline, EngineError> {
+        let records = self.simulate(streams, SIM_ITERATIONS)?;
+        self.extract_timeline(streams, &records)
     }
 
     /// Executes arbitrary per-device instruction streams (one iteration
@@ -180,11 +224,6 @@ impl EngineConfig {
     ///
     /// Panics if `streams.len()` differs from the configured stage count.
     pub fn execute_streams(&self, streams: &[Vec<PipelineInstruction>]) -> Result<(), EngineError> {
-        assert_eq!(
-            streams.len(),
-            self.num_stages(),
-            "stream count must match the configured stage count"
-        );
         self.simulate(streams, 1).map(|_| ())
     }
 
@@ -208,6 +247,11 @@ impl EngineConfig {
         iterations: usize,
     ) -> Result<Vec<Vec<ExecRecord>>, EngineError> {
         let p = self.num_stages();
+        assert_eq!(
+            streams.len(),
+            p,
+            "stream count must match the configured stage count"
+        );
         let chunks = self.schedule.chunk_count();
         // Each stream position's dependency, publication and duration,
         // resolved once and replayed every iteration.
@@ -295,7 +339,7 @@ impl EngineConfig {
         match (0..p).find(|&s| records[s].len() < streams[s].len() * iterations) {
             Some(s) => Err(EngineError::Deadlock {
                 stage: s,
-                position: records[s].len(),
+                position: at[s].1,
                 instruction: streams[s][at[s].1],
             }),
             None => Ok(records),
@@ -351,7 +395,7 @@ impl EngineConfig {
         &self,
         streams: &[Vec<PipelineInstruction>],
         records: &[Vec<ExecRecord>],
-    ) -> EngineTimeline {
+    ) -> Result<EngineTimeline, EngineError> {
         let p = self.num_stages();
         // Stage `s`'s instructions of iteration `k`, with their records.
         let iteration = |s: usize, k: usize| {
@@ -359,50 +403,46 @@ impl EngineConfig {
             records[s][k * len..(k + 1) * len].iter().zip(&streams[s])
         };
         // Start of an iteration on a stage = start of its first busy
-        // (non-zero-duration) instruction of that iteration. A miss means
-        // the schedule emitted an all-idle iteration — a bug worth a loud
-        // panic, not a defaulted timestamp.
-        let iter_start = |s: usize, k: usize| -> SimTime {
+        // (non-zero-duration) instruction of that iteration.
+        let iter_start = |s: usize, k: usize| -> Result<SimTime, EngineError> {
             iteration(s, k)
                 .find(|((start, end), _)| end > start)
                 .map(|(&(start, _), _)| start)
-                .expect("iteration has at least one busy instruction")
+                .ok_or(EngineError::IdleIteration {
+                    stage: s,
+                    iteration: k,
+                })
         };
 
-        let t0 = iter_start(0, STEADY_ITER);
-        let period = iter_start(0, STEADY_ITER + 1) - t0;
+        let t0 = iter_start(0, STEADY_ITER)?;
+        let period = iter_start(0, STEADY_ITER + 1)? - t0;
         // Periodicity check: the previous iteration must show the same
         // period, or we are not in steady state.
-        let prev_period = t0 - iter_start(0, STEADY_ITER - 1);
-        assert_eq!(
-            period, prev_period,
-            "engine not in steady state by iteration {STEADY_ITER}"
-        );
+        let previous = t0 - iter_start(0, STEADY_ITER - 1)?;
+        if period != previous {
+            return Err(EngineError::NonPeriodic { previous, period });
+        }
 
         let mut stages = Vec::with_capacity(p);
         for s in 0..p {
-            let window_start = iter_start(s, STEADY_ITER);
-            let window_end = iter_start(s, STEADY_ITER + 1);
+            // The window's end is looked up first, so an idle stage past
+            // stage 0 reports the later iteration.
+            let window_end = iter_start(s, STEADY_ITER + 1)?;
+            let window_start = iter_start(s, STEADY_ITER)?;
             let anchor_offset = window_start.saturating_since(t0);
 
-            // Busy intervals inside the stage's window, in time order.
-            let mut intervals: Vec<(SimTime, SimTime, PipelineInstruction)> =
-                iteration(s, STEADY_ITER)
-                    .filter(|((start, end), _)| end > start)
-                    .map(|(&(start, end), &instr)| (start, end, instr))
-                    .collect();
-            intervals.sort_by_key(|&(start, _, _)| start);
-
-            let first_bwd_start = intervals
-                .iter()
-                .find(|(_, _, i)| i.is_backward())
-                .map(|&(start, _, _)| start);
+            // Busy intervals inside the stage's window. The device runs its
+            // stream in order, so stream order is time order.
+            let intervals = || iteration(s, STEADY_ITER).filter(|((start, end), _)| end > start);
+            let first_bwd_start = intervals()
+                .find(|(_, i)| i.is_backward())
+                .map(|(&(start, _), _)| start);
 
             let period = window_end - window_start;
             let mut windows = Vec::new();
             let mut busy = SimDuration::ZERO;
             let mut cursor = window_start;
-            for &(start, end, _) in &intervals {
+            for (&(start, end), _) in intervals() {
                 if start > cursor {
                     let kind = if Some(start) == first_bwd_start {
                         BubbleKind::FwdBwd
@@ -444,7 +484,7 @@ impl EngineConfig {
             });
         }
 
-        EngineTimeline { period, stages }
+        Ok(EngineTimeline { period, stages })
     }
 }
 
@@ -741,6 +781,93 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("deadlocked on stage 0"), "{err}");
+    }
+
+    #[test]
+    fn timeline_of_generated_streams_equals_run() {
+        for kind in ScheduleKind::ALL
+            .into_iter()
+            .chain([ScheduleKind::Interleaved { chunks: 3 }])
+        {
+            for (p, m) in [(1, 3), (4, 8), (8, 4)] {
+                let mut cfg = EngineConfig::uniform(kind, p, m, ms(13), ms(29));
+                cfg.comm = SimDuration::from_micros(700);
+                let streams = kind.all_stage_instructions(p, m);
+                assert_eq!(
+                    cfg.timeline_of(&streams),
+                    Ok(cfg.run()),
+                    "{kind} p={p} m={m}"
+                );
+            }
+        }
+    }
+
+    /// An all-idle stage has no iteration start: stage 0 reports the
+    /// steady iteration, a later stage the one after it (the window's
+    /// end is looked up first).
+    #[test]
+    fn timeline_of_reports_idle_iterations() {
+        use PipelineInstruction::{Backward, Bubble, Forward, GradSync, OptimizerStep};
+        let idle = vec![
+            GradSync,
+            OptimizerStep,
+            Bubble {
+                kind: BubbleKind::FillDrain,
+            },
+        ];
+        let cfg = EngineConfig::uniform(ScheduleKind::OneFOneB, 2, 1, ms(10), ms(20));
+        // The last stage's backward waits on nothing.
+        assert_eq!(
+            cfg.timeline_of(&[idle.clone(), vec![Backward { microbatch: 0 }]]),
+            Err(EngineError::IdleIteration {
+                stage: 0,
+                iteration: STEADY_ITER,
+            })
+        );
+        let busy = vec![Forward { microbatch: 0 }];
+        assert_eq!(
+            cfg.timeline_of(&[busy, idle]),
+            Err(EngineError::IdleIteration {
+                stage: 1,
+                iteration: STEADY_ITER + 1,
+            })
+        );
+    }
+
+    /// A set that completes its first iteration but wedges in a later one
+    /// reports the blocked instruction's position within its stream, not
+    /// its index across unrolled iterations.
+    #[test]
+    fn timeline_of_reports_deadlock_at_a_stream_position() {
+        use PipelineInstruction::{Backward, Forward};
+        // dev1 blocks on F1, which dev0 never forwards; dev0 finishes
+        // iteration 0 and then waits on the B0 gradient of iteration 1,
+        // which dev1 never reaches.
+        let wedged = vec![
+            vec![Forward { microbatch: 0 }, Backward { microbatch: 0 }],
+            vec![
+                Forward { microbatch: 0 },
+                Backward { microbatch: 0 },
+                Forward { microbatch: 1 },
+            ],
+        ];
+        let cfg = EngineConfig::uniform(ScheduleKind::OneFOneB, 2, 2, ms(10), ms(20));
+        let err = cfg.timeline_of(&wedged).expect_err("wedges");
+        assert_eq!(
+            err,
+            EngineError::Deadlock {
+                stage: 0,
+                position: 1,
+                instruction: Backward { microbatch: 0 },
+            }
+        );
+        let EngineError::Deadlock {
+            stage, position, ..
+        } = err
+        else {
+            unreachable!()
+        };
+        assert!(position < wedged[stage].len());
     }
 
     /// The published per-instruction durations are the ones the

@@ -2,7 +2,7 @@
 //!
 //! A static verifier for pipeline-parallel instruction streams. Given one
 //! iteration's per-device streams — from the built-in generators or an
-//! external stream file — it proves, without running the engine:
+//! external stream file — it proves, from the stream text:
 //!
 //! 1. **Well-formedness** ([`wellformed`]): every microbatch's forward
 //!    and backward (or ZB-H1 `B`+`W` pair) appears exactly once per
@@ -15,19 +15,21 @@
 //!    live activations per device, checked against a limit and equal to
 //!    the engine's published [`pipefill_pipeline::activation_envelope`].
 //! 4. **Bubble optimality** ([`critpath`]): the steady-state bubble
-//!    fraction via longest paths through the weighted dependency DAG —
-//!    bit-for-bit the engine's `bubble_ratio` — compared against the
-//!    paper's closed forms where they apply.
+//!    fraction — the longest paths through the weighted dependency DAG,
+//!    which is the engine's own evaluation of the stream text
+//!    ([`EngineConfig::timeline_of`]) — compared against the paper's
+//!    closed forms where they apply.
 //!
 //! Verdicts render as deterministic JSON certificates ([`certificate`])
 //! that CI regenerates and byte-compares, so "the built-in schedules are
 //! deadlock-free and bubble-optimal" is a pinned artifact, not a hope.
 //!
-//! The deliberate redundancy is the point: the dependency *keying* is
-//! shared with the engine (`pipefill_pipeline::deps`, so the two cannot
-//! drift), but the analyses re-derive everything else independently and
-//! the conformance suite pins the results against the engine's — an
-//! executable proof that the static story and the dynamic story agree.
+//! Properties 1–3 are re-derived independently of the engine; they share
+//! only its dependency *keying* (`pipefill_pipeline::deps`, so the two
+//! cannot drift), and the conformance suite pins their results against
+//! the engine's. Property 4 reuses the engine's list scheduler and
+//! steady-state extraction outright: there is one evaluation of the
+//! start-time recurrence in the workspace, not two to keep in step.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

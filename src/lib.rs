@@ -33,7 +33,7 @@
 //!   schema-carrying table interface;
 //! * [`schedverify`] — schedcheck, the static schedule verifier: proves
 //!   deadlock-freedom, memory bounds and bubble optimality of arbitrary
-//!   instruction streams without running the engine.
+//!   instruction streams from their text.
 //!
 //! # Quickstart
 //!

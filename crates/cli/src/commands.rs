@@ -14,8 +14,9 @@ use std::process::ExitCode;
 use pipefill_core::experiments::sweep;
 use pipefill_core::{
     BackendConfig, BackendDetail, BackendKind, BackendMetrics, BackendRun, FleetSimResult,
+    StagePlans,
 };
-use pipefill_executor::{plan_best, ExecutorConfig, FillJobSpec};
+use pipefill_executor::{ExecutorConfig, PlanError};
 use pipefill_pipeline::{render_timeline, EngineConfig, MainJobSpec, ScheduleKind};
 use pipefill_scenario::{toml as scenario_toml, Experiment, Grid, Scale};
 use pipefill_schedverify::{certificate, verify, StreamSet, Verdict, VerifyConfig};
@@ -245,30 +246,30 @@ pub fn run(invocation: Invocation) -> Result<ExitCode, String> {
         }
         Command::Plan { model, kind, stage } => {
             let main = MainJobSpec::simulator_40b(8, ScheduleKind::GPipe);
-            let timeline = main.engine_timeline();
-            let Some(stage_tl) = timeline.stages.get(stage) else {
+            let plans = StagePlans::homogeneous(
+                &main.engine_timeline(),
+                &main.device,
+                ExecutorConfig::default(),
+            );
+            if stage >= plans.stages() {
                 return Err(format!(
                     "stage {stage} out of range (0..{})",
-                    timeline.stages.len()
+                    plans.stages()
                 ));
-            };
-            let slots: Vec<_> = stage_tl
-                .fillable_windows()
-                .iter()
-                .map(|w| (w.duration, w.free_memory))
-                .collect();
+            }
             println!("bubbles on stage {stage} (one per main-job iteration):");
-            for (i, w) in stage_tl.fillable_windows().iter().enumerate() {
+            for (i, w) in plans.windows(stage).iter().enumerate() {
                 println!(
                     "  slot {i}: {} ({}), free {}",
                     w.duration, w.kind, w.free_memory
                 );
             }
-            let job = FillJobSpec::new(0, model, kind, 1_000_000);
-            let plan =
-                plan_best(&job, &slots, &main.device, &ExecutorConfig::default()).map_err(|e| {
-                    format!("no feasible plan for {model} {kind} on stage {stage}: {e}")
-                })?;
+            let plan = plans.plan(model, kind, stage).ok_or_else(|| {
+                format!(
+                    "no feasible plan for {model} {kind} on stage {stage}: {}",
+                    PlanError::NoFeasibleConfig
+                )
+            })?;
             println!("\nchosen configuration: {}", plan.config);
             println!(
                 "pass: {} partitions, {} fill iterations, {} samples, spans {} main iterations",

@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use pipefill_executor::{plan_best, ExecutionPlan, ExecutorConfig, FillJobSpec, JobId};
+use pipefill_executor::{ExecutorConfig, FillJobSpec, JobId};
 use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_pipeline::MainJobSpec;
 use pipefill_scheduler::{
@@ -33,6 +33,7 @@ use serde::{Deserialize, Serialize};
 use crate::backend::{BackendDriver, BackendKind, BackendMetrics, ClusterEvent, SimBackend};
 use crate::convert::trace_job_to_spec;
 use crate::metrics::JctStats;
+use crate::plans::StagePlans;
 
 /// Which built-in policy the simulation uses (a serializable stand-in for
 /// the boxed policy trait).
@@ -207,9 +208,8 @@ pub struct CoarseBackend {
     period: SimDuration,
     bubble_ratio: f64,
     main_tflops: f64,
-    /// Fillable bubble slots per stage.
-    stage_slots: Vec<Vec<(SimDuration, pipefill_device::Bytes)>>,
-    plan_cache: HashMap<(ModelId, JobKind, usize), Option<ExecutionPlan>>,
+    /// The main job's plan for every fill-job type on every stage.
+    pub(crate) plans: StagePlans,
     scheduler: FillJobScheduler,
     devices: Vec<Device>,
     specs: HashMap<JobId, FillJobSpec>,
@@ -224,18 +224,9 @@ impl CoarseBackend {
     /// generates and converts the fill-job trace.
     pub fn new(config: ClusterSimConfig) -> Self {
         let timeline = config.main_job.engine_timeline();
-        let stage_slots: Vec<Vec<(SimDuration, pipefill_device::Bytes)>> = timeline
-            .stages
-            .iter()
-            .map(|s| {
-                s.fillable_windows()
-                    .iter()
-                    .map(|w| (w.duration, w.free_memory))
-                    .collect()
-            })
-            .collect();
+        let plans = StagePlans::homogeneous(&timeline, &config.main_job.device, config.executor);
         let main_tflops = config.main_job.main_job_tflops_per_gpu(&timeline);
-        let p = stage_slots.len();
+        let p = plans.stages();
         let num_devices = p * config.devices_per_stage;
 
         let (trace_jobs, _) = TraceGenerator::new(config.trace.clone()).generate();
@@ -257,8 +248,7 @@ impl CoarseBackend {
             period: timeline.period,
             bubble_ratio: timeline.bubble_ratio(),
             main_tflops,
-            stage_slots,
-            plan_cache: HashMap::new(),
+            plans,
             scheduler,
             devices,
             specs: HashMap::new(),
@@ -270,38 +260,13 @@ impl CoarseBackend {
         }
     }
 
-    fn plan(&mut self, model: ModelId, kind: JobKind, stage: usize) -> Option<&ExecutionPlan> {
-        let key = (model, kind, stage);
-        if !self.plan_cache.contains_key(&key) {
-            let slots = &self.stage_slots[stage];
-            let plan = if slots.is_empty() {
-                None
-            } else {
-                // Plans depend only on (model, kind, bubbles), not on the
-                // job's sample count.
-                let probe = FillJobSpec::new(u64::MAX, model, kind, u64::MAX / 2);
-                plan_best(
-                    &probe,
-                    slots,
-                    &self.config.main_job.device,
-                    &self.config.executor,
-                )
-                .ok()
-            };
-            self.plan_cache.insert(key, plan);
-        }
-        self.plan_cache.get(&key).expect("inserted above").as_ref()
+    fn proc_time(&self, job: &FillJobSpec, stage: usize) -> Option<SimDuration> {
+        let plan = self.plans.plan(job.model, job.kind, stage)?;
+        Some(self.period * plan.main_iterations_for(job.samples))
     }
 
-    fn proc_time(&mut self, job: &FillJobSpec, stage: usize) -> Option<SimDuration> {
-        let period = self.period;
-        let plan = self.plan(job.model, job.kind, stage)?;
-        let iters = plan.main_iterations_for(job.samples);
-        Some(period * iters)
-    }
-
-    fn job_flops(&mut self, job: &FillJobSpec, stage: usize) -> f64 {
-        match self.plan(job.model, job.kind, stage) {
+    fn job_flops(&self, job: &FillJobSpec, stage: usize) -> f64 {
+        match self.plans.plan(job.model, job.kind, stage) {
             None => 0.0,
             Some(p) => p.flops_per_pass * (job.samples as f64 / p.samples_per_pass.max(1) as f64),
         }

@@ -6,7 +6,6 @@
 
 use pipefill_device::DeviceSpec;
 use pipefill_executor::FillJobSpec;
-use pipefill_model_zoo::JobKind;
 use pipefill_trace::TraceJob;
 
 /// Samples a trace job must process: GPU-hours ÷ isolated max throughput.
@@ -33,16 +32,10 @@ pub fn trace_job_to_spec(job: &TraceJob, device: &DeviceSpec) -> Option<FillJobS
     Some(spec)
 }
 
-/// Convenience: is this job kind/model pair even allowed by the §5.3
-/// bucketing rule?
-pub fn kind_allowed(job: &TraceJob) -> bool {
-    job.kind == JobKind::BatchInference || job.model.trainable_as_fill_job()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipefill_model_zoo::ModelId;
+    use pipefill_model_zoo::{JobKind, ModelId};
     use pipefill_sim_core::SimTime;
     use pipefill_trace::{TraceConfig, TraceGenerator};
 
@@ -92,7 +85,11 @@ mod tests {
         let (jobs, _) = TraceGenerator::new(TraceConfig::physical(2)).generate();
         assert!(!jobs.is_empty());
         for j in &jobs {
-            assert!(kind_allowed(j), "{j:?}");
+            // §5.3's bucketing rule: only sub-700M models train.
+            assert!(
+                j.kind == JobKind::BatchInference || j.model.trainable_as_fill_job(),
+                "{j:?}"
+            );
             let spec = trace_job_to_spec(j, &d).expect("every Table-1 job converts");
             assert!(spec.samples >= 1);
             assert_eq!(spec.arrival, j.arrival);

@@ -12,7 +12,8 @@ use pipefill_trace::ModelMix;
 use serde::{Deserialize, Serialize};
 
 use crate::experiments::sweep;
-use crate::steady::{steady_rate, SteadyRate};
+use crate::plans::StagePlans;
+use crate::steady::steady_rate;
 
 /// One (model, kind) row of Fig. 7.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -56,70 +57,58 @@ pub fn fig7_characterization(
 ) -> Vec<CharacterizationRow> {
     let device = &main.device;
     let timeline = main.engine_timeline();
+    let plans = StagePlans::homogeneous(&timeline, device, *exec);
     let period = timeline.period.as_secs_f64();
     // One profiling/planning task per (model, kind), fanned across cores.
     sweep::par_map(fig7_job_types(), |(model, kind)| {
-        {
-            let rate: SteadyRate = steady_rate(main, exec, model, kind);
-            // Exclusive baseline: best batch on a whole idle GPU.
-            let graph = model.build();
-            let exclusive = pipefill_executor::exclusive_throughput(
-                &graph,
-                kind,
-                device,
-                &FillJobSpec::default_batch_sizes(),
-            )
-            .map(|(t, _)| t)
-            .unwrap_or(0.0);
-            let relative = if exclusive == 0.0 {
-                0.0
-            } else {
-                rate.wall_throughput / exclusive
-            };
+        let rate = steady_rate(&plans, timeline.period, model, kind);
+        // Exclusive baseline: best batch on a whole idle GPU.
+        let exclusive = plans.throughput(model, kind, 0).unwrap_or(0.0);
+        let relative = if exclusive == 0.0 {
+            0.0
+        } else {
+            rate.wall_throughput / exclusive
+        };
 
-            // Naive-packing ablation: best whole-graph-only plan per stage.
-            let mut naive_sum = 0.0;
-            for stage in &timeline.stages {
-                let slots: Vec<_> = stage
-                    .fillable_windows()
-                    .iter()
-                    .map(|w| (w.duration, w.free_memory))
-                    .collect();
-                if slots.is_empty() {
-                    continue;
-                }
-                let mut best_rate = 0.0f64;
-                for &batch_size in &FillJobSpec::default_batch_sizes() {
-                    for &technique in ExecTechnique::applicable(kind) {
-                        let profile = build_profile(
-                            &graph,
-                            kind,
-                            ExecConfig {
-                                batch_size,
-                                technique,
-                            },
-                            device,
-                        );
-                        if let Ok(plan) = plan_whole_graph_only(&profile, &slots, exec) {
-                            let r = plan.flops_per_pass
-                                / (plan.main_iterations_per_pass as f64 * period)
-                                / 1e12;
-                            best_rate = best_rate.max(r);
-                        }
+        // Naive-packing ablation: best whole-graph-only plan per stage.
+        let graph = model.build();
+        let mut naive_sum = 0.0;
+        for stage in 0..plans.stages() {
+            let slots = plans.slots(stage);
+            if slots.is_empty() {
+                continue;
+            }
+            let mut best_rate = 0.0f64;
+            for &batch_size in &FillJobSpec::default_batch_sizes() {
+                for &technique in ExecTechnique::applicable(kind) {
+                    let profile = build_profile(
+                        &graph,
+                        kind,
+                        ExecConfig {
+                            batch_size,
+                            technique,
+                        },
+                        device,
+                    );
+                    if let Ok(plan) = plan_whole_graph_only(&profile, slots, exec) {
+                        let r = plan.flops_per_pass
+                            / (plan.main_iterations_per_pass as f64 * period)
+                            / 1e12;
+                        best_rate = best_rate.max(r);
                     }
                 }
-                naive_sum += best_rate;
             }
+            naive_sum += best_rate;
+        }
 
-            CharacterizationRow {
-                model,
-                kind,
-                tflops_during_execution: rate.tflops_during_execution,
-                relative_performance: relative,
-                feasible_stages: rate.feasible_stages,
-                naive_recovered_tflops: naive_sum / timeline.stages.len() as f64,
-                recovered_tflops: rate.recovered_tflops,
-            }
+        CharacterizationRow {
+            model,
+            kind,
+            tflops_during_execution: rate.tflops_during_execution,
+            relative_performance: relative,
+            feasible_stages: rate.feasible_stages,
+            naive_recovered_tflops: naive_sum / plans.stages() as f64,
+            recovered_tflops: rate.recovered_tflops,
         }
     })
 }

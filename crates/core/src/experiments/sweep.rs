@@ -25,11 +25,6 @@ pub fn set_threads(threads: usize) -> usize {
     rayon::current_num_threads()
 }
 
-/// The worker count sweeps will use.
-pub fn current_threads() -> usize {
-    rayon::current_num_threads()
-}
-
 /// Applies `f` to every item across cores, preserving input order.
 pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where

@@ -6,8 +6,8 @@
 //! each stage, its stall and fast-forward state — and [`FillBackend`] is a
 //! set of pipelines on one kernel sharing one cluster-wide
 //! [`GlobalFillQueue`] for fill jobs evicted by device failures. Everything
-//! per-bubble (backlog draw, plan and throughput caches, jitter, stall
-//! accounting, checkpointing), per-iteration (`critical_path_delay`
+//! per-bubble (backlog draw against the shape's [`StagePlans`], jitter,
+//! stall accounting, checkpointing), per-iteration (`critical_path_delay`
 //! folding, the steady-state skip) and per-failure (eviction, outage,
 //! recovery) lives here once.
 //!
@@ -35,11 +35,7 @@ use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use pipefill_device::{Bytes, DeviceSpec};
-use pipefill_executor::{
-    exclusive_throughput, plan_best, ExecutionPlan, ExecutorCheckpoint, ExecutorConfig,
-    FillJobExecutor, FillJobSpec, JobId,
-};
+use pipefill_executor::{ExecutorCheckpoint, FillJobExecutor, FillJobSpec, JobId};
 use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_pipeline::BubbleWindow;
 use pipefill_scheduler::{GlobalFillQueue, JobInfo, SystemState};
@@ -51,6 +47,7 @@ use crate::backend::{BackendKind, BackendMetrics, ClusterEvent, SimBackend};
 use crate::experiments::sweep;
 use crate::ff::{SteadyCounters, SteadyDetector};
 use crate::fleet::{FleetJobConfig, FleetJobResult, FleetSimConfig, FleetSimResult};
+use crate::plans::StagePlans;
 
 /// Signature-history depth of a one-pipeline run: long enough for the
 /// realistic fill-cycle periods (plan cursor × rotation × job-completion
@@ -66,9 +63,10 @@ const FLEET_STEADY_HISTORY: usize = 64;
 /// Draws per refill before a bubble is left idle this round.
 const MAX_DRAW_TRIES: usize = 5;
 
-/// Bubble geometry and profiled caches of one pipeline *shape*. Jobs with
-/// identical main-job spec, executor tuning and stage devices share one
-/// shape, so an 8K-GPU fleet profiles each distinct shape once.
+/// Bubble geometry and time model of one pipeline *shape*, with its
+/// per-stage plans. Jobs with identical main-job spec, executor tuning and
+/// stage devices share one shape, so an 8K-GPU fleet profiles each
+/// distinct shape once.
 struct Shape {
     /// GPUs one job of this shape occupies, and their generation (the
     /// main job's device), for the report.
@@ -78,21 +76,9 @@ struct Shape {
     /// Main-job TFLOPS per GPU at `period`, before fill slowdown.
     main_nominal: f64,
     bubble_ratio: f64,
-    windows: Vec<Vec<BubbleWindow>>,
-    /// The same windows as `(duration, free_memory)` planner slots.
-    slots: Vec<Vec<(SimDuration, Bytes)>>,
-    devices: Vec<DeviceSpec>,
-    /// For each stage, the first stage with an identical device: the
-    /// throughput-cache key, so a homogeneous pipeline profiles each
-    /// (model, kind) once, not once per stage.
-    device_class: Vec<usize>,
-    executor: ExecutorConfig,
-    /// Profiled plans per (model, kind, stage); `None` caches "does not
-    /// fit". Plans are `Arc`s, so binding one to an executor is a
-    /// refcount bump, never a deep copy.
-    plans: HashMap<(ModelId, JobKind, usize), Option<Arc<ExecutionPlan>>>,
-    /// Exclusive throughput per (model, kind, device class).
-    throughputs: HashMap<(ModelId, JobKind, usize), Option<f64>>,
+    /// Fillable windows, executor tuning, and the plan and throughput of
+    /// every fill-job type on every stage.
+    plans: StagePlans,
 }
 
 impl Shape {
@@ -113,23 +99,16 @@ impl Shape {
         let p = timeline.stages.len();
         let base_period = timeline.period;
         let base_nominal = main.main_job_tflops_per_gpu(&timeline);
-        let base_windows: Vec<Vec<BubbleWindow>> = timeline
-            .stages
-            .iter()
-            .map(|s| s.fillable_windows())
-            .collect();
-        let (period, main_nominal, bubble_ratio, windows, devices) = if job.stage_devices.is_empty()
-        {
-            let devices = vec![main.device.clone(); p];
-            let ratio = timeline.bubble_ratio();
-            (base_period, base_nominal, ratio, base_windows, devices)
+        let (period, main_nominal, bubble_ratio, plans) = if job.stage_devices.is_empty() {
+            let plans = StagePlans::homogeneous(&timeline, &main.device, job.executor);
+            (base_period, base_nominal, timeline.bubble_ratio(), plans)
         } else {
             assert_eq!(
                 job.stage_devices.len(),
                 p,
                 "stage_devices must cover every pipeline stage ({p})"
             );
-            let devices = job.stage_devices.clone();
+            let devices = &job.stage_devices;
             let baseline = &main.device;
             // slow_s > 1 ⇒ stage s is slower than the baseline.
             let slow: Vec<f64> = devices
@@ -138,10 +117,12 @@ impl Shape {
                 .collect();
             let max_slow = slow.iter().cloned().fold(f64::MIN, f64::max);
             let period = base_period.mul_f64(max_slow);
-            let windows = base_windows
-                .into_iter()
+            let windows = timeline
+                .stages
+                .iter()
                 .enumerate()
-                .map(|(s, windows)| {
+                .map(|(s, stage)| {
+                    let windows = stage.fillable_windows();
                     let w_total: SimDuration = windows.iter().map(|w| w.duration).sum();
                     if w_total.is_zero() {
                         return windows;
@@ -167,63 +148,21 @@ impl Shape {
             let avg_slow = slow.iter().sum::<f64>() / p as f64;
             let ratio =
                 (1.0 - (1.0 - timeline.bubble_ratio()) * avg_slow * period_ratio).clamp(0.0, 1.0);
-            (period, base_nominal * period_ratio, ratio, windows, devices)
+            let plans = StagePlans::new(windows, devices.clone(), job.executor);
+            (period, base_nominal * period_ratio, ratio, plans)
         };
-        let slots = windows
-            .iter()
-            .map(|ws| ws.iter().map(|w| (w.duration, w.free_memory)).collect())
-            .collect();
-        let device_class = (0..p)
-            .map(|s| (0..s).find(|&t| devices[t] == devices[s]).unwrap_or(s))
-            .collect();
         Shape {
             gpus: main.parallelism.total_gpus(),
             device: main.device.name.clone(),
             period,
             main_nominal,
             bubble_ratio,
-            windows,
-            slots,
-            devices,
-            device_class,
-            executor: job.executor,
-            plans: HashMap::new(),
-            throughputs: HashMap::new(),
+            plans,
         }
     }
 
     fn stages(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// The profiled plan of a (model, kind) fill job on `stage`.
-    fn plan(&mut self, model: ModelId, kind: JobKind, stage: usize) -> Option<Arc<ExecutionPlan>> {
-        let (slots, device, executor) = (&self.slots[stage], &self.devices[stage], &self.executor);
-        self.plans
-            .entry((model, kind, stage))
-            .or_insert_with(|| {
-                if slots.is_empty() {
-                    return None;
-                }
-                let probe = FillJobSpec::new(u64::MAX, model, kind, u64::MAX / 2);
-                plan_best(&probe, slots, device, executor)
-                    .ok()
-                    .map(Arc::new)
-            })
-            .clone()
-    }
-
-    /// Exclusive throughput of a (model, kind) fill job on `stage`'s GPU.
-    fn throughput(&mut self, model: ModelId, kind: JobKind, stage: usize) -> Option<f64> {
-        let device = &self.devices[stage];
-        *self
-            .throughputs
-            .entry((model, kind, self.device_class[stage]))
-            .or_insert_with(|| {
-                let graph = model.build();
-                exclusive_throughput(&graph, kind, device, &FillJobSpec::default_batch_sizes())
-                    .map(|(t, _)| t)
-            })
+        self.plans.stages()
     }
 }
 
@@ -293,7 +232,7 @@ impl Pipeline {
     /// several draws in a row are infeasible on this stage.
     fn draw(
         &mut self,
-        shape: &mut Shape,
+        plans: &StagePlans,
         job: usize,
         stage: usize,
         cfg: &FleetSimConfig,
@@ -306,10 +245,10 @@ impl Pipeline {
                     (model, cfg.mix.sample_kind(model, &mut self.rng))
                 }
             };
-            let Some(plan) = shape.plan(model, kind, stage) else {
+            let Some(plan) = plans.plan(model, kind, stage) else {
                 continue;
             };
-            let Some(throughput) = shape.throughput(model, kind, stage) else {
+            let Some(throughput) = plans.throughput(model, kind, stage) else {
                 continue;
             };
             let samples = ((cfg.backlog_job_gpu_hours * 3600.0 * throughput).round() as u64).max(1);
@@ -317,7 +256,7 @@ impl Pipeline {
             self.next_fill_id += 1;
             return Some(FillJobExecutor::new(
                 FillJobSpec::new(id, model, kind, samples),
-                plan,
+                Arc::clone(plan),
             ));
         }
         None
@@ -332,11 +271,11 @@ impl Pipeline {
         &mut self,
         stage: usize,
         slot: usize,
-        shape: &Shape,
+        plans: &StagePlans,
         cfg: &FleetSimConfig,
         completed_ids: Option<&mut Vec<JobId>>,
     ) -> SimDuration {
-        let window = shape.windows[stage][slot];
+        let window = plans.windows(stage)[slot];
         let Some(lease) = self.leases[stage].as_mut() else {
             return SimDuration::ZERO;
         };
@@ -382,8 +321,8 @@ impl Pipeline {
         // Jittered reality: the bubble and the partition both deviate from
         // their profiled durations.
         let actual_window = window.duration.mul_f64(self.rng.jitter(cfg.jitter_cv));
-        let used =
-            shape.executor.switch_overhead + run.time_used.mul_f64(self.rng.jitter(cfg.jitter_cv));
+        let used = plans.executor().switch_overhead
+            + run.time_used.mul_f64(self.rng.jitter(cfg.jitter_cv));
         if run.job_finished {
             self.completed += 1;
             self.detector.record_completion(finished_id.0);
@@ -420,7 +359,7 @@ impl Pipeline {
             gpus: shape.gpus,
             stages: p,
             device: shape.device.clone(),
-            fill_fraction: shape.executor.fill_fraction,
+            fill_fraction: shape.plans.executor().fill_fraction,
             iterations,
             nominal_period: shape.period,
             mean_period: if iterations == 0 {
@@ -822,8 +761,8 @@ impl<R> FillBackend<R> {
             self.pipes[j].leases[s] = lease;
         }
         let pipe = &mut self.pipes[j];
-        let shape = &self.shapes[pipe.shape];
-        pipe.run_bubble(s, slot, shape, &self.cfg, self.completed_ids.as_mut())
+        let plans = &self.shapes[pipe.shape].plans;
+        pipe.run_bubble(s, slot, plans, &self.cfg, self.completed_ids.as_mut())
     }
 
     /// Finds work for an idle stage: evicted fill jobs in the global
@@ -845,9 +784,9 @@ impl<R> FillBackend<R> {
                 return Some(lease);
             }
         }
-        let shape = self.pipes[j].shape;
+        let plans = &self.shapes[self.pipes[j].shape].plans;
         self.pipes[j]
-            .draw(&mut self.shapes[shape], j, s, &self.cfg)
+            .draw(plans, j, s, &self.cfg)
             .map(|exec| Box::new(FillLease::fresh(exec)))
     }
 
@@ -954,7 +893,8 @@ impl<R> EventHandler for FillBackend<R> {
             ClusterEvent::StageBubbles { stage } => {
                 let (j, s) = self.locate(stage);
                 let shape = &self.shapes[self.pipes[j].shape];
-                let (slots, p, period) = (shape.windows[s].len(), shape.stages(), shape.period);
+                let (slots, p, period) =
+                    (shape.plans.windows(s).len(), shape.stages(), shape.period);
                 let delay = (0..slots)
                     .map(|slot| self.fill_bubble(now, j, s, slot))
                     .sum();
@@ -1234,6 +1174,40 @@ mod tests {
             .run()
             .1
             .into_result()
+    }
+
+    #[test]
+    fn homogeneous_stage_devices_plan_like_the_empty_list_and_the_coarse_backend() {
+        // One per-stage model: listing the main job's device on every
+        // stage is the homogeneous job, so both shapes — and the coarse
+        // backend, which plans with the main job's device everywhere —
+        // see the same windows and choose the same plans.
+        let main = MainJobSpec::physical_5b(8, ScheduleKind::GPipe);
+        let p = main.parallelism.pipeline_stages;
+        let empty = FleetJobConfig::new(main.clone());
+        let listed = FleetJobConfig {
+            stage_devices: vec![main.device.clone(); p],
+            ..empty.clone()
+        };
+        let (a, b) = (Shape::profile(&empty), Shape::profile(&listed));
+        let mut trace = pipefill_trace::TraceConfig::physical(1);
+        trace.horizon = SimDuration::from_secs(60);
+        let mut coarse = crate::ClusterSimConfig::new(main, trace);
+        coarse.executor = empty.executor;
+        let c = crate::CoarseBackend::new(coarse).plans;
+        assert_eq!(a.period, b.period);
+        assert_eq!((a.stages(), b.stages(), c.stages()), (p, p, p));
+        for s in 0..p {
+            assert_eq!(a.plans.windows(s), b.plans.windows(s), "stage {s}");
+            assert_eq!(a.plans.windows(s), c.windows(s), "stage {s}");
+            for model in ModelId::ALL {
+                for kind in [JobKind::Training, JobKind::BatchInference] {
+                    let plan = a.plans.plan(model, kind, s);
+                    assert_eq!(plan, b.plans.plan(model, kind, s), "{model} {kind} {s}");
+                    assert_eq!(plan, c.plan(model, kind, s), "{model} {kind} {s}");
+                }
+            }
+        }
     }
 
     #[test]

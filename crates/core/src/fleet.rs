@@ -37,7 +37,7 @@
 //! fault run *is* a one-job fleet, built with [`FleetBackend::fault`].
 //! Construction profiles each distinct job *shape* once (jobs with
 //! identical main-job spec, executor tuning and stage devices share bubble
-//! geometry and plan caches) and fans the profiling across cores through
+//! geometry and one [`StagePlans`](crate::StagePlans)) and fans the profiling across cores through
 //! the sweep driver — results are byte-stable at any thread count because
 //! geometry is a pure function of the spec and all simulation randomness
 //! flows through per-job seeded streams.

@@ -39,6 +39,11 @@
 //! [`PhysicalBackend::simulate`] and [`FleetBackend::simulate`] run a
 //! configuration to completion.
 //!
+//! Every fidelity reads its fill plans from one per-stage plan model,
+//! [`StagePlans`]: the filling engine holds one per pipeline shape, and
+//! the coarse backend and the steady-state rates build one with the main
+//! job's device on every stage.
+//!
 //! All are [`SimBackend`]s over the shared [`ClusterEvent`] alphabet,
 //! driven by the `pipefill-sim-core` kernel through [`BackendDriver`];
 //! experiment drivers select fidelity by value with [`BackendConfig`] and
@@ -61,6 +66,7 @@ mod filling;
 mod fleet;
 mod metrics;
 mod physical;
+mod plans;
 mod steady;
 
 pub mod experiments;
@@ -70,10 +76,11 @@ pub use backend::{
     ClusterEvent, SimBackend,
 };
 pub use cluster::{ClusterSimConfig, ClusterSimResult, CoarseBackend, CompletedJob, PolicyKind};
-pub use convert::{kind_allowed, samples_for_trace_job, trace_job_to_spec};
+pub use convert::{samples_for_trace_job, trace_job_to_spec};
 pub use csv::{experiments_dir, CsvWriter};
 pub use filling::FillBackend;
 pub use fleet::{FleetBackend, FleetJobConfig, FleetJobResult, FleetSimConfig, FleetSimResult};
 pub use metrics::{gpus_saved, JctStats, UtilizationBreakdown};
 pub use physical::{PhysicalBackend, PhysicalSimConfig, PhysicalSimResult};
-pub use steady::{stage_plans, steady_rate, steady_recovered_tflops, SteadyRate};
+pub use plans::StagePlans;
+pub use steady::{steady_rate, steady_recovered_tflops, SteadyRate};

@@ -4,15 +4,22 @@
 //! When the fill-job queue never empties — the regime of the utilization
 //! figures — each device cycles through its plan indefinitely, so the
 //! recovered rate is a property of the plan itself: FLOPs per pass over
-//! the main-job iterations the pass spans. The event-driven [`crate::CoarseBackend`]
-//! converges to these rates at saturation (asserted in the integration
-//! tests), exactly as the paper's arrival/completion simulator replays
-//! profiled patterns between events.
+//! the main-job iterations the pass spans. The plans, slots and exclusive
+//! throughputs come from [`StagePlans`], the one per-stage plan model
+//! every fidelity reads, built with the main job's device on every stage.
+//! The event-driven [`crate::CoarseBackend`] reads the same plans and
+//! converges to these rates at saturation (asserted in
+//! `tests/end_to_end.rs::saturated_cluster_approaches_steady_state_rate`),
+//! exactly as the paper's arrival/completion simulator replays profiled
+//! patterns between events.
 
-use pipefill_executor::{plan_best, ExecutionPlan, ExecutorConfig, FillJobSpec};
+use pipefill_executor::ExecutorConfig;
 use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_pipeline::MainJobSpec;
+use pipefill_sim_core::SimDuration;
 use pipefill_trace::ModelMix;
+
+use crate::plans::StagePlans;
 
 /// Per-stage steady rates for one job type.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,51 +40,22 @@ pub struct SteadyRate {
     pub feasible_stages: usize,
 }
 
-/// Builds the best plan for `(model, kind)` on every stage of the main
-/// job; `None` where no configuration fits that stage's bubbles.
-pub fn stage_plans(
-    main: &MainJobSpec,
-    exec: &ExecutorConfig,
-    model: ModelId,
-    kind: JobKind,
-) -> Vec<Option<ExecutionPlan>> {
-    let timeline = main.engine_timeline();
-    // A large nominal job; plans depend only on model/kind/bubbles.
-    let job = FillJobSpec::new(u64::MAX, model, kind, u64::MAX / 2);
-    timeline
-        .stages
-        .iter()
-        .map(|stage| {
-            let slots: Vec<_> = stage
-                .fillable_windows()
-                .iter()
-                .map(|w| (w.duration, w.free_memory))
-                .collect();
-            if slots.is_empty() {
-                return None;
-            }
-            plan_best(&job, &slots, &main.device, exec).ok()
-        })
-        .collect()
-}
-
-/// Steady rates of one `(model, kind)` pair across the main job's stages.
+/// Steady rates of one `(model, kind)` pair across the stages of
+/// `plans`, for a main job iterating every `period`.
 pub fn steady_rate(
-    main: &MainJobSpec,
-    exec: &ExecutorConfig,
+    plans: &StagePlans,
+    period: SimDuration,
     model: ModelId,
     kind: JobKind,
 ) -> SteadyRate {
-    let timeline = main.engine_timeline();
-    let period = timeline.period.as_secs_f64();
-    let plans = stage_plans(main, exec, model, kind);
-    let p = plans.len();
+    let period = period.as_secs_f64();
+    let p = plans.stages();
 
     let mut recovered_sum = 0.0;
     let mut exec_tflops_sum = 0.0;
     let mut wall_sum = 0.0;
     let mut feasible = 0usize;
-    for plan in plans.iter().flatten() {
+    for plan in (0..p).filter_map(|s| plans.plan(model, kind, s)) {
         let pass_secs = plan.main_iterations_per_pass as f64 * period;
         recovered_sum += plan.flops_per_pass / pass_secs / 1e12;
         let busy = plan.busy_time_per_pass.as_secs_f64();
@@ -136,34 +114,18 @@ pub fn steady_recovered_tflops(main: &MainJobSpec, exec: &ExecutorConfig, mix: &
 
     let timeline = main.engine_timeline();
     let period = timeline.period.as_secs_f64();
-    let device = &main.device;
-    let batches = FillJobSpec::default_batch_sizes();
-
-    // Exclusive throughput per job type (samples/sec on an idle GPU).
-    let exclusive: Vec<Option<f64>> = types
-        .iter()
-        .map(|&(model, kind, _)| {
-            let graph = model.build();
-            pipefill_executor::exclusive_throughput(&graph, kind, device, &batches).map(|(t, _)| t)
-        })
-        .collect();
+    let plans = StagePlans::homogeneous(&timeline, &main.device, *exec);
 
     let mut total = 0.0;
-    for stage in &timeline.stages {
-        let slots: Vec<_> = stage
-            .fillable_windows()
-            .iter()
-            .map(|w| (w.duration, w.free_memory))
-            .collect();
-        if slots.is_empty() {
-            continue; // this stage recovers nothing
-        }
+    for stage in 0..plans.stages() {
         let mut num = 0.0;
         let mut den = 0.0;
-        for (i, &(model, kind, count_w)) in types.iter().enumerate() {
-            let Some(excl) = exclusive[i] else { continue };
-            let probe = FillJobSpec::new(u64::MAX, model, kind, u64::MAX / 2);
-            let Ok(plan) = plan_best(&probe, &slots, device, exec) else {
+        for &(model, kind, count_w) in &types {
+            // Exclusive throughput: samples/sec on an idle GPU.
+            let Some(excl) = plans.throughput(model, kind, stage) else {
+                continue;
+            };
+            let Some(plan) = plans.plan(model, kind, stage) else {
                 continue;
             };
             let pass_secs = plan.main_iterations_per_pass as f64 * period;
@@ -182,7 +144,7 @@ pub fn steady_recovered_tflops(main: &MainJobSpec, exec: &ExecutorConfig, mix: &
             total += num / den;
         }
     }
-    total / timeline.stages.len() as f64
+    total / plans.stages() as f64
 }
 
 #[cfg(test)]
@@ -194,16 +156,30 @@ mod tests {
         MainJobSpec::simulator_40b(8, ScheduleKind::GPipe)
     }
 
+    fn rate(
+        main: &MainJobSpec,
+        exec: &ExecutorConfig,
+        model: ModelId,
+        kind: JobKind,
+    ) -> SteadyRate {
+        let timeline = main.engine_timeline();
+        let plans = StagePlans::homogeneous(&timeline, &main.device, *exec);
+        steady_rate(&plans, timeline.period, model, kind)
+    }
+
     #[test]
     fn bert_inference_is_feasible_on_all_stages() {
-        let plans = stage_plans(
-            &main_8k(),
-            &ExecutorConfig::default(),
-            ModelId::BertBase,
-            JobKind::BatchInference,
-        );
-        assert_eq!(plans.len(), 16);
-        let feasible = plans.iter().flatten().count();
+        let main = main_8k();
+        let timeline = main.engine_timeline();
+        let plans = StagePlans::homogeneous(&timeline, &main.device, ExecutorConfig::default());
+        assert_eq!(plans.stages(), 16);
+        let feasible = (0..16)
+            .filter(|&s| {
+                plans
+                    .plan(ModelId::BertBase, JobKind::BatchInference, s)
+                    .is_some()
+            })
+            .count();
         assert!(feasible >= 15, "feasible on {feasible}/16 stages");
     }
 
@@ -211,7 +187,7 @@ mod tests {
     fn bert_inference_recovers_meaningful_tflops_at_8k() {
         // The paper's best-case workload recovers ≈10+ TFLOPS/GPU at the
         // 65% bubble ratio (Fig. 4c: +63% over ≈20 TFLOPS traditional).
-        let r = steady_rate(
+        let r = rate(
             &main_8k(),
             &ExecutorConfig::default(),
             ModelId::BertBase,
@@ -231,8 +207,8 @@ mod tests {
         // utilization than training jobs".
         let exec = ExecutorConfig::default();
         let main = main_8k();
-        let inf = steady_rate(&main, &exec, ModelId::BertBase, JobKind::BatchInference);
-        let tr = steady_rate(&main, &exec, ModelId::BertBase, JobKind::Training);
+        let inf = rate(&main, &exec, ModelId::BertBase, JobKind::BatchInference);
+        let tr = rate(&main, &exec, ModelId::BertBase, JobKind::Training);
         assert!(
             inf.tflops_during_execution > tr.tflops_during_execution,
             "inf {} vs train {}",

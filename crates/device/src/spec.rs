@@ -78,19 +78,6 @@ impl DeviceSpec {
         }
     }
 
-    /// AWS Trainium-like accelerator (the paper's footnote 1 includes
-    /// Trainium in its "GPU" terminology).
-    pub fn trainium() -> Self {
-        DeviceSpec {
-            name: "Trainium".to_owned(),
-            peak_tflops: 190.0,
-            hbm: Bytes::from_gib(32),
-            hbm_bandwidth: 820.0e9,
-            host_link_bandwidth: 16.0e9,
-            nvme_bandwidth: 4.0e9,
-        }
-    }
-
     /// Peak throughput in FLOP/s.
     pub fn peak_flops(&self) -> f64 {
         self.peak_tflops * 1e12

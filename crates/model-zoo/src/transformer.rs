@@ -65,12 +65,6 @@ impl TransformerConfig {
         }
     }
 
-    /// Replaces the efficiency curve.
-    pub fn with_efficiency(mut self, efficiency: EfficiencyCurve) -> Self {
-        self.efficiency = efficiency;
-        self
-    }
-
     /// Parameters of one transformer block.
     pub fn block_params(&self) -> u64 {
         12 * (self.hidden as u64) * (self.hidden as u64)

@@ -132,10 +132,6 @@ impl ModelId {
         ModelId::XlmRobertaXl,
     ];
 
-    /// Extension fill-job models beyond Table 1 (both under the paper's
-    /// 3B-parameter fill-job ceiling).
-    pub const EXTENDED_FILL_JOBS: [ModelId; 2] = [ModelId::ViTLarge, ModelId::ResNet50];
-
     /// Builds the model's layer graph.
     pub fn build(self) -> ModelGraph {
         match self {

@@ -80,12 +80,6 @@ impl MainJobSpec {
         }
     }
 
-    /// The 40B job sized by GPU count (must be a multiple of 128).
-    pub fn simulator_40b_at_scale(total_gpus: usize, schedule: ScheduleKind) -> Self {
-        let cfg = ParallelismConfig::for_40b_at_scale(total_gpus);
-        Self::simulator_40b(cfg.microbatches_per_replica(), schedule)
-    }
-
     /// The physical-cluster 5B main job (§5.2): 16 stages on 16 GPUs, no
     /// tensor parallelism.
     pub fn physical_5b(microbatches: usize, schedule: ScheduleKind) -> Self {

@@ -177,15 +177,6 @@ impl StagePartition {
         &self.stages
     }
 
-    /// The slowest stage's forward time — the pipeline's cadence.
-    pub fn max_fwd_time(&self) -> SimDuration {
-        self.stages
-            .iter()
-            .map(|s| s.fwd_time)
-            .max()
-            .unwrap_or(SimDuration::ZERO)
-    }
-
     /// Imbalance ratio: slowest stage forward time over mean.
     pub fn imbalance(&self) -> f64 {
         let times: Vec<f64> = self

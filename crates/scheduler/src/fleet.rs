@@ -104,11 +104,6 @@ impl GlobalFillQueue {
         self.owner.len()
     }
 
-    /// The main job owning flat executor `device`.
-    pub fn owner_of(&self, device: usize) -> usize {
-        self.owner[device]
-    }
-
     /// The active policy's name.
     pub fn policy_name(&self) -> &str {
         self.policy.name()

@@ -38,9 +38,10 @@
 //! # Quickstart
 //!
 //! ```
-//! use pipefill::pipeline::{MainJobSpec, ScheduleKind};
-//! use pipefill::executor::{plan_best, ExecutorConfig, FillJobSpec};
+//! use pipefill::core::StagePlans;
+//! use pipefill::executor::ExecutorConfig;
 //! use pipefill::models::{JobKind, ModelId};
+//! use pipefill::pipeline::{MainJobSpec, ScheduleKind};
 //!
 //! // The paper's 8K-GPU setting: a 40B LLM with a 65% bubble ratio.
 //! let main = MainJobSpec::simulator_40b(8, ScheduleKind::GPipe);
@@ -48,15 +49,11 @@
 //! assert!(timeline.bubble_ratio() > 0.6);
 //!
 //! // Plan a BERT batch-inference fill job into stage 8's bubbles.
-//! let slots: Vec<_> = timeline.stages[8]
-//!     .fillable_windows()
-//!     .iter()
-//!     .map(|w| (w.duration, w.free_memory))
-//!     .collect();
-//! let job = FillJobSpec::new(1, ModelId::BertBase, JobKind::BatchInference, 100_000);
-//! let plan = plan_best(&job, &slots, &main.device, &ExecutorConfig::default())?;
+//! let plans = StagePlans::homogeneous(&timeline, &main.device, ExecutorConfig::default());
+//! let plan = plans
+//!     .plan(ModelId::BertBase, JobKind::BatchInference, 8)
+//!     .expect("BERT inference fits stage 8");
 //! assert!(plan.samples_per_pass > 0);
-//! # Ok::<(), pipefill::executor::PlanError>(())
 //! ```
 
 #![warn(missing_docs)]

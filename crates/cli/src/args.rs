@@ -9,7 +9,7 @@
 //! [`ScenarioSpec`], so its flags validate through the one applicability
 //! table the scenario files use.
 
-use pipefill_core::BackendKind;
+use pipefill_core::{BackendKind, EXPERIMENTS_DIR};
 use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_pipeline::ScheduleKind;
 use pipefill_scenario::{ScenarioSpec, SpecError};
@@ -70,7 +70,7 @@ pub enum Command {
     Exp {
         /// The validated experiment scenario.
         spec: ScenarioSpec,
-        /// CSV output directory (default `target/experiments`).
+        /// CSV output directory (default [`EXPERIMENTS_DIR`]).
         out: Option<String>,
     },
     /// List the experiment registry.
@@ -264,7 +264,7 @@ pub fn parse(argv: &[String]) -> Result<Invocation, String> {
             FLEET_FLAGS,
         )?),
         "all" => Command::All {
-            out: flags.take_string("out", "target/experiments")?,
+            out: flags.take_string("out", EXPERIMENTS_DIR)?,
         },
         "sim" => {
             let backend = flags

@@ -14,7 +14,7 @@ use std::process::ExitCode;
 use pipefill_core::experiments::sweep;
 use pipefill_core::{
     BackendConfig, BackendDetail, BackendKind, BackendMetrics, BackendRun, FleetSimResult,
-    StagePlans,
+    StagePlans, EXPERIMENTS_DIR,
 };
 use pipefill_executor::{ExecutorConfig, PlanError};
 use pipefill_pipeline::{render_timeline, EngineConfig, MainJobSpec, ScheduleKind};
@@ -80,7 +80,7 @@ pub fn run(invocation: Invocation) -> Result<ExitCode, String> {
             }
         }
         Command::Exp { spec, out } => {
-            let out = out.as_deref().unwrap_or("target/experiments");
+            let out = out.as_deref().unwrap_or(EXPERIMENTS_DIR);
             for (exp, grid) in spec.experiments()? {
                 run_experiment(exp, &grid, out)?;
             }
@@ -106,7 +106,7 @@ pub fn run(invocation: Invocation) -> Result<ExitCode, String> {
             }
             if spec.experiment.is_some() {
                 for (exp, grid) in spec.experiments()? {
-                    run_experiment(exp, &grid, "target/experiments")?;
+                    run_experiment(exp, &grid, EXPERIMENTS_DIR)?;
                 }
             } else {
                 let run = spec.lower()?.run();

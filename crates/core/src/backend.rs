@@ -340,14 +340,6 @@ impl BackendRun {
         &self.detail
     }
 
-    /// The coarse detail by reference, if this was a coarse run.
-    pub fn as_coarse(&self) -> Option<&ClusterSimResult> {
-        match &self.detail {
-            BackendDetail::Coarse(r) => Some(r),
-            _ => None,
-        }
-    }
-
     /// The physical detail by reference, if this was a physical run.
     pub fn as_physical(&self) -> Option<&PhysicalSimResult> {
         match &self.detail {
@@ -435,7 +427,6 @@ mod tests {
         assert_eq!(coarse.metrics.kind, BackendKind::Coarse);
         assert!(coarse.metrics.recovered_tflops_per_gpu > 0.0);
         assert!(coarse.metrics.events_dispatched > 0);
-        assert!(coarse.as_coarse().is_some());
         assert!(coarse.as_physical().is_none());
         assert!(matches!(coarse.detail(), BackendDetail::Coarse(_)));
         assert_eq!(coarse.metrics(), &coarse.metrics);

@@ -15,9 +15,12 @@ use pipefill_trace::TraceJob;
 /// Table-1 zoo on a V100).
 pub fn samples_for_trace_job(job: &TraceJob, device: &DeviceSpec) -> Option<u64> {
     let model = job.model.build();
-    let batches = FillJobSpec::default_batch_sizes();
-    let (throughput, _) =
-        pipefill_executor::exclusive_throughput(&model, job.kind, device, &batches)?;
+    let (throughput, _) = pipefill_executor::exclusive_throughput(
+        &model,
+        job.kind,
+        device,
+        &FillJobSpec::BATCH_SIZES,
+    )?;
     let samples = (job.gpu_hours * 3600.0 * throughput).round() as u64;
     Some(samples.max(1))
 }

@@ -91,10 +91,8 @@ impl CsvWriter {
     }
 }
 
-/// Default experiment-output directory (`target/experiments`).
-pub fn experiments_dir() -> PathBuf {
-    PathBuf::from("target/experiments")
-}
+/// Default experiment-output directory.
+pub const EXPERIMENTS_DIR: &str = "target/experiments";
 
 #[cfg(test)]
 mod tests {

@@ -79,7 +79,7 @@ pub fn fig7_characterization(
                 continue;
             }
             let mut best_rate = 0.0f64;
-            for &batch_size in &FillJobSpec::default_batch_sizes() {
+            for batch_size in FillJobSpec::BATCH_SIZES {
                 for &technique in ExecTechnique::applicable(kind) {
                     let profile = build_profile(
                         &graph,

@@ -88,8 +88,10 @@ mod tests {
             );
         }
         // Beyond the knee, recovered utilization stays in the same band
-        // (Algorithm 1's integer graph replication makes it non-monotone
-        // there — see EXPERIMENTS.md) and clearly above mid-range fills.
+        // and clearly above mid-range fills. It is not monotone there:
+        // Algorithm 1 replicates the fill graph a whole number of times
+        // per pass, so a larger budget can switch a job to a plan that
+        // recovers slightly less.
         assert!(at(0.9).recovered_tflops > at(0.55).recovered_tflops);
     }
 }

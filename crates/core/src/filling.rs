@@ -63,6 +63,17 @@ const FLEET_STEADY_HISTORY: usize = 64;
 /// Draws per refill before a bubble is left idle this round.
 const MAX_DRAW_TRIES: usize = 5;
 
+/// Fraction of each (jittered) bubble actually usable for filling before
+/// the engine needs the device back (receive setup, allocator work).
+const USABLE_FRACTION: f64 = 0.88;
+
+/// Mean outage length once a device fails.
+const MEAN_RECOVERY: SimDuration = SimDuration::from_secs(120);
+
+/// A fill job checkpoints after this many executed bubble partitions
+/// (only while `mtbf` is finite: without failures nothing restores).
+const CHECKPOINT_EVERY_BUBBLES: usize = 8;
+
 /// Bubble geometry and time model of one pipeline *shape*, with its
 /// per-stage plans. Jobs with identical main-job spec, executor tuning and
 /// stage devices share one shape, so an 8K-GPU fleet profiles each
@@ -283,7 +294,7 @@ impl Pipeline {
         // restart debt consumes whole bubbles (no stall — the reload fits
         // inside the usable span it displaces).
         if !lease.restart_debt.is_zero() {
-            let usable = window.duration.mul_f64(cfg.usable_fraction);
+            let usable = window.duration.mul_f64(USABLE_FRACTION);
             lease.restart_debt = lease.restart_debt.saturating_sub(usable);
             return SimDuration::ZERO;
         }
@@ -310,7 +321,7 @@ impl Pipeline {
         if cfg.mtbf != SimDuration::MAX {
             lease.unsaved_flops += run.flops;
             lease.runs_since_ckpt += 1;
-            if !run.job_finished && lease.runs_since_ckpt >= cfg.checkpoint_every_bubbles {
+            if !run.job_finished && lease.runs_since_ckpt >= CHECKPOINT_EVERY_BUBBLES {
                 lease.ckpt = lease.exec.checkpoint();
                 lease.unsaved_flops = 0.0;
                 lease.runs_since_ckpt = 0;
@@ -331,7 +342,7 @@ impl Pipeline {
                 ids.push(finished_id);
             }
         }
-        used.saturating_sub(actual_window.mul_f64(cfg.usable_fraction))
+        used.saturating_sub(actual_window.mul_f64(USABLE_FRACTION))
     }
 
     /// This pipeline's share of the report. An outage in flight when the
@@ -938,7 +949,7 @@ impl<R> EventHandler for FillBackend<R> {
                 pipe.detector.reset();
                 pipe.failures += 1;
                 pipe.up[s] = false;
-                let outage = self.fail_rngs[device].exponential_duration(self.cfg.mean_recovery);
+                let outage = self.fail_rngs[device].exponential_duration(MEAN_RECOVERY);
                 pipe.downtime += outage;
                 self.down_until[device] = now + outage;
                 self.evict(j, s);

@@ -137,8 +137,6 @@ pub struct FleetSimConfig {
     pub mix: ModelMix,
     /// Coefficient of variation of the multiplicative timing jitter.
     pub jitter_cv: f64,
-    /// Fraction of each (jittered) bubble actually usable for filling.
-    pub usable_fraction: f64,
     /// Size of each backlog job in GPU-hours.
     pub backlog_job_gpu_hours: f64,
     /// Draw backlog jobs by weighted round-robin instead of random
@@ -154,14 +152,9 @@ pub struct FleetSimConfig {
     /// Per-device mean time between failures; [`SimDuration::MAX`]
     /// disables fault injection (and with it all global-queue traffic).
     pub mtbf: SimDuration,
-    /// Mean outage length once a device fails.
-    pub mean_recovery: SimDuration,
     /// Bubble time an evicted fill job burns reloading its checkpoint
     /// before it resumes making progress.
     pub checkpoint_cost: SimDuration,
-    /// A fill job checkpoints after this many executed bubble partitions
-    /// (only while `mtbf` is finite: without failures nothing restores).
-    pub checkpoint_every_bubbles: usize,
     /// Steady-state fast-forward (see
     /// [`PhysicalSimConfig::fast_forward`]). Per job: each main job owns
     /// a detector over its private iteration stream. Only armed when
@@ -188,15 +181,12 @@ impl FleetSimConfig {
             policy: PolicyKind::Fifo,
             mix: ModelMix::paper_mix(),
             jitter_cv: 0.08,
-            usable_fraction: 0.88,
             backlog_job_gpu_hours: 0.02,
             deterministic_mix: false,
             memory_jitter_cv: 0.0,
             seed: 7,
             mtbf: SimDuration::MAX,
-            mean_recovery: SimDuration::from_secs(120),
             checkpoint_cost: SimDuration::from_secs(2),
-            checkpoint_every_bubbles: 8,
             fast_forward: true,
             steady_confirm: 1,
         }
@@ -216,7 +206,6 @@ impl FleetSimConfig {
         let mut cfg = FleetSimConfig::new(vec![job]);
         cfg.mix = phys.mix.clone();
         cfg.jitter_cv = phys.jitter_cv;
-        cfg.usable_fraction = phys.usable_fraction;
         cfg.backlog_job_gpu_hours = phys.backlog_job_gpu_hours;
         cfg.deterministic_mix = phys.deterministic_mix;
         cfg.memory_jitter_cv = phys.memory_jitter_cv;

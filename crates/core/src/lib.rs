@@ -50,8 +50,10 @@
 //! read the common [`BackendMetrics`] (see the `backend` module docs).
 //!
 //! The [`experiments`] module contains one driver per table/figure; each
-//! returns typed rows, prints the same series the paper plots, and writes
-//! CSV under `target/experiments/`.
+//! returns typed rows and prints the same series the paper plots. The
+//! `pipefill-scenario` crate's `Table` wraps those rows and writes them as
+//! CSV through [`CsvWriter`]; the CLI writes under [`EXPERIMENTS_DIR`]
+//! unless told otherwise.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -77,7 +79,7 @@ pub use backend::{
 };
 pub use cluster::{ClusterSimConfig, ClusterSimResult, CoarseBackend, CompletedJob, PolicyKind};
 pub use convert::{samples_for_trace_job, trace_job_to_spec};
-pub use csv::{experiments_dir, CsvWriter};
+pub use csv::{CsvWriter, EXPERIMENTS_DIR};
 pub use filling::FillBackend;
 pub use fleet::{FleetBackend, FleetJobConfig, FleetJobResult, FleetSimConfig, FleetSimResult};
 pub use metrics::{gpus_saved, JctStats, UtilizationBreakdown};

@@ -50,9 +50,6 @@ pub struct PhysicalSimConfig {
     /// Coefficient of variation of the multiplicative timing jitter
     /// applied to bubble windows and fill partitions.
     pub jitter_cv: f64,
-    /// Fraction of each (jittered) bubble actually usable before the
-    /// engine needs the device back (receive setup, allocator work).
-    pub usable_fraction: f64,
     /// Size of each backlog job in GPU-hours.
     pub backlog_job_gpu_hours: f64,
     /// Draw backlog jobs by weighted round-robin instead of random
@@ -83,7 +80,7 @@ pub struct PhysicalSimConfig {
 
 impl PhysicalSimConfig {
     /// Defaults matching the paper's physical experiments: the 5B main
-    /// job, trace mix, 10% jitter, 82% usable bubble span.
+    /// job, trace mix, 8% jitter.
     pub fn new(main_job: MainJobSpec) -> Self {
         PhysicalSimConfig {
             main_job,
@@ -92,7 +89,6 @@ impl PhysicalSimConfig {
             iterations: 200,
             seed: 7,
             jitter_cv: 0.08,
-            usable_fraction: 0.88,
             backlog_job_gpu_hours: 0.02,
             deterministic_mix: false,
             memory_jitter_cv: 0.0,

@@ -161,8 +161,7 @@ impl StagePlans {
         let key = Self::row(model, kind, classes) + self.device_class[stage];
         *self.throughputs[key].get_or_init(|| {
             let graph = model.build();
-            exclusive_throughput(&graph, kind, device, &FillJobSpec::default_batch_sizes())
-                .map(|(t, _)| t)
+            exclusive_throughput(&graph, kind, device, &FillJobSpec::BATCH_SIZES).map(|(t, _)| t)
         })
     }
 }
@@ -245,11 +244,11 @@ mod tests {
         let (v100, h100) = (DeviceSpec::v100(), DeviceSpec::h100());
         let devices = vec![v100.clone(), h100.clone(), v100.clone()];
         let plans = StagePlans::new(vec![Vec::new(); 3], devices, ExecutorConfig::default());
-        let batches = FillJobSpec::default_batch_sizes();
         for (model, kind) in fig7_job_types() {
             let graph = model.build();
-            let direct =
-                |d: &DeviceSpec| exclusive_throughput(&graph, kind, d, &batches).map(|t| t.0);
+            let direct = |d: &DeviceSpec| {
+                exclusive_throughput(&graph, kind, d, &FillJobSpec::BATCH_SIZES).map(|t| t.0)
+            };
             // Stage 1 first, so a key shared with stage 0 would show.
             assert_eq!(
                 plans.throughput(model, kind, 1),

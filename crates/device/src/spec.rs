@@ -98,18 +98,6 @@ impl DeviceSpec {
         SimDuration::from_secs_f64(flops / (self.peak_flops() * efficiency))
     }
 
-    /// Time to move `bytes` across the host↔device link.
-    pub fn host_transfer_time(&self, bytes: Bytes) -> SimDuration {
-        SimDuration::from_secs_f64(bytes.as_f64() / self.host_link_bandwidth)
-    }
-
-    /// Returns a copy with HBM capacity replaced (free-memory sensitivity
-    /// study, Fig. 10b).
-    pub fn with_hbm(mut self, hbm: Bytes) -> Self {
-        self.hbm = hbm;
-        self
-    }
-
     /// Compute-speed ratio against a baseline device: values above 1 mean
     /// this device is faster. Heterogeneous-cluster backends use it to
     /// stretch per-stage compute times and re-derive bubble geometry when
@@ -311,14 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn host_transfer_uses_pcie() {
-        let d = DeviceSpec::v100();
-        // 12 GB over 12 GB/s = 1 s.
-        let t = d.host_transfer_time(Bytes::new(12_000_000_000));
-        assert!((t.as_secs_f64() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn relative_speed_is_a_peak_ratio() {
         let v100 = DeviceSpec::v100();
         let a100 = DeviceSpec::a100_40g();
@@ -327,12 +307,5 @@ mod tests {
         assert_eq!(v100.relative_speed(&v100), 1.0);
         // H100 is the fast end of the ladder.
         assert!(DeviceSpec::h100().relative_speed(&v100) > 7.0);
-    }
-
-    #[test]
-    fn with_hbm_replaces_capacity_only() {
-        let d = DeviceSpec::v100().with_hbm(Bytes::from_gib(32));
-        assert_eq!(d.hbm, Bytes::from_gib(32));
-        assert_eq!(d.peak_tflops, 125.0);
     }
 }

@@ -19,7 +19,8 @@ impl std::fmt::Display for JobId {
 /// A fill job as submitted to PipeFill: "PIPEFILL takes as input the model
 /// used for the fill-job, as well as valid batch-sizes; given the job
 /// configuration, it will attempt to execute the fill-job with maximum
-/// throughput" (§4.1).
+/// throughput" (§4.1). Every job here supports the same batch-size menu,
+/// [`FillJobSpec::BATCH_SIZES`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FillJobSpec {
     /// Job identifier.
@@ -30,9 +31,6 @@ pub struct FillJobSpec {
     pub kind: JobKind,
     /// Samples the job must process to complete.
     pub samples: u64,
-    /// Batch sizes the job's code supports (powers of two up to 256 by
-    /// default).
-    pub valid_batch_sizes: Vec<usize>,
     /// Submission time.
     pub arrival: SimTime,
     /// Optional completion deadline (drives deadline-aware policies).
@@ -40,13 +38,11 @@ pub struct FillJobSpec {
 }
 
 impl FillJobSpec {
-    /// Default batch-size menu: powers of two from 1 to 512.
-    pub fn default_batch_sizes() -> Vec<usize> {
-        (0..=9).map(|i| 1usize << i).collect()
-    }
+    /// The batch-size menu every fill job supports: powers of two from 1
+    /// to 512.
+    pub const BATCH_SIZES: [usize; 10] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512];
 
-    /// Creates a job with the default batch-size menu, arriving at time
-    /// zero.
+    /// Creates a job arriving at time zero.
     ///
     /// # Panics
     ///
@@ -58,7 +54,6 @@ impl FillJobSpec {
             model,
             kind,
             samples,
-            valid_batch_sizes: Self::default_batch_sizes(),
             arrival: SimTime::ZERO,
             deadline: None,
         }
@@ -76,20 +71,6 @@ impl FillJobSpec {
         self
     }
 
-    /// Restricts the batch-size menu.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sizes` is empty or contains zero.
-    pub fn with_batch_sizes(mut self, sizes: Vec<usize>) -> Self {
-        assert!(
-            !sizes.is_empty() && sizes.iter().all(|&b| b > 0),
-            "batch sizes must be non-empty and positive"
-        );
-        self.valid_batch_sizes = sizes;
-        self
-    }
-
     /// Builds the model graph for this job.
     pub fn model_graph(&self) -> ModelGraph {
         self.model.build()
@@ -102,35 +83,25 @@ mod tests {
     use pipefill_model_zoo::ModelId;
 
     #[test]
-    fn default_batch_menu_is_powers_of_two() {
-        let job = FillJobSpec::new(1, ModelId::BertBase, JobKind::BatchInference, 100);
-        assert_eq!(
-            job.valid_batch_sizes,
-            vec![1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
-        );
+    fn batch_menu_is_powers_of_two() {
+        for (i, &b) in FillJobSpec::BATCH_SIZES.iter().enumerate() {
+            assert_eq!(b, 1 << i);
+        }
+        assert_eq!(FillJobSpec::BATCH_SIZES.last(), Some(&512));
     }
 
     #[test]
     fn builder_methods_chain() {
         let job = FillJobSpec::new(2, ModelId::EfficientNet, JobKind::Training, 50)
             .with_arrival(SimTime::from_secs_f64(10.0))
-            .with_deadline(SimTime::from_secs_f64(100.0))
-            .with_batch_sizes(vec![4, 8]);
+            .with_deadline(SimTime::from_secs_f64(100.0));
         assert_eq!(job.arrival, SimTime::from_secs_f64(10.0));
         assert_eq!(job.deadline, Some(SimTime::from_secs_f64(100.0)));
-        assert_eq!(job.valid_batch_sizes, vec![4, 8]);
     }
 
     #[test]
     #[should_panic(expected = "at least one sample")]
     fn zero_samples_rejected() {
         let _ = FillJobSpec::new(3, ModelId::BertBase, JobKind::Training, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty and positive")]
-    fn zero_batch_size_rejected() {
-        let _ =
-            FillJobSpec::new(4, ModelId::BertBase, JobKind::Training, 10).with_batch_sizes(vec![0]);
     }
 }

@@ -244,7 +244,7 @@ pub fn plan_best(
 ) -> Result<ExecutionPlan, PlanError> {
     let model = job.model_graph();
     let mut best: Option<ExecutionPlan> = None;
-    for &batch_size in &job.valid_batch_sizes {
+    for batch_size in FillJobSpec::BATCH_SIZES {
         for &technique in ExecTechnique::applicable(job.kind) {
             let profile = build_profile(
                 &model,

@@ -7,7 +7,7 @@ use pipefill_sim_core::SimDuration;
 use serde::{Deserialize, Serialize};
 
 use crate::layer::Layer;
-use crate::{ADAM_STATE_BYTES_PER_PARAM, FP16_BYTES, GRAD_BYTES_PER_PARAM};
+use crate::FP16_BYTES;
 
 /// Broad architecture family, which determines how a model behaves under
 /// bubble constraints (§6.2's fill-job characterization).
@@ -124,30 +124,10 @@ impl ModelGraph {
         Bytes::new(self.total_params() * FP16_BYTES)
     }
 
-    /// Gradient bytes (fp16), present only while training.
-    pub fn gradient_bytes(&self) -> Bytes {
-        Bytes::new(self.total_params() * GRAD_BYTES_PER_PARAM)
-    }
-
-    /// Mixed-precision Adam optimizer-state bytes (fp32 master + two
-    /// moments) — the state the PipeFill engine can offload to host
-    /// memory to widen bubbles.
-    pub fn optimizer_state_bytes(&self) -> Bytes {
-        Bytes::new(self.total_params() * ADAM_STATE_BYTES_PER_PARAM)
-    }
-
     /// Sum of all layer activations for one batch — what training must
     /// hold without checkpointing.
     pub fn activation_bytes(&self, batch: usize) -> Bytes {
         self.layers.iter().map(|l| l.activation_bytes(batch)).sum()
-    }
-
-    /// Activation bytes under activation checkpointing: boundary
-    /// activations of every layer plus the largest single layer's interior
-    /// (recomputed one layer at a time).
-    pub fn checkpointed_activation_bytes(&self, batch: usize) -> Bytes {
-        let boundaries: Bytes = self.layers.iter().map(|l| l.boundary_bytes(batch)).sum();
-        boundaries + self.max_layer_activation(batch)
     }
 
     /// The largest single-layer activation footprint at a batch size —
@@ -253,20 +233,8 @@ mod tests {
         assert_eq!(m.bwd_flops(2), 16.0e9);
         assert_eq!(m.train_step_flops(2), 24.0e9);
         assert_eq!(m.param_bytes(), Bytes::new(8_000_000));
-        assert_eq!(m.gradient_bytes(), Bytes::new(8_000_000));
-        assert_eq!(m.optimizer_state_bytes(), Bytes::new(48_000_000));
         assert_eq!(m.activation_bytes(2), Bytes::from_mib(32));
         assert_eq!(m.max_layer_activation(2), Bytes::from_mib(8));
-    }
-
-    #[test]
-    fn checkpointing_shrinks_activations() {
-        let m = toy_model();
-        let full = m.activation_bytes(8);
-        let ckpt = m.checkpointed_activation_bytes(8);
-        assert!(ckpt < full);
-        // boundaries (4 × 1 MiB × 8) + max interior (4 MiB × 8)
-        assert_eq!(ckpt, Bytes::from_mib(32 + 32));
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use transformer::{
     TransformerConfig,
 };
 pub use vision::{efficientnet_117m, resnet50, swin_large, vit_large};
-pub use zoo::{fill_job_models, JobKind, ModelId, SizeClass, TaskDomain};
+pub use zoo::{JobKind, ModelId, SizeClass, TaskDomain};
 
 /// Bytes per parameter/activation element in half precision (the training
 /// dtype throughout the paper's experiments).

@@ -206,11 +206,6 @@ impl fmt::Display for ModelId {
     }
 }
 
-/// Builds all five Table-1 fill-job models.
-pub fn fill_job_models() -> Vec<ModelGraph> {
-    ModelId::FILL_JOBS.iter().map(|id| id.build()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,7 +260,7 @@ mod tests {
 
     #[test]
     fn fill_job_list_matches_table_order() {
-        let models = fill_job_models();
+        let models: Vec<ModelGraph> = ModelId::FILL_JOBS.iter().map(|id| id.build()).collect();
         assert_eq!(models.len(), 5);
         assert_eq!(models[0].name, "EfficientNet");
         assert_eq!(models[4].name, "XLM-Roberta-XL");

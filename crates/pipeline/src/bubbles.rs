@@ -2,7 +2,7 @@
 //! of PipeFill.
 
 use pipefill_device::Bytes;
-use pipefill_sim_core::{SimDuration, SimTime};
+use pipefill_sim_core::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// The three bubble kinds the paper identifies (§4.5):
@@ -96,11 +96,6 @@ impl BubbleWindow {
         }
     }
 
-    /// Absolute start time of this window in iteration `k`.
-    pub fn start_in_iteration(&self, period: SimDuration, k: u64) -> SimTime {
-        SimTime::ZERO + period * k + self.offset
-    }
-
     /// True if PipeFill will try to fill this window.
     pub fn fillable(&self) -> bool {
         self.kind.fillable() && !self.duration.is_zero()
@@ -127,25 +122,6 @@ mod tests {
             free_memory: Bytes::from_gib(4),
         };
         assert!(!w.fillable());
-    }
-
-    #[test]
-    fn window_start_advances_with_iterations() {
-        let w = BubbleWindow {
-            kind: BubbleKind::FillDrain,
-            offset: SimDuration::from_millis(250),
-            duration: SimDuration::from_millis(100),
-            free_memory: Bytes::from_gib(4),
-        };
-        let period = SimDuration::from_secs(2);
-        assert_eq!(
-            w.start_in_iteration(period, 0),
-            SimTime::from_secs_f64(0.25)
-        );
-        assert_eq!(
-            w.start_in_iteration(period, 3),
-            SimTime::from_secs_f64(6.25)
-        );
     }
 
     #[test]

@@ -551,11 +551,6 @@ impl EngineTimeline {
         let total: SimDuration = self.stages.iter().map(|s| s.fillable_time()).sum();
         total.ratio(self.period * self.stages.len() as u64)
     }
-
-    /// Total bubble time per iteration across stages.
-    pub fn total_bubble_time(&self) -> SimDuration {
-        self.stages.iter().map(|s| s.bubble_time()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -931,7 +926,6 @@ mod tests {
         let zb = EngineConfig::uniform(ScheduleKind::ZbH1, p, m, tf, tb).run();
         assert!(zb.period < ofob.period);
         assert!(zb.bubble_ratio() < ofob.bubble_ratio());
-        assert!(zb.total_bubble_time() < ofob.total_bubble_time());
     }
 
     /// Interleaving shrinks the total bubble below 1F1B's, monotonically

@@ -65,30 +65,14 @@ pub enum PipelineInstruction {
         kind: BubbleKind,
     },
     /// Data-parallel gradient synchronization (all-reduce across
-    /// replicas). The engine can model it as overlapped with backward
-    /// (contributing no timeline length) while still exposing its duration
-    /// as the onload window for main-job offloading.
+    /// replicas). The engine can model it as overlapped with backward,
+    /// contributing no timeline length.
     GradSync,
     /// Optimizer step (Adam update of this stage's parameters).
     OptimizerStep,
 }
 
 impl PipelineInstruction {
-    /// True for instructions that occupy the device (forward/backward/
-    /// optimizer); false for markers and overlapped communication.
-    pub fn is_compute(self) -> bool {
-        matches!(
-            self,
-            PipelineInstruction::Forward { .. }
-                | PipelineInstruction::Backward { .. }
-                | PipelineInstruction::ForwardChunk { .. }
-                | PipelineInstruction::BackwardChunk { .. }
-                | PipelineInstruction::BackwardInput { .. }
-                | PipelineInstruction::BackwardWeight { .. }
-                | PipelineInstruction::OptimizerStep
-        )
-    }
-
     /// True for any flavour of backward compute (full, chunked, or either
     /// ZB-H1 half) — what the engine uses to spot a stage's fwd-bwd
     /// transition.
@@ -119,30 +103,6 @@ impl PipelineInstruction {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn compute_classification() {
-        assert!(PipelineInstruction::Forward { microbatch: 0 }.is_compute());
-        assert!(PipelineInstruction::Backward { microbatch: 0 }.is_compute());
-        assert!(PipelineInstruction::ForwardChunk {
-            chunk: 1,
-            microbatch: 0
-        }
-        .is_compute());
-        assert!(PipelineInstruction::BackwardChunk {
-            chunk: 1,
-            microbatch: 0
-        }
-        .is_compute());
-        assert!(PipelineInstruction::BackwardInput { microbatch: 0 }.is_compute());
-        assert!(PipelineInstruction::BackwardWeight { microbatch: 0 }.is_compute());
-        assert!(PipelineInstruction::OptimizerStep.is_compute());
-        assert!(!PipelineInstruction::GradSync.is_compute());
-        assert!(!PipelineInstruction::Bubble {
-            kind: BubbleKind::FwdBwd
-        }
-        .is_compute());
-    }
 
     #[test]
     fn backward_classification() {

@@ -4,15 +4,17 @@
 //! configuration, model-to-stage partitioning, pipeline instruction
 //! sequences with PipeFill's explicit *bubble instruction*, GPipe and 1F1B
 //! schedule generators, a dependency-driven engine that derives each
-//! stage's busy/bubble timeline, the bubble-duration profiler, the
-//! main-job memory model, and the optimizer-state offload planner.
+//! stage's busy/bubble timeline, and the main-job memory model.
 //!
 //! This is the reproduction of §4.2 of the paper ("Pipeline Engine
 //! Instrumentation") plus the §2 background machinery it instruments. The
 //! engine here executes instruction streams through a deterministic
 //! dependency simulation rather than CUDA streams, but exposes exactly
 //! the artifacts PipeFill consumes: per-stage bubble windows (kind,
-//! duration, free memory) repeating every minibatch iteration.
+//! duration, free memory) repeating every minibatch iteration. Those
+//! durations are exact, so the paper's runtime bubble probe and main-job
+//! optimizer-state offload are not modelled: every consumer reads the
+//! engine's durations and the un-offloaded free memory directly.
 //!
 //! # Example
 //!
@@ -36,10 +38,8 @@ mod engine;
 mod instructions;
 mod job;
 mod memory;
-mod offload;
 mod parallelism;
 mod partition;
-mod profiler;
 mod render;
 mod schedule;
 
@@ -49,9 +49,7 @@ pub use engine::{EngineConfig, EngineError, EngineTimeline, StageTimeline};
 pub use instructions::PipelineInstruction;
 pub use job::MainJobSpec;
 pub use memory::{activation_envelope, BubbleMemoryModel, MainJobMemoryModel};
-pub use offload::{OffloadPlan, OffloadPlanner};
 pub use parallelism::ParallelismConfig;
 pub use partition::{StagePartition, StageProfile};
-pub use profiler::{BubbleProbe, ProbeOutcome};
 pub use render::render_timeline;
 pub use schedule::ScheduleKind;

@@ -61,23 +61,6 @@ impl BubbleMemoryModel {
             }
         }
     }
-
-    /// Returns a copy with every reported value increased by `extra`
-    /// (what main-job offloading buys, §4.2).
-    pub fn with_extra(&self, extra: Bytes) -> BubbleMemoryModel {
-        match self {
-            BubbleMemoryModel::Uniform(b) => BubbleMemoryModel::Uniform(*b + extra),
-            BubbleMemoryModel::PerStage(stages) => BubbleMemoryModel::PerStage(
-                stages
-                    .iter()
-                    .map(|s| StageMemory {
-                        fwd_bwd_free: s.fwd_bwd_free + extra,
-                        fill_drain_free: s.fill_drain_free + extra,
-                    })
-                    .collect(),
-            ),
-        }
-    }
 }
 
 /// Structural model of the main job's per-stage memory use.
@@ -316,18 +299,6 @@ mod tests {
         // 1-chunk interleaved is 1F1B bit for bit, memory model included.
         let il1 = derived(ScheduleKind::Interleaved { chunks: 1 });
         assert_eq!(il1, ofob);
-    }
-
-    #[test]
-    fn with_extra_shifts_everything() {
-        let m = BubbleMemoryModel::measured_default().with_extra(Bytes::from_gib(2));
-        assert_eq!(m.free(3, BubbleKind::FwdBwd), Bytes::from_gib_f64(6.5));
-        let per = derived(ScheduleKind::GPipe).with_extra(Bytes::from_gib(1));
-        let base = derived(ScheduleKind::GPipe);
-        assert_eq!(
-            per.free(2, BubbleKind::FillDrain),
-            base.free(2, BubbleKind::FillDrain) + Bytes::from_gib(1)
-        );
     }
 
     #[test]

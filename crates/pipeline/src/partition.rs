@@ -51,11 +51,6 @@ impl StageProfile {
             self.params_per_gpu * (FP16_BYTES + GRAD_BYTES_PER_PARAM + ADAM_STATE_BYTES_PER_PARAM),
         )
     }
-
-    /// Optimizer-state bytes per GPU (the offloadable portion).
-    pub fn optimizer_state_bytes(&self) -> Bytes {
-        Bytes::new(self.params_per_gpu * ADAM_STATE_BYTES_PER_PARAM)
-    }
 }
 
 /// A model partitioned into `p` contiguous pipeline stages, balanced by

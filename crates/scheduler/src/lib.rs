@@ -13,10 +13,6 @@
 //! "hierarchical policies … that prioritize proximity-to-deadline but
 //! default to more standard policies".
 //!
-//! Because the Scheduler holds every device's bubble description and job
-//! profiles, it can answer completion-time and deadline-feasibility
-//! queries for higher-level schedulers, also reproduced here.
-//!
 //! # Example
 //!
 //! ```

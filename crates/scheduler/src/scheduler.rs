@@ -1,5 +1,4 @@
-//! The scheduler proper: job queue, score-maximizing placement, and the
-//! completion-time / deadline queries.
+//! The scheduler proper: job queue and score-maximizing placement.
 
 use pipefill_executor::JobId;
 use pipefill_sim_core::{SimDuration, SimTime};
@@ -232,116 +231,6 @@ impl FillJobScheduler {
         best_index(&self.queue, self.policy.as_ref(), executor, state)
             .map(|idx| self.queue.swap_remove(idx))
     }
-
-    /// Estimated completion time if `job_id` were dispatched next to its
-    /// best executor: `now + remaining(e) + proc_time(e)` minimized over
-    /// `e`. This ignores other queued jobs (documented approximation; the
-    /// paper's Scheduler can be exact because it also knows queue order —
-    /// ours answers the same query for the head-of-queue case exactly).
-    pub fn estimate_completion(&self, job_id: JobId, state: &SystemState) -> Option<SimTime> {
-        let job = self.queue.iter().find(|j| j.id == job_id)?;
-        job.feasible()
-            .iter()
-            .filter_map(|&(e, t)| {
-                let rem = state.executors.get(e)?.remaining;
-                Some(state.now + rem + t)
-            })
-            .min()
-    }
-
-    /// "Whether a fill-job's deadline can be met under current
-    /// conditions" (§4.4). `None` if the job is unknown or has no
-    /// deadline. Uses the queue-aware projection.
-    pub fn deadline_feasible(&self, job_id: JobId, state: &SystemState) -> Option<bool> {
-        let job = self.queue.iter().find(|j| j.id == job_id)?;
-        let deadline = job.deadline?;
-        let eta = self
-            .project_schedule(state)
-            .into_iter()
-            .find(|p| p.id == job_id)?
-            .completes;
-        Some(eta <= deadline)
-    }
-
-    /// Projects the full dispatch schedule under the active policy,
-    /// assuming no further arrivals: "the Scheduler knows how long the
-    /// currently executing fill-jobs will take to complete, as well as
-    /// the order in which the queued fill-jobs will be executed" (§4.4).
-    ///
-    /// Returns one entry per queued job with the executor it will land on
-    /// and its projected completion time, in dispatch order. Jobs
-    /// feasible nowhere are omitted.
-    pub fn project_schedule(&self, state: &SystemState) -> Vec<ProjectedDispatch> {
-        let mut queue = self.queue.clone();
-        // Executor free times, evolving as we dispatch.
-        let mut free: Vec<SimTime> = state
-            .executors
-            .iter()
-            .map(|e| state.now + e.remaining)
-            .collect();
-        let mut out = Vec::with_capacity(queue.len());
-        while !queue.is_empty() {
-            // The next dispatch happens on the executor that frees first
-            // (ties to the lower index) — that is when the Scheduler is
-            // consulted next.
-            let Some((executor, &t)) = free.iter().enumerate().min_by_key(|&(i, &t)| (t, i)) else {
-                break;
-            };
-            let projected = SystemState {
-                now: t,
-                executors: free
-                    .iter()
-                    .map(|&f| ExecutorSnapshot {
-                        remaining: f.saturating_since(t),
-                    })
-                    .collect(),
-            };
-            // `best_index` only returns feasible picks, so the `?` on
-            // `proc_time` never fires; folding it into the match keeps
-            // this total without a panic path.
-            let pick = best_index(&queue, self.policy.as_ref(), executor, &projected)
-                .and_then(|idx| Some((idx, queue[idx].proc_time(executor)?)));
-            match pick {
-                Some((idx, proc)) => {
-                    let job = queue.swap_remove(idx);
-                    let completes = t + proc;
-                    free[executor] = completes;
-                    out.push(ProjectedDispatch {
-                        id: job.id,
-                        executor,
-                        starts: t,
-                        completes,
-                    });
-                }
-                None => {
-                    // Nothing feasible on this executor; park it so the
-                    // projection can make progress on others. If every
-                    // executor is parked past every job, drop the rest.
-                    let others_can: bool = queue
-                        .iter()
-                        .any(|j| j.feasible().iter().any(|&(e, _)| e != executor));
-                    if !others_can {
-                        break;
-                    }
-                    free[executor] = SimTime::MAX;
-                }
-            }
-        }
-        out
-    }
-}
-
-/// One entry of [`FillJobScheduler::project_schedule`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProjectedDispatch {
-    /// Job id.
-    pub id: JobId,
-    /// Executor the job will run on.
-    pub executor: usize,
-    /// Projected dispatch time.
-    pub starts: SimTime,
-    /// Projected completion time.
-    pub completes: SimTime,
 }
 
 /// Index of the highest-scoring feasible job for `executor`, with the
@@ -487,96 +376,6 @@ mod tests {
         let mut s = FillJobScheduler::new(Box::new(Fifo));
         s.submit(job(1, 0.0, &[Some(10)]));
         s.requeue(job(1, 0.0, &[Some(10)]));
-    }
-
-    #[test]
-    fn completion_estimate_accounts_for_occupancy() {
-        let mut s = FillJobScheduler::new(Box::new(ShortestJobFirst));
-        s.submit(job(1, 0.0, &[Some(60), Some(60)]));
-        let state = SystemState {
-            now: SimTime::from_secs_f64(100.0),
-            executors: vec![
-                ExecutorSnapshot {
-                    remaining: secs(30),
-                },
-                ExecutorSnapshot { remaining: secs(5) },
-            ],
-        };
-        // Best executor is 1: 100 + 5 + 60 = 165.
-        assert_eq!(
-            s.estimate_completion(JobId(1), &state),
-            Some(SimTime::from_secs_f64(165.0))
-        );
-        assert_eq!(s.estimate_completion(JobId(9), &state), None);
-    }
-
-    #[test]
-    fn projection_matches_live_dispatch_order() {
-        let build = || {
-            let mut s = FillJobScheduler::new(Box::new(ShortestJobFirst));
-            s.submit(job(1, 0.0, &[Some(100), Some(100)]));
-            s.submit(job(2, 0.0, &[Some(10), Some(10)]));
-            s.submit(job(3, 0.0, &[Some(50), Some(50)]));
-            s.submit(job(4, 0.0, &[Some(30), Some(30)]));
-            s
-        };
-        let state = SystemState::idle(SimTime::ZERO, 2);
-        let projection = build().project_schedule(&state);
-        assert_eq!(projection.len(), 4);
-
-        // Replay the projection against a live scheduler: at each
-        // projected dispatch instant, pick_for must return the same job.
-        let mut live = build();
-        for p in &projection {
-            let now = p.starts;
-            let mut st = state.clone();
-            st.now = now;
-            // Reconstruct executor occupancy from earlier projections.
-            for q in &projection {
-                if q.starts < now && q.completes > now {
-                    st.executors[q.executor].remaining = q.completes.saturating_since(now);
-                }
-            }
-            let picked = live.pick_for(p.executor, &st).unwrap();
-            assert_eq!(picked.id, p.id, "divergence at {now}");
-        }
-    }
-
-    #[test]
-    fn projection_accounts_for_queueing() {
-        // One executor, two jobs: the second's completion includes the
-        // first's service time.
-        let mut s = FillJobScheduler::new(Box::new(ShortestJobFirst));
-        s.submit(job(1, 0.0, &[Some(10)]));
-        s.submit(job(2, 0.0, &[Some(100)]));
-        let proj = s.project_schedule(&SystemState::idle(SimTime::ZERO, 1));
-        assert_eq!(proj[0].id, JobId(1));
-        assert_eq!(proj[0].completes, SimTime::from_secs_f64(10.0));
-        assert_eq!(proj[1].id, JobId(2));
-        assert_eq!(proj[1].starts, SimTime::from_secs_f64(10.0));
-        assert_eq!(proj[1].completes, SimTime::from_secs_f64(110.0));
-    }
-
-    #[test]
-    fn projection_skips_jobs_feasible_nowhere() {
-        let mut s = FillJobScheduler::new(Box::new(Fifo));
-        s.submit(job(1, 0.0, &[None]));
-        s.submit(job(2, 1.0, &[Some(5)]));
-        let proj = s.project_schedule(&SystemState::idle(SimTime::ZERO, 1));
-        assert_eq!(proj.len(), 1);
-        assert_eq!(proj[0].id, JobId(2));
-    }
-
-    #[test]
-    fn deadline_feasibility_query() {
-        let mut s = FillJobScheduler::new(Box::new(ShortestJobFirst));
-        s.submit(job(1, 0.0, &[Some(60)]).with_deadline(SimTime::from_secs_f64(100.0)));
-        s.submit(job(2, 0.0, &[Some(60)]).with_deadline(SimTime::from_secs_f64(10.0)));
-        s.submit(job(3, 0.0, &[Some(60)]));
-        let state = SystemState::idle(SimTime::ZERO, 1);
-        assert_eq!(s.deadline_feasible(JobId(1), &state), Some(true));
-        assert_eq!(s.deadline_feasible(JobId(2), &state), Some(false));
-        assert_eq!(s.deadline_feasible(JobId(3), &state), None, "no deadline");
     }
 
     #[test]

@@ -61,8 +61,8 @@ impl Xoshiro256PlusPlus {
 /// jitter).
 ///
 /// Two generators constructed with the same seed produce identical
-/// streams, which is what makes every experiment in `EXPERIMENTS.md`
-/// re-runnable to the digit.
+/// streams, which is what makes every experiment re-runnable to the digit
+/// from its seed.
 ///
 /// # Example
 ///

@@ -189,11 +189,6 @@ impl FleetWorkloadConfig {
     }
 }
 
-/// Total GPU footprint of a fleet.
-pub fn fleet_total_gpus(plans: &[FleetJobPlan]) -> usize {
-    plans.iter().map(|p| p.gpus).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,7 +206,7 @@ mod tests {
     fn production_preset_hits_the_paper_scale() {
         let plans = FleetWorkloadConfig::production_8k(1).generate();
         assert_eq!(plans.len(), 64);
-        let total = fleet_total_gpus(&plans);
+        let total: usize = plans.iter().map(|p| p.gpus).sum();
         // Rounding to whole replicas can shave a little off the target.
         assert!(
             total > 7000 && total <= 8192,

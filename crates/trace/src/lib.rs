@@ -16,7 +16,8 @@
 //!    simulator (keeping 81.6%). The Alibaba trace itself is not
 //!    redistributable, so [`TraceGenerator`] draws from a
 //!    Poisson-arrival / lognormal-size process whose parameters are fitted
-//!    to those published retention percentages (see `DESIGN.md`).
+//!    to those published retention percentages. Traces exist only in
+//!    memory: nothing here reads or writes a trace file.
 //!
 //! The output is exactly the tuple stream the paper's trace provides:
 //! arrival, model, job kind (training vs batch inference), and job size
@@ -29,10 +30,8 @@
 
 mod fleet;
 mod generator;
-mod io;
 mod mix;
 
-pub use fleet::{fleet_total_gpus, DeviceGeneration, FleetJobPlan, FleetWorkloadConfig};
+pub use fleet::{DeviceGeneration, FleetJobPlan, FleetWorkloadConfig};
 pub use generator::{TraceConfig, TraceGenerator, TraceJob, TraceStats};
-pub use io::{load_trace, save_trace, trace_from_csv, trace_to_csv, TRACE_CSV_HEADER};
 pub use mix::ModelMix;

@@ -1,7 +1,7 @@
 //! A guided tour of the PipeFill machinery on the physical-cluster setup
-//! (5B LLM, 16 GPUs): schedule instructions with bubble markers, bubble
-//! probing, free-memory accounting, offload planning, and Algorithm 1's
-//! partitioning of an XLM inference job that does not fit in memory.
+//! (5B LLM, 16 GPUs): schedule instructions with bubble markers,
+//! free-memory accounting, and Algorithm 1's partitioning of an XLM
+//! inference job that does not fit in memory.
 //!
 //! ```sh
 //! cargo run --example bubble_walkthrough
@@ -12,10 +12,7 @@ use pipefill::executor::{
     build_profile, plan_best, ExecConfig, ExecTechnique, ExecutorConfig, FillJobSpec,
 };
 use pipefill::models::{JobKind, ModelId};
-use pipefill::pipeline::{
-    BubbleProbe, MainJobSpec, OffloadPlanner, PipelineInstruction, ScheduleKind,
-};
-use pipefill::sim::SimDuration;
+use pipefill::pipeline::{MainJobSpec, PipelineInstruction, ScheduleKind};
 
 fn main() {
     let main = MainJobSpec::physical_5b(8, ScheduleKind::GPipe);
@@ -32,34 +29,7 @@ fn main() {
         println!("  [{i:>2}] {tag}");
     }
 
-    // --- 2. Bubble probing (§4.2) ----------------------------------------
-    let stage = &timeline.stages[12];
-    let windows = stage.fillable_windows();
-    println!("\n== probing stage 12's bubbles (exponential doubling + bisection) ==");
-    for w in &windows {
-        let outcome = BubbleProbe::default().profile(w.duration);
-        println!(
-            "  {:>10} bubble: true {}, measured {} in {} probe iterations",
-            w.kind.to_string(),
-            w.duration,
-            outcome.measured,
-            outcome.iterations()
-        );
-    }
-
-    // --- 3. Offloading the optimizer state (§4.2) ------------------------
-    let partition = main.partition();
-    let sp = &partition.stages()[12];
-    let planner = OffloadPlanner::new(main.device.host_link_bandwidth);
-    let fwd_window = sp.fwd_time * 8; // the forward phase hides the offload
-    let sync_window = SimDuration::from_millis(400); // grad sync hides the onload
-    let plan = planner.plan(sp.optimizer_state_bytes(), fwd_window, sync_window);
-    println!(
-        "\n== main-job offloading: {} of {} Adam state movable without stalls ==",
-        plan.offloaded, plan.requested
-    );
-
-    // --- 4. Why XLM needs ZeRO-Infinity-style streaming (§6.2) -----------
+    // --- 2. Why XLM needs ZeRO-Infinity-style streaming (§6.2) -----------
     let xlm = ModelId::XlmRobertaXl.build();
     let bubble_mem = Bytes::from_gib_f64(4.5);
     let plain = build_profile(
@@ -97,7 +67,8 @@ fn main() {
         plain.iteration_time()
     );
 
-    // --- 5. Algorithm 1 on the real bubble cycle -------------------------
+    // --- 3. Algorithm 1 on the real bubble cycle -------------------------
+    let windows = timeline.stages[12].fillable_windows();
     let slots: Vec<_> = windows
         .iter()
         .map(|w| (w.duration, w.free_memory))

@@ -8,10 +8,11 @@
 //! cargo run --release --example reproduce_all
 //! ```
 
+use pipefill::core::EXPERIMENTS_DIR;
 use pipefill::scenario::{Scale, REGISTRY};
 
 fn main() -> std::io::Result<()> {
-    let dir = "target/experiments";
+    let dir = EXPERIMENTS_DIR;
     std::fs::create_dir_all(dir)?;
 
     for &exp in REGISTRY {

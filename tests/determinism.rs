@@ -1,6 +1,6 @@
 //! Reproducibility: every layer of the stack is a pure function of its
-//! seeds and configuration, so every number in EXPERIMENTS.md can be
-//! regenerated to the digit.
+//! seeds and configuration, so every number an experiment reports can be
+//! regenerated to the digit from the same seeds.
 
 use pipefill::core::{ClusterSimConfig, CoarseBackend, PhysicalBackend, PhysicalSimConfig};
 use pipefill::executor::{plan_best, ExecutorConfig, FillJobSpec};

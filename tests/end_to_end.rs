@@ -1,7 +1,10 @@
 //! End-to-end integration: trace generation → job conversion → planning →
 //! cluster simulation → metrics, across every crate boundary.
 
-use pipefill::core::{steady_recovered_tflops, ClusterSimConfig, CoarseBackend, PolicyKind};
+use pipefill::core::{
+    steady_recovered_tflops, ClusterSimConfig, CoarseBackend, PhysicalBackend, PhysicalSimConfig,
+    PolicyKind,
+};
 use pipefill::executor::ExecutorConfig;
 use pipefill::pipeline::{MainJobSpec, ScheduleKind};
 use pipefill::sim::SimDuration;
@@ -69,6 +72,30 @@ fn saturated_cluster_approaches_steady_state_rate() {
         "cluster {} vs steady {steady} (ratio {ratio})",
         result.recovered_tflops_per_gpu
     );
+
+    // The physical backend draws from an infinite backlog, so every
+    // bubble is offered work: its recovered rate approaches the same
+    // limit, with and without timing jitter, on either schedule.
+    for schedule in [ScheduleKind::GPipe, ScheduleKind::OneFOneB] {
+        let main = MainJobSpec::physical_5b(8, schedule);
+        let steady =
+            steady_recovered_tflops(&main, &ExecutorConfig::default(), &ModelMix::paper_mix());
+        for seed in 1..=3 {
+            for jitter_cv in [0.0, 0.08] {
+                let mut cfg = PhysicalSimConfig::new(main.clone());
+                cfg.iterations = 400;
+                cfg.seed = seed;
+                cfg.jitter_cv = jitter_cv;
+                let physical = PhysicalBackend::simulate(cfg).recovered_tflops_per_gpu;
+                let ratio = physical / steady;
+                assert!(
+                    (0.85..1.15).contains(&ratio),
+                    "{schedule:?} seed {seed} jitter {jitter_cv}: physical {physical} vs \
+                     steady {steady} (ratio {ratio})"
+                );
+            }
+        }
+    }
 }
 
 #[test]

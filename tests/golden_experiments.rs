@@ -21,11 +21,21 @@ fn golden_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
+/// Serializes snapshot refreshes against the header check, which runs on
+/// another test thread and must never read a half-written file.
+fn lock_goldens() -> std::sync::MutexGuard<'static, ()> {
+    static GOLDENS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    GOLDENS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Byte-for-byte comparison against the committed snapshot, or a
 /// refresh when `UPDATE_GOLDEN` is set.
 fn golden_check(name: &str, fresh: &str) {
     let path = golden_dir().join(format!("{name}.csv"));
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        let _guard = lock_goldens();
         std::fs::write(&path, fresh).expect("updating golden snapshot");
         return;
     }
@@ -124,7 +134,10 @@ fn every_registered_experiment_has_a_committed_golden() {
         );
         // The committed header must match the declared schema even
         // without rerunning the (possibly simulation-backed) sweep.
-        let committed = std::fs::read_to_string(&path).expect("readable golden");
+        let committed = {
+            let _guard = lock_goldens();
+            std::fs::read_to_string(&path).expect("readable golden")
+        };
         let header = committed.lines().next().unwrap_or("");
         assert_eq!(
             header,

@@ -1,5 +1,6 @@
-//! The paper's headline claims, verified end-to-end at test scale.
-//! EXPERIMENTS.md records the full-scale numbers from the benches.
+//! The paper's headline claims, verified end-to-end at test scale. The
+//! bands are loose because these grids are smaller than the full-scale
+//! ones `pipefill-cli all` regenerates.
 
 use pipefill::core::experiments::*;
 use pipefill::core::{gpus_saved, PhysicalBackend, PhysicalSimConfig};

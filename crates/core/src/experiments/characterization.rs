@@ -1,7 +1,8 @@
 //! Fig. 7: fill-job characterization — achieved TFLOPS during bubble
 //! execution (7a) and slowdown relative to exclusive-GPU execution (7b),
-//! per model and job kind. Includes the Algorithm-1-vs-naive-packing
-//! ablation called out in `DESIGN.md`.
+//! per model and job kind. Includes an ablation of Algorithm 1 against
+//! naive packing, where a fill job's whole iteration must fit in one
+//! bubble.
 
 use pipefill_executor::{
     build_profile, plan_whole_graph_only, ExecConfig, ExecTechnique, ExecutorConfig, FillJobSpec,

@@ -222,6 +222,9 @@ struct Pipeline {
     iterations_done: usize,
     /// Per-stage stall of the iteration in flight.
     stage_delays: Vec<SimDuration>,
+    /// Critical-path stall of the iteration in flight, set once its last
+    /// stage ran.
+    iteration_delay: SimDuration,
     total_delay: SimDuration,
     downtime: SimDuration,
     /// All fill FLOPs executed on this pipeline, surviving or not.
@@ -461,8 +464,9 @@ impl Pipeline {
         }
     }
 
-    /// Closes the iteration in flight: folds its stalls into the critical
-    /// path and, if iterations remain, returns when the next one starts.
+    /// Closes the iteration in flight: adds its critical-path stall to
+    /// the total and, if iterations remain, returns when the next one
+    /// starts.
     ///
     /// Steady-state fast-forward happens here: if this boundary's full
     /// state matches an earlier one (with the RNG frozen in between), the
@@ -478,7 +482,7 @@ impl Pipeline {
         completed_ids: Option<&mut Vec<JobId>>,
         queue: &mut EventQueue<ClusterEvent>,
     ) -> Option<SimTime> {
-        let delay = critical_path_delay(&self.stage_delays);
+        let delay = self.iteration_delay;
         self.total_delay += delay;
         self.stage_delays.clear();
         self.iterations_done += 1;
@@ -710,6 +714,7 @@ impl<R> FillBackend<R> {
                     next_fill_id: 0,
                     iterations_done: 0,
                     stage_delays: Vec::with_capacity(stages),
+                    iteration_delay: SimDuration::ZERO,
                     total_delay: SimDuration::ZERO,
                     downtime: SimDuration::ZERO,
                     executed_flops: 0.0,
@@ -915,9 +920,10 @@ impl<R> EventHandler for FillBackend<R> {
                 // *stretched* period so the kernel clock carries the
                 // emergent slowdown.
                 if s + 1 == p {
-                    let delay = critical_path_delay(&self.pipes[j].stage_delays);
+                    let pipe = &mut self.pipes[j];
+                    pipe.iteration_delay = critical_path_delay(&pipe.stage_delays);
                     queue.push(
-                        now + period + delay,
+                        now + period + pipe.iteration_delay,
                         ClusterEvent::JobIterationEnd { job: j },
                     );
                 }
@@ -928,9 +934,8 @@ impl<R> EventHandler for FillBackend<R> {
                 let ids = self.completed_ids.as_mut();
                 let next = pipe.end_iteration(now, period, ids, queue);
                 if let Some(at) = next {
-                    for flat in pipe.base..pipe.base + pipe.leases.len() {
-                        queue.push(at, ClusterEvent::StageBubbles { stage: flat });
-                    }
+                    let stages = pipe.base..pipe.base + pipe.leases.len();
+                    queue.push_run(at, stages.map(|stage| ClusterEvent::StageBubbles { stage }));
                 }
             }
             ClusterEvent::DeviceFailure { device } => {

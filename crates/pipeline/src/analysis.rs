@@ -114,7 +114,9 @@ mod tests {
 
     #[test]
     fn bubble_fraction_matches_paper_series() {
-        // DESIGN.md: m = 64/32/16/8/4 ↔ 19.0/31.9/48.4/65.2/78.9 %.
+        // GPipe's (p-1)/(m+p-1) at p = 16, the paper's 1K-16K GPU
+        // series (§5.2): m = 64/32/16/8/4 ↔ 15/79, 15/47, 15/31, 15/23,
+        // 15/19 = 19.0/31.9/48.4/65.2/78.9 %.
         let cases = [
             (64, 0.1899),
             (32, 0.3191),

@@ -260,7 +260,9 @@ mod tests {
 
     #[test]
     fn forty_b_iteration_time_near_three_seconds_at_8k() {
-        // DESIGN.md anchor: (8+15)·128 ms ≈ 2.9 s.
+        // A GPipe iteration is (m + p - 1) forward+backward slots, each
+        // ≈ 3 × 43 ms (backward costs twice the forward, see the
+        // partition test): (8 + 15) · 128 ms ≈ 2.9 s.
         let job = MainJobSpec::simulator_40b(8, ScheduleKind::GPipe);
         let t = job.engine_timeline().period.as_secs_f64();
         assert!((2.4..3.6).contains(&t), "period {t}");

@@ -253,8 +253,8 @@ mod tests {
 
     #[test]
     fn derived_free_memory_is_plausible() {
-        // DESIGN.md anchor: the paper measured ≈4.5 GB free; the derived
-        // model should land in single-digit GiB, not 0 or 16.
+        // The paper measured ≈ 4.5 GB free on both jobs (§6.1); the
+        // derived model should land in single-digit GiB, not 0 or 16.
         let m = derived(ScheduleKind::GPipe);
         for s in 0..16 {
             let f = m.free(s, BubbleKind::FwdBwd).as_gib();

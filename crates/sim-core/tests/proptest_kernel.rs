@@ -29,6 +29,49 @@ proptest! {
         }
     }
 
+    /// `push_run` is exactly a sequence of single pushes. Random
+    /// interleavings of `push`, `push_run` (empty and one-event runs
+    /// included), `pop` and `peek_time` over four instants, so ties are
+    /// common and later pushes often land earlier than a half-drained
+    /// run, must match a reference queue fed one `push` per event.
+    #[test]
+    fn push_run_matches_single_pushes(
+        ops in prop::collection::vec((0u8..4, 0u64..4, 0usize..5), 1..120),
+    ) {
+        let mut q = EventQueue::new();
+        let mut reference = EventQueue::new();
+        let mut next_event = 0u32;
+        for (op, at, n) in ops {
+            let at = SimTime::from_nanos(at);
+            match op {
+                0 => {
+                    q.push(at, next_event);
+                    reference.push(at, next_event);
+                    next_event += 1;
+                }
+                1 => {
+                    let run = next_event..next_event + n as u32;
+                    next_event += n as u32;
+                    q.push_run(at, run.clone());
+                    for event in run {
+                        reference.push(at, event);
+                    }
+                }
+                2 => prop_assert_eq!(q.pop(), reference.pop()),
+                _ => prop_assert_eq!(q.peek_time(), reference.peek_time()),
+            }
+            prop_assert_eq!(q.peek_time(), reference.peek_time());
+            prop_assert_eq!(q.len(), reference.len());
+            prop_assert_eq!(q.is_empty(), reference.is_empty());
+        }
+        while let Some(event) = reference.pop() {
+            prop_assert_eq!(q.pop(), Some(event));
+            prop_assert_eq!(q.len(), reference.len());
+        }
+        prop_assert_eq!(q.pop(), None);
+        prop_assert!(q.is_empty());
+    }
+
     /// Duration arithmetic is consistent: sum of parts equals the whole,
     /// and scaling by a ratio then its inverse round-trips within 1 ns
     /// per operation.

@@ -9,7 +9,8 @@
 //! [`ScenarioSpec`], so its flags validate through the one applicability
 //! table the scenario files use.
 
-use pipefill_core::{BackendKind, EXPERIMENTS_DIR};
+use pipefill_core::experiments::EXPERIMENTS_DIR;
+use pipefill_core::BackendKind;
 use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_pipeline::ScheduleKind;
 use pipefill_scenario::{ScenarioSpec, SpecError};

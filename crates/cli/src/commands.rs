@@ -11,14 +11,14 @@
 
 use std::process::ExitCode;
 
-use pipefill_core::experiments::sweep;
+use pipefill_core::experiments::{sweep, Experiment, Grid, Scale, EXPERIMENTS_DIR, REGISTRY};
 use pipefill_core::{
     BackendConfig, BackendDetail, BackendKind, BackendMetrics, BackendRun, FleetSimResult,
-    StagePlans, EXPERIMENTS_DIR,
+    StagePlans,
 };
 use pipefill_executor::{ExecutorConfig, PlanError};
 use pipefill_pipeline::{render_timeline, EngineConfig, MainJobSpec, ScheduleKind};
-use pipefill_scenario::{toml as scenario_toml, Experiment, Grid, Scale};
+use pipefill_scenario::toml as scenario_toml;
 use pipefill_schedverify::{certificate, verify, StreamSet, Verdict, VerifyConfig};
 use pipefill_sim_core::SimDuration;
 
@@ -59,9 +59,9 @@ pub fn run(invocation: Invocation) -> Result<ExitCode, String> {
             println!(
                 "{} registered experiments (run with `exp <name>`, `all`, or a \
                  scenario file with `experiment = \"<name>\"`):\n",
-                pipefill_scenario::REGISTRY.len()
+                REGISTRY.len()
             );
-            for exp in pipefill_scenario::REGISTRY {
+            for exp in REGISTRY {
                 let tag = if exp.simulation_backed() {
                     "sim"
                 } else {
@@ -86,7 +86,7 @@ pub fn run(invocation: Invocation) -> Result<ExitCode, String> {
             }
         }
         Command::All { out } => {
-            for &exp in pipefill_scenario::REGISTRY {
+            for &exp in REGISTRY {
                 run_experiment(exp, &exp.grid(Scale::Full), &out)?;
             }
             println!("CSV written under {out}/ ({threads} threads)");

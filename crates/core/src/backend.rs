@@ -17,14 +17,13 @@
 //! [`BackendMetrics`] plus the backend-specific detail.
 
 use pipefill_sim_core::{EventHandler, SimDuration, SimTime, Simulation, StepOutcome};
-use serde::{Deserialize, Serialize};
 
 use crate::cluster::{ClusterSimConfig, ClusterSimResult, CoarseBackend};
 use crate::fleet::{FleetBackend, FleetSimConfig, FleetSimResult};
 use crate::physical::{PhysicalBackend, PhysicalSimConfig, PhysicalSimResult};
 
 /// Which fidelity level a simulation runs at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// Profile-driven: events are job arrivals/completions; the time in
     /// between is replayed from execution plans (§5.1).
@@ -119,7 +118,7 @@ pub enum ClusterEvent {
 
 /// Fidelity-independent metrics every backend reports; the common currency
 /// of the Fig. 6 agreement test and the parallel sweep driver.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackendMetrics {
     /// Which backend produced this.
     pub kind: BackendKind,

@@ -28,7 +28,6 @@ use pipefill_scheduler::{
 };
 use pipefill_sim_core::{EventHandler, EventQueue, SimDuration, SimTime, Simulation};
 use pipefill_trace::{TraceConfig, TraceGenerator};
-use serde::{Deserialize, Serialize};
 
 use crate::backend::{BackendDriver, BackendKind, BackendMetrics, ClusterEvent, SimBackend};
 use crate::convert::trace_job_to_spec;
@@ -37,7 +36,7 @@ use crate::plans::StagePlans;
 
 /// Which built-in policy the simulation uses (a serializable stand-in for
 /// the boxed policy trait).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// First-in-first-out.
     Fifo,
@@ -120,7 +119,7 @@ impl ClusterSimConfig {
 }
 
 /// One finished fill job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompletedJob {
     /// Job id.
     pub id: JobId,
@@ -152,7 +151,7 @@ impl CompletedJob {
 }
 
 /// Simulation output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSimResult {
     /// Devices simulated.
     pub num_devices: usize,

@@ -10,31 +10,75 @@ use pipefill_executor::{
 use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_pipeline::{MainJobSpec, ScheduleKind};
 use pipefill_trace::ModelMix;
-use serde::{Deserialize, Serialize};
 
-use crate::experiments::sweep;
+use crate::experiments::{row, sweep, Experiment, Grid, Scale, Table};
 use crate::plans::StagePlans;
 use crate::steady::steady_rate;
 
-/// One (model, kind) row of Fig. 7.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CharacterizationRow {
-    /// Fill-job model.
-    pub model: ModelId,
-    /// Training or batch inference.
-    pub kind: JobKind,
+/// Fig. 7: the characterization against the paper's default main job,
+/// the 8K-GPU 40B setting whose bubbles Fig. 7 measures.
+pub struct Fig7Characterization;
+
+impl Experiment for Fig7Characterization {
+    fn name(&self) -> &'static str {
+        "fig7_characterization"
+    }
+    fn aliases(&self) -> &'static [&'static str] {
+        &["fig7"]
+    }
+    fn description(&self) -> &'static str {
+        "Fig. 7: fill-job characterization (achieved TFLOPS, relative performance, Alg-1 ablation)"
+    }
+    fn columns(&self) -> &'static [&'static str] {
+        &[
+            "model",
+            "kind",
+            "tflops_during_execution",
+            "relative_performance",
+            "feasible_stages",
+            "recovered_tflops",
+            "naive_recovered_tflops",
+        ]
+    }
+    fn grid(&self, _scale: Scale) -> Grid {
+        Grid::default()
+    }
+    fn run(&self, _grid: &Grid) -> Table {
+        let main = MainJobSpec::simulator_40b(8, ScheduleKind::GPipe);
+        Table::with_rows(
+            self.columns(),
+            characterize(&main).into_iter().map(|r| {
+                row![
+                    r.model.name(),
+                    r.kind.to_string(),
+                    r.tflops_during_execution,
+                    r.relative_performance,
+                    r.feasible_stages,
+                    r.recovered_tflops,
+                    r.naive_recovered_tflops,
+                ]
+            }),
+        )
+    }
+}
+
+/// One (model, kind) row of Fig. 7, kept typed because Fig. 4's
+/// GPUs-saved estimate weights it ([`mix_relative_performance`]).
+pub(crate) struct CharacterizationRow {
+    model: ModelId,
+    kind: JobKind,
     /// TFLOPS achieved while executing in bubbles (Fig. 7a).
-    pub tflops_during_execution: f64,
+    tflops_during_execution: f64,
     /// Wall-clock throughput relative to exclusive execution (Fig. 7b's
     /// slowdown, as the surviving fraction — ≈0.3 for most types, §6.2).
-    pub relative_performance: f64,
+    relative_performance: f64,
     /// Stages (of 16) where some configuration fits.
-    pub feasible_stages: usize,
+    feasible_stages: usize,
     /// Ablation: TFLOPS recovered by whole-graph-per-bubble packing
     /// (no Algorithm 1), averaged over stages; 0 if infeasible.
-    pub naive_recovered_tflops: f64,
+    naive_recovered_tflops: f64,
     /// Algorithm-1 recovered TFLOPS (for the ablation comparison).
-    pub recovered_tflops: f64,
+    recovered_tflops: f64,
 }
 
 /// The (model, kind) pairs of Fig. 7: training and inference for the
@@ -50,15 +94,13 @@ pub fn fig7_job_types() -> Vec<(ModelId, JobKind)> {
     out
 }
 
-/// Runs the characterization against the paper's default main job (the
-/// 8K-GPU 40B setting whose bubbles Fig. 7 measures).
-pub fn fig7_characterization(
-    main: &MainJobSpec,
-    exec: &ExecutorConfig,
-) -> Vec<CharacterizationRow> {
+/// Characterizes every Fig. 7 job type in `main`'s bubbles under the
+/// default executor configuration.
+pub(crate) fn characterize(main: &MainJobSpec) -> Vec<CharacterizationRow> {
+    let exec = ExecutorConfig::default();
     let device = &main.device;
     let timeline = main.engine_timeline();
-    let plans = StagePlans::homogeneous(&timeline, device, *exec);
+    let plans = StagePlans::homogeneous(&timeline, device, exec);
     let period = timeline.period.as_secs_f64();
     // One profiling/planning task per (model, kind), fanned across cores.
     sweep::par_map(fig7_job_types(), |(model, kind)| {
@@ -91,7 +133,7 @@ pub fn fig7_characterization(
                         },
                         device,
                     );
-                    if let Ok(plan) = plan_whole_graph_only(&profile, slots, exec) {
+                    if let Ok(plan) = plan_whole_graph_only(&profile, slots, &exec) {
                         let r = plan.flops_per_pass
                             / (plan.main_iterations_per_pass as f64 * period)
                             / 1e12;
@@ -115,15 +157,8 @@ pub fn fig7_characterization(
 }
 
 /// Mix-weighted relative performance `P` for the §6.2 GPUs-saved
-/// estimate (`C·B·P`).
-pub fn mix_relative_performance(main: &MainJobSpec, exec: &ExecutorConfig, mix: &ModelMix) -> f64 {
-    mix_relative_performance_from(&fig7_characterization(main, exec), mix)
-}
-
-/// [`mix_relative_performance`] over precomputed characterization rows —
-/// the rows depend only on (main job, executor config), so callers
-/// weighting several mixes against one main job characterize once.
-pub fn mix_relative_performance_from(rows: &[CharacterizationRow], mix: &ModelMix) -> f64 {
+/// estimate (`C·B·P`), over one main job's characterization rows.
+pub(crate) fn mix_relative_performance(rows: &[CharacterizationRow], mix: &ModelMix) -> f64 {
     let mut total = 0.0;
     let mut weight_sum = 0.0;
     for &(model, weight) in mix.weights() {
@@ -146,17 +181,19 @@ pub fn mix_relative_performance_from(rows: &[CharacterizationRow], mix: &ModelMi
     }
 }
 
-/// Default Fig. 7 context: the 8K-GPU 40B main job.
-pub fn fig7_default_main() -> MainJobSpec {
-    MainJobSpec::simulator_40b(8, ScheduleKind::GPipe)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rows() -> Vec<CharacterizationRow> {
-        fig7_characterization(&fig7_default_main(), &ExecutorConfig::default())
+    fn table() -> Table {
+        Fig7Characterization.run(&Grid::default())
+    }
+
+    /// The `column` cell of the (model, kind) row.
+    fn cell(t: &Table, model: ModelId, kind: JobKind, column: &str) -> f64 {
+        t.filter("model", model.name())
+            .filter("kind", kind.to_string())
+            .f64_column(column)[0]
     }
 
     #[test]
@@ -168,60 +205,43 @@ mod tests {
     #[test]
     fn inference_beats_training_per_model() {
         // Fig. 7a's first observation.
-        let rows = rows();
+        let t = table();
         for model in [ModelId::EfficientNet, ModelId::BertBase, ModelId::BertLarge] {
-            let inf = rows
-                .iter()
-                .find(|r| r.model == model && r.kind == JobKind::BatchInference)
-                .unwrap();
-            let tr = rows
-                .iter()
-                .find(|r| r.model == model && r.kind == JobKind::Training)
-                .unwrap();
-            assert!(
-                inf.tflops_during_execution >= tr.tflops_during_execution,
-                "{model}: inf {} < train {}",
-                inf.tflops_during_execution,
-                tr.tflops_during_execution
+            let inf = cell(
+                &t,
+                model,
+                JobKind::BatchInference,
+                "tflops_during_execution",
             );
+            let tr = cell(&t, model, JobKind::Training, "tflops_during_execution");
+            assert!(inf >= tr, "{model}: inf {inf} < train {tr}");
         }
     }
 
     #[test]
     fn swin_and_efficientnet_perform_poorly() {
         // Fig. 7a's second observation.
-        let rows = rows();
-        let tflops = |m: ModelId, k: JobKind| {
-            rows.iter()
-                .find(|r| r.model == m && r.kind == k)
-                .unwrap()
-                .tflops_during_execution
-        };
-        let bert = tflops(ModelId::BertBase, JobKind::BatchInference);
-        assert!(tflops(ModelId::SwinLarge, JobKind::BatchInference) < 0.6 * bert);
-        assert!(tflops(ModelId::EfficientNet, JobKind::BatchInference) < 0.6 * bert);
+        let t = table();
+        let tflops = |m: ModelId| cell(&t, m, JobKind::BatchInference, "tflops_during_execution");
+        let bert = tflops(ModelId::BertBase);
+        assert!(tflops(ModelId::SwinLarge) < 0.6 * bert);
+        assert!(tflops(ModelId::EfficientNet) < 0.6 * bert);
     }
 
     #[test]
     fn xlm_matches_bert_tflops_but_slows_more() {
         // §6.2: "XLM inference recovers similar TFLOPS as BERT inference,
         // \[but\] experiences more slowdown".
-        let rows = rows();
-        let xlm = rows
-            .iter()
-            .find(|r| r.model == ModelId::XlmRobertaXl)
-            .unwrap();
-        let bert = rows
-            .iter()
-            .find(|r| r.model == ModelId::BertBase && r.kind == JobKind::BatchInference)
-            .unwrap();
-        let ratio = xlm.tflops_during_execution / bert.tflops_during_execution;
+        let t = table();
+        let xlm = |c| cell(&t, ModelId::XlmRobertaXl, JobKind::BatchInference, c);
+        let bert = |c| cell(&t, ModelId::BertBase, JobKind::BatchInference, c);
+        let ratio = xlm("tflops_during_execution") / bert("tflops_during_execution");
         assert!((0.5..1.5).contains(&ratio), "TFLOPS ratio {ratio}");
         assert!(
-            xlm.relative_performance < bert.relative_performance,
+            xlm("relative_performance") < bert("relative_performance"),
             "xlm {} vs bert {}",
-            xlm.relative_performance,
-            bert.relative_performance
+            xlm("relative_performance"),
+            bert("relative_performance")
         );
     }
 
@@ -229,27 +249,24 @@ mod tests {
     fn slowdowns_are_substantial_for_everyone() {
         // §6.2: "most of the fill-job workloads we evaluate experience
         // around 30% of exclusive execution" — none approach 1.0.
-        for r in rows() {
-            assert!(
-                r.relative_performance < 0.7,
-                "{} {} rel perf {}",
-                r.model,
-                r.kind,
-                r.relative_performance
-            );
+        let t = table();
+        for (row, rel) in t.rows().iter().zip(t.f64_column("relative_performance")) {
+            assert!(rel < 0.7, "{row:?} rel perf {rel}");
         }
     }
 
     #[test]
     fn algorithm1_dominates_naive_packing() {
-        for r in rows() {
+        let t = table();
+        let naive = t.f64_column("naive_recovered_tflops");
+        for (row, (alg1, naive)) in t
+            .rows()
+            .iter()
+            .zip(t.f64_column("recovered_tflops").into_iter().zip(naive))
+        {
             assert!(
-                r.recovered_tflops >= r.naive_recovered_tflops * 0.999,
-                "{} {}: alg1 {} < naive {}",
-                r.model,
-                r.kind,
-                r.recovered_tflops,
-                r.naive_recovered_tflops
+                alg1 >= naive * 0.999,
+                "{row:?}: alg1 {alg1} < naive {naive}"
             );
         }
     }
@@ -257,11 +274,8 @@ mod tests {
     #[test]
     fn mix_relative_performance_is_plausible() {
         // §6.2 uses P ≈ 0.3 for the trace mix.
-        let p = mix_relative_performance(
-            &fig7_default_main(),
-            &ExecutorConfig::default(),
-            &ModelMix::paper_mix(),
-        );
+        let rows = characterize(&MainJobSpec::simulator_40b(8, ScheduleKind::GPipe));
+        let p = mix_relative_performance(&rows, &ModelMix::paper_mix());
         assert!((0.1..0.6).contains(&p), "P = {p}");
     }
 }

@@ -5,13 +5,11 @@
 //! schema and a parameter [`Grid`] it can run at two scales: the full
 //! paper grid ([`Scale::Full`]) and the reduced grid the golden-snapshot
 //! suite pins byte-for-byte ([`Scale::Golden`]). Because the trait owns
-//! the schema and the rows, persistence is generic — one CSV writer, one
-//! pretty-printer, one golden diff — instead of a `save_*`/`print_*`
+//! the schema and the rows, persistence is generic — one CSV rendering,
+//! one pretty-printer, one golden diff — instead of a `save_*`/`print_*`
 //! pair per driver.
 
-use std::path::PathBuf;
-
-use pipefill_core::CsvWriter;
+use std::path::Path;
 
 /// Which parameter grid an experiment runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,9 +126,7 @@ impl Grid {
     }
 }
 
-/// One table cell. The `Display` renderings match what the per-driver
-/// `save_*` functions historically fed [`CsvWriter`], so the golden
-/// snapshots survived the move to generic persistence byte-for-byte.
+/// One table cell, rendered in CSV and on the terminal by its `Display`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// An unsigned integer (counts, GPU totals, seeds).
@@ -193,16 +189,16 @@ impl From<String> for Value {
 }
 
 /// Builds a row of [`Value`]s from mixed cell expressions.
-#[macro_export]
 macro_rules! row {
     ($($v:expr),* $(,)?) => {
-        vec![$($crate::Value::from($v)),*]
+        vec![$($crate::experiments::Value::from($v)),*]
     };
 }
+pub(crate) use row;
 
 /// A schema-carrying result table: the uniform output of every
 /// [`Experiment`]. Knows how to print itself aligned, render CSV, and
-/// persist through the shared [`CsvWriter`].
+/// save that CSV.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     columns: &'static [&'static str],
@@ -218,13 +214,26 @@ impl Table {
         }
     }
 
+    /// A table with the given column schema holding `rows`, each
+    /// checked as by [`Table::push`].
+    pub(crate) fn with_rows(
+        columns: &'static [&'static str],
+        rows: impl IntoIterator<Item = Vec<Value>>,
+    ) -> Table {
+        let mut table = Table::new(columns);
+        for row in rows {
+            table.push(row);
+        }
+        table
+    }
+
     /// Appends one row.
     ///
     /// # Panics
     ///
     /// Panics if the arity differs from the schema; debug-panics on
-    /// non-finite floats, mirroring [`CsvWriter::row`] so a `NaN` fails
-    /// at construction rather than inside a golden diff.
+    /// non-finite floats, so a `NaN` fails at construction rather than
+    /// inside a golden diff.
     pub fn push(&mut self, row: Vec<Value>) {
         assert_eq!(
             row.len(),
@@ -274,6 +283,23 @@ impl Table {
         self.rows.iter().filter_map(|r| r[idx].as_f64()).collect()
     }
 
+    /// The rows whose `column` cell equals `value`, as a table with the
+    /// same schema: how callers pick results out by key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schema has no such column.
+    pub fn filter(&self, column: &str, value: impl Into<Value>) -> Table {
+        let idx = self
+            .column_index(column)
+            .unwrap_or_else(|| panic!("no column '{column}' in {:?}", self.columns));
+        let value = value.into();
+        Table::with_rows(
+            self.columns,
+            self.rows.iter().filter(|r| r[idx] == value).cloned(),
+        )
+    }
+
     /// Renders the table as CSV (header + rows), byte-identical to what
     /// [`Table::save`] writes.
     pub fn to_csv_string(&self) -> String {
@@ -288,19 +314,17 @@ impl Table {
         out
     }
 
-    /// Persists the table as CSV through the shared writer.
+    /// Writes [`Table::to_csv_string`] to `path`, creating its parent
+    /// directories.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
-    pub fn save(&self, path: &str) -> std::io::Result<PathBuf> {
-        let mut w = CsvWriter::create(path, self.columns)?;
-        for row in &self.rows {
-            let cells: Vec<&dyn std::fmt::Display> =
-                row.iter().map(|v| v as &dyn std::fmt::Display).collect();
-            w.row(&cells)?;
+    pub fn save(&self, path: &str) -> std::io::Result<()> {
+        if let Some(parent) = Path::new(path).parent() {
+            std::fs::create_dir_all(parent)?;
         }
-        w.finish()
+        std::fs::write(path, self.to_csv_string())
     }
 
     /// Prints the table with right-aligned columns sized to content.
@@ -335,10 +359,11 @@ impl Table {
 }
 
 /// One registered experiment: a named driver with a declared schema and
-/// grid, runnable at either [`Scale`]. Implementations live in
-/// [`crate::registry`]; adding a new experiment there makes it
-/// CLI-reachable (`exp <name>`), CSV-writing, golden-pinned and
-/// scenario-addressable with no further wiring.
+/// grid, runnable at either [`Scale`]. Each implementation lives in its
+/// own `experiments/<name>.rs`; listing it in
+/// [`REGISTRY`](super::REGISTRY) makes it CLI-reachable (`exp <name>`),
+/// CSV-writing, golden-pinned and scenario-addressable with no further
+/// wiring.
 pub trait Experiment: Sync {
     /// Canonical name: the CSV/golden file stem and the `exp` argument.
     fn name(&self) -> &'static str;
@@ -399,7 +424,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_rendering_matches_writer_format() {
+    fn save_writes_the_csv_rendering() {
         let t = sample();
         assert_eq!(t.to_csv_string(), "a,b,c\n1,2.5,x\n10,0.125,long-cell\n");
         let dir = std::env::temp_dir().join(format!("pipefill-table-{}", std::process::id()));
@@ -423,6 +448,9 @@ mod tests {
         assert!(t.f64_column("c").is_empty());
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
+        assert_eq!(t.filter("c", "x").rows(), [row![1usize, 2.5f64, "x"]]);
+        assert_eq!(t.filter("b", 0.125).f64_column("a"), [10.0]);
+        assert!(t.filter("a", 3usize).is_empty());
     }
 
     #[test]
@@ -433,8 +461,8 @@ mod tests {
     }
 
     /// Only meaningful under debug assertions (release builds accept
-    /// the row; CsvWriter's own debug assert is the backstop in CI), so
-    /// the test is compiled out of `cargo test --release` entirely.
+    /// the row), so the test is compiled out of `cargo test --release`
+    /// entirely.
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "non-finite")]

@@ -3,57 +3,76 @@
 //! while total utilization keeps rising.
 
 use pipefill_pipeline::{MainJobSpec, ScheduleKind};
-use serde::{Deserialize, Serialize};
 
 use crate::backend::BackendConfig;
-use crate::experiments::sweep;
+use crate::experiments::{row, sweep, Axis, Experiment, Grid, Scale, Table};
 use crate::physical::PhysicalSimConfig;
-
-/// One fill-fraction point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FillFractionRow {
-    /// Fraction of each bubble the Executor fills.
-    pub fill_fraction: f64,
-    /// Measured main-job slowdown.
-    pub main_slowdown: f64,
-    /// Fill TFLOPS per GPU recovered.
-    pub recovered_tflops: f64,
-    /// Total TFLOPS per GPU (main + fill).
-    pub total_tflops: f64,
-}
 
 /// The sweep points used in Fig. 5 (0 = no filling baseline).
 pub const FIG5_FRACTIONS: [f64; 8] = [0.0, 0.2, 0.4, 0.55, 0.68, 0.8, 0.9, 0.97];
 
-/// Runs the sweep on the paper's physical setup: 5B LLM, 16 stages,
+/// Fig. 5: the sweep on the paper's physical setup: 5B LLM, 16 stages,
 /// 8 microbatches (65% bubble ratio), full trace-mix backlog. The points
 /// are independent physical-backend runs, so they fan out across cores.
-pub fn fig5_fill_fraction(iterations: usize, seed: u64) -> Vec<FillFractionRow> {
-    let configs = FIG5_FRACTIONS
-        .iter()
-        .map(|&f| {
-            let main = MainJobSpec::physical_5b(8, ScheduleKind::GPipe);
-            let mut cfg = PhysicalSimConfig::new(main).with_fill_fraction(f);
-            cfg.iterations = iterations;
-            cfg.seed = seed;
-            BackendConfig::Physical(cfg)
-        })
-        .collect();
-    sweep::run_sweep(configs)
-        .into_iter()
-        .zip(FIG5_FRACTIONS)
-        .map(|(run, f)| {
-            let r = run
-                .physical()
-                .expect("physical config yields physical detail");
-            FillFractionRow {
-                fill_fraction: f,
-                main_slowdown: r.main_slowdown,
-                recovered_tflops: r.recovered_tflops_per_gpu,
-                total_tflops: r.total_tflops_per_gpu(),
-            }
-        })
-        .collect()
+pub struct Fig5FillFraction;
+
+impl Experiment for Fig5FillFraction {
+    fn name(&self) -> &'static str {
+        "fig5_fill_fraction"
+    }
+    fn aliases(&self) -> &'static [&'static str] {
+        &["fig5"]
+    }
+    fn description(&self) -> &'static str {
+        "Fig. 5: fill-fraction sweep on the physical 5B cluster (slowdown vs recovered TFLOPS)"
+    }
+    fn columns(&self) -> &'static [&'static str] {
+        &[
+            "fill_fraction",
+            "main_slowdown",
+            "recovered_tflops",
+            "total_tflops",
+        ]
+    }
+    fn grid(&self, scale: Scale) -> Grid {
+        match scale {
+            Scale::Full => Grid::sim(300, 7),
+            Scale::Golden => Grid::sim(40, 7),
+        }
+    }
+    fn axes(&self) -> &'static [Axis] {
+        &[Axis::Iterations, Axis::Seed]
+    }
+    fn simulation_backed(&self) -> bool {
+        true
+    }
+    fn run(&self, grid: &Grid) -> Table {
+        let configs = FIG5_FRACTIONS
+            .iter()
+            .map(|&f| {
+                let main = MainJobSpec::physical_5b(8, ScheduleKind::GPipe);
+                let mut cfg = PhysicalSimConfig::new(main).with_fill_fraction(f);
+                cfg.iterations = grid.iterations;
+                cfg.seed = grid.seed;
+                BackendConfig::Physical(cfg)
+            })
+            .collect();
+        let runs = sweep::run_sweep(configs).into_iter().zip(FIG5_FRACTIONS);
+        Table::with_rows(
+            self.columns(),
+            runs.map(|(run, f)| {
+                let r = run
+                    .physical()
+                    .expect("physical config yields physical detail");
+                row![
+                    f,
+                    r.main_slowdown,
+                    r.recovered_tflops_per_gpu,
+                    r.total_tflops_per_gpu(),
+                ]
+            }),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -62,36 +81,34 @@ mod tests {
 
     #[test]
     fn fig5_shape_matches_paper() {
-        let rows = fig5_fill_fraction(100, 3);
-        let at = |f: f64| rows.iter().find(|r| r.fill_fraction == f).unwrap();
+        let t = Fig5FillFraction.run(&Grid::sim(100, 3));
+        let at = |f: f64, column: &str| t.filter("fill_fraction", f).f64_column(column)[0];
+        let slowdown = |f| at(f, "main_slowdown");
+        let recovered = |f| at(f, "recovered_tflops");
         // Baseline: nothing recovered, no overhead.
-        assert_eq!(at(0.0).recovered_tflops, 0.0);
-        assert_eq!(at(0.0).main_slowdown, 0.0);
+        assert_eq!(recovered(0.0), 0.0);
+        assert_eq!(slowdown(0.0), 0.0);
         // <2% overhead through the 68% default.
         for f in [0.2, 0.4, 0.55, 0.68] {
-            assert!(
-                at(f).main_slowdown < 0.02,
-                "slowdown at {f} = {}",
-                at(f).main_slowdown
-            );
+            assert!(slowdown(f) < 0.02, "slowdown at {f} = {}", slowdown(f));
         }
         // Substantial overhead when nearly everything is filled.
-        assert!(at(0.97).main_slowdown > 0.02, "{}", at(0.97).main_slowdown);
+        assert!(slowdown(0.97) > 0.02, "{}", slowdown(0.97));
         // Recovered utilization rises monotonically through the default
         // operating range (0 → 68%).
-        let in_range: Vec<&FillFractionRow> =
-            rows.iter().filter(|r| r.fill_fraction <= 0.69).collect();
+        let in_range: Vec<f64> = FIG5_FRACTIONS
+            .into_iter()
+            .filter(|&f| f <= 0.69)
+            .map(recovered)
+            .collect();
         for pair in in_range.windows(2) {
-            assert!(
-                pair[1].recovered_tflops > pair[0].recovered_tflops,
-                "recovered dipped in range: {pair:?}"
-            );
+            assert!(pair[1] > pair[0], "recovered dipped in range: {pair:?}");
         }
         // Beyond the knee, recovered utilization stays in the same band
         // and clearly above mid-range fills. It is not monotone there:
         // Algorithm 1 replicates the fill graph a whole number of times
         // per pass, so a larger budget can switch a job to a plan that
         // recovers slightly less.
-        assert!(at(0.9).recovered_tflops > at(0.55).recovered_tflops);
+        assert!(recovered(0.9) > recovered(0.55));
     }
 }

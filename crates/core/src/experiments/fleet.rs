@@ -10,90 +10,98 @@
 
 use pipefill_sim_core::SimDuration;
 use pipefill_trace::FleetWorkloadConfig;
-use serde::{Deserialize, Serialize};
 
 use crate::backend::BackendConfig;
-use crate::experiments::sweep;
+use crate::experiments::{row, sweep, Axis, Experiment, Grid, Scale, Table};
 use crate::fleet::FleetSimConfig;
-
-/// One fleet-size point of the scaling sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FleetScaleRow {
-    /// Concurrent main jobs.
-    pub jobs: usize,
-    /// Total GPU footprint of the fleet.
-    pub gpus: usize,
-    /// Flat devices simulated (one per pipeline stage per job).
-    pub devices: usize,
-    /// Surviving fill TFLOPS per simulated device (device-time
-    /// weighted).
-    pub recovered_tflops_per_gpu: f64,
-    /// Main-job TFLOPS per GPU, device-weighted across jobs.
-    pub main_tflops_per_gpu: f64,
-    /// Aggregate TFLOPS per GPU (main + fill).
-    pub total_tflops_per_gpu: f64,
-    /// Device-weighted mean main-job slowdown.
-    pub mean_slowdown: f64,
-    /// Fill jobs completed fleet-wide.
-    pub fill_jobs_completed: usize,
-    /// Device failures injected.
-    pub failures: u64,
-    /// Fill-job evictions routed through the global queue.
-    pub evictions: u64,
-    /// Evictions resumed on a different main job (the global queue's
-    /// win over per-job queues).
-    pub cross_job_dispatches: u64,
-    /// Deepest the global queue ever was.
-    pub peak_queue_depth: usize,
-    /// Fraction of executed fill FLOPs that survived eviction.
-    pub goodput_fraction: f64,
-}
-
-/// The fleet-size axis: one job per 128-GPU slice up to the paper's
-/// 8K-GPU projection regime.
-pub const FLEET_SIZES: [usize; 4] = [1, 4, 16, 64];
 
 /// Per-device MTBF of the sweep: long enough that filling dominates,
 /// short enough that the global queue sees real eviction traffic at
 /// fleet scale.
 pub const FLEET_MTBF: SimDuration = SimDuration::from_secs(1800);
 
-/// Builds the fleet configuration for one sweep point: `jobs` main jobs
-/// on `jobs × 128` GPUs with fault injection at [`FLEET_MTBF`].
-pub fn fleet_scale_config(jobs: usize, iterations: usize, seed: u64) -> FleetSimConfig {
-    let mut workload = FleetWorkloadConfig::new(jobs, jobs * 128, seed);
-    workload.iterations = iterations;
-    FleetSimConfig::from_workload(&workload).with_mtbf(FLEET_MTBF)
-}
+/// The fleet-size sweep, one row per fleet size in grid order: `jobs`
+/// main jobs on `jobs × 128` GPUs with fault injection at
+/// [`FLEET_MTBF`]. Per-GPU rates are device-time weighted; the queue
+/// columns count evictions routed through the global queue, those
+/// resumed on a different main job (the global queue's win over per-job
+/// queues), and its peak depth. The points fan out across cores.
+pub struct FleetScale;
 
-/// Runs the fleet-size sweep at the default sizes; the points fan out
-/// across cores.
-pub fn fleet_scale(iterations: usize, seed: u64) -> Vec<FleetScaleRow> {
-    fleet_scale_with(&FLEET_SIZES, iterations, seed)
-}
-
-/// Parameterized variant: one row per fleet size, in input order.
-pub fn fleet_scale_with(sizes: &[usize], iterations: usize, seed: u64) -> Vec<FleetScaleRow> {
-    sweep::par_map(sizes.to_vec(), |jobs| {
-        let cfg = fleet_scale_config(jobs, iterations, seed);
-        let run = BackendConfig::Fleet(cfg).run();
-        let detail = run.fleet().expect("fleet config yields fleet detail");
-        FleetScaleRow {
-            jobs,
-            gpus: detail.total_gpus,
-            devices: detail.num_devices,
-            recovered_tflops_per_gpu: detail.recovered_tflops_per_gpu,
-            main_tflops_per_gpu: detail.main_tflops_per_gpu,
-            total_tflops_per_gpu: detail.total_tflops_per_gpu(),
-            mean_slowdown: detail.mean_slowdown,
-            fill_jobs_completed: detail.fill_jobs_completed,
-            failures: detail.failures,
-            evictions: detail.evictions,
-            cross_job_dispatches: detail.cross_job_dispatches,
-            peak_queue_depth: detail.peak_queue_depth,
-            goodput_fraction: detail.goodput_fraction,
+impl Experiment for FleetScale {
+    fn name(&self) -> &'static str {
+        "fleet_scale"
+    }
+    fn aliases(&self) -> &'static [&'static str] {
+        &["fleet-scale"]
+    }
+    fn description(&self) -> &'static str {
+        "Extension: fleet-size scaling, 1-64 concurrent main jobs on one global fill queue"
+    }
+    fn columns(&self) -> &'static [&'static str] {
+        &[
+            "jobs",
+            "gpus",
+            "devices",
+            "recovered_tflops_per_gpu",
+            "main_tflops_per_gpu",
+            "total_tflops_per_gpu",
+            "mean_slowdown",
+            "fill_jobs_completed",
+            "failures",
+            "evictions",
+            "cross_job_dispatches",
+            "peak_queue_depth",
+            "goodput_fraction",
+        ]
+    }
+    fn grid(&self, scale: Scale) -> Grid {
+        match scale {
+            Scale::Full => Grid {
+                fleet_sizes: vec![1, 4, 16, 64],
+                iterations: 150,
+                seed: 7,
+                ..Grid::default()
+            },
+            Scale::Golden => Grid {
+                fleet_sizes: vec![1, 2, 4],
+                iterations: 150,
+                seed: 7,
+                ..Grid::default()
+            },
         }
-    })
+    }
+    fn axes(&self) -> &'static [Axis] {
+        &[Axis::Iterations, Axis::Seed]
+    }
+    fn simulation_backed(&self) -> bool {
+        true
+    }
+    fn run(&self, grid: &Grid) -> Table {
+        let rows = sweep::par_map(grid.fleet_sizes.clone(), |jobs| {
+            let mut workload = FleetWorkloadConfig::new(jobs, jobs * 128, grid.seed);
+            workload.iterations = grid.iterations;
+            let cfg = FleetSimConfig::from_workload(&workload).with_mtbf(FLEET_MTBF);
+            let run = BackendConfig::Fleet(cfg).run();
+            let detail = run.fleet().expect("fleet config yields fleet detail");
+            row![
+                jobs,
+                detail.total_gpus,
+                detail.num_devices,
+                detail.recovered_tflops_per_gpu,
+                detail.main_tflops_per_gpu,
+                detail.total_tflops_per_gpu(),
+                detail.mean_slowdown,
+                detail.fill_jobs_completed,
+                detail.failures,
+                detail.evictions,
+                detail.cross_job_dispatches,
+                detail.peak_queue_depth,
+                detail.goodput_fraction,
+            ]
+        });
+        Table::with_rows(self.columns(), rows)
+    }
 }
 
 #[cfg(test)]
@@ -102,22 +110,26 @@ mod tests {
 
     #[test]
     fn fleet_sweep_scales_and_stays_sane() {
-        let rows = fleet_scale_with(&[1, 4], 25, 7);
-        assert_eq!(rows.len(), 2);
-        let (solo, fleet) = (&rows[0], &rows[1]);
-        assert_eq!(solo.jobs, 1);
-        assert_eq!(fleet.jobs, 4);
-        assert!(fleet.gpus > solo.gpus);
-        assert!(fleet.devices > solo.devices);
-        for r in &rows {
-            assert!(r.recovered_tflops_per_gpu.is_finite() && r.recovered_tflops_per_gpu >= 0.0);
-            assert!(r.main_tflops_per_gpu > 0.0);
-            assert!((0.0..=1.0).contains(&r.goodput_fraction));
-            assert!(r.mean_slowdown >= 0.0);
+        let grid = Grid {
+            fleet_sizes: vec![1, 4],
+            ..Grid::sim(25, 7)
+        };
+        let t = FleetScale.run(&grid);
+        assert_eq!(t.len(), 2);
+        let column = |name| t.f64_column(name);
+        assert_eq!(column("jobs"), [1.0, 4.0]);
+        let (gpus, devices) = (column("gpus"), column("devices"));
+        assert!(gpus[1] > gpus[0]);
+        assert!(devices[1] > devices[0]);
+        for r in column("recovered_tflops_per_gpu") {
+            assert!(r.is_finite() && r >= 0.0);
         }
+        assert!(column("main_tflops_per_gpu").iter().all(|&m| m > 0.0));
+        let goodput = column("goodput_fraction");
+        assert!(goodput.iter().all(|g| (0.0..=1.0).contains(g)));
+        assert!(column("mean_slowdown").iter().all(|&s| s >= 0.0));
         // Same seed reruns are byte-stable (the golden snapshot relies
         // on this).
-        let again = fleet_scale_with(&[1, 4], 25, 7);
-        assert_eq!(rows, again);
+        assert_eq!(t, FleetScale.run(&grid));
     }
 }

@@ -5,119 +5,127 @@
 use pipefill_pipeline::{MainJobSpec, ScheduleKind};
 use pipefill_sim_core::SimDuration;
 use pipefill_trace::TraceConfig;
-use serde::{Deserialize, Serialize};
 
 use crate::backend::BackendConfig;
 use crate::cluster::{ClusterSimConfig, PolicyKind};
-use crate::experiments::sweep;
-
-/// One (policy, load) point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PolicyRow {
-    /// Scheduling policy.
-    pub policy: PolicyKind,
-    /// Offered-load multiplier.
-    pub load: f64,
-    /// Mean job completion time in seconds (Fig. 9a).
-    pub mean_jct_secs: f64,
-    /// Makespan in seconds (Fig. 9b).
-    pub makespan_secs: f64,
-    /// Jobs completed.
-    pub completed: usize,
-}
+use crate::experiments::{row, sweep, Axis, Experiment, Grid, Scale, Table};
 
 /// The load axis of Fig. 9 (multiples of the base arrival rate; the top
 /// end oversubscribes the 16 devices so queueing effects appear).
 pub const FIG9_LOADS: [f64; 4] = [0.5, 1.0, 2.0, 4.0];
 
-/// Runs the policy comparison on the 5B physical-cluster setting. The
+/// Fig. 9: the policy comparison on the 5B physical-cluster setting. The
 /// (load, policy) grid runs as one parallel coarse-backend sweep.
-pub fn fig9_policies(seed: u64, horizon: SimDuration) -> Vec<PolicyRow> {
-    let mut grid = Vec::new();
-    for &load in &FIG9_LOADS {
-        for policy in [PolicyKind::Sjf, PolicyKind::MakespanMin] {
-            grid.push((load, policy));
+pub struct Fig9Policies;
+
+impl Experiment for Fig9Policies {
+    fn name(&self) -> &'static str {
+        "fig9_policies"
+    }
+    fn aliases(&self) -> &'static [&'static str] {
+        &["fig9"]
+    }
+    fn description(&self) -> &'static str {
+        "Fig. 9: scheduling-policy sensitivity (SJF vs Makespan-Min over the load axis)"
+    }
+    fn columns(&self) -> &'static [&'static str] {
+        &[
+            "policy",
+            "load",
+            "mean_jct_secs",
+            "makespan_secs",
+            "completed",
+        ]
+    }
+    fn grid(&self, scale: Scale) -> Grid {
+        match scale {
+            Scale::Full => Grid::horizon(3600, 11),
+            Scale::Golden => Grid::horizon(1200, 11),
         }
     }
-    let configs = grid
-        .iter()
-        .map(|&(load, policy)| {
-            let main = MainJobSpec::physical_5b(8, ScheduleKind::GPipe);
-            let mut trace = TraceConfig::physical(seed).with_load(load);
-            trace.horizon = horizon;
-            let mut cfg = ClusterSimConfig::new(main, trace);
-            cfg.policy = policy;
-            BackendConfig::Coarse(cfg)
-        })
-        .collect();
-    sweep::run_sweep(configs)
-        .into_iter()
-        .zip(grid)
-        .map(|(run, (load, policy))| {
-            let result = run.coarse().expect("coarse config yields coarse detail");
-            PolicyRow {
-                policy,
-                load,
-                mean_jct_secs: result.jct.mean_secs,
-                makespan_secs: result.makespan.as_secs_f64(),
-                completed: result.completed.len(),
+    fn axes(&self) -> &'static [Axis] {
+        &[Axis::HorizonSecs, Axis::Seed]
+    }
+    fn simulation_backed(&self) -> bool {
+        true
+    }
+    fn run(&self, grid: &Grid) -> Table {
+        let mut points = Vec::new();
+        for &load in &FIG9_LOADS {
+            for policy in [PolicyKind::Sjf, PolicyKind::MakespanMin] {
+                points.push((load, policy));
             }
-        })
-        .collect()
+        }
+        let configs = points
+            .iter()
+            .map(|&(load, policy)| {
+                let main = MainJobSpec::physical_5b(8, ScheduleKind::GPipe);
+                let mut trace = TraceConfig::physical(grid.seed).with_load(load);
+                trace.horizon = SimDuration::from_secs(grid.horizon_secs);
+                let mut cfg = ClusterSimConfig::new(main, trace);
+                cfg.policy = policy;
+                BackendConfig::Coarse(cfg)
+            })
+            .collect();
+        let runs = sweep::run_sweep(configs).into_iter().zip(points);
+        Table::with_rows(
+            self.columns(),
+            runs.map(|(run, (load, policy))| {
+                let result = run.coarse().expect("coarse config yields coarse detail");
+                row![
+                    policy.to_string(),
+                    load,
+                    result.jct.mean_secs,
+                    result.makespan.as_secs_f64(),
+                    result.completed.len(),
+                ]
+            }),
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The `column` cell of the (policy, load) row.
+    fn cell(t: &Table, policy: PolicyKind, load: f64, column: &str) -> f64 {
+        t.filter("policy", policy.to_string())
+            .filter("load", load)
+            .f64_column(column)[0]
+    }
+
     #[test]
     fn sjf_wins_jct_and_makespan_min_wins_makespan() {
-        let rows = fig9_policies(11, SimDuration::from_secs(2400));
-        let get = |policy: PolicyKind, load: f64| {
-            rows.iter()
-                .find(|r| r.policy == policy && r.load == load)
-                .unwrap()
-        };
+        let t = Fig9Policies.run(&Grid::horizon(2400, 11));
         // Fig. 9a: SJF's mean JCT ≤ Makespan-Min's, most visible at
         // moderate load.
         let mut sjf_wins = 0;
         for &load in &FIG9_LOADS {
-            if get(PolicyKind::Sjf, load).mean_jct_secs
-                <= get(PolicyKind::MakespanMin, load).mean_jct_secs * 1.02
+            if cell(&t, PolicyKind::Sjf, load, "mean_jct_secs")
+                <= cell(&t, PolicyKind::MakespanMin, load, "mean_jct_secs") * 1.02
             {
                 sjf_wins += 1;
             }
         }
         assert!(sjf_wins >= 3, "SJF won JCT at only {sjf_wins}/4 loads");
         // Fig. 9b: Makespan-Min's makespan ≤ SJF's at high load.
-        let high = 4.0;
+        let makespan = |policy| cell(&t, policy, 4.0, "makespan_secs");
         assert!(
-            get(PolicyKind::MakespanMin, high).makespan_secs
-                <= get(PolicyKind::Sjf, high).makespan_secs * 1.05,
+            makespan(PolicyKind::MakespanMin) <= makespan(PolicyKind::Sjf) * 1.05,
             "makespan-min {} vs sjf {}",
-            get(PolicyKind::MakespanMin, high).makespan_secs,
-            get(PolicyKind::Sjf, high).makespan_secs
+            makespan(PolicyKind::MakespanMin),
+            makespan(PolicyKind::Sjf)
         );
     }
 
     #[test]
     fn jct_grows_with_load() {
-        let rows = fig9_policies(12, SimDuration::from_secs(2400));
+        let t = Fig9Policies.run(&Grid::horizon(2400, 12));
         for policy in [PolicyKind::Sjf, PolicyKind::MakespanMin] {
-            let lo = rows
-                .iter()
-                .find(|r| r.policy == policy && r.load == 0.5)
-                .unwrap();
-            let hi = rows
-                .iter()
-                .find(|r| r.policy == policy && r.load == 4.0)
-                .unwrap();
-            assert!(
-                hi.mean_jct_secs > lo.mean_jct_secs,
-                "{policy:?}: {} !> {}",
-                hi.mean_jct_secs,
-                lo.mean_jct_secs
-            );
+            let lo = cell(&t, policy, 0.5, "mean_jct_secs");
+            let hi = cell(&t, policy, 4.0, "mean_jct_secs");
+            assert!(hi > lo, "{policy:?}: {hi} !> {lo}");
         }
     }
 }

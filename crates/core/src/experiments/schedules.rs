@@ -6,126 +6,148 @@
 //! The depth sweep extends the Fig. 8 question to the full schedule
 //! family — GPipe, 1F1B, interleaved 1F1B and ZB-H1 — across pipeline
 //! depths: how much fillable bubble *remains* once the main job runs a
-//! better schedule ([`schedule_depth_sweep`]).
+//! better schedule ([`ScheduleDepth`]).
 
 use pipefill_executor::ExecutorConfig;
 use pipefill_pipeline::{bubble_fraction_for, EngineConfig, MainJobSpec, ScheduleKind};
 use pipefill_sim_core::SimDuration;
 use pipefill_trace::ModelMix;
-use serde::{Deserialize, Serialize};
 
-use crate::experiments::sweep;
+use crate::experiments::{row, sweep, Experiment, Grid, Scale, Table};
 use crate::steady::steady_recovered_tflops;
 
-/// One (GPU count, schedule) point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ScheduleRow {
-    /// Total GPUs.
-    pub gpus: usize,
-    /// Main-job schedule.
-    pub schedule: ScheduleKind,
-    /// Total bubble ratio (identical across schedules).
-    pub bubble_ratio: f64,
-    /// Fillable bubble ratio (lower for 1F1B).
-    pub fillable_ratio: f64,
-    /// Recovered fill TFLOPS per GPU with the trace mix.
-    pub recovered_tflops: f64,
-}
+/// Fig. 8: GPipe vs 1F1B at the paper's 2K–16K GPU range; the
+/// (scale, schedule) grid fans out across cores.
+pub struct Fig8Schedules;
 
-/// Runs the sweep at the paper's 2K–16K GPU range; the (scale, schedule)
-/// grid fans out across cores.
-pub fn fig8_schedules(exec: &ExecutorConfig) -> Vec<ScheduleRow> {
-    let mix = ModelMix::paper_mix();
-    let mut grid = Vec::new();
-    for &m in &[32usize, 16, 8, 4] {
-        for schedule in [ScheduleKind::GPipe, ScheduleKind::OneFOneB] {
-            grid.push((m, schedule));
-        }
+impl Experiment for Fig8Schedules {
+    fn name(&self) -> &'static str {
+        "fig8_schedules"
     }
-    sweep::par_map(grid, |(m, schedule)| {
-        let main = MainJobSpec::simulator_40b(m, schedule);
-        let timeline = main.engine_timeline();
-        ScheduleRow {
-            gpus: main.parallelism.total_gpus(),
-            schedule,
-            bubble_ratio: timeline.bubble_ratio(),
-            fillable_ratio: timeline.fillable_ratio(),
-            recovered_tflops: steady_recovered_tflops(&main, exec, &mix),
+    // "fig8" is a multi-alias (this sweep + the depth sweep), resolved
+    // by [`resolve`](super::resolve) — listing it here too would make
+    // `find("fig8")` silently run half of what `resolve("fig8")` runs.
+    fn aliases(&self) -> &'static [&'static str] {
+        &["schedules"]
+    }
+    fn description(&self) -> &'static str {
+        "Fig. 8: GPipe vs 1F1B fillable bubble and recovered TFLOPS, 2K-16K GPUs"
+    }
+    fn columns(&self) -> &'static [&'static str] {
+        &[
+            "gpus",
+            "schedule",
+            "bubble_ratio",
+            "fillable_ratio",
+            "recovered_tflops",
+        ]
+    }
+    fn grid(&self, _scale: Scale) -> Grid {
+        Grid::default()
+    }
+    fn run(&self, _grid: &Grid) -> Table {
+        let mix = ModelMix::paper_mix();
+        let mut grid = Vec::new();
+        for &m in &[32usize, 16, 8, 4] {
+            for schedule in [ScheduleKind::GPipe, ScheduleKind::OneFOneB] {
+                grid.push((m, schedule));
+            }
         }
-    })
-}
-
-/// One point of the 4-schedule × depth sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DepthRow {
-    /// Main-job schedule.
-    pub schedule: ScheduleKind,
-    /// Pipeline depth `p`.
-    pub stages: usize,
-    /// Microbatches per replica `m`.
-    pub microbatches: usize,
-    /// Steady-state iteration period in seconds.
-    pub period_secs: f64,
-    /// Engine-measured total bubble ratio.
-    pub bubble_ratio: f64,
-    /// Engine-measured fillable bubble ratio (what PipeFill gets).
-    pub fillable_ratio: f64,
-    /// Closed-form ideal bubble ratio for this schedule
-    /// ([`bubble_fraction_for`] at the 2:1 calibration) — exact for
-    /// GPipe/1F1B/ZB-H1, a lower bound for interleaved.
-    pub formula_bubble_ratio: f64,
+        let rows = sweep::par_map(grid, |(m, schedule)| {
+            let main = MainJobSpec::simulator_40b(m, schedule);
+            let timeline = main.engine_timeline();
+            row![
+                main.parallelism.total_gpus(),
+                schedule.to_string(),
+                timeline.bubble_ratio(),
+                timeline.fillable_ratio(),
+                steady_recovered_tflops(&main, &ExecutorConfig::default(), &mix),
+            ]
+        });
+        Table::with_rows(self.columns(), rows)
+    }
 }
 
 /// The per-microbatch forward time the depth sweep runs at (the 40B
 /// job's calibration; backward is 2×).
 const SWEEP_FWD: SimDuration = SimDuration::from_millis(43);
 
-/// Runs the 4-schedule × depth sweep: every canonical schedule
+/// The 4-schedule × depth sweep: every canonical schedule
 /// ([`ScheduleKind::ALL`]) across pipeline depths 4–32 at one and two
 /// full microbatch rounds per depth. Pure engine geometry — no fill
 /// workload — so the sweep isolates exactly what each schedule leaves
-/// for PipeFill to fill.
-pub fn schedule_depth_sweep() -> Vec<DepthRow> {
-    let mut grid = Vec::new();
-    for &p in &[4usize, 8, 16, 32] {
-        for &m in &[p, 2 * p] {
-            for schedule in ScheduleKind::ALL {
-                grid.push((schedule, p, m));
+/// for PipeFill to fill. Its `formula_bubble_ratio` column is the
+/// closed-form ideal ([`bubble_fraction_for`] at the 2:1 calibration):
+/// exact for GPipe/1F1B/ZB-H1, a lower bound for interleaved.
+pub struct ScheduleDepth;
+
+impl Experiment for ScheduleDepth {
+    fn name(&self) -> &'static str {
+        "schedule_depth"
+    }
+    fn aliases(&self) -> &'static [&'static str] {
+        &["depth"]
+    }
+    fn description(&self) -> &'static str {
+        "Extension: 4-schedule x depth bubble-geometry sweep (engine vs closed forms)"
+    }
+    fn columns(&self) -> &'static [&'static str] {
+        &[
+            "schedule",
+            "stages",
+            "microbatches",
+            "period_secs",
+            "bubble_ratio",
+            "fillable_ratio",
+            "formula_bubble_ratio",
+        ]
+    }
+    fn grid(&self, _scale: Scale) -> Grid {
+        Grid::default()
+    }
+    fn run(&self, _grid: &Grid) -> Table {
+        let mut grid = Vec::new();
+        for &p in &[4usize, 8, 16, 32] {
+            for &m in &[p, 2 * p] {
+                for schedule in ScheduleKind::ALL {
+                    grid.push((schedule, p, m));
+                }
             }
         }
+        let rows = sweep::par_map(grid, |(schedule, p, m)| {
+            let timeline = EngineConfig::uniform(schedule, p, m, SWEEP_FWD, SWEEP_FWD * 2).run();
+            row![
+                schedule.to_string(),
+                p,
+                m,
+                timeline.period.as_secs_f64(),
+                timeline.bubble_ratio(),
+                timeline.fillable_ratio(),
+                bubble_fraction_for(schedule, p, m, 2.0),
+            ]
+        });
+        Table::with_rows(self.columns(), rows)
     }
-    sweep::par_map(grid, |(schedule, p, m)| {
-        let timeline = EngineConfig::uniform(schedule, p, m, SWEEP_FWD, SWEEP_FWD * 2).run();
-        DepthRow {
-            schedule,
-            stages: p,
-            microbatches: m,
-            period_secs: timeline.period.as_secs_f64(),
-            bubble_ratio: timeline.bubble_ratio(),
-            fillable_ratio: timeline.fillable_ratio(),
-            formula_bubble_ratio: bubble_fraction_for(schedule, p, m, 2.0),
-        }
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The `column` cell of the `schedule` row in `t` (one row per
+    /// schedule).
+    fn cell(t: &Table, schedule: ScheduleKind, column: &str) -> f64 {
+        t.filter("schedule", schedule.to_string())
+            .f64_column(column)[0]
+    }
+
     #[test]
     fn gap_shrinks_with_scale() {
-        let rows = fig8_schedules(&ExecutorConfig::default());
+        let t = Fig8Schedules.run(&Grid::default());
         let gap = |gpus: usize| {
-            let g = rows
-                .iter()
-                .find(|r| r.gpus == gpus && r.schedule == ScheduleKind::GPipe)
-                .unwrap()
-                .recovered_tflops;
-            let o = rows
-                .iter()
-                .find(|r| r.gpus == gpus && r.schedule == ScheduleKind::OneFOneB)
-                .unwrap()
-                .recovered_tflops;
+            let at = t.filter("gpus", gpus);
+            let g = cell(&at, ScheduleKind::GPipe, "recovered_tflops");
+            let o = cell(&at, ScheduleKind::OneFOneB, "recovered_tflops");
             (g - o) / g
         };
         let low_scale = gap(2048);
@@ -144,18 +166,25 @@ mod tests {
 
     #[test]
     fn depth_sweep_covers_the_full_grid() {
-        let rows = schedule_depth_sweep();
+        let t = ScheduleDepth.run(&Grid::default());
         // 4 depths × 2 microbatch points × 4 schedules.
-        assert_eq!(rows.len(), 32);
-        for r in &rows {
-            assert!(r.period_secs > 0.0);
-            assert!((0.0..1.0).contains(&r.bubble_ratio), "{r:?}");
-            assert!(r.fillable_ratio <= r.bubble_ratio + 1e-12, "{r:?}");
-            assert!(r.formula_bubble_ratio <= r.bubble_ratio + 1e-9, "{r:?}");
+        assert_eq!(t.len(), 32);
+        let column = |name| t.f64_column(name);
+        let (period, bubble, fillable, formula) = (
+            column("period_secs"),
+            column("bubble_ratio"),
+            column("fillable_ratio"),
+            column("formula_bubble_ratio"),
+        );
+        for (i, row) in t.rows().iter().enumerate() {
+            assert!(period[i] > 0.0);
+            assert!((0.0..1.0).contains(&bubble[i]), "{row:?}");
+            assert!(fillable[i] <= bubble[i] + 1e-12, "{row:?}");
+            assert!(formula[i] <= bubble[i] + 1e-9, "{row:?}");
         }
         for schedule in ScheduleKind::ALL {
             assert_eq!(
-                rows.iter().filter(|r| r.schedule == schedule).count(),
+                t.filter("schedule", schedule.to_string()).len(),
                 8,
                 "{schedule}"
             );
@@ -164,32 +193,25 @@ mod tests {
 
     #[test]
     fn depth_sweep_orders_schedules_at_every_grid_point() {
-        let rows = schedule_depth_sweep();
+        let t = ScheduleDepth.run(&Grid::default());
         for &p in &[4usize, 8, 16, 32] {
             for &m in &[p, 2 * p] {
-                let at = |schedule: ScheduleKind| {
-                    rows.iter()
-                        .find(|r| r.schedule == schedule && r.stages == p && r.microbatches == m)
-                        .unwrap()
-                };
-                let gpipe = at(ScheduleKind::GPipe);
-                let ofob = at(ScheduleKind::OneFOneB);
-                let il = at(ScheduleKind::Interleaved { chunks: 2 });
-                let zb = at(ScheduleKind::ZbH1);
+                let point = t.filter("stages", p).filter("microbatches", m);
+                let bubble = |schedule| cell(&point, schedule, "bubble_ratio");
+                let gpipe = bubble(ScheduleKind::GPipe);
+                let ofob = bubble(ScheduleKind::OneFOneB);
+                let il = bubble(ScheduleKind::Interleaved { chunks: 2 });
+                let zb = bubble(ScheduleKind::ZbH1);
                 // ZB-H1 ≤ 1F1B ≤ GPipe, with interleaved under 1F1B too
                 // (complete rounds everywhere on this grid).
-                assert!(zb.bubble_ratio <= ofob.bubble_ratio + 1e-9, "p={p} m={m}");
-                assert!(
-                    ofob.bubble_ratio <= gpipe.bubble_ratio + 1e-9,
-                    "p={p} m={m}"
-                );
-                assert!(il.bubble_ratio <= ofob.bubble_ratio + 1e-9, "p={p} m={m}");
+                assert!(zb <= ofob + 1e-9, "p={p} m={m}");
+                assert!(ofob <= gpipe + 1e-9, "p={p} m={m}");
+                assert!(il <= ofob + 1e-9, "p={p} m={m}");
                 // ZB-H1 matches its closed form exactly on this grid.
+                let zb_formula = cell(&point, ScheduleKind::ZbH1, "formula_bubble_ratio");
                 assert!(
-                    (zb.bubble_ratio - zb.formula_bubble_ratio).abs() < 1e-9,
-                    "p={p} m={m}: {} vs {}",
-                    zb.bubble_ratio,
-                    zb.formula_bubble_ratio
+                    (zb - zb_formula).abs() < 1e-9,
+                    "p={p} m={m}: {zb} vs {zb_formula}"
                 );
             }
         }
@@ -197,21 +219,22 @@ mod tests {
 
     #[test]
     fn total_bubble_ratio_is_schedule_independent() {
-        let rows = fig8_schedules(&ExecutorConfig::default());
+        let t = Fig8Schedules.run(&Grid::default());
         for gpus in [2048usize, 4096, 8192, 16384] {
-            let pair: Vec<&ScheduleRow> = rows.iter().filter(|r| r.gpus == gpus).collect();
+            let pair = t.filter("gpus", gpus);
             assert_eq!(pair.len(), 2);
+            let bubble = pair.f64_column("bubble_ratio");
             // Identical up to the small period difference the inter-stage
             // communication latency introduces between the two schedules.
             assert!(
-                (pair[0].bubble_ratio - pair[1].bubble_ratio).abs() < 0.02,
+                (bubble[0] - bubble[1]).abs() < 0.02,
                 "bubble ratios diverge at {gpus}: {} vs {}",
-                pair[0].bubble_ratio,
-                pair[1].bubble_ratio
+                bubble[0],
+                bubble[1]
             );
             // Fillable is never more than total.
-            for r in pair {
-                assert!(r.fillable_ratio <= r.bubble_ratio + 1e-12);
+            for (fillable, total) in pair.f64_column("fillable_ratio").into_iter().zip(bubble) {
+                assert!(fillable <= total + 1e-12);
             }
         }
     }

@@ -7,62 +7,82 @@ use pipefill_executor::ExecutorConfig;
 use pipefill_model_zoo::gpt_40b_scaled;
 use pipefill_pipeline::{BubbleMemoryModel, MainJobSpec, ScheduleKind};
 use pipefill_trace::ModelMix;
-use serde::{Deserialize, Serialize};
 
-use crate::experiments::sweep;
+use crate::experiments::{row, sweep, Experiment, Grid, Scale, Table};
 use crate::steady::steady_recovered_tflops;
 
-/// One model-scale point (Fig. 10a).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BubbleSizeRow {
-    /// Main-job model size relative to the 40B original.
-    pub model_scale: f64,
-    /// Total fillable bubble seconds per iteration per stage (average).
-    pub mean_fillable_secs: f64,
-    /// Recovered fill TFLOPS per GPU (trace mix).
-    pub recovered_tflops: f64,
-}
-
-/// One free-memory point (Fig. 10b).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FreeMemoryRow {
-    /// Bubble free memory in GiB.
-    pub free_gib: f64,
-    /// Recovered fill TFLOPS per GPU (trace mix).
-    pub recovered_tflops: f64,
-}
-
 /// Fig. 10a: scale the main-job model 50–200%, free memory pinned at the
-/// measured 4.5 GB.
-pub fn fig10a_bubble_size(exec: &ExecutorConfig) -> Vec<BubbleSizeRow> {
-    sweep::par_map(vec![0.5f64, 0.75, 1.0, 1.5, 2.0], |scale| {
-        let main =
-            MainJobSpec::simulator_40b(8, ScheduleKind::GPipe).with_model(gpt_40b_scaled(scale));
-        let timeline = main.engine_timeline();
-        let mean_fillable = timeline
-            .stages
-            .iter()
-            .map(|s| s.fillable_time().as_secs_f64())
-            .sum::<f64>()
-            / timeline.stages.len() as f64;
-        BubbleSizeRow {
-            model_scale: scale,
-            mean_fillable_secs: mean_fillable,
-            recovered_tflops: steady_recovered_tflops(&main, exec, &ModelMix::paper_mix()),
-        }
-    })
+/// measured 4.5 GB. Reports the mean fillable bubble seconds per
+/// iteration per stage and the recovered fill TFLOPS per GPU (trace mix).
+pub struct Fig10aBubbleSize;
+
+impl Experiment for Fig10aBubbleSize {
+    fn name(&self) -> &'static str {
+        "fig10a_bubble_size"
+    }
+    fn aliases(&self) -> &'static [&'static str] {
+        &["fig10a"]
+    }
+    fn description(&self) -> &'static str {
+        "Fig. 10a: sensitivity to bubble size (main-job model scaled 50-200%)"
+    }
+    fn columns(&self) -> &'static [&'static str] {
+        &["model_scale", "mean_fillable_secs", "recovered_tflops"]
+    }
+    fn grid(&self, _scale: Scale) -> Grid {
+        Grid::default()
+    }
+    fn run(&self, _grid: &Grid) -> Table {
+        let rows = sweep::par_map(vec![0.5f64, 0.75, 1.0, 1.5, 2.0], |scale| {
+            let main = MainJobSpec::simulator_40b(8, ScheduleKind::GPipe)
+                .with_model(gpt_40b_scaled(scale));
+            let timeline = main.engine_timeline();
+            let mean_fillable = timeline
+                .stages
+                .iter()
+                .map(|s| s.fillable_time().as_secs_f64())
+                .sum::<f64>()
+                / timeline.stages.len() as f64;
+            row![scale, mean_fillable, recovered_tflops(&main)]
+        });
+        Table::with_rows(self.columns(), rows)
+    }
 }
 
-/// Fig. 10b: sweep bubble free memory 2–8 GiB at the original model size.
-pub fn fig10b_free_memory(exec: &ExecutorConfig) -> Vec<FreeMemoryRow> {
-    sweep::par_map(vec![2.0f64, 3.0, 4.0, 4.5, 6.0, 8.0], |gib| {
-        let main = MainJobSpec::simulator_40b(8, ScheduleKind::GPipe)
-            .with_memory(BubbleMemoryModel::Uniform(Bytes::from_gib_f64(gib)));
-        FreeMemoryRow {
-            free_gib: gib,
-            recovered_tflops: steady_recovered_tflops(&main, exec, &ModelMix::paper_mix()),
-        }
-    })
+/// Fig. 10b: sweep bubble free memory 2–8 GiB at the original model
+/// size, reporting the recovered fill TFLOPS per GPU (trace mix).
+pub struct Fig10bFreeMemory;
+
+impl Experiment for Fig10bFreeMemory {
+    fn name(&self) -> &'static str {
+        "fig10b_free_memory"
+    }
+    fn aliases(&self) -> &'static [&'static str] {
+        &["fig10b"]
+    }
+    fn description(&self) -> &'static str {
+        "Fig. 10b: sensitivity to bubble free memory (2-8 GiB)"
+    }
+    fn columns(&self) -> &'static [&'static str] {
+        &["free_gib", "recovered_tflops"]
+    }
+    fn grid(&self, _scale: Scale) -> Grid {
+        Grid::default()
+    }
+    fn run(&self, _grid: &Grid) -> Table {
+        let rows = sweep::par_map(vec![2.0f64, 3.0, 4.0, 4.5, 6.0, 8.0], |gib| {
+            let main = MainJobSpec::simulator_40b(8, ScheduleKind::GPipe)
+                .with_memory(BubbleMemoryModel::Uniform(Bytes::from_gib_f64(gib)));
+            row![gib, recovered_tflops(&main)]
+        });
+        Table::with_rows(self.columns(), rows)
+    }
+}
+
+/// Steady-state recovered TFLOPS per GPU under the trace mix and the
+/// default executor configuration.
+fn recovered_tflops(main: &MainJobSpec) -> f64 {
+    steady_recovered_tflops(main, &ExecutorConfig::default(), &ModelMix::paper_mix())
 }
 
 #[cfg(test)]
@@ -73,13 +93,13 @@ mod tests {
     fn bubble_size_has_small_effect() {
         // Fig. 10a: "little difference in the recovered TFLOPS, though
         // shrinking the bubble duration by 50% reduced TFLOPS by 5.3%".
-        let rows = fig10a_bubble_size(&ExecutorConfig::default());
-        let at = |s: f64| rows.iter().find(|r| r.model_scale == s).unwrap();
-        let base = at(1.0).recovered_tflops;
-        let small = at(0.5).recovered_tflops;
-        let big = at(2.0).recovered_tflops;
+        let t = Fig10aBubbleSize.run(&Grid::default());
+        let at = |s: f64, column: &str| t.filter("model_scale", s).f64_column(column)[0];
+        let base = at(1.0, "recovered_tflops");
+        let small = at(0.5, "recovered_tflops");
+        let big = at(2.0, "recovered_tflops");
         // Bubbles scale with the model.
-        assert!(at(2.0).mean_fillable_secs > at(0.5).mean_fillable_secs);
+        assert!(at(2.0, "mean_fillable_secs") > at(0.5, "mean_fillable_secs"));
         // Recovered TFLOPS varies by far less than the 4× bubble change.
         let spread = (big - small).abs() / base;
         assert!(spread < 0.25, "spread {spread}");
@@ -90,13 +110,8 @@ mod tests {
     fn free_memory_matters_with_diminishing_returns() {
         // Fig. 10b: "4GB recovers 30% more TFLOPS than 2GB, but 8GB only
         // recovers 12.2% more than 4GB".
-        let rows = fig10b_free_memory(&ExecutorConfig::default());
-        let at = |g: f64| {
-            rows.iter()
-                .find(|r| r.free_gib == g)
-                .unwrap()
-                .recovered_tflops
-        };
+        let t = Fig10bFreeMemory.run(&Grid::default());
+        let at = |g: f64| t.filter("free_gib", g).f64_column("recovered_tflops")[0];
         let gain_2_to_4 = at(4.0) / at(2.0) - 1.0;
         let gain_4_to_8 = at(8.0) / at(4.0) - 1.0;
         assert!(gain_2_to_4 > 0.1, "2→4 GiB gain {gain_2_to_4}");
@@ -105,8 +120,8 @@ mod tests {
             "no diminishing returns: {gain_2_to_4} then {gain_4_to_8}"
         );
         // Monotone in memory.
-        for pair in rows.windows(2) {
-            assert!(pair[1].recovered_tflops >= pair[0].recovered_tflops * 0.999);
+        for pair in t.f64_column("recovered_tflops").windows(2) {
+            assert!(pair[1] >= pair[0] * 0.999);
         }
     }
 }

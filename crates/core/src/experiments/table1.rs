@@ -2,33 +2,51 @@
 //! count, job type).
 
 use pipefill_model_zoo::ModelId;
-use serde::{Deserialize, Serialize};
 
-/// One row of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Table1Row {
-    /// Model.
-    pub model: ModelId,
-    /// Built parameter count, in millions.
-    pub params_millions: f64,
-    /// Paper's reported parameter count, in millions.
-    pub paper_params_millions: f64,
-}
+use crate::experiments::{row, Experiment, Grid, Scale, Table};
 
 /// The paper's reported counts, in table order.
 const PAPER_PARAMS_M: [f64; 5] = [117.0, 109.0, 334.0, 779.0, 2800.0];
 
-/// Builds the table from the model zoo.
-pub fn table1() -> Vec<Table1Row> {
-    ModelId::FILL_JOBS
-        .iter()
-        .zip(PAPER_PARAMS_M)
-        .map(|(&model, paper)| Table1Row {
-            model,
-            params_millions: model.build().total_params() as f64 / 1e6,
-            paper_params_millions: paper,
-        })
-        .collect()
+/// Table 1, built from the model zoo next to the paper's counts.
+pub struct Table1;
+
+impl Experiment for Table1 {
+    fn name(&self) -> &'static str {
+        "table1"
+    }
+    fn description(&self) -> &'static str {
+        "Table 1: fill-job categories vs the paper's parameter counts"
+    }
+    fn columns(&self) -> &'static [&'static str] {
+        &[
+            "size_class",
+            "model",
+            "params_millions",
+            "paper_params_millions",
+            "domain",
+        ]
+    }
+    fn grid(&self, _scale: Scale) -> Grid {
+        Grid::default()
+    }
+    fn run(&self, _grid: &Grid) -> Table {
+        Table::with_rows(
+            self.columns(),
+            ModelId::FILL_JOBS
+                .iter()
+                .zip(PAPER_PARAMS_M)
+                .map(|(&model, paper)| {
+                    row![
+                        model.size_class().to_string(),
+                        model.name(),
+                        model.build().total_params() as f64 / 1e6,
+                        paper,
+                        model.domain().to_string(),
+                    ]
+                }),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -37,21 +55,19 @@ mod tests {
 
     #[test]
     fn built_models_match_paper_counts() {
-        for row in table1() {
-            let err =
-                (row.params_millions - row.paper_params_millions).abs() / row.paper_params_millions;
-            assert!(
-                err < 0.08,
-                "{}: built {}M vs paper {}M",
-                row.model,
-                row.params_millions,
-                row.paper_params_millions
-            );
+        let t = Table1.run(&Grid::default());
+        for (built, paper) in t
+            .f64_column("params_millions")
+            .into_iter()
+            .zip(t.f64_column("paper_params_millions"))
+        {
+            let err = (built - paper).abs() / paper;
+            assert!(err < 0.08, "built {built}M vs paper {paper}M");
         }
     }
 
     #[test]
     fn table_has_all_five_fill_jobs() {
-        assert_eq!(table1().len(), 5);
+        assert_eq!(Table1.run(&Grid::default()).len(), 5);
     }
 }

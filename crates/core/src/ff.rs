@@ -136,10 +136,6 @@ fn hash_sig(sig: &[u64]) -> u64 {
 #[derive(Debug)]
 pub(crate) struct SteadyDetector {
     enabled: bool,
-    /// Signature matches required before the first skip; `u32::MAX` is
-    /// the degenerate "never fast-forward" pin.
-    confirm: u32,
-    matches_seen: u32,
     last_fp: Option<[u64; 6]>,
     /// True while the RNG fingerprint has been frozen across at least one
     /// full iteration, i.e. the current iteration is being recorded.
@@ -172,11 +168,9 @@ impl std::fmt::Debug for HistEntry {
 impl SteadyDetector {
     /// Creates a detector. `cap` bounds the signature history, which
     /// bounds both memory and the longest detectable cycle.
-    pub fn new(enabled: bool, confirm: u32, cap: usize) -> Self {
+    pub fn new(enabled: bool, cap: usize) -> Self {
         SteadyDetector {
             enabled,
-            confirm,
-            matches_seen: 0,
             last_fp: None,
             active: false,
             hashes: VecDeque::new(),
@@ -298,10 +292,6 @@ impl SteadyDetector {
         self.hashes.push_back(hash);
         self.hist.push_back(HistEntry { sig, rec });
         let i = found?;
-        self.matches_seen = self.matches_seen.saturating_add(1);
-        if self.confirm == u32::MAX || self.matches_seen < self.confirm {
-            return None;
-        }
         let len = (self.hist.len() - 1 - i) as u64;
         let cycles = remaining.saturating_sub(1) / len;
         if cycles == 0 {
@@ -328,12 +318,11 @@ impl SteadyDetector {
         Some(skip)
     }
 
-    /// Discards every cycle hypothesis (history, partial records, match
-    /// streak). Called whenever randomness was consumed or an external
+    /// Discards every cycle hypothesis (history and partial records).
+    /// Called whenever randomness was consumed or an external
     /// transition (fault, arrival, eviction) perturbs the state.
     pub fn reset(&mut self) {
         self.active = false;
-        self.matches_seen = 0;
         self.hashes.clear();
         self.hist.clear();
         self.cur_flops.clear();
@@ -352,7 +341,7 @@ mod tests {
 
     #[test]
     fn disabled_detector_is_inert() {
-        let mut d = SteadyDetector::new(false, 1, 16);
+        let mut d = SteadyDetector::new(false, 16);
         assert!(!d.enabled());
         let rng = DeterministicRng::seed_from(1);
         assert!(!d.observe(fp(&rng), SteadyCounters::default()));
@@ -362,7 +351,7 @@ mod tests {
 
     #[test]
     fn arms_only_after_a_frozen_fingerprint_boundary() {
-        let mut d = SteadyDetector::new(true, 1, 16);
+        let mut d = SteadyDetector::new(true, 16);
         let mut rng = DeterministicRng::seed_from(2);
         // First boundary: no baseline yet.
         assert!(!d.observe(fp(&rng), SteadyCounters::default()));
@@ -377,7 +366,7 @@ mod tests {
 
     #[test]
     fn period_two_cycle_is_detected_and_scaled() {
-        let mut d = SteadyDetector::new(true, 1, 16);
+        let mut d = SteadyDetector::new(true, 16);
         let rng = DeterministicRng::seed_from(3);
         let c = SteadyCounters::default();
         assert!(!d.observe(fp(&rng), c)); // baseline
@@ -404,44 +393,8 @@ mod tests {
     }
 
     #[test]
-    fn confirm_streak_delays_the_first_skip() {
-        let mut d = SteadyDetector::new(true, 3, 16);
-        let rng = DeterministicRng::seed_from(4);
-        let c = SteadyCounters::default();
-        assert!(!d.observe(fp(&rng), c));
-        assert!(!d.observe(fp(&rng), c));
-        for round in 0..3 {
-            assert!(d.observe(fp(&rng), c));
-            assert!(
-                d.end_iteration(vec![7], SimDuration::ZERO, 500).is_none(),
-                "skip before the confirm streak (round {round})"
-            );
-        }
-        // The first boundary can never match (empty history), so the
-        // three loop rounds produced matches 0, 1 and 2; the next match
-        // is the third and completes the confirm streak.
-        assert!(d.observe(fp(&rng), c));
-        assert!(d.end_iteration(vec![7], SimDuration::ZERO, 500).is_some());
-    }
-
-    #[test]
-    fn confirm_max_never_skips() {
-        let mut d = SteadyDetector::new(true, u32::MAX, 16);
-        let rng = DeterministicRng::seed_from(5);
-        let c = SteadyCounters::default();
-        assert!(!d.observe(fp(&rng), c));
-        assert!(!d.observe(fp(&rng), c));
-        for _ in 0..100 {
-            assert!(d.observe(fp(&rng), c));
-            assert!(d
-                .end_iteration(vec![9], SimDuration::ZERO, 10_000)
-                .is_none());
-        }
-    }
-
-    #[test]
     fn randomness_voids_the_hypothesis() {
-        let mut d = SteadyDetector::new(true, 1, 16);
+        let mut d = SteadyDetector::new(true, 16);
         let mut rng = DeterministicRng::seed_from(6);
         let c = SteadyCounters::default();
         assert!(!d.observe(fp(&rng), c));
@@ -461,7 +414,7 @@ mod tests {
 
     #[test]
     fn counter_deltas_and_records_replay_exactly() {
-        let mut d = SteadyDetector::new(true, 1, 16);
+        let mut d = SteadyDetector::new(true, 16);
         let rng = DeterministicRng::seed_from(7);
         let at = |n: u64| SteadyCounters {
             completions: n,
@@ -489,7 +442,7 @@ mod tests {
 
     #[test]
     fn full_history_recycles_buffers_and_still_finds_the_nearest_match() {
-        let mut d = SteadyDetector::new(true, 1, 3);
+        let mut d = SteadyDetector::new(true, 3);
         let rng = DeterministicRng::seed_from(9);
         let c = SteadyCounters::default();
         assert!(!d.observe(fp(&rng), c));
@@ -518,7 +471,7 @@ mod tests {
 
     #[test]
     fn history_cap_bounds_detectable_cycles() {
-        let mut d = SteadyDetector::new(true, 1, 3);
+        let mut d = SteadyDetector::new(true, 3);
         let rng = DeterministicRng::seed_from(8);
         let c = SteadyCounters::default();
         assert!(!d.observe(fp(&rng), c));

@@ -724,7 +724,7 @@ impl<R> FillBackend<R> {
                     failures: 0,
                     evictions: 0,
                     bubbles_lost: 0,
-                    detector: SteadyDetector::new(ff_armed, cfg.steady_confirm, history),
+                    detector: SteadyDetector::new(ff_armed, history),
                     fast_forwarded: 0,
                 }
             })

@@ -47,7 +47,6 @@ use pipefill_executor::{ExecutorConfig, JobId};
 use pipefill_pipeline::{MainJobSpec, ParallelismConfig, ScheduleKind};
 use pipefill_sim_core::SimDuration;
 use pipefill_trace::{DeviceGeneration, FleetJobPlan, FleetWorkloadConfig, ModelMix};
-use serde::{Deserialize, Serialize};
 
 use crate::backend::{BackendDriver, BackendKind};
 use crate::cluster::PolicyKind;
@@ -161,10 +160,6 @@ pub struct FleetSimConfig {
     /// fault injection is off (`mtbf == MAX`), the configuration in which
     /// jobs are provably independent and the global queue stays empty.
     pub fast_forward: bool,
-    /// Signature matches required before the first fast-forward skip;
-    /// `u32::MAX` pins fast-forward off (see
-    /// [`PhysicalSimConfig::steady_confirm`]).
-    pub steady_confirm: u32,
 }
 
 impl FleetSimConfig {
@@ -188,7 +183,6 @@ impl FleetSimConfig {
             mtbf: SimDuration::MAX,
             checkpoint_cost: SimDuration::from_secs(2),
             fast_forward: true,
-            steady_confirm: 1,
         }
     }
 
@@ -211,7 +205,6 @@ impl FleetSimConfig {
         cfg.memory_jitter_cv = phys.memory_jitter_cv;
         cfg.seed = phys.seed;
         cfg.fast_forward = phys.fast_forward;
-        cfg.steady_confirm = phys.steady_confirm;
         cfg
     }
 
@@ -252,7 +245,7 @@ impl FleetSimConfig {
 /// Per-job output of a fleet run. The accounting mirrors
 /// [`PhysicalSimResult`](crate::PhysicalSimResult) field for field so
 /// the degenerate single-job fleet can be diffed bit for bit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetJobResult {
     /// Index within the fleet.
     pub job: usize,
@@ -309,7 +302,7 @@ impl FleetJobResult {
 
 /// Fleet-simulation output: per-job results plus fleet aggregates and
 /// global-queue statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetSimResult {
     /// One result per main job, in job order.
     pub jobs: Vec<FleetJobResult>,

@@ -49,11 +49,11 @@
 //! experiment drivers select fidelity by value with [`BackendConfig`] and
 //! read the common [`BackendMetrics`] (see the `backend` module docs).
 //!
-//! The [`experiments`] module contains one driver per table/figure; each
-//! returns typed rows and prints the same series the paper plots. The
-//! `pipefill-scenario` crate's `Table` wraps those rows and writes them as
-//! CSV through [`CsvWriter`]; the CLI writes under [`EXPERIMENTS_DIR`]
-//! unless told otherwise.
+//! The [`experiments`] module holds one [`experiments::Experiment`] per
+//! table/figure, each building the schema-carrying
+//! [`experiments::Table`] of the series the paper plots, and the
+//! [`experiments::REGISTRY`] that lists them; the CLI writes each table
+//! as CSV under [`experiments::EXPERIMENTS_DIR`] unless told otherwise.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -61,7 +61,6 @@
 mod backend;
 mod cluster;
 mod convert;
-mod csv;
 mod fault;
 mod ff;
 mod filling;
@@ -79,7 +78,6 @@ pub use backend::{
 };
 pub use cluster::{ClusterSimConfig, ClusterSimResult, CoarseBackend, CompletedJob, PolicyKind};
 pub use convert::{samples_for_trace_job, trace_job_to_spec};
-pub use csv::{CsvWriter, EXPERIMENTS_DIR};
 pub use filling::FillBackend;
 pub use fleet::{FleetBackend, FleetJobConfig, FleetJobResult, FleetSimConfig, FleetSimResult};
 pub use metrics::{gpus_saved, JctStats, UtilizationBreakdown};

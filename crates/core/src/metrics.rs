@@ -2,10 +2,9 @@
 //! statistics, and the paper's GPUs-saved estimate.
 
 use pipefill_sim_core::stats::Summary;
-use serde::{Deserialize, Serialize};
 
 /// TFLOPS-per-GPU decomposition (the Fig. 1 / Fig. 4c series).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UtilizationBreakdown {
     /// Main-job TFLOPS per GPU averaged over the iteration.
     pub main_tflops: f64,
@@ -31,7 +30,7 @@ impl UtilizationBreakdown {
 }
 
 /// Job-completion-time statistics (Fig. 9a's metric).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct JctStats {
     /// Completed jobs.
     pub count: usize,

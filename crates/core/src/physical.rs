@@ -27,7 +27,6 @@ use pipefill_executor::ExecutorConfig;
 use pipefill_pipeline::MainJobSpec;
 use pipefill_sim_core::SimDuration;
 use pipefill_trace::ModelMix;
-use serde::{Deserialize, Serialize};
 
 use crate::backend::{BackendDriver, BackendKind};
 use crate::filling::FillBackend;
@@ -71,11 +70,6 @@ pub struct PhysicalSimConfig {
     /// Results are bit-for-bit identical either way; this only trades
     /// wall-clock time. Default on.
     pub fast_forward: bool,
-    /// Signature matches required before the first fast-forward skip
-    /// (the "k consecutive identical iterations" knob). `u32::MAX` pins
-    /// fast-forward off even when `fast_forward` is true — the degenerate
-    /// k=∞ setting used by regression tests.
-    pub steady_confirm: u32,
 }
 
 impl PhysicalSimConfig {
@@ -93,7 +87,6 @@ impl PhysicalSimConfig {
             deterministic_mix: false,
             memory_jitter_cv: 0.0,
             fast_forward: true,
-            steady_confirm: 1,
         }
     }
 
@@ -115,7 +108,7 @@ impl PhysicalSimConfig {
 }
 
 /// Fine-grained simulation output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhysicalSimResult {
     /// Iterations simulated.
     pub iterations: usize,

@@ -4,7 +4,7 @@
 //! *bit for bit* — across every simulation backend, every pipeline
 //! schedule and arbitrary seeds. A jittered run consumes RNG every
 //! iteration, so the quiescence pre-filter must keep the detector
-//! disarmed; an infinite confirmation threshold must never skip.
+//! disarmed.
 
 use proptest::prelude::*;
 
@@ -84,15 +84,6 @@ fn set_fast_forward(cfg: &mut BackendConfig, on: bool) {
         BackendConfig::Physical(c) => c.fast_forward = on,
         BackendConfig::Fault(c) => c.fast_forward = on,
         BackendConfig::Fleet(c) => c.fast_forward = on,
-        BackendConfig::Coarse(_) => unreachable!("coarse has no iteration loop"),
-    }
-}
-
-fn set_steady_confirm(cfg: &mut BackendConfig, confirm: u32) {
-    match cfg {
-        BackendConfig::Physical(c) => c.steady_confirm = confirm,
-        BackendConfig::Fault(c) => c.steady_confirm = confirm,
-        BackendConfig::Fleet(c) => c.steady_confirm = confirm,
         BackendConfig::Coarse(_) => unreachable!("coarse has no iteration loop"),
     }
 }
@@ -186,37 +177,6 @@ proptest! {
                 metric_bits(r_off.metrics())
             );
         }
-    }
-}
-
-/// Degenerate pin: `steady_confirm = u32::MAX` can never accumulate
-/// enough confirmations, so the detector observes but never skips and
-/// the run is exactly the event-fidelity run.
-#[test]
-fn infinite_confirm_threshold_never_skips() {
-    for make in [
-        |s, sch| BackendConfig::Physical(quiet_physical(s, sch)),
-        |s, sch| BackendConfig::Fault(quiet_fault(s, sch)),
-        |s, sch| BackendConfig::Fleet(quiet_fleet(s, sch)),
-    ] {
-        let mut pinned = make(7, ScheduleKind::GPipe);
-        set_fast_forward(&mut pinned, true);
-        set_steady_confirm(&mut pinned, u32::MAX);
-        let mut off = make(7, ScheduleKind::GPipe);
-        set_fast_forward(&mut off, false);
-        let kind = pinned.kind();
-        let r_pinned = pinned.run();
-        let r_off = off.run();
-        assert_eq!(
-            fast_forwarded(&r_pinned),
-            0,
-            "{kind}: an unreachable confirmation threshold still skipped"
-        );
-        assert_eq!(
-            metric_bits(r_pinned.metrics()),
-            metric_bits(r_off.metrics()),
-            "{kind}: observing without skipping perturbed the run"
-        );
     }
 }
 

@@ -5,8 +5,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A number of bytes.
 ///
 /// # Example
@@ -18,9 +16,7 @@ use serde::{Deserialize, Serialize};
 /// let used = Bytes::from_gib(11) + Bytes::from_mib(512);
 /// assert_eq!((hbm - used).as_gib(), 4.5);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Bytes(u64);
 
 impl Bytes {

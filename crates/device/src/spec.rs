@@ -2,7 +2,6 @@
 //! transfer-time models.
 
 use pipefill_sim_core::SimDuration;
-use serde::{Deserialize, Serialize};
 
 use crate::bytes::Bytes;
 
@@ -18,7 +17,7 @@ use crate::bytes::Bytes;
 /// assert_eq!(v100.peak_tflops, 125.0);
 /// assert_eq!(v100.hbm.as_gib(), 16.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Marketing name, e.g. `"V100"`.
     pub name: String,
@@ -128,7 +127,7 @@ impl DeviceSpec {
 }
 
 /// A point-to-point interconnect: fixed latency plus bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// One-way latency.
     pub latency_us: f64,
@@ -172,7 +171,7 @@ impl LinkSpec {
 
 /// A compute node: identical accelerators joined by an intra-node link,
 /// plus host (CPU) memory that offloading targets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Accelerator model installed in this node.
     pub device: DeviceSpec,
@@ -207,7 +206,7 @@ impl NodeSpec {
 /// let cluster = ClusterSpec::p3_cluster(16);
 /// assert_eq!(cluster.total_devices(), 128);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Per-node hardware.
     pub node: NodeSpec,

@@ -1,12 +1,10 @@
 //! Execution configurations: batch size × technique, plus the Executor's
 //! global tuning knobs.
 
-use serde::{Deserialize, Serialize};
-
 /// An execution technique a fill-job configuration may use (§4.5: "the
 /// Executor will consider using ZeRO-Offload and ZeRO-Infinity to offload
 /// optimizer states, gradients, activations, and parameters").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecTechnique {
     /// Everything resident on the device.
     Plain,
@@ -95,7 +93,7 @@ impl std::fmt::Display for ExecTechnique {
 }
 
 /// One candidate configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExecConfig {
     /// Samples per fill-job iteration.
     pub batch_size: usize,
@@ -110,7 +108,7 @@ impl std::fmt::Display for ExecConfig {
 }
 
 /// Global Executor tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutorConfig {
     /// Fraction of each measured bubble the Executor packs work into.
     /// Fig. 5: overhead to the main job stays <2% up to 68%, which is the

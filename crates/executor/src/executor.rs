@@ -10,13 +10,12 @@
 use std::sync::Arc;
 
 use pipefill_sim_core::SimDuration;
-use serde::{Deserialize, Serialize};
 
 use crate::job::FillJobSpec;
 use crate::plan::ExecutionPlan;
 
 /// What one bubble's execution accomplished.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BubbleExecution {
     /// Bubble time consumed (partition duration; context-switch cost was
     /// already budgeted at planning time).
@@ -47,7 +46,7 @@ impl BubbleExecution {
 /// survive eviction). Cheap to take (four scalars; the weights live in a
 /// host-side checkpoint whose reload cost the simulation charges
 /// separately at restart).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutorCheckpoint {
     cursor: usize,
     samples_done: u64,
@@ -60,7 +59,7 @@ pub struct ExecutorCheckpoint {
 /// The plan is held behind an [`Arc`] so that the many executors a cluster
 /// simulation spawns for the same (model, kind, stage) shape share one
 /// profiled plan instead of deep-copying it per drawn job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FillJobExecutor {
     job: FillJobSpec,
     plan: Arc<ExecutionPlan>,

@@ -2,12 +2,9 @@
 
 use pipefill_model_zoo::{JobKind, ModelGraph, ModelId};
 use pipefill_sim_core::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Unique fill-job identifier.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct JobId(pub u64);
 
 impl std::fmt::Display for JobId {
@@ -21,7 +18,7 @@ impl std::fmt::Display for JobId {
 /// configuration, it will attempt to execute the fill-job with maximum
 /// throughput" (§4.1). Every job here supports the same batch-size menu,
 /// [`FillJobSpec::BATCH_SIZES`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FillJobSpec {
     /// Job identifier.
     pub id: JobId,

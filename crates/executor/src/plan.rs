@@ -16,14 +16,13 @@
 
 use pipefill_device::{Bytes, DeviceSpec};
 use pipefill_sim_core::SimDuration;
-use serde::{Deserialize, Serialize};
 
 use crate::config::{ExecConfig, ExecTechnique, ExecutorConfig};
 use crate::job::FillJobSpec;
 use crate::profile::{build_profile, JobProfile};
 
 /// One contiguous chunk of graph nodes assigned to one bubble slot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Partition {
     /// Bubble-slot index in the cycle this partition runs in.
     pub bubble_index: usize,
@@ -42,7 +41,7 @@ pub struct Partition {
 }
 
 /// Why planning failed for a configuration (or a whole job).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
     /// Some graph node cannot fit in any bubble: either it is longer than
     /// the longest usable bubble or needs more memory than any bubble
@@ -69,7 +68,7 @@ impl std::error::Error for PlanError {}
 
 /// A complete execution plan: partitions mapped cyclically onto the
 /// bubble slots of successive main-job iterations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionPlan {
     /// The chosen configuration.
     pub config: ExecConfig,

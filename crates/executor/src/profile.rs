@@ -14,7 +14,6 @@ use pipefill_model_zoo::{
     JobKind, ModelGraph, ADAM_STATE_BYTES_PER_PARAM, FP16_BYTES, GRAD_BYTES_PER_PARAM,
 };
 use pipefill_sim_core::SimDuration;
-use serde::{Deserialize, Serialize};
 
 use crate::config::{ExecConfig, ExecTechnique};
 
@@ -29,7 +28,7 @@ const CPU_UPDATE_BANDWIDTH: f64 = 25.0e9;
 const STREAM_EFFICIENCY: f64 = 0.65;
 
 /// One node of the linearized computational graph under a configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeProfile {
     /// Execution time (compute overlapped with any host transfers).
     pub duration: SimDuration,
@@ -41,7 +40,7 @@ pub struct NodeProfile {
 
 /// A fill job's profile under one configuration: the linearized graph for
 /// a single fill-job iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobProfile {
     /// The configuration profiled.
     pub config: ExecConfig,

@@ -4,14 +4,13 @@
 
 use pipefill_device::{Bytes, DeviceSpec};
 use pipefill_sim_core::SimDuration;
-use serde::{Deserialize, Serialize};
 
 use crate::layer::Layer;
 use crate::FP16_BYTES;
 
 /// Broad architecture family, which determines how a model behaves under
 /// bubble constraints (§6.2's fill-job characterization).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelFamily {
     /// Dense decoder/encoder transformer.
     Transformer,
@@ -32,7 +31,7 @@ pub enum ModelFamily {
 /// because the batch sizes that fit in bubble free-memory are too small to
 /// saturate the device (plus poorly-optimized specialized operators,
 /// folded into `max`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EfficiencyCurve {
     /// Asymptotic fraction of peak FLOPS at infinite batch, in `(0, 1]`.
     pub max: f64,
@@ -83,7 +82,7 @@ impl EfficiencyCurve {
 /// let per_token = llm.train_step_flops(1) / 2048.0;
 /// assert!(per_token > 5.5 * llm.total_params() as f64);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelGraph {
     /// Model name as reported in tables, e.g. `"Bert-base"`.
     pub name: String,

@@ -1,7 +1,6 @@
 //! The layer IR: one node of a model's computational graph.
 
 use pipefill_device::Bytes;
-use serde::{Deserialize, Serialize};
 
 use crate::FP16_BYTES;
 
@@ -9,7 +8,7 @@ use crate::FP16_BYTES;
 /// uniformly through their cost numbers; the kind is kept for reporting
 /// and for technique applicability rules (e.g. activation checkpointing
 /// boundaries fall on block layers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// Token/patch embedding lookup.
     Embedding,
@@ -41,7 +40,7 @@ impl LayerKind {
 /// scales them by its chosen batch size. Forward FLOPs are stored;
 /// backward FLOPs follow the standard 2× rule (one matmul each for
 /// activation gradients and weight gradients versus one in forward).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Layer {
     /// Human-readable name, e.g. `"block12"`.
     pub name: String,

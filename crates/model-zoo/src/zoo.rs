@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::ModelGraph;
 use crate::transformer::{bert_base, bert_large, gpt_40b, gpt_5b, llama_7b, xlm_roberta_xl};
 use crate::vision::{efficientnet_117m, resnet50, swin_large, vit_large};
@@ -13,7 +11,7 @@ use crate::vision::{efficientnet_117m, resnet50, swin_large, vit_large};
 /// trace generator uses when bucketing job sizes: smaller models (<700M)
 /// may run as training or batch inference with equal probability, larger
 /// ones always as batch inference (§5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SizeClass {
     /// Under ~150M parameters.
     Small,
@@ -36,7 +34,7 @@ impl fmt::Display for SizeClass {
 /// Whether a fill job trains its model or runs batch inference (§4.1,
 /// "Fill Jobs": PipeFill supports exactly these two, because
 /// latency-sensitive jobs cannot tolerate intermittent bubble execution).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobKind {
     /// Training: forward + backward + optimizer per iteration.
     Training,
@@ -54,7 +52,7 @@ impl fmt::Display for JobKind {
 }
 
 /// Task domain from Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskDomain {
     /// Computer vision.
     Cv,
@@ -84,7 +82,7 @@ impl fmt::Display for TaskDomain {
 ///     assert!(graph.total_params() > 0);
 /// }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelId {
     /// 5B-parameter GPT-like LLM (physical-cluster main job).
     Gpt5B,

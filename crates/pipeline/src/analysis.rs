@@ -2,7 +2,6 @@
 //! training-time arithmetic behind Figs. 1 and 4.
 
 use pipefill_sim_core::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// The idle-time fraction of synchronous unidirectional pipeline
 /// schedules: `(p − 1) / (m + p − 1)` (§2.1), for `p` stages and `m`
@@ -89,7 +88,7 @@ pub fn days_to_train(
 }
 
 /// One point of the scaling study (a row of Fig. 4's series).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalingPoint {
     /// Total GPUs.
     pub gpus: usize,

@@ -3,7 +3,6 @@
 
 use pipefill_device::Bytes;
 use pipefill_sim_core::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// The three bubble kinds the paper identifies (§4.5):
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 ///   of its backward work (schedule-dependent);
 /// * *non-contiguous* — the small steady-state gaps inside 1F1B, **which
 ///   PipeFill does not fill**.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BubbleKind {
     /// Iteration-boundary bubble (drain + next fill).
     FillDrain,
@@ -46,7 +45,7 @@ impl std::fmt::Display for BubbleKind {
 /// window in iteration `k` is `k · period + offset`. `free_memory` is what
 /// the engine measured as available to a fill job during this window
 /// (after releasing transient buffers, §4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BubbleWindow {
     /// Bubble kind.
     pub kind: BubbleKind,

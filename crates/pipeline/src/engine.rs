@@ -11,7 +11,6 @@
 //! (§4.5) — emergent rather than asserted.
 
 use pipefill_sim_core::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::bubbles::{BubbleKind, BubbleWindow};
 use crate::deps::{self, DepSlots};
@@ -100,7 +99,7 @@ struct Step {
 }
 
 /// Everything the engine needs to run one main job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Pipeline schedule.
     pub schedule: ScheduleKind,
@@ -489,7 +488,7 @@ impl EngineConfig {
 }
 
 /// One stage's periodic timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageTimeline {
     /// Stage index.
     pub stage: usize,
@@ -529,7 +528,7 @@ impl StageTimeline {
 
 /// The engine's steady-state output: one period length plus per-stage
 /// windows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineTimeline {
     /// Iteration period (identical across stages).
     pub period: SimDuration,

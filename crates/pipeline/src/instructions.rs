@@ -8,12 +8,10 @@
 //! by the engine (with a configurable transfer cost) rather than separate
 //! instructions, which keeps the streams compact without losing timing.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bubbles::BubbleKind;
 
 /// One instruction in a stage's pipeline schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PipelineInstruction {
     /// Forward computation of one microbatch (global microbatch index
     /// within the iteration).

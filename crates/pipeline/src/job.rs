@@ -4,7 +4,6 @@
 use pipefill_device::{DeviceSpec, LinkSpec};
 use pipefill_model_zoo::{gpt_40b, gpt_5b, ModelGraph};
 use pipefill_sim_core::SimDuration;
-use serde::{Deserialize, Serialize};
 
 use crate::analysis::{days_to_train, ScalingPoint};
 use crate::engine::{EngineConfig, EngineTimeline};
@@ -29,7 +28,7 @@ pub const DEFAULT_TRAINING_TOKENS: f64 = 1.4e12;
 /// let point = job.scaling_point();
 /// assert!((point.days_to_train - 82.0).abs() < 8.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MainJobSpec {
     /// The trained model.
     pub model: ModelGraph,

@@ -11,7 +11,6 @@
 //! activations, fwd-bwd bubbles hold every in-flight microbatch's).
 
 use pipefill_device::{Bytes, DeviceSpec};
-use serde::{Deserialize, Serialize};
 
 use crate::bubbles::BubbleKind;
 use crate::parallelism::ParallelismConfig;
@@ -19,7 +18,7 @@ use crate::partition::StagePartition;
 use crate::schedule::ScheduleKind;
 
 /// Free memory during each bubble kind on one stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageMemory {
     /// Free HBM during the fwd-bwd bubble (activations still resident).
     pub fwd_bwd_free: Bytes,
@@ -28,7 +27,7 @@ pub struct StageMemory {
 }
 
 /// How the engine reports bubble free-memory to the Executor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BubbleMemoryModel {
     /// One measured value for every stage and bubble (the paper's 4.5 GB
     /// seeding; also the Fig. 10b sweep axis).
@@ -64,7 +63,7 @@ impl BubbleMemoryModel {
 }
 
 /// Structural model of the main job's per-stage memory use.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MainJobMemoryModel {
     /// Whether the main job checkpoints activations (recommended and on
     /// by default for LLM-scale jobs).

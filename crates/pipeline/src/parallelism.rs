@@ -2,8 +2,6 @@
 //! node, pipeline stages across nodes, data-parallel replication of the
 //! whole pipeline.
 
-use serde::{Deserialize, Serialize};
-
 /// How a training job is parallelized.
 ///
 /// The paper's scaling rule (§3.1): tensor and pipeline degrees are fixed
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cfg.total_gpus(), 8192);
 /// assert_eq!(cfg.microbatches_per_replica(), 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelismConfig {
     /// Tensor-parallel degree (within a node).
     pub tensor_parallel: usize,

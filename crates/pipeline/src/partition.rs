@@ -6,7 +6,6 @@ use pipefill_model_zoo::{
     ModelGraph, ADAM_STATE_BYTES_PER_PARAM, FP16_BYTES, GRAD_BYTES_PER_PARAM,
 };
 use pipefill_sim_core::SimDuration;
-use serde::{Deserialize, Serialize};
 
 use crate::parallelism::ParallelismConfig;
 
@@ -16,7 +15,7 @@ use crate::parallelism::ParallelismConfig;
 const OPTIMIZER_TRAFFIC_BYTES_PER_PARAM: f64 = 32.0;
 
 /// One pipeline stage's per-GPU profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageProfile {
     /// Stage index in `0..p`.
     pub stage: usize,
@@ -56,7 +55,7 @@ impl StageProfile {
 /// A model partitioned into `p` contiguous pipeline stages, balanced by
 /// forward FLOPs (the greedy rule real planners use when stages must be
 /// contiguous).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StagePartition {
     stages: Vec<StageProfile>,
 }

@@ -17,13 +17,11 @@
 //!   bubble, shrinking total bubble time to roughly
 //!   `(p-1)·(t_f + t_B - t_W)` per stage.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bubbles::BubbleKind;
 use crate::instructions::PipelineInstruction;
 
 /// Which pipeline schedule the main job runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScheduleKind {
     /// GPipe (Huang et al., 2019): all forwards, then all backwards.
     GPipe,

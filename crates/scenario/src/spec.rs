@@ -20,8 +20,7 @@ use pipefill_pipeline::{MainJobSpec, ScheduleKind};
 use pipefill_sim_core::SimDuration;
 use pipefill_trace::{FleetWorkloadConfig, TraceConfig};
 
-use crate::experiment::{Axis, Experiment, Grid, Scale};
-use crate::registry;
+use pipefill_core::experiments::{resolve, Axis, Experiment, Grid, Scale};
 
 /// The declarative description of one run. See the module docs.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -361,7 +360,7 @@ impl ScenarioSpec {
                 ))
             }
             (Some(name), None) => {
-                let Some(exps) = registry::resolve(name) else {
+                let Some(exps) = resolve(name) else {
                     return Err(SpecError::from(format!(
                         "unknown experiment '{name}'; run pipefill-cli exp --list"
                     )));
@@ -416,6 +415,9 @@ impl ScenarioSpec {
             if self.seeds == Some(0) {
                 return Err(SpecError::about("seeds", at_least_one()));
             }
+            if self.horizon_secs == Some(0) {
+                return Err(SpecError::about("horizon_secs", at_least_one()));
+            }
         }
         if self.backend == Some(BackendKind::Fleet) {
             let at_least_one = "must be at least 1 for a fleet scenario";
@@ -455,6 +457,9 @@ impl ScenarioSpec {
         if let Some(c) = self.checkpoint_secs {
             fits_clock("checkpoint_secs", c)?;
         }
+        if let Some(h) = self.horizon_secs {
+            fits_clock("horizon_secs", h as f64)?;
+        }
         if let Some(load) = self.load {
             // The load divides the trace's mean inter-arrival time; a
             // quotient that rounds to zero nanoseconds would hand the
@@ -485,7 +490,7 @@ impl ScenarioSpec {
     /// called on a run-mode spec.
     pub fn experiments(&self) -> Result<Vec<(&'static dyn Experiment, Grid)>, SpecError> {
         self.validate()?;
-        let Some(exps) = self.experiment.as_deref().and_then(registry::resolve) else {
+        let Some(exps) = self.experiment.as_deref().and_then(resolve) else {
             return Err(SpecError::from(
                 "scenario is a backend run; lower() it, not experiments()".to_string(),
             ));
@@ -864,6 +869,12 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("seeds must be at least 1"), "{err}");
+        let err = ScenarioSpec::experiment("fig9_policies")
+            .with_horizon_secs(0)
+            .validate()
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("horizon_secs must be at least 1"), "{err}");
         // Multi-experiment spellings validate (no axis overrides), and
         // reject an axis none of their experiments sweeps.
         ScenarioSpec::experiment("fig10").validate().unwrap();
@@ -950,6 +961,7 @@ mod tests {
             (BackendKind::Fault, "mtbf_secs", "1e300"),
             (BackendKind::Fleet, "mtbf_secs", "1e300"),
             (BackendKind::Fault, "mtbf_secs", "1e11"),
+            (BackendKind::Coarse, "horizon_secs", "18446744074"),
             (BackendKind::Coarse, "load", "1e300"),
             (BackendKind::Coarse, "load", "1e-320"),
         ];
@@ -968,6 +980,7 @@ mod tests {
             (BackendKind::Fault, "checkpoint_secs", "1e9"),
             (BackendKind::Fleet, "mtbf_secs", "1e9"),
             (BackendKind::Coarse, "load", "1e9"),
+            (BackendKind::Coarse, "horizon_secs", "18446744073"),
         ] {
             let mut spec = ScenarioSpec::run(backend);
             spec.set(key, value).unwrap();

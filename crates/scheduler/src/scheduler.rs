@@ -2,7 +2,6 @@
 
 use pipefill_executor::JobId;
 use pipefill_sim_core::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::policy::SchedulingPolicy;
 
@@ -16,7 +15,7 @@ use crate::policy::SchedulingPolicy;
 /// ascending executor order over an executor space of known size: a
 /// fleet-scale fill job is feasible on a few dozen of tens of thousands
 /// of devices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobInfo {
     /// Job identifier.
     pub id: JobId,
@@ -117,7 +116,7 @@ impl JobInfo {
 }
 
 /// One executor's occupancy as seen by the Scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutorSnapshot {
     /// Time until the currently running fill job completes
     /// ([`SimDuration::ZERO`] if idle).
@@ -126,7 +125,7 @@ pub struct ExecutorSnapshot {
 
 /// The state the policy's score function receives (`s` in the paper's
 /// `f(j, s, i)`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemState {
     /// Current time.
     pub now: SimTime,

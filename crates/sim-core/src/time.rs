@@ -10,8 +10,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Nanoseconds in one second.
 const NANOS_PER_SEC: u64 = 1_000_000_000;
 
@@ -26,9 +24,7 @@ const NANOS_PER_SEC: u64 = 1_000_000_000;
 /// let t = SimTime::ZERO + SimDuration::from_millis(250);
 /// assert_eq!(t.as_secs_f64(), 0.25);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, measured in nanoseconds.
@@ -41,9 +37,7 @@ pub struct SimTime(u64);
 /// let d = SimDuration::from_secs_f64(1.5) + SimDuration::from_millis(500);
 /// assert_eq!(d.as_secs_f64(), 2.0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

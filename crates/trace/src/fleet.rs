@@ -15,11 +15,10 @@
 //! regime: up to 64 jobs on 8K GPUs ([`FleetWorkloadConfig::production_8k`]).
 
 use pipefill_sim_core::rng::DeterministicRng;
-use serde::{Deserialize, Serialize};
 
 /// GPU generation a fleet job runs on (lowered to a concrete
 /// `DeviceSpec` by the simulator).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DeviceGeneration {
     /// V100 16 GB — the paper's baseline.
     V100,
@@ -53,7 +52,7 @@ impl std::fmt::Display for DeviceGeneration {
 /// pipeline_stages × data_parallel` is the job's cluster footprint; the
 /// simulator models one representative stage per pipeline stage, exactly
 /// as the single-job backends do.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetJobPlan {
     /// Index within the fleet.
     pub id: usize,
@@ -83,7 +82,7 @@ pub struct FleetJobPlan {
 }
 
 /// Fleet workload parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetWorkloadConfig {
     /// Concurrent main jobs.
     pub jobs: usize,

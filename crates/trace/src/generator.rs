@@ -4,13 +4,12 @@
 use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_sim_core::rng::DeterministicRng;
 use pipefill_sim_core::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::mix::ModelMix;
 
 /// One fill job emitted by the trace (before GPU-hours → samples
 /// conversion, which needs a device profile).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceJob {
     /// Sequential id.
     pub id: u64,
@@ -30,7 +29,7 @@ pub struct TraceJob {
 
 /// Retention statistics of the filtering pipeline, for validating against
 /// the paper's published percentages.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TraceStats {
     /// Jobs drawn before any filtering.
     pub raw: usize,
@@ -53,7 +52,7 @@ impl TraceStats {
 }
 
 /// Trace-generation parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// RNG seed (same seed ⇒ identical trace).
     pub seed: u64,

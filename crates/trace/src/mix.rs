@@ -2,7 +2,6 @@
 
 use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_sim_core::rng::DeterministicRng;
-use serde::{Deserialize, Serialize};
 
 /// Sampling weights over the Table-1 fill-job models.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// hub (most downloads are base-size encoders). Jobs on models under
 /// ~700M parameters are training or batch inference with equal
 /// probability; larger models are always batch inference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelMix {
     weights: Vec<(ModelId, f64)>,
 }

@@ -8,8 +8,7 @@
 //! cargo run --release --example reproduce_all
 //! ```
 
-use pipefill::core::EXPERIMENTS_DIR;
-use pipefill::scenario::{Scale, REGISTRY};
+use pipefill::core::experiments::{Scale, EXPERIMENTS_DIR, REGISTRY};
 
 fn main() -> std::io::Result<()> {
     let dir = EXPERIMENTS_DIR;

@@ -6,7 +6,7 @@
 //! cargo run --release --example scale_out_llm
 //! ```
 
-use pipefill::scenario::{find, Scale};
+use pipefill::core::experiments::{find, Scale};
 
 fn main() {
     println!("Scaling the 40B LLM (GPipe, minibatch fixed at 1024 sequences):\n");

@@ -25,12 +25,12 @@
 //!   and HuggingFace-style model mix;
 //! * [`core`] — the integrated system: coarse cluster simulator,
 //!   fine-grained "physical" simulator, the heterogeneous +
-//!   fault-injecting simulator, metrics, and one experiment driver per
-//!   figure of the paper;
+//!   fault-injecting simulator, metrics, and the experiment registry:
+//!   one `Experiment` per figure of the paper, each building its own
+//!   schema-carrying table;
 //! * [`scenario`] — the declarative layer: `ScenarioSpec` (TOML-subset
-//!   scenario files lowering to backend configurations) and the
-//!   `Experiment` trait/registry wrapping every driver behind one
-//!   schema-carrying table interface;
+//!   scenario files lowering to backend configurations or naming a
+//!   registered experiment);
 //! * [`schedverify`] — schedcheck, the static schedule verifier: proves
 //!   deadlock-freedom, memory bounds and bubble optimality of arbitrary
 //!   instruction streams from their text.
@@ -100,8 +100,7 @@ pub mod core {
     pub use pipefill_core::*;
 }
 
-/// Declarative scenarios and the experiment registry
-/// ([`pipefill_scenario`]).
+/// Declarative scenarios ([`pipefill_scenario`]).
 pub mod scenario {
     pub use pipefill_scenario::*;
 }

@@ -15,7 +15,7 @@
 //! and commit the diff — review then documents exactly which numbers
 //! moved.
 
-use pipefill::scenario::{Experiment, Scale, REGISTRY};
+use pipefill::core::experiments::{Experiment, Scale, REGISTRY};
 
 fn golden_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")

@@ -2,10 +2,26 @@
 //! bands are loose because these grids are smaller than the full-scale
 //! ones `pipefill-cli all` regenerates.
 
-use pipefill::core::experiments::*;
+use std::sync::OnceLock;
+
+use pipefill::core::experiments::{find, Scale, Table};
 use pipefill::core::{gpus_saved, PhysicalBackend, PhysicalSimConfig};
-use pipefill::executor::ExecutorConfig;
 use pipefill::pipeline::{bubble_fraction, MainJobSpec, ScheduleKind};
+
+/// Runs a registered experiment on its full grid.
+fn run(name: &str) -> Table {
+    let exp = find(name).expect("registered experiment");
+    exp.run(&exp.grid(Scale::Full))
+}
+
+/// The `column` cell of the Fig. 4 point at `gpus`, from one run of the
+/// experiment shared by every Fig. 4 claim.
+fn fig4(gpus: usize, column: &str) -> f64 {
+    static FIG4: OnceLock<Table> = OnceLock::new();
+    FIG4.get_or_init(|| run("fig4_scaling"))
+        .filter("gpus", gpus)
+        .f64_column(column)[0]
+}
 
 /// §1/§6.1: "<2% slowdown of the training job" at the default 68% fill.
 #[test]
@@ -26,11 +42,10 @@ fn claim_sub_two_percent_overhead() {
 /// large-scale LLM training … and 5–15% even for low-scale LLM training."
 #[test]
 fn claim_utilization_gains_by_scale() {
-    let rows = fig4_scaling_with(&[64, 8], &ExecutorConfig::default());
-    let low = &rows[0]; // 1K GPUs
-    let high = &rows[1]; // 8K GPUs
-    let low_gain = low.pipefill_bert_inf_tflops / low.traditional_tflops - 1.0;
-    let high_gain = high.pipefill_bert_inf_tflops / high.traditional_tflops - 1.0;
+    let gain =
+        |gpus| fig4(gpus, "pipefill_bert_inf_tflops") / fig4(gpus, "traditional_tflops") - 1.0;
+    let low_gain = gain(1024);
+    let high_gain = gain(8192);
     assert!(
         (0.04..0.20).contains(&low_gain),
         "low-scale gain {low_gain} outside the 5-15% band"
@@ -46,14 +61,11 @@ fn claim_utilization_gains_by_scale() {
 /// the BERT-inference workload.
 #[test]
 fn claim_strong_scaling_another_octave() {
-    let rows = fig4_scaling_with(&[16, 8], &ExecutorConfig::default());
-    let at_4k = &rows[0];
-    let at_8k = &rows[1];
+    let pipefill_8k = fig4(8192, "pipefill_bert_inf_tflops");
+    let traditional_4k = fig4(4096, "traditional_tflops");
     assert!(
-        at_8k.pipefill_bert_inf_tflops > at_4k.traditional_tflops,
-        "PipeFill@8K {} vs traditional@4K {}",
-        at_8k.pipefill_bert_inf_tflops,
-        at_4k.traditional_tflops
+        pipefill_8k > traditional_4k,
+        "PipeFill@8K {pipefill_8k} vs traditional@4K {traditional_4k}"
     );
 }
 
@@ -64,12 +76,8 @@ fn claim_strong_scaling_another_octave() {
 fn claim_gpus_saved() {
     assert!(gpus_saved(8192, 0.652, 0.3) > 1500.0);
     assert!(gpus_saved(8192, 0.652, 0.5) > 2600.0);
-    let rows = fig4_scaling_with(&[8], &ExecutorConfig::default());
-    assert!(
-        rows[0].gpus_saved_trace_mix > 700.0,
-        "measured GPUs saved {}",
-        rows[0].gpus_saved_trace_mix
-    );
+    let saved = fig4(8192, "gpus_saved_trace_mix");
+    assert!(saved > 700.0, "measured GPUs saved {saved}");
 }
 
 /// §2.1: the bubble-fraction formula and the paper's quoted series.
@@ -85,21 +93,18 @@ fn claim_bubble_fraction_series() {
 /// difference shrinks at high scale.
 #[test]
 fn claim_schedule_sensitivity() {
-    let rows = fig8_schedules(&ExecutorConfig::default());
-    for r in &rows {
-        assert!(r.recovered_tflops > 0.0, "{:?} recovered nothing", r);
+    let t = run("fig8_schedules");
+    for (row, recovered) in t.rows().iter().zip(t.f64_column("recovered_tflops")) {
+        assert!(recovered > 0.0, "{row:?} recovered nothing");
     }
+    let recovered = |gpus: usize, schedule: ScheduleKind| {
+        t.filter("gpus", gpus)
+            .filter("schedule", schedule.to_string())
+            .f64_column("recovered_tflops")[0]
+    };
     let gap = |gpus: usize| {
-        let g = rows
-            .iter()
-            .find(|r| r.gpus == gpus && r.schedule == ScheduleKind::GPipe)
-            .unwrap()
-            .recovered_tflops;
-        let o = rows
-            .iter()
-            .find(|r| r.gpus == gpus && r.schedule == ScheduleKind::OneFOneB)
-            .unwrap()
-            .recovered_tflops;
+        let g = recovered(gpus, ScheduleKind::GPipe);
+        let o = recovered(gpus, ScheduleKind::OneFOneB);
         (g - o) / g
     };
     assert!(gap(2048) > gap(16384));
@@ -109,26 +114,14 @@ fn claim_schedule_sensitivity() {
 /// size barely matters (Fig. 10a).
 #[test]
 fn claim_sensitivity_shapes() {
-    let exec = ExecutorConfig::default();
-    let mem = fig10b_free_memory(&exec);
-    let at = |g: f64| {
-        mem.iter()
-            .find(|r| r.free_gib == g)
-            .unwrap()
-            .recovered_tflops
-    };
+    let mem = run("fig10b_free_memory");
+    let at = |g: f64| mem.filter("free_gib", g).f64_column("recovered_tflops")[0];
     assert!(at(4.0) > at(2.0));
     assert!(at(8.0) / at(4.0) - 1.0 < at(4.0) / at(2.0) - 1.0);
 
-    let size = fig10a_bubble_size(&exec);
-    let spread = size
-        .iter()
-        .map(|r| r.recovered_tflops)
-        .fold(f64::MIN, f64::max)
-        / size
-            .iter()
-            .map(|r| r.recovered_tflops)
-            .fold(f64::MAX, f64::min);
+    let size = run("fig10a_bubble_size").f64_column("recovered_tflops");
+    let spread = size.iter().cloned().fold(f64::MIN, f64::max)
+        / size.iter().cloned().fold(f64::MAX, f64::min);
     assert!(spread < 1.4, "bubble-size sweep spread {spread}");
 }
 
@@ -153,41 +146,47 @@ fn claim_oom_isolation() {
 /// the offloading tax on offload-bound fill jobs.
 #[test]
 fn claim_offload_bandwidth_hypothesis() {
-    let rows = whatif_offload_bandwidth();
-    assert!(rows.first().unwrap().offload_tax > rows.last().unwrap().offload_tax);
-    assert!(rows.last().unwrap().offload_tax < 1.05);
+    let tax = run("whatif_offload_bandwidth").f64_column("offload_tax");
+    let (first, last) = (tax[0], tax[tax.len() - 1]);
+    assert!(first > last);
+    assert!(last < 1.05);
 }
 
 /// Table 1 reproduces within tolerance.
 #[test]
 fn claim_table1() {
-    for row in table1() {
-        let err =
-            (row.params_millions - row.paper_params_millions).abs() / row.paper_params_millions;
-        assert!(err < 0.08, "{}: {err}", row.model);
+    let t = run("table1");
+    let built = t.f64_column("params_millions");
+    for (row, (built, paper)) in t
+        .rows()
+        .iter()
+        .zip(built.into_iter().zip(t.f64_column("paper_params_millions")))
+    {
+        let err = (built - paper).abs() / paper;
+        assert!(err < 0.08, "{row:?}: {err}");
     }
 }
 
 /// §6.2's qualitative characterization claims, end to end.
 #[test]
 fn claim_fill_job_characterization() {
-    let rows = fig7_characterization(
-        &characterization::fig7_default_main(),
-        &ExecutorConfig::default(),
-    );
+    let t = run("fig7_characterization");
     use pipefill::models::{JobKind, ModelId};
-    let get = |m: ModelId, k: JobKind| rows.iter().find(|r| r.model == m && r.kind == k).unwrap();
+    let get = |m: ModelId, k: JobKind| t.filter("model", m.name()).filter("kind", k.to_string());
+    let cell = |job: &Table, column: &str| job.f64_column(column)[0];
     let bert_inf = get(ModelId::BertBase, JobKind::BatchInference);
     let bert_train = get(ModelId::BertBase, JobKind::Training);
     let xlm = get(ModelId::XlmRobertaXl, JobKind::BatchInference);
     let swin = get(ModelId::SwinLarge, JobKind::BatchInference);
+    let tflops = "tflops_during_execution";
+    let relative = "relative_performance";
     // Inference beats training; Swin performs poorly; XLM slows more
     // than BERT despite similar TFLOPS.
-    assert!(bert_inf.tflops_during_execution >= bert_train.tflops_during_execution);
-    assert!(swin.tflops_during_execution < 0.6 * bert_inf.tflops_during_execution);
-    assert!(xlm.relative_performance < bert_inf.relative_performance);
+    assert!(cell(&bert_inf, tflops) >= cell(&bert_train, tflops));
+    assert!(cell(&swin, tflops) < 0.6 * cell(&bert_inf, tflops));
+    assert!(cell(&xlm, relative) < cell(&bert_inf, relative));
     // All fill jobs suffer substantial slowdown (≈30% of exclusive).
-    for r in &rows {
-        assert!((0.02..0.7).contains(&r.relative_performance), "{r:?}");
+    for (row, rel) in t.rows().iter().zip(t.f64_column(relative)) {
+        assert!((0.02..0.7).contains(&rel), "{row:?}");
     }
 }

@@ -35,6 +35,7 @@ single simulations:
   sim    [--backend coarse|physical|fault] [--seed S] [--iterations N]
          [--horizon-secs N] [--load X] [--fill-fraction F]
          [--mtbf-secs X|none] [--checkpoint-secs C]
+         [--policy fifo|sjf|makespan-min|edf]
          [--schedule gpipe|1f1b|interleaved[:v]|zb-h1]
          [--fast-forward on|off]
                                   one simulation at a chosen fidelity
@@ -183,6 +184,7 @@ const SIM_FLAGS: &[&str] = &[
     "fill-fraction",
     "mtbf-secs",
     "checkpoint-secs",
+    "policy",
     "fast-forward",
 ];
 
@@ -724,6 +726,27 @@ mod tests {
         assert!(parse(&argv("sim --backend physical --checkpoint-secs 1")).is_err());
         assert!(parse(&argv("sim --backend fault --load 2.0")).is_err());
         assert!(parse(&argv("sim --backend fault --horizon-secs 60")).is_err());
+    }
+
+    #[test]
+    fn sim_policy_applies_to_coarse_only() {
+        for (flag, policy) in [
+            ("fifo", PolicyKind::Fifo),
+            ("sjf", PolicyKind::Sjf),
+            ("makespan-min", PolicyKind::MakespanMin),
+            ("edf", PolicyKind::DeadlineThenSjf),
+        ] {
+            match lowered(&format!("sim --backend coarse --policy {flag}")) {
+                BackendConfig::Coarse(cfg) => assert_eq!(cfg.policy, policy),
+                other => panic!("wrong backend: {other:?}"),
+            }
+        }
+        // The scenario table, not the flag list, rejects it elsewhere.
+        let err = parse(&argv("sim --backend physical --policy sjf")).unwrap_err();
+        assert!(
+            err.contains("--policy does not apply to the physical backend"),
+            "{err}"
+        );
     }
 
     #[test]

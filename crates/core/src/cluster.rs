@@ -23,8 +23,8 @@ use pipefill_executor::{ExecutorConfig, FillJobSpec, JobId};
 use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_pipeline::MainJobSpec;
 use pipefill_scheduler::{
-    EarliestDeadlineFirst, ExecutorSnapshot, Fifo, FillJobScheduler, JobInfo, MakespanMin,
-    SchedulingPolicy, ShortestJobFirst, SystemState, Weighted,
+    ExecutorSnapshot, Fifo, GlobalFillQueue, JobInfo, MakespanMin, SchedulingPolicy,
+    ShortestJobFirst, SystemState, Weighted,
 };
 use pipefill_sim_core::{EventHandler, EventQueue, SimDuration, SimTime, Simulation};
 use pipefill_trace::{TraceConfig, TraceGenerator};
@@ -55,10 +55,7 @@ impl PolicyKind {
             PolicyKind::Fifo => Box::new(Fifo),
             PolicyKind::Sjf => Box::new(ShortestJobFirst),
             PolicyKind::MakespanMin => Box::new(MakespanMin),
-            PolicyKind::DeadlineThenSjf => Box::new(Weighted::new(vec![
-                (1e6, Box::new(EarliestDeadlineFirst)),
-                (1.0, Box::new(ShortestJobFirst)),
-            ])),
+            PolicyKind::DeadlineThenSjf => Box::new(Weighted::deadline_then_sjf()),
         }
     }
 }
@@ -209,7 +206,8 @@ pub struct CoarseBackend {
     main_tflops: f64,
     /// The main job's plan for every fill-job type on every stage.
     pub(crate) plans: StagePlans,
-    scheduler: FillJobScheduler,
+    /// The fill-job queue: one pipeline owning every device.
+    fill_queue: GlobalFillQueue,
     devices: Vec<Device>,
     specs: HashMap<JobId, FillJobSpec>,
     arrivals: Vec<FillJobSpec>,
@@ -242,13 +240,14 @@ impl CoarseBackend {
             })
             .collect();
 
-        let scheduler = FillJobScheduler::new(config.policy.build());
+        let fill_queue =
+            GlobalFillQueue::new(config.policy.build(), vec![0; num_devices], vec![true]);
         CoarseBackend {
             period: timeline.period,
             bubble_ratio: timeline.bubble_ratio(),
             main_tflops,
             plans,
-            scheduler,
+            fill_queue,
             devices,
             specs: HashMap::new(),
             arrivals,
@@ -310,7 +309,7 @@ impl CoarseBackend {
             .collect();
         for device in idle {
             let state = self.snapshot(now);
-            let Some(info) = self.scheduler.pick_for(device, &state) else {
+            let Some(info) = self.fill_queue.pick_for(device, &state) else {
                 continue;
             };
             let spec = self
@@ -355,7 +354,7 @@ impl EventHandler for CoarseBackend {
                     info = info.with_deadline(d);
                 }
                 self.specs.insert(spec.id, spec);
-                self.scheduler.submit(info);
+                self.fill_queue.requeue_from(0, info);
                 self.dispatch_idle(now, queue);
             }
             ClusterEvent::JobCompletion { device } => {

@@ -80,7 +80,7 @@ pub use cluster::{ClusterSimConfig, ClusterSimResult, CoarseBackend, CompletedJo
 pub use convert::{samples_for_trace_job, trace_job_to_spec};
 pub use filling::FillBackend;
 pub use fleet::{FleetBackend, FleetJobConfig, FleetJobResult, FleetSimConfig, FleetSimResult};
-pub use metrics::{gpus_saved, JctStats, UtilizationBreakdown};
+pub use metrics::{gpus_saved, JctStats};
 pub use physical::{PhysicalBackend, PhysicalSimConfig, PhysicalSimResult};
 pub use plans::StagePlans;
 pub use steady::{steady_rate, steady_recovered_tflops, SteadyRate};

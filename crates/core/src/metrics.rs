@@ -1,33 +1,7 @@
-//! Cluster-level metrics: utilization breakdowns, job-completion-time
-//! statistics, and the paper's GPUs-saved estimate.
+//! Cluster-level metrics: job-completion-time statistics and the paper's
+//! GPUs-saved estimate.
 
 use pipefill_sim_core::stats::Summary;
-
-/// TFLOPS-per-GPU decomposition (the Fig. 1 / Fig. 4c series).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UtilizationBreakdown {
-    /// Main-job TFLOPS per GPU averaged over the iteration.
-    pub main_tflops: f64,
-    /// Fill-job TFLOPS per GPU recovered from bubbles.
-    pub recovered_tflops: f64,
-}
-
-impl UtilizationBreakdown {
-    /// Aggregate utilization (main + fill).
-    pub fn total(&self) -> f64 {
-        self.main_tflops + self.recovered_tflops
-    }
-
-    /// Relative utilization gain over traditional PP
-    /// (`recovered / main`).
-    pub fn relative_gain(&self) -> f64 {
-        if self.main_tflops == 0.0 {
-            0.0
-        } else {
-            self.recovered_tflops / self.main_tflops
-        }
-    }
-}
 
 /// Job-completion-time statistics (Fig. 9a's metric).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -95,25 +69,6 @@ pub fn gpus_saved(cluster_gpus: usize, bubble_ratio: f64, relative_perf: f64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn breakdown_totals() {
-        let u = UtilizationBreakdown {
-            main_tflops: 20.0,
-            recovered_tflops: 12.6,
-        };
-        assert!((u.total() - 32.6).abs() < 1e-12);
-        assert!((u.relative_gain() - 0.63).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_main_is_benign() {
-        let u = UtilizationBreakdown {
-            main_tflops: 0.0,
-            recovered_tflops: 5.0,
-        };
-        assert_eq!(u.relative_gain(), 0.0);
-    }
 
     #[test]
     fn jct_stats_from_sample() {

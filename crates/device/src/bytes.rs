@@ -86,11 +86,6 @@ impl Bytes {
         Bytes(self.0.saturating_sub(other.0))
     }
 
-    /// Checked subtraction; `None` if `other > self`.
-    pub fn checked_sub(self, other: Bytes) -> Option<Bytes> {
-        self.0.checked_sub(other.0).map(Bytes)
-    }
-
     /// Scales by a non-negative float, rounding to the nearest byte.
     ///
     /// # Panics
@@ -196,8 +191,6 @@ mod tests {
         assert_eq!(a - b, Bytes::from_gib(1));
         assert_eq!(b * 3, Bytes::from_gib(3));
         assert_eq!(b.saturating_sub(a), Bytes::ZERO);
-        assert_eq!(a.checked_sub(b), Some(Bytes::from_gib(1)));
-        assert_eq!(b.checked_sub(a), None);
         assert_eq!(a.mul_f64(0.25), Bytes::from_mib(512));
     }
 

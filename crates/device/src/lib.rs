@@ -1,8 +1,7 @@
 //! # pipefill-device
 //!
 //! Hardware substrate for the PipeFill reproduction: accelerator, node and
-//! cluster specifications, an HBM memory-pool model with the allocator
-//! semantics the PipeFill engine relies on, and analytical transfer-time
+//! cluster specifications, byte quantities, and analytical transfer-time
 //! models for the interconnects.
 //!
 //! The paper's testbed is 16 AWS `p3.16xlarge` instances — 8× NVIDIA V100
@@ -12,20 +11,17 @@
 //! [`ClusterSpec::p3_cluster`]), but everything is parametric so the
 //! sensitivity studies can scale devices, memory and links independently.
 //!
-//! The memory model ([`MemoryPool`]) mirrors the subset of the CUDA caching
-//! allocator the paper's engine instrumentation uses:
-//! `torch.cuda.memory_allocated()` → [`MemoryPool::allocated`],
-//! `torch.cuda.empty_cache()` → [`MemoryPool::empty_cache`], and
-//! `cuda.set_per_process_memory_fraction` → [`MemoryPool::set_cap`], with
-//! OOM isolated to the capped (fill-job) process.
+//! There is no allocator model here. The paper's OOM isolation (§4.3) caps
+//! a fill job at the free memory the engine profiled for a bubble; the
+//! fill engine (`pipefill-core`'s `filling.rs`) models it directly, as a
+//! fill job whose memory need exceeds the bubble's actual free memory
+//! failing alone while the main job runs on.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod bytes;
-mod memory;
 mod spec;
 
 pub use bytes::Bytes;
-pub use memory::{AllocId, MemoryError, MemoryPool, Proc};
 pub use spec::{ClusterSpec, DeviceSpec, LinkSpec, NodeSpec};

@@ -1,11 +1,15 @@
-//! The cluster-wide fill queue for fleet-scale simulations.
+//! The one fill-job queue: the Fill Job Scheduler of §4.4.
+//!
+//! Every fill job waiting for a device sits here, whether it just
+//! arrived (the coarse backend) or was evicted mid-run (the fill
+//! engine). When a device frees up, [`GlobalFillQueue::pick_for`] hands
+//! it the queued job its [`SchedulingPolicy`] scores highest.
 //!
 //! A fleet runs many pipeline-parallel main jobs at once; their stages
 //! form one flat executor space. Evicted fill jobs re-enter here rather
 //! than a per-pipeline queue, so any compatible idle stage in the whole
-//! fleet can resume them. [`GlobalFillQueue`] scores candidates with a
-//! [`SchedulingPolicy`] exactly like [`FillJobScheduler`] and adds the
-//! fleet-level concerns:
+//! fleet can resume them. A single pipeline is the one-owner case. On
+//! top of policy scoring the queue handles the fleet-level concerns:
 //!
 //! * **Locality buckets** — the caller encodes locality in a job's
 //!   sparse feasibility (a fill job is only feasible on stages whose
@@ -22,8 +26,6 @@
 //!   policies score exactly the feasibility the job has.
 //! * **Origin tracking** — each queued job remembers the main job it was
 //!   evicted from, so cross-job dispatches are counted and audited.
-//!
-//! [`FillJobScheduler`]: crate::FillJobScheduler
 
 use std::collections::{HashMap, HashSet};
 
@@ -117,11 +119,12 @@ impl GlobalFillQueue {
         receiver == origin || self.admits_foreign[receiver]
     }
 
-    /// Re-enqueues a fill job evicted from `origin_job`. Devices of main
-    /// jobs that do not admit foreign work are masked infeasible (the
-    /// origin job's own devices are never masked). The job keeps its
-    /// original arrival, so arrival-ordered policies still favor evicted
-    /// work over later submissions.
+    /// Enqueues a fill job that arrived at, or was evicted from, main job
+    /// `origin_job`. Devices of main jobs that do not admit foreign work
+    /// are masked infeasible (the origin job's own devices are never
+    /// masked). An evicted job keeps its original arrival, so
+    /// arrival-ordered policies still favor evicted work over later
+    /// submissions.
     ///
     /// # Panics
     ///
@@ -166,8 +169,9 @@ impl GlobalFillQueue {
 
     /// Picks the best queued fill job for flat executor `device` under
     /// the active policy, or `None` if nothing queued is feasible there.
-    /// Ties break by earlier arrival, then lower id, exactly as
-    /// [`FillJobScheduler::pick_for`](crate::FillJobScheduler::pick_for).
+    /// "When a device completes a fill-job, the Scheduler chooses which
+    /// job to submit to the device by choosing the job which maximizes
+    /// the score" (§4.4). Ties break by earlier arrival, then lower id.
     pub fn pick_for(&mut self, device: usize, state: &SystemState) -> Option<JobInfo> {
         let buckets = self.device_buckets.get(&device)?;
         // (bucket, slot, score) of the best candidate so far.
@@ -214,7 +218,8 @@ impl GlobalFillQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::Fifo;
+    use crate::policy::{Fifo, MakespanMin, ShortestJobFirst};
+    use crate::scheduler::ExecutorSnapshot;
     use pipefill_sim_core::{SimDuration, SimTime};
 
     /// Two main jobs × two stages each: flat executors 0,1 belong to job
@@ -294,5 +299,116 @@ mod tests {
     #[should_panic(expected = "index a main job")]
     fn bad_owner_rejected() {
         let _ = GlobalFillQueue::new(Box::new(Fifo), vec![0, 2], vec![true, true]);
+    }
+
+    /// A one-pipeline queue over `n` executors, as the coarse backend
+    /// builds it.
+    fn single(policy: Box<dyn SchedulingPolicy>, n: usize) -> GlobalFillQueue {
+        GlobalFillQueue::new(policy, vec![0; n], vec![true])
+    }
+
+    fn job(id: u64, arrival_s: f64, times: &[Option<u64>]) -> JobInfo {
+        JobInfo::new(
+            JobId(id),
+            SimTime::from_secs_f64(arrival_s),
+            times
+                .iter()
+                .map(|t| t.map(SimDuration::from_secs))
+                .collect(),
+        )
+    }
+
+    fn drain(q: &mut GlobalFillQueue, state: &SystemState) -> Vec<u64> {
+        std::iter::from_fn(|| q.pick_for(0, state).map(|j| j.id.0)).collect()
+    }
+
+    #[test]
+    fn sjf_prefers_short_jobs() {
+        let mut q = single(Box::new(ShortestJobFirst), 1);
+        q.requeue_from(0, job(1, 0.0, &[Some(100)]));
+        q.requeue_from(0, job(2, 0.0, &[Some(10)]));
+        q.requeue_from(0, job(3, 0.0, &[Some(50)]));
+        let state = SystemState::idle(SimTime::ZERO, 1);
+        assert_eq!(drain(&mut q, &state), vec![2, 3, 1]);
+    }
+
+    #[test]
+    fn fifo_respects_arrival_order() {
+        let mut q = single(Box::new(Fifo), 1);
+        q.requeue_from(0, job(1, 5.0, &[Some(1)]));
+        q.requeue_from(0, job(2, 1.0, &[Some(100)]));
+        q.requeue_from(0, job(3, 3.0, &[Some(50)]));
+        let state = SystemState::idle(SimTime::from_secs_f64(10.0), 1);
+        assert_eq!(drain(&mut q, &state), vec![2, 3, 1]);
+    }
+
+    #[test]
+    fn infeasible_jobs_are_skipped() {
+        let mut q = single(Box::new(ShortestJobFirst), 2);
+        q.requeue_from(0, job(1, 0.0, &[None, Some(10)]));
+        q.requeue_from(0, job(2, 0.0, &[Some(20), Some(20)]));
+        let state = SystemState::idle(SimTime::ZERO, 2);
+        // Executor 0 can only run job 2.
+        assert_eq!(q.pick_for(0, &state).unwrap().id, JobId(2));
+        // Job 1 remains for executor 1.
+        assert_eq!(q.pick_for(1, &state).unwrap().id, JobId(1));
+        assert!(q.pick_for(0, &state).is_none());
+    }
+
+    #[test]
+    fn makespan_policy_balances_executors() {
+        // Executor 0 has a long queue remaining; both jobs feasible on
+        // both. The makespan policy scores a job on executor i by
+        // 1/max(proc[i], max_rem): when filling executor 1 (idle) it
+        // should prefer the job whose own processing time stays under the
+        // current makespan rather than extending it.
+        let mut q = single(Box::new(MakespanMin), 2);
+        q.requeue_from(0, job(1, 0.0, &[Some(200), Some(200)])); // would extend makespan
+        q.requeue_from(0, job(2, 0.0, &[Some(90), Some(90)])); // fits under it
+        let state = SystemState {
+            now: SimTime::ZERO,
+            executors: vec![
+                ExecutorSnapshot {
+                    remaining: SimDuration::from_secs(100),
+                },
+                ExecutorSnapshot {
+                    remaining: SimDuration::ZERO,
+                },
+            ],
+        };
+        assert_eq!(q.pick_for(1, &state).unwrap().id, JobId(2));
+    }
+
+    #[test]
+    fn ties_break_by_arrival_then_id() {
+        let mut q = single(Box::new(ShortestJobFirst), 1);
+        q.requeue_from(0, job(7, 2.0, &[Some(10)]));
+        q.requeue_from(0, job(3, 1.0, &[Some(10)]));
+        q.requeue_from(0, job(5, 1.0, &[Some(10)]));
+        let state = SystemState::idle(SimTime::from_secs_f64(5.0), 1);
+        assert_eq!(drain(&mut q, &state), vec![3, 5, 7]);
+    }
+
+    #[test]
+    fn requeued_jobs_keep_arrival_priority() {
+        let mut q = single(Box::new(Fifo), 1);
+        q.requeue_from(0, job(1, 0.0, &[Some(10)]));
+        q.requeue_from(0, job(2, 5.0, &[Some(10)]));
+        let state = SystemState::idle(SimTime::from_secs_f64(20.0), 1);
+        // Job 1 dispatches, gets evicted, and re-enters with its original
+        // arrival — FIFO must still run it before the later job 2.
+        let evicted = q.pick_for(0, &state).unwrap();
+        assert_eq!(evicted.id, JobId(1));
+        q.requeue_from(0, evicted);
+        assert_eq!(q.queue_len(), 2);
+        assert_eq!(q.pick_for(0, &state).unwrap().id, JobId(1));
+    }
+
+    #[test]
+    fn empty_queue_yields_nothing() {
+        let mut q = single(Box::new(Fifo), 1);
+        let state = SystemState::idle(SimTime::ZERO, 1);
+        assert!(q.pick_for(0, &state).is_none());
+        assert_eq!(q.queue_len(), 0);
     }
 }

@@ -13,18 +13,22 @@
 //! "hierarchical policies … that prioritize proximity-to-deadline but
 //! default to more standard policies".
 //!
+//! [`GlobalFillQueue`] is the one queue: fresh arrivals and jobs evicted
+//! mid-run enter it the same way, and every pick goes through it.
+//!
 //! # Example
 //!
 //! ```
-//! use pipefill_scheduler::{FillJobScheduler, JobInfo, ShortestJobFirst, SystemState};
+//! use pipefill_scheduler::{GlobalFillQueue, JobInfo, ShortestJobFirst, SystemState};
 //! use pipefill_executor::JobId;
 //! use pipefill_sim_core::{SimDuration, SimTime};
 //!
-//! let mut sched = FillJobScheduler::new(Box::new(ShortestJobFirst));
-//! sched.submit(JobInfo::new(JobId(1), SimTime::ZERO, vec![Some(SimDuration::from_secs(60))]));
-//! sched.submit(JobInfo::new(JobId(2), SimTime::ZERO, vec![Some(SimDuration::from_secs(5))]));
+//! // One pipeline: a single main job owning the one executor.
+//! let mut queue = GlobalFillQueue::new(Box::new(ShortestJobFirst), vec![0], vec![true]);
+//! queue.requeue_from(0, JobInfo::new(JobId(1), SimTime::ZERO, vec![Some(SimDuration::from_secs(60))]));
+//! queue.requeue_from(0, JobInfo::new(JobId(2), SimTime::ZERO, vec![Some(SimDuration::from_secs(5))]));
 //! let state = SystemState::idle(SimTime::ZERO, 1);
-//! let picked = sched.pick_for(0, &state).unwrap();
+//! let picked = queue.pick_for(0, &state).unwrap();
 //! assert_eq!(picked.id, JobId(2)); // the short job wins
 //! ```
 
@@ -39,4 +43,4 @@ pub use fleet::GlobalFillQueue;
 pub use policy::{
     EarliestDeadlineFirst, Fifo, MakespanMin, SchedulingPolicy, ShortestJobFirst, Weighted,
 };
-pub use scheduler::{ExecutorSnapshot, FillJobScheduler, JobInfo, SystemState};
+pub use scheduler::{ExecutorSnapshot, JobInfo, SystemState};

@@ -1,11 +1,11 @@
 //! Property tests for the scheduler: conservation and policy sanity
-//! under arbitrary job populations.
+//! under arbitrary job populations, on a one-pipeline fill queue.
 
 use proptest::prelude::*;
 
 use pipefill_executor::JobId;
 use pipefill_scheduler::{
-    EarliestDeadlineFirst, Fifo, FillJobScheduler, JobInfo, MakespanMin, SchedulingPolicy,
+    EarliestDeadlineFirst, Fifo, GlobalFillQueue, JobInfo, MakespanMin, SchedulingPolicy,
     ShortestJobFirst, SystemState,
 };
 use pipefill_sim_core::{SimDuration, SimTime};
@@ -50,6 +50,20 @@ fn build(jobs: &[RawJob]) -> Vec<JobInfo> {
         .collect()
 }
 
+/// A one-pipeline queue over `executors` devices holding `jobs`, as the
+/// coarse backend builds it.
+fn queue(
+    policy: Box<dyn SchedulingPolicy>,
+    executors: usize,
+    jobs: impl IntoIterator<Item = JobInfo>,
+) -> GlobalFillQueue {
+    let mut q = GlobalFillQueue::new(policy, vec![0; executors], vec![true]);
+    for j in jobs {
+        q.requeue_from(0, j);
+    }
+    q
+}
+
 fn policies() -> Vec<Box<dyn SchedulingPolicy>> {
     vec![
         Box::new(Fifo),
@@ -69,10 +83,7 @@ proptest! {
         policy_idx in 0usize..3,
     ) {
         let jobs = build(&raw);
-        let mut sched = FillJobScheduler::new(policies().remove(policy_idx));
-        for j in &jobs {
-            sched.submit(j.clone());
-        }
+        let mut sched = queue(policies().remove(policy_idx), 3, jobs.iter().cloned());
         let state = SystemState::idle(SimTime::ZERO, 3);
         let mut dispatched: Vec<JobId> = Vec::new();
         // Round-robin executors until nothing moves.
@@ -103,14 +114,17 @@ proptest! {
     fn sjf_never_inverts_plan_length_order(
         jobs in prop::collection::vec((0u32..1_000, 1u32..500), 1..25),
     ) {
-        let mut sched = FillJobScheduler::new(Box::new(ShortestJobFirst));
-        for (i, &(arrival, proc)) in jobs.iter().enumerate() {
-            sched.submit(JobInfo::new(
-                JobId(i as u64),
-                SimTime::from_secs_f64(arrival as f64),
-                vec![Some(SimDuration::from_secs(proc as u64))],
-            ));
-        }
+        let mut sched = queue(
+            Box::new(ShortestJobFirst),
+            1,
+            jobs.iter().enumerate().map(|(i, &(arrival, proc))| {
+                JobInfo::new(
+                    JobId(i as u64),
+                    SimTime::from_secs_f64(arrival as f64),
+                    vec![Some(SimDuration::from_secs(proc as u64))],
+                )
+            }),
+        );
         let state = SystemState::idle(SimTime::from_secs_f64(2_000.0), 1);
         let mut prev: Option<SimDuration> = None;
         while let Some(job) = sched.pick_for(0, &state) {
@@ -131,17 +145,18 @@ proptest! {
     fn edf_never_inverts_deadlines(
         jobs in prop::collection::vec((0u32..1_000, 1u32..5_000), 1..25),
     ) {
-        let mut sched = FillJobScheduler::new(Box::new(EarliestDeadlineFirst));
-        for (i, &(arrival, deadline)) in jobs.iter().enumerate() {
-            sched.submit(
+        let mut sched = queue(
+            Box::new(EarliestDeadlineFirst),
+            1,
+            jobs.iter().enumerate().map(|(i, &(arrival, deadline))| {
                 JobInfo::new(
                     JobId(i as u64),
                     SimTime::from_secs_f64(arrival as f64),
                     vec![Some(SimDuration::from_secs(10))],
                 )
-                .with_deadline(SimTime::from_secs_f64(deadline as f64)),
-            );
-        }
+                .with_deadline(SimTime::from_secs_f64(deadline as f64))
+            }),
+        );
         // `now` before every deadline, so no job is clamped to the
         // overdue plateau where only tie-breaks order them.
         let state = SystemState::idle(SimTime::ZERO, 1);
@@ -168,34 +183,30 @@ proptest! {
     ) {
         let jobs = build(&raw);
         let state = SystemState::idle(SimTime::from_secs_f64(5_000.0), 1);
-        let drain = |mut sched: FillJobScheduler| {
-            std::iter::from_fn(|| sched.pick_for(0, &state).map(|j| j.id))
-                .collect::<Vec<JobId>>()
+        let drain = |mut sched: GlobalFillQueue| {
+            std::iter::from_fn(|| sched.pick_for(0, &state)).collect::<Vec<JobInfo>>()
         };
+        let ids = |infos: &[JobInfo]| infos.iter().map(|j| j.id).collect::<Vec<JobId>>();
 
-        let mut plain = FillJobScheduler::new(policies().remove(policy_idx));
-        for j in &jobs {
-            plain.submit(j.clone());
-        }
-        let undisturbed = drain(plain);
+        let plain = queue(policies().remove(policy_idx), 1, jobs.iter().cloned());
+        let undisturbed = ids(&drain(plain));
 
-        let mut churned = FillJobScheduler::new(policies().remove(policy_idx));
-        for j in &jobs {
-            churned.submit(j.clone());
+        let mut churned = queue(policies().remove(policy_idx), 1, jobs.iter().cloned());
+        let evicted = churned.pick_for(0, &state);
+        if let Some(evicted) = &evicted {
+            churned.requeue_from(0, evicted.clone());
         }
-        if let Some(evicted) = churned.pick_for(0, &state) {
-            let arrival = evicted.arrival;
-            churned.requeue(evicted.clone());
+        let resumed = drain(churned);
+        if let Some(evicted) = evicted {
             // The arrival survived the round-trip…
-            let requeued = churned
-                .queued()
+            let requeued = resumed
                 .iter()
                 .find(|j| j.id == evicted.id)
-                .expect("requeued job is back in the queue");
-            prop_assert_eq!(requeued.arrival, arrival);
+                .expect("requeued job dispatches again");
+            prop_assert_eq!(requeued.arrival, evicted.arrival);
         }
         // …so the dispatch order is exactly what it would have been.
-        prop_assert_eq!(drain(churned), undisturbed);
+        prop_assert_eq!(ids(&resumed), undisturbed);
     }
 
     /// SJF's total completion time is never worse than FIFO's on a
@@ -217,10 +228,7 @@ proptest! {
             })
             .collect();
         let total_completion = |policy: Box<dyn SchedulingPolicy>| {
-            let mut s = FillJobScheduler::new(policy);
-            for j in &jobs {
-                s.submit(j.clone());
-            }
+            let mut s = queue(policy, 1, jobs.iter().cloned());
             let mut clock = SimTime::ZERO;
             let mut total = 0.0;
             while let Some(job) = s.pick_for(0, &SystemState::idle(clock, 1)) {

@@ -14,7 +14,7 @@
 //!   for simultaneous events.
 //! * [`Simulation`] and the [`EventHandler`] trait — a minimal driver loop.
 //! * [`rng::DeterministicRng`] — seeded RNG with the distributions the
-//!   workload generators need (exponential, normal, lognormal, Poisson, …),
+//!   workload generators need (exponential, normal, lognormal, …),
 //!   implemented from scratch on top of `rand`'s uniform source.
 //! * [`stats`] — summary statistics used by the metrics layer.
 //!

@@ -5,10 +5,9 @@
 //! external dependencies: the uniform source is xoshiro256++ (the same
 //! generator family `rand`'s `SmallRng` uses on 64-bit targets) seeded via
 //! SplitMix64, and the non-uniform distributions (exponential, normal,
-//! lognormal, Poisson) are built on it — inverse-transform sampling for the
-//! exponential, Box–Muller for the normal, exp(normal) for the lognormal,
-//! and Knuth's product method (with a normal approximation for large rates)
-//! for the Poisson.
+//! lognormal) are built on it — inverse-transform sampling for the
+//! exponential, Box–Muller for the normal, and exp(normal) for the
+//! lognormal.
 
 /// xoshiro256++ by Blackman & Vigna: 256-bit state, full 2^256−1 period,
 /// excellent statistical quality for simulation workloads.
@@ -182,37 +181,6 @@ impl DeterministicRng {
         self.normal(mu, sigma).exp()
     }
 
-    /// Poisson sample with rate `lambda`. Uses Knuth's product method for
-    /// small rates and a rounded normal approximation for `lambda > 64`
-    /// (where the approximation error is far below trace noise).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lambda` is negative or non-finite.
-    pub fn poisson(&mut self, lambda: f64) -> u64 {
-        assert!(
-            lambda.is_finite() && lambda >= 0.0,
-            "poisson rate must be non-negative, got {lambda}"
-        );
-        if lambda == 0.0 {
-            return 0;
-        }
-        if lambda > 64.0 {
-            let x = self.normal(lambda, lambda.sqrt());
-            return x.max(0.0).round() as u64;
-        }
-        let l = (-lambda).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.inner.next_f64();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    }
-
     /// Multiplicative jitter `max(0, N(1, cv))`, used to perturb profiled
     /// durations in the fine-grained "physical" simulator. `cv` is the
     /// coefficient of variation. A `cv` of exactly zero is deterministic
@@ -296,14 +264,6 @@ impl DeterministicRng {
         }
         weights.len() - 1
     }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.uniform_usize(0, i + 1);
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -316,7 +276,7 @@ mod tests {
         let mut b = DeterministicRng::seed_from(7);
         for _ in 0..100 {
             assert_eq!(a.uniform(0.0, 10.0), b.uniform(0.0, 10.0));
-            assert_eq!(a.poisson(5.0), b.poisson(5.0));
+            assert_eq!(a.exponential(5.0), b.exponential(5.0));
         }
     }
 
@@ -355,21 +315,6 @@ mod tests {
         for _ in 0..1000 {
             assert!(rng.lognormal(0.0, 2.0) > 0.0);
         }
-    }
-
-    #[test]
-    fn poisson_mean_small_and_large_lambda() {
-        let mut rng = DeterministicRng::seed_from(4);
-        for &lambda in &[0.5, 8.0, 200.0] {
-            let n = 10_000;
-            let mean: f64 = (0..n).map(|_| rng.poisson(lambda) as f64).sum::<f64>() / n as f64;
-            let tol = 3.0 * (lambda / n as f64).sqrt() + 0.05;
-            assert!(
-                (mean - lambda).abs() < tol,
-                "lambda={lambda} mean={mean} tol={tol}"
-            );
-        }
-        assert_eq!(rng.poisson(0.0), 0);
     }
 
     #[test]
@@ -427,16 +372,6 @@ mod tests {
         assert_ne!(after_first, fp);
         let _ = a.normal(0.0, 1.0);
         assert_ne!(a.state_fingerprint(), after_first);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = DeterministicRng::seed_from(9);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

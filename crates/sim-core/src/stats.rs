@@ -1,111 +1,5 @@
-//! Summary statistics for the metrics layer: online (Welford) accumulation
-//! and batch summaries with percentiles.
-
-/// Incrementally accumulated mean/variance/min/max (Welford's algorithm),
-/// used where the simulators stream per-step observations without storing
-/// them all.
-///
-/// # Example
-///
-/// ```
-/// use pipefill_sim_core::stats::OnlineStats;
-///
-/// let mut s = OnlineStats::new();
-/// for x in [1.0, 2.0, 3.0] {
-///     s.push(x);
-/// }
-/// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.count(), 3);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the observations (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0.0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
+//! Summary statistics for the metrics layer: batch summaries with
+//! percentiles, and the relative error the backend comparisons report.
 
 /// A batch summary of a sample: mean, standard deviation, extrema, and
 /// percentiles (by linear interpolation between order statistics).
@@ -173,18 +67,6 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
-/// Mean of `values` weighted by `weights`.
-///
-/// # Panics
-///
-/// Panics if lengths differ or the weights sum to zero or less.
-pub fn weighted_mean(values: &[f64], weights: &[f64]) -> f64 {
-    assert_eq!(values.len(), weights.len(), "weighted_mean length mismatch");
-    let total_w: f64 = weights.iter().sum();
-    assert!(total_w > 0.0, "weights must sum to a positive value");
-    values.iter().zip(weights).map(|(v, w)| v * w).sum::<f64>() / total_w
-}
-
 /// Relative error `|measured - reference| / |reference|`, used when
 /// comparing the coarse simulator against the fine-grained "physical"
 /// simulator (Fig. 6 reports a maximum error of <2%).
@@ -200,64 +82,6 @@ pub fn relative_error(measured: f64, reference: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_matches_batch() {
-        let data = [4.0, 7.0, 13.0, 16.0];
-        let mut online = OnlineStats::new();
-        for &x in &data {
-            online.push(x);
-        }
-        let batch = Summary::from_slice(&data).unwrap();
-        assert!((online.mean() - batch.mean).abs() < 1e-12);
-        assert!((online.std_dev() - batch.std_dev).abs() < 1e-12);
-        assert_eq!(online.min(), Some(4.0));
-        assert_eq!(online.max(), Some(16.0));
-    }
-
-    #[test]
-    fn online_merge_equals_concatenation() {
-        let a_data = [1.0, 2.0, 3.0];
-        let b_data = [10.0, 20.0];
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        let mut all = OnlineStats::new();
-        for &x in &a_data {
-            a.push(x);
-            all.push(x);
-        }
-        for &x in &b_data {
-            b.push(x);
-            all.push(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - all.mean()).abs() < 1e-12);
-        assert!((a.variance() - all.variance()).abs() < 1e-12);
-        assert_eq!(a.count(), all.count());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(5.0);
-        let before = a.clone();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a.mean(), before.mean());
-        let mut empty = OnlineStats::new();
-        empty.merge(&before);
-        assert_eq!(empty.mean(), before.mean());
-        assert_eq!(empty.count(), 1);
-    }
-
-    #[test]
-    fn empty_stats_are_benign() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-        assert!(Summary::from_slice(&[]).is_none());
-    }
 
     #[test]
     fn percentiles_interpolate() {
@@ -287,12 +111,7 @@ mod tests {
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 3.0);
         assert!(Summary::from_slice(&[f64::NAN, f64::NAN]).is_none());
-    }
-
-    #[test]
-    fn weighted_mean_basic() {
-        assert_eq!(weighted_mean(&[1.0, 3.0], &[1.0, 1.0]), 2.0);
-        assert_eq!(weighted_mean(&[1.0, 3.0], &[3.0, 1.0]), 1.5);
+        assert!(Summary::from_slice(&[]).is_none());
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Property tests for the simulation kernel: queue ordering, time
-//! arithmetic, and statistics invariants.
+//! arithmetic, and RNG invariants.
 
 use proptest::prelude::*;
 
 use pipefill_sim_core::rng::DeterministicRng;
-use pipefill_sim_core::stats::{OnlineStats, Summary};
 use pipefill_sim_core::{EventQueue, SimDuration, SimTime};
 
 proptest! {
@@ -89,37 +88,6 @@ proptest! {
         let d = SimDuration::from_nanos(nanos);
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         prop_assert!(d.mul_f64(lo) <= d.mul_f64(hi));
-    }
-
-    /// Welford accumulation matches the batch summary for any sample.
-    #[test]
-    fn online_stats_match_batch(values in prop::collection::vec(-1e6f64..1e6, 1..200)) {
-        let mut online = OnlineStats::new();
-        for &v in &values {
-            online.push(v);
-        }
-        let batch = Summary::from_slice(&values).unwrap();
-        prop_assert!((online.mean() - batch.mean).abs() < 1e-6 * (1.0 + batch.mean.abs()));
-        prop_assert!((online.std_dev() - batch.std_dev).abs() < 1e-5 * (1.0 + batch.std_dev));
-        prop_assert_eq!(online.min().unwrap(), batch.min);
-        prop_assert_eq!(online.max().unwrap(), batch.max);
-    }
-
-    /// Merging two accumulators equals accumulating the concatenation.
-    #[test]
-    fn stats_merge_is_concatenation(
-        a in prop::collection::vec(-1e3f64..1e3, 0..100),
-        b in prop::collection::vec(-1e3f64..1e3, 0..100),
-    ) {
-        let mut sa = OnlineStats::new();
-        let mut sb = OnlineStats::new();
-        let mut sall = OnlineStats::new();
-        for &v in &a { sa.push(v); sall.push(v); }
-        for &v in &b { sb.push(v); sall.push(v); }
-        sa.merge(&sb);
-        prop_assert_eq!(sa.count(), sall.count());
-        prop_assert!((sa.mean() - sall.mean()).abs() < 1e-9);
-        prop_assert!((sa.variance() - sall.variance()).abs() < 1e-6);
     }
 
     /// The RNG's weighted choice never selects a zero-weight arm and is

@@ -10,8 +10,8 @@
 //! This facade crate re-exports the whole workspace:
 //!
 //! * [`sim`] — deterministic discrete-event simulation kernel;
-//! * [`device`] — accelerator/cluster hardware models and the HBM
-//!   memory-pool semantics the engine instruments;
+//! * [`device`] — accelerator/cluster hardware models, byte quantities
+//!   and interconnect transfer times;
 //! * [`models`] — the model zoo (GPT-5B/40B main jobs, Table 1 fill
 //!   jobs) and its analytical FLOPs/memory cost model;
 //! * [`pipeline`] — pipeline schedules (GPipe, 1F1B), the instrumented
@@ -20,7 +20,8 @@
 //! * [`executor`] — per-configuration fill-job profiles, the Algorithm-1
 //!   bubble-packing planner and the per-device executor state machine;
 //! * [`scheduler`] — the score-function policy interface (FIFO / SJF /
-//!   Makespan-Min / EDF / weighted compositions);
+//!   Makespan-Min / EDF / weighted compositions) and the one fill-job
+//!   queue, shared by coarse arrivals and engine evictions;
 //! * [`trace`] — the synthetic Alibaba-style fill-job trace generator
 //!   and HuggingFace-style model mix;
 //! * [`core`] — the integrated system: coarse cluster simulator,

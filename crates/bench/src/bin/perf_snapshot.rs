@@ -170,10 +170,18 @@ fn measure(spec: &Spec) -> Result<Entry, String> {
         }
     };
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall time is what this harness measures; it never enters a result"
+    )]
     let t = Instant::now();
     let run_on = cfg_on.run();
     let wall_on = t.elapsed().as_secs_f64().max(1e-6);
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall time is what this harness measures; it never enters a result"
+    )]
     let t = Instant::now();
     let run_off = cfg_off.run();
     let wall_off = t.elapsed().as_secs_f64().max(1e-6);
@@ -213,6 +221,10 @@ fn measure(spec: &Spec) -> Result<Entry, String> {
     })
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the runner class labels the snapshot's host; it never enters a result"
+)]
 fn runner_class() -> String {
     std::env::var("PERF_RUNNER_CLASS").unwrap_or_else(|_| "local-dev".to_string())
 }
@@ -336,6 +348,10 @@ fn check_snapshots(profile: &str) -> Result<(), String> {
 }
 
 fn run() -> Result<(), String> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the command line is this binary's input"
+    )]
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut check = false;
     let mut profile = String::new();

@@ -14,6 +14,10 @@ use std::process::ExitCode;
 const USAGE_ERROR: u8 = 2;
 
 fn main() -> ExitCode {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the command line is this binary's input"
+    )]
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let parsed = match args::parse(&argv) {
         Ok(p) => p,

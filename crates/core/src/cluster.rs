@@ -17,8 +17,6 @@
 //! is driven entirely by the `sim-core` kernel.
 //! [`CoarseBackend::simulate`] is the convenience entry point.
 
-use std::collections::HashMap;
-
 use pipefill_executor::{ExecutorConfig, FillJobSpec, JobId};
 use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_pipeline::MainJobSpec;
@@ -26,7 +24,7 @@ use pipefill_scheduler::{
     ExecutorSnapshot, Fifo, GlobalFillQueue, JobInfo, MakespanMin, SchedulingPolicy,
     ShortestJobFirst, SystemState, Weighted,
 };
-use pipefill_sim_core::{EventHandler, EventQueue, SimDuration, SimTime, Simulation};
+use pipefill_sim_core::{EventHandler, EventQueue, LookupMap, SimDuration, SimTime, Simulation};
 use pipefill_trace::{TraceConfig, TraceGenerator};
 
 use crate::backend::{BackendDriver, BackendKind, BackendMetrics, ClusterEvent, SimBackend};
@@ -209,7 +207,7 @@ pub struct CoarseBackend {
     /// The fill-job queue: one pipeline owning every device.
     fill_queue: GlobalFillQueue,
     devices: Vec<Device>,
-    specs: HashMap<JobId, FillJobSpec>,
+    specs: LookupMap<JobId, FillJobSpec>,
     arrivals: Vec<FillJobSpec>,
     completed: Vec<CompletedJob>,
     rejected: usize,
@@ -249,7 +247,7 @@ impl CoarseBackend {
             plans,
             fill_queue,
             devices,
-            specs: HashMap::new(),
+            specs: LookupMap::new(),
             arrivals,
             completed: Vec::new(),
             rejected: 0,

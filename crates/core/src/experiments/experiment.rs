@@ -427,6 +427,10 @@ mod tests {
     fn save_writes_the_csv_rendering() {
         let t = sample();
         assert_eq!(t.to_csv_string(), "a,b,c\n1,2.5,x\n10,0.125,long-cell\n");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a per-process scratch path; the test reads back only what it wrote"
+        )]
         let dir = std::env::temp_dir().join(format!("pipefill-table-{}", std::process::id()));
         let path = dir.join("t.csv");
         t.save(path.to_str().unwrap()).unwrap();

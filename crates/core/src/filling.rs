@@ -31,7 +31,6 @@
 //! run and a one-job fleet both reproduce the physical run bit for bit —
 //! the conformance suite pins it.
 
-use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -40,7 +39,7 @@ use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_pipeline::BubbleWindow;
 use pipefill_scheduler::{GlobalFillQueue, JobInfo, SystemState};
 use pipefill_sim_core::rng::DeterministicRng;
-use pipefill_sim_core::{EventHandler, EventQueue, SimDuration, SimTime, Simulation};
+use pipefill_sim_core::{EventHandler, EventQueue, LookupMap, SimDuration, SimTime, Simulation};
 use pipefill_trace::ModelMix;
 
 use crate::backend::{BackendKind, BackendMetrics, ClusterEvent, SimBackend};
@@ -625,7 +624,7 @@ pub struct FillBackend<R> {
     /// is not tracked at this fidelity; only the clock changes).
     idle_state: SystemState,
     /// Evicted fill leases waiting in the global queue.
-    parked: HashMap<JobId, Box<FillLease>>,
+    parked: LookupMap<JobId, Box<FillLease>>,
     /// Per-flat-device failure processes, independent of the workloads.
     fail_rngs: Vec<DeterministicRng>,
     /// End of each flat device's outage in flight, for clamping the last
@@ -737,7 +736,7 @@ impl<R> FillBackend<R> {
             flat_owner,
             shape_bases,
             queue,
-            parked: HashMap::new(),
+            parked: LookupMap::new(),
             fail_rngs,
             pipes,
             completed_ids: (kind != BackendKind::Physical).then(Vec::new),
@@ -1074,7 +1073,7 @@ fn critical_path_delay(stage_delays: &[SimDuration]) -> SimDuration {
 pub(crate) struct MixRotation {
     weights: Vec<(ModelId, f64)>,
     acc: Vec<f64>,
-    kind_flip: HashMap<ModelId, bool>,
+    kind_flip: LookupMap<ModelId, bool>,
 }
 
 impl MixRotation {
@@ -1102,7 +1101,7 @@ impl MixRotation {
         Ok(MixRotation {
             acc: vec![0.0; weights.len()],
             weights,
-            kind_flip: HashMap::new(),
+            kind_flip: LookupMap::new(),
         })
     }
 
@@ -1154,7 +1153,7 @@ impl MixRotation {
 
     /// Appends the rotation's full state (accumulators and
     /// training/inference flips) to a steady-state signature, iterating
-    /// in stable weight order — never over the `HashMap`.
+    /// in stable weight order (the flip map has no iteration API).
     fn sig_into(&self, out: &mut Vec<u64>) {
         for (i, &(m, _)) in self.weights.iter().enumerate() {
             out.push(self.acc[i].to_bits());

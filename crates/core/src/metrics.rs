@@ -1,5 +1,10 @@
 //! Cluster-level metrics: job-completion-time statistics and the paper's
 //! GPUs-saved estimate.
+//!
+//! Accounting here never truncates silently: every `as` cast is denied
+//! (`metrics-cast`, ARCHITECTURE.md "Determinism invariants"), so each
+//! conversion is a lossless `from` or a checked `try_from`.
+#![deny(clippy::as_conversions)]
 
 use pipefill_sim_core::stats::Summary;
 
@@ -53,7 +58,8 @@ impl JctStats {
 ///
 /// # Panics
 ///
-/// Panics if `bubble_ratio` or `relative_perf` is outside `[0, 1]`.
+/// Panics if `bubble_ratio` or `relative_perf` is outside `[0, 1]`, or
+/// if `cluster_gpus` exceeds `u32::MAX`.
 pub fn gpus_saved(cluster_gpus: usize, bubble_ratio: f64, relative_perf: f64) -> f64 {
     assert!(
         (0.0..=1.0).contains(&bubble_ratio),
@@ -63,7 +69,8 @@ pub fn gpus_saved(cluster_gpus: usize, bubble_ratio: f64, relative_perf: f64) ->
         (0.0..=1.0).contains(&relative_perf),
         "relative performance must be in [0, 1], got {relative_perf}"
     );
-    cluster_gpus as f64 * bubble_ratio * relative_perf
+    let gpus = u32::try_from(cluster_gpus).expect("cluster GPU count fits in u32");
+    f64::from(gpus) * bubble_ratio * relative_perf
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, String> {
             return Err(section.pos.error(msg).into());
         }
         for entry in &section.entries {
-            let set = spec.set(&entry.key, entry.scalar()?);
+            let set = spec.set(&entry.key, &entry.value);
             set.map_err(|e| entry.pos.error(e.to_string()))?;
         }
     }

@@ -27,9 +27,8 @@
 //! * **Origin tracking** — each queued job remembers the main job it was
 //!   evicted from, so cross-job dispatches are counted and audited.
 
-use std::collections::{HashMap, HashSet};
-
 use pipefill_executor::JobId;
+use pipefill_sim_core::LookupMap;
 
 use crate::policy::SchedulingPolicy;
 use crate::scheduler::{outranks, JobInfo, SystemState};
@@ -49,13 +48,13 @@ pub struct GlobalFillQueue {
     admits_foreign: Vec<bool>,
     /// Queued jobs, one bucket per distinct requeued feasible set.
     buckets: Vec<Vec<Queued>>,
-    /// Bucket index by feasible executor set (lookup only).
-    bucket_of: HashMap<Vec<usize>, usize>,
+    /// Bucket index by feasible executor set.
+    bucket_of: LookupMap<Vec<usize>, usize>,
     /// Buckets whose feasible set contains a device, for every device
-    /// some bucket covers (lookup only).
-    device_buckets: HashMap<usize, Vec<usize>>,
+    /// some bucket covers.
+    device_buckets: LookupMap<usize, Vec<usize>>,
     /// Ids of every queued job.
-    queued: HashSet<JobId>,
+    queued: LookupMap<JobId, ()>,
     peak_depth: usize,
     cross_job_dispatches: u64,
 }
@@ -93,9 +92,9 @@ impl GlobalFillQueue {
             owner,
             admits_foreign,
             buckets: Vec::new(),
-            bucket_of: HashMap::new(),
-            device_buckets: HashMap::new(),
-            queued: HashSet::new(),
+            bucket_of: LookupMap::new(),
+            device_buckets: LookupMap::new(),
+            queued: LookupMap::new(),
             peak_depth: 0,
             cross_job_dispatches: 0,
         }
@@ -138,7 +137,7 @@ impl GlobalFillQueue {
             "the job's executor space must cover every flat executor"
         );
         assert!(
-            self.queued.insert(info.id),
+            self.queued.insert(info.id, ()).is_none(),
             "job {} is already queued; evicted jobs re-enter exactly once",
             info.id
         );

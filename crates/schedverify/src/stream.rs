@@ -75,7 +75,7 @@ impl StreamSet {
         let mut chunks: (usize, Option<usize>) = (1, None);
         let mut devices: Vec<(usize, Vec<PipelineInstruction>)> = Vec::new();
         for entry in &doc.preamble {
-            let (key, line, value) = (entry.key.as_str(), entry.pos.line, entry.scalar()?);
+            let (key, line, value) = (entry.key.as_str(), entry.pos.line, &entry.value);
             let count = || {
                 let msg = format!("must be a non-negative integer, got '{value}'");
                 value.parse().map_err(|_| entry.error(&msg))

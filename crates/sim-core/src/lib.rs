@@ -13,6 +13,8 @@
 //! * [`EventQueue`] — a priority queue with deterministic FIFO tie-breaking
 //!   for simultaneous events.
 //! * [`Simulation`] and the [`EventHandler`] trait — a minimal driver loop.
+//! * [`LookupMap`] — a hash map with no iteration API, the one point-lookup
+//!   table the workspace allows.
 //! * [`rng::DeterministicRng`] — seeded RNG with the distributions the
 //!   workload generators need (exponential, normal, lognormal, …),
 //!   implemented from scratch on top of `rand`'s uniform source.
@@ -33,6 +35,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod lookup;
 mod queue;
 mod sim;
 mod time;
@@ -40,6 +43,7 @@ mod time;
 pub mod rng;
 pub mod stats;
 
+pub use lookup::LookupMap;
 pub use queue::EventQueue;
 pub use sim::{EventHandler, Simulation, StepOutcome};
 pub use time::{SimDuration, SimTime};

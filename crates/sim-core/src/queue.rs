@@ -262,7 +262,7 @@ mod tests {
     fn a_run_entry_costs_no_more_than_an_event_entry() {
         // Shaped like the cluster simulation's event alphabet: a tag and
         // one word of payload.
-        #[allow(dead_code)]
+        #[expect(dead_code, reason = "only the layout is measured; no value is built")]
         enum Event {
             A(usize),
             B(usize),

@@ -1,49 +1,26 @@
 //! The workspace's TOML subset: `[section]` headers over `key = value`
-//! lines whose value is a quoted string, a bare scalar or an array of
-//! quoted strings, with quote-aware `#` comments. Entries before the
-//! first header form the preamble, so headerless stream files parse
-//! too. The quoting and duplicate rules are in ARCHITECTURE.md "Text
-//! formats".
+//! lines whose value is a quoted string or a bare scalar, with
+//! quote-aware `#` comments. Entries before the first header form the
+//! preamble, so headerless stream files parse too. The quoting and
+//! duplicate rules are in ARCHITECTURE.md "Text formats".
 
 use std::collections::BTreeMap;
 
 use crate::{Error, Pos};
-
-/// One entry's value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Value {
-    /// `"text"`, without the quotes.
-    Str(String),
-    /// An unquoted scalar (number, boolean, bare word), as written.
-    Bare(String),
-    /// `["a", "b"]`.
-    Array(Vec<String>),
-}
 
 /// One `key = value` line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entry {
     /// The key.
     pub key: String,
-    /// The value.
-    pub value: Value,
+    /// The value's text: a quoted string without its quotes, or an
+    /// unquoted scalar (number, boolean, bare word) as written.
+    pub value: String,
     /// Where the key starts.
     pub pos: Pos,
 }
 
 impl Entry {
-    /// The text of a string or bare scalar.
-    ///
-    /// # Errors
-    ///
-    /// An array value.
-    pub fn scalar(&self) -> Result<&str, Error> {
-        match &self.value {
-            Value::Str(s) | Value::Bare(s) => Ok(s),
-            Value::Array(_) => Err(self.error("takes a single value, not an array")),
-        }
-    }
-
     /// An error about this entry: `'key' msg`, located at the key.
     pub fn error(&self, msg: &str) -> Error {
         self.pos.error(format!("'{}' {msg}", self.key))
@@ -128,8 +105,8 @@ pub fn parse(text: &str) -> Result<Document, Error> {
     Ok(doc)
 }
 
-/// Quotes a string for writing; it reads back as [`Value::Str`] when it
-/// holds no `"`.
+/// Quotes a string for writing; it reads back as the same text when
+/// it holds no `"`.
 pub fn quote(s: &str) -> String {
     format!("\"{s}\"")
 }
@@ -147,38 +124,23 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-fn lex_value(value: &str) -> Result<Value, String> {
-    if value.starts_with('"') {
-        return lex_string(value).map(Value::Str);
-    } else if let Some(inner) = value.strip_prefix('[') {
-        let inner = inner.strip_suffix(']').map(str::trim);
-        return match inner.ok_or(format!("unterminated array {value}"))? {
-            "" => Ok(Value::Array(Vec::new())),
-            items => items
-                .split(',')
-                .map(|e| lex_string(e.trim()))
-                .collect::<Result<_, _>>()
-                .map(Value::Array),
+fn lex_value(value: &str) -> Result<String, String> {
+    if let Some(inner) = value.strip_prefix('"') {
+        let Some(inner) = inner.strip_suffix('"') else {
+            return Err(format!("unterminated string {value}"));
         };
+        if inner.contains('"') {
+            return Err(format!("embedded quote in string {value}"));
+        }
+        return Ok(inner.to_string());
+    } else if value.starts_with('[') {
+        return Err(format!("arrays are not supported: {value}"));
     } else if value.contains('"') {
         return Err(format!("misplaced quote in value {value}"));
     } else if value.is_empty() {
         return Err("missing value".into());
     }
-    Ok(Value::Bare(value.to_string()))
-}
-
-fn lex_string(value: &str) -> Result<String, String> {
-    let Some(inner) = value.strip_prefix('"') else {
-        return Err(format!("expected a quoted string, got '{value}'"));
-    };
-    let Some(inner) = inner.strip_suffix('"') else {
-        return Err(format!("unterminated string {value}"));
-    };
-    if inner.contains('"') {
-        return Err(format!("embedded quote in string {value}"));
-    }
-    Ok(inner.to_string())
+    Ok(value.to_string())
 }
 
 #[cfg(test)]
@@ -191,21 +153,14 @@ mod tests {
 
     #[test]
     fn lexes_sections_entries_and_values() {
-        let doc = parse(
-            "top = 1\n\n[a]  # c\nname = \"x # y\" # c\n  list = [\"p\", \"q\"]\nnone = []\n",
-        )
-        .expect("parses");
+        let doc = parse("top = 1\n\n[a]  # c\nname = \"x # y\" # c\n  bare = b\n").expect("parses");
         assert_eq!(doc.preamble[0].key, "top");
-        assert_eq!(doc.preamble[0].value, Value::Bare("1".into()));
+        assert_eq!(doc.preamble[0].value, "1");
         let a = &doc.sections[0];
         assert_eq!((a.name.as_str(), a.pos), ("a", Pos { line: 3, col: 1 }));
-        assert_eq!(a.entries[0].value, Value::Str("x # y".into()));
+        assert_eq!(a.entries[0].value, "x # y");
         assert_eq!(a.entries[1].pos, Pos { line: 5, col: 3 });
-        assert_eq!(
-            a.entries[1].value,
-            Value::Array(vec!["p".into(), "q".into()])
-        );
-        assert_eq!(a.entries[2].value, Value::Array(Vec::new()));
+        assert_eq!(a.entries[1].value, "b");
         assert_eq!(parse("").expect("empty"), Document::default());
     }
 
@@ -220,10 +175,9 @@ mod tests {
             ("k = a\"b\n", "line 1, col 5: misplaced quote in value a\"b"),
             ("\nk =\n", "line 2, col 4: missing value"),
             (
-                "k = [a]\n",
-                "line 1, col 5: expected a quoted string, got 'a'",
+                "k = [\"a\", \"b\"]\n",
+                "line 1, col 5: arrays are not supported: [\"a\", \"b\"]",
             ),
-            ("k = [\"a\"\n", "line 1, col 5: unterminated array [\"a\""),
             (" = 1\n", "line 1, col 2: missing key before '='"),
             ("[a\n", "line 1, col 1: unterminated section header '[a'"),
             ("k 1\n", "line 1, col 1: expected 'key = value', got 'k 1'"),

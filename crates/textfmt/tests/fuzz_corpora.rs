@@ -1,6 +1,7 @@
 //! Mutation fuzzing of the shared text-format layer over the checked-in
-//! corpora: scenario and stream files and `detlint.toml` for the TOML
-//! reader, the perf snapshots and both report pins for the JSON reader.
+//! corpora: scenario and stream files and `tests/corpus/sections.toml`
+//! (the one multi-section document) for the TOML reader, the perf
+//! snapshots and the schedule certificate pin for the JSON reader.
 //!
 //! Each case mutates one corpus file (a byte flip, a truncation, a
 //! duplicated line, an inserted quote, bracket or separator, or a line
@@ -41,7 +42,9 @@ fn toml_corpus() -> &'static [(String, String)] {
     CORPUS.get_or_init(|| {
         let mut corpus = files_in("examples/scenarios", "toml");
         corpus.extend(files_in("examples/streams", "toml"));
-        corpus.push(read(&repo_root().join("detlint.toml")));
+        corpus.push(read(
+            &Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/sections.toml"),
+        ));
         corpus
     })
 }
@@ -117,11 +120,29 @@ fn the_corpora_parse_and_the_json_renders_byte_for_byte() {
         );
     }
     let json = json_corpus();
-    assert_eq!(json.len(), 4, "BENCH_fleet, BENCH_engine and both reports");
+    assert_eq!(
+        json.len(),
+        3,
+        "BENCH_fleet, BENCH_engine and schedcert-report"
+    );
     for (path, text) in json {
         let tree = json::parse(text).unwrap_or_else(|e| panic!("{path}: {e}"));
         assert_eq!(&tree.render(), text, "{path}");
     }
+}
+
+#[test]
+fn the_multi_section_document_keeps_its_shape() {
+    let (path, text) = toml_corpus().last().expect("sections.toml");
+    let doc = toml::parse(text).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let names: Vec<&str> = doc.sections.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, ["cluster", "fill", "faults", "empty", "output"]);
+    let values: Vec<&str> = doc.preamble.iter().map(|e| e.value.as_str()).collect();
+    assert_eq!(
+        values,
+        ["1", "fill sweep # the hash is content, not a comment"]
+    );
+    assert_eq!(doc.sections[1].entries[2].value, "'#' inside quotes stays");
 }
 
 proptest! {

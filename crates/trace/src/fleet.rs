@@ -225,9 +225,9 @@ mod tests {
 
     #[test]
     fn fleet_is_heterogeneous_at_scale() {
-        // BTreeSet, not HashSet: uniqueness checks on ordered sets keep
-        // the whole validation order-deterministic (and detlint-clean
-        // should a future assertion ever observe iteration order).
+        // BTreeSet: the hash collections are banned (clippy.toml), so
+        // a future assertion that observes iteration order stays
+        // deterministic.
         let plans = FleetWorkloadConfig::production_8k(3).generate();
         let depths: std::collections::BTreeSet<usize> =
             plans.iter().map(|p| p.pipeline_stages).collect();

@@ -33,7 +33,12 @@ pub fn current_num_threads() -> usize {
     if configured > 0 {
         return configured;
     }
-    if let Ok(v) = std::env::var("RAYON_NUM_THREADS") {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "rayon's documented knob: it sets the worker count, never a result"
+    )]
+    let env = std::env::var("RAYON_NUM_THREADS");
+    if let Ok(v) = env {
         if let Ok(n) = v.parse::<usize>() {
             if n > 0 {
                 return n;

@@ -225,9 +225,14 @@ impl CoarseBackend {
         let num_devices = p * config.devices_per_stage;
 
         let (trace_jobs, _) = TraceGenerator::new(config.trace.clone()).generate();
+        // Every stage runs the main job's device, so stage 0's exclusive
+        // throughput sizes each trace job.
         let arrivals: Vec<FillJobSpec> = trace_jobs
             .iter()
-            .filter_map(|t| trace_job_to_spec(t, &config.main_job.device))
+            .filter_map(|t| {
+                let throughput = plans.throughput(t.model, t.kind, 0)?;
+                Some(trace_job_to_spec(t, throughput))
+            })
             .collect();
 
         let devices: Vec<Device> = (0..num_devices)

@@ -46,7 +46,7 @@ use crate::backend::{BackendKind, BackendMetrics, ClusterEvent, SimBackend};
 use crate::experiments::sweep;
 use crate::ff::{SteadyCounters, SteadyDetector};
 use crate::fleet::{FleetJobConfig, FleetJobResult, FleetSimConfig, FleetSimResult};
-use crate::plans::StagePlans;
+use crate::plans::{ProfileMenus, StagePlans};
 
 /// Signature-history depth of a one-pipeline run: long enough for the
 /// realistic fill-cycle periods (plan cursor × rotation × job-completion
@@ -92,7 +92,8 @@ struct Shape {
 }
 
 impl Shape {
-    /// Profiles a job's pipeline once. A homogeneous job keeps the
+    /// Profiles a job's pipeline once, planning through the fleet's
+    /// shared `menus`. A homogeneous job keeps the
     /// engine's geometry; with per-stage devices the slowest stage paces
     /// the pipeline, so the period stretches to `period × max(slow)` and
     /// stage `s` keeps its busy time (scaled by its own slowness) while
@@ -102,16 +103,18 @@ impl Shape {
     /// # Panics
     ///
     /// Panics if `stage_devices` is non-empty with a length different
-    /// from the pipeline depth.
-    fn profile(job: &FleetJobConfig) -> Shape {
+    /// from the pipeline depth, or if `menus` lacks one of the job's
+    /// stage devices.
+    fn profile(job: &FleetJobConfig, menus: &Arc<ProfileMenus>) -> Shape {
         let main = &job.main_job;
         let timeline = main.engine_timeline();
         let p = timeline.stages.len();
         let base_period = timeline.period;
         let base_nominal = main.main_job_tflops_per_gpu(&timeline);
-        let (period, main_nominal, bubble_ratio, plans) = if job.stage_devices.is_empty() {
-            let plans = StagePlans::homogeneous(&timeline, &main.device, job.executor);
-            (base_period, base_nominal, timeline.bubble_ratio(), plans)
+        let fillable = timeline.stages.iter().map(|s| s.fillable_windows());
+        let (period, main_nominal, bubble_ratio, windows) = if job.stage_devices.is_empty() {
+            let windows = fillable.collect();
+            (base_period, base_nominal, timeline.bubble_ratio(), windows)
         } else {
             assert_eq!(
                 job.stage_devices.len(),
@@ -127,12 +130,9 @@ impl Shape {
                 .collect();
             let max_slow = slow.iter().cloned().fold(f64::MIN, f64::max);
             let period = base_period.mul_f64(max_slow);
-            let windows = timeline
-                .stages
-                .iter()
+            let windows = fillable
                 .enumerate()
-                .map(|(s, stage)| {
-                    let windows = stage.fillable_windows();
+                .map(|(s, windows)| {
                     let w_total: SimDuration = windows.iter().map(|w| w.duration).sum();
                     if w_total.is_zero() {
                         return windows;
@@ -158,8 +158,11 @@ impl Shape {
             let avg_slow = slow.iter().sum::<f64>() / p as f64;
             let ratio =
                 (1.0 - (1.0 - timeline.bubble_ratio()) * avg_slow * period_ratio).clamp(0.0, 1.0);
-            let plans = StagePlans::new(windows, devices.clone(), job.executor);
-            (period, base_nominal * period_ratio, ratio, plans)
+            (period, base_nominal * period_ratio, ratio, windows)
+        };
+        let devices = match job.stage_devices.as_slice() {
+            [] => vec![main.device.clone(); p],
+            listed => listed.to_vec(),
         };
         Shape {
             gpus: main.parallelism.total_gpus(),
@@ -167,7 +170,7 @@ impl Shape {
             period,
             main_nominal,
             bubble_ratio,
-            plans,
+            plans: StagePlans::new(windows, &devices, job.executor, Arc::clone(menus)),
         }
     }
 
@@ -666,7 +669,18 @@ impl<R> FillBackend<R> {
                 });
             class_of.push(class);
         }
-        let shapes: Vec<Shape> = sweep::par_map(class_reps, |rep| Shape::profile(&cfg.jobs[rep]));
+        // One menu table over every stage device of the fleet, shared by
+        // all shapes: a (model, kind) menu is profiled once per device,
+        // however many shapes plan on it.
+        let menus = Arc::new(ProfileMenus::new(class_reps.iter().flat_map(|&rep| {
+            let job = &cfg.jobs[rep];
+            match job.stage_devices.as_slice() {
+                [] => std::slice::from_ref(&job.main_job.device),
+                listed => listed,
+            }
+        })));
+        let shapes: Vec<Shape> =
+            sweep::par_map(class_reps, |rep| Shape::profile(&cfg.jobs[rep], &menus));
 
         // Faults feed the global queue and entangle the pipelines;
         // fast-forward only arms while each pipeline's iteration stream is
@@ -1204,7 +1218,11 @@ mod tests {
             stage_devices: vec![main.device.clone(); p],
             ..empty.clone()
         };
-        let (a, b) = (Shape::profile(&empty), Shape::profile(&listed));
+        let menus = Arc::new(ProfileMenus::new([&main.device]));
+        let (a, b) = (
+            Shape::profile(&empty, &menus),
+            Shape::profile(&listed, &menus),
+        );
         let mut trace = pipefill_trace::TraceConfig::physical(1);
         trace.horizon = SimDuration::from_secs(60);
         let mut coarse = crate::ClusterSimConfig::new(main, trace);

@@ -38,7 +38,9 @@
 //! Construction profiles each distinct job *shape* once (jobs with
 //! identical main-job spec, executor tuning and stage devices share bubble
 //! geometry and one [`StagePlans`](crate::StagePlans)) and fans the profiling across cores through
-//! the sweep driver — results are byte-stable at any thread count because
+//! the sweep driver. All shapes plan against one shared
+//! [`ProfileMenus`](crate::ProfileMenus) table, so each fill-job type is
+//! profiled once per device generation — results are byte-stable at any thread count because
 //! geometry is a pure function of the spec and all simulation randomness
 //! flows through per-job seeded streams.
 

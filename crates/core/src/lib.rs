@@ -82,5 +82,5 @@ pub use filling::FillBackend;
 pub use fleet::{FleetBackend, FleetJobConfig, FleetJobResult, FleetSimConfig, FleetSimResult};
 pub use metrics::{gpus_saved, JctStats};
 pub use physical::{PhysicalBackend, PhysicalSimConfig, PhysicalSimResult};
-pub use plans::StagePlans;
+pub use plans::{ProfileMenus, StagePlans};
 pub use steady::{steady_rate, steady_recovered_tflops, SteadyRate};

@@ -49,6 +49,9 @@ pub use config::{ExecConfig, ExecTechnique, ExecutorConfig};
 pub use executor::{BubbleExecution, ExecutorCheckpoint, FillJobExecutor};
 pub use job::{FillJobSpec, JobId};
 pub use plan::{
-    plan_best, plan_for_config, plan_whole_graph_only, ExecutionPlan, Partition, PlanError,
+    plan_best, plan_best_of, plan_for_config, plan_whole_graph_only, ExecutionPlan, Partition,
+    PlanError,
 };
-pub use profile::{build_profile, exclusive_throughput, JobProfile, NodeProfile};
+pub use profile::{
+    build_profile, exclusive_best_of, exclusive_throughput, profile_menu, JobProfile, NodeProfile,
+};

@@ -9,17 +9,18 @@
 //!    bubbles without violating each bubble's duration or free-memory
 //!    limit (lines 8–18).
 //!
-//! [`plan_best`] runs this for every feasible configuration (batch size ×
-//! technique) and keeps the plan with the highest throughput, which is the
+//! [`plan_best_of`] runs this for every configuration of a job's profile
+//! menu (batch size × technique) and keeps the plan with the highest
+//! throughput; [`plan_best`] builds the menu first. This is the
 //! Executor's "choose a batch size and create partitions … that maximize
 //! the amount of work completed during the pipeline bubbles" (§4.1).
 
 use pipefill_device::{Bytes, DeviceSpec};
 use pipefill_sim_core::SimDuration;
 
-use crate::config::{ExecConfig, ExecTechnique, ExecutorConfig};
+use crate::config::{ExecConfig, ExecutorConfig};
 use crate::job::FillJobSpec;
-use crate::profile::{build_profile, JobProfile};
+use crate::profile::{profile_menu, JobProfile};
 
 /// One contiguous chunk of graph nodes assigned to one bubble slot.
 #[derive(Debug, Clone, PartialEq)]
@@ -168,6 +169,7 @@ pub fn plan_for_config(
     // the pass's main-iteration span is exact.
     let mut partitions = Vec::new();
     let mut next = 0usize; // index into the replicated node sequence
+    let mut k = 0usize; // `next`'s node within its replica
     let mut bubble_i = 0usize;
     let mut empty_streak = 0usize;
     let mut slot_steps = 0u64;
@@ -179,7 +181,6 @@ pub fn plan_for_config(
         let mut count = 0usize;
         let mut iterations = 0u64;
         while next < total_nodes {
-            let k = next % n_nodes;
             if dur + node_dur[k] > cap_d || node_mem[k] > cap_m {
                 break;
             }
@@ -187,8 +188,10 @@ pub fn plan_for_config(
             mem = mem.max(node_mem[k]);
             flops += node_flops[k];
             count += 1;
-            if k == n_nodes - 1 {
+            k += 1;
+            if k == n_nodes {
                 iterations += 1;
+                k = 0;
             }
             next += 1;
         }
@@ -228,9 +231,40 @@ pub fn plan_for_config(
     })
 }
 
-/// Builds profiles for every configuration in the job's menu, plans each,
-/// and returns the feasible plan with the most samples per main-job
-/// iteration.
+/// Plans every profile of `menu` and returns the feasible plan with the
+/// most samples per main-job iteration; the earliest wins a tie.
+///
+/// # Errors
+///
+/// [`PlanError::NoFeasibleConfig`] if nothing fits.
+pub fn plan_best_of(
+    menu: &[JobProfile],
+    bubbles: &[BubbleSlot],
+    exec: &ExecutorConfig,
+) -> Result<ExecutionPlan, PlanError> {
+    // Maximize throughput; break sample ties toward the plan executing
+    // more FLOPs (e.g. prefer a bigger checkpointed batch over a small
+    // plain one at equal sample rate).
+    let key = |p: &ExecutionPlan| {
+        (
+            p.samples_per_main_iteration(),
+            p.flops_per_pass / p.main_iterations_per_pass as f64,
+        )
+    };
+    let mut best: Option<ExecutionPlan> = None;
+    for profile in menu {
+        let Ok(plan) = plan_for_config(profile, bubbles, exec) else {
+            continue;
+        };
+        if best.as_ref().is_none_or(|b| key(&plan) > key(b)) {
+            best = Some(plan);
+        }
+    }
+    best.ok_or(PlanError::NoFeasibleConfig)
+}
+
+/// Builds the job's [`profile_menu`] on `device` and returns its best plan
+/// over `bubbles` ([`plan_best_of`]).
 ///
 /// # Errors
 ///
@@ -241,37 +275,8 @@ pub fn plan_best(
     device: &DeviceSpec,
     exec: &ExecutorConfig,
 ) -> Result<ExecutionPlan, PlanError> {
-    let model = job.model_graph();
-    let mut best: Option<ExecutionPlan> = None;
-    for batch_size in FillJobSpec::BATCH_SIZES {
-        for &technique in ExecTechnique::applicable(job.kind) {
-            let profile = build_profile(
-                &model,
-                job.kind,
-                ExecConfig {
-                    batch_size,
-                    technique,
-                },
-                device,
-            );
-            let Ok(plan) = plan_for_config(&profile, bubbles, exec) else {
-                continue;
-            };
-            // Maximize throughput; break sample ties toward the plan
-            // executing more FLOPs (e.g. prefer a bigger checkpointed
-            // batch over a small plain one at equal sample rate).
-            let key = |p: &ExecutionPlan| {
-                (
-                    p.samples_per_main_iteration(),
-                    p.flops_per_pass / p.main_iterations_per_pass as f64,
-                )
-            };
-            if best.as_ref().is_none_or(|b| key(&plan) > key(b)) {
-                best = Some(plan);
-            }
-        }
-    }
-    best.ok_or(PlanError::NoFeasibleConfig)
+    let menu = profile_menu(&job.model_graph(), job.kind, device);
+    plan_best_of(&menu, bubbles, exec)
 }
 
 /// Ablation baseline: no partitioning — the whole fill-job iteration must
@@ -342,7 +347,8 @@ pub fn plan_whole_graph_only(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::NodeProfile;
+    use crate::config::ExecTechnique;
+    use crate::profile::{build_profile, NodeProfile};
     use pipefill_model_zoo::{JobKind, ModelId};
 
     fn exec() -> ExecutorConfig {

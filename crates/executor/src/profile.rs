@@ -16,6 +16,7 @@ use pipefill_model_zoo::{
 use pipefill_sim_core::SimDuration;
 
 use crate::config::{ExecConfig, ExecTechnique};
+use crate::job::FillJobSpec;
 
 /// Host-side memory bandwidth available to the CPU Adam update used by
 /// the offloaded-optimizer techniques (ZeRO-Offload's CPU optimizer).
@@ -241,6 +242,54 @@ pub fn build_profile(
     }
 }
 
+/// Profiles of `model` for a `kind` job on `device` under every
+/// configuration of `batch_sizes × ExecTechnique::applicable(kind)`,
+/// batch-major: the order every menu scan breaks ties in.
+fn menu_over(
+    model: &ModelGraph,
+    kind: JobKind,
+    device: &DeviceSpec,
+    batch_sizes: &[usize],
+) -> Vec<JobProfile> {
+    let techniques = ExecTechnique::applicable(kind);
+    let mut menu = Vec::with_capacity(batch_sizes.len() * techniques.len());
+    for &batch_size in batch_sizes {
+        for &technique in techniques {
+            let config = ExecConfig {
+                batch_size,
+                technique,
+            };
+            menu.push(build_profile(model, kind, config, device));
+        }
+    }
+    menu
+}
+
+/// The Executor's profile menu of a `(model, kind)` fill job on `device`:
+/// one profile per configuration of [`FillJobSpec::BATCH_SIZES`] ×
+/// [`ExecTechnique::applicable`]. A profile never depends on the bubbles,
+/// so one menu serves every bubble cycle the job is planned into.
+pub fn profile_menu(model: &ModelGraph, kind: JobKind, device: &DeviceSpec) -> Vec<JobProfile> {
+    menu_over(model, kind, device, &FillJobSpec::BATCH_SIZES)
+}
+
+/// The highest isolated throughput among `menu`'s profiles that fit in
+/// `hbm`, with the profile achieving it; the earliest wins a tie. `None`
+/// if no profile fits.
+pub fn exclusive_best_of(menu: &[JobProfile], hbm: Bytes) -> Option<(f64, &JobProfile)> {
+    let mut best: Option<(f64, &JobProfile)> = None;
+    for profile in menu {
+        if profile.peak_memory() > hbm {
+            continue;
+        }
+        let tput = profile.isolated_throughput();
+        if best.is_none_or(|(t, _)| tput > t) {
+            best = Some((tput, profile));
+        }
+    }
+    best
+}
+
 /// The maximum throughput (samples/second) a job achieves "when executed
 /// in isolation on one GPU" (§5.3) — full HBM, no interruptions. Used
 /// both to size trace jobs and as the Fig. 7b slowdown baseline.
@@ -253,28 +302,8 @@ pub fn exclusive_throughput(
     device: &DeviceSpec,
     batch_sizes: &[usize],
 ) -> Option<(f64, JobProfile)> {
-    let mut best: Option<(f64, JobProfile)> = None;
-    for &batch in batch_sizes {
-        for &technique in ExecTechnique::applicable(kind) {
-            let profile = build_profile(
-                model,
-                kind,
-                ExecConfig {
-                    batch_size: batch,
-                    technique,
-                },
-                device,
-            );
-            if profile.peak_memory() > device.hbm {
-                continue;
-            }
-            let tput = profile.isolated_throughput();
-            if best.as_ref().is_none_or(|(t, _)| tput > *t) {
-                best = Some((tput, profile));
-            }
-        }
-    }
-    best
+    let menu = menu_over(model, kind, device, batch_sizes);
+    exclusive_best_of(&menu, device.hbm).map(|(t, p)| (t, p.clone()))
 }
 
 #[cfg(test)]

@@ -1,13 +1,17 @@
 //! Property tests for Algorithm 1: the plan must respect every bubble's
 //! duration and memory constraints for arbitrary graphs and cycles, pack
-//! all nodes in order, and drive the executor to completion.
+//! all nodes in order, and drive the executor to completion. A reference
+//! copy of the original modulo-indexed greedy pins `plan_for_config`'s
+//! packing field for field, and `plan_best` is pinned to the menu split.
 
 use proptest::prelude::*;
 
-use pipefill_device::Bytes;
+use pipefill_device::{Bytes, DeviceSpec};
+use pipefill_executor::plan::BubbleSlot;
 use pipefill_executor::{
-    plan_for_config, ExecConfig, ExecTechnique, ExecutorConfig, FillJobExecutor, FillJobSpec,
-    JobProfile, NodeProfile, PlanError,
+    plan_best, plan_best_of, plan_for_config, profile_menu, ExecConfig, ExecTechnique,
+    ExecutionPlan, ExecutorConfig, FillJobExecutor, FillJobSpec, JobProfile, NodeProfile,
+    Partition, PlanError,
 };
 use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_sim_core::SimDuration;
@@ -38,8 +42,193 @@ fn exact_exec() -> ExecutorConfig {
     }
 }
 
+/// The greedy packer as first written, indexing the replicated node
+/// sequence with `next % n_nodes`: the reference `plan_for_config` must
+/// reproduce field for field.
+fn reference_plan(
+    profile: &JobProfile,
+    bubbles: &[BubbleSlot],
+    exec: &ExecutorConfig,
+) -> Result<ExecutionPlan, PlanError> {
+    exec.validate();
+    // Usable capacity per bubble: the filled fraction minus switch cost.
+    let caps: Vec<BubbleSlot> = bubbles
+        .iter()
+        .map(|&(d, m)| {
+            (
+                d.mul_f64(exec.fill_fraction)
+                    .saturating_sub(exec.switch_overhead),
+                m,
+            )
+        })
+        .collect();
+    let total_cap: SimDuration = caps.iter().map(|&(d, _)| d).sum();
+    if total_cap.is_zero() {
+        return Err(PlanError::NoUsableBubbles);
+    }
+
+    // Node durations as executed in bubbles (cold caches).
+    let slowdown = 1.0 / exec.cold_start_factor;
+    let node_dur: Vec<SimDuration> = profile
+        .nodes
+        .iter()
+        .map(|n| n.duration.mul_f64(slowdown))
+        .collect();
+    let node_mem: Vec<Bytes> = profile.nodes.iter().map(|n| n.memory).collect();
+    let node_flops: Vec<f64> = profile.nodes.iter().map(|n| n.flops).collect();
+    let graph_dur: SimDuration = node_dur.iter().copied().sum();
+
+    // Every node must fit in at least one bubble (duration and memory in
+    // the same bubble).
+    for (d, m) in node_dur.iter().zip(&node_mem) {
+        if !caps.iter().any(|&(cd, cm)| *d <= cd && *m <= cm) {
+            return Err(PlanError::NodeDoesNotFit);
+        }
+    }
+
+    // Lines 3–7: replicate the graph while another copy still fits.
+    let mut replicas = 1u64;
+    let mut planned = graph_dur;
+    while planned + graph_dur < total_cap {
+        replicas += 1;
+        planned += graph_dur;
+    }
+    let n_nodes = profile.nodes.len();
+    let total_nodes = n_nodes * replicas as usize;
+
+    // Lines 8–18: greedy packing into cyclic bubbles. `slot_steps` counts
+    // every bubble slot consumed (including ones skipped for memory), so
+    // the pass's main-iteration span is exact.
+    let mut partitions = Vec::new();
+    let mut next = 0usize; // index into the replicated node sequence
+    let mut bubble_i = 0usize;
+    let mut empty_streak = 0usize;
+    let mut slot_steps = 0u64;
+    while next < total_nodes {
+        let (cap_d, cap_m) = caps[bubble_i];
+        let mut dur = SimDuration::ZERO;
+        let mut mem = Bytes::ZERO;
+        let mut flops = 0.0;
+        let mut count = 0usize;
+        let mut iterations = 0u64;
+        while next < total_nodes {
+            let k = next % n_nodes;
+            if dur + node_dur[k] > cap_d || node_mem[k] > cap_m {
+                break;
+            }
+            dur += node_dur[k];
+            mem = mem.max(node_mem[k]);
+            flops += node_flops[k];
+            count += 1;
+            if k == n_nodes - 1 {
+                iterations += 1;
+            }
+            next += 1;
+        }
+        if count == 0 {
+            empty_streak += 1;
+            // A full cycle without progress means the head node fits no
+            // bubble under current occupancy — impossible by the
+            // feasibility pre-check unless all bubbles were tried.
+            if empty_streak >= caps.len() {
+                return Err(PlanError::NodeDoesNotFit);
+            }
+        } else {
+            empty_streak = 0;
+            partitions.push(Partition {
+                bubble_index: bubble_i,
+                duration: dur,
+                memory: mem,
+                flops,
+                node_count: count,
+                iterations_completed: iterations,
+            });
+        }
+        slot_steps += 1;
+        bubble_i = (bubble_i + 1) % caps.len();
+    }
+    let main_iterations = slot_steps.div_ceil(caps.len() as u64).max(1);
+
+    Ok(ExecutionPlan {
+        config: profile.config,
+        iterations_per_pass: replicas,
+        samples_per_pass: replicas * profile.samples_per_iteration,
+        flops_per_pass: partitions.iter().map(|p| p.flops).sum(),
+        busy_time_per_pass: partitions.iter().map(|p| p.duration).sum(),
+        bubbles_per_iteration: caps.len(),
+        main_iterations_per_pass: main_iterations,
+        partitions,
+    })
+}
+
+/// Fill-job types the menu pin sweeps: both kinds, a dense and an
+/// embedding-heavy model, and one that only fits by streaming.
+const MENU_JOBS: [(ModelId, JobKind); 5] = [
+    (ModelId::BertBase, JobKind::BatchInference),
+    (ModelId::BertBase, JobKind::Training),
+    (ModelId::EfficientNet, JobKind::Training),
+    (ModelId::BertLarge, JobKind::BatchInference),
+    (ModelId::XlmRobertaXl, JobKind::BatchInference),
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `plan_for_config` packs exactly like the modulo-indexed reference:
+    /// same partitions, pass span and error on random graphs and cycles.
+    /// Memory-skipped slots come from node sizes above some bubbles' free
+    /// memory, multi-replica passes from short graphs under long cycles,
+    /// and `NodeDoesNotFit` from nodes larger than every bubble.
+    #[test]
+    fn packing_matches_the_modulo_reference(
+        nodes in prop::collection::vec((1u64..150, 1u64..2200), 1..16),
+        bubbles in prop::collection::vec((20u64..2500, 512u64..2560), 1..6),
+        fill_pct in 50u64..101,
+        cold_pct in 60u64..101,
+        switch_ms in 0u64..20,
+    ) {
+        let profile = profile_from(nodes);
+        let slots: Vec<BubbleSlot> = bubbles
+            .iter()
+            .map(|&(ms, mib)| (SimDuration::from_millis(ms), Bytes::from_mib(mib)))
+            .collect();
+        let exec = ExecutorConfig {
+            fill_fraction: fill_pct as f64 / 100.0,
+            cold_start_factor: cold_pct as f64 / 100.0,
+            switch_overhead: SimDuration::from_millis(switch_ms),
+        };
+        prop_assert_eq!(
+            plan_for_config(&profile, &slots, &exec),
+            reference_plan(&profile, &slots, &exec)
+        );
+    }
+
+    /// `plan_best` is `plan_best_of` over the job's profile menu, for
+    /// real fill-job types on random cycles and both device generations.
+    #[test]
+    fn plan_best_is_the_best_of_its_menu(
+        job in 0usize..MENU_JOBS.len(),
+        bubbles in prop::collection::vec((50u64..3000, 512u64..8192), 1..5),
+        h100 in 0u64..2,
+    ) {
+        let (model, kind) = MENU_JOBS[job];
+        let device = if h100 == 1 { DeviceSpec::h100() } else { DeviceSpec::v100() };
+        let slots: Vec<BubbleSlot> = bubbles
+            .iter()
+            .map(|&(ms, mib)| (SimDuration::from_millis(ms), Bytes::from_mib(mib)))
+            .collect();
+        let exec = ExecutorConfig::default();
+        let spec = FillJobSpec::new(1, model, kind, 1_000);
+        let menu = profile_menu(&model.build(), kind, &device);
+        prop_assert_eq!(
+            menu.len(),
+            FillJobSpec::BATCH_SIZES.len() * ExecTechnique::applicable(kind).len()
+        );
+        prop_assert_eq!(
+            plan_best(&spec, &slots, &device, &exec),
+            plan_best_of(&menu, &slots, &exec)
+        );
+    }
 
     /// Every partition honours its bubble slot's duration and memory
     /// limits; all replicated nodes are packed exactly once, in order.

@@ -6,25 +6,33 @@
 //! The historical per-figure subcommands survive as thin aliases over
 //! `exp`: each is a registry spelling listed in [`EXP_ALIASES`]. Every
 //! command that runs a simulation or an experiment parses to a
-//! [`ScenarioSpec`], so its flags validate through the one applicability
-//! table the scenario files use.
+//! [`ScenarioSpec`]: every scenario knob is a flag, and the scenario key
+//! table parses and validates it as it does the file key.
 
 use pipefill_core::experiments::EXPERIMENTS_DIR;
 use pipefill_core::BackendKind;
 use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_pipeline::ScheduleKind;
-use pipefill_scenario::{ScenarioSpec, SpecError};
+use pipefill_scenario::{ScenarioSpec, SpecError, KNOBS};
+use std::str::FromStr;
 
-/// Usage text printed on parse errors and `help`.
-pub const USAGE: &str = "\
+/// Usage text printed on parse errors and `help`. The flags of `exp`,
+/// `sim` and `fleet` are the scenario knobs that apply to their modes.
+pub fn usage() -> String {
+    use BackendKind::{Coarse, Fault, Fleet, Physical};
+    let exp = knob_lines(&[None]);
+    let sim = knob_lines(&[Some(Coarse), Some(Physical), Some(Fault)]);
+    let fleet = knob_lines(&[Some(Fleet)]);
+    format!(
+        "\
 usage: pipefill-cli <command> [options] [--threads N]
 
 scenarios & experiments:
   run <scenario.toml> [--set key=value ...]
                                   run a declarative scenario file
                                   (see examples/scenarios/)
-  exp <name> [--iterations N] [--seed S] [--horizon-secs N] [--seeds N]
-         [--out DIR]              run one registered experiment
+  exp <name> [--out DIR]
+{exp}                                  run one registered experiment
   exp --list                      list every registered experiment
   all    [--out DIR]              run every experiment, write CSVs
   table1 | fig1 | fig4 | fig5 | fig6 | fig7 | fig8 | fig9 | fig10
@@ -32,18 +40,10 @@ scenarios & experiments:
                                   flags its experiment sweeps
 
 single simulations:
-  sim    [--backend coarse|physical|fault] [--seed S] [--iterations N]
-         [--horizon-secs N] [--load X] [--fill-fraction F]
-         [--mtbf-secs X|none] [--checkpoint-secs C]
-         [--policy fifo|sjf|makespan-min|edf]
-         [--schedule gpipe|1f1b|interleaved[:v]|zb-h1]
-         [--fast-forward on|off]
-                                  one simulation at a chosen fidelity
-  fleet  [--jobs N] [--gpus N] [--iterations N] [--seed S]
-         [--mtbf-secs X|none] [--policy fifo|sjf|makespan-min|edf]
-         [--schedule gpipe|1f1b|interleaved[:v]|zb-h1]
-         [--fast-forward on|off]
-                                  multi-job fleet on one global fill queue
+  sim    [--backend coarse|physical|fault]
+{sim}                                  one simulation at a chosen fidelity
+  fleet
+{fleet}                                  multi-job fleet on one global fill queue
 
 inspection & verification:
   timeline [--schedule gpipe|1f1b|interleaved[:v]|zb-h1]
@@ -62,7 +62,27 @@ inspection & verification:
 
 global options:
   --threads N                     worker threads for parallel sweeps
-                                  (default: all cores)";
+                                  (default: all cores)"
+    )
+}
+
+/// `[--flag HINT]` for every scenario knob that applies to one of
+/// `modes`, as indented usage lines.
+fn knob_lines(modes: &[Option<BackendKind>]) -> String {
+    let mut lines = String::new();
+    let mut line = String::from("        ");
+    for key in KNOBS {
+        if modes.iter().any(|&mode| key.applies_to(mode)) {
+            let flag = format!(" [--{} {}]", dashed(key.name), key.hint);
+            if line.len() + flag.len() > 72 {
+                lines += &format!("{line}\n");
+                line.truncate(8);
+            }
+            line += &flag;
+        }
+    }
+    format!("{lines}{line}\n")
+}
 
 /// A parsed invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -169,37 +189,6 @@ const EXP_ALIASES: &[&str] = &[
     "agree",
 ];
 
-/// The grid flags of every experiment command: scenario keys spelled
-/// with dashes. Which of them an experiment accepts is its own `axes()`,
-/// checked by [`ScenarioSpec::validate`].
-const EXP_FLAGS: &[&str] = &["iterations", "seed", "horizon-secs", "seeds"];
-
-/// The `sim` flags: scenario keys spelled with dashes.
-const SIM_FLAGS: &[&str] = &[
-    "seed",
-    "schedule",
-    "iterations",
-    "horizon-secs",
-    "load",
-    "fill-fraction",
-    "mtbf-secs",
-    "checkpoint-secs",
-    "policy",
-    "fast-forward",
-];
-
-/// The `fleet` flags: scenario keys spelled with dashes.
-const FLEET_FLAGS: &[&str] = &[
-    "jobs",
-    "gpus",
-    "iterations",
-    "seed",
-    "mtbf-secs",
-    "policy",
-    "schedule",
-    "fast-forward",
-];
-
 /// Parses an argument vector (without the binary name).
 ///
 /// # Errors
@@ -244,7 +233,7 @@ pub fn parse(argv: &[String]) -> Result<Invocation, String> {
                 return Err("exp needs an experiment name (or --list)".into());
             };
             Command::Exp {
-                spec: take_scenario(&mut flags, ScenarioSpec::experiment(&name), EXP_FLAGS)?,
+                spec: take_scenario(&mut flags, ScenarioSpec::experiment(&name))?,
                 out: flags.take("out"),
             }
         }
@@ -264,7 +253,6 @@ pub fn parse(argv: &[String]) -> Result<Invocation, String> {
         "fleet" => Command::Fleet(take_scenario(
             &mut flags,
             ScenarioSpec::run(BackendKind::Fleet),
-            FLEET_FLAGS,
         )?),
         "all" => Command::All {
             out: flags.take_string("out", EXPERIMENTS_DIR)?,
@@ -278,11 +266,7 @@ pub fn parse(argv: &[String]) -> Result<Invocation, String> {
                     "the fleet backend simulates many jobs; use the 'fleet' subcommand".into(),
                 );
             }
-            Command::Sim(take_scenario(
-                &mut flags,
-                ScenarioSpec::run(backend),
-                SIM_FLAGS,
-            )?)
+            Command::Sim(take_scenario(&mut flags, ScenarioSpec::run(backend))?)
         }
         "timeline" => {
             let schedule = flags
@@ -338,7 +322,7 @@ pub fn parse(argv: &[String]) -> Result<Invocation, String> {
             }
             let memory_limit = match flags.take("memory-limit") {
                 None => None,
-                Some(v) => Some(parse_u64("memory-limit", &v)?),
+                Some(v) => Some(parse_int("memory-limit", &v)?),
             };
             let json = match flags.take_string("format", "human")?.as_str() {
                 "human" => false,
@@ -366,7 +350,7 @@ pub fn parse(argv: &[String]) -> Result<Invocation, String> {
         }
         "help" | "--help" | "-h" => Command::Help,
         word if EXP_ALIASES.contains(&word) => Command::Exp {
-            spec: take_scenario(&mut flags, ScenarioSpec::experiment(word), EXP_FLAGS)?,
+            spec: take_scenario(&mut flags, ScenarioSpec::experiment(word))?,
             out: None,
         },
         other => return Err(format!("unknown command '{other}'")),
@@ -375,21 +359,23 @@ pub fn parse(argv: &[String]) -> Result<Invocation, String> {
     Ok(Invocation { command, threads })
 }
 
-/// Completes a command's scenario from its flags. Each `--flag value` is
-/// sugar for `--set flag=value` with dashes as underscores, so values
-/// parse, default and validate exactly as scenario keys do — including
-/// the applicability table, which rejects another fidelity's knobs and
-/// an experiment's unswept axes instead of silently dropping them.
-/// Diagnostics name the flag, not the key.
-fn take_scenario(
-    flags: &mut FlagSet,
-    mut spec: ScenarioSpec,
-    accepted: &[&str],
-) -> Result<ScenarioSpec, String> {
-    let as_flag = |err: SpecError| err.render(|key| format!("--{}", key.replace('_', "-")));
-    for flag in accepted {
-        if let Some(value) = flags.take(flag) {
-            spec.set(&flag.replace('-', "_"), &value).map_err(as_flag)?;
+/// A scenario key as a CLI flag spells it: `fill_fraction` is
+/// `fill-fraction`.
+fn dashed(key: &str) -> String {
+    key.replace('_', "-")
+}
+
+/// Completes a command's scenario from its flags. Every scenario knob
+/// is a flag, and `--flag value` is sugar for `--set flag=value` with
+/// dashes as underscores, so values parse, default and validate exactly
+/// as scenario keys do — including applicability, which rejects another
+/// fidelity's knobs and an experiment's unswept axes instead of silently
+/// dropping them. Diagnostics name the flag, not the key.
+fn take_scenario(flags: &mut FlagSet, mut spec: ScenarioSpec) -> Result<ScenarioSpec, String> {
+    let as_flag = |err: SpecError| err.render(|key| format!("--{}", dashed(key)));
+    for key in KNOBS {
+        if let Some(value) = flags.take(&dashed(key.name)) {
+            spec.set(key.name, &value).map_err(as_flag)?;
         }
     }
     spec.validate().map_err(as_flag)?;
@@ -410,12 +396,7 @@ fn parse_model(name: &str) -> Result<ModelId, String> {
     ))
 }
 
-fn parse_usize(name: &str, v: &str) -> Result<usize, String> {
-    v.parse()
-        .map_err(|_| format!("--{name} expects an integer, got '{v}'"))
-}
-
-fn parse_u64(name: &str, v: &str) -> Result<u64, String> {
+fn parse_int<T: FromStr>(name: &str, v: &str) -> Result<T, String> {
     v.parse()
         .map_err(|_| format!("--{name} expects an integer, got '{v}'"))
 }
@@ -437,6 +418,10 @@ impl FlagSet {
             let Some(value) = rest.get(i + 1) else {
                 return Err(format!("--{name} needs a value"));
             };
+            // Only `--set` may repeat.
+            if name != "set" && pairs.iter().any(|(n, _, _)| n == name) {
+                return Err(format!("--{name} given more than once"));
+            }
             pairs.push((name.to_string(), value.to_string(), false));
             i += 2;
         }
@@ -464,7 +449,7 @@ impl FlagSet {
     fn take_usize(&mut self, name: &str, default: usize) -> Result<usize, String> {
         match self.take(name) {
             None => Ok(default),
-            Some(v) => parse_usize(name, &v),
+            Some(v) => parse_int(name, &v),
         }
     }
 
@@ -1033,7 +1018,11 @@ mod tests {
         let err = parse(&argv("faults --bogus 3")).unwrap_err();
         assert!(err.contains("unknown flag --bogus"), "{err}");
         let err = parse(&argv("faults --mtbf-secs 600")).unwrap_err();
-        assert!(err.contains("unknown flag --mtbf-secs"), "{err}");
+        assert_eq!(
+            err,
+            "--mtbf-secs does not apply to experiment scenarios \
+             (grids take iterations/seed/horizon_secs/seeds)"
+        );
         let err = parse(&argv("faults --iterations 0")).unwrap_err();
         assert!(err.contains("--iterations must be at least 1"), "{err}");
     }
@@ -1095,11 +1084,11 @@ mod tests {
         let err = parse(&argv("fleet --bogus 3")).unwrap_err();
         assert!(err.contains("unknown flag --bogus"), "{err}");
         let err = parse(&argv("fleet --load 2.0")).unwrap_err();
-        assert!(err.contains("unknown flag --load"), "{err}");
+        assert_eq!(err, "--load does not apply to the fleet backend");
         let err = parse(&argv("fleet --fill-fraction 0.9")).unwrap_err();
-        assert!(err.contains("unknown flag --fill-fraction"), "{err}");
+        assert_eq!(err, "--fill-fraction does not apply to the fleet backend");
         let err = parse(&argv("fleet --checkpoint-secs 2")).unwrap_err();
-        assert!(err.contains("unknown flag --checkpoint-secs"), "{err}");
+        assert_eq!(err, "--checkpoint-secs does not apply to the fleet backend");
         // Degenerate grids error out instead of silently doing nothing.
         let err = parse(&argv("fleet --jobs 0")).unwrap_err();
         assert!(err.contains("--jobs must be at least 1"), "{err}");
@@ -1188,6 +1177,113 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// Walks the scenario key table through the flags: every knob is a
+    /// flag on `sim`, `fleet` and `exp`, and `--flag value` agrees with
+    /// `ScenarioSpec::set` plus `validate` — the same spec, or the same
+    /// error with the key spelled as the flag. The knobs each command
+    /// accepts are the ones the per-command flag lists and the
+    /// applicability table together accepted before the key table.
+    #[test]
+    fn every_knob_flag_agrees_with_its_scenario_key() {
+        let samples = [
+            ("schedule", "1f1b"),
+            ("seed", "3"),
+            ("iterations", "20"),
+            ("horizon_secs", "600"),
+            ("load", "2"),
+            ("fill_fraction", "0.5"),
+            ("mtbf_secs", "600"),
+            ("checkpoint_secs", "2"),
+            ("fast_forward", "off"),
+            ("policy", "sjf"),
+            ("jobs", "2"),
+            ("gpus", "256"),
+            ("seeds", "2"),
+        ];
+        let names: Vec<&str> = KNOBS.iter().map(|key| key.name).collect();
+        assert_eq!(names, samples.map(|(key, _)| key));
+        let commands = [
+            (
+                "sim --backend coarse",
+                ScenarioSpec::run(BackendKind::Coarse),
+                "schedule seed horizon_secs load policy",
+            ),
+            (
+                "sim --backend physical",
+                ScenarioSpec::run(BackendKind::Physical),
+                "schedule seed iterations fill_fraction fast_forward",
+            ),
+            (
+                "sim --backend fault",
+                ScenarioSpec::run(BackendKind::Fault),
+                "schedule seed iterations fill_fraction mtbf_secs checkpoint_secs fast_forward",
+            ),
+            (
+                "fleet",
+                ScenarioSpec::run(BackendKind::Fleet),
+                "schedule seed iterations mtbf_secs fast_forward policy jobs gpus",
+            ),
+            // Experiments further narrow the grid keys to the axes they
+            // sweep.
+            (
+                "exp fig5",
+                ScenarioSpec::experiment("fig5"),
+                "seed iterations",
+            ),
+            (
+                "exp fig9_policies",
+                ScenarioSpec::experiment("fig9_policies"),
+                "seed horizon_secs",
+            ),
+            (
+                "agree",
+                ScenarioSpec::experiment("agree"),
+                "iterations seeds",
+            ),
+        ];
+        for (command, base, want) in commands {
+            let mut accepted = Vec::new();
+            for (key, value) in samples {
+                let mut spec = base.clone();
+                let by_key = spec.set(key, value).and_then(|()| spec.validate());
+                let by_flag = parse(&argv(&format!("{command} --{} {value}", dashed(key))));
+                match (by_key, by_flag) {
+                    (Ok(()), Ok(inv)) => {
+                        let (Command::Sim(parsed)
+                        | Command::Fleet(parsed)
+                        | Command::Exp { spec: parsed, .. }) = inv.command
+                        else {
+                            panic!("{command}: not a scenario command");
+                        };
+                        assert_eq!(parsed, spec, "{command} --{key}");
+                        accepted.push(key);
+                    }
+                    (Err(err), Err(msg)) => {
+                        assert_eq!(msg, err.render(|k| format!("--{}", dashed(k))), "{command}")
+                    }
+                    (by_key, by_flag) => panic!("{command} --{key}: {by_key:?} vs {by_flag:?}"),
+                }
+            }
+            assert_eq!(accepted.join(" "), want, "{command}");
+        }
+    }
+
+    #[test]
+    fn rejects_repeated_flags() {
+        let err = parse(&argv("sim --seed 1 --seed 2")).unwrap_err();
+        assert_eq!(err, "--seed given more than once");
+        let err = parse(&argv("timeline --width 80 --stages 4 --width 90")).unwrap_err();
+        assert_eq!(err, "--width given more than once");
+        // `--set` is the one flag meant to repeat.
+        assert_eq!(
+            cmd("run s.toml --set a=1 --set b=2"),
+            Command::RunScenario {
+                path: "s.toml".into(),
+                sets: vec![("a".into(), "1".into()), ("b".into(), "2".into())],
+            }
+        );
     }
 
     #[test]

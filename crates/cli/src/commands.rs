@@ -22,7 +22,7 @@ use pipefill_scenario::toml as scenario_toml;
 use pipefill_schedverify::{certificate, verify, StreamSet, Verdict, VerifyConfig};
 use pipefill_sim_core::SimDuration;
 
-use crate::args::{Command, Invocation, VerifyTarget, USAGE};
+use crate::args::{usage, Command, Invocation, VerifyTarget};
 
 /// Runs one experiment: print the table, any experiment-declared
 /// summary line, and persist the CSV.
@@ -54,7 +54,7 @@ fn run_experiment(exp: &dyn Experiment, grid: &Grid, out: &str) -> Result<(), St
 pub fn run(invocation: Invocation) -> Result<ExitCode, String> {
     let threads = sweep::set_threads(invocation.threads);
     match invocation.command {
-        Command::Help => println!("{USAGE}"),
+        Command::Help => println!("{}", usage()),
         Command::ExpList => {
             println!(
                 "{} registered experiments (run with `exp <name>`, `all`, or a \

@@ -23,7 +23,7 @@ fn main() -> ExitCode {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("{}", args::USAGE);
+            eprintln!("{}", args::usage());
             return ExitCode::from(USAGE_ERROR);
         }
     };

@@ -53,6 +53,8 @@ pub enum PlanError {
     NoUsableBubbles,
     /// No configuration in the job's menu produced a feasible plan.
     NoFeasibleConfig,
+    /// The graph takes no time: it has no nodes, or only instant ones.
+    ZeroDurationGraph,
 }
 
 impl std::fmt::Display for PlanError {
@@ -61,6 +63,7 @@ impl std::fmt::Display for PlanError {
             PlanError::NodeDoesNotFit => write!(f, "a graph node fits no bubble"),
             PlanError::NoUsableBubbles => write!(f, "no usable bubble capacity"),
             PlanError::NoFeasibleConfig => write!(f, "no feasible configuration"),
+            PlanError::ZeroDurationGraph => write!(f, "the job graph takes no time"),
         }
     }
 }
@@ -154,7 +157,11 @@ pub fn plan_for_config(
         }
     }
 
-    // Lines 3–7: replicate the graph while another copy still fits.
+    // Lines 3–7: replicate the graph while another copy still fits (an
+    // instant graph always would).
+    if graph_dur.is_zero() {
+        return Err(PlanError::ZeroDurationGraph);
+    }
     let mut replicas = 1u64;
     let mut planned = graph_dur;
     while planned + graph_dur < total_cap {
@@ -373,6 +380,19 @@ mod tests {
                 })
                 .collect(),
             samples_per_iteration: 4,
+        }
+    }
+
+    #[test]
+    fn graphs_that_take_no_time_are_refused() {
+        let bubble = [(SimDuration::from_millis(10), Bytes::from_gib(1))];
+        for profile in [uniform_profile(0, 1, 64), uniform_profile(3, 0, 64)] {
+            assert_eq!(
+                plan_for_config(&profile, &bubble, &exec()),
+                Err(PlanError::ZeroDurationGraph),
+                "{} nodes",
+                profile.nodes.len()
+            );
         }
     }
 

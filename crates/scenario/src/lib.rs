@@ -7,10 +7,12 @@
 //! [`ScenarioSpec`] is a typed builder describing one run end to end
 //! (backend fidelity, pipeline schedule, workload knobs, seeds,
 //! fault/fleet shape) or one registered experiment with grid overrides.
-//! It validates against the one applicability table (every CLI
-//! command's flags are sugar for its keys), lowers to a runnable
-//! `BackendConfig` or resolves to its experiments, and round-trips
-//! through the workspace TOML subset ([`toml::parse`] /
+//! Every key is one row of [`KEYS`] — spelling, value parser and writer,
+//! the modes it applies to, help hint — and `set`, `validate`, the TOML
+//! writer and the CLI's flags and usage all read that row (each
+//! [`KNOBS`] row is a dashed flag on `sim`, `fleet` and `exp`). A spec
+//! lowers to a runnable `BackendConfig` or resolves to its experiments,
+//! and round-trips through the workspace TOML subset ([`toml::parse`] /
 //! [`toml::render`]).
 //!
 //! Lifecycle: scenario text → [`ScenarioSpec`] → `lower()` →
@@ -24,4 +26,4 @@
 mod spec;
 pub mod toml;
 
-pub use spec::{ScenarioSpec, SpecError};
+pub use spec::{ScenarioKey, ScenarioSpec, SpecError, KEYS, KNOBS};

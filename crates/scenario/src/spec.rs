@@ -4,10 +4,15 @@
 //! schedule, workload knobs, seeds, fault/fleet shape — everything the
 //! old `sim`/`fleet` flag plumbing carried) or a *registered experiment*
 //! with grid overrides. Specs are built with a typed builder, validated
-//! against the one applicability table (every CLI command's flags are
-//! sugar for these keys), and lowered to a runnable [`BackendConfig`]
-//! or resolved to the experiments they run. The TOML-subset reader
-//! and writer live in [`crate::toml`]; `render → parse` is identity.
+//! and lowered to a runnable [`BackendConfig`] or resolved to the
+//! experiments they run.
+//!
+//! Each key is defined once, in its [`KEYS`] row: its spelling, value
+//! parser and writer, the modes it applies to and its help hint.
+//! [`ScenarioSpec::set`], the applicability check in
+//! [`ScenarioSpec::validate`], the writer in [`crate::toml`] and the
+//! CLI's flags and usage all read that table, so no per-command flag
+//! list exists to drift from it. `render → parse` is identity.
 //!
 //! Every optional field uses `Option` to mean *explicitly set*: defaults
 //! are applied at lowering time, so a spec round-trips through text
@@ -18,11 +23,14 @@ use pipefill_core::{
 };
 use pipefill_pipeline::{MainJobSpec, ScheduleKind};
 use pipefill_sim_core::SimDuration;
+use pipefill_textfmt::toml::quote;
 use pipefill_trace::{FleetWorkloadConfig, TraceConfig};
+use std::str::FromStr;
 
 use pipefill_core::experiments::{resolve, Axis, Experiment, Grid, Scale};
 
-/// The declarative description of one run. See the module docs.
+/// The declarative description of one run. See the module docs; the
+/// modes each field applies to are its [`KEYS`] row.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScenarioSpec {
     /// Free-form label (reports, CSV naming by callers).
@@ -38,100 +46,139 @@ pub struct ScenarioSpec {
     /// RNG seed. Default: 7 (11 for `fig9_policies`-style grids, which
     /// carry their own default).
     pub seed: Option<u64>,
-    /// Main-job iterations (physical/fault/fleet backends and
-    /// experiment grids). Default: 300 (150 for fleet).
+    /// Main-job iterations. Default: 300 (150 for fleet).
     pub iterations: Option<usize>,
-    /// Trace horizon in seconds (coarse backend and experiment grids).
-    /// Default: 3600.
+    /// Trace horizon in seconds. Default: 3600.
     pub horizon_secs: Option<u64>,
-    /// Offered-load multiplier (coarse backend). Default: 1.0.
+    /// Offered-load multiplier. Default: 1.0.
     pub load: Option<f64>,
-    /// Fill fraction (physical/fault backends). Default: 0.68.
+    /// Fill fraction. Default: 0.68.
     pub fill_fraction: Option<f64>,
     /// Mean time between device failures in seconds; `f64::INFINITY`
     /// (spelled `"none"` in text) disables injection. Defaults: disabled
     /// for the fault backend, 1800 s for the fleet backend (matching
     /// the CLI).
     pub mtbf_secs: Option<f64>,
-    /// Checkpoint-restart cost per eviction in seconds (fault backend).
-    /// Default: 2.0.
+    /// Checkpoint-restart cost per eviction in seconds. Default: 2.0.
     pub checkpoint_secs: Option<f64>,
-    /// Steady-state fast-forward (physical/fault/fleet backends):
-    /// analytically skip provably-repeating iterations. Results are
+    /// Steady-state fast-forward: analytically skip provably-repeating
+    /// iterations. Results are
     /// bit-for-bit identical either way; `"off"` forces full event
     /// fidelity (debugging, timing the baseline). Default: on.
     pub fast_forward: Option<bool>,
-    /// Fill-queue policy (coarse and fleet backends). Defaults: SJF
-    /// (coarse), FIFO (fleet).
+    /// Fill-queue policy. Defaults: SJF (coarse), FIFO (fleet).
     pub policy: Option<PolicyKind>,
-    /// Concurrent main jobs (fleet backend). Default: 8.
+    /// Concurrent main jobs. Default: 8.
     pub jobs: Option<usize>,
-    /// Total GPU budget (fleet backend). Default: 128 per job.
+    /// Total GPU budget. Default: 128 per job.
     pub gpus: Option<usize>,
     /// Replication count for multi-seed experiment grids. Default: 3.
     pub seeds: Option<u64>,
 }
 
-/// A mode-dependent key: its spelling and whether a spec sets it.
-type Key = (&'static str, fn(&ScenarioSpec) -> bool);
+/// One scenario key: a row of [`KEYS`].
+pub struct ScenarioKey {
+    /// The key as scenario files and `--set` spell it; the CLI flag
+    /// spells it with dashes (`fill_fraction` is `--fill-fraction`).
+    pub name: &'static str,
+    /// The value's shape in help text, e.g. `X|none` or `on|off`.
+    pub hint: &'static str,
+    /// The modes the key applies to, as [`mode`] bits.
+    modes: u8,
+    /// Parses a value into its field.
+    parse: fn(&mut ScenarioSpec, &str) -> Result<(), SpecError>,
+    /// The field as a scenario file writes it; `None` when unset.
+    write: fn(&ScenarioSpec) -> Option<String>,
+}
 
-const SCHEDULE: Key = ("schedule", |s| s.schedule.is_some());
-const ITERATIONS: Key = ("iterations", |s| s.iterations.is_some());
-const HORIZON_SECS: Key = ("horizon_secs", |s| s.horizon_secs.is_some());
-const LOAD: Key = ("load", |s| s.load.is_some());
-const FILL_FRACTION: Key = ("fill_fraction", |s| s.fill_fraction.is_some());
-const MTBF_SECS: Key = ("mtbf_secs", |s| s.mtbf_secs.is_some());
-const CHECKPOINT_SECS: Key = ("checkpoint_secs", |s| s.checkpoint_secs.is_some());
-const FAST_FORWARD: Key = ("fast_forward", |s| s.fast_forward.is_some());
-const POLICY: Key = ("policy", |s| s.policy.is_some());
-const JOBS: Key = ("jobs", |s| s.jobs.is_some());
-const GPUS: Key = ("gpus", |s| s.gpus.is_some());
-const SEEDS: Key = ("seeds", |s| s.seeds.is_some());
+impl ScenarioKey {
+    /// Whether the key applies to a run on `backend`, or to experiment
+    /// mode when `None`.
+    pub fn applies_to(&self, backend: Option<BackendKind>) -> bool {
+        self.modes & mode(backend) != 0
+    }
 
-/// Key-applicability table: which keys each mode rejects, so a sweep
-/// over an inapplicable key can't silently no-op. `None` is experiment
-/// mode, whose grids read only iterations/seed/horizon_secs/seeds (and
-/// of those only the axes the experiment sweeps, checked against the
-/// registry). `seed` applies everywhere. This is the only copy: every
-/// CLI command that runs a scenario or an experiment spells these keys
-/// as flags and validates through it.
-fn inapplicable(backend: Option<BackendKind>) -> &'static [Key] {
-    match backend {
-        None => &[
-            SCHEDULE,
-            LOAD,
-            FILL_FRACTION,
-            MTBF_SECS,
-            CHECKPOINT_SECS,
-            FAST_FORWARD,
-            POLICY,
-            JOBS,
-            GPUS,
-        ],
-        Some(BackendKind::Coarse) => &[
-            ITERATIONS,
-            FILL_FRACTION,
-            MTBF_SECS,
-            CHECKPOINT_SECS,
-            FAST_FORWARD,
-            JOBS,
-            GPUS,
-            SEEDS,
-        ],
-        Some(BackendKind::Physical) => &[
-            HORIZON_SECS,
-            LOAD,
-            MTBF_SECS,
-            CHECKPOINT_SECS,
-            POLICY,
-            JOBS,
-            GPUS,
-            SEEDS,
-        ],
-        Some(BackendKind::Fault) => &[HORIZON_SECS, LOAD, POLICY, JOBS, GPUS, SEEDS],
-        Some(BackendKind::Fleet) => &[HORIZON_SECS, LOAD, FILL_FRACTION, CHECKPOINT_SECS, SEEDS],
+    /// The key's value in `spec` as a scenario file writes it, or `None`
+    /// when the spec leaves it unset.
+    pub fn value(&self, spec: &ScenarioSpec) -> Option<String> {
+        (self.write)(spec)
     }
 }
+
+const EXP: u8 = 1;
+const COARSE: u8 = 1 << 1;
+const PHYSICAL: u8 = 1 << 2;
+const FAULT: u8 = 1 << 3;
+const FLEET: u8 = 1 << 4;
+/// The backends with an iteration loop.
+const LOOPS: u8 = PHYSICAL | FAULT | FLEET;
+const RUNS: u8 = COARSE | LOOPS;
+
+/// A mode's bit: experiment mode for `None`, else its backend's.
+fn mode(backend: Option<BackendKind>) -> u8 {
+    match backend {
+        None => EXP,
+        Some(BackendKind::Coarse) => COARSE,
+        Some(BackendKind::Physical) => PHYSICAL,
+        Some(BackendKind::Fault) => FAULT,
+        Some(BackendKind::Fleet) => FLEET,
+    }
+}
+
+/// A [`KEYS`] row for the [`ScenarioSpec`] field of the same name.
+/// `parse` turns the text into the field's value: `grammar` is the
+/// type's own `FromStr`, whose messages name what they parsed and so
+/// stand alone; any other parser's message is about the key. `write`
+/// renders a set value as a scenario file spells it.
+macro_rules! key {
+    ($field:ident, $hint:literal, $modes:expr, $parse:ident, $write:expr) => {
+        ScenarioKey {
+            name: stringify!($field),
+            hint: $hint,
+            modes: $modes,
+            parse: |spec, value| {
+                spec.$field = Some(key!(@parse $parse, $field, value));
+                Ok(())
+            },
+            write: |spec| spec.$field.as_ref().map($write),
+        }
+    };
+    (@parse grammar, $field:ident, $value:ident) => {
+        $value.parse()?
+    };
+    (@parse $parse:ident, $field:ident, $value:ident) => {
+        $parse($value).map_err(|message| SpecError::about(stringify!($field), message))?
+    };
+}
+
+/// Every scenario key, in the canonical order files are written,
+/// applicability is checked and the CLI lists flags in. Setting a key
+/// outside its modes is an error, not a silent no-op; an experiment
+/// further takes only the grid axes it sweeps.
+#[rustfmt::skip]
+pub const KEYS: &[ScenarioKey] = &[
+    //   field            help hint                            applies to        parse       write
+    key!(name,            "TEXT",                              EXP | RUNS,       text,       quoted),
+    key!(experiment,      "NAME",                              EXP,              text,       quoted),
+    key!(backend,         "coarse|physical|fault|fleet",       RUNS,             grammar,    quoted),
+    key!(schedule,        "gpipe|1f1b|interleaved[:v]|zb-h1",  RUNS,             grammar,    lowercase),
+    key!(seed,            "S",                                 EXP | RUNS,       int,        plain),
+    key!(iterations,      "N",                                 EXP | LOOPS,      int,        plain),
+    key!(horizon_secs,    "N",                                 EXP | COARSE,     int,        plain),
+    key!(load,            "X",                                 COARSE,           load,       plain),
+    key!(fill_fraction,   "F",                                 PHYSICAL | FAULT, fraction,   plain),
+    key!(mtbf_secs,       "X|none",                            FAULT | FLEET,    mtbf_secs,  mtbf_text),
+    key!(checkpoint_secs, "C",                                 FAULT,            checkpoint, plain),
+    key!(fast_forward,    "on|off",                            LOOPS,            on_off,     on_off_text),
+    key!(policy,          "fifo|sjf|makespan-min|edf",         COARSE | FLEET,   grammar,    policy_text),
+    key!(jobs,            "N",                                 FLEET,            int,        plain),
+    key!(gpus,            "N",                                 FLEET,            int,        plain),
+    key!(seeds,           "N",                                 EXP,              int,        plain),
+];
+
+/// Every [`KEYS`] row after `name`, `experiment` and `backend`: the
+/// knobs the CLI offers as dashed flags on `sim`, `fleet` and `exp`.
+pub const KNOBS: &[ScenarioKey] = KEYS.split_at(3).1;
 
 /// A scenario diagnostic. A message about one key keeps the key apart
 /// from the text, so each surface spells the key its own way: scenario
@@ -178,6 +225,18 @@ impl From<SpecError> for String {
     }
 }
 
+/// Builder methods: `with_<field>(value)` sets the field and returns the
+/// spec.
+macro_rules! builders {
+    ($($(#[$doc:meta])* $with:ident($field:ident: $ty:ty);)*) => {$(
+        $(#[$doc])*
+        pub fn $with(mut self, $field: $ty) -> Self {
+            self.$field = Some($field.into());
+            self
+        }
+    )*};
+}
+
 impl ScenarioSpec {
     /// A run-mode spec at the given backend fidelity.
     pub fn run(backend: BackendKind) -> ScenarioSpec {
@@ -195,88 +254,35 @@ impl ScenarioSpec {
         }
     }
 
-    /// Sets the label.
-    pub fn with_name(mut self, name: &str) -> Self {
-        self.name = Some(name.to_string());
-        self
-    }
-
-    /// Sets the pipeline schedule.
-    pub fn with_schedule(mut self, schedule: ScheduleKind) -> Self {
-        self.schedule = Some(schedule);
-        self
-    }
-
-    /// Sets the RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
-        self
-    }
-
-    /// Sets the iteration count.
-    pub fn with_iterations(mut self, iterations: usize) -> Self {
-        self.iterations = Some(iterations);
-        self
-    }
-
-    /// Sets the trace horizon in seconds.
-    pub fn with_horizon_secs(mut self, horizon_secs: u64) -> Self {
-        self.horizon_secs = Some(horizon_secs);
-        self
-    }
-
-    /// Sets the offered-load multiplier.
-    pub fn with_load(mut self, load: f64) -> Self {
-        self.load = Some(load);
-        self
-    }
-
-    /// Sets the fill fraction.
-    pub fn with_fill_fraction(mut self, fill_fraction: f64) -> Self {
-        self.fill_fraction = Some(fill_fraction);
-        self
-    }
-
-    /// Sets the MTBF in seconds (`f64::INFINITY` disables injection).
-    pub fn with_mtbf_secs(mut self, mtbf_secs: f64) -> Self {
-        self.mtbf_secs = Some(mtbf_secs);
-        self
-    }
-
-    /// Sets the checkpoint-restart cost in seconds.
-    pub fn with_checkpoint_secs(mut self, checkpoint_secs: f64) -> Self {
-        self.checkpoint_secs = Some(checkpoint_secs);
-        self
-    }
-
-    /// Enables or disables steady-state fast-forward.
-    pub fn with_fast_forward(mut self, fast_forward: bool) -> Self {
-        self.fast_forward = Some(fast_forward);
-        self
-    }
-
-    /// Sets the fill-queue policy.
-    pub fn with_policy(mut self, policy: PolicyKind) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
-    /// Sets the fleet job count.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = Some(jobs);
-        self
-    }
-
-    /// Sets the fleet GPU budget.
-    pub fn with_gpus(mut self, gpus: usize) -> Self {
-        self.gpus = Some(gpus);
-        self
-    }
-
-    /// Sets the replication count for multi-seed experiment grids.
-    pub fn with_seeds(mut self, seeds: u64) -> Self {
-        self.seeds = Some(seeds);
-        self
+    builders! {
+        /// Sets the label.
+        with_name(name: &str);
+        /// Sets the pipeline schedule.
+        with_schedule(schedule: ScheduleKind);
+        /// Sets the RNG seed.
+        with_seed(seed: u64);
+        /// Sets the iteration count.
+        with_iterations(iterations: usize);
+        /// Sets the trace horizon in seconds.
+        with_horizon_secs(horizon_secs: u64);
+        /// Sets the offered-load multiplier.
+        with_load(load: f64);
+        /// Sets the fill fraction.
+        with_fill_fraction(fill_fraction: f64);
+        /// Sets the MTBF in seconds (`f64::INFINITY` disables injection).
+        with_mtbf_secs(mtbf_secs: f64);
+        /// Sets the checkpoint-restart cost in seconds.
+        with_checkpoint_secs(checkpoint_secs: f64);
+        /// Enables or disables steady-state fast-forward.
+        with_fast_forward(fast_forward: bool);
+        /// Sets the fill-queue policy.
+        with_policy(policy: PolicyKind);
+        /// Sets the fleet job count.
+        with_jobs(jobs: usize);
+        /// Sets the fleet GPU budget.
+        with_gpus(gpus: usize);
+        /// Sets the replication count for multi-seed experiment grids.
+        with_seeds(seeds: u64);
     }
 
     /// Assigns one field from its text spelling — the shared engine of
@@ -288,53 +294,12 @@ impl ScenarioSpec {
     /// Returns a message for unknown keys or malformed/degenerate
     /// values.
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), SpecError> {
-        let about = |message: String| SpecError::about(key, message);
-        match key {
-            "name" => self.name = Some(value.to_string()),
-            "experiment" => self.experiment = Some(value.to_string()),
-            "backend" => self.backend = Some(value.parse::<BackendKind>()?),
-            "schedule" => self.schedule = Some(value.parse::<ScheduleKind>()?),
-            "seed" => self.seed = Some(parse_int(value).map_err(about)?),
-            "iterations" => self.iterations = Some(parse_int(value).map_err(about)? as usize),
-            "horizon_secs" => self.horizon_secs = Some(parse_int(value).map_err(about)?),
-            "load" => {
-                let load = parse_f64(value).map_err(about)?;
-                if !(load > 0.0 && load.is_finite()) {
-                    return Err(about(format!("must be a positive number, got {value}")));
-                }
-                self.load = Some(load);
-            }
-            "fill_fraction" => {
-                let f = parse_f64(value).map_err(about)?;
-                if !(0.0..=1.0).contains(&f) {
-                    return Err(about(format!("must be within [0, 1], got {value}")));
-                }
-                self.fill_fraction = Some(f);
-            }
-            "mtbf_secs" => self.mtbf_secs = Some(parse_mtbf_secs(value).map_err(about)?),
-            "checkpoint_secs" => {
-                let c: f64 = value
-                    .parse()
-                    .map_err(|_| about(format!("expects a number of seconds, got '{value}'")))?;
-                if !(c >= 0.0 && c.is_finite()) {
-                    return Err(about(format!(
-                        "must be a finite non-negative number, got {value}"
-                    )));
-                }
-                self.checkpoint_secs = Some(c);
-            }
-            "fast_forward" => self.fast_forward = Some(parse_on_off(value).map_err(about)?),
-            "policy" => self.policy = Some(value.parse::<PolicyKind>()?),
-            "jobs" => self.jobs = Some(parse_int(value).map_err(about)? as usize),
-            "gpus" => self.gpus = Some(parse_int(value).map_err(about)? as usize),
-            "seeds" => self.seeds = Some(parse_int(value).map_err(about)?),
-            other => {
-                return Err(SpecError::from(format!(
-                    "unknown scenario key '{other}' (see ScenarioSpec for the accepted set)"
-                )))
-            }
-        }
-        Ok(())
+        let Some(row) = KEYS.iter().find(|row| row.name == key) else {
+            return Err(SpecError::from(format!(
+                "unknown scenario key '{key}' (see ScenarioSpec for the accepted set)"
+            )));
+        };
+        (row.parse)(self, value)
     }
 
     /// Checks mode exclusivity, per-mode field applicability and value
@@ -369,10 +334,10 @@ impl ScenarioSpec {
             }
             (None, Some(_)) => None,
         };
-        for (key, set) in inapplicable(self.backend) {
-            if set(self) {
+        for key in KEYS {
+            if !key.applies_to(self.backend) && key.value(self).is_some() {
                 return Err(SpecError::about(
-                    key,
+                    key.name,
                     match self.backend {
                         Some(backend) => format!("does not apply to the {backend} backend"),
                         None => "does not apply to experiment scenarios \
@@ -615,16 +580,48 @@ fn mtbf_duration(secs: f64) -> SimDuration {
     }
 }
 
+// The [`KEYS`] value parsers: each yields the field's value, or a
+// message about the key.
+
+fn text(value: &str) -> Result<String, String> {
+    Ok(value.to_string())
+}
+
+fn int<T: FromStr>(value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("expects an integer, got '{value}'"))
+}
+
+fn number(value: &str) -> Result<f64, String> {
+    value
+        .parse()
+        .map_err(|_| format!("expects a number, got '{value}'"))
+}
+
+fn load(value: &str) -> Result<f64, String> {
+    let load = number(value)?;
+    if !(load > 0.0 && load.is_finite()) {
+        return Err(format!("must be a positive number, got {value}"));
+    }
+    Ok(load)
+}
+
+fn fraction(value: &str) -> Result<f64, String> {
+    let f = number(value)?;
+    if !(0.0..=1.0).contains(&f) {
+        return Err(format!("must be within [0, 1], got {value}"));
+    }
+    Ok(f)
+}
+
 /// Parses an MTBF spelling: `"none"` disables injection (internally
 /// `f64::INFINITY`); any numeric value must be a finite positive number
 /// of seconds. Numeric infinity spellings (`inf`, `Infinity`,
 /// overflowing literals like `1e999`) are rejected — `f64::from_str`
 /// happily produces them, and they would flow into the exponential MTBF
 /// sampler as garbage rather than as the documented off switch.
-///
-/// The value parsers below return the message without its key;
-/// [`ScenarioSpec::set`] attaches it.
-fn parse_mtbf_secs(value: &str) -> Result<f64, String> {
+fn mtbf_secs(value: &str) -> Result<f64, String> {
     if value == "none" {
         return Ok(f64::INFINITY);
     }
@@ -640,8 +637,18 @@ fn parse_mtbf_secs(value: &str) -> Result<f64, String> {
     Ok(secs)
 }
 
+fn checkpoint(value: &str) -> Result<f64, String> {
+    let c: f64 = value
+        .parse()
+        .map_err(|_| format!("expects a number of seconds, got '{value}'"))?;
+    if !(c >= 0.0 && c.is_finite()) {
+        return Err(format!("must be a finite non-negative number, got {value}"));
+    }
+    Ok(c)
+}
+
 /// Parses an on/off switch spelling (`on`/`off`, also `true`/`false`).
-fn parse_on_off(value: &str) -> Result<bool, String> {
+fn on_off(value: &str) -> Result<bool, String> {
     match value {
         "on" | "true" => Ok(true),
         "off" | "false" => Ok(false),
@@ -649,16 +656,43 @@ fn parse_on_off(value: &str) -> Result<bool, String> {
     }
 }
 
-fn parse_int(value: &str) -> Result<u64, String> {
-    value
-        .parse()
-        .map_err(|_| format!("expects an integer, got '{value}'"))
+// The [`KEYS`] value writers: each renders a set field as the scenario
+// file spells it, the form a human would type.
+
+fn plain(value: &impl ToString) -> String {
+    value.to_string()
 }
 
-fn parse_f64(value: &str) -> Result<f64, String> {
-    value
-        .parse()
-        .map_err(|_| format!("expects a number, got '{value}'"))
+/// A backend's `Display` is already its parseable lowercase spelling.
+fn quoted(value: &impl ToString) -> String {
+    quote(&value.to_string())
+}
+
+/// A schedule's `Display` (`GPipe`, `ZB-H1`) parses once lowercased.
+fn lowercase(schedule: &ScheduleKind) -> String {
+    quote(&schedule.to_string().to_lowercase())
+}
+
+fn mtbf_text(secs: &f64) -> String {
+    match secs.is_finite() {
+        true => secs.to_string(),
+        false => quote("none"),
+    }
+}
+
+fn on_off_text(on: &bool) -> String {
+    quote(if *on { "on" } else { "off" })
+}
+
+/// A policy's parseable spelling (`Display` prints presentation forms
+/// like `Makespan-Min` the parser rejects).
+fn policy_text(policy: &PolicyKind) -> String {
+    quote(match policy {
+        PolicyKind::Fifo => "fifo",
+        PolicyKind::Sjf => "sjf",
+        PolicyKind::MakespanMin => "makespan-min",
+        PolicyKind::DeadlineThenSjf => "edf",
+    })
 }
 
 #[cfg(test)]
@@ -1015,6 +1049,94 @@ mod tests {
             .set("schedule", "2f2b")
             .unwrap_err();
         assert_eq!(err.render(|_| unreachable!()), err.to_string());
+    }
+
+    /// A valid value for every key, in [`KEYS`] order.
+    const SAMPLES: [(&str, &str); 16] = [
+        ("name", "walk #1"),
+        ("experiment", "fig5"),
+        ("backend", "fleet"),
+        ("schedule", "interleaved:3"),
+        ("seed", "3"),
+        ("iterations", "20"),
+        ("horizon_secs", "600"),
+        ("load", "2.5"),
+        ("fill_fraction", "0.5"),
+        ("mtbf_secs", "none"),
+        ("checkpoint_secs", "2.5"),
+        ("fast_forward", "off"),
+        ("policy", "makespan-min"),
+        ("jobs", "2"),
+        ("gpus", "256"),
+        ("seeds", "2"),
+    ];
+
+    /// Walks the key table: every key round-trips `render → parse` on
+    /// its own, and each mode accepts exactly the knobs it accepted when
+    /// applicability was a per-mode list of rejected keys.
+    #[test]
+    fn every_key_round_trips_and_applies_where_it_did() {
+        let names: Vec<&str> = KEYS.iter().map(|key| key.name).collect();
+        assert_eq!(names, SAMPLES.map(|(key, _)| key));
+        assert_eq!(KNOBS.len(), KEYS.len() - 3);
+        for (key, value) in SAMPLES {
+            let mut spec = ScenarioSpec::default();
+            spec.set(key, value).unwrap();
+            let text = crate::toml::render(&spec);
+            assert_eq!(text.lines().count(), 2, "{text}");
+            assert_eq!(crate::toml::parse(&text).unwrap(), spec, "{text}");
+        }
+        let accepted = [
+            (None, "seed iterations horizon_secs seeds"),
+            (
+                Some(BackendKind::Coarse),
+                "schedule seed horizon_secs load policy",
+            ),
+            (
+                Some(BackendKind::Physical),
+                "schedule seed iterations fill_fraction fast_forward",
+            ),
+            (
+                Some(BackendKind::Fault),
+                "schedule seed iterations fill_fraction mtbf_secs checkpoint_secs fast_forward",
+            ),
+            (
+                Some(BackendKind::Fleet),
+                "schedule seed iterations mtbf_secs fast_forward policy jobs gpus",
+            ),
+        ];
+        for (mode, want) in accepted {
+            let applies: Vec<&str> = KNOBS
+                .iter()
+                .filter(|key| key.applies_to(mode))
+                .map(|key| key.name)
+                .collect();
+            assert_eq!(applies.join(" "), want, "{mode:?}");
+            // `validate` reads the same column: a knob set alone passes
+            // the mode check exactly where it applies.
+            for (key, value) in &SAMPLES[3..] {
+                let mut spec = match mode {
+                    Some(backend) => ScenarioSpec::run(backend),
+                    None => ScenarioSpec::experiment("fig5"),
+                };
+                spec.set(key, value).unwrap();
+                let mode_error = match mode {
+                    Some(backend) => format!("{key} does not apply to the {backend} backend"),
+                    None => format!(
+                        "{key} does not apply to experiment scenarios \
+                         (grids take iterations/seed/horizon_secs/seeds)"
+                    ),
+                };
+                let refused = spec
+                    .validate()
+                    .is_err_and(|err| err.to_string() == mode_error);
+                assert_eq!(
+                    refused,
+                    !want.split(' ').any(|k| k == *key),
+                    "{mode:?} {key}"
+                );
+            }
+        }
     }
 
     #[test]

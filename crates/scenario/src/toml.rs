@@ -7,10 +7,9 @@
 //! the CLI flags take). [`render`] writes only explicitly-set fields, so
 //! `render → parse` is identity on the spec.
 
-use pipefill_core::PolicyKind;
-use pipefill_textfmt::toml::{self, quote};
+use pipefill_textfmt::toml;
 
-use crate::spec::ScenarioSpec;
+use crate::spec::{ScenarioSpec, KEYS};
 
 /// Parses a scenario document.
 ///
@@ -48,60 +47,19 @@ pub fn parse(text: &str) -> Result<ScenarioSpec, String> {
 /// explicitly-set fields, in canonical key order. `parse(render(spec))
 /// == spec`.
 pub fn render(spec: &ScenarioSpec) -> String {
-    fn text<T: ToString>(v: Option<T>) -> Option<String> {
-        v.map(|v| v.to_string())
-    }
-    let mtbf = |v: f64| match v.is_finite() {
-        true => v.to_string(),
-        false => quote("none"),
-    };
-    let fast_forward = spec.fast_forward.map(|on| if on { "on" } else { "off" });
-    // A backend's `Display` is already its parseable lowercase spelling,
-    // and a schedule's is one once lowercased (`GPipe`, `ZB-H1`): the
-    // writer emits the forms a human would type.
-    let schedule = text(spec.schedule).map(|s| quote(&s.to_lowercase()));
-    let fields = [
-        ("name", spec.name.as_deref().map(quote)),
-        ("experiment", spec.experiment.as_deref().map(quote)),
-        ("backend", text(spec.backend).as_deref().map(quote)),
-        ("schedule", schedule),
-        ("seed", text(spec.seed)),
-        ("iterations", text(spec.iterations)),
-        ("horizon_secs", text(spec.horizon_secs)),
-        ("load", text(spec.load)),
-        ("fill_fraction", text(spec.fill_fraction)),
-        ("mtbf_secs", spec.mtbf_secs.map(mtbf)),
-        ("checkpoint_secs", text(spec.checkpoint_secs)),
-        ("fast_forward", fast_forward.map(quote)),
-        ("policy", spec.policy.map(|v| quote(policy_str(v)))),
-        ("jobs", text(spec.jobs)),
-        ("gpus", text(spec.gpus)),
-        ("seeds", text(spec.seeds)),
-    ];
     let mut out = String::from("[scenario]\n");
-    for (key, value) in fields {
-        if let Some(value) = value {
-            out += &format!("{key} = {value}\n");
+    for key in KEYS {
+        if let Some(value) = key.value(spec) {
+            out += &format!("{} = {value}\n", key.name);
         }
     }
     out
 }
 
-/// The canonical parseable spelling of a policy (`Display` prints
-/// presentation forms like `Makespan-Min` the parser rejects).
-fn policy_str(policy: PolicyKind) -> &'static str {
-    match policy {
-        PolicyKind::Fifo => "fifo",
-        PolicyKind::Sjf => "sjf",
-        PolicyKind::MakespanMin => "makespan-min",
-        PolicyKind::DeadlineThenSjf => "edf",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipefill_core::BackendKind;
+    use pipefill_core::{BackendKind, PolicyKind};
     use pipefill_pipeline::ScheduleKind;
 
     #[test]

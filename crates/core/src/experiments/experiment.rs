@@ -55,8 +55,9 @@ impl Default for Grid {
 
 /// One overridable axis of a [`Grid`]. Experiments declare which axes
 /// they actually sweep ([`Experiment::axes`]) so callers can reject an
-/// override of an axis the experiment would silently ignore.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// override of an axis the experiment would silently ignore. Ordered
+/// as declared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Axis {
     /// `Grid::iterations`.
     Iterations,

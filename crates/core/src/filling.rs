@@ -448,8 +448,10 @@ impl Pipeline {
                 None => sig.push(0),
                 Some(l) => {
                     // The plan's `Arc` pointer stands in for (model, kind,
-                    // stage, plan) identity: cache entries live for the
-                    // whole run, so equal pointers mean the same plan.
+                    // stage geometry, plan) identity: the fleet's plan
+                    // table lives for the whole run and binds an `Arc`
+                    // only on stages of its own geometry, so equal
+                    // pointers in one lease slot mean the same plan.
                     let ex = &l.exec;
                     sig.extend([
                         1,
@@ -669,9 +671,10 @@ impl<R> FillBackend<R> {
                 });
             class_of.push(class);
         }
-        // One menu table over every stage device of the fleet, shared by
-        // all shapes: a (model, kind) menu is profiled once per device,
-        // however many shapes plan on it.
+        // One menu and plan table over every stage device of the fleet,
+        // shared by all shapes: a (model, kind) menu is profiled once per
+        // device and planned once per stage geometry, however many shapes
+        // plan on it.
         let menus = Arc::new(ProfileMenus::new(class_reps.iter().flat_map(|&rep| {
             let job = &cfg.jobs[rep];
             match job.stage_devices.as_slice() {

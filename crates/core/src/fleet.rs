@@ -40,7 +40,8 @@
 //! geometry and one [`StagePlans`](crate::StagePlans)) and fans the profiling across cores through
 //! the sweep driver. All shapes plan against one shared
 //! [`ProfileMenus`](crate::ProfileMenus) table, so each fill-job type is
-//! profiled once per device generation — results are byte-stable at any thread count because
+//! profiled once per device generation and planned once per stage
+//! geometry — results are byte-stable at any thread count because
 //! geometry is a pure function of the spec and all simulation randomness
 //! flows through per-job seeded streams.
 

@@ -15,19 +15,34 @@
 //!   the Fig. 7 characterization build one from the engine timeline with
 //!   the main job's device on every stage ([`StagePlans::homogeneous`]).
 //!
-//! The executor's profiles depend on (model, kind, configuration,
-//! device) and never on the bubbles, so they live one level up, in a
-//! [`ProfileMenus`] table keyed by (model, kind, device). The
-//! pipeline-filling engine builds one table over the stage devices of all
-//! its jobs and shares it, through an `Arc`, with every shape's
-//! `StagePlans`; a homogeneous `StagePlans` owns a one-device table. A
-//! plan packs its stage's windows against the shared menu
-//! ([`plan_best_of`]), and an exclusive throughput is the best isolated
-//! throughput over the same menu ([`exclusive_best_of`]). Menus, plans
-//! and throughputs are all made on first request and cached for the life
-//! of the value, so building either costs no profiling or planning.
+//! Neither the executor's profiles nor its plans belong to a shape, so
+//! both live one level up, in a [`ProfileMenus`] table:
+//!
+//! * a profile depends on (model, kind, configuration, device) and never
+//!   on the bubbles, so the table holds one menu per (model, kind,
+//!   device);
+//! * a plan depends on the fill-job type and the stage's *geometry*: its
+//!   device, its `(duration, free_memory)` slots and the executor's
+//!   `fill_fraction`, `cold_start_factor` and `switch_overhead`, all
+//!   compared as exact bits. The table holds one row of plan cells per
+//!   distinct geometry, one cell per fill-job type.
+//!
+//! The pipeline-filling engine builds one table over the stage devices of
+//! all its jobs and shares it, through an `Arc`, with every shape's
+//! `StagePlans`; a homogeneous `StagePlans` owns a one-device table.
+//! [`StagePlans::new`] interns its stages' geometries in the table once,
+//! under one lock, and keeps a handle to each geometry's row, so stages of
+//! any shape with equal geometries read one plan, and
+//! [`StagePlans::plan`] takes no lock and hashes nothing. A plan packs its
+//! geometry's slots against the shared menu ([`plan_best_of`]), and an
+//! exclusive throughput is the best isolated throughput over the same
+//! menu ([`exclusive_best_of`]). Menus, plans and throughputs are all made
+//! on first request and cached for the life of the table, so building a
+//! `StagePlans` costs no profiling or planning.
 
-use std::sync::{Arc, OnceLock};
+use std::cmp::Ordering;
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use pipefill_device::DeviceSpec;
 use pipefill_executor::plan::BubbleSlot;
@@ -40,9 +55,9 @@ use pipefill_pipeline::{BubbleWindow, EngineTimeline};
 /// Fill-job types `(model, kind)` a table has room for.
 const JOB_TYPES: usize = ModelId::ALL.len() * 2;
 
-/// Dense index of a job type's row in a table `width` entries wide.
-fn row(model: ModelId, kind: JobKind, width: usize) -> usize {
-    (model as usize * 2 + kind as usize) * width
+/// Dense index of a fill-job type.
+fn job_type(model: ModelId, kind: JobKind) -> usize {
+    model as usize * 2 + kind as usize
 }
 
 /// One fill-job type's profile menu on one device.
@@ -54,15 +69,99 @@ struct Menu {
     exclusive: Option<f64>,
 }
 
+/// Everything a stage's plans depend on besides the fill-job type. Equal
+/// means bit-for-bit equal, so two stages share plans only when
+/// `plan_best_of` would be handed the same inputs.
+#[derive(Debug, Clone)]
+struct Geometry {
+    /// The stage's device, as its column in the table.
+    column: usize,
+    slots: Vec<BubbleSlot>,
+    executor: ExecutorConfig,
+    /// A mix of the bits of [`Geometry::key`]. Geometries order by it
+    /// first, so a table search mostly compares one word.
+    fingerprint: u64,
+}
+
+impl Geometry {
+    fn new(column: usize, slots: Vec<BubbleSlot>, executor: ExecutorConfig) -> Self {
+        let mut geometry = Geometry {
+            column,
+            slots,
+            executor,
+            fingerprint: 0,
+        };
+        let (column, slots, tuning) = geometry.key();
+        geometry.fingerprint = std::iter::once(column as u64)
+            .chain(slots.iter().flat_map(|&(d, m)| [d.as_nanos(), m.as_u64()]))
+            .chain(tuning)
+            .fold(0, |h: u64, word| {
+                (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+            });
+        geometry
+    }
+
+    fn key(&self) -> (usize, &[BubbleSlot], [u64; 3]) {
+        let e = &self.executor;
+        (
+            self.column,
+            &self.slots,
+            [
+                e.fill_fraction.to_bits(),
+                e.cold_start_factor.to_bits(),
+                e.switch_overhead.as_nanos(),
+            ],
+        )
+    }
+}
+
+impl PartialEq for Geometry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Geometry {}
+
+impl PartialOrd for Geometry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Geometry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.fingerprint
+            .cmp(&other.fingerprint)
+            .then_with(|| self.key().cmp(&other.key()))
+    }
+}
+
+/// A geometry and its plan per fill-job type; `None` records "does not
+/// fit". Plans are `Arc`s, so binding one to an executor is a refcount
+/// bump.
+#[derive(Debug)]
+struct GeometryPlans {
+    geometry: Geometry,
+    plans: [OnceLock<Option<Arc<ExecutionPlan>>>; JOB_TYPES],
+}
+
 /// The executor's profile menu of every fill-job type on each of a set of
-/// devices. Each (model, kind, device) menu is profiled on first request,
-/// once for every [`StagePlans`] sharing the table. See the module docs.
+/// devices, and its plan of every fill-job type on each stage geometry
+/// interned so far. Each (model, kind, device) menu is profiled, and each
+/// (model, kind, geometry) plan packed, on first request, once for every
+/// [`StagePlans`] sharing the table. See the module docs.
 #[derive(Debug)]
 pub struct ProfileMenus {
     /// Distinct devices in first-seen order: a menu's column.
     devices: Vec<DeviceSpec>,
     /// Menu per (job type, device).
     menus: Vec<OnceLock<Menu>>,
+    /// Plan row per distinct stage geometry. Only interning locks it.
+    geometries: Mutex<BTreeMap<Geometry, Arc<GeometryPlans>>>,
+    /// Plans packed so far.
+    #[cfg(test)]
+    packed: std::sync::atomic::AtomicUsize,
 }
 
 impl ProfileMenus {
@@ -79,6 +178,9 @@ impl ProfileMenus {
                 .map(|_| OnceLock::new())
                 .collect(),
             devices: distinct,
+            geometries: Mutex::new(BTreeMap::new()),
+            #[cfg(test)]
+            packed: Default::default(),
         }
     }
 
@@ -96,7 +198,7 @@ impl ProfileMenus {
 
     /// The menu of a `(model, kind)` fill job on the device in `column`.
     fn menu(&self, model: ModelId, kind: JobKind, column: usize) -> &Menu {
-        self.menus[row(model, kind, self.devices.len()) + column].get_or_init(|| {
+        self.menus[job_type(model, kind) * self.devices.len() + column].get_or_init(|| {
             let device = &self.devices[column];
             let profiles = profile_menu(&model.build(), kind, device);
             let exclusive = exclusive_best_of(&profiles, device.hbm).map(|(t, _)| t);
@@ -107,10 +209,62 @@ impl ProfileMenus {
         })
     }
 
+    /// The table's plan row for each of `geometries`, made empty where
+    /// it is new.
+    fn intern(&self, geometries: Vec<Geometry>) -> Vec<Arc<GeometryPlans>> {
+        let mut table = self
+            .geometries
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        geometries
+            .into_iter()
+            .map(|geometry| match table.entry(geometry) {
+                Entry::Occupied(row) => Arc::clone(row.get()),
+                Entry::Vacant(vacant) => {
+                    let row = Arc::new(GeometryPlans {
+                        geometry: vacant.key().clone(),
+                        plans: std::array::from_fn(|_| OnceLock::new()),
+                    });
+                    Arc::clone(vacant.insert(row))
+                }
+            })
+            .collect()
+    }
+
+    /// The plan of a `(model, kind)` fill job on `row`'s geometry.
+    fn plan<'r>(
+        &self,
+        model: ModelId,
+        kind: JobKind,
+        row: &'r GeometryPlans,
+    ) -> Option<&'r Arc<ExecutionPlan>> {
+        row.plans[job_type(model, kind)]
+            .get_or_init(|| {
+                let g = &row.geometry;
+                if g.slots.is_empty() {
+                    return None;
+                }
+                #[cfg(test)]
+                self.packed
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let menu = self.menu(model, kind, g.column);
+                plan_best_of(&menu.profiles, &g.slots, &g.executor)
+                    .ok()
+                    .map(Arc::new)
+            })
+            .as_ref()
+    }
+
     /// Menus profiled so far.
     #[cfg(test)]
     fn built(&self) -> usize {
         self.menus.iter().filter(|m| m.get().is_some()).count()
+    }
+
+    /// Plans packed so far.
+    #[cfg(test)]
+    fn plans_built(&self) -> usize {
+        self.packed.load(std::sync::atomic::Ordering::Relaxed)
     }
 }
 
@@ -119,20 +273,15 @@ impl ProfileMenus {
 #[derive(Debug)]
 pub struct StagePlans {
     windows: Vec<Vec<BubbleWindow>>,
-    /// The same windows as `(duration, free_memory)` planner slots.
-    slots: Vec<Vec<BubbleSlot>>,
-    /// Each stage's device, as its column in `menus`.
-    columns: Vec<usize>,
+    /// Each stage's plan row in `menus`.
+    rows: Vec<Arc<GeometryPlans>>,
     menus: Arc<ProfileMenus>,
     executor: ExecutorConfig,
-    /// Plan per (job type, stage); `None` records "does not fit". Plans
-    /// are `Arc`s, so binding one to an executor is a refcount bump.
-    plans: Vec<OnceLock<Option<Arc<ExecutionPlan>>>>,
 }
 
 impl StagePlans {
     /// Plans over `windows[s]` on `devices[s]` for every stage `s`,
-    /// profiling through `menus`.
+    /// profiling and planning through `menus`.
     ///
     /// # Panics
     ///
@@ -144,19 +293,21 @@ impl StagePlans {
         executor: ExecutorConfig,
         menus: Arc<ProfileMenus>,
     ) -> Self {
-        let p = windows.len();
-        assert_eq!(devices.len(), p, "one device per stage");
-        let slots = windows
+        assert_eq!(devices.len(), windows.len(), "one device per stage");
+        let geometries = windows
             .iter()
-            .map(|ws| ws.iter().map(|w| (w.duration, w.free_memory)).collect())
+            .zip(devices)
+            .map(|(ws, device)| {
+                let slots = ws.iter().map(|w| (w.duration, w.free_memory)).collect();
+                Geometry::new(menus.column(device), slots, executor)
+            })
             .collect();
+        let rows = menus.intern(geometries);
         StagePlans {
             windows,
-            slots,
-            columns: devices.iter().map(|d| menus.column(d)).collect(),
+            rows,
             menus,
             executor,
-            plans: (0..JOB_TYPES * p).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -192,7 +343,7 @@ impl StagePlans {
 
     /// `stage`'s windows as `(duration, free_memory)` planner slots.
     pub fn slots(&self, stage: usize) -> &[BubbleSlot] {
-        &self.slots[stage]
+        &self.rows[stage].geometry.slots
     }
 
     /// The executor tuning every plan is made under.
@@ -203,25 +354,16 @@ impl StagePlans {
     /// The best plan of a `(model, kind)` fill job on `stage`, or `None`
     /// if no configuration fits its windows.
     pub fn plan(&self, model: ModelId, kind: JobKind, stage: usize) -> Option<&Arc<ExecutionPlan>> {
-        let slots = &self.slots[stage];
-        self.plans[row(model, kind, self.stages()) + stage]
-            .get_or_init(|| {
-                if slots.is_empty() {
-                    return None;
-                }
-                let menu = self.menus.menu(model, kind, self.columns[stage]);
-                plan_best_of(&menu.profiles, slots, &self.executor)
-                    .ok()
-                    .map(Arc::new)
-            })
-            .as_ref()
+        self.menus.plan(model, kind, &self.rows[stage])
     }
 
     /// Exclusive throughput (samples per second on an idle GPU) of a
     /// `(model, kind)` fill job on `stage`'s device, or `None` if no
     /// configuration fits the device at all.
     pub fn throughput(&self, model: ModelId, kind: JobKind, stage: usize) -> Option<f64> {
-        self.menus.menu(model, kind, self.columns[stage]).exclusive
+        self.menus
+            .menu(model, kind, self.rows[stage].geometry.column)
+            .exclusive
     }
 }
 
@@ -231,8 +373,10 @@ mod tests {
 
     use super::*;
     use crate::experiments::characterization::fig7_job_types;
+    use pipefill_device::Bytes;
     use pipefill_executor::{exclusive_throughput, plan_best, FillJobSpec};
     use pipefill_pipeline::{MainJobSpec, ScheduleKind};
+    use pipefill_sim_core::SimDuration;
 
     /// `timeline`'s fillable windows, stage by stage.
     fn windows_of(timeline: &EngineTimeline) -> Vec<Vec<BubbleWindow>> {
@@ -298,13 +442,16 @@ mod tests {
     #[test]
     fn shapes_sharing_a_mixed_device_table_plan_like_plan_best() {
         // Two shapes of different schedules, V100 and H100 interleaved in
-        // opposite orders, on one table: each cell must still be its own
-        // stage's cold `plan_best` and `exclusive_throughput`, so a menu
-        // keyed by the wrong device or a plan read off the wrong shape
-        // shows.
+        // opposite orders, then variants of the first: a copy, one with a
+        // single slot a byte roomier, and one per executor knob nudged.
+        // All plan on one table, so each cell must still be its own
+        // stage's cold `plan_best` and `exclusive_throughput` (a menu
+        // keyed by the wrong device or a plan read off the wrong geometry
+        // shows), and a cell shares the first shape's plan exactly when
+        // its stage geometry is bit-for-bit the first shape's.
         let exec = ExecutorConfig::default();
         let (v100, h100) = (DeviceSpec::v100(), DeviceSpec::h100());
-        let shapes: Vec<(Vec<Vec<BubbleWindow>>, Vec<DeviceSpec>)> =
+        let mut shapes: Vec<(Vec<Vec<BubbleWindow>>, Vec<DeviceSpec>, ExecutorConfig)> =
             [ScheduleKind::GPipe, ScheduleKind::OneFOneB]
                 .into_iter()
                 .enumerate()
@@ -320,21 +467,46 @@ mod tests {
                             }
                         })
                         .collect();
-                    (windows, devices)
+                    (windows, devices, exec)
                 })
                 .collect();
-        let menus = Arc::new(ProfileMenus::new(shapes.iter().flat_map(|(_, d)| d)));
-        let plans: Vec<StagePlans> = shapes
+        let (windows, devices, _) = shapes[0].clone();
+        let roomier_stage = 1;
+        let mut roomier = windows.clone();
+        roomier[roomier_stage][0].free_memory += Bytes::new(1);
+        shapes.push((windows.clone(), devices.clone(), exec));
+        shapes.push((roomier, devices.clone(), exec));
+        for tuned in [
+            ExecutorConfig {
+                fill_fraction: 0.5,
+                ..exec
+            },
+            ExecutorConfig {
+                cold_start_factor: 0.6,
+                ..exec
+            },
+            ExecutorConfig {
+                switch_overhead: exec.switch_overhead + SimDuration::from_nanos(1),
+                ..exec
+            },
+        ] {
+            shapes.push((windows.clone(), devices.clone(), tuned));
+        }
+        let menus = Arc::new(ProfileMenus::new(shapes.iter().flat_map(|(_, d, _)| d)));
+        let all: Vec<StagePlans> = shapes
             .iter()
-            .map(|(w, d)| StagePlans::new(w.clone(), d, exec, Arc::clone(&menus)))
+            .map(|(w, d, e)| StagePlans::new(w.clone(), d, *e, Arc::clone(&menus)))
             .collect();
-        for (i, ((_, devices), plans)) in shapes.iter().zip(&plans).enumerate() {
+        let mut shared = 0;
+        for (i, ((_, devices, exec), plans)) in shapes.iter().zip(&all).enumerate() {
             for (s, device) in devices.iter().enumerate() {
+                let first_geometry = i == 0 || i == 2 || (i == 3 && s != roomier_stage);
                 for (model, kind) in fig7_job_types() {
                     let at = format!("shape {i} stage {s} {model} {kind}");
+                    let plan = plans.plan(model, kind, s);
                     assert_eq!(
-                        plans.plan(model, kind, s).map(|p| &**p),
-                        direct_plan(model, kind, plans.slots(s), device, &exec).as_ref(),
+                        plan.map(|p| &**p),
+                        direct_plan(model, kind, plans.slots(s), device, exec).as_ref(),
                         "{at}"
                     );
                     assert_eq!(
@@ -342,9 +514,53 @@ mod tests {
                         direct_throughput(model, kind, device),
                         "{at}"
                     );
+                    if let (Some(plan), Some(first)) = (plan, all[0].plan(model, kind, s)) {
+                        assert_eq!(Arc::ptr_eq(plan, first), first_geometry, "{at}");
+                        shared += usize::from(first_geometry);
+                    }
                 }
             }
         }
+        // Shares happened, so the equalities above are not vacuous.
+        assert!(shared > 0);
+    }
+
+    #[test]
+    fn stages_of_one_geometry_share_one_plan() {
+        // Two shapes of one geometry on one table: every cell of the
+        // second is the first's `Arc`, and asking the second packs
+        // nothing. Asking both twice packs each distinct (geometry, job
+        // type) cell with windows exactly once.
+        let main = MainJobSpec::physical_5b(8, ScheduleKind::OneFOneB);
+        let windows = windows_of(&main.engine_timeline());
+        let devices = vec![main.device.clone(); windows.len()];
+        let menus = Arc::new(ProfileMenus::new([&main.device]));
+        let exec = ExecutorConfig::default();
+        let [a, b] =
+            [0, 1].map(|_| StagePlans::new(windows.clone(), &devices, exec, Arc::clone(&menus)));
+        assert_eq!(menus.plans_built(), 0, "building plans packs nothing");
+        let types = fig7_job_types();
+        let geometries: BTreeSet<&[BubbleSlot]> = (0..a.stages())
+            .map(|s| a.slots(s))
+            .filter(|slots| !slots.is_empty())
+            .collect();
+        let mut fitted = 0;
+        for _ in 0..2 {
+            for plans in [&a, &b] {
+                for s in 0..plans.stages() {
+                    for &(model, kind) in &types {
+                        let (p, q) = (a.plan(model, kind, s), plans.plan(model, kind, s));
+                        assert_eq!(p.is_some(), q.is_some());
+                        if let (Some(p), Some(q)) = (p, q) {
+                            assert!(Arc::ptr_eq(p, q), "stage {s} {model} {kind}");
+                            fitted += 1;
+                        }
+                    }
+                }
+            }
+            assert_eq!(menus.plans_built(), geometries.len() * types.len());
+        }
+        assert!(fitted > 0);
     }
 
     #[test]

@@ -85,6 +85,8 @@ pub struct ScenarioKey {
     pub hint: &'static str,
     /// The modes the key applies to, as [`mode`] bits.
     modes: u8,
+    /// The experiment grid axis the key overrides, if any.
+    axis: Option<Axis>,
     /// Parses a value into its field.
     parse: fn(&mut ScenarioSpec, &str) -> Result<(), SpecError>,
     /// The field as a scenario file writes it; `None` when unset.
@@ -129,19 +131,27 @@ fn mode(backend: Option<BackendKind>) -> u8 {
 /// `parse` turns the text into the field's value: `grammar` is the
 /// type's own `FromStr`, whose messages name what they parsed and so
 /// stand alone; any other parser's message is about the key. `write`
-/// renders a set value as a scenario file spells it.
+/// renders a set value as a scenario file spells it. `axis` names the
+/// [`Axis`] variant the key overrides in experiment grids, or is `-`.
 macro_rules! key {
-    ($field:ident, $hint:literal, $modes:expr, $parse:ident, $write:expr) => {
+    ($field:ident, $hint:literal, $modes:expr, $parse:ident, $write:expr, $axis:tt) => {
         ScenarioKey {
             name: stringify!($field),
             hint: $hint,
             modes: $modes,
+            axis: key!(@axis $axis),
             parse: |spec, value| {
                 spec.$field = Some(key!(@parse $parse, $field, value));
                 Ok(())
             },
             write: |spec| spec.$field.as_ref().map($write),
         }
+    };
+    (@axis -) => {
+        None
+    };
+    (@axis $axis:ident) => {
+        Some(Axis::$axis)
     };
     (@parse grammar, $field:ident, $value:ident) => {
         $value.parse()?
@@ -157,23 +167,23 @@ macro_rules! key {
 /// further takes only the grid axes it sweeps.
 #[rustfmt::skip]
 pub const KEYS: &[ScenarioKey] = &[
-    //   field            help hint                            applies to        parse       write
-    key!(name,            "TEXT",                              EXP | RUNS,       text,       quoted),
-    key!(experiment,      "NAME",                              EXP,              text,       quoted),
-    key!(backend,         "coarse|physical|fault|fleet",       RUNS,             grammar,    quoted),
-    key!(schedule,        "gpipe|1f1b|interleaved[:v]|zb-h1",  RUNS,             grammar,    lowercase),
-    key!(seed,            "S",                                 EXP | RUNS,       int,        plain),
-    key!(iterations,      "N",                                 EXP | LOOPS,      int,        plain),
-    key!(horizon_secs,    "N",                                 EXP | COARSE,     int,        plain),
-    key!(load,            "X",                                 COARSE,           load,       plain),
-    key!(fill_fraction,   "F",                                 PHYSICAL | FAULT, fraction,   plain),
-    key!(mtbf_secs,       "X|none",                            FAULT | FLEET,    mtbf_secs,  mtbf_text),
-    key!(checkpoint_secs, "C",                                 FAULT,            checkpoint, plain),
-    key!(fast_forward,    "on|off",                            LOOPS,            on_off,     on_off_text),
-    key!(policy,          "fifo|sjf|makespan-min|edf",         COARSE | FLEET,   grammar,    policy_text),
-    key!(jobs,            "N",                                 FLEET,            int,        plain),
-    key!(gpus,            "N",                                 FLEET,            int,        plain),
-    key!(seeds,           "N",                                 EXP,              int,        plain),
+    //   field            help hint                            applies to        parse       write        grid axis
+    key!(name,            "TEXT",                              EXP | RUNS,       text,       quoted,      -),
+    key!(experiment,      "NAME",                              EXP,              text,       quoted,      -),
+    key!(backend,         "coarse|physical|fault|fleet",       RUNS,             grammar,    quoted,      -),
+    key!(schedule,        "gpipe|1f1b|interleaved[:v]|zb-h1",  RUNS,             grammar,    lowercase,   -),
+    key!(seed,            "S",                                 EXP | RUNS,       int,        plain,       Seed),
+    key!(iterations,      "N",                                 EXP | LOOPS,      int,        plain,       Iterations),
+    key!(horizon_secs,    "N",                                 EXP | COARSE,     int,        plain,       HorizonSecs),
+    key!(load,            "X",                                 COARSE,           load,       plain,       -),
+    key!(fill_fraction,   "F",                                 PHYSICAL | FAULT, fraction,   plain,       -),
+    key!(mtbf_secs,       "X|none",                            FAULT | FLEET,    mtbf_secs,  mtbf_text,   -),
+    key!(checkpoint_secs, "C",                                 FAULT,            checkpoint, plain,       -),
+    key!(fast_forward,    "on|off",                            LOOPS,            on_off,     on_off_text, -),
+    key!(policy,          "fifo|sjf|makespan-min|edf",         COARSE | FLEET,   grammar,    policy_text, -),
+    key!(jobs,            "N",                                 FLEET,            int,        plain,       -),
+    key!(gpus,            "N",                                 FLEET,            int,        plain,       -),
+    key!(seeds,           "N",                                 EXP,              int,        plain,       Seeds),
 ];
 
 /// Every [`KEYS`] row after `name`, `experiment` and `backend`: the
@@ -357,15 +367,17 @@ impl ScenarioSpec {
             };
             // An override of an axis the experiment does not sweep
             // would silently no-op.
-            for (axis, set) in [
-                (Axis::Iterations, self.iterations.is_some()),
-                (Axis::Seed, self.seed.is_some()),
-                (Axis::HorizonSecs, self.horizon_secs.is_some()),
-                (Axis::Seeds, self.seeds.is_some()),
-            ] {
-                if set && !exps.iter().any(|e| e.axes().contains(&axis)) {
+            // The check runs in `Axis` order, so the first unswept
+            // override named is the same whatever the table's order.
+            let mut axes: Vec<(Axis, &ScenarioKey)> = KEYS
+                .iter()
+                .filter_map(|key| Some((key.axis?, key)))
+                .collect();
+            axes.sort_by_key(|&(axis, _)| axis);
+            for (axis, key) in axes {
+                if key.value(self).is_some() && !exps.iter().any(|e| e.axes().contains(&axis)) {
                     return Err(SpecError::about(
-                        &axis.to_string(),
+                        key.name,
                         format!(
                             "does not apply to experiment '{label}' (its grid does not sweep it)"
                         ),
@@ -1136,6 +1148,38 @@ mod tests {
                     "{mode:?} {key}"
                 );
             }
+        }
+    }
+
+    /// Walks the key table's grid-axis column: each row that names an
+    /// [`Axis`] is spelled as the axis displays, no axis has two rows,
+    /// and an experiment that sweeps nothing names the unswept
+    /// overrides in `Axis` order, whatever order the rows are in.
+    #[test]
+    fn grid_axis_rows_are_spelled_as_their_axis() {
+        let mut axes = Vec::new();
+        for key in KEYS {
+            if let Some(axis) = key.axis {
+                assert_eq!(key.name, axis.to_string());
+                assert!(key.applies_to(None), "{}", key.name);
+                axes.push(axis);
+            }
+        }
+        axes.sort();
+        let names: Vec<String> = axes.iter().map(Axis::to_string).collect();
+        assert_eq!(names, ["iterations", "seed", "horizon_secs", "seeds"]);
+        let mut spec = ScenarioSpec::experiment("table1");
+        for (key, value) in [
+            ("seeds", "2"),
+            ("horizon_secs", "60"),
+            ("seed", "3"),
+            ("iterations", "5"),
+        ] {
+            spec.set(key, value).unwrap();
+            assert_eq!(
+                spec.validate().unwrap_err().to_string(),
+                format!("{key} does not apply to experiment 'table1' (its grid does not sweep it)")
+            );
         }
     }
 

@@ -33,12 +33,18 @@
 //! [`StagePlans::new`] interns its stages' geometries in the table once,
 //! under one lock, and keeps a handle to each geometry's row, so stages of
 //! any shape with equal geometries read one plan, and
-//! [`StagePlans::plan`] takes no lock and hashes nothing. A plan packs its
-//! geometry's slots against the shared menu ([`plan_best_of`]), and an
-//! exclusive throughput is the best isolated throughput over the same
-//! menu ([`exclusive_best_of`]). Menus, plans and throughputs are all made
-//! on first request and cached for the life of the table, so building a
-//! `StagePlans` costs no profiling or planning.
+//! [`StagePlans::plan`] takes no lock and hashes nothing once its cell is
+//! packed. A plan searches the shared menu against its geometry's slots,
+//! best-bound-first ([`PreparedMenu::plan_best_of`]), over the menu's
+//! node durations scaled by the geometry's cold-start factor. The table
+//! scales them once per (model, kind, device, `cold_start_factor` bits)
+//! into a [`PreparedMenu`], made under a lock on the first plan request
+//! for it, so only packing a new cell locks. An exclusive throughput is
+//! the best isolated throughput over the same menu
+//! ([`exclusive_best_of`]) and prepares nothing. Menus, prepared menus,
+//! plans and throughputs are all made on first request and cached for
+//! the life of the table, so building a `StagePlans` costs no profiling
+//! or planning.
 
 use std::cmp::Ordering;
 use std::collections::btree_map::{BTreeMap, Entry};
@@ -47,7 +53,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use pipefill_device::DeviceSpec;
 use pipefill_executor::plan::BubbleSlot;
 use pipefill_executor::{
-    exclusive_best_of, plan_best_of, profile_menu, ExecutionPlan, ExecutorConfig, JobProfile,
+    exclusive_best_of, profile_menu, ExecutionPlan, ExecutorConfig, JobProfile, PreparedMenu,
 };
 use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_pipeline::{BubbleWindow, EngineTimeline};
@@ -70,8 +76,8 @@ struct Menu {
 }
 
 /// Everything a stage's plans depend on besides the fill-job type. Equal
-/// means bit-for-bit equal, so two stages share plans only when
-/// `plan_best_of` would be handed the same inputs.
+/// means bit-for-bit equal, so two stages share plans only when the menu
+/// search would be handed the same inputs.
 #[derive(Debug, Clone)]
 struct Geometry {
     /// The stage's device, as its column in the table.
@@ -148,7 +154,8 @@ struct GeometryPlans {
 
 /// The executor's profile menu of every fill-job type on each of a set of
 /// devices, and its plan of every fill-job type on each stage geometry
-/// interned so far. Each (model, kind, device) menu is profiled, and each
+/// interned so far. Each (model, kind, device) menu is profiled, each
+/// (model, kind, device, cold-start factor) menu prepared, and each
 /// (model, kind, geometry) plan packed, on first request, once for every
 /// [`StagePlans`] sharing the table. See the module docs.
 #[derive(Debug)]
@@ -159,9 +166,15 @@ pub struct ProfileMenus {
     menus: Vec<OnceLock<Menu>>,
     /// Plan row per distinct stage geometry. Only interning locks it.
     geometries: Mutex<BTreeMap<Geometry, Arc<GeometryPlans>>>,
+    /// Prepared menu per (menu index, `cold_start_factor` bits). Only a
+    /// plan cell's packing locks it.
+    prepared: Mutex<BTreeMap<(usize, u64), Arc<PreparedMenu>>>,
     /// Plans packed so far.
     #[cfg(test)]
     packed: std::sync::atomic::AtomicUsize,
+    /// Configurations in the menus of the plans packed so far.
+    #[cfg(test)]
+    offered: std::sync::atomic::AtomicUsize,
 }
 
 impl ProfileMenus {
@@ -179,8 +192,11 @@ impl ProfileMenus {
                 .collect(),
             devices: distinct,
             geometries: Mutex::new(BTreeMap::new()),
+            prepared: Mutex::new(BTreeMap::new()),
             #[cfg(test)]
             packed: Default::default(),
+            #[cfg(test)]
+            offered: Default::default(),
         }
     }
 
@@ -196,9 +212,15 @@ impl ProfileMenus {
             .unwrap_or_else(|| panic!("no profile menus for device {}", device.name))
     }
 
+    /// The index in `menus` of a `(model, kind)` fill job's menu on the
+    /// device in `column`.
+    fn menu_index(&self, model: ModelId, kind: JobKind, column: usize) -> usize {
+        job_type(model, kind) * self.devices.len() + column
+    }
+
     /// The menu of a `(model, kind)` fill job on the device in `column`.
     fn menu(&self, model: ModelId, kind: JobKind, column: usize) -> &Menu {
-        self.menus[job_type(model, kind) * self.devices.len() + column].get_or_init(|| {
+        self.menus[self.menu_index(model, kind, column)].get_or_init(|| {
             let device = &self.devices[column];
             let profiles = profile_menu(&model.build(), kind, device);
             let exclusive = exclusive_best_of(&profiles, device.hbm).map(|(t, _)| t);
@@ -244,11 +266,23 @@ impl ProfileMenus {
                 if g.slots.is_empty() {
                     return None;
                 }
-                #[cfg(test)]
-                self.packed
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 let menu = self.menu(model, kind, g.column);
-                plan_best_of(&menu.profiles, &g.slots, &g.executor)
+                #[cfg(test)]
+                {
+                    use std::sync::atomic::Ordering::Relaxed;
+                    self.packed.fetch_add(1, Relaxed);
+                    self.offered.fetch_add(menu.profiles.len(), Relaxed);
+                }
+                let cold = g.executor.cold_start_factor;
+                let prepared = Arc::clone(
+                    self.prepared
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .entry((self.menu_index(model, kind, g.column), cold.to_bits()))
+                        .or_insert_with(|| Arc::new(PreparedMenu::new(&menu.profiles, cold))),
+                );
+                prepared
+                    .plan_best_of(&menu.profiles, &g.slots, &g.executor)
                     .ok()
                     .map(Arc::new)
             })
@@ -265,6 +299,34 @@ impl ProfileMenus {
     #[cfg(test)]
     fn plans_built(&self) -> usize {
         self.packed.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// Prepared menus made so far.
+    #[cfg(test)]
+    fn prepared_built(&self) -> usize {
+        self.prepared_menus().len()
+    }
+
+    /// Configurations the plans packed so far ran the packer on, and the
+    /// configurations their menus hold.
+    #[cfg(test)]
+    fn configs_packed(&self) -> (usize, usize) {
+        let packed = self
+            .prepared_menus()
+            .iter()
+            .map(|p| p.configs_packed())
+            .sum();
+        (
+            packed,
+            self.offered.load(std::sync::atomic::Ordering::Relaxed),
+        )
+    }
+
+    /// The prepared menus made so far.
+    #[cfg(test)]
+    fn prepared_menus(&self) -> Vec<Arc<PreparedMenu>> {
+        let prepared = self.prepared.lock().unwrap_or_else(PoisonError::into_inner);
+        prepared.values().cloned().collect()
     }
 }
 
@@ -523,6 +585,76 @@ mod tests {
         }
         // Shares happened, so the equalities above are not vacuous.
         assert!(shared > 0);
+        // The best-bound-first search packed fewer configurations than
+        // the menus of the packed cells hold.
+        let (packed, offered) = menus.configs_packed();
+        assert!(0 < packed && packed < offered, "{packed} of {offered}");
+    }
+
+    #[test]
+    fn throughputs_prepare_no_menu() {
+        let main = MainJobSpec::physical_5b(8, ScheduleKind::OneFOneB);
+        let windows = windows_of(&main.engine_timeline());
+        let p = windows.len();
+        let menus = Arc::new(ProfileMenus::new([&main.device]));
+        let plans = StagePlans::new(
+            windows,
+            &vec![main.device.clone(); p],
+            ExecutorConfig::default(),
+            Arc::clone(&menus),
+        );
+        for (model, kind) in fig7_job_types() {
+            for s in 0..p {
+                plans.throughput(model, kind, s);
+            }
+        }
+        assert!(menus.built() > 0);
+        assert_eq!(menus.prepared_built(), 0);
+        let (model, kind) = fig7_job_types()[0];
+        plans.plan(model, kind, 1);
+        assert_eq!(menus.prepared_built(), 1);
+    }
+
+    #[test]
+    fn each_cold_start_factor_gets_its_own_prepared_menu() {
+        // Two shapes of one geometry but for the cold-start factor, on
+        // one table: each job type's menu is prepared once per factor,
+        // and every cell is its own factor's cold `plan_best`, so a
+        // menu prepared under the other factor would show.
+        let main = MainJobSpec::physical_5b(8, ScheduleKind::GPipe);
+        let windows = windows_of(&main.engine_timeline());
+        let devices = vec![main.device.clone(); windows.len()];
+        let menus = Arc::new(ProfileMenus::new([&main.device]));
+        let warm = ExecutorConfig::default();
+        let colder = ExecutorConfig {
+            cold_start_factor: 0.5,
+            ..warm
+        };
+        let types = fig7_job_types();
+        let mut differ = 0;
+        for _ in 0..2 {
+            for exec in [warm, colder] {
+                let plans = StagePlans::new(windows.clone(), &devices, exec, Arc::clone(&menus));
+                for s in 0..plans.stages() {
+                    for &(model, kind) in &types {
+                        let direct = direct_plan(model, kind, plans.slots(s), &main.device, &exec);
+                        assert_eq!(
+                            plans.plan(model, kind, s).map(|p| &**p),
+                            direct.as_ref(),
+                            "cold {} stage {s} {model} {kind}",
+                            exec.cold_start_factor
+                        );
+                        let other = if exec == warm { colder } else { warm };
+                        let other = direct_plan(model, kind, plans.slots(s), &main.device, &other);
+                        differ += usize::from(direct != other);
+                    }
+                }
+            }
+            assert_eq!(menus.prepared_built(), 2 * types.len());
+        }
+        // The factor changes some plans, so sharing one prepared menu
+        // across factors would fail the equalities above.
+        assert!(differ > 0);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!    each node's execution time and memory requirement.
 //! 2. **Planning** ([`plan`]): run the paper's Algorithm 1 — replicate the
 //!    graph to fill the bubble cycle, then greedily pack source nodes into
-//!    successive bubbles — for every feasible configuration, and keep the
-//!    plan with the highest throughput.
+//!    successive bubbles — and keep the configuration with the highest
+//!    throughput, searching the menu best-bound-first.
 //! 3. **Execution** ([`FillJobExecutor`]): a state machine the cluster
 //!    simulator drives one bubble at a time; it reports the work done per
 //!    bubble and isolates memory-cap violations to the fill process.
@@ -49,8 +49,8 @@ pub use config::{ExecConfig, ExecTechnique, ExecutorConfig};
 pub use executor::{BubbleExecution, ExecutorCheckpoint, FillJobExecutor};
 pub use job::{FillJobSpec, JobId};
 pub use plan::{
-    plan_best, plan_best_of, plan_for_config, plan_whole_graph_only, ExecutionPlan, Partition,
-    PlanError,
+    plan_best, plan_best_of, plan_for_config, plan_whole_graph_only, rate_bound, replica_count,
+    ExecutionPlan, Partition, PlanError, PreparedMenu,
 };
 pub use profile::{
     build_profile, exclusive_best_of, exclusive_throughput, profile_menu, JobProfile, NodeProfile,

@@ -9,11 +9,29 @@
 //!    bubbles without violating each bubble's duration or free-memory
 //!    limit (lines 8–18).
 //!
-//! [`plan_best_of`] runs this for every configuration of a job's profile
-//! menu (batch size × technique) and keeps the plan with the highest
-//! throughput; [`plan_best`] builds the menu first. This is the
-//! Executor's "choose a batch size and create partitions … that maximize
-//! the amount of work completed during the pipeline bubbles" (§4.1).
+//! [`plan_for_config`] runs this for one profile.
+//! [`PreparedMenu::plan_best_of`] finds the feasible plan with the
+//! highest throughput over a job's profile menu (batch size × technique),
+//! its node durations scaled once per cold-start factor; [`plan_best_of`]
+//! prepares the menu first, and [`plan_best`] also builds it.
+//! This is the Executor's "choose a batch size and create partitions …
+//! that maximize the amount of work completed during the pipeline
+//! bubbles" (§4.1).
+//!
+//! The menu search is best-bound-first and exact. A configuration whose
+//! cold graph takes `g` against a cycle of total usable capacity `T`
+//! (both in nanoseconds) packs `r = max(1, ⌊(T − 1) / g⌋)` replicas ([`replica_count`]), which
+//! hold `r·g` of work. A pass visits a prefix of the cyclic slots, and
+//! each slot holds at most its usable duration, so the pass spans at
+//! least `⌈r·g / T⌉` main-job iterations. The configuration's samples per
+//! main-job iteration are therefore at most
+//! `r·samples_per_iteration / max(1, ⌈r·g / T⌉)` ([`rate_bound`]). The
+//! search packs configurations in descending bound and stops at the
+//! first bound below the best rate found, so it returns the plan the
+//! exhaustive search in menu order would.
+
+use std::cmp::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
 use pipefill_device::{Bytes, DeviceSpec};
 use pipefill_sim_core::SimDuration;
@@ -111,6 +129,132 @@ impl ExecutionPlan {
 /// Alias used throughout: one bubble slot = (usable duration, free memory).
 pub type BubbleSlot = (SimDuration, Bytes);
 
+/// Usable capacity of a bubble cycle: each slot's filled fraction minus
+/// the switch cost, at the slot's full free memory.
+struct UsableCaps {
+    slots: Vec<BubbleSlot>,
+    /// Sum of the slots' usable durations.
+    total: SimDuration,
+    /// Longest usable duration of any slot.
+    longest: SimDuration,
+    /// Largest free memory of any slot.
+    roomiest: Bytes,
+}
+
+impl UsableCaps {
+    fn new(bubbles: &[BubbleSlot], exec: &ExecutorConfig) -> Self {
+        let slots: Vec<BubbleSlot> = bubbles
+            .iter()
+            .map(|&(d, m)| {
+                (
+                    d.mul_f64(exec.fill_fraction)
+                        .saturating_sub(exec.switch_overhead),
+                    m,
+                )
+            })
+            .collect();
+        UsableCaps {
+            total: slots.iter().map(|&(d, _)| d).sum(),
+            longest: slots.iter().map(|&(d, _)| d).max().unwrap_or_default(),
+            roomiest: slots.iter().map(|&(_, m)| m).max().unwrap_or_default(),
+            slots,
+        }
+    }
+}
+
+/// One profile's node durations as executed in bubbles (cold caches),
+/// with the summaries the menu search reads.
+#[derive(Debug)]
+struct ColdProfile {
+    node_durations: Vec<SimDuration>,
+    /// Sum of `node_durations`: one graph replica.
+    duration: SimDuration,
+    longest_node: SimDuration,
+    largest_memory: Bytes,
+}
+
+impl ColdProfile {
+    fn new(profile: &JobProfile, cold_start_factor: f64) -> Self {
+        let slowdown = 1.0 / cold_start_factor;
+        let node_durations: Vec<SimDuration> = profile
+            .nodes
+            .iter()
+            .map(|n| n.duration.mul_f64(slowdown))
+            .collect();
+        ColdProfile {
+            duration: node_durations.iter().copied().sum(),
+            longest_node: node_durations.iter().copied().max().unwrap_or_default(),
+            largest_memory: profile.peak_memory(),
+            node_durations,
+        }
+    }
+}
+
+/// A profile menu prepared for the best-bound-first search
+/// ([`PreparedMenu::plan_best_of`]) under one cold-start factor: every profile's node durations scaled once, with its graph
+/// duration, longest node and largest node memory. Node memory and FLOPs
+/// are still read from the menu's profiles.
+#[derive(Debug)]
+pub struct PreparedMenu {
+    cold_start_factor: f64,
+    profiles: Vec<ColdProfile>,
+    /// Configurations handed to the packer by every search so far.
+    packed: AtomicUsize,
+}
+
+impl PreparedMenu {
+    /// Prepares `menu` for plans under `cold_start_factor`.
+    pub fn new(menu: &[JobProfile], cold_start_factor: f64) -> Self {
+        PreparedMenu {
+            cold_start_factor,
+            profiles: menu
+                .iter()
+                .map(|p| ColdProfile::new(p, cold_start_factor))
+                .collect(),
+            packed: AtomicUsize::new(0),
+        }
+    }
+
+    /// Configurations that searches over this menu have run the packer
+    /// on, out of the menu's length per search.
+    pub fn configs_packed(&self) -> usize {
+        self.packed.load(AtomicOrdering::Relaxed)
+    }
+}
+
+/// Graph replicas Algorithm 1 packs per pass (lines 3–7: replicate while
+/// another copy still fits strictly below the cycle's capacity): the
+/// largest `r ≥ 1` with `r·graph < total_cap`, or 1.
+///
+/// # Panics
+///
+/// Panics if `graph` or `total_cap` is zero.
+pub fn replica_count(graph: SimDuration, total_cap: SimDuration) -> u64 {
+    assert!(
+        !graph.is_zero() && !total_cap.is_zero(),
+        "replica count needs a graph and a cycle that take time"
+    );
+    ((total_cap.as_nanos() - 1) / graph.as_nanos()).max(1)
+}
+
+/// An upper bound on the samples per main-job iteration of any plan that
+/// packs a graph of cold duration `graph`, processing
+/// `samples_per_iteration` per replica, into a cycle of total usable
+/// capacity `total_cap` (see the module docs). It is computed with the
+/// same integer numerator and float division as
+/// [`ExecutionPlan::samples_per_main_iteration`], so the bound holds in
+/// floating point too.
+///
+/// # Panics
+///
+/// Panics if `graph` or `total_cap` is zero.
+pub fn rate_bound(graph: SimDuration, samples_per_iteration: u64, total_cap: SimDuration) -> f64 {
+    let replicas = replica_count(graph, total_cap);
+    let work = u128::from(replicas) * u128::from(graph.as_nanos());
+    let span = work.div_ceil(u128::from(total_cap.as_nanos())).max(1);
+    (replicas * samples_per_iteration) as f64 / span as f64
+}
+
 /// Runs Algorithm 1 for one already-built profile.
 ///
 /// # Errors
@@ -122,53 +266,43 @@ pub fn plan_for_config(
     exec: &ExecutorConfig,
 ) -> Result<ExecutionPlan, PlanError> {
     exec.validate();
-    // Usable capacity per bubble: the filled fraction minus switch cost.
-    let caps: Vec<BubbleSlot> = bubbles
-        .iter()
-        .map(|&(d, m)| {
-            (
-                d.mul_f64(exec.fill_fraction)
-                    .saturating_sub(exec.switch_overhead),
-                m,
-            )
-        })
-        .collect();
-    let total_cap: SimDuration = caps.iter().map(|&(d, _)| d).sum();
-    if total_cap.is_zero() {
+    let caps = UsableCaps::new(bubbles, exec);
+    if caps.total.is_zero() {
         return Err(PlanError::NoUsableBubbles);
     }
+    pack(
+        profile,
+        &ColdProfile::new(profile, exec.cold_start_factor),
+        &caps,
+    )
+}
 
-    // Node durations as executed in bubbles (cold caches).
-    let slowdown = 1.0 / exec.cold_start_factor;
-    let node_dur: Vec<SimDuration> = profile
-        .nodes
-        .iter()
-        .map(|n| n.duration.mul_f64(slowdown))
-        .collect();
-    let node_mem: Vec<Bytes> = profile.nodes.iter().map(|n| n.memory).collect();
-    let node_flops: Vec<f64> = profile.nodes.iter().map(|n| n.flops).collect();
-    let graph_dur: SimDuration = node_dur.iter().copied().sum();
+/// Algorithm 1 proper: packs `profile`, whose cold node durations are
+/// `cold`, into `caps`, which must have usable capacity.
+fn pack(
+    profile: &JobProfile,
+    cold: &ColdProfile,
+    caps: &UsableCaps,
+) -> Result<ExecutionPlan, PlanError> {
+    let nodes = &profile.nodes;
+    let node_dur = &cold.node_durations;
+    let slots = &caps.slots;
 
     // Every node must fit in at least one bubble (duration and memory in
     // the same bubble).
-    for (d, m) in node_dur.iter().zip(&node_mem) {
-        if !caps.iter().any(|&(cd, cm)| *d <= cd && *m <= cm) {
+    for (d, n) in node_dur.iter().zip(nodes) {
+        if !slots.iter().any(|&(cd, cm)| *d <= cd && n.memory <= cm) {
             return Err(PlanError::NodeDoesNotFit);
         }
     }
 
     // Lines 3–7: replicate the graph while another copy still fits (an
     // instant graph always would).
-    if graph_dur.is_zero() {
+    if cold.duration.is_zero() {
         return Err(PlanError::ZeroDurationGraph);
     }
-    let mut replicas = 1u64;
-    let mut planned = graph_dur;
-    while planned + graph_dur < total_cap {
-        replicas += 1;
-        planned += graph_dur;
-    }
-    let n_nodes = profile.nodes.len();
+    let replicas = replica_count(cold.duration, caps.total);
+    let n_nodes = nodes.len();
     let total_nodes = n_nodes * replicas as usize;
 
     // Lines 8–18: greedy packing into cyclic bubbles. `slot_steps` counts
@@ -181,19 +315,20 @@ pub fn plan_for_config(
     let mut empty_streak = 0usize;
     let mut slot_steps = 0u64;
     while next < total_nodes {
-        let (cap_d, cap_m) = caps[bubble_i];
+        let (cap_d, cap_m) = slots[bubble_i];
         let mut dur = SimDuration::ZERO;
         let mut mem = Bytes::ZERO;
         let mut flops = 0.0;
         let mut count = 0usize;
         let mut iterations = 0u64;
         while next < total_nodes {
-            if dur + node_dur[k] > cap_d || node_mem[k] > cap_m {
+            let node = &nodes[k];
+            if dur + node_dur[k] > cap_d || node.memory > cap_m {
                 break;
             }
             dur += node_dur[k];
-            mem = mem.max(node_mem[k]);
-            flops += node_flops[k];
+            mem = mem.max(node.memory);
+            flops += node.flops;
             count += 1;
             k += 1;
             if k == n_nodes {
@@ -207,7 +342,7 @@ pub fn plan_for_config(
             // A full cycle without progress means the head node fits no
             // bubble under current occupancy — impossible by the
             // feasibility pre-check unless all bubbles were tried.
-            if empty_streak >= caps.len() {
+            if empty_streak >= slots.len() {
                 return Err(PlanError::NodeDoesNotFit);
             }
         } else {
@@ -222,9 +357,9 @@ pub fn plan_for_config(
             });
         }
         slot_steps += 1;
-        bubble_i = (bubble_i + 1) % caps.len();
+        bubble_i = (bubble_i + 1) % slots.len();
     }
-    let main_iterations = slot_steps.div_ceil(caps.len() as u64).max(1);
+    let main_iterations = slot_steps.div_ceil(slots.len() as u64).max(1);
 
     Ok(ExecutionPlan {
         config: profile.config,
@@ -232,14 +367,106 @@ pub fn plan_for_config(
         samples_per_pass: replicas * profile.samples_per_iteration,
         flops_per_pass: partitions.iter().map(|p| p.flops).sum(),
         busy_time_per_pass: partitions.iter().map(|p| p.duration).sum(),
-        bubbles_per_iteration: caps.len(),
+        bubbles_per_iteration: slots.len(),
         main_iterations_per_pass: main_iterations,
         partitions,
     })
 }
 
-/// Plans every profile of `menu` and returns the feasible plan with the
-/// most samples per main-job iteration; the earliest wins a tie.
+/// The order [`plan_best_of`] maximizes: throughput, then FLOPs per
+/// main-job iteration, so a sample tie goes to the plan executing more
+/// FLOPs (e.g. a bigger checkpointed batch over a small plain one at
+/// equal sample rate).
+fn plan_order(a: &ExecutionPlan, b: &ExecutionPlan) -> Ordering {
+    let flops_rate = |p: &ExecutionPlan| p.flops_per_pass / p.main_iterations_per_pass as f64;
+    a.samples_per_main_iteration()
+        .total_cmp(&b.samples_per_main_iteration())
+        .then_with(|| flops_rate(a).total_cmp(&flops_rate(b)))
+}
+
+impl PreparedMenu {
+    /// Returns the feasible plan of `menu`, which this was prepared from,
+    /// with the most samples per main-job iteration (then the most FLOPs
+    /// per main-job iteration); the earliest in the menu wins a tie.
+    /// Configurations are packed in descending [`rate_bound`] and the
+    /// search stops at the first bound below the best rate found (see the
+    /// module docs), so the result is the exhaustive search's.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanError::NoFeasibleConfig`] if nothing fits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this was not prepared from a menu of `menu`'s length
+    /// under `exec`'s cold-start factor, or if `exec` is out of range.
+    pub fn plan_best_of(
+        &self,
+        menu: &[JobProfile],
+        bubbles: &[BubbleSlot],
+        exec: &ExecutorConfig,
+    ) -> Result<ExecutionPlan, PlanError> {
+        exec.validate();
+        assert_eq!(
+            menu.len(),
+            self.profiles.len(),
+            "one prepared profile per config"
+        );
+        assert_eq!(
+            self.cold_start_factor.to_bits(),
+            exec.cold_start_factor.to_bits(),
+            "menu prepared under another cold-start factor"
+        );
+        let caps = UsableCaps::new(bubbles, exec);
+        if caps.total.is_zero() {
+            return Err(PlanError::NoFeasibleConfig);
+        }
+        // A graph that takes no time is refused by the packer, and bounds
+        // nothing.
+        let mut by_bound: Vec<(f64, usize)> = self
+            .profiles
+            .iter()
+            .zip(menu)
+            .enumerate()
+            .filter(|(_, (cold, _))| !cold.duration.is_zero())
+            .map(|(i, (cold, profile))| {
+                let bound = rate_bound(cold.duration, profile.samples_per_iteration, caps.total);
+                (bound, i)
+            })
+            .collect();
+        by_bound.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        let mut best: Option<(ExecutionPlan, usize)> = None;
+        for (bound, i) in by_bound {
+            if best
+                .as_ref()
+                .is_some_and(|(b, _)| bound < b.samples_per_main_iteration())
+            {
+                break;
+            }
+            let cold = &self.profiles[i];
+            // A node longer than every slot, or larger than every slot's
+            // memory, fits no slot.
+            if cold.longest_node > caps.longest || cold.largest_memory > caps.roomiest {
+                continue;
+            }
+            self.packed.fetch_add(1, AtomicOrdering::Relaxed);
+            let Ok(plan) = pack(&menu[i], cold, &caps) else {
+                continue;
+            };
+            let wins = best
+                .as_ref()
+                .is_none_or(|(b, j)| plan_order(&plan, b).then(j.cmp(&i)) == Ordering::Greater);
+            if wins {
+                best = Some((plan, i));
+            }
+        }
+        best.map(|(plan, _)| plan)
+            .ok_or(PlanError::NoFeasibleConfig)
+    }
+}
+
+/// Prepares `menu` under `exec`'s cold-start factor and returns its best
+/// plan over `bubbles` ([`PreparedMenu::plan_best_of`]).
 ///
 /// # Errors
 ///
@@ -249,25 +476,7 @@ pub fn plan_best_of(
     bubbles: &[BubbleSlot],
     exec: &ExecutorConfig,
 ) -> Result<ExecutionPlan, PlanError> {
-    // Maximize throughput; break sample ties toward the plan executing
-    // more FLOPs (e.g. prefer a bigger checkpointed batch over a small
-    // plain one at equal sample rate).
-    let key = |p: &ExecutionPlan| {
-        (
-            p.samples_per_main_iteration(),
-            p.flops_per_pass / p.main_iterations_per_pass as f64,
-        )
-    };
-    let mut best: Option<ExecutionPlan> = None;
-    for profile in menu {
-        let Ok(plan) = plan_for_config(profile, bubbles, exec) else {
-            continue;
-        };
-        if best.as_ref().is_none_or(|b| key(&plan) > key(b)) {
-            best = Some(plan);
-        }
-    }
-    best.ok_or(PlanError::NoFeasibleConfig)
+    PreparedMenu::new(menu, exec.cold_start_factor).plan_best_of(menu, bubbles, exec)
 }
 
 /// Builds the job's [`profile_menu`] on `device` and returns its best plan
@@ -300,23 +509,9 @@ pub fn plan_whole_graph_only(
     exec: &ExecutorConfig,
 ) -> Result<ExecutionPlan, PlanError> {
     exec.validate();
-    let slowdown = 1.0 / exec.cold_start_factor;
-    let graph_dur: SimDuration = profile
-        .nodes
-        .iter()
-        .map(|n| n.duration.mul_f64(slowdown))
-        .sum();
+    let graph_dur = ColdProfile::new(profile, exec.cold_start_factor).duration;
     let peak = profile.peak_memory();
-    let caps: Vec<BubbleSlot> = bubbles
-        .iter()
-        .map(|&(d, m)| {
-            (
-                d.mul_f64(exec.fill_fraction)
-                    .saturating_sub(exec.switch_overhead),
-                m,
-            )
-        })
-        .collect();
+    let caps = UsableCaps::new(bubbles, exec).slots;
     let fitting: Vec<usize> = caps
         .iter()
         .enumerate()

@@ -3,15 +3,18 @@
 //! all nodes in order, and drive the executor to completion. A reference
 //! copy of the original modulo-indexed greedy pins `plan_for_config`'s
 //! packing field for field, and `plan_best` is pinned to the menu split.
+//! An exhaustive menu-order search pins the best-bound-first
+//! `plan_best_of`, and every feasible plan is pinned under its rate
+//! bound.
 
 use proptest::prelude::*;
 
 use pipefill_device::{Bytes, DeviceSpec};
 use pipefill_executor::plan::BubbleSlot;
 use pipefill_executor::{
-    plan_best, plan_best_of, plan_for_config, profile_menu, ExecConfig, ExecTechnique,
-    ExecutionPlan, ExecutorConfig, FillJobExecutor, FillJobSpec, JobProfile, NodeProfile,
-    Partition, PlanError,
+    plan_best, plan_best_of, plan_for_config, profile_menu, rate_bound, replica_count, ExecConfig,
+    ExecTechnique, ExecutionPlan, ExecutorConfig, FillJobExecutor, FillJobSpec, JobProfile,
+    NodeProfile, Partition, PlanError,
 };
 use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_sim_core::SimDuration;
@@ -161,6 +164,80 @@ fn reference_plan(
     })
 }
 
+/// The menu search as first written: every profile planned in menu
+/// order, a plan kept only when its (samples, FLOPs) rate beats the best
+/// so far. The best-bound-first `plan_best_of` must return its plan.
+fn exhaustive_best_of(
+    menu: &[JobProfile],
+    bubbles: &[BubbleSlot],
+    exec: &ExecutorConfig,
+) -> Result<ExecutionPlan, PlanError> {
+    let key = |p: &ExecutionPlan| {
+        (
+            p.samples_per_main_iteration(),
+            p.flops_per_pass / p.main_iterations_per_pass as f64,
+        )
+    };
+    let mut best: Option<ExecutionPlan> = None;
+    for profile in menu {
+        let Ok(plan) = plan_for_config(profile, bubbles, exec) else {
+            continue;
+        };
+        if best.as_ref().is_none_or(|b| key(&plan) > key(b)) {
+            best = Some(plan);
+        }
+    }
+    best.ok_or(PlanError::NoFeasibleConfig)
+}
+
+/// A menu of `picks.len()` profiles drawn, with repeats, from `graphs`
+/// (nodes as `(ms, MiB)`, samples per iteration). Each entry is labelled
+/// with its own batch size, so the plan of a tie shows which entry won.
+fn menu_from(graphs: &[(Vec<(u64, u64)>, u64)], picks: &[usize]) -> Vec<JobProfile> {
+    picks
+        .iter()
+        .enumerate()
+        .map(|(i, &pick)| {
+            let (nodes, samples) = &graphs[pick % graphs.len()];
+            JobProfile {
+                config: ExecConfig {
+                    batch_size: i + 1,
+                    technique: ExecTechnique::Plain,
+                },
+                samples_per_iteration: *samples,
+                ..profile_from(nodes.clone())
+            }
+        })
+        .collect()
+}
+
+/// Usable slots of `bubbles` (in ms, MiB) under `exec`. With
+/// `zero_capacity`, the switch cost swallows the longest bubble, so
+/// nothing in the cycle is usable.
+fn cycle(
+    bubbles: &[(u64, u64)],
+    fill_pct: u64,
+    cold_pct: u64,
+    switch_ms: u64,
+    zero_capacity: bool,
+) -> (Vec<BubbleSlot>, ExecutorConfig) {
+    let slots: Vec<BubbleSlot> = bubbles
+        .iter()
+        .map(|&(ms, mib)| (SimDuration::from_millis(ms), Bytes::from_mib(mib)))
+        .collect();
+    let longest = slots.iter().map(|&(d, _)| d).max().unwrap_or_default();
+    let exec = ExecutorConfig {
+        fill_fraction: fill_pct as f64 / 100.0,
+        cold_start_factor: cold_pct as f64 / 100.0,
+        switch_overhead: if zero_capacity {
+            longest
+        } else {
+            SimDuration::from_millis(switch_ms)
+        },
+    };
+    (slots, exec)
+}
+
 /// Fill-job types the menu pin sweeps: both kinds, a dense and an
 /// embedding-heavy model, and one that only fits by streaming.
 const MENU_JOBS: [(ModelId, JobKind); 5] = [
@@ -231,6 +308,108 @@ proptest! {
             plan_best(&spec, &slots, &device, &exec),
             plan_best_of(&menu, &slots, &exec)
         );
+    }
+
+    /// The best-bound-first search returns exactly the exhaustive
+    /// menu-order search's plan (or error) on random menus: repeated
+    /// graphs make ties the earliest entry must win, nodes up to 2.2 GiB
+    /// and 400 ms miss some cycles on memory or duration, and some cycles
+    /// have no usable capacity at all (one in ten).
+    #[test]
+    fn best_bound_first_matches_the_exhaustive_search(
+        graphs in prop::collection::vec(
+            (prop::collection::vec((0u64..400, 1u64..2200), 1..12), 1u64..9),
+            1..6,
+        ),
+        picks in prop::collection::vec(0usize..6, 1..14),
+        bubbles in prop::collection::vec((5u64..2500, 512u64..2560), 1..6),
+        fill_pct in 50u64..101,
+        cold_pct in 60u64..101,
+        switch_ms in 0u64..20,
+        zero_capacity in 0u64..10,
+    ) {
+        let menu = menu_from(&graphs, &picks);
+        let (slots, exec) = cycle(&bubbles, fill_pct, cold_pct, switch_ms, zero_capacity == 0);
+        prop_assert_eq!(
+            plan_best_of(&menu, &slots, &exec),
+            exhaustive_best_of(&menu, &slots, &exec)
+        );
+    }
+
+    /// The same on real fill-job menus (18 to 60 configurations) under
+    /// random cycles and executor tuning.
+    #[test]
+    fn real_menus_match_the_exhaustive_search(
+        job in 0usize..MENU_JOBS.len(),
+        bubbles in prop::collection::vec((20u64..3000, 512u64..8192), 1..5),
+        h100 in 0u64..2,
+        fill_pct in 50u64..101,
+        cold_pct in 60u64..101,
+        switch_ms in 0u64..20,
+    ) {
+        let (model, kind) = MENU_JOBS[job];
+        let device = if h100 == 1 { DeviceSpec::h100() } else { DeviceSpec::v100() };
+        let menu = profile_menu(&model.build(), kind, &device);
+        let (slots, exec) = cycle(&bubbles, fill_pct, cold_pct, switch_ms, false);
+        prop_assert_eq!(
+            plan_best_of(&menu, &slots, &exec),
+            exhaustive_best_of(&menu, &slots, &exec)
+        );
+    }
+
+    /// Every feasible configuration's samples per main-job iteration are
+    /// at most its rate bound, and it packs the closed-form replica count.
+    #[test]
+    fn feasible_plans_stay_within_their_rate_bound(
+        graphs in prop::collection::vec(
+            (prop::collection::vec((1u64..400, 1u64..2200), 1..12), 1u64..9),
+            1..4,
+        ),
+        bubbles in prop::collection::vec((5u64..2500, 512u64..2560), 1..6),
+        fill_pct in 50u64..101,
+        cold_pct in 60u64..101,
+        switch_ms in 0u64..20,
+    ) {
+        let menu = menu_from(&graphs, &(0..graphs.len()).collect::<Vec<_>>());
+        let (slots, exec) = cycle(&bubbles, fill_pct, cold_pct, switch_ms, false);
+        let total_cap: SimDuration = slots
+            .iter()
+            .map(|&(d, _)| d.mul_f64(exec.fill_fraction).saturating_sub(exec.switch_overhead))
+            .sum();
+        for profile in &menu {
+            let Ok(plan) = plan_for_config(profile, &slots, &exec) else {
+                continue;
+            };
+            let graph: SimDuration = profile
+                .nodes
+                .iter()
+                .map(|n| n.duration.mul_f64(1.0 / exec.cold_start_factor))
+                .sum();
+            prop_assert_eq!(plan.iterations_per_pass, replica_count(graph, total_cap));
+            let bound = rate_bound(graph, profile.samples_per_iteration, total_cap);
+            prop_assert!(
+                plan.samples_per_main_iteration() <= bound,
+                "{} > bound {}",
+                plan.samples_per_main_iteration(),
+                bound
+            );
+        }
+    }
+
+    /// The closed-form replica count is Algorithm 1's replication loop.
+    #[test]
+    fn replica_count_is_the_replication_loop(
+        graph_ns in 1u64..5_000,
+        total_ns in 1u64..200_000,
+    ) {
+        let (graph, total) = (SimDuration::from_nanos(graph_ns), SimDuration::from_nanos(total_ns));
+        let mut replicas = 1u64;
+        let mut planned = graph;
+        while planned + graph < total {
+            replicas += 1;
+            planned += graph;
+        }
+        prop_assert_eq!(replica_count(graph, total), replicas);
     }
 
     /// Every partition honours its bubble slot's duration and memory

@@ -278,6 +278,7 @@ pub fn parse(argv: &[String]) -> Result<Invocation, String> {
             if stages == 0 || microbatches == 0 || width == 0 {
                 return Err("--stages, --microbatches and --width must be at least 1".into());
             }
+            check_shape(schedule, stages, microbatches)?;
             Command::Timeline {
                 schedule,
                 stages,
@@ -320,6 +321,9 @@ pub fn parse(argv: &[String]) -> Result<Invocation, String> {
             if stages == 0 || microbatches == 0 {
                 return Err("--stages and --microbatches must be at least 1".into());
             }
+            if let &VerifyTarget::Kind(schedule) = &target {
+                check_shape(schedule, stages, microbatches)?;
+            }
             let memory_limit = match flags.take("memory-limit") {
                 None => None,
                 Some(v) => Some(parse_int("memory-limit", &v)?),
@@ -357,6 +361,19 @@ pub fn parse(argv: &[String]) -> Result<Invocation, String> {
     };
     flags.finish()?;
     Ok(Invocation { command, threads })
+}
+
+/// Rejects a shape past the schedule generators' bound
+/// ([`ScheduleKind::MAX_UNITS`]) before anything sizes a table by it.
+fn check_shape(schedule: ScheduleKind, stages: usize, microbatches: usize) -> Result<(), String> {
+    if schedule.within_bound(stages, microbatches) {
+        return Ok(());
+    }
+    Err(format!(
+        "--stages {stages} x --microbatches {microbatches} is too large for {schedule}: \
+         chunks x stages x microbatches must be at most {}",
+        ScheduleKind::MAX_UNITS
+    ))
 }
 
 /// A scenario key as a CLI flag spells it: `fill_fraction` is
@@ -1155,6 +1172,49 @@ mod tests {
         for zero in ["--stages 0", "--microbatches 0", "--width 0"] {
             let err = parse(&argv(&format!("timeline {zero}"))).unwrap_err();
             assert!(err.contains("must be at least 1"), "{zero}: {err}");
+        }
+    }
+
+    /// Shapes past the generators' bound are usage errors naming the
+    /// shape flags, decided at parse time: nothing is generated here.
+    #[test]
+    fn shapes_past_the_generator_bound_are_usage_errors() {
+        let bound = ScheduleKind::MAX_UNITS;
+        let big = [
+            format!("timeline --stages {} --microbatches 1", bound + 1),
+            format!(
+                "timeline --schedule interleaved:4 --stages 64 --microbatches {}",
+                bound / 256 + 1
+            ),
+            format!(
+                "verify-schedule interleaved --stages 1024 --microbatches {}",
+                bound / 2048 + 1
+            ),
+            format!(
+                "verify-schedule zb-h1 --stages {} --microbatches 2",
+                usize::MAX
+            ),
+        ];
+        for line in &big {
+            let err = parse(&argv(line)).unwrap_err();
+            assert!(
+                err.contains("--stages")
+                    && err.contains("--microbatches")
+                    && err.contains("at most"),
+                "{line}: {err}"
+            );
+        }
+        // At the bound, and at the deepest shape the benchmark certifies.
+        for line in [
+            format!("timeline --stages {bound} --microbatches 1"),
+            format!(
+                "timeline --schedule interleaved:4 --stages 64 --microbatches {}",
+                bound / 256
+            ),
+            "verify-schedule interleaved --stages 64 --microbatches 512".to_string(),
+            "verify-schedule zb-h1 --stages 64 --microbatches 512".to_string(),
+        ] {
+            assert!(parse(&argv(&line)).is_ok(), "{line}");
         }
     }
 

@@ -218,16 +218,33 @@ impl<T: Copy> DepSlots<T> {
         }
     }
 
-    fn slot(&self, iteration: usize, key: DepKey) -> Option<usize> {
+    /// Dense slots per iteration: `2·chunks·p·m`, or 0 when the dense
+    /// table was not allocated.
+    pub fn slots_per_iteration(&self) -> usize {
+        2 * self.virtual_stages * self.microbatches
+    }
+
+    /// `key`'s dense offset within an iteration, the same in every
+    /// iteration of the dense range, or `None` if the key lies outside it
+    /// and so lives in the overflow map. `(iteration, key)` is slot
+    /// `iteration · slots_per_iteration() + offset`, so a caller that
+    /// replays one key iteration after iteration resolves it once and
+    /// then reads [`DepSlots::get_at`] and writes [`DepSlots::insert_at`].
+    pub fn offset(&self, key: DepKey) -> Option<usize> {
         let (direction, vs, microbatch) = match key {
             DepKey::Fwd { vs, microbatch } => (0, vs, microbatch),
             DepKey::Bwd { vs, microbatch } => (1, vs, microbatch),
         };
-        (iteration < self.iterations && vs < self.virtual_stages && microbatch < self.microbatches)
-            .then(|| {
-                ((iteration * 2 + direction) * self.virtual_stages + vs) * self.microbatches
-                    + microbatch
-            })
+        (vs < self.virtual_stages && microbatch < self.microbatches)
+            .then(|| (direction * self.virtual_stages + vs) * self.microbatches + microbatch)
+    }
+
+    fn slot(&self, iteration: usize, key: DepKey) -> Option<usize> {
+        if iteration >= self.iterations {
+            return None;
+        }
+        self.offset(key)
+            .map(|offset| iteration * self.slots_per_iteration() + offset)
     }
 
     /// The value stored for `key` in `iteration`, if any.
@@ -246,6 +263,28 @@ impl<T: Copy> DepSlots<T> {
                 self.overflow.insert((iteration, key), value);
             }
         }
+    }
+
+    /// The value stored in `iteration` for the key at dense `offset`
+    /// (from [`DepSlots::offset`]): [`DepSlots::get`] without resolving
+    /// the key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `iteration` is past the dense range.
+    pub fn get_at(&self, iteration: usize, offset: usize) -> Option<T> {
+        self.dense[iteration * self.slots_per_iteration() + offset]
+    }
+
+    /// Stores `value` in `iteration` for the key at dense `offset`:
+    /// [`DepSlots::insert`] without resolving the key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `iteration` is past the dense range.
+    pub fn insert_at(&mut self, iteration: usize, offset: usize, value: T) {
+        let slot = iteration * self.slots_per_iteration() + offset;
+        self.dense[slot] = Some(value);
     }
 }
 
@@ -404,10 +443,28 @@ mod tests {
         }
         slots.insert(0, fwd(0, 0), 7);
         assert_eq!(slots.get(0, fwd(0, 0)), Some(7));
+        // A dense key's offset reaches the same slot in every iteration,
+        // and an out-of-range key has none.
+        for &(it, key) in keys.iter().filter(|&&(it, _)| it < iters) {
+            match slots.offset(key) {
+                Some(offset) => {
+                    assert!(offset < slots.slots_per_iteration());
+                    assert_eq!(slots.get_at(it, offset), slots.get(it, key), "{it} {key:?}");
+                    slots.insert_at(it, offset, usize::MAX);
+                    assert_eq!(slots.get(it, key), Some(usize::MAX), "{it} {key:?}");
+                }
+                None => assert!(
+                    matches!(key, DepKey::Fwd { vs, microbatch } | DepKey::Bwd { vs, microbatch }
+                        if vs >= chunks * p || microbatch >= m),
+                    "{key:?} is in range"
+                ),
+            }
+        }
         // A shape too large for its instruction count allocates nothing
         // dense, yet still stores and reads back.
         let mut sparse = DepSlots::new(usize::MAX, 2, 2, 4, 10);
         assert!(sparse.dense.is_empty());
+        assert_eq!(sparse.offset(bwd(0, 0)), None);
         sparse.insert(3, bwd(5, 1), 'x');
         assert_eq!(sparse.get(3, bwd(5, 1)), Some('x'));
     }

@@ -23,6 +23,9 @@ use crate::schedule::ScheduleKind;
 const SIM_ITERATIONS: usize = 4;
 /// Which iteration the timeline is extracted from.
 const STEADY_ITER: usize = 2;
+/// The first iteration the timeline reads: the periodicity check looks
+/// one iteration back from the steady one. Earlier ones are not recorded.
+const FIRST_READ: usize = STEADY_ITER - 1;
 
 /// Why an instruction-stream execution could not complete, or had no
 /// steady state to read a timeline from.
@@ -85,17 +88,54 @@ impl std::fmt::Display for EngineError {
 impl std::error::Error for EngineError {}
 
 /// When one executed instruction ran: `(start, end)`. A device's records
-/// follow its stream replayed iteration after iteration, so record `k`
-/// is iteration `k / len` at stream position `k % len`.
+/// follow its stream replayed iteration after iteration from the first
+/// recorded one, `first`, so record `k` is iteration `first + k / len` at
+/// stream position `k % len`.
 type ExecRecord = (SimTime, SimTime);
 
-/// One stream position as the list scheduler replays it.
+/// One stream position as the list scheduler replays it, resolved once
+/// against the end-time table so that replaying it in any iteration
+/// touches no [`deps::DepKey`].
 struct Step {
-    /// The key it waits on, if any.
-    dep: Option<deps::DepEdge>,
-    /// The key it publishes, if any.
-    publishes: Option<deps::DepKey>,
     duration: SimDuration,
+    /// Where the key it waits on lives.
+    waits: Slot,
+    /// Where the key it publishes lives.
+    publishes: Slot,
+    /// The one device the published key can unblock
+    /// ([`deps::consumer_device`]); unused when nothing is published.
+    consumer: u32,
+    /// Whether the awaited key arrives over an inter-device link, and so
+    /// pays `comm`.
+    crosses_device: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<Step>() == 24);
+
+/// Where a step's key lives in the list scheduler's [`DepSlots`]: its
+/// dense offset within every iteration ([`DepSlots::offset`]), or one of
+/// two markers. Four bytes keep a [`Step`] at 24.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Slot(u32);
+
+impl Slot {
+    /// The step has no such key.
+    const UNKEYED: Slot = Slot(u32::MAX);
+    /// The key lies outside the dense range (only malformed streams name
+    /// such keys): it is re-derived from the instruction and looked up in
+    /// the overflow map.
+    const OVERFLOW: Slot = Slot(u32::MAX - 1);
+
+    fn of(key: Option<deps::DepKey>, done: &DepSlots<SimTime>) -> Slot {
+        match key {
+            None => Slot::UNKEYED,
+            Some(key) => done
+                .offset(key)
+                .and_then(|offset| u32::try_from(offset).ok())
+                .filter(|&offset| offset < Slot::OVERFLOW.0)
+                .map_or(Slot::OVERFLOW, Slot),
+        }
+    }
 }
 
 /// Everything the engine needs to run one main job.
@@ -201,7 +241,7 @@ impl EngineConfig {
         &self,
         streams: &[Vec<PipelineInstruction>],
     ) -> Result<EngineTimeline, EngineError> {
-        let records = self.simulate(streams, SIM_ITERATIONS)?;
+        let records = self.simulate(streams, SIM_ITERATIONS, FIRST_READ)?;
         self.extract_timeline(streams, &records)
     }
 
@@ -223,7 +263,7 @@ impl EngineConfig {
     ///
     /// Panics if `streams.len()` differs from the configured stage count.
     pub fn execute_streams(&self, streams: &[Vec<PipelineInstruction>]) -> Result<(), EngineError> {
-        self.simulate(streams, 1).map(|_| ())
+        self.simulate(streams, 1, 1).map(|_| ())
     }
 
     /// Dependency-driven list scheduling of `iterations` back-to-back
@@ -239,11 +279,16 @@ impl EngineConfig {
     /// depend on which ready device runs first. End times live in
     /// [`deps::DepSlots`], keyed by `(iteration, DepKey)`; the keying
     /// itself — virtual stages, cross-device hand-offs — lives in
-    /// [`crate::deps`], shared with the static verifier.
+    /// [`crate::deps`], shared with the static verifier. Each stream
+    /// position is resolved against that table once, into a [`Step`]
+    /// holding its keys' in-iteration slot offsets, so the replay indexes
+    /// `iteration · slots_per_iteration + offset` directly. Only
+    /// iterations from `first_recorded` on are recorded.
     fn simulate(
         &self,
         streams: &[Vec<PipelineInstruction>],
         iterations: usize,
+        first_recorded: usize,
     ) -> Result<Vec<Vec<ExecRecord>>, EngineError> {
         let p = self.num_stages();
         assert_eq!(
@@ -251,8 +296,11 @@ impl EngineConfig {
             p,
             "stream count must match the configured stage count"
         );
+        assert!(u32::try_from(p).is_ok(), "more than 2^32 stages");
         let chunks = self.schedule.chunk_count();
-        // Each stream position's dependency, publication and duration,
+        let instructions = streams.iter().map(Vec::len).sum::<usize>() * iterations;
+        let mut done = DepSlots::new(p, chunks, self.microbatches, iterations, instructions);
+        // Each stream position's slots, consumer, link and duration,
         // resolved once and replayed every iteration.
         let steps: Vec<Vec<Step>> = streams
             .iter()
@@ -260,22 +308,29 @@ impl EngineConfig {
             .map(|(s, stream)| {
                 stream
                     .iter()
-                    .map(|&instr| Step {
-                        dep: deps::consumed(instr, s, p, chunks),
-                        publishes: deps::produced(instr, s, p),
-                        duration: self.instruction_duration(instr, s),
+                    .map(|&instr| {
+                        let dep = deps::consumed(instr, s, p, chunks);
+                        let publishes = deps::produced(instr, s, p);
+                        Step {
+                            duration: self.instruction_duration(instr, s),
+                            waits: Slot::of(dep.map(|edge| edge.key), &done),
+                            publishes: Slot::of(publishes, &done),
+                            // Below `p`, which fits a `u32` (asserted above).
+                            consumer: publishes
+                                .map_or(0, |key| deps::consumer_device(key, p) as u32),
+                            crosses_device: dep.is_some_and(|edge| edge.crosses_device),
+                        }
                     })
                     .collect()
             })
             .collect();
-        let instructions = streams.iter().map(Vec::len).sum::<usize>() * iterations;
-        let mut done = DepSlots::new(p, chunks, self.microbatches, iterations, instructions);
-        // Per device: the iteration and stream position it is at.
+        // Per device: the iteration and stream position it is at, and the
+        // time it is free from.
         let mut at = vec![(0usize, 0usize); p];
-        let mut free = vec![SimTime::ZERO; p];
+        let mut free_at = vec![SimTime::ZERO; p];
         let mut records: Vec<Vec<ExecRecord>> = streams
             .iter()
-            .map(|s| Vec::with_capacity(s.len() * iterations))
+            .map(|s| Vec::with_capacity(s.len() * iterations.saturating_sub(first_recorded)))
             .collect();
         let mut blocked = vec![false; p];
         let mut ready: Vec<usize> = (0..p).rev().collect();
@@ -284,44 +339,67 @@ impl EngineConfig {
         loop {
             while let Some(s) = ready.pop() {
                 let stream = &steps[s];
+                let ran = &mut records[s];
+                let mut free = free_at[s];
                 let (mut iter, mut pos) = at[s];
                 while iter < iterations && !stream.is_empty() {
                     let step = &stream[pos];
-                    let dep = match step.dep {
-                        None => SimTime::ZERO,
-                        Some(edge) => match done.get(iter, edge.key) {
-                            Some(t) if edge.crosses_device => t + self.comm,
-                            Some(t) => t,
-                            None => {
-                                blocked[s] = true;
-                                break;
-                            }
-                        },
+                    let arrived = match step.waits {
+                        Slot::UNKEYED => Some(SimTime::ZERO),
+                        Slot::OVERFLOW => deps::consumed(streams[s][pos], s, p, chunks)
+                            .and_then(|edge| done.get(iter, edge.key)),
+                        Slot(offset) => done.get_at(iter, offset as usize),
                     };
-                    let start = free[s].max(dep);
+                    let Some(arrived) = arrived else {
+                        blocked[s] = true;
+                        break;
+                    };
+                    let link = if step.crosses_device {
+                        self.comm
+                    } else {
+                        SimDuration::ZERO
+                    };
+                    let start = free.max(arrived + link);
                     let end = start + step.duration;
-                    if let Some(key) = step.publishes {
-                        done.insert(iter, key, end);
-                        let consumer = deps::consumer_device(key, p);
-                        if std::mem::take(&mut blocked[consumer]) {
-                            ready.push(consumer);
+                    let published = match step.publishes {
+                        Slot::UNKEYED => false,
+                        Slot::OVERFLOW => {
+                            if let Some(key) = deps::produced(streams[s][pos], s, p) {
+                                done.insert(iter, key, end);
+                            }
+                            true
                         }
+                        Slot(offset) => {
+                            done.insert_at(iter, offset as usize, end);
+                            true
+                        }
+                    };
+                    let consumer = step.consumer as usize;
+                    if published && std::mem::take(&mut blocked[consumer]) {
+                        ready.push(consumer);
                     }
-                    records[s].push((start, end));
-                    free[s] = end;
+                    if iter >= first_recorded {
+                        ran.push((start, end));
+                    }
+                    free = end;
                     pos += 1;
                     if pos == stream.len() {
                         (iter, pos) = (iter + 1, 0);
                     }
                 }
                 at[s] = (iter, pos);
+                free_at[s] = free;
             }
             // Quiescent: every device is done or blocked. Confirm the
             // fixpoint by retrying each blocked device once — only a key
             // whose virtual-stage arithmetic wrapped (a malformed chunk
             // index) can have missed its wake-up — and stop when a retry
             // round runs nothing.
-            let executed = records.iter().map(Vec::len).sum();
+            let executed = at
+                .iter()
+                .zip(streams)
+                .map(|(&(iter, pos), stream)| iter * stream.len() + pos)
+                .sum();
             if executed == settled {
                 break;
             }
@@ -335,7 +413,7 @@ impl EngineConfig {
                 break;
             }
         }
-        match (0..p).find(|&s| records[s].len() < streams[s].len() * iterations) {
+        match (0..p).find(|&s| at[s].0 < iterations && !streams[s].is_empty()) {
             Some(s) => Err(EngineError::Deadlock {
                 stage: s,
                 position: at[s].1,
@@ -399,7 +477,8 @@ impl EngineConfig {
         // Stage `s`'s instructions of iteration `k`, with their records.
         let iteration = |s: usize, k: usize| {
             let len = streams[s].len();
-            records[s][k * len..(k + 1) * len].iter().zip(&streams[s])
+            let first = (k - FIRST_READ) * len;
+            records[s][first..first + len].iter().zip(&streams[s])
         };
         // Start of an iteration on a stage = start of its first busy
         // (non-zero-duration) instruction of that iteration.

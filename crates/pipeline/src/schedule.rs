@@ -114,6 +114,24 @@ impl ScheduleKind {
         }
     }
 
+    /// The largest shape the generators accept, counted as
+    /// `chunks · p · m` units: one per (chunk, microbatch) on each
+    /// device, or per microbatch for the one-chunk schedules. A shape at
+    /// the bound emits about `2·MAX_UNITS` instructions. The interleaved
+    /// generator sizes its tables by the unit count, and the bound keeps
+    /// every unit's start, Megatron rank and virtual stage inside the
+    /// fixed-width fields of its packed sort key.
+    pub const MAX_UNITS: usize = 1 << 20;
+
+    /// Whether a `p`-stage, `m`-microbatch shape is within
+    /// [`ScheduleKind::MAX_UNITS`].
+    pub fn within_bound(self, p: usize, m: usize) -> bool {
+        self.chunk_count()
+            .checked_mul(p)
+            .and_then(|n| n.checked_mul(m))
+            .is_some_and(|units| units <= Self::MAX_UNITS)
+    }
+
     /// The instruction stream for one iteration on stage `stage` of a
     /// `p`-stage pipeline processing `m` microbatches.
     ///
@@ -123,10 +141,11 @@ impl ScheduleKind {
     ///
     /// # Panics
     ///
-    /// Panics if `stage >= p`, `m == 0`, or an interleaved schedule has
-    /// zero chunks.
+    /// Panics if `stage >= p`, `m == 0`, an interleaved schedule has
+    /// zero chunks, or the shape is past [`ScheduleKind::MAX_UNITS`].
     pub fn stage_instructions(self, stage: usize, p: usize, m: usize) -> Vec<PipelineInstruction> {
         assert!(stage < p, "stage {stage} out of range for {p} stages");
+        self.assert_within_bound(p, m);
         if let ScheduleKind::Interleaved { chunks } = self {
             assert!(chunks > 0, "interleaved needs at least 1 chunk per device");
             if chunks > 1 {
@@ -229,6 +248,7 @@ impl ScheduleKind {
     /// As [`ScheduleKind::stage_instructions`].
     pub fn all_stage_instructions(self, p: usize, m: usize) -> Vec<Vec<PipelineInstruction>> {
         assert!(p > 0, "need at least one stage");
+        self.assert_within_bound(p, m);
         if let ScheduleKind::Interleaved { chunks } = self {
             assert!(chunks > 0, "interleaved needs at least 1 chunk per device");
             if chunks > 1 {
@@ -236,6 +256,15 @@ impl ScheduleKind {
             }
         }
         (0..p).map(|s| self.stage_instructions(s, p, m)).collect()
+    }
+
+    fn assert_within_bound(self, p: usize, m: usize) {
+        assert!(
+            self.within_bound(p, m),
+            "{self} at {p} stages x {m} microbatches is past the generators' \
+             bound of {} units",
+            Self::MAX_UNITS
+        );
     }
 }
 
@@ -279,12 +308,12 @@ fn interleaved_all_stage_instructions(
             unit != Unit::NONE,
             "interleaved schedule wedged: no runnable unit"
         );
-        let dev = unit.vs % p;
+        let dev = unit.vs() % p;
         per_device[dev].push(greedy.commit(unit));
         for vs in (dev..vs_total).step_by(p) {
             tree.set(vs, greedy.candidate(vs));
         }
-        for vs in [unit.vs.wrapping_sub(1), unit.vs + 1] {
+        for vs in [unit.vs().wrapping_sub(1), unit.vs() + 1] {
             if vs < vs_total {
                 tree.set(vs, greedy.candidate(vs));
             }
@@ -317,23 +346,57 @@ fn interleaved_all_stage_instructions(
 /// One runnable (chunk, microbatch) unit of the interleaved greedy, in
 /// the order it is picked: earliest start, backward (`kind` 0) before
 /// forward (1), lower Megatron rank, lower virtual stage.
+///
+/// The four fields are packed into one integer whose order is that
+/// tuple order, most significant first: `start` in bits 64–127, `kind` in
+/// bit 63, `rank` in bits 32–62 and `vs` in bits 0–31. A start below
+/// `u64::MAX`, a rank below `2^31` and a virtual stage below `2^32` fit
+/// their fields; the generators' shape bound, [`ScheduleKind::MAX_UNITS`],
+/// keeps every unit within them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Unit {
-    start: u64,
-    kind: u8,
-    rank: usize,
-    vs: usize,
-}
+struct Unit(u128);
 
 impl Unit {
-    /// No runnable unit: loses to every real one.
-    const NONE: Unit = Unit {
-        start: u64::MAX,
-        kind: u8::MAX,
-        rank: usize::MAX,
-        vs: usize::MAX,
-    };
+    const RANK_BITS: u32 = 31;
+    const VS_BITS: u32 = 32;
+
+    /// No runnable unit: loses to every real one, whose start field is
+    /// below `u64::MAX`.
+    const NONE: Unit = Unit(u128::MAX);
+
+    fn new(start: u64, kind: u8, rank: usize, vs: usize) -> Unit {
+        debug_assert!(start < u64::MAX && kind <= 1, "unit fields out of range");
+        debug_assert!(rank < 1 << Self::RANK_BITS && vs < 1 << Self::VS_BITS);
+        Unit(
+            u128::from(start) << 64
+                | u128::from(kind) << 63
+                | (rank as u128) << Self::VS_BITS
+                | vs as u128,
+        )
+    }
+
+    fn start(self) -> u64 {
+        (self.0 >> 64) as u64
+    }
+
+    fn kind(self) -> u8 {
+        (self.0 >> 63) as u8 & 1
+    }
+
+    fn vs(self) -> usize {
+        (self.0 & ((1 << Self::VS_BITS) - 1)) as usize
+    }
 }
+
+// Every unit of a shape within the bound fits its fields: its rank is
+// below `v·m`, its virtual stage below `v·p`, and its start at most the
+// `3·v·p·m` time units of all work committed before it (a candidate
+// starts at 0 or at a committed unit's end).
+const _: () = assert!(
+    ScheduleKind::MAX_UNITS < 1 << Unit::RANK_BITS
+        && ScheduleKind::MAX_UNITS < 1 << Unit::VS_BITS
+        && 3 * (ScheduleKind::MAX_UNITS as u64) < u64::MAX
+);
 
 /// The interleaved greedy's state: per-virtual-stage microbatch cursors
 /// (microbatches run in order) and unit completion times.
@@ -392,12 +455,7 @@ impl Greedy {
                 self.b_end[(vs + 1) * m + i]
             };
             if dep != Self::UNSCHEDULED {
-                best = Unit {
-                    start: free.max(dep),
-                    kind: 0,
-                    rank: (i / self.g) * v + (v - 1 - chunk),
-                    vs,
-                };
+                best = Unit::new(free.max(dep), 0, (i / self.g) * v + (v - 1 - chunk), vs);
             }
         }
         let i = self.next_f[vs];
@@ -408,12 +466,7 @@ impl Greedy {
                 self.f_end[(vs - 1) * m + i]
             };
             if dep != Self::UNSCHEDULED {
-                best = best.min(Unit {
-                    start: free.max(dep),
-                    kind: 1,
-                    rank: (i / self.g) * v + chunk,
-                    vs,
-                });
+                best = best.min(Unit::new(free.max(dep), 1, (i / self.g) * v + chunk, vs));
             }
         }
         best
@@ -421,13 +474,13 @@ impl Greedy {
 
     /// Runs `unit`, returning the instruction it becomes.
     fn commit(&mut self, unit: Unit) -> PipelineInstruction {
-        let (vs, m) = (unit.vs, self.m);
+        let (vs, m) = (unit.vs(), self.m);
         let chunk = vs / self.p;
-        if unit.kind == 1 {
+        if unit.kind() == 1 {
             let i = self.next_f[vs];
             self.next_f[vs] += 1;
-            self.f_end[vs * m + i] = unit.start + Self::T_FWD;
-            self.dev_free[vs % self.p] = unit.start + Self::T_FWD;
+            self.f_end[vs * m + i] = unit.start() + Self::T_FWD;
+            self.dev_free[vs % self.p] = unit.start() + Self::T_FWD;
             PipelineInstruction::ForwardChunk {
                 chunk,
                 microbatch: i,
@@ -435,8 +488,8 @@ impl Greedy {
         } else {
             let i = self.next_b[vs];
             self.next_b[vs] += 1;
-            self.b_end[vs * m + i] = unit.start + Self::T_BWD;
-            self.dev_free[vs % self.p] = unit.start + Self::T_BWD;
+            self.b_end[vs * m + i] = unit.start() + Self::T_BWD;
+            self.dev_free[vs % self.p] = unit.start() + Self::T_BWD;
             PipelineInstruction::BackwardChunk {
                 chunk,
                 microbatch: i,
@@ -484,6 +537,7 @@ impl Tournament {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn count_fwd_bwd(instrs: &[PipelineInstruction]) -> (usize, usize) {
         let f = instrs
@@ -810,6 +864,52 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn shapes_past_the_bound_are_rejected() {
+        let bound = ScheduleKind::MAX_UNITS;
+        assert!(ScheduleKind::GPipe.within_bound(bound, 1));
+        assert!(!ScheduleKind::GPipe.within_bound(bound + 1, 1));
+        let two = ScheduleKind::Interleaved { chunks: 2 };
+        assert!(two.within_bound(64, bound / 128));
+        assert!(!two.within_bound(64, bound / 128 + 1));
+        assert!(!two.within_bound(usize::MAX, 2), "an overflowing product");
+    }
+
+    #[test]
+    #[should_panic(expected = "past the generators' bound")]
+    fn generator_refuses_a_shape_past_the_bound() {
+        let _ = ScheduleKind::Interleaved { chunks: 2 }
+            .all_stage_instructions(ScheduleKind::MAX_UNITS, 1);
+    }
+
+    /// A key field drawn below `below`, often at either end of its range
+    /// so that pairs of units tie on it.
+    fn field(below: u64) -> impl Strategy<Value = u64> {
+        prop_oneof![0..2u64, below - 2..below, 0..below]
+    }
+
+    fn unit((start, kind, rank, vs): (u64, u8, u64, u64)) -> Unit {
+        Unit::new(start, kind, rank as usize, vs as usize)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Packed keys order exactly like `(start, kind, rank, vs)`
+        /// tuples, for fields up to the bounds `Unit::new` asserts, and
+        /// decode back to their fields; `Unit::NONE` loses to every unit.
+        #[test]
+        fn packed_unit_keys_order_like_their_field_tuples(
+            a in (field(u64::MAX), 0u8..2, field(1 << Unit::RANK_BITS), field(1 << Unit::VS_BITS)),
+            b in (field(u64::MAX), 0u8..2, field(1 << Unit::RANK_BITS), field(1 << Unit::VS_BITS)),
+        ) {
+            prop_assert_eq!(unit(a).cmp(&unit(b)), a.cmp(&b));
+            prop_assert!(unit(a) < Unit::NONE);
+            let (start, kind, _, vs) = a;
+            prop_assert_eq!((unit(a).start(), unit(a).kind(), unit(a).vs()), (start, kind, vs as usize));
         }
     }
 }

@@ -1,7 +1,8 @@
 //! Pins the interleaved-1F1B generator's exact output: an order-sensitive
 //! digest of `all_stage_instructions` for 2, 3 and 4 chunks over a grid
 //! of pipeline shapes that includes `p = 1`, `m < p` and `m` not a
-//! multiple of `p`.
+//! multiple of `p`, and at the three deep shapes perfbench's
+//! `schedule_certify` workload runs.
 //!
 //! The expected digests were recorded from the original full-scan
 //! generator. Any change to how it picks the next unit — including how
@@ -74,4 +75,42 @@ fn interleaved_streams_match_the_recorded_digests() {
     })
     .collect();
     assert!(moved.is_empty(), "streams moved: {moved:#?}");
+}
+
+/// Digest of every device's stream at one shape.
+fn shape_digest(chunks: usize, p: usize, m: usize) -> u64 {
+    let mut words = vec![p as u64, m as u64];
+    let kind = ScheduleKind::Interleaved { chunks };
+    for stream in kind.all_stage_instructions(p, m) {
+        words.push(stream.len() as u64);
+        words.extend(stream.into_iter().flat_map(encode));
+    }
+    fnv(words)
+}
+
+/// The `schedule_certify` benchmark shapes at two chunks: deep enough
+/// that start times, Megatron ranks and virtual stages reach the wide
+/// values the small grid never does. Recorded from the generator whose
+/// tournament compared units field by field.
+fn wide_shape_matches(p: usize, m: usize, expected: u64) {
+    let got = shape_digest(2, p, m);
+    assert_eq!(
+        got, expected,
+        "interleaved:2 at p={p} m={m}: {got:#018x}, pinned {expected:#018x}"
+    );
+}
+
+#[test]
+fn interleaved_p16_m128_matches_the_recorded_digest() {
+    wide_shape_matches(16, 128, 0xc710_e3fa_0456_4ab5);
+}
+
+#[test]
+fn interleaved_p32_m256_matches_the_recorded_digest() {
+    wide_shape_matches(32, 256, 0x9268_2041_5dcb_128a);
+}
+
+#[test]
+fn interleaved_p64_m512_matches_the_recorded_digest() {
+    wide_shape_matches(64, 512, 0xab48_d31f_c0c5_c8bf);
 }

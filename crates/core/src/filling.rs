@@ -66,6 +66,12 @@ const MAX_DRAW_TRIES: usize = 5;
 /// the engine needs the device back (receive setup, allocator work).
 const USABLE_FRACTION: f64 = 0.88;
 
+/// Slack of a stall decision taken on jitter bounds. The exact path
+/// rounds three times to whole nanoseconds, half a nanosecond each, and
+/// the f64 check itself rounds by under a nanosecond for spans below
+/// 2⁵⁰ ns (13 days).
+const STALL_MARGIN_NS: f64 = 4.0;
+
 /// Mean outage length once a device fails.
 const MEAN_RECOVERY: SimDuration = SimDuration::from_secs(120);
 
@@ -336,9 +342,8 @@ impl Pipeline {
         self.detector.record_flops(run.flops);
         // Jittered reality: the bubble and the partition both deviate from
         // their profiled durations.
-        let actual_window = window.duration.mul_f64(self.rng.jitter(cfg.jitter_cv));
-        let used = plans.executor().switch_overhead
-            + run.time_used.mul_f64(self.rng.jitter(cfg.jitter_cv));
+        let window_jitter = self.rng.jitter_deferred(cfg.jitter_cv);
+        let used_jitter = self.rng.jitter_deferred(cfg.jitter_cv);
         if run.job_finished {
             self.completed += 1;
             self.detector.record_completion(finished_id.0);
@@ -347,7 +352,13 @@ impl Pipeline {
                 ids.push(finished_id);
             }
         }
-        used.saturating_sub(actual_window.mul_f64(USABLE_FRACTION))
+        bubble_stall(
+            window.duration,
+            plans.executor().switch_overhead,
+            run.time_used,
+            (window_jitter.bounds().0, used_jitter.bounds().1),
+            || (window_jitter.value(), used_jitter.value()),
+        )
     }
 
     /// This pipeline's share of the report. An outage in flight when the
@@ -1070,6 +1081,32 @@ impl<R> SimBackend for FillBackend<R> {
     }
 }
 
+/// The stall a bubble of profiled length `window` suffers when a
+/// partition profiled at `time_used` runs in it after a `switch`:
+/// `(switch + time_used·j_used − USABLE_FRACTION·window·j_window)⁺`, in
+/// whole nanoseconds. `window_lo` bounds `j_window` from below and
+/// `used_hi` bounds `j_used` from above; `jitters` evaluates the pair
+/// `(j_window, j_used)` and runs only when the bounds cannot rule a stall
+/// out. The answer is the exact one either way.
+#[inline]
+fn bubble_stall(
+    window: SimDuration,
+    switch: SimDuration,
+    time_used: SimDuration,
+    (window_lo, used_hi): (f64, f64),
+    jitters: impl FnOnce() -> (f64, f64),
+) -> SimDuration {
+    let worst_used = switch.as_nanos() as f64 + time_used.as_nanos() as f64 * used_hi;
+    let least_usable = window.as_nanos() as f64 * window_lo * USABLE_FRACTION;
+    if worst_used + STALL_MARGIN_NS <= least_usable {
+        return SimDuration::ZERO;
+    }
+    let (j_window, j_used) = jitters();
+    let actual_window = window.mul_f64(j_window);
+    let used = switch + time_used.mul_f64(j_used);
+    used.saturating_sub(actual_window.mul_f64(USABLE_FRACTION))
+}
+
 /// Critical-path aggregation of one iteration's per-stage stalls: stalls
 /// on different stages partially overlap, so the longest is fully paid
 /// and the rest half.
@@ -1489,6 +1526,91 @@ mod replay_oracle {
         for acc in [0.0, -0.0, 1.5, f64::MIN_POSITIVE / 4.0] {
             assert_eq!(replay_adds(acc, &[], 1 << 40).to_bits(), acc.to_bits());
             assert_eq!(replay_adds(acc, &[3.0], 0).to_bits(), acc.to_bits());
+        }
+    }
+}
+
+/// `bubble_stall` against the formula it stands for, evaluated eagerly,
+/// on random and on boundary cases.
+#[cfg(test)]
+mod decision_oracle {
+    use super::{bubble_stall, USABLE_FRACTION};
+    use pipefill_sim_core::rng::DeterministicRng;
+    use pipefill_sim_core::SimDuration;
+    use proptest::prelude::*;
+
+    /// Exactly zero, small, typical, and large enough that draws clip at
+    /// zero.
+    const CVS: [f64; 8] = [0.0, 1e-6, 0.02, 0.08, 0.3, 0.6, 1.0, 2.0];
+
+    /// A jitter factor with its bounds, as `(lo, value, hi)`: a draw of
+    /// the generator, either half of a Box–Muller pair, bounded by
+    /// `Jitter::bounds`; or a factor of 0–3 bounded by itself, the
+    /// tightest a bound can be, where the exact path's roundings alone
+    /// decide.
+    fn factor() -> impl Strategy<Value = (f64, f64, f64)> {
+        prop_oneof![
+            (0u64..1 << 48, 0usize..CVS.len(), 0u8..2).prop_map(|(seed, cv, half)| {
+                let mut rng = DeterministicRng::seed_from(seed);
+                if half == 1 {
+                    let _ = rng.normal(0.0, 1.0);
+                }
+                let jitter = rng.jitter_deferred(CVS[cv]);
+                let (lo, hi) = jitter.bounds();
+                (lo, jitter.value(), hi)
+            }),
+            (0.0f64..3.0).prop_map(|v| (v, v, v)),
+        ]
+    }
+
+    /// The stall with every factor evaluated.
+    fn eager_stall(
+        window: SimDuration,
+        switch: SimDuration,
+        time_used: SimDuration,
+        j_window: f64,
+        j_used: f64,
+    ) -> SimDuration {
+        let actual_window = window.mul_f64(j_window);
+        let used = switch + time_used.mul_f64(j_used);
+        used.saturating_sub(actual_window.mul_f64(USABLE_FRACTION))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1 << 16))]
+
+        /// A partition of 0–1.2× the usable span after a 0–10 ms switch,
+        /// or (`exact` 0 or 1) one whose switch makes the eager stall
+        /// exactly 0 or 1 ns.
+        #[test]
+        fn stall_decision_matches_the_eager_formula(
+            j_window in factor(),
+            j_used in factor(),
+            window_ns in 1_000u64..100_000_000,
+            switch_ns in 0u64..10_000_001,
+            fill in 0.0f64..1.2,
+            exact in 0u8..4,
+        ) {
+            let ((window_lo, jw, _), (_, ju, used_hi)) = (j_window, j_used);
+            let window = SimDuration::from_nanos(window_ns);
+            let time_used = SimDuration::from_nanos((fill * USABLE_FRACTION * window_ns as f64) as u64);
+            let mut switch = SimDuration::from_nanos(switch_ns);
+            if exact < 2 {
+                let usable = window.mul_f64(jw).mul_f64(USABLE_FRACTION).as_nanos();
+                let used = time_used.mul_f64(ju).as_nanos();
+                prop_assume!(usable + u64::from(exact) >= used);
+                switch = SimDuration::from_nanos(usable + u64::from(exact) - used);
+                prop_assert_eq!(
+                    eager_stall(window, switch, time_used, jw, ju),
+                    SimDuration::from_nanos(u64::from(exact))
+                );
+            }
+            prop_assert_eq!(
+                bubble_stall(window, switch, time_used, (window_lo, used_hi), || (jw, ju)),
+                eager_stall(window, switch, time_used, jw, ju),
+                "window {:?}·{} (lo {}), switch {:?}, used {:?}·{} (hi {})",
+                window, jw, window_lo, switch, time_used, ju, used_hi
+            );
         }
     }
 }

@@ -8,6 +8,30 @@
 //! lognormal) are built on it — inverse-transform sampling for the
 //! exponential, Box–Muller for the normal, and exp(normal) for the
 //! lognormal.
+//!
+//! # Deferred jitter
+//!
+//! A Box–Muller pair costs a logarithm, a square root, a sine and a
+//! cosine, and a simulator that jitters every bubble mostly needs only to
+//! know that the jittered bubble still fits. [`DeterministicRng::jitter_deferred`]
+//! therefore draws a jitter factor exactly when and as
+//! [`jitter`](DeterministicRng::jitter) would — the same uniforms, the
+//! same pair caching — but returns a [`Jitter`] holding the pair's two
+//! uniforms instead of its value. The pending second half of a pair is
+//! kept as uniforms too, whichever way it was drawn. [`Jitter::value`] and
+//! the eager [`normal`](DeterministicRng::normal) evaluate through one
+//! Box–Muller function, so a deferred value is bit-identical to the eager
+//! one whenever (or whether) it is evaluated.
+//!
+//! [`Jitter::bounds`] brackets the value with no transcendental call. The
+//! radius `r = √(−2 ln u₁)` is at most `√(1/u₁ − u₁)`, because
+//! `1/u − u + 2 ln u` is non-increasing on (0, 1] (its derivative is
+//! `−(1/u − 1)²`) and zero at 1. The angle `2πu₂` lies in one of 16
+//! equal sectors of the circle, and a literal table holds the range of
+//! cos and sin over each. Both carry a small margin that covers every
+//! floating-point rounding between the bound and the evaluated value.
+
+use std::f64::consts::FRAC_1_SQRT_2;
 
 /// xoshiro256++ by Blackman & Vigna: 256-bit state, full 2^256−1 period,
 /// excellent statistical quality for simulation workloads.
@@ -75,8 +99,9 @@ impl Xoshiro256PlusPlus {
 #[derive(Debug, Clone)]
 pub struct DeterministicRng {
     inner: Xoshiro256PlusPlus,
-    /// Spare normal variate from the last Box–Muller pair.
-    spare_normal: Option<f64>,
+    /// The uniforms `(u1, u2)` of the last Box–Muller pair, whose sine
+    /// half is the next normal variate.
+    spare_pair: Option<(f64, f64)>,
 }
 
 impl DeterministicRng {
@@ -84,7 +109,7 @@ impl DeterministicRng {
     pub fn seed_from(seed: u64) -> Self {
         DeterministicRng {
             inner: Xoshiro256PlusPlus::seed_from_u64(seed),
-            spare_normal: None,
+            spare_pair: None,
         }
     }
 
@@ -154,23 +179,27 @@ impl DeterministicRng {
     ///
     /// Panics if `std_dev` is negative or non-finite.
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(
-            std_dev.is_finite() && std_dev >= 0.0,
-            "normal std_dev must be non-negative, got {std_dev}"
-        );
-        let z = match self.spare_normal.take() {
-            Some(z) => z,
+        assert_std_dev(std_dev);
+        mean + std_dev * self.next_half().value()
+    }
+
+    /// The next half of a Box–Muller pair, unevaluated: the cached sine
+    /// half if there is one, else the cosine half of a fresh pair whose
+    /// sine half is cached.
+    fn next_half(&mut self) -> Half {
+        match self.spare_pair.take() {
+            Some((u1, u2)) => Half { u1, u2, sine: true },
             None => {
-                // Box–Muller: two uniforms -> two independent N(0,1).
-                let u1: f64 = 1.0 - self.inner.next_f64(); // (0, 1]
+                let u1: f64 = 1.0 - self.inner.next_f64(); // (0, 1]: avoid ln(0)
                 let u2: f64 = self.inner.next_f64();
-                let r = (-2.0 * u1.ln()).sqrt();
-                let theta = 2.0 * std::f64::consts::PI * u2;
-                self.spare_normal = Some(r * theta.sin());
-                r * theta.cos()
+                self.spare_pair = Some((u1, u2));
+                Half {
+                    u1,
+                    u2,
+                    sine: false,
+                }
             }
-        };
-        mean + std_dev * z
+        }
     }
 
     /// Lognormal sample: `exp(N(mu, sigma))`. `mu`/`sigma` are the
@@ -189,21 +218,44 @@ impl DeterministicRng {
     /// convention), so jitter-free fidelity sweeps leave unrelated streams
     /// untouched — and a jitter-free run is recognizably quiescent for
     /// steady-state fast-forward.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cv` is negative or non-finite.
     pub fn jitter(&mut self, cv: f64) -> f64 {
+        self.jitter_deferred(cv).value()
+    }
+
+    /// The next [`jitter`](Self::jitter) factor, drawn now and evaluated
+    /// later, or never: it consumes exactly the randomness `jitter(cv)`
+    /// would, and [`Jitter::value`] is bit-identical to what it would
+    /// have returned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cv` is negative or non-finite.
+    pub fn jitter_deferred(&mut self, cv: f64) -> Jitter {
         if cv == 0.0 {
-            return 1.0;
+            return Jitter::ONE;
         }
-        self.normal(1.0, cv).max(0.0)
+        assert_std_dev(cv);
+        Jitter {
+            cv,
+            half: self.next_half(),
+        }
     }
 
     /// An opaque fingerprint of the generator's full state (xoshiro256++
-    /// words plus the cached Box–Muller spare). Two generators with equal
+    /// words plus the value of the cached Box–Muller spare, evaluated from
+    /// its uniforms). Two generators with equal
     /// fingerprints produce identical future streams; a fingerprint that
     /// changed between two observation points proves randomness was
     /// consumed in between. Steady-state detection uses this to recognize
     /// stochastically quiescent stretches of a simulation.
     pub fn state_fingerprint(&self) -> [u64; 6] {
-        let spare = self.spare_normal;
+        let spare = self
+            .spare_pair
+            .map(|(u1, u2)| Half { u1, u2, sine: true }.value());
         [
             self.inner.s[0],
             self.inner.s[1],
@@ -263,6 +315,178 @@ impl DeterministicRng {
             x -= w;
         }
         weights.len() - 1
+    }
+}
+
+fn assert_std_dev(std_dev: f64) {
+    assert!(
+        std_dev.is_finite() && std_dev >= 0.0,
+        "normal std_dev must be non-negative, got {std_dev}"
+    );
+}
+
+/// One standard-normal variate as the uniforms of its Box–Muller pair
+/// and the half of the pair it is.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Half {
+    /// In (0, 1].
+    u1: f64,
+    /// In [0, 1).
+    u2: f64,
+    sine: bool,
+}
+
+impl Half {
+    /// The Box–Muller transform: `√(−2 ln u1)` times the cosine or sine of
+    /// `2π u2`. The one evaluation every normal variate goes through.
+    fn value(self) -> f64 {
+        let r = (-2.0 * self.u1.ln()).sqrt();
+        let theta = 2.0 * std::f64::consts::PI * self.u2;
+        if self.sine {
+            r * theta.sin()
+        } else {
+            r * theta.cos()
+        }
+    }
+
+    /// `[lo, hi]` containing [`value`](Self::value), from a square root
+    /// and a table lookup. See the module docs for why it holds.
+    fn bounds(self) -> (f64, f64) {
+        let r_hi = (1.0 / self.u1 - self.u1).sqrt() * RADIUS_MARGIN;
+        // u2 < 1, and scaling by a power of two is exact: 0..SECTORS.
+        let sector = (self.u2 * SECTORS as f64) as usize;
+        let (lo, hi) = if self.sine {
+            SIN_RANGE[sector]
+        } else {
+            COS_RANGE[sector]
+        };
+        // r ∈ [0, r_hi]: the extreme products sit at r = r_hi for the side
+        // of zero the sector reaches, and at r = 0 otherwise.
+        (
+            r_hi * (lo - CIRCLE_MARGIN).min(0.0),
+            r_hi * (hi + CIRCLE_MARGIN).max(0.0),
+        )
+    }
+}
+
+/// Equal sectors of the circle [`Half::bounds`] resolves the angle to.
+const SECTORS: usize = 16;
+
+/// Relative widening of the radius bound `√(1/u1 − u1)`. Near `u1 = 1`
+/// the bound's subtraction cancels, and its rounding can reach a few
+/// parts in 10⁹ of the difference; the margin covers it by two orders of
+/// magnitude.
+const RADIUS_MARGIN: f64 = 1.0 + 1.0 / 1_048_576.0;
+
+/// Absolute widening of each sector's cos and sin range. The evaluated
+/// angle `2π u2` is rounded, so its cosine or sine may leave the exact
+/// sector range by about 10⁻¹⁵.
+const CIRCLE_MARGIN: f64 = 1.0 / 1_048_576.0;
+
+/// `cos(π/8)`, equal to `sin(3π/8)`.
+const COS_PI_8: f64 = 0.923_879_532_511_286_7;
+
+/// `cos(3π/8)`, equal to `sin(π/8)`.
+const COS_3PI_8: f64 = 0.382_683_432_365_089_8;
+
+/// `(min, max)` of `cos θ` over sector `i`, `θ ∈ [2πi/16, 2π(i+1)/16]`.
+/// Each sector lies within one quadrant, so both extremes sit at its
+/// edges.
+const COS_RANGE: [(f64, f64); SECTORS] = [
+    (COS_PI_8, 1.0),
+    (FRAC_1_SQRT_2, COS_PI_8),
+    (COS_3PI_8, FRAC_1_SQRT_2),
+    (0.0, COS_3PI_8),
+    (-COS_3PI_8, 0.0),
+    (-FRAC_1_SQRT_2, -COS_3PI_8),
+    (-COS_PI_8, -FRAC_1_SQRT_2),
+    (-1.0, -COS_PI_8),
+    (-1.0, -COS_PI_8),
+    (-COS_PI_8, -FRAC_1_SQRT_2),
+    (-FRAC_1_SQRT_2, -COS_3PI_8),
+    (-COS_3PI_8, 0.0),
+    (0.0, COS_3PI_8),
+    (COS_3PI_8, FRAC_1_SQRT_2),
+    (FRAC_1_SQRT_2, COS_PI_8),
+    (COS_PI_8, 1.0),
+];
+
+/// `(min, max)` of `sin θ` over sector `i`, as [`COS_RANGE`].
+const SIN_RANGE: [(f64, f64); SECTORS] = [
+    (0.0, COS_3PI_8),
+    (COS_3PI_8, FRAC_1_SQRT_2),
+    (FRAC_1_SQRT_2, COS_PI_8),
+    (COS_PI_8, 1.0),
+    (COS_PI_8, 1.0),
+    (FRAC_1_SQRT_2, COS_PI_8),
+    (COS_3PI_8, FRAC_1_SQRT_2),
+    (0.0, COS_3PI_8),
+    (-COS_3PI_8, 0.0),
+    (-FRAC_1_SQRT_2, -COS_3PI_8),
+    (-COS_PI_8, -FRAC_1_SQRT_2),
+    (-1.0, -COS_PI_8),
+    (-1.0, -COS_PI_8),
+    (-COS_PI_8, -FRAC_1_SQRT_2),
+    (-FRAC_1_SQRT_2, -COS_3PI_8),
+    (-COS_3PI_8, 0.0),
+];
+
+/// A [`jitter`](DeterministicRng::jitter) factor `max(0, 1 + cv·z)` whose
+/// standard-normal `z` is drawn but not yet evaluated; see
+/// [`DeterministicRng::jitter_deferred`].
+///
+/// # Example
+///
+/// ```
+/// use pipefill_sim_core::rng::DeterministicRng;
+///
+/// let mut eager = DeterministicRng::seed_from(9);
+/// let mut deferred = DeterministicRng::seed_from(9);
+/// let j = deferred.jitter_deferred(0.08);
+/// let (lo, hi) = j.bounds();
+/// let v = eager.jitter(0.08);
+/// assert_eq!(j.value(), v);
+/// assert!(lo <= v && v <= hi);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Jitter {
+    cv: f64,
+    half: Half,
+}
+
+impl Jitter {
+    /// The factor of a zero `cv`: exactly 1, drawn from nothing.
+    const ONE: Jitter = Jitter {
+        cv: 0.0,
+        half: Half {
+            u1: 1.0,
+            u2: 0.0,
+            sine: false,
+        },
+    };
+
+    /// The factor, bit-identical to the eager
+    /// [`jitter`](DeterministicRng::jitter) draw it stands for.
+    pub fn value(self) -> f64 {
+        if self.cv == 0.0 {
+            return 1.0;
+        }
+        (1.0 + self.cv * self.half.value()).max(0.0)
+    }
+
+    /// `[lo, hi]` with `lo <= self.value() <= hi`, computed with no
+    /// logarithm or trigonometric call. Exact (`[1, 1]`) for a zero `cv`;
+    /// otherwise it always contains 1, is about `cv` wide for a typical
+    /// draw and wider in the tails.
+    pub fn bounds(self) -> (f64, f64) {
+        if self.cv == 0.0 {
+            return (1.0, 1.0);
+        }
+        let (z_lo, z_hi) = self.half.bounds();
+        (
+            (1.0 + self.cv * z_lo).max(0.0),
+            (1.0 + self.cv * z_hi).max(0.0),
+        )
     }
 }
 
@@ -372,6 +596,101 @@ mod tests {
         assert_ne!(after_first, fp);
         let _ = a.normal(0.0, 1.0);
         assert_ne!(a.state_fingerprint(), after_first);
+    }
+
+    /// The smallest, a middling and the largest `u1` the generator yields
+    /// (at 1 the radius is `√(−0.0) = −0.0`), at every sector edge and
+    /// just below it, for both halves of the pair.
+    #[test]
+    fn bounds_hold_at_the_extremes_and_every_sector_edge() {
+        let below = |u: f64| f64::from_bits(u.to_bits() - 1);
+        let mut angles = vec![0.0, below(1.0)];
+        for i in 1..SECTORS {
+            let edge = i as f64 / SECTORS as f64;
+            angles.extend([edge, below(edge)]);
+        }
+        for u1 in [f64::EPSILON / 2.0, 0.5, 1.0] {
+            for &u2 in &angles {
+                for sine in [false, true] {
+                    let half = Half { u1, u2, sine };
+                    let z = half.value();
+                    let (lo, hi) = half.bounds();
+                    assert!(
+                        lo <= z && z <= hi,
+                        "u1 {u1:e}, u2 {u2}, sine {sine}: {z:e} outside [{lo:e}, {hi:e}]"
+                    );
+                    for cv in [1e-6, 0.08, 1.0, 8.0] {
+                        let j = Jitter { cv, half };
+                        let (lo, hi) = j.bounds();
+                        let v = j.value();
+                        assert!(lo <= v && v <= hi, "cv {cv}: {v} outside [{lo}, {hi}]");
+                    }
+                }
+            }
+        }
+        let r_at_one = Half {
+            u1: 1.0,
+            u2: 0.0,
+            sine: false,
+        };
+        assert_eq!(r_at_one.value().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(r_at_one.bounds(), (-0.0, 0.0));
+    }
+
+    /// Near `u1 = 1` the bound `√(1/u1 − u1)` and the radius both shrink to
+    /// nothing, and the bound's subtraction cancels: the radius must stay
+    /// under it for every `u1` in the last 10⁵ steps below 1, and on a
+    /// geometric sweep down to 2⁻⁵³.
+    #[test]
+    fn radius_bound_holds_where_it_is_tightest() {
+        let radius = |u1: f64| (-2.0 * u1.ln()).sqrt();
+        let bound = |u1: f64| {
+            Half {
+                u1,
+                u2: 0.0,
+                sine: false,
+            }
+            .bounds()
+            .1
+        };
+        for k in 1..100_000u64 {
+            let u1 = 1.0 - k as f64 * f64::EPSILON / 2.0;
+            assert!(radius(u1) <= bound(u1), "u1 = 1 - {k}·2⁻⁵³");
+        }
+        let mut u1 = 1.0f64;
+        while u1 >= f64::EPSILON / 2.0 {
+            assert!(radius(u1) <= bound(u1), "u1 = {u1:e}");
+            u1 *= 0.999;
+        }
+    }
+
+    /// The literal sector tables hold the range of cos and sin over each
+    /// sector, to the last bit the edges' evaluation allows.
+    #[test]
+    fn sector_tables_match_the_edges() {
+        let edge = |i: usize| 2.0 * std::f64::consts::PI * i as f64 / SECTORS as f64;
+        for (i, (&cos, &sin)) in COS_RANGE.iter().zip(&SIN_RANGE).enumerate() {
+            let (a, b) = (edge(i), edge(i + 1));
+            for ((lo, hi), (x, y)) in [(cos, (a.cos(), b.cos())), (sin, (a.sin(), b.sin()))] {
+                assert!(
+                    (lo - x.min(y)).abs() < 1e-15,
+                    "sector {i}: min {lo} vs {}",
+                    x.min(y)
+                );
+                assert!(
+                    (hi - x.max(y)).abs() < 1e-15,
+                    "sector {i}: max {hi} vs {}",
+                    x.max(y)
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "std_dev must be non-negative")]
+    fn deferred_jitter_rejects_a_negative_cv() {
+        let mut rng = DeterministicRng::seed_from(16);
+        let _ = rng.jitter_deferred(-0.1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use pipefill_sim_core::rng::DeterministicRng;
+use pipefill_sim_core::rng::{DeterministicRng, Jitter};
 use pipefill_sim_core::{EventQueue, SimDuration, SimTime};
 
 proptest! {
@@ -117,5 +117,61 @@ proptest! {
             let u = rng.uniform(2.0, 5.0);
             prop_assert!((2.0..5.0).contains(&u));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Deferred jitter draws consume the stream exactly like eager ones.
+    /// Twin generators see the same random mix of eager `normal`,
+    /// `jitter`, `uniform` and `exponential` calls, except that where
+    /// one calls `jitter` the other takes `jitter_deferred` and evaluates
+    /// it at once, at a later step or never. After every call both
+    /// fingerprints agree bit for bit, every deferred value equals its
+    /// eager twin, and every eager jitter lies in its deferred twin's
+    /// bounds.
+    #[test]
+    fn deferred_jitter_matches_the_eager_stream(
+        seed in 0u64..1_000_000,
+        ops in prop::collection::vec((0u8..7, 0usize..6), 1..200),
+    ) {
+        const CVS: [f64; 6] = [0.0, 1e-6, 0.08, 0.3, 1.0, 8.0];
+        let mut eager = DeterministicRng::seed_from(seed);
+        let mut lazy = DeterministicRng::seed_from(seed);
+        // Deferred draws awaiting evaluation, with their eager twins.
+        let mut later: Vec<(Jitter, f64)> = Vec::new();
+        for (op, c) in ops {
+            let cv = CVS[c];
+            match op {
+                0 => prop_assert_eq!(eager.normal(0.5, cv).to_bits(), lazy.normal(0.5, cv).to_bits()),
+                1 => prop_assert_eq!(eager.jitter(cv).to_bits(), lazy.jitter(cv).to_bits()),
+                2 => prop_assert_eq!(eager.uniform(0.0, 1.0).to_bits(), lazy.uniform(0.0, 1.0).to_bits()),
+                3 => prop_assert_eq!(eager.exponential(2.0).to_bits(), lazy.exponential(2.0).to_bits()),
+                _ => {
+                    let want = eager.jitter(cv);
+                    let j = lazy.jitter_deferred(cv);
+                    let (lo, hi) = j.bounds();
+                    prop_assert!(lo <= want && want <= hi, "cv {}: {} outside [{}, {}]", cv, want, lo, hi);
+                    match op {
+                        4 => prop_assert_eq!(j.value().to_bits(), want.to_bits()),
+                        5 => later.push((j, want)),
+                        _ => {}
+                    }
+                }
+            }
+            prop_assert_eq!(eager.state_fingerprint(), lazy.state_fingerprint());
+            // Evaluating a held draw consumes nothing.
+            if op == 3 {
+                if let Some((j, want)) = later.pop() {
+                    prop_assert_eq!(j.value().to_bits(), want.to_bits());
+                    prop_assert_eq!(eager.state_fingerprint(), lazy.state_fingerprint());
+                }
+            }
+        }
+        for (j, want) in later {
+            prop_assert_eq!(j.value().to_bits(), want.to_bits());
+        }
+        prop_assert_eq!(eager.uniform(0.0, 1.0).to_bits(), lazy.uniform(0.0, 1.0).to_bits());
     }
 }

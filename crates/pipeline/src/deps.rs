@@ -10,9 +10,8 @@
 //!
 //! Two consumers share it: the engine's list scheduler (so the executable
 //! semantics and the published introspection cannot drift), and the
-//! `schedverify` crate's static dependency graph, which proves streams
-//! deadlock-free *before* execution by checking the very same edges for
-//! acyclicity.
+//! `schedverify` crate's deadlock explanation, which walks the very same
+//! edges to spell out the cycle behind a wedged run.
 //!
 //! Both also share the storage of that keying: [`DepSlots`] numbers every
 //! in-range `(iteration, DepKey)` densely, so a whole-stream pass looks a

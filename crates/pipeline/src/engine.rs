@@ -40,6 +40,12 @@ pub enum EngineError {
         position: usize,
         /// The blocked instruction itself.
         instruction: PipelineInstruction,
+        /// Per device, how many positions of iteration 0 ran: the stream
+        /// length on a device that finished it. Iteration 0 waits only on
+        /// its own keys, so for streams with one producer per key these
+        /// are exactly the instructions that can ever run, and what lies
+        /// past them is what the wedge blocks.
+        ran: Vec<usize>,
     },
     /// A simulated iteration ran no non-zero-duration instruction on a
     /// stage, so it has no start to measure a period from.
@@ -66,6 +72,7 @@ impl std::fmt::Display for EngineError {
                 stage,
                 position,
                 instruction,
+                ..
             } => write!(
                 f,
                 "pipeline schedule deadlocked on stage {stage}: \
@@ -227,7 +234,8 @@ impl EngineConfig {
     /// The steady-state timeline of arbitrary per-device instruction
     /// streams (one iteration each), by the simulation and extraction
     /// [`EngineConfig::run`] applies to the generated ones. The static
-    /// verifier's bubble bound is this function applied to stream text.
+    /// verifier's deadlock decision and bubble bound are one call of this
+    /// function on stream text.
     ///
     /// # Errors
     ///
@@ -418,6 +426,11 @@ impl EngineConfig {
                 stage: s,
                 position: at[s].1,
                 instruction: streams[s][at[s].1],
+                ran: at
+                    .iter()
+                    .zip(streams)
+                    .map(|(&(iter, pos), stream)| if iter > 0 { stream.len() } else { pos })
+                    .collect(),
             }),
             None => Ok(records),
         }
@@ -851,6 +864,7 @@ mod tests {
                 stage: 0,
                 position: 1,
                 instruction: Backward { microbatch: 0 },
+                ran: vec![1, 0],
             }
         );
         assert!(err.to_string().contains("deadlocked on stage 0"), "{err}");
@@ -932,6 +946,7 @@ mod tests {
                 stage: 0,
                 position: 1,
                 instruction: Backward { microbatch: 0 },
+                ran: vec![2, 2],
             }
         );
         let EngineError::Deadlock {

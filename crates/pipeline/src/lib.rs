@@ -48,7 +48,7 @@ pub use bubbles::{BubbleKind, BubbleWindow};
 pub use engine::{EngineConfig, EngineError, EngineTimeline, StageTimeline};
 pub use instructions::PipelineInstruction;
 pub use job::MainJobSpec;
-pub use memory::{activation_envelope, BubbleMemoryModel, MainJobMemoryModel};
+pub use memory::{activation_envelope, activation_peaks, BubbleMemoryModel, MainJobMemoryModel};
 pub use parallelism::ParallelismConfig;
 pub use partition::{StagePartition, StageProfile};
 pub use render::render_timeline;

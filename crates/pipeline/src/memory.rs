@@ -13,6 +13,7 @@
 use pipefill_device::{Bytes, DeviceSpec};
 
 use crate::bubbles::BubbleKind;
+use crate::instructions::PipelineInstruction;
 use crate::parallelism::ParallelismConfig;
 use crate::partition::StagePartition;
 use crate::schedule::ScheduleKind;
@@ -145,8 +146,8 @@ impl MainJobMemoryModel {
 /// Peak resident microbatch-activations per device for `schedule` on `p`
 /// stages and `m` microbatches — the stage-partition-independent half of
 /// [`MainJobMemoryModel::derive`], published so the static schedule
-/// verifier can cross-validate its stream-measured envelope against the
-/// memory model's.
+/// verifier's stream-measured peaks ([`activation_peaks`]) can be
+/// cross-validated against the memory model's closed forms.
 ///
 /// Microbatches whose activations are resident during the fwd-bwd
 /// bubble: GPipe keeps all `m`; 1F1B keeps at most `p - stage` in
@@ -155,11 +156,8 @@ impl MainJobMemoryModel {
 /// model treats as holding no extra activations). The multi-chunk
 /// interleaved schedule's residency is not 1F1B's — its greedy
 /// realization runs forwards further ahead than the 1F1B warmup — so its
-/// per-stage peak is measured from the emitted streams: the prefix count
-/// of chunk-forwards minus chunk-backwards is the exact residency
-/// trajectory for any stage timing, since a device executes its stream
-/// in order. Each chunk activation is `1/v` of a full microbatch's, so
-/// the chunk-unit peak rounds up to whole microbatches.
+/// per-stage peak is measured from the emitted streams by
+/// [`activation_peaks`].
 ///
 /// # Panics
 ///
@@ -169,31 +167,51 @@ pub fn activation_envelope(schedule: ScheduleKind, p: usize, m: usize) -> Vec<u6
     assert!(p > 0 && m > 0, "p and m must be positive");
     match schedule {
         ScheduleKind::GPipe => vec![m as u64; p],
-        ScheduleKind::Interleaved { chunks } if chunks > 1 => schedule
-            .all_stage_instructions(p, m)
-            .iter()
-            .map(|stream| {
-                let mut resident = 0u64;
-                let mut peak = 0u64;
-                for instr in stream {
-                    match instr {
-                        crate::instructions::PipelineInstruction::ForwardChunk { .. } => {
-                            resident += 1;
-                            peak = peak.max(resident);
-                        }
-                        crate::instructions::PipelineInstruction::BackwardChunk { .. } => {
-                            resident -= 1
-                        }
-                        _ => {}
-                    }
-                }
-                peak.div_ceil(chunks as u64)
-            })
-            .collect(),
+        ScheduleKind::Interleaved { chunks } if chunks > 1 => {
+            activation_peaks(&schedule.all_stage_instructions(p, m), chunks)
+        }
         ScheduleKind::OneFOneB | ScheduleKind::Interleaved { .. } | ScheduleKind::ZbH1 => {
             (0..p).map(|s| m.min(p - s) as u64).collect()
         }
     }
+}
+
+/// Peak live activations per device of arbitrary per-device streams
+/// (one iteration each, `chunks` model chunks per device), in
+/// whole-microbatch units.
+///
+/// A forward pins one chunk's worth of activation memory until the
+/// matching backward consumes it — the full `B` for plain schedules, the
+/// `BI` half for ZB-H1 (the deferred `W` half reads weight gradients,
+/// not activations). A device executes its stream in order, so the
+/// prefix count of forwards minus backwards is its exact residency
+/// trajectory for any stage timing; the chunk-unit peak rounds up to
+/// whole microbatches. A backward with nothing resident (only malformed
+/// streams have one) frees nothing.
+pub fn activation_peaks(streams: &[Vec<PipelineInstruction>], chunks: usize) -> Vec<u64> {
+    streams
+        .iter()
+        .map(|stream| {
+            let mut resident = 0u64; // live activation chunks
+            let mut peak = 0u64;
+            for &instr in stream {
+                match instr {
+                    PipelineInstruction::Forward { .. }
+                    | PipelineInstruction::ForwardChunk { .. } => {
+                        resident += 1;
+                        peak = peak.max(resident);
+                    }
+                    PipelineInstruction::Backward { .. }
+                    | PipelineInstruction::BackwardChunk { .. }
+                    | PipelineInstruction::BackwardInput { .. } => {
+                        resident = resident.saturating_sub(1);
+                    }
+                    _ => {}
+                }
+            }
+            peak.div_ceil(chunks as u64)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -11,10 +11,10 @@
 //!   schedule and shape (including `m < p` and `p = 1`), non-uniform
 //!   stage times, optimizer and sync time, and comm latency;
 //! * `EngineConfig::execute_streams` returns exactly the reference's
-//!   `Ok`/`Err` — the `Deadlock` payload included — on randomly mutated
-//!   streams: swapped, dropped, moved and duplicated instructions (so
-//!   duplicated producers), and out-of-range microbatch and chunk
-//!   indices.
+//!   `Ok`/`Err` — the `Deadlock` payload, per-device iteration-0
+//!   progress included — on randomly mutated streams: swapped, dropped,
+//!   moved and duplicated instructions (so duplicated producers), and
+//!   out-of-range microbatch and chunk indices.
 
 use std::collections::BTreeMap;
 
@@ -78,6 +78,11 @@ fn reference_simulate(
                 stage: s,
                 position: next[s],
                 instruction: streams[s][next[s]].1,
+                ran: streams
+                    .iter()
+                    .zip(&next)
+                    .map(|(stream, &n)| stream[..n].iter().filter(|&&(iter, _)| iter == 0).count())
+                    .collect(),
             });
         }
     }

@@ -105,11 +105,6 @@ impl GlobalFillQueue {
         self.owner.len()
     }
 
-    /// The active policy's name.
-    pub fn policy_name(&self) -> &str {
-        self.policy.name()
-    }
-
     /// Whether `device` accepts work evicted from main job `origin`: the
     /// origin's own devices always do, other jobs' only if they admit
     /// foreign work.

@@ -8,9 +8,6 @@ use crate::scheduler::{JobInfo, SystemState};
 /// device, and deadline) as well as the current state of all the
 /// Executors in the system, and outputs a score" (§4.4).
 pub trait SchedulingPolicy: Send + Sync {
-    /// Policy name for reporting.
-    fn name(&self) -> &str;
-
     /// The score of dispatching `job` to `executor` under `state`; the
     /// scheduler dispatches the queued job with the maximum score.
     fn score(&self, job: &JobInfo, state: &SystemState, executor: usize) -> f64;
@@ -21,10 +18,6 @@ pub trait SchedulingPolicy: Send + Sync {
 pub struct Fifo;
 
 impl SchedulingPolicy for Fifo {
-    fn name(&self) -> &str {
-        "fifo"
-    }
-
     fn score(&self, job: &JobInfo, _state: &SystemState, _executor: usize) -> f64 {
         -job.arrival.as_secs_f64()
     }
@@ -36,10 +29,6 @@ impl SchedulingPolicy for Fifo {
 pub struct ShortestJobFirst;
 
 impl SchedulingPolicy for ShortestJobFirst {
-    fn name(&self) -> &str {
-        "sjf"
-    }
-
     fn score(&self, job: &JobInfo, _state: &SystemState, _executor: usize) -> f64 {
         match job.min_proc_time() {
             Some(t) if !t.is_zero() => 1.0 / t.as_secs_f64(),
@@ -56,10 +45,6 @@ impl SchedulingPolicy for ShortestJobFirst {
 pub struct MakespanMin;
 
 impl SchedulingPolicy for MakespanMin {
-    fn name(&self) -> &str {
-        "makespan-min"
-    }
-
     fn score(&self, job: &JobInfo, state: &SystemState, executor: usize) -> f64 {
         let Some(proc) = job.proc_time(executor) else {
             return f64::MIN;
@@ -80,10 +65,6 @@ impl SchedulingPolicy for MakespanMin {
 pub struct EarliestDeadlineFirst;
 
 impl SchedulingPolicy for EarliestDeadlineFirst {
-    fn name(&self) -> &str {
-        "edf"
-    }
-
     fn score(&self, job: &JobInfo, state: &SystemState, _executor: usize) -> f64 {
         match job.deadline {
             None => 0.0,
@@ -102,7 +83,6 @@ impl SchedulingPolicy for EarliestDeadlineFirst {
 /// no jobs with deadlines".
 pub struct Weighted {
     components: Vec<(f64, Box<dyn SchedulingPolicy>)>,
-    name: String,
 }
 
 impl Weighted {
@@ -113,12 +93,7 @@ impl Weighted {
     /// Panics if `components` is empty.
     pub fn new(components: Vec<(f64, Box<dyn SchedulingPolicy>)>) -> Self {
         assert!(!components.is_empty(), "weighted policy needs components");
-        let name = components
-            .iter()
-            .map(|(w, p)| format!("{w}*{}", p.name()))
-            .collect::<Vec<_>>()
-            .join("+");
-        Weighted { components, name }
+        Weighted { components }
     }
 
     /// The paper's sketched deadline-aware hierarchy: deadlines dominate
@@ -132,10 +107,6 @@ impl Weighted {
 }
 
 impl SchedulingPolicy for Weighted {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn score(&self, job: &JobInfo, state: &SystemState, executor: usize) -> f64 {
         self.components
             .iter()
@@ -205,12 +176,6 @@ mod tests {
         // With a deadline in play it dominates.
         let urgent_long = job(3, 500).with_deadline(SimTime::from_secs_f64(30.0));
         assert!(policy.score(&urgent_long, &state, 0) > policy.score(&short, &state, 0));
-    }
-
-    #[test]
-    fn weighted_name_describes_composition() {
-        let p = Weighted::deadline_then_sjf();
-        assert_eq!(p.name(), "1000000*edf+1*sjf");
     }
 
     #[test]

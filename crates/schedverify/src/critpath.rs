@@ -16,10 +16,8 @@
 //! [`EngineTimeline::bubble_ratio`] bit-for-bit by construction. This
 //! module only maps the engine's failures to findings in stream-file
 //! vocabulary.
-//!
-//! [`EngineTimeline::bubble_ratio`]: pipefill_pipeline::EngineTimeline::bubble_ratio
 
-use pipefill_pipeline::{EngineConfig, EngineError};
+use pipefill_pipeline::{EngineConfig, EngineError, EngineTimeline};
 use pipefill_sim_core::SimDuration;
 
 use crate::stream::{token, StreamSet};
@@ -43,16 +41,26 @@ pub struct CritPath {
 ///
 /// # Errors
 ///
-/// A finding when no steady state exists to bound: the unrolled graph
-/// wedges (unreachable after [`crate::graph::check`] passes — kept as a
-/// defensive invariant), an iteration has no busy instruction on some
-/// stage, or consecutive iterations disagree on the period.
+/// A finding when no steady state exists to bound: see [`read`].
 pub fn analyze(set: &StreamSet, engine: &EngineConfig) -> Result<CritPath, Finding> {
-    let tl = engine.timeline_of(&set.streams).map_err(|e| match e {
+    read(engine.timeline_of(&set.streams))
+}
+
+/// The steady-state quantities of one engine run of the streams
+/// ([`EngineConfig::timeline_of`]).
+///
+/// # Errors
+///
+/// A finding when no steady state exists to bound: the unrolled streams
+/// wedge, an iteration has no busy instruction on some stage, or
+/// consecutive iterations disagree on the period.
+pub fn read(run: Result<EngineTimeline, EngineError>) -> Result<CritPath, Finding> {
+    let tl = run.map_err(|e| match e {
         EngineError::Deadlock {
             stage,
             position,
             instruction,
+            ..
         } => Finding::on_device(
             Property::Deadlock,
             stage,

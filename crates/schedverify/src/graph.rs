@@ -1,230 +1,122 @@
-//! Deadlock-freedom: acyclicity of the cross-device dependency graph.
+//! Deadlock explanation: the dependency cycle behind a wedge the engine
+//! reports.
 //!
-//! Nodes are instruction occurrences; edges are (a) intra-device program
-//! order — the engine executes each stream strictly in order — and
-//! (b) inter-stage activation/gradient hand-offs, keyed exactly as the
-//! engine keys its end-time maps via [`pipefill_pipeline::deps`]. A
-//! stream set deadlocks under in-order execution **iff** this graph has
-//! a cycle or an instruction waits on a key nothing publishes; proving
-//! the graph acyclic therefore proves the engine completes, without
-//! running it.
+//! The engine decides deadlock-freedom by running the streams
+//! ([`EngineConfig::timeline_of`]); this module only says why a wedged
+//! run wedged. An instruction waits on (a) the one before it on its
+//! device — the engine executes each stream strictly in order — and
+//! (b) the producer of the inter-stage key it consumes, keyed exactly as
+//! the engine keys execution via [`pipefill_pipeline::deps`]. Past the
+//! prefix of iteration 0 each device ran, every instruction is stuck, and
+//! every stuck instruction keeps a stuck predecessor (else it would have
+//! run), so walking stuck predecessors must close a cycle.
+//!
+//! [`EngineConfig::timeline_of`]: pipefill_pipeline::EngineConfig::timeline_of
 
-use pipefill_pipeline::deps::{self, DepKey, DepSlots};
+use std::collections::BTreeMap;
+
+use pipefill_pipeline::deps::{self, DepSlots};
 
 use crate::stream::{token, StreamSet};
 use crate::{Finding, Property};
 
-/// Size of the verified graph, reported in certificates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GraphStats {
-    /// Instruction occurrences.
-    pub nodes: usize,
-    /// Inter-stage dependency edges (program-order edges excluded — they
-    /// are implied by the stream layout).
-    pub dependency_edges: usize,
-}
-
-/// Location of a node: `(device, position)`.
+/// Location of an instruction: `(device, position)`.
 type Loc = (usize, usize);
 
-/// No node: an absent predecessor, or a node not on the cycle walk.
-const NONE: usize = usize::MAX;
-
-/// Proves the dependency graph acyclic, or reports why it is not.
+/// Spells out one dependency cycle among the instructions a wedged run
+/// left stuck, given `ran`, how many positions of iteration 0 each device
+/// ran ([`EngineError::Deadlock`]).
 ///
-/// # Errors
+/// The walk starts at the first stuck instruction in device-major order
+/// and steps to a stuck predecessor — program order before the
+/// dependency — until an instruction repeats.
 ///
-/// One finding per unsatisfiable dependency (a consumed key nothing
-/// publishes), or a single finding spelling out an offending cycle.
-pub fn check(set: &StreamSet) -> Result<GraphStats, Vec<Finding>> {
+/// # Panics
+///
+/// Panics if a stuck instruction waits on a key nothing publishes (a
+/// set that passes [`crate::wellformed::check`] publishes every key it
+/// consumes), or if `ran` is not the engine's report of a wedge on
+/// `set`.
+///
+/// [`EngineError::Deadlock`]: pipefill_pipeline::EngineError::Deadlock
+pub fn explain(set: &StreamSet, ran: &[usize]) -> Finding {
     let p = set.stages();
-    let chunks = set.chunks;
-
-    // Node ids: device-major, position-minor.
-    let offsets: Vec<usize> = set
-        .streams
-        .iter()
-        .scan(0usize, |acc, s| {
-            let o = *acc;
-            *acc += s.len();
-            Some(o)
-        })
-        .collect();
-    let nodes: usize = set.instruction_count();
-    let loc = |id: usize| -> Loc {
-        let s = offsets.iter().rposition(|&o| o <= id).unwrap_or(0);
-        (s, id - offsets[s])
-    };
-
-    // Producer index: each key's publishing node, in dense slots.
-    // Well-formedness has already pinned producers to one occurrence per
-    // key; should there be more, the first in node order wins.
-    let mut producer: DepSlots<usize> = DepSlots::new(p, chunks, set.microbatches, 1, nodes);
+    // Each key's publishing instruction, in dense slots. Well-formedness
+    // pins producers to one occurrence per key.
+    let mut producer: DepSlots<Loc> =
+        DepSlots::new(p, set.chunks, set.microbatches, 1, set.instruction_count());
     for (s, stream) in set.streams.iter().enumerate() {
         for (i, &instr) in stream.iter().enumerate() {
             if let Some(key) = deps::produced(instr, s, p) {
-                if producer.get(0, key).is_none() {
-                    producer.insert(0, key, offsets[s] + i);
-                }
+                producer.insert(0, key, (s, i));
             }
         }
     }
-
-    // Predecessors, flat: every node has at most a program-order
-    // predecessor (the node before it on its device) and one dependency
-    // predecessor (its key's producer).
-    let mut first_on_device = vec![false; nodes];
-    let mut dep_pred = vec![NONE; nodes];
-    let mut findings = Vec::new();
-    let mut dependency_edges = 0usize;
-    for (s, stream) in set.streams.iter().enumerate() {
-        if !stream.is_empty() {
-            first_on_device[offsets[s]] = true;
-        }
-        for (i, &instr) in stream.iter().enumerate() {
-            let Some(edge) = deps::consumed(instr, s, p, chunks) else {
-                continue;
-            };
-            match producer.get(0, edge.key) {
-                Some(src) => {
-                    dep_pred[offsets[s] + i] = src;
-                    dependency_edges += 1;
-                }
-                None => findings.push(Finding::on_device(
-                    Property::Deadlock,
-                    s,
-                    format!(
-                        "position {i} ({}) waits on {} which no instruction publishes",
-                        token(instr),
-                        render_key(edge.key)
-                    ),
-                )),
-            }
-        }
-    }
-    if !findings.is_empty() {
-        return Err(findings);
-    }
-    // Predecessors in the order the cycle walk tries them: program order
-    // first, then the dependency.
-    let preds = |id: usize| {
-        let program = (!first_on_device[id]).then(|| id - 1);
+    let stuck = |(s, i): Loc| i >= ran[s];
+    // A stuck instruction's predecessors in the order the walk tries
+    // them: program order first, then the dependency.
+    let stuck_pred = |(s, i): Loc| -> Loc {
+        let program = (i > 0).then(|| (s, i - 1));
+        let dependency = deps::consumed(set.streams[s][i], s, p, set.chunks).map(|edge| {
+            producer
+                .get(0, edge.key)
+                .expect("well-formed sets publish every key they consume")
+        });
         program
             .into_iter()
-            .chain((dep_pred[id] != NONE).then_some(dep_pred[id]))
+            .chain(dependency)
+            .find(|&q| stuck(q))
+            .expect("stuck instructions retain a stuck predecessor")
     };
 
-    // Kahn's algorithm over CSR successor lists; whatever it cannot pop
-    // is a cycle (every stuck node retains a stuck predecessor).
-    let mut indegree: Vec<u8> = (0..nodes).map(|id| preds(id).count() as u8).collect();
-    let mut succ_start = vec![0usize; nodes + 1];
-    for id in 0..nodes {
-        for src in preds(id) {
-            succ_start[src + 1] += 1;
-        }
-    }
-    for id in 0..nodes {
-        succ_start[id + 1] += succ_start[id];
-    }
-    let mut succs = vec![0usize; succ_start[nodes]];
-    let mut fill = succ_start.clone();
-    for id in 0..nodes {
-        for src in preds(id) {
-            succs[fill[src]] = id;
-            fill[src] += 1;
-        }
-    }
-    let mut ready: Vec<usize> = (0..nodes).filter(|&id| indegree[id] == 0).collect();
-    let mut popped = 0usize;
-    let mut done = vec![false; nodes];
-    while let Some(id) = ready.pop() {
-        done[id] = true;
-        popped += 1;
-        for &next in &succs[succ_start[id]..succ_start[id + 1]] {
-            indegree[next] -= 1;
-            if indegree[next] == 0 {
-                ready.push(next);
-            }
-        }
-    }
-    if popped == nodes {
-        return Ok(GraphStats {
-            nodes,
-            dependency_edges,
-        });
-    }
-
-    // Extract one concrete cycle: from the first stuck node, repeatedly
-    // step to a stuck predecessor until a node repeats.
-    let start = done
-        .iter()
-        .position(|&d| !d)
-        .expect("popped < nodes implies a stuck node");
+    let start = (0..p)
+        .find(|&s| ran[s] < set.streams[s].len())
+        .map(|s| (s, ran[s]))
+        .expect("a wedge leaves an instruction stuck");
     let mut path = vec![start];
-    let mut on_path = vec![NONE; nodes];
-    on_path[start] = 0;
+    let mut on_path = BTreeMap::from([(start, 0)]);
     let cycle = loop {
-        let cur = *path.last().expect("path starts non-empty");
-        let back = preds(cur)
-            .find(|&q| !done[q])
-            .expect("stuck nodes retain a stuck predecessor");
-        if on_path[back] != NONE {
-            let mut cycle = path.split_off(on_path[back]);
+        let back = stuck_pred(*path.last().expect("path starts non-empty"));
+        if let Some(&at) = on_path.get(&back) {
+            let mut cycle = path.split_off(at);
             // Walking predecessors built the path in reverse dependency
             // order; reverse so the report reads "runs before".
             cycle.reverse();
             break cycle;
         }
-        on_path[back] = path.len();
+        on_path.insert(back, path.len());
         path.push(back);
     };
     let rendered: Vec<String> = cycle
         .iter()
-        .map(|&id| {
-            let (s, i) = loc(id);
-            format!("dev{s}[{i}] {}", token(set.streams[s][i]))
-        })
+        .map(|&(s, i)| format!("dev{s}[{i}] {}", token(set.streams[s][i])))
         .collect();
-    let (s0, _) = loc(cycle[0]);
-    Err(vec![Finding::on_device(
+    Finding::on_device(
         Property::Deadlock,
-        s0,
+        cycle[0].0,
         format!(
             "dependency cycle among {} instructions: {} -> back to start",
             cycle.len(),
             rendered.join(" -> ")
         ),
-    )])
-}
-
-fn render_key(key: DepKey) -> String {
-    match key {
-        DepKey::Fwd { vs, microbatch } => {
-            format!("the activation of microbatch {microbatch} from virtual stage {vs}")
-        }
-        DepKey::Bwd { vs, microbatch } => {
-            format!("the gradient of microbatch {microbatch} from virtual stage {vs}")
-        }
-    }
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipefill_pipeline::ScheduleKind;
+    use crate::VerifyConfig;
+    use pipefill_pipeline::EngineError;
+    use pipefill_sim_core::SimDuration;
 
-    #[test]
-    fn builtins_are_acyclic() {
-        for kind in [
-            ScheduleKind::GPipe,
-            ScheduleKind::OneFOneB,
-            ScheduleKind::Interleaved { chunks: 2 },
-            ScheduleKind::ZbH1,
-        ] {
-            let set = StreamSet::from_schedule(kind, 4, 8);
-            let stats = check(&set).unwrap_or_else(|f| panic!("{kind}: {f:?}"));
-            assert_eq!(stats.nodes, set.instruction_count());
-            assert!(stats.dependency_edges > 0, "{kind}");
+    /// The explanation of the wedge the engine reports on a stream file.
+    fn explained(text: &str) -> Finding {
+        let set = StreamSet::parse(text).expect("parses");
+        let ms = SimDuration::from_millis;
+        let engine = VerifyConfig::new(ms(10), ms(20)).engine_config(&set);
+        match engine.timeline_of(&set.streams) {
+            Err(EngineError::Deadlock { ran, .. }) => explain(&set, &ran),
+            other => panic!("expected a wedge, got {other:?}"),
         }
     }
 
@@ -234,19 +126,13 @@ mod tests {
         // will run the F0/B0 pair dev0's B0 is waiting on: dev0[1] B0 →
         // (program order) dev0[2] F1 → dev1[0] F1 → dev1[2] B0 →
         // dev0[1] B0 again.
-        let set = StreamSet::parse(
+        let finding = explained(
             "stages = 2\nmicrobatches = 2\n\
              device_0 = \"F0 B0 F1 B1\"\n\
              device_1 = \"F1 F0 B0 B1\"\n",
-        )
-        .expect("parses");
-        let findings = check(&set).expect_err("wedged");
-        assert_eq!(findings.len(), 1);
-        assert!(
-            findings[0].message.contains("dependency cycle"),
-            "{findings:?}"
         );
-        assert!(findings[0].message.contains("dev0[1] B0"), "{findings:?}");
+        assert!(finding.message.contains("dependency cycle"), "{finding:?}");
+        assert!(finding.message.contains("dev0[1] B0"), "{finding:?}");
     }
 
     /// The exact cycle text: the walk starts at the first stuck node and
@@ -288,35 +174,10 @@ mod tests {
                  dev1[4] F2 -> dev1[5] B2 -> dev0[1] B2 -> back to start",
             ),
         ] {
-            let set = StreamSet::parse(text).expect("parses");
-            let findings = check(&set).expect_err("wedged");
             assert_eq!(
-                findings,
-                vec![Finding::on_device(
-                    Property::Deadlock,
-                    device,
-                    cycle.to_string()
-                )]
+                explained(text),
+                Finding::on_device(Property::Deadlock, device, cycle.to_string())
             );
         }
-    }
-
-    #[test]
-    fn unsatisfiable_keys_are_reported_per_instruction() {
-        // Stage 0 never forwards microbatch 0, so stage 1's F0 waits on
-        // an activation nothing publishes — starvation, not a cycle.
-        let set = StreamSet::parse(
-            "stages = 2\nmicrobatches = 1\n\
-             device_0 = \"B0\"\n\
-             device_1 = \"F0 B0\"\n",
-        )
-        .expect("parses");
-        let findings = check(&set).expect_err("starved");
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.message.contains("no instruction publishes")),
-            "{findings:?}"
-        );
     }
 }

@@ -7,29 +7,30 @@
 //! 1. **Well-formedness** ([`wellformed`]): every microbatch's forward
 //!    and backward (or ZB-H1 `B`+`W` pair) appears exactly once per
 //!    stage and chunk, in a legal per-microbatch order.
-//! 2. **Deadlock-freedom** ([`graph`]): the cross-device dependency
-//!    graph — intra-device program order plus the inter-stage
-//!    activation/gradient edges the engine keys execution on — is
-//!    acyclic, with the offending cycle spelled out when it is not.
+//! 2. **Deadlock-freedom**: the engine's in-order execution of the
+//!    streams ([`EngineConfig::timeline_of`]) completes — the run the
+//!    bubble bound reads. When it wedges, [`graph`] spells out the
+//!    cross-device dependency cycle behind the wedge: intra-device
+//!    program order plus the inter-stage activation/gradient edges the
+//!    engine keys execution on.
 //! 3. **Memory-envelope compliance** ([`memory`]): the static peak of
 //!    live activations per device, checked against a limit and equal to
 //!    the engine's published [`pipefill_pipeline::activation_envelope`].
 //! 4. **Bubble optimality** ([`critpath`]): the steady-state bubble
 //!    fraction — the longest paths through the weighted dependency DAG,
-//!    which is the engine's own evaluation of the stream text
-//!    ([`EngineConfig::timeline_of`]) — compared against the paper's
-//!    closed forms where they apply.
+//!    which is the same engine run's evaluation of the stream text —
+//!    compared against the paper's closed forms where they apply.
 //!
 //! Verdicts render as deterministic JSON certificates ([`certificate`])
 //! that CI regenerates and byte-compares, so "the built-in schedules are
 //! deadlock-free and bubble-optimal" is a pinned artifact, not a hope.
 //!
-//! Properties 1–3 are re-derived independently of the engine; they share
-//! only its dependency *keying* (`pipefill_pipeline::deps`, so the two
-//! cannot drift), and the conformance suite pins their results against
-//! the engine's. Property 4 reuses the engine's list scheduler and
-//! steady-state extraction outright: there is one evaluation of the
-//! start-time recurrence in the workspace, not two to keep in step.
+//! Property 1 is re-derived independently of the engine. Properties 2
+//! and 4 are one engine run: there is one deadlock decision and one
+//! evaluation of the start-time recurrence in the workspace, not two to
+//! keep in step. Property 3 is the prefix count the engine's memory
+//! model publishes ([`pipefill_pipeline::activation_peaks`]), and the
+//! conformance suite pins it against the closed-form envelope.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -41,12 +42,10 @@ pub mod memory;
 pub mod stream;
 pub mod wellformed;
 
-use pipefill_pipeline::{bubble_fraction_for, EngineConfig, ScheduleKind};
+use pipefill_pipeline::{bubble_fraction_for, deps, EngineConfig, EngineError, ScheduleKind};
 use pipefill_sim_core::SimDuration;
 
 pub use critpath::CritPath;
-pub use graph::GraphStats;
-pub use memory::activation_peaks;
 pub use stream::StreamSet;
 
 /// Which property a finding falsifies.
@@ -219,7 +218,8 @@ pub struct Stats {
     pub chunks: usize,
     /// Instruction occurrences across all devices (one iteration).
     pub instructions: usize,
-    /// Inter-stage dependency edges in the verified graph.
+    /// Inter-stage dependency edges: instructions that wait on a key
+    /// another instruction publishes (program order excluded).
     pub dependency_edges: usize,
     /// Peak live microbatch activations per device.
     pub memory_peaks: Vec<u64>,
@@ -259,18 +259,15 @@ pub fn verify(set: &StreamSet, cfg: &VerifyConfig) -> Verdict {
             stats: None,
         };
     }
-    let graph = match graph::check(set) {
-        Ok(g) => g,
-        Err(findings) => {
-            return Verdict {
-                findings,
-                stats: None,
-            }
-        }
-    };
+    let run = cfg.engine_config(set).timeline_of(&set.streams);
+    if let Err(EngineError::Deadlock { ran, .. }) = &run {
+        return Verdict {
+            findings: vec![graph::explain(set, ran)],
+            stats: None,
+        };
+    }
     let (memory_peaks, mut findings) = memory::check(set, cfg.memory_limit);
-    let engine = cfg.engine_config(set);
-    let crit = match critpath::analyze(set, &engine) {
+    let crit = match critpath::read(run) {
         Ok(c) => c,
         Err(f) => {
             findings.push(f);
@@ -305,7 +302,7 @@ pub fn verify(set: &StreamSet, cfg: &VerifyConfig) -> Verdict {
             microbatches: set.microbatches,
             chunks: set.chunks,
             instructions: set.instruction_count(),
-            dependency_edges: graph.dependency_edges,
+            dependency_edges: consumed_keys(set),
             memory_peaks,
             period: crit.period,
             bubble_fraction_static: crit.bubble_fraction,
@@ -313,6 +310,19 @@ pub fn verify(set: &StreamSet, cfg: &VerifyConfig) -> Verdict {
         }),
         findings,
     }
+}
+
+/// How many instructions wait on an inter-stage key.
+fn consumed_keys(set: &StreamSet) -> usize {
+    let p = set.stages();
+    set.streams
+        .iter()
+        .enumerate()
+        .flat_map(|(s, stream)| {
+            let waits = move |&instr| deps::consumed(instr, s, p, set.chunks);
+            stream.iter().filter_map(waits)
+        })
+        .count()
 }
 
 /// Relates the static fraction to `bubble_fraction_for`.

@@ -1,52 +1,20 @@
 //! Static memory envelope: peak live activations per device.
 //!
-//! A forward pins one chunk's worth of activation memory until the
-//! matching backward consumes it — the full `B` for plain schedules, the
-//! `BI` half for ZB-H1 (the deferred `W` half reads weight gradients,
-//! not activations). Scanning each stream's prefix sums therefore yields
-//! the exact peak number of live activations the engine would hold, in
-//! whole-microbatch units (`peak chunks / chunks`, rounded up), without
-//! executing anything.
-//!
-//! [`pipefill_pipeline::activation_envelope`] publishes the same
-//! quantity for the built-in generators from closed forms; the
-//! conformance tests pin the two against each other.
+//! The peaks are [`pipefill_pipeline::activation_peaks`] over the stream
+//! text: the prefix count of forwards minus backwards each device's
+//! in-order execution holds, in whole-microbatch units, without
+//! executing anything. [`pipefill_pipeline::activation_envelope`]
+//! publishes the same quantity for the built-in generators from closed
+//! forms; the conformance tests pin the two against each other.
 
-use pipefill_pipeline::PipelineInstruction;
+use pipefill_pipeline::activation_peaks;
 
 use crate::stream::StreamSet;
 use crate::{Finding, Property};
 
-/// Peak live activations per device, in whole-microbatch units.
-pub fn activation_peaks(set: &StreamSet) -> Vec<u64> {
-    set.streams
-        .iter()
-        .map(|stream| {
-            let mut resident = 0u64; // live activation chunks
-            let mut peak = 0u64;
-            for &instr in stream {
-                match instr {
-                    PipelineInstruction::Forward { .. }
-                    | PipelineInstruction::ForwardChunk { .. } => {
-                        resident += 1;
-                        peak = peak.max(resident);
-                    }
-                    PipelineInstruction::Backward { .. }
-                    | PipelineInstruction::BackwardChunk { .. }
-                    | PipelineInstruction::BackwardInput { .. } => {
-                        resident = resident.saturating_sub(1);
-                    }
-                    _ => {}
-                }
-            }
-            peak.div_ceil(set.chunks as u64)
-        })
-        .collect()
-}
-
 /// Checks the envelope against an optional per-device limit.
 pub fn check(set: &StreamSet, limit: Option<u64>) -> (Vec<u64>, Vec<Finding>) {
-    let peaks = activation_peaks(set);
+    let peaks = activation_peaks(&set.streams, set.chunks);
     let mut findings = Vec::new();
     if let Some(limit) = limit {
         for (s, &peak) in peaks.iter().enumerate() {
@@ -82,7 +50,7 @@ mod tests {
             for (p, m) in [(1, 1), (2, 4), (4, 8), (4, 2), (8, 16)] {
                 let set = StreamSet::from_schedule(kind, p, m);
                 assert_eq!(
-                    activation_peaks(&set),
+                    check(&set, None).0,
                     activation_envelope(kind, p, m),
                     "{kind} p={p} m={m}"
                 );

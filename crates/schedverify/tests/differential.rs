@@ -7,7 +7,9 @@
 //! with the next instruction, move to front, move to end — at every
 //! position of every device, and checks the contract on each mutant
 //! against [`EngineConfig::execute_streams`], the engine's own
-//! completion oracle.
+//! completion oracle. The verifier's deadlock decision is itself an
+//! engine run (four unrolled iterations, where `execute_streams` runs
+//! one), so the contract also pins that the two runs agree.
 //!
 //! The verifier is allowed to be *stricter* than the engine (a dropped
 //! ZB-H1 `W` half executes fine but is still an incomplete iteration,
@@ -15,6 +17,9 @@
 //! pin how often that happens so a regression in either direction shows
 //! up as a changed census, not silence.
 
+mod common;
+
+use common::mutants;
 use pipefill_pipeline::{EngineConfig, PipelineInstruction, ScheduleKind};
 use pipefill_schedverify::{verify, StreamSet, VerifyConfig};
 use pipefill_sim_core::SimDuration;
@@ -28,44 +33,6 @@ const KINDS: [ScheduleKind; 4] = [
 
 fn ms(x: u64) -> SimDuration {
     SimDuration::from_millis(x)
-}
-
-/// Every single-instruction mutant of `streams`, with a label.
-fn mutants(streams: &[Vec<PipelineInstruction>]) -> Vec<(String, Vec<Vec<PipelineInstruction>>)> {
-    let mut out = Vec::new();
-    for (s, stream) in streams.iter().enumerate() {
-        for i in 0..stream.len() {
-            let mut drop = streams.to_vec();
-            drop[s].remove(i);
-            out.push((format!("dev{s}: drop [{i}]"), drop));
-
-            let mut dup = streams.to_vec();
-            let instr = dup[s][i];
-            dup[s].insert(i + 1, instr);
-            out.push((format!("dev{s}: duplicate [{i}]"), dup));
-
-            if i + 1 < stream.len() {
-                let mut swap = streams.to_vec();
-                swap[s].swap(i, i + 1);
-                out.push((format!("dev{s}: swap [{i}]<->[{}]", i + 1), swap));
-            }
-
-            if i > 0 {
-                let mut front = streams.to_vec();
-                let instr = front[s].remove(i);
-                front[s].insert(0, instr);
-                out.push((format!("dev{s}: move [{i}] to front"), front));
-            }
-
-            if i + 1 < stream.len() {
-                let mut back = streams.to_vec();
-                let instr = back[s].remove(i);
-                back[s].push(instr);
-                out.push((format!("dev{s}: move [{i}] to end"), back));
-            }
-        }
-    }
-    out
 }
 
 /// The invariant, per mutant: certified implies engine-safe.

@@ -62,6 +62,7 @@ inspection & verification:
 
 global options:
   --threads N                     worker threads for parallel sweeps
+                                  and no-fault fleet runs
                                   (default: all cores)"
     )
 }
@@ -176,7 +177,8 @@ pub enum VerifyTarget {
 pub struct Invocation {
     /// The command to run.
     pub command: Command,
-    /// Worker threads for parallel sweeps (0 = all cores).
+    /// Worker threads for parallel sweeps and no-fault fleet runs (0 =
+    /// all cores).
     pub threads: usize,
 }
 

@@ -189,6 +189,15 @@ pub trait SimBackend: EventHandler<Event = ClusterEvent> {
         None
     }
 
+    /// Runs the whole simulation without the kernel, when the backend can
+    /// reproduce the kernel's run exactly that way, and drains it.
+    /// Returns the events the kernel would have dispatched, or `None`
+    /// (the default) to leave the run to the kernel. Called only on a
+    /// freshly primed backend.
+    fn run_pipeline_major(&mut self) -> Option<u64> {
+        None
+    }
+
     /// Final accounting once the kernel stops dispatching; `now` is the
     /// firing time of the last event.
     fn drain(&mut self, now: SimTime);
@@ -231,8 +240,16 @@ impl<B: SimBackend> BackendDriver<B> {
     }
 
     /// Runs to completion and returns the metrics plus the backend (for
-    /// fidelity-specific detail extraction).
+    /// fidelity-specific detail extraction). A driver no step has
+    /// dispatched from first offers the run to
+    /// [`SimBackend::run_pipeline_major`]; the kernel runs it otherwise.
     pub fn run(mut self) -> (BackendMetrics, B) {
+        if self.sim.dispatched() == 0 {
+            if let Some(events) = self.backend.run_pipeline_major() {
+                let metrics = self.backend.metrics(events);
+                return (metrics, self.backend);
+            }
+        }
         let horizon = self.backend.horizon();
         self.sim.run(&mut self.backend, horizon);
         self.backend.drain(self.sim.now());

@@ -31,6 +31,8 @@
 //! run and a one-job fleet both reproduce the physical run bit for bit —
 //! the conformance suite pins it.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -58,6 +60,11 @@ const STEADY_HISTORY: usize = 512;
 /// job carries its own detector and observed fleet cycles are short (a
 /// few iterations), so a modest window keeps thousand-job fleets cheap.
 const FLEET_STEADY_HISTORY: usize = 64;
+
+/// Iterations a pipeline of a no-fault fleet runs per round at most
+/// (see `FillBackend::run_pipelines`): bounds each round's traces,
+/// and so the memory, while keeping rounds few.
+const ROUND_ITERATIONS: u64 = 64;
 
 /// Draws per refill before a bubble is left idle this round.
 const MAX_DRAW_TRIES: usize = 5;
@@ -284,6 +291,42 @@ impl Pipeline {
         None
     }
 
+    /// Executes stage `stage`'s bubble windows for the iteration in
+    /// flight and records the stall they caused. An idle stage is
+    /// refilled before each window: with the lease `unpark` offers (an
+    /// evicted job the global queue hands this device), else with a
+    /// backlog draw. Returns the iteration's critical-path stall once the
+    /// pipeline's last stage ran.
+    fn run_stage(
+        &mut self,
+        job: usize,
+        stage: usize,
+        plans: &StagePlans,
+        cfg: &FleetSimConfig,
+        mut completed_ids: Option<&mut Vec<JobId>>,
+        mut unpark: impl FnMut() -> Option<Box<FillLease>>,
+    ) -> Option<SimDuration> {
+        let mut delay = SimDuration::ZERO;
+        for slot in 0..plans.windows(stage).len() {
+            if !self.up[stage] {
+                self.bubbles_lost += 1;
+                continue;
+            }
+            if self.leases[stage].is_none() {
+                self.leases[stage] = unpark().or_else(|| {
+                    self.draw(plans, job, stage, cfg)
+                        .map(|exec| Box::new(FillLease::fresh(exec)))
+                });
+            }
+            delay += self.run_bubble(stage, slot, plans, cfg, completed_ids.as_deref_mut());
+        }
+        self.stage_delays.push(delay);
+        (stage + 1 == self.leases.len()).then(|| {
+            self.iteration_delay = critical_path_delay(&self.stage_delays);
+            self.iteration_delay
+        })
+    }
+
     /// Executes one bubble window on `stage` with the lease already
     /// acquired (if any work was available); returns the stall it caused.
     /// Fill jobs checkpoint only when a device can fail (`mtbf` finite):
@@ -480,7 +523,7 @@ impl Pipeline {
     }
 
     /// Closes the iteration in flight: adds its critical-path stall to
-    /// the total and, if iterations remain, returns when the next one
+    /// the total and, if iterations remain, says when the next one
     /// starts.
     ///
     /// Steady-state fast-forward happens here: if this boundary's full
@@ -490,43 +533,35 @@ impl Pipeline {
     /// (the FLOP sum through [`replay_adds`]) instead of simulating
     /// M × cycle events, and event fidelity resumes at the advanced
     /// clock — bit-for-bit identical by construction.
-    fn end_iteration(
-        &mut self,
-        now: SimTime,
-        period: SimDuration,
-        completed_ids: Option<&mut Vec<JobId>>,
-        queue: &mut EventQueue<ClusterEvent>,
-    ) -> Option<SimTime> {
+    fn end_iteration(&mut self, now: SimTime, period: SimDuration) -> Boundary {
         let delay = self.iteration_delay;
         self.total_delay += delay;
         self.stage_delays.clear();
         self.iterations_done += 1;
         if self.iterations_done >= self.iterations {
-            return None;
+            return Boundary::default();
         }
+        let boundary = Boundary {
+            next: Some(now),
+            ..Boundary::default()
+        };
         if !self.detector.enabled()
             || !self
                 .detector
                 .observe(self.rng.state_fingerprint(), self.counters())
         {
-            return Some(now);
+            return boundary;
         }
         let mut sig = self.detector.sig_buffer();
         self.steady_sig(&mut sig);
         let remaining = (self.iterations - self.iterations_done) as u64;
         let Some(skip) = self.detector.end_iteration(sig, delay, remaining) else {
-            return Some(now);
+            return boundary;
         };
         self.executed_flops = replay_adds(self.executed_flops, &skip.flops, skip.cycles);
         // Fill ids are the only non-cyclic state: each cycle's sit exactly
         // `draws` above the previous cycle's.
         let stride = skip.counters.draws;
-        if let Some(ids) = completed_ids {
-            ids.reserve(skip.completed.len() * skip.cycles as usize);
-            for m in 1..=skip.cycles {
-                ids.extend(skip.completed.iter().map(|&id| JobId(id + m * stride)));
-            }
-        }
         self.total_delay += skip.delay_sum * skip.cycles;
         self.iterations_done += skip.iterations() as usize;
         self.completed += (skip.counters.completions * skip.cycles) as usize;
@@ -542,8 +577,235 @@ impl Pipeline {
         }
         // Each skipped iteration would have fired one StageBubbles per
         // stage plus one JobIterationEnd.
-        queue.credit(skip.iterations() * (self.leases.len() as u64 + 1));
-        Some(now + (period * skip.len + skip.delay_sum) * skip.cycles)
+        Boundary {
+            next: Some(now + (period * skip.len + skip.delay_sum) * skip.cycles),
+            credit: skip.iterations() * (self.leases.len() as u64 + 1),
+            skipped: Some(SkippedIds {
+                cycle: skip.completed,
+                stride,
+                cycles: skip.cycles,
+            }),
+        }
+    }
+
+    /// Runs this pipeline's events pipeline-major, in the order the
+    /// kernel pops them, through every unit that fires at or before
+    /// `frontier` (all of them when `None`). A unit is a block (one
+    /// iteration's stage fan-out, which pops as one) or an iteration end;
+    /// each calls exactly what the kernel's handler calls for it.
+    fn advance(
+        &mut self,
+        job: usize,
+        shape: &Shape,
+        cfg: &FleetSimConfig,
+        frontier: Option<SimTime>,
+        trace: &mut Trace,
+    ) {
+        while let Some((at, due)) = trace.pending {
+            if frontier.is_some_and(|f| at > f) {
+                break;
+            }
+            let (next, then) = match due {
+                Due::Block => {
+                    for stage in 0..self.leases.len() {
+                        self.run_stage(job, stage, &shape.plans, cfg, trace.ids.as_mut(), || None);
+                    }
+                    trace.events += self.leases.len() as u64;
+                    (Some(at + shape.period + self.iteration_delay), Due::End)
+                }
+                Due::End => {
+                    let boundary = self.end_iteration(at, shape.period);
+                    trace.events += 1 + boundary.credit;
+                    if let Some(skipped) = boundary.skipped {
+                        if trace.units.is_some() {
+                            trace.skips.push(skipped);
+                        } else if let Some(ids) = &mut trace.ids {
+                            skipped.write(ids);
+                        }
+                    }
+                    (boundary.next, Due::Block)
+                }
+            };
+            trace.pending = next.map(|next| (next, then));
+            if let Some(units) = &mut trace.units {
+                units.push(Unit {
+                    next,
+                    ids_end: trace.ids.as_ref().map_or(0, Vec::len),
+                    skips_end: trace.skips.len(),
+                });
+            }
+        }
+    }
+}
+
+/// What closing an iteration did.
+#[derive(Default)]
+struct Boundary {
+    /// When the next iteration's block fires; `None` once the last
+    /// iteration closed.
+    next: Option<SimTime>,
+    /// Events a fast-forward skip stood in for.
+    credit: u64,
+    /// The completions the skip replayed.
+    skipped: Option<SkippedIds>,
+}
+
+/// The fill ids a fast-forward skip completed: `cycle`, one cycle's
+/// completion order, shifted up by `stride` per cycle, for cycles
+/// `1..=cycles`.
+struct SkippedIds {
+    cycle: Vec<u64>,
+    stride: u64,
+    cycles: u64,
+}
+
+impl SkippedIds {
+    fn write(&self, ids: &mut Vec<JobId>) {
+        ids.reserve(self.cycle.len() * self.cycles as usize);
+        for m in 1..=self.cycles {
+            ids.extend(self.cycle.iter().map(|&id| JobId(id + m * self.stride)));
+        }
+    }
+}
+
+/// A pipeline's next kernel unit.
+#[derive(Debug, Clone, Copy)]
+enum Due {
+    /// The iteration's stage fan-out.
+    Block,
+    /// The iteration boundary.
+    End,
+}
+
+/// One unit a pipeline ran in a round, as the merge replays it.
+#[derive(Clone, Copy)]
+struct Unit {
+    /// When the unit's one push fires: a block's iteration end, an end's
+    /// next block; `None` when the end closed the pipeline's last
+    /// iteration.
+    next: Option<SimTime>,
+    /// Ends of this unit's literal completions in [`Trace::ids`] and of
+    /// its skip (an end's, if it skipped) in [`Trace::skips`]; each
+    /// starts where the previous unit's ends.
+    ids_end: usize,
+    skips_end: usize,
+}
+
+/// What one pipeline's pipeline-major run leaves behind.
+struct Trace {
+    /// The pipeline's next unit, not run yet.
+    pending: Option<(SimTime, Due)>,
+    /// Events run, fast-forward credits included.
+    events: u64,
+    /// Completed fill ids in completion order, skips excepted while a
+    /// merge is pending; `None` when the run records none (physical).
+    ids: Option<Vec<JobId>>,
+    /// This round's units for the merge; `None` for a one-pipeline run,
+    /// which needs no merge and so writes skips straight into `ids`.
+    units: Option<Vec<Unit>>,
+    /// This round's skipped ids, in order, for the merge to write.
+    skips: Vec<SkippedIds>,
+    /// Units of this round the merge has consumed.
+    merged: usize,
+}
+
+impl Trace {
+    /// A pipeline's trace before its first event: a filling pipeline's
+    /// first block fires at time zero.
+    fn new(pipe: &Pipeline, ids: Option<Vec<JobId>>, units: Option<Vec<Unit>>) -> Self {
+        Trace {
+            pending: pipe.filling.then_some((SimTime::ZERO, Due::Block)),
+            events: 0,
+            ids,
+            units,
+            skips: Vec::new(),
+            merged: 0,
+        }
+    }
+}
+
+/// The kernel's pop order over the pipelines' units, replayed without
+/// their bubble work: a heap keyed like the kernel's queue, by (time,
+/// push count), holding each pipeline's next unit.
+///
+/// The replay is exact. A block's stage events hold consecutive seqs at
+/// one instant, so no other event pops between them, and a pipeline's
+/// only pushes are its iteration end (from the block's last stage) and
+/// its next block (from that end). One entry per unit, pushed when the
+/// kernel would push it, therefore sorts exactly as the kernel's events
+/// do.
+struct Merge {
+    heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    pushes: u64,
+}
+
+impl Merge {
+    /// The primed kernel: each filling pipeline's first block, in
+    /// pipeline order.
+    fn new(traces: &[Trace]) -> Self {
+        let mut merge = Merge {
+            heap: BinaryHeap::with_capacity(traces.len()),
+            pushes: 0,
+        };
+        for (j, trace) in traces.iter().enumerate() {
+            if let Some((at, _)) = trace.pending {
+                merge.push(at, j);
+            }
+        }
+        merge
+    }
+
+    fn push(&mut self, at: SimTime, pipe: usize) {
+        self.heap.push(Reverse((at, self.pushes, pipe)));
+        self.pushes += 1;
+    }
+
+    /// Pops every unit at or before `frontier` (the round's traces hold
+    /// all of them), appends their completions to `out`, and empties
+    /// the traces for the next round. Returns the units the round held.
+    fn round(
+        &mut self,
+        traces: &mut [Trace],
+        frontier: SimTime,
+        mut out: Option<&mut Vec<JobId>>,
+    ) -> usize {
+        while let Some(&Reverse((at, _, j))) = self.heap.peek() {
+            if at > frontier {
+                break;
+            }
+            self.heap.pop();
+            let trace = &mut traces[j];
+            let units = trace.units.as_deref().unwrap_or_default();
+            let unit = units[trace.merged];
+            let (ids_from, skips_from) = match trace.merged.checked_sub(1) {
+                Some(prev) => (units[prev].ids_end, units[prev].skips_end),
+                None => (0, 0),
+            };
+            if let (Some(out), Some(ids)) = (out.as_deref_mut(), &trace.ids) {
+                out.extend_from_slice(&ids[ids_from..unit.ids_end]);
+                for skipped in &trace.skips[skips_from..unit.skips_end] {
+                    skipped.write(out);
+                }
+            }
+            trace.merged += 1;
+            if let Some(next) = unit.next {
+                self.push(next, j);
+            }
+        }
+        let mut held = 0;
+        for trace in traces {
+            let units = trace.units.as_mut().map_or(0, |units| {
+                let len = units.len();
+                units.clear();
+                len
+            });
+            debug_assert_eq!(trace.merged, units, "a unit of the round was left unmerged");
+            held += units;
+            trace.ids.iter_mut().for_each(Vec::clear);
+            trace.skips.clear();
+            trace.merged = 0;
+        }
+        held
     }
 }
 
@@ -611,10 +873,18 @@ fn binade_step(acc: f64, adds: &[f64]) -> Option<(u64, f64, u64)> {
     for &f in adds {
         // Exact: division by a power of two, and q < 2^53 below.
         let q = f / ulp;
-        if !(f >= 0.0 && q < BINADE_ULPS as f64) || q - q.floor() == 0.5 {
+        if !(f >= 0.0 && q < BINADE_ULPS as f64) {
             return None;
         }
-        step = step.saturating_add(q.round() as u64);
+        // For 0 ≤ q < 2^53 the truncating cast is the floor and both it
+        // and the fraction are exact, so no call into `floor` or `round`
+        // (software routines on the baseline x86_64 target) is needed.
+        let whole = q as u64;
+        let frac = q - whole as f64;
+        if frac == 0.5 {
+            return None;
+        }
+        step = step.saturating_add(whole + u64::from(frac > 0.5));
     }
     Some((m, ulp, step))
 }
@@ -790,47 +1060,62 @@ impl<R> FillBackend<R> {
             .expect("backend not drained; drive it with BackendDriver::run")
     }
 
-    /// Executes one bubble window of pipeline `j`'s stage `s`: refill the
-    /// stage if idle, then run the lease's next partition. Returns the
-    /// stall the window caused.
-    #[inline]
-    fn fill_bubble(&mut self, now: SimTime, j: usize, s: usize, slot: usize) -> SimDuration {
-        if !self.pipes[j].up[s] {
-            self.pipes[j].bubbles_lost += 1;
-            return SimDuration::ZERO;
+    /// Runs every pipeline pipeline-major instead of on the kernel; only
+    /// valid while no device can fail, when the pipelines share nothing
+    /// but the kernel's event order. Returns the events the kernel would
+    /// have dispatched.
+    ///
+    /// One pipeline runs straight to its end. A fleet runs in rounds:
+    /// every pipeline with work left advances, striped across cores,
+    /// through its units at or before a common frontier, and a merge
+    /// then replays the kernel's order over those units to lay their
+    /// completions into `completed_ids`. The frontier is the earliest
+    /// `pending + ROUND_ITERATIONS × period` over those pipelines, so no
+    /// pipeline runs more than `ROUND_ITERATIONS + 1` blocks a round and
+    /// the round's traces, not the horizon, bound the memory. Returns
+    /// the events plus the most units one round's traces held.
+    fn run_pipelines(&mut self) -> (u64, usize) {
+        let FillBackend {
+            cfg,
+            shapes,
+            pipes,
+            completed_ids,
+            ..
+        } = self;
+        if let [pipe] = pipes.as_mut_slice() {
+            let mut trace = Trace::new(pipe, completed_ids.take(), None);
+            pipe.advance(0, &shapes[pipe.shape], cfg, None, &mut trace);
+            *completed_ids = trace.ids;
+            return (trace.events, 0);
         }
-        if self.pipes[j].leases[s].is_none() {
-            let lease = self.acquire(j, s, now);
-            self.pipes[j].leases[s] = lease;
+        let mut traces: Vec<Trace> = pipes
+            .iter()
+            .map(|pipe| Trace::new(pipe, Some(Vec::new()), Some(Vec::new())))
+            .collect();
+        let mut merge = Merge::new(&traces);
+        let mut peak = 0;
+        loop {
+            let frontier = traces.iter().zip(pipes.iter()).filter_map(|(trace, pipe)| {
+                let (at, _) = trace.pending?;
+                let span = shapes[pipe.shape].period.as_nanos();
+                let span = SimDuration::from_nanos(span.saturating_mul(ROUND_ITERATIONS));
+                Some(at.checked_add(span).unwrap_or(SimTime::MAX))
+            });
+            let Some(frontier) = frontier.min() else {
+                break;
+            };
+            let lanes: Vec<(usize, (&mut Pipeline, &mut Trace))> = pipes
+                .iter_mut()
+                .zip(traces.iter_mut())
+                .enumerate()
+                .filter(|(_, (_, trace))| trace.pending.is_some_and(|(at, _)| at <= frontier))
+                .collect();
+            sweep::par_map(lanes, |(j, (pipe, trace))| {
+                pipe.advance(j, &shapes[pipe.shape], cfg, Some(frontier), trace);
+            });
+            peak = peak.max(merge.round(&mut traces, frontier, completed_ids.as_mut()));
         }
-        let pipe = &mut self.pipes[j];
-        let plans = &self.shapes[pipe.shape].plans;
-        pipe.run_bubble(s, slot, plans, &self.cfg, self.completed_ids.as_mut())
-    }
-
-    /// Finds work for an idle stage: evicted fill jobs in the global
-    /// queue take priority over fresh backlog draws.
-    fn acquire(&mut self, j: usize, s: usize, now: SimTime) -> Option<Box<FillLease>> {
-        if self.queue.queue_len() > 0 {
-            // Reuse the all-idle snapshot (only the clock moves) rather
-            // than allocating a devices-sized state per pick — this is
-            // the hot path of every refill in a large fleet.
-            self.idle_state.now = now;
-            if let Some(info) = self
-                .queue
-                .pick_for(self.pipes[j].base + s, &self.idle_state)
-            {
-                let lease = self
-                    .parked
-                    .remove(&info.id)
-                    .expect("global queue and parked map must stay in sync");
-                return Some(lease);
-            }
-        }
-        let plans = &self.shapes[self.pipes[j].shape].plans;
-        self.pipes[j]
-            .draw(plans, j, s, &self.cfg)
-            .map(|exec| Box::new(FillLease::fresh(exec)))
+        (traces.iter().map(|trace| trace.events).sum(), peak)
     }
 
     /// Evicts the fill job running on pipeline `j`'s stage `s` (device
@@ -935,32 +1220,38 @@ impl<R> EventHandler for FillBackend<R> {
         match event {
             ClusterEvent::StageBubbles { stage } => {
                 let (j, s) = self.locate(stage);
-                let shape = &self.shapes[self.pipes[j].shape];
-                let (slots, p, period) =
-                    (shape.plans.windows(s).len(), shape.stages(), shape.period);
-                let delay = (0..slots)
-                    .map(|slot| self.fill_bubble(now, j, s, slot))
-                    .sum();
-                self.pipes[j].stage_delays.push(delay);
+                let pipe = &mut self.pipes[j];
+                let shape = &self.shapes[pipe.shape];
+                let (fill_queue, parked, idle_state) =
+                    (&mut self.queue, &mut self.parked, &mut self.idle_state);
+                let delay = pipe.run_stage(
+                    j,
+                    s,
+                    &shape.plans,
+                    &self.cfg,
+                    self.completed_ids.as_mut(),
+                    || unpark(fill_queue, parked, idle_state, stage, now),
+                );
                 // Once the pipeline's last stage ran, its stall aggregate
                 // is known; the iteration boundary lands at the
                 // *stretched* period so the kernel clock carries the
                 // emergent slowdown.
-                if s + 1 == p {
-                    let pipe = &mut self.pipes[j];
-                    pipe.iteration_delay = critical_path_delay(&pipe.stage_delays);
+                if let Some(delay) = delay {
                     queue.push(
-                        now + period + pipe.iteration_delay,
+                        now + shape.period + delay,
                         ClusterEvent::JobIterationEnd { job: j },
                     );
                 }
             }
             ClusterEvent::JobIterationEnd { job } => {
                 let pipe = &mut self.pipes[job];
-                let period = self.shapes[pipe.shape].period;
-                let ids = self.completed_ids.as_mut();
-                let next = pipe.end_iteration(now, period, ids, queue);
-                if let Some(at) = next {
+                let boundary = pipe.end_iteration(now, self.shapes[pipe.shape].period);
+                queue.credit(boundary.credit);
+                if let (Some(skipped), Some(ids)) = (boundary.skipped, self.completed_ids.as_mut())
+                {
+                    skipped.write(ids);
+                }
+                if let Some(at) = boundary.next {
                     let stages = pipe.base..pipe.base + pipe.leases.len();
                     queue.push_run(at, stages.map(|stage| ClusterEvent::StageBubbles { stage }));
                 }
@@ -1032,6 +1323,15 @@ impl<R> SimBackend for FillBackend<R> {
         }
     }
 
+    fn run_pipeline_major(&mut self) -> Option<u64> {
+        if self.cfg.mtbf != SimDuration::MAX {
+            return None;
+        }
+        let (events, _) = self.run_pipelines();
+        self.report = Some(self.collect());
+        Some(events)
+    }
+
     fn drain(&mut self, _now: SimTime) {
         self.report = Some(self.collect());
     }
@@ -1079,6 +1379,30 @@ impl<R> SimBackend for FillBackend<R> {
             goodput_fraction: BackendMetrics::goodput_of(job.fill_flops, job.lost_fill_flops),
         }
     }
+}
+
+/// Takes the evicted lease the global queue offers flat device `flat`
+/// for its idle stage, if any: evicted fill jobs take priority over
+/// fresh backlog draws.
+fn unpark(
+    queue: &mut GlobalFillQueue,
+    parked: &mut LookupMap<JobId, Box<FillLease>>,
+    idle_state: &mut SystemState,
+    flat: usize,
+    now: SimTime,
+) -> Option<Box<FillLease>> {
+    if queue.queue_len() == 0 {
+        return None;
+    }
+    // Reuse the all-idle snapshot (only the clock moves) rather than
+    // allocating a devices-sized state per pick — this is the hot path of
+    // every refill in a large fleet.
+    idle_state.now = now;
+    let info = queue.pick_for(flat, idle_state)?;
+    let lease = parked
+        .remove(&info.id)
+        .expect("global queue and parked map must stay in sync");
+    Some(lease)
 }
 
 /// The stall a bubble of profiled length `window` suffers when a
@@ -1358,6 +1682,31 @@ mod tests {
     }
 
     #[test]
+    fn fleet_rounds_hold_as_many_units_at_any_horizon() {
+        // Jitter keeps fast-forward off, so every iteration runs; the
+        // round's iteration bound, not the horizon, caps its traces.
+        let peak = |iterations: usize| {
+            let main = MainJobSpec::physical_5b(8, ScheduleKind::GPipe);
+            let jobs = (0..4)
+                .map(|j| FleetJobConfig {
+                    iterations,
+                    seed: 3 + j,
+                    ..FleetJobConfig::new(main.clone())
+                })
+                .collect();
+            let mut backend = FleetBackend::new(FleetSimConfig::new(jobs));
+            let (events, peak) = backend.run_pipelines();
+            assert!(events > 0);
+            peak
+        };
+        let (short, long) = (peak(200), peak(2000));
+        assert_eq!(short, long);
+        // A pipeline runs at most ROUND_ITERATIONS + 1 blocks and
+        // ROUND_ITERATIONS iteration ends a round.
+        assert!(short <= 4 * (2 * ROUND_ITERATIONS as usize + 1), "{short}");
+    }
+
+    #[test]
     fn rotation_ties_resolve_by_index_deterministically() {
         // A 50/50 blend produces exact accumulator ties every other draw;
         // the fixed index-order rule (last maximal index wins, matching
@@ -1396,7 +1745,7 @@ mod tests {
 /// `replay_adds` against the loop it replaces, bit for bit.
 #[cfg(test)]
 mod replay_oracle {
-    use super::replay_adds;
+    use super::{binade_step, replay_adds};
     use proptest::prelude::*;
 
     /// The naive replay: every add of every cycle, in order.
@@ -1522,6 +1871,29 @@ mod replay_oracle {
     }
 
     #[test]
+    fn binade_steps_take_floor_ties_and_rounding_bit_for_bit() {
+        // At 2^52 the ulp is 1, so each add is its own quotient: ties at
+        // half-integers (exact below 2^52), fractions either side of
+        // one half, and integers up to 2^53, the first quotient refused.
+        let acc = pow2(52);
+        let near = |x: f64, ulps: i64| f64::from_bits((x.to_bits() as i64 + ulps) as u64);
+        let mut quotients = vec![0.0, -0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.5, 3.5, 1e15 + 0.5];
+        for x in [pow2(51), pow2(52), pow2(53)] {
+            quotients.extend((-3..=3).map(|ulps| near(x, ulps)));
+        }
+        quotients.extend([near(0.5, -1), near(0.5, 1), pow2(52) - 0.5, pow2(52) - 1.5]);
+        for q in quotients {
+            let want = (q < pow2(53) && q - q.floor() != 0.5).then(|| q.round() as u64);
+            let got = binade_step(acc, &[q]).map(|(_, _, step)| step);
+            assert_eq!(got, want, "quotient {q:e}");
+            for cycles in [1, 2, 7] {
+                let (fast, slow) = (replay_adds(acc, &[q], cycles), naive(acc, &[q], cycles));
+                assert_eq!(fast.to_bits(), slow.to_bits(), "{cycles} cycles of {q:e}");
+            }
+        }
+    }
+
+    #[test]
     fn empty_or_zero_cycle_replays_leave_the_accumulator_alone() {
         for acc in [0.0, -0.0, 1.5, f64::MIN_POSITIVE / 4.0] {
             assert_eq!(replay_adds(acc, &[], 1 << 40).to_bits(), acc.to_bits());
@@ -1611,6 +1983,128 @@ mod decision_oracle {
                 "window {:?}·{} (lo {}), switch {:?}, used {:?}·{} (hi {})",
                 window, jw, window_lo, switch, time_used, ju, used_hi
             );
+        }
+    }
+}
+
+/// `Merge` against the kernel's own queue. Skeleton pipelines whose
+/// units fire at small integer times, so that same-instant ties abound,
+/// pop in the same order from both, over any sequence of round
+/// frontiers.
+#[cfg(test)]
+mod merge_oracle {
+    use super::{Due, Merge, Trace, Unit};
+    use pipefill_executor::JobId;
+    use pipefill_sim_core::{EventQueue, SimTime};
+    use proptest::prelude::*;
+
+    /// A skeleton pipeline: its stage count and, per unit after the
+    /// first, the gap from the unit that pushes it. Units alternate
+    /// block, end, block, … from a block at time zero.
+    type Skeleton = (usize, Vec<u64>);
+
+    /// Unit `u` of pipeline `j` as a completed id.
+    fn id(j: usize, u: usize) -> JobId {
+        JobId(((j as u64) << 32) | u as u64)
+    }
+
+    /// Each pipeline's unit start times.
+    fn times(gaps: &[u64]) -> Vec<u64> {
+        std::iter::once(0)
+            .chain(gaps.iter().scan(0, |at, gap| {
+                *at += gap;
+                Some(*at)
+            }))
+            .collect()
+    }
+
+    /// The units in the order the kernel pops them: a block is `p`
+    /// stage events pushed as a run (primed one by one), whose last
+    /// stage pushes the end; an end pushes the next block.
+    fn kernel_order(pipes: &[Skeleton]) -> Vec<JobId> {
+        let mut queue = EventQueue::new();
+        for (j, (stages, _)) in pipes.iter().enumerate() {
+            for stage in 0..*stages {
+                queue.push(SimTime::ZERO, (j, 0, stage));
+            }
+        }
+        let mut order = Vec::new();
+        while let Some((at, (j, u, stage))) = queue.pop() {
+            let (stages, gaps) = &pipes[j];
+            let block = u % 2 == 0;
+            if !block || stage == 0 {
+                order.push(id(j, u));
+            }
+            let Some(&gap) = gaps.get(u) else {
+                continue;
+            };
+            let next = SimTime::from_nanos(at.as_nanos() + gap);
+            if !block {
+                queue.push_run(next, (0..*stages).map(|s| (j, u + 1, s)));
+            } else if stage + 1 == *stages {
+                queue.push(next, (j, u + 1, 0));
+            }
+        }
+        order
+    }
+
+    /// The same units through `Merge`, each round's traces holding the
+    /// units at or before its frontier.
+    fn merged_order(pipes: &[Skeleton], frontiers: &[u64]) -> Vec<JobId> {
+        let starts: Vec<Vec<u64>> = pipes.iter().map(|(_, gaps)| times(gaps)).collect();
+        let mut traces: Vec<Trace> = pipes
+            .iter()
+            .map(|_| Trace {
+                pending: Some((SimTime::ZERO, Due::Block)),
+                events: 0,
+                ids: Some(Vec::new()),
+                units: Some(Vec::new()),
+                skips: Vec::new(),
+                merged: 0,
+            })
+            .collect();
+        let mut merge = Merge::new(&traces);
+        let mut out = Vec::new();
+        let mut run = vec![0; pipes.len()];
+        for &frontier in frontiers.iter().chain([&u64::MAX]) {
+            for (j, trace) in traces.iter_mut().enumerate() {
+                let (units, ids) = (trace.units.as_mut().unwrap(), trace.ids.as_mut().unwrap());
+                while starts[j].get(run[j]).is_some_and(|&at| at <= frontier) {
+                    let u = run[j];
+                    ids.push(id(j, u));
+                    units.push(Unit {
+                        next: starts[j].get(u + 1).map(|&at| SimTime::from_nanos(at)),
+                        ids_end: ids.len(),
+                        skips_end: 0,
+                    });
+                    run[j] += 1;
+                }
+            }
+            merge.round(&mut traces, SimTime::from_nanos(frontier), Some(&mut out));
+        }
+        out
+    }
+
+    fn skeleton() -> impl Strategy<Value = Skeleton> {
+        (1usize..4, prop::collection::vec(0u64..3, 0..12))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn merge_pops_units_in_kernel_order(
+            pipes in prop::collection::vec(skeleton(), 1..6),
+            steps in prop::collection::vec(0u64..6, 0..5),
+        ) {
+            let frontiers: Vec<u64> = steps
+                .iter()
+                .scan(0, |at, step| {
+                    *at += step;
+                    Some(*at)
+                })
+                .collect();
+            prop_assert_eq!(merged_order(&pipes, &frontiers), kernel_order(&pipes));
         }
     }
 }

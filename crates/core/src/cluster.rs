@@ -6,10 +6,10 @@
 //! in between these events using the profiled execution times and the job
 //! arrivals from the trace."
 //!
-//! One device is simulated per pipeline stage by default (every GPU of a
+//! One device is simulated per pipeline stage (every GPU of a
 //! tensor-parallel group sees identical bubbles, and data-parallel
 //! replicas are statistically identical — the paper likewise runs a
-//! single replica, §5.2).
+//! single replica, §5.2), so a device's index is its stage.
 //!
 //! The simulator is implemented as [`CoarseBackend`], a
 //! [`SimBackend`](crate::SimBackend) over the shared
@@ -95,20 +95,16 @@ pub struct ClusterSimConfig {
     pub policy: PolicyKind,
     /// Executor tuning.
     pub executor: ExecutorConfig,
-    /// Simulated devices per pipeline stage (1 is representative; raise
-    /// it to study queueing effects across a tensor-parallel group).
-    pub devices_per_stage: usize,
 }
 
 impl ClusterSimConfig {
-    /// Defaults: SJF, paper executor constants, one device per stage.
+    /// Defaults: SJF, paper executor constants.
     pub fn new(main_job: MainJobSpec, trace: TraceConfig) -> Self {
         ClusterSimConfig {
             main_job,
             trace,
             policy: PolicyKind::Sjf,
             executor: ExecutorConfig::default(),
-            devices_per_stage: 1,
         }
     }
 }
@@ -188,12 +184,6 @@ struct Running {
     flops: f64,
 }
 
-struct Device {
-    stage: usize,
-    busy_until: SimTime,
-    running: Option<Running>,
-}
-
 /// The coarse profile-driven backend: a [`SimBackend`] whose events are
 /// fill-job arrivals and completions, exactly as in the paper's simulator.
 /// All time keeping lives in the `sim-core` kernel that drives it.
@@ -206,7 +196,8 @@ pub struct CoarseBackend {
     pub(crate) plans: StagePlans,
     /// The fill-job queue: one pipeline owning every device.
     fill_queue: GlobalFillQueue,
-    devices: Vec<Device>,
+    /// The job each device (= stage) runs, if any.
+    running: Vec<Option<Running>>,
     specs: LookupMap<JobId, FillJobSpec>,
     arrivals: Vec<FillJobSpec>,
     completed: Vec<CompletedJob>,
@@ -221,8 +212,7 @@ impl CoarseBackend {
         let timeline = config.main_job.engine_timeline();
         let plans = StagePlans::homogeneous(&timeline, &config.main_job.device, config.executor);
         let main_tflops = config.main_job.main_job_tflops_per_gpu(&timeline);
-        let p = plans.stages();
-        let num_devices = p * config.devices_per_stage;
+        let num_devices = plans.stages();
 
         let (trace_jobs, _) = TraceGenerator::new(config.trace.clone()).generate();
         // Every stage runs the main job's device, so stage 0's exclusive
@@ -235,14 +225,6 @@ impl CoarseBackend {
             })
             .collect();
 
-        let devices: Vec<Device> = (0..num_devices)
-            .map(|d| Device {
-                stage: d % p,
-                busy_until: SimTime::ZERO,
-                running: None,
-            })
-            .collect();
-
         let fill_queue =
             GlobalFillQueue::new(config.policy.build(), vec![0; num_devices], vec![true]);
         CoarseBackend {
@@ -251,7 +233,7 @@ impl CoarseBackend {
             main_tflops,
             plans,
             fill_queue,
-            devices,
+            running: (0..num_devices).map(|_| None).collect(),
             specs: LookupMap::new(),
             arrivals,
             completed: Vec::new(),
@@ -293,10 +275,12 @@ impl CoarseBackend {
         SystemState {
             now,
             executors: self
-                .devices
+                .running
                 .iter()
-                .map(|d| ExecutorSnapshot {
-                    remaining: d.busy_until.saturating_since(now),
+                .map(|r| ExecutorSnapshot {
+                    remaining: r
+                        .as_ref()
+                        .map_or(SimDuration::ZERO, |r| r.completes.saturating_since(now)),
                 })
                 .collect(),
         }
@@ -304,10 +288,10 @@ impl CoarseBackend {
 
     fn dispatch_idle(&mut self, now: SimTime, queue: &mut EventQueue<ClusterEvent>) {
         let idle: Vec<usize> = self
-            .devices
+            .running
             .iter()
             .enumerate()
-            .filter(|(_, d)| d.busy_until <= now)
+            .filter(|(_, r)| r.is_none())
             .map(|(i, _)| i)
             .collect();
         for device in idle {
@@ -319,12 +303,10 @@ impl CoarseBackend {
                 .specs
                 .remove(&info.id)
                 .expect("spec recorded at arrival");
-            let stage = self.devices[device].stage;
             let proc = info.proc_time(device).expect("picked job is feasible here");
-            let flops = self.job_flops(&spec, stage);
+            let flops = self.job_flops(&spec, device);
             let completes = now + proc;
-            self.devices[device].busy_until = completes;
-            self.devices[device].running = Some(Running {
+            self.running[device] = Some(Running {
                 job: spec,
                 started: now,
                 completes,
@@ -342,11 +324,8 @@ impl EventHandler for CoarseBackend {
         match event {
             ClusterEvent::JobArrival(i) => {
                 let spec = self.arrivals[i].clone();
-                let proc_times: Vec<Option<SimDuration>> = (0..self.devices.len())
-                    .map(|d| {
-                        let stage = self.devices[d].stage;
-                        self.proc_time(&spec, stage)
-                    })
+                let proc_times: Vec<Option<SimDuration>> = (0..self.running.len())
+                    .map(|stage| self.proc_time(&spec, stage))
                     .collect();
                 if proc_times.iter().all(|t| t.is_none()) {
                     self.rejected += 1;
@@ -361,8 +340,7 @@ impl EventHandler for CoarseBackend {
                 self.dispatch_idle(now, queue);
             }
             ClusterEvent::JobCompletion { device } => {
-                let running = self.devices[device]
-                    .running
+                let running = self.running[device]
                     .take()
                     .expect("completion without running job");
                 debug_assert_eq!(running.completes, now);
@@ -404,7 +382,7 @@ impl SimBackend for CoarseBackend {
     fn drain(&mut self, _now: SimTime) {
         // Utilization accounting within the horizon.
         let horizon = self.config.trace.horizon;
-        let num_devices = self.devices.len();
+        let num_devices = self.running.len();
         let horizon_secs = horizon.as_secs_f64();
         let mut flops_in_horizon = 0.0;
         let mut jcts = Vec::with_capacity(self.completed.len());

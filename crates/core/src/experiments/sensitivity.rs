@@ -5,7 +5,7 @@
 use pipefill_device::Bytes;
 use pipefill_executor::ExecutorConfig;
 use pipefill_model_zoo::gpt_40b_scaled;
-use pipefill_pipeline::{BubbleMemoryModel, MainJobSpec, ScheduleKind};
+use pipefill_pipeline::{MainJobSpec, ScheduleKind};
 use pipefill_trace::ModelMix;
 
 use crate::experiments::{row, sweep, Experiment, Grid, Scale, Table};
@@ -72,7 +72,7 @@ impl Experiment for Fig10bFreeMemory {
     fn run(&self, _grid: &Grid) -> Table {
         let rows = sweep::par_map(vec![2.0f64, 3.0, 4.0, 4.5, 6.0, 8.0], |gib| {
             let main = MainJobSpec::simulator_40b(8, ScheduleKind::GPipe)
-                .with_memory(BubbleMemoryModel::Uniform(Bytes::from_gib_f64(gib)));
+                .with_bubble_free_memory(Bytes::from_gib_f64(gib));
             row![gib, recovered_tflops(&main)]
         });
         Table::with_rows(self.columns(), rows)

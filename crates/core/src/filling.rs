@@ -36,7 +36,7 @@ use std::collections::BinaryHeap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use pipefill_executor::{ExecutorCheckpoint, FillJobExecutor, FillJobSpec, JobId};
+use pipefill_executor::{ExecutorCheckpoint, FillJobExecutor, FillJobSpec, JobId, SWITCH_OVERHEAD};
 use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_pipeline::BubbleWindow;
 use pipefill_scheduler::{GlobalFillQueue, JobInfo, SystemState};
@@ -397,7 +397,7 @@ impl Pipeline {
         }
         bubble_stall(
             window.duration,
-            plans.executor().switch_overhead,
+            SWITCH_OVERHEAD,
             run.time_used,
             (window_jitter.bounds().0, used_jitter.bounds().1),
             || (window_jitter.value(), used_jitter.value()),

@@ -23,9 +23,8 @@
 //!   device);
 //! * a plan depends on the fill-job type and the stage's *geometry*: its
 //!   device, its `(duration, free_memory)` slots and the executor's
-//!   `fill_fraction`, `cold_start_factor` and `switch_overhead`, all
-//!   compared as exact bits. The table holds one row of plan cells per
-//!   distinct geometry, one cell per fill-job type.
+//!   `fill_fraction`, all compared as exact bits. The table holds one row
+//!   of plan cells per distinct geometry, one cell per fill-job type.
 //!
 //! The pipeline-filling engine builds one table over the stage devices of
 //! all its jobs and shares it, through an `Arc`, with every shape's
@@ -36,15 +35,13 @@
 //! [`StagePlans::plan`] takes no lock and hashes nothing once its cell is
 //! packed. A plan searches the shared menu against its geometry's slots,
 //! best-bound-first ([`PreparedMenu::plan_best_of`]), over the menu's
-//! node durations scaled by the geometry's cold-start factor. The table
-//! scales them once per (model, kind, device, `cold_start_factor` bits)
-//! into a [`PreparedMenu`], made under a lock on the first plan request
-//! for it, so only packing a new cell locks. An exclusive throughput is
-//! the best isolated throughput over the same menu
-//! ([`exclusive_best_of`]) and prepares nothing. Menus, prepared menus,
-//! plans and throughputs are all made on first request and cached for
-//! the life of the table, so building a `StagePlans` costs no profiling
-//! or planning.
+//! node durations scaled by the cold-start constant. Each menu holds its
+//! [`PreparedMenu`], scaled once on the first plan request for it, so
+//! only interning a geometry locks. An exclusive throughput is the best
+//! isolated throughput over the same menu ([`exclusive_best_of`]) and
+//! prepares nothing. Menus, prepared menus, plans and throughputs are all
+//! made on first request and cached for the life of the table, so
+//! building a `StagePlans` costs no profiling or planning.
 
 use std::cmp::Ordering;
 use std::collections::btree_map::{BTreeMap, Entry};
@@ -73,6 +70,9 @@ struct Menu {
     /// Best isolated throughput over the profiles that fit the device's
     /// HBM; `None` if none does.
     exclusive: Option<f64>,
+    /// The profiles prepared for the plan search, on the first plan
+    /// request.
+    prepared: OnceLock<PreparedMenu>,
 }
 
 /// Everything a stage's plans depend on besides the fill-job type. Equal
@@ -97,26 +97,21 @@ impl Geometry {
             executor,
             fingerprint: 0,
         };
-        let (column, slots, tuning) = geometry.key();
+        let (column, slots, fill_fraction) = geometry.key();
         geometry.fingerprint = std::iter::once(column as u64)
             .chain(slots.iter().flat_map(|&(d, m)| [d.as_nanos(), m.as_u64()]))
-            .chain(tuning)
+            .chain([fill_fraction])
             .fold(0, |h: u64, word| {
                 (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
             });
         geometry
     }
 
-    fn key(&self) -> (usize, &[BubbleSlot], [u64; 3]) {
-        let e = &self.executor;
+    fn key(&self) -> (usize, &[BubbleSlot], u64) {
         (
             self.column,
             &self.slots,
-            [
-                e.fill_fraction.to_bits(),
-                e.cold_start_factor.to_bits(),
-                e.switch_overhead.as_nanos(),
-            ],
+            self.executor.fill_fraction.to_bits(),
         )
     }
 }
@@ -154,10 +149,10 @@ struct GeometryPlans {
 
 /// The executor's profile menu of every fill-job type on each of a set of
 /// devices, and its plan of every fill-job type on each stage geometry
-/// interned so far. Each (model, kind, device) menu is profiled, each
-/// (model, kind, device, cold-start factor) menu prepared, and each
-/// (model, kind, geometry) plan packed, on first request, once for every
-/// [`StagePlans`] sharing the table. See the module docs.
+/// interned so far. Each (model, kind, device) menu is profiled and
+/// prepared, and each (model, kind, geometry) plan packed, on first
+/// request, once for every [`StagePlans`] sharing the table. See the
+/// module docs.
 #[derive(Debug)]
 pub struct ProfileMenus {
     /// Distinct devices in first-seen order: a menu's column.
@@ -166,9 +161,6 @@ pub struct ProfileMenus {
     menus: Vec<OnceLock<Menu>>,
     /// Plan row per distinct stage geometry. Only interning locks it.
     geometries: Mutex<BTreeMap<Geometry, Arc<GeometryPlans>>>,
-    /// Prepared menu per (menu index, `cold_start_factor` bits). Only a
-    /// plan cell's packing locks it.
-    prepared: Mutex<BTreeMap<(usize, u64), Arc<PreparedMenu>>>,
     /// Plans packed so far.
     #[cfg(test)]
     packed: std::sync::atomic::AtomicUsize,
@@ -192,7 +184,6 @@ impl ProfileMenus {
                 .collect(),
             devices: distinct,
             geometries: Mutex::new(BTreeMap::new()),
-            prepared: Mutex::new(BTreeMap::new()),
             #[cfg(test)]
             packed: Default::default(),
             #[cfg(test)]
@@ -212,21 +203,16 @@ impl ProfileMenus {
             .unwrap_or_else(|| panic!("no profile menus for device {}", device.name))
     }
 
-    /// The index in `menus` of a `(model, kind)` fill job's menu on the
-    /// device in `column`.
-    fn menu_index(&self, model: ModelId, kind: JobKind, column: usize) -> usize {
-        job_type(model, kind) * self.devices.len() + column
-    }
-
     /// The menu of a `(model, kind)` fill job on the device in `column`.
     fn menu(&self, model: ModelId, kind: JobKind, column: usize) -> &Menu {
-        self.menus[self.menu_index(model, kind, column)].get_or_init(|| {
+        self.menus[job_type(model, kind) * self.devices.len() + column].get_or_init(|| {
             let device = &self.devices[column];
             let profiles = profile_menu(&model.build(), kind, device);
             let exclusive = exclusive_best_of(&profiles, device.hbm).map(|(t, _)| t);
             Menu {
                 profiles,
                 exclusive,
+                prepared: OnceLock::new(),
             }
         })
     }
@@ -273,15 +259,8 @@ impl ProfileMenus {
                     self.packed.fetch_add(1, Relaxed);
                     self.offered.fetch_add(menu.profiles.len(), Relaxed);
                 }
-                let cold = g.executor.cold_start_factor;
-                let prepared = Arc::clone(
-                    self.prepared
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .entry((self.menu_index(model, kind, g.column), cold.to_bits()))
-                        .or_insert_with(|| Arc::new(PreparedMenu::new(&menu.profiles, cold))),
-                );
-                prepared
+                menu.prepared
+                    .get_or_init(|| PreparedMenu::new(&menu.profiles))
                     .plan_best_of(&menu.profiles, &g.slots, &g.executor)
                     .ok()
                     .map(Arc::new)
@@ -304,7 +283,7 @@ impl ProfileMenus {
     /// Prepared menus made so far.
     #[cfg(test)]
     fn prepared_built(&self) -> usize {
-        self.prepared_menus().len()
+        self.prepared_menus().count()
     }
 
     /// Configurations the plans packed so far ran the packer on, and the
@@ -313,8 +292,7 @@ impl ProfileMenus {
     fn configs_packed(&self) -> (usize, usize) {
         let packed = self
             .prepared_menus()
-            .iter()
-            .map(|p| p.configs_packed())
+            .map(PreparedMenu::configs_packed)
             .sum();
         (
             packed,
@@ -324,9 +302,10 @@ impl ProfileMenus {
 
     /// The prepared menus made so far.
     #[cfg(test)]
-    fn prepared_menus(&self) -> Vec<Arc<PreparedMenu>> {
-        let prepared = self.prepared.lock().unwrap_or_else(PoisonError::into_inner);
-        prepared.values().cloned().collect()
+    fn prepared_menus(&self) -> impl Iterator<Item = &PreparedMenu> {
+        self.menus
+            .iter()
+            .filter_map(|m| m.get().and_then(|m| m.prepared.get()))
     }
 }
 
@@ -438,7 +417,6 @@ mod tests {
     use pipefill_device::Bytes;
     use pipefill_executor::{exclusive_throughput, plan_best, FillJobSpec};
     use pipefill_pipeline::{MainJobSpec, ScheduleKind};
-    use pipefill_sim_core::SimDuration;
 
     /// `timeline`'s fillable windows, stage by stage.
     fn windows_of(timeline: &EngineTimeline) -> Vec<Vec<BubbleWindow>> {
@@ -505,7 +483,7 @@ mod tests {
     fn shapes_sharing_a_mixed_device_table_plan_like_plan_best() {
         // Two shapes of different schedules, V100 and H100 interleaved in
         // opposite orders, then variants of the first: a copy, one with a
-        // single slot a byte roomier, and one per executor knob nudged.
+        // single slot a byte roomier, and one at another fill fraction.
         // All plan on one table, so each cell must still be its own
         // stage's cold `plan_best` and `exclusive_throughput` (a menu
         // keyed by the wrong device or a plan read off the wrong geometry
@@ -538,22 +516,7 @@ mod tests {
         roomier[roomier_stage][0].free_memory += Bytes::new(1);
         shapes.push((windows.clone(), devices.clone(), exec));
         shapes.push((roomier, devices.clone(), exec));
-        for tuned in [
-            ExecutorConfig {
-                fill_fraction: 0.5,
-                ..exec
-            },
-            ExecutorConfig {
-                cold_start_factor: 0.6,
-                ..exec
-            },
-            ExecutorConfig {
-                switch_overhead: exec.switch_overhead + SimDuration::from_nanos(1),
-                ..exec
-            },
-        ] {
-            shapes.push((windows.clone(), devices.clone(), tuned));
-        }
+        shapes.push((windows, devices, ExecutorConfig { fill_fraction: 0.5 }));
         let menus = Arc::new(ProfileMenus::new(shapes.iter().flat_map(|(_, d, _)| d)));
         let all: Vec<StagePlans> = shapes
             .iter()
@@ -616,24 +579,21 @@ mod tests {
     }
 
     #[test]
-    fn each_cold_start_factor_gets_its_own_prepared_menu() {
-        // Two shapes of one geometry but for the cold-start factor, on
-        // one table: each job type's menu is prepared once per factor,
-        // and every cell is its own factor's cold `plan_best`, so a
-        // menu prepared under the other factor would show.
+    fn one_prepared_menu_serves_every_fill_fraction() {
+        // Two shapes of one geometry but for the fill fraction, on one
+        // table: each job type's menu is prepared exactly once, and every
+        // cell is its own fraction's cold `plan_best`, so a cell planned
+        // under the other fraction would show.
         let main = MainJobSpec::physical_5b(8, ScheduleKind::GPipe);
         let windows = windows_of(&main.engine_timeline());
         let devices = vec![main.device.clone(); windows.len()];
         let menus = Arc::new(ProfileMenus::new([&main.device]));
-        let warm = ExecutorConfig::default();
-        let colder = ExecutorConfig {
-            cold_start_factor: 0.5,
-            ..warm
-        };
+        let wide = ExecutorConfig::default();
+        let narrow = ExecutorConfig { fill_fraction: 0.3 };
         let types = fig7_job_types();
         let mut differ = 0;
         for _ in 0..2 {
-            for exec in [warm, colder] {
+            for exec in [wide, narrow] {
                 let plans = StagePlans::new(windows.clone(), &devices, exec, Arc::clone(&menus));
                 for s in 0..plans.stages() {
                     for &(model, kind) in &types {
@@ -641,19 +601,19 @@ mod tests {
                         assert_eq!(
                             plans.plan(model, kind, s).map(|p| &**p),
                             direct.as_ref(),
-                            "cold {} stage {s} {model} {kind}",
-                            exec.cold_start_factor
+                            "fill {} stage {s} {model} {kind}",
+                            exec.fill_fraction
                         );
-                        let other = if exec == warm { colder } else { warm };
+                        let other = if exec == wide { narrow } else { wide };
                         let other = direct_plan(model, kind, plans.slots(s), &main.device, &other);
                         differ += usize::from(direct != other);
                     }
                 }
             }
-            assert_eq!(menus.prepared_built(), 2 * types.len());
+            assert_eq!(menus.prepared_built(), types.len());
         }
-        // The factor changes some plans, so sharing one prepared menu
-        // across factors would fail the equalities above.
+        // The fraction changes some plans, so a cell shared across
+        // fractions would fail the equalities above.
         assert!(differ > 0);
     }
 

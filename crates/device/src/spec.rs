@@ -147,7 +147,7 @@ impl LinkSpec {
 
     /// 25 Gbps Ethernet between `p3.16xlarge` nodes (~3.125 GB/s), ~20 µs
     /// latency.
-    pub fn ethernet_25g() -> Self {
+    pub const fn ethernet_25g() -> Self {
         LinkSpec {
             latency_us: 20.0,
             bandwidth: 3.125e9,

@@ -1,5 +1,7 @@
 //! Execution configurations: batch size × technique, plus the Executor's
-//! global tuning knobs.
+//! global tuning and constants.
+
+use pipefill_sim_core::SimDuration;
 
 /// An execution technique a fill-job configuration may use (§4.5: "the
 /// Executor will consider using ZeRO-Offload and ZeRO-Infinity to offload
@@ -107,28 +109,30 @@ impl std::fmt::Display for ExecConfig {
     }
 }
 
-/// Global Executor tuning.
+/// Throughput multiplier for bubble execution relative to the offline
+/// profile: bubbles start with cold caches and no kernel-autotuning
+/// warmup ("not enough to warmup the GPU caches", §6.2). Every planned
+/// node runs `1 / COLD_START_FACTOR` times its profiled duration.
+pub const COLD_START_FACTOR: f64 = 0.75;
+
+/// Context-switch cost charged at the start of every filled bubble
+/// (signal + allocator cap + stream launch).
+pub const SWITCH_OVERHEAD: SimDuration = SimDuration::from_millis(5);
+
+/// Global Executor tuning. Cold start and the switch cost are the
+/// constants [`COLD_START_FACTOR`] and [`SWITCH_OVERHEAD`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutorConfig {
     /// Fraction of each measured bubble the Executor packs work into.
     /// Fig. 5: overhead to the main job stays <2% up to 68%, which is the
     /// paper's (and our) default.
     pub fill_fraction: f64,
-    /// Throughput multiplier for bubble execution relative to the offline
-    /// profile: bubbles start with cold caches and no kernel-autotuning
-    /// warmup ("not enough to warmup the GPU caches", §6.2).
-    pub cold_start_factor: f64,
-    /// Context-switch cost charged at the start of every filled bubble
-    /// (signal + allocator cap + stream launch).
-    pub switch_overhead: pipefill_sim_core::SimDuration,
 }
 
 impl Default for ExecutorConfig {
     fn default() -> Self {
         ExecutorConfig {
             fill_fraction: 0.68,
-            cold_start_factor: 0.75,
-            switch_overhead: pipefill_sim_core::SimDuration::from_millis(5),
         }
     }
 }
@@ -138,18 +142,12 @@ impl ExecutorConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `fill_fraction` is outside `(0, 1]` or
-    /// `cold_start_factor` outside `(0, 1]`.
+    /// Panics if `fill_fraction` is outside `(0, 1]`.
     pub fn validate(&self) {
         assert!(
             self.fill_fraction > 0.0 && self.fill_fraction <= 1.0,
             "fill fraction must be in (0, 1], got {}",
             self.fill_fraction
-        );
-        assert!(
-            self.cold_start_factor > 0.0 && self.cold_start_factor <= 1.0,
-            "cold-start factor must be in (0, 1], got {}",
-            self.cold_start_factor
         );
     }
 

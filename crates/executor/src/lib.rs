@@ -45,7 +45,7 @@ mod job;
 pub mod plan;
 pub mod profile;
 
-pub use config::{ExecConfig, ExecTechnique, ExecutorConfig};
+pub use config::{ExecConfig, ExecTechnique, ExecutorConfig, COLD_START_FACTOR, SWITCH_OVERHEAD};
 pub use executor::{BubbleExecution, ExecutorCheckpoint, FillJobExecutor};
 pub use job::{FillJobSpec, JobId};
 pub use plan::{

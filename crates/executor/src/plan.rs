@@ -12,8 +12,9 @@
 //! [`plan_for_config`] runs this for one profile.
 //! [`PreparedMenu::plan_best_of`] finds the feasible plan with the
 //! highest throughput over a job's profile menu (batch size × technique),
-//! its node durations scaled once per cold-start factor; [`plan_best_of`]
-//! prepares the menu first, and [`plan_best`] also builds it.
+//! its node durations scaled once by [`COLD_START_FACTOR`];
+//! [`plan_best_of`] prepares the menu first, and [`plan_best`] also
+//! builds it.
 //! This is the Executor's "choose a batch size and create partitions …
 //! that maximize the amount of work completed during the pipeline
 //! bubbles" (§4.1).
@@ -36,7 +37,7 @@ use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use pipefill_device::{Bytes, DeviceSpec};
 use pipefill_sim_core::SimDuration;
 
-use crate::config::{ExecConfig, ExecutorConfig};
+use crate::config::{ExecConfig, ExecutorConfig, COLD_START_FACTOR, SWITCH_OVERHEAD};
 use crate::job::FillJobSpec;
 use crate::profile::{profile_menu, JobProfile};
 
@@ -46,7 +47,7 @@ pub struct Partition {
     /// Bubble-slot index in the cycle this partition runs in.
     pub bubble_index: usize,
     /// Total execution time of the nodes (already inflated by the
-    /// cold-start factor).
+    /// [`COLD_START_FACTOR`]).
     pub duration: SimDuration,
     /// Peak memory across the nodes.
     pub memory: Bytes,
@@ -130,7 +131,7 @@ impl ExecutionPlan {
 pub type BubbleSlot = (SimDuration, Bytes);
 
 /// Usable capacity of a bubble cycle: each slot's filled fraction minus
-/// the switch cost, at the slot's full free memory.
+/// [`SWITCH_OVERHEAD`], at the slot's full free memory.
 struct UsableCaps {
     slots: Vec<BubbleSlot>,
     /// Sum of the slots' usable durations.
@@ -148,7 +149,7 @@ impl UsableCaps {
             .map(|&(d, m)| {
                 (
                     d.mul_f64(exec.fill_fraction)
-                        .saturating_sub(exec.switch_overhead),
+                        .saturating_sub(SWITCH_OVERHEAD),
                     m,
                 )
             })
@@ -162,8 +163,8 @@ impl UsableCaps {
     }
 }
 
-/// One profile's node durations as executed in bubbles (cold caches),
-/// with the summaries the menu search reads.
+/// One profile's node durations as executed in bubbles (cold caches,
+/// [`COLD_START_FACTOR`]), with the summaries the menu search reads.
 #[derive(Debug)]
 struct ColdProfile {
     node_durations: Vec<SimDuration>,
@@ -174,8 +175,8 @@ struct ColdProfile {
 }
 
 impl ColdProfile {
-    fn new(profile: &JobProfile, cold_start_factor: f64) -> Self {
-        let slowdown = 1.0 / cold_start_factor;
+    fn new(profile: &JobProfile) -> Self {
+        let slowdown = 1.0 / COLD_START_FACTOR;
         let node_durations: Vec<SimDuration> = profile
             .nodes
             .iter()
@@ -191,26 +192,22 @@ impl ColdProfile {
 }
 
 /// A profile menu prepared for the best-bound-first search
-/// ([`PreparedMenu::plan_best_of`]) under one cold-start factor: every profile's node durations scaled once, with its graph
-/// duration, longest node and largest node memory. Node memory and FLOPs
-/// are still read from the menu's profiles.
+/// ([`PreparedMenu::plan_best_of`]): every profile's node durations scaled
+/// once by [`COLD_START_FACTOR`], with its graph duration, longest node
+/// and largest node memory. Node memory and FLOPs are still read from the
+/// menu's profiles.
 #[derive(Debug)]
 pub struct PreparedMenu {
-    cold_start_factor: f64,
     profiles: Vec<ColdProfile>,
     /// Configurations handed to the packer by every search so far.
     packed: AtomicUsize,
 }
 
 impl PreparedMenu {
-    /// Prepares `menu` for plans under `cold_start_factor`.
-    pub fn new(menu: &[JobProfile], cold_start_factor: f64) -> Self {
+    /// Prepares `menu` for plans.
+    pub fn new(menu: &[JobProfile]) -> Self {
         PreparedMenu {
-            cold_start_factor,
-            profiles: menu
-                .iter()
-                .map(|p| ColdProfile::new(p, cold_start_factor))
-                .collect(),
+            profiles: menu.iter().map(ColdProfile::new).collect(),
             packed: AtomicUsize::new(0),
         }
     }
@@ -270,11 +267,7 @@ pub fn plan_for_config(
     if caps.total.is_zero() {
         return Err(PlanError::NoUsableBubbles);
     }
-    pack(
-        profile,
-        &ColdProfile::new(profile, exec.cold_start_factor),
-        &caps,
-    )
+    pack(profile, &ColdProfile::new(profile), &caps)
 }
 
 /// Algorithm 1 proper: packs `profile`, whose cold node durations are
@@ -398,8 +391,8 @@ impl PreparedMenu {
     ///
     /// # Panics
     ///
-    /// Panics if this was not prepared from a menu of `menu`'s length
-    /// under `exec`'s cold-start factor, or if `exec` is out of range.
+    /// Panics if this was not prepared from a menu of `menu`'s length, or
+    /// if `exec` is out of range.
     pub fn plan_best_of(
         &self,
         menu: &[JobProfile],
@@ -411,11 +404,6 @@ impl PreparedMenu {
             menu.len(),
             self.profiles.len(),
             "one prepared profile per config"
-        );
-        assert_eq!(
-            self.cold_start_factor.to_bits(),
-            exec.cold_start_factor.to_bits(),
-            "menu prepared under another cold-start factor"
         );
         let caps = UsableCaps::new(bubbles, exec);
         if caps.total.is_zero() {
@@ -465,8 +453,8 @@ impl PreparedMenu {
     }
 }
 
-/// Prepares `menu` under `exec`'s cold-start factor and returns its best
-/// plan over `bubbles` ([`PreparedMenu::plan_best_of`]).
+/// Prepares `menu` and returns its best plan over `bubbles`
+/// ([`PreparedMenu::plan_best_of`]).
 ///
 /// # Errors
 ///
@@ -476,7 +464,7 @@ pub fn plan_best_of(
     bubbles: &[BubbleSlot],
     exec: &ExecutorConfig,
 ) -> Result<ExecutionPlan, PlanError> {
-    PreparedMenu::new(menu, exec.cold_start_factor).plan_best_of(menu, bubbles, exec)
+    PreparedMenu::new(menu).plan_best_of(menu, bubbles, exec)
 }
 
 /// Builds the job's [`profile_menu`] on `device` and returns its best plan
@@ -509,7 +497,7 @@ pub fn plan_whole_graph_only(
     exec: &ExecutorConfig,
 ) -> Result<ExecutionPlan, PlanError> {
     exec.validate();
-    let graph_dur = ColdProfile::new(profile, exec.cold_start_factor).duration;
+    let graph_dur = ColdProfile::new(profile).duration;
     let peak = profile.peak_memory();
     let caps = UsableCaps::new(bubbles, exec).slots;
     let fitting: Vec<usize> = caps
@@ -553,12 +541,11 @@ mod tests {
     use crate::profile::{build_profile, NodeProfile};
     use pipefill_model_zoo::{JobKind, ModelId};
 
+    /// Fills whole bubbles. A slot of `d` ms then leaves `d − 5` ms
+    /// usable ([`SWITCH_OVERHEAD`]), and a node of `3k` ms runs cold in
+    /// `4k` ms ([`COLD_START_FACTOR`]).
     fn exec() -> ExecutorConfig {
-        ExecutorConfig {
-            fill_fraction: 1.0,
-            cold_start_factor: 1.0,
-            switch_overhead: SimDuration::ZERO,
-        }
+        ExecutorConfig { fill_fraction: 1.0 }
     }
 
     fn uniform_profile(nodes: usize, ms: u64, mem_mib: u64) -> JobProfile {
@@ -599,9 +586,12 @@ mod tests {
 
     #[test]
     fn partitions_respect_bubble_durations() {
-        // Graph: 10 nodes × 30 ms = 300 ms. Bubbles: 100 ms and 65 ms.
+        // Graph: 10 nodes of 30 ms, 40 ms each cold = 400 ms. Bubbles:
+        // 105 ms and 70 ms, leaving 100 ms and 65 ms usable.
         let profile = uniform_profile(10, 30, 100);
-        let plan = plan_for_config(&profile, &slots(&[(100, 4), (65, 4)]), &exec()).unwrap();
+        let plan = plan_for_config(&profile, &slots(&[(105, 4), (70, 4)]), &exec()).unwrap();
+        assert_eq!(plan.partitions[0].node_count, 2);
+        assert_eq!(plan.partitions[1].node_count, 1);
         for p in &plan.partitions {
             let cap = if p.bubble_index == 0 { 100 } else { 65 };
             assert!(
@@ -616,12 +606,15 @@ mod tests {
 
     #[test]
     fn replication_fills_available_time() {
-        // Graph 100 ms; cycle 1000 ms => Algorithm 1 lines 3-7 replicate
-        // while dur(F') + dur(F) < ΣB: 9 replicas (900 + 100 !< 1000).
-        let profile = uniform_profile(10, 10, 10);
-        let plan = plan_for_config(&profile, &slots(&[(1000, 4)]), &exec()).unwrap();
+        // Graph 10 × 4 ms = 40 ms cold; cycle 405 ms, 400 ms usable =>
+        // Algorithm 1 lines 3-7 replicate while dur(F') + dur(F) < ΣB:
+        // 9 replicas (360 + 40 !< 400), all in the one slot.
+        let profile = uniform_profile(10, 3, 10);
+        let plan = plan_for_config(&profile, &slots(&[(405, 4)]), &exec()).unwrap();
         assert_eq!(plan.iterations_per_pass, 9);
         assert_eq!(plan.samples_per_pass, 9 * 4);
+        assert_eq!(plan.partitions[0].node_count, 90);
+        assert_eq!(plan.partitions[0].duration, SimDuration::from_millis(360));
     }
 
     #[test]
@@ -636,12 +629,14 @@ mod tests {
 
     #[test]
     fn oversized_node_is_rejected() {
-        // 200 ms node, longest bubble 100 ms.
-        let profile = uniform_profile(1, 200, 10);
+        // A 75 ms node runs cold in 100 ms: the longest bubble, 104 ms,
+        // leaves 99 ms usable; 105 ms would leave 100 ms.
+        let profile = uniform_profile(1, 75, 10);
         assert_eq!(
-            plan_for_config(&profile, &slots(&[(100, 4), (50, 4)]), &exec()),
+            plan_for_config(&profile, &slots(&[(104, 4), (50, 4)]), &exec()),
             Err(PlanError::NodeDoesNotFit)
         );
+        assert!(plan_for_config(&profile, &slots(&[(105, 4)]), &exec()).is_ok());
         // 8 GiB node, biggest bubble 4 GiB.
         let profile = uniform_profile(1, 10, 8 * 1024);
         assert_eq!(
@@ -653,61 +648,39 @@ mod tests {
     #[test]
     fn zero_capacity_cycle_is_rejected() {
         let profile = uniform_profile(2, 10, 10);
-        let tiny = ExecutorConfig {
-            fill_fraction: 0.5,
-            cold_start_factor: 1.0,
-            switch_overhead: SimDuration::from_millis(100),
-        };
-        // 100 ms bubble × 0.5 − 100 ms switch = 0 usable.
+        let half = ExecutorConfig { fill_fraction: 0.5 };
+        // 10 ms bubble × 0.5 − 5 ms switch = 0 usable.
         assert_eq!(
-            plan_for_config(&profile, &slots(&[(100, 4)]), &tiny),
+            plan_for_config(&profile, &slots(&[(10, 4)]), &half),
             Err(PlanError::NoUsableBubbles)
         );
     }
 
     #[test]
     fn fill_fraction_shrinks_capacity() {
-        let profile = uniform_profile(10, 10, 10);
-        let full = plan_for_config(&profile, &slots(&[(400, 4)]), &exec()).unwrap();
+        // Graph 40 ms cold. Filling all of a 165 ms bubble leaves 160 ms:
+        // 3 replicas; filling half leaves 77.5 ms: 1.
+        let profile = uniform_profile(10, 3, 10);
+        let full = plan_for_config(&profile, &slots(&[(165, 4)]), &exec()).unwrap();
         assert_eq!(full.iterations_per_pass, 3);
         let capped = plan_for_config(
             &profile,
-            &slots(&[(400, 4)]),
-            &ExecutorConfig {
-                fill_fraction: 0.5,
-                cold_start_factor: 1.0,
-                switch_overhead: SimDuration::ZERO,
-            },
+            &slots(&[(165, 4)]),
+            &ExecutorConfig { fill_fraction: 0.5 },
         )
         .unwrap();
-        assert!(capped.iterations_per_pass < full.iterations_per_pass);
-    }
-
-    #[test]
-    fn cold_start_inflates_node_time() {
-        let profile = uniform_profile(10, 10, 10);
-        let cold = plan_for_config(
-            &profile,
-            &slots(&[(200, 4)]),
-            &ExecutorConfig {
-                fill_fraction: 1.0,
-                cold_start_factor: 0.5,
-                switch_overhead: SimDuration::ZERO,
-            },
-        )
-        .unwrap();
-        // Nodes run at half speed: a 200 ms bubble fits 10 nodes of 20 ms.
-        assert_eq!(cold.partitions[0].node_count, 10);
-        assert_eq!(cold.partitions[0].duration, SimDuration::from_millis(200));
+        assert_eq!(capped.iterations_per_pass, 1);
     }
 
     #[test]
     fn multi_iteration_pass_spans_main_iterations() {
-        // Graph 400 ms, cycle capacity 100 ms/iteration => pass spans 4+
-        // main iterations.
-        let profile = uniform_profile(40, 10, 10);
-        let plan = plan_for_config(&profile, &slots(&[(100, 4)]), &exec()).unwrap();
-        assert!(plan.main_iterations_per_pass >= 4);
+        // Graph 40 × 4 ms = 160 ms cold, cycle capacity 40 ms/iteration
+        // => one replica, 10 nodes a slot: the pass spans 4 main
+        // iterations.
+        let profile = uniform_profile(40, 3, 10);
+        let plan = plan_for_config(&profile, &slots(&[(45, 4)]), &exec()).unwrap();
+        assert_eq!(plan.iterations_per_pass, 1);
+        assert_eq!(plan.main_iterations_per_pass, 4);
         assert_eq!(plan.main_iterations_for(4), plan.main_iterations_per_pass);
         assert_eq!(
             plan.main_iterations_for(8),

@@ -14,7 +14,7 @@ use pipefill_executor::plan::BubbleSlot;
 use pipefill_executor::{
     plan_best, plan_best_of, plan_for_config, profile_menu, rate_bound, replica_count, ExecConfig,
     ExecTechnique, ExecutionPlan, ExecutorConfig, FillJobExecutor, FillJobSpec, JobProfile,
-    NodeProfile, Partition, PlanError,
+    NodeProfile, Partition, PlanError, COLD_START_FACTOR, SWITCH_OVERHEAD,
 };
 use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_sim_core::SimDuration;
@@ -37,12 +37,19 @@ fn profile_from(nodes: Vec<(u64, u64)>) -> JobProfile {
     }
 }
 
-fn exact_exec() -> ExecutorConfig {
-    ExecutorConfig {
-        fill_fraction: 1.0,
-        cold_start_factor: 1.0,
-        switch_overhead: SimDuration::ZERO,
-    }
+fn full_exec() -> ExecutorConfig {
+    ExecutorConfig { fill_fraction: 1.0 }
+}
+
+/// A slot's usable duration: its filled fraction minus the switch cost.
+fn usable(d: SimDuration, exec: &ExecutorConfig) -> SimDuration {
+    d.mul_f64(exec.fill_fraction)
+        .saturating_sub(SWITCH_OVERHEAD)
+}
+
+/// A node's duration as executed in bubbles (cold caches).
+fn cold(d: SimDuration) -> SimDuration {
+    d.mul_f64(1.0 / COLD_START_FACTOR)
 }
 
 /// The greedy packer as first written, indexing the replicated node
@@ -55,28 +62,14 @@ fn reference_plan(
 ) -> Result<ExecutionPlan, PlanError> {
     exec.validate();
     // Usable capacity per bubble: the filled fraction minus switch cost.
-    let caps: Vec<BubbleSlot> = bubbles
-        .iter()
-        .map(|&(d, m)| {
-            (
-                d.mul_f64(exec.fill_fraction)
-                    .saturating_sub(exec.switch_overhead),
-                m,
-            )
-        })
-        .collect();
+    let caps: Vec<BubbleSlot> = bubbles.iter().map(|&(d, m)| (usable(d, exec), m)).collect();
     let total_cap: SimDuration = caps.iter().map(|&(d, _)| d).sum();
     if total_cap.is_zero() {
         return Err(PlanError::NoUsableBubbles);
     }
 
     // Node durations as executed in bubbles (cold caches).
-    let slowdown = 1.0 / exec.cold_start_factor;
-    let node_dur: Vec<SimDuration> = profile
-        .nodes
-        .iter()
-        .map(|n| n.duration.mul_f64(slowdown))
-        .collect();
+    let node_dur: Vec<SimDuration> = profile.nodes.iter().map(|n| cold(n.duration)).collect();
     let node_mem: Vec<Bytes> = profile.nodes.iter().map(|n| n.memory).collect();
     let node_flops: Vec<f64> = profile.nodes.iter().map(|n| n.flops).collect();
     let graph_dur: SimDuration = node_dur.iter().copied().sum();
@@ -211,29 +204,30 @@ fn menu_from(graphs: &[(Vec<(u64, u64)>, u64)], picks: &[usize]) -> Vec<JobProfi
         .collect()
 }
 
-/// Usable slots of `bubbles` (in ms, MiB) under `exec`. With
-/// `zero_capacity`, the switch cost swallows the longest bubble, so
-/// nothing in the cycle is usable.
+/// The slots of `bubbles` (in ms, MiB) and the executor filling
+/// `fill_pct` percent of each. With `zero_capacity`, every bubble is cut
+/// to at most the switch cost (its length in ms, taken modulo the switch
+/// cost in ns plus one), so its filled share is too and nothing in the
+/// cycle is usable.
 fn cycle(
     bubbles: &[(u64, u64)],
     fill_pct: u64,
-    cold_pct: u64,
-    switch_ms: u64,
     zero_capacity: bool,
 ) -> (Vec<BubbleSlot>, ExecutorConfig) {
     let slots: Vec<BubbleSlot> = bubbles
         .iter()
-        .map(|&(ms, mib)| (SimDuration::from_millis(ms), Bytes::from_mib(mib)))
+        .map(|&(ms, mib)| {
+            let d = SimDuration::from_millis(ms);
+            let d = if zero_capacity {
+                SimDuration::from_nanos(d.as_nanos() % (SWITCH_OVERHEAD.as_nanos() + 1))
+            } else {
+                d
+            };
+            (d, Bytes::from_mib(mib))
+        })
         .collect();
-    let longest = slots.iter().map(|&(d, _)| d).max().unwrap_or_default();
     let exec = ExecutorConfig {
         fill_fraction: fill_pct as f64 / 100.0,
-        cold_start_factor: cold_pct as f64 / 100.0,
-        switch_overhead: if zero_capacity {
-            longest
-        } else {
-            SimDuration::from_millis(switch_ms)
-        },
     };
     (slots, exec)
 }
@@ -264,8 +258,6 @@ proptest! {
         nodes in prop::collection::vec((1u64..150, 1u64..2200), 1..16),
         bubbles in prop::collection::vec((20u64..2500, 512u64..2560), 1..6),
         fill_pct in 50u64..101,
-        cold_pct in 60u64..101,
-        switch_ms in 0u64..20,
     ) {
         let profile = profile_from(nodes);
         let slots: Vec<BubbleSlot> = bubbles
@@ -274,8 +266,6 @@ proptest! {
             .collect();
         let exec = ExecutorConfig {
             fill_fraction: fill_pct as f64 / 100.0,
-            cold_start_factor: cold_pct as f64 / 100.0,
-            switch_overhead: SimDuration::from_millis(switch_ms),
         };
         prop_assert_eq!(
             plan_for_config(&profile, &slots, &exec),
@@ -324,12 +314,10 @@ proptest! {
         picks in prop::collection::vec(0usize..6, 1..14),
         bubbles in prop::collection::vec((5u64..2500, 512u64..2560), 1..6),
         fill_pct in 50u64..101,
-        cold_pct in 60u64..101,
-        switch_ms in 0u64..20,
         zero_capacity in 0u64..10,
     ) {
         let menu = menu_from(&graphs, &picks);
-        let (slots, exec) = cycle(&bubbles, fill_pct, cold_pct, switch_ms, zero_capacity == 0);
+        let (slots, exec) = cycle(&bubbles, fill_pct, zero_capacity == 0);
         prop_assert_eq!(
             plan_best_of(&menu, &slots, &exec),
             exhaustive_best_of(&menu, &slots, &exec)
@@ -337,20 +325,18 @@ proptest! {
     }
 
     /// The same on real fill-job menus (18 to 60 configurations) under
-    /// random cycles and executor tuning.
+    /// random cycles and fill fractions.
     #[test]
     fn real_menus_match_the_exhaustive_search(
         job in 0usize..MENU_JOBS.len(),
         bubbles in prop::collection::vec((20u64..3000, 512u64..8192), 1..5),
         h100 in 0u64..2,
         fill_pct in 50u64..101,
-        cold_pct in 60u64..101,
-        switch_ms in 0u64..20,
     ) {
         let (model, kind) = MENU_JOBS[job];
         let device = if h100 == 1 { DeviceSpec::h100() } else { DeviceSpec::v100() };
         let menu = profile_menu(&model.build(), kind, &device);
-        let (slots, exec) = cycle(&bubbles, fill_pct, cold_pct, switch_ms, false);
+        let (slots, exec) = cycle(&bubbles, fill_pct, false);
         prop_assert_eq!(
             plan_best_of(&menu, &slots, &exec),
             exhaustive_best_of(&menu, &slots, &exec)
@@ -367,24 +353,15 @@ proptest! {
         ),
         bubbles in prop::collection::vec((5u64..2500, 512u64..2560), 1..6),
         fill_pct in 50u64..101,
-        cold_pct in 60u64..101,
-        switch_ms in 0u64..20,
     ) {
         let menu = menu_from(&graphs, &(0..graphs.len()).collect::<Vec<_>>());
-        let (slots, exec) = cycle(&bubbles, fill_pct, cold_pct, switch_ms, false);
-        let total_cap: SimDuration = slots
-            .iter()
-            .map(|&(d, _)| d.mul_f64(exec.fill_fraction).saturating_sub(exec.switch_overhead))
-            .sum();
+        let (slots, exec) = cycle(&bubbles, fill_pct, false);
+        let total_cap: SimDuration = slots.iter().map(|&(d, _)| usable(d, &exec)).sum();
         for profile in &menu {
             let Ok(plan) = plan_for_config(profile, &slots, &exec) else {
                 continue;
             };
-            let graph: SimDuration = profile
-                .nodes
-                .iter()
-                .map(|n| n.duration.mul_f64(1.0 / exec.cold_start_factor))
-                .sum();
+            let graph: SimDuration = profile.nodes.iter().map(|n| cold(n.duration)).sum();
             prop_assert_eq!(plan.iterations_per_pass, replica_count(graph, total_cap));
             let bound = rate_bound(graph, profile.samples_per_iteration, total_cap);
             prop_assert!(
@@ -412,8 +389,9 @@ proptest! {
         prop_assert_eq!(replica_count(graph, total), replicas);
     }
 
-    /// Every partition honours its bubble slot's duration and memory
-    /// limits; all replicated nodes are packed exactly once, in order.
+    /// Every partition honours its bubble slot's usable duration and
+    /// memory limits; all replicated nodes are packed exactly once, in
+    /// order.
     #[test]
     fn partitions_respect_all_constraints(
         nodes in prop::collection::vec((1u64..50, 1u64..512), 1..30),
@@ -424,18 +402,21 @@ proptest! {
             .iter()
             .map(|&(ms, mib)| (SimDuration::from_millis(ms), Bytes::from_mib(mib)))
             .collect();
-        match plan_for_config(&profile, &slots, &exact_exec()) {
+        let exec = full_exec();
+        let caps: Vec<(SimDuration, Bytes)> =
+            slots.iter().map(|&(d, m)| (usable(d, &exec), m)).collect();
+        match plan_for_config(&profile, &slots, &exec) {
             Err(PlanError::NodeDoesNotFit) => {
                 // Legitimate only if some node really fits no bubble.
                 let unfit = profile.nodes.iter().any(|n| {
-                    !slots.iter().any(|&(d, m)| n.duration <= d && n.memory <= m)
+                    !caps.iter().any(|&(d, m)| cold(n.duration) <= d && n.memory <= m)
                 });
                 prop_assert!(unfit, "planner gave up although every node fits somewhere");
             }
             Err(other) => prop_assert!(false, "unexpected error {other:?}"),
             Ok(plan) => {
                 for part in &plan.partitions {
-                    let (cap_d, cap_m) = slots[part.bubble_index];
+                    let (cap_d, cap_m) = caps[part.bubble_index];
                     prop_assert!(part.duration <= cap_d, "duration violated");
                     prop_assert!(part.memory <= cap_m, "memory violated");
                     prop_assert!(part.node_count > 0);
@@ -449,8 +430,8 @@ proptest! {
                 let iters: u64 = plan.partitions.iter().map(|p| p.iterations_completed).sum();
                 prop_assert_eq!(iters, plan.iterations_per_pass);
                 // Replication is bounded by Algorithm 1 line 4.
-                let graph: SimDuration = profile.nodes.iter().map(|n| n.duration).sum();
-                let total: SimDuration = slots.iter().map(|&(d, _)| d).sum();
+                let graph: SimDuration = profile.nodes.iter().map(|n| cold(n.duration)).sum();
+                let total: SimDuration = caps.iter().map(|&(d, _)| d).sum();
                 if plan.iterations_per_pass > 1 {
                     prop_assert!(graph * plan.iterations_per_pass < total + graph);
                 }
@@ -467,14 +448,12 @@ proptest! {
     ) {
         let profile = profile_from(nodes);
         let slots = vec![(SimDuration::from_millis(600), Bytes::from_mib(2048))];
-        let full = plan_for_config(&profile, &slots, &exact_exec());
+        let full = plan_for_config(&profile, &slots, &full_exec());
         let partial = plan_for_config(
             &profile,
             &slots,
             &ExecutorConfig {
                 fill_fraction: frac_pct as f64 / 100.0,
-                cold_start_factor: 1.0,
-                switch_overhead: SimDuration::ZERO,
             },
         );
         if let (Ok(f), Ok(p)) = (full, partial) {

@@ -10,12 +10,13 @@
 //! non-contiguous bubbles — the ones PipeFill deliberately does not fill
 //! (§4.5) — emergent rather than asserted.
 
+use pipefill_device::Bytes;
 use pipefill_sim_core::{SimDuration, SimTime};
 
 use crate::bubbles::{BubbleKind, BubbleWindow};
 use crate::deps::{self, DepSlots};
 use crate::instructions::PipelineInstruction;
-use crate::memory::BubbleMemoryModel;
+use crate::memory::MEASURED_BUBBLE_FREE_MEMORY;
 use crate::schedule::ScheduleKind;
 
 /// Number of iterations simulated; the timeline is extracted from a
@@ -160,14 +161,8 @@ pub struct EngineConfig {
     pub stage_opt: Vec<SimDuration>,
     /// Activation/gradient hand-off latency between adjacent stages.
     pub comm: SimDuration,
-    /// Data-parallel gradient all-reduce duration.
-    pub grad_sync: SimDuration,
-    /// Whether gradient sync is overlapped with backward (contributing no
-    /// timeline length, the common production setting). Either way its
-    /// duration defines the onload window for main-job offloading.
-    pub overlap_grad_sync: bool,
-    /// How bubble free-memory is reported.
-    pub memory: BubbleMemoryModel,
+    /// Free HBM every bubble window reports.
+    pub bubble_free_memory: Bytes,
 }
 
 impl EngineConfig {
@@ -186,9 +181,7 @@ impl EngineConfig {
             stage_bwd: vec![bwd; stages],
             stage_opt: vec![SimDuration::ZERO; stages],
             comm: SimDuration::ZERO,
-            grad_sync: SimDuration::ZERO,
-            overlap_grad_sync: true,
-            memory: BubbleMemoryModel::measured_default(),
+            bubble_free_memory: MEASURED_BUBBLE_FREE_MEMORY,
         }
     }
 
@@ -207,9 +200,6 @@ impl EngineConfig {
             self.schedule.chunk_count() > 0,
             "interleaved schedule needs at least 1 chunk per device"
         );
-        if let BubbleMemoryModel::PerStage(v) = &self.memory {
-            assert_eq!(v.len(), p, "per-stage memory length mismatch");
-        }
     }
 
     /// Runs the dependency simulation and extracts the steady-state
@@ -470,14 +460,9 @@ impl EngineConfig {
                 self.stage_bwd[stage] - self.stage_bwd[stage] / 2
             }
             PipelineInstruction::OptimizerStep => self.stage_opt[stage],
-            PipelineInstruction::GradSync => {
-                if self.overlap_grad_sync {
-                    SimDuration::ZERO
-                } else {
-                    self.grad_sync
-                }
-            }
-            PipelineInstruction::Bubble { .. } => SimDuration::ZERO,
+            // Gradient sync overlaps the backward passes, and a bubble is
+            // a marker: neither occupies the device.
+            PipelineInstruction::GradSync | PipelineInstruction::Bubble { .. } => SimDuration::ZERO,
         }
     }
 
@@ -544,7 +529,7 @@ impl EngineConfig {
                         kind,
                         cursor - window_start,
                         start - cursor,
-                        self.memory.free(s, kind),
+                        self.bubble_free_memory,
                         period,
                     ));
                 }
@@ -556,7 +541,7 @@ impl EngineConfig {
                     BubbleKind::FillDrain,
                     cursor - window_start,
                     window_end - cursor,
-                    self.memory.free(s, BubbleKind::FillDrain),
+                    self.bubble_free_memory,
                     period,
                 ));
             }
@@ -788,17 +773,6 @@ mod tests {
         cfg.stage_opt = vec![ms(5); 4];
         let tl = cfg.run();
         assert_eq!(tl.stages[0].busy, ms((10 + 20) * 4 + 5));
-    }
-
-    #[test]
-    fn non_overlapped_grad_sync_is_busy() {
-        let mut cfg = EngineConfig::uniform(ScheduleKind::GPipe, 4, 4, ms(10), ms(20));
-        cfg.grad_sync = ms(50);
-        cfg.overlap_grad_sync = false;
-        let tl = cfg.run();
-        assert_eq!(tl.stages[0].busy, ms((10 + 20) * 4 + 50));
-        cfg.overlap_grad_sync = true;
-        assert_eq!(cfg.run().stages[0].busy, ms((10 + 20) * 4));
     }
 
     #[test]

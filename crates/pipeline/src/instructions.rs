@@ -63,7 +63,7 @@ pub enum PipelineInstruction {
         kind: BubbleKind,
     },
     /// Data-parallel gradient synchronization (all-reduce across
-    /// replicas). The engine can model it as overlapped with backward,
+    /// replicas). The engine models it as overlapped with backward,
     /// contributing no timeline length.
     GradSync,
     /// Optimizer step (Adam update of this stage's parameters).

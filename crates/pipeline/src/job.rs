@@ -1,20 +1,24 @@
 //! The main-job specification: everything needed to stand up one
 //! pipeline-parallel training job and extract its bubble timeline.
 
-use pipefill_device::{DeviceSpec, LinkSpec};
+use pipefill_device::{Bytes, DeviceSpec, LinkSpec};
 use pipefill_model_zoo::{gpt_40b, gpt_5b, ModelGraph};
 use pipefill_sim_core::SimDuration;
 
 use crate::analysis::{days_to_train, ScalingPoint};
 use crate::engine::{EngineConfig, EngineTimeline};
-use crate::memory::BubbleMemoryModel;
+use crate::memory::MEASURED_BUBBLE_FREE_MEMORY;
 use crate::parallelism::ParallelismConfig;
 use crate::partition::StagePartition;
 use crate::schedule::ScheduleKind;
 
-/// The paper's 40B job trains on a fixed token budget; this value is
-/// fitted so 1K GPUs ≈ 82 days (Fig. 4a's anchor).
-pub const DEFAULT_TRAINING_TOKENS: f64 = 1.4e12;
+/// The token budget of days-to-train arithmetic. The paper's 40B job
+/// trains on a fixed budget; this value is fitted so 1K GPUs ≈ 82 days
+/// (Fig. 4a's anchor).
+const TRAINING_TOKENS: f64 = 1.4e12;
+
+/// Stage-to-stage interconnect: activations and gradients cross nodes.
+const INTER_STAGE_LINK: LinkSpec = LinkSpec::ethernet_25g();
 
 /// A fully specified pipeline-parallel main job.
 ///
@@ -36,20 +40,10 @@ pub struct MainJobSpec {
     pub parallelism: ParallelismConfig,
     /// Per-GPU hardware.
     pub device: DeviceSpec,
-    /// Stage-to-stage interconnect (activations/gradients cross nodes).
-    pub inter_stage_link: LinkSpec,
     /// Pipeline schedule.
     pub schedule: ScheduleKind,
-    /// How bubble free-memory is reported to fill jobs.
-    pub memory: BubbleMemoryModel,
-    /// Token budget for days-to-train arithmetic.
-    pub training_tokens: f64,
-    /// Idealize stages as uniform (mean forward/backward times). The
-    /// paper's simulator replays one profiled instruction pattern for all
-    /// stages, which is equivalent to this idealization; it is therefore
-    /// the default. Disable to study the imbalance introduced by the
-    /// embedding/LM-head stages.
-    pub uniform_stages: bool,
+    /// Free HBM every bubble reports to fill jobs.
+    pub bubble_free_memory: Bytes,
 }
 
 impl MainJobSpec {
@@ -71,11 +65,8 @@ impl MainJobSpec {
             model: gpt_40b(),
             parallelism: ParallelismConfig::new(8, 16, dp, 2, 1024),
             device: DeviceSpec::v100(),
-            inter_stage_link: LinkSpec::ethernet_25g(),
             schedule,
-            memory: BubbleMemoryModel::measured_default(),
-            training_tokens: DEFAULT_TRAINING_TOKENS,
-            uniform_stages: true,
+            bubble_free_memory: MEASURED_BUBBLE_FREE_MEMORY,
         }
     }
 
@@ -86,11 +77,8 @@ impl MainJobSpec {
             model: gpt_5b(),
             parallelism: ParallelismConfig::for_5b_physical(microbatches),
             device: DeviceSpec::v100(),
-            inter_stage_link: LinkSpec::ethernet_25g(),
             schedule,
-            memory: BubbleMemoryModel::measured_default(),
-            training_tokens: DEFAULT_TRAINING_TOKENS,
-            uniform_stages: true,
+            bubble_free_memory: MEASURED_BUBBLE_FREE_MEMORY,
         }
     }
 
@@ -100,9 +88,9 @@ impl MainJobSpec {
         self
     }
 
-    /// Replaces the bubble memory model (Fig. 10b sweeps it).
-    pub fn with_memory(mut self, memory: BubbleMemoryModel) -> Self {
-        self.memory = memory;
+    /// Replaces the bubble free memory (Fig. 10b sweeps it).
+    pub fn with_bubble_free_memory(mut self, free: Bytes) -> Self {
+        self.bubble_free_memory = free;
         self
     }
 
@@ -112,7 +100,12 @@ impl MainJobSpec {
     }
 
     /// Builds the engine configuration (per-stage times, communication,
-    /// memory reporting).
+    /// bubble free memory).
+    ///
+    /// Stages are idealized as uniform: every stage runs the mean
+    /// forward, backward and optimizer time. The paper's simulator
+    /// replays one profiled instruction pattern for all stages, which is
+    /// equivalent.
     pub fn engine_config(&self) -> EngineConfig {
         let partition = self.partition();
         let stages = partition.stages();
@@ -121,27 +114,10 @@ impl MainJobSpec {
             .iter()
             .map(|s| s.boundary_bytes_per_microbatch)
             .max()
-            .unwrap_or(pipefill_device::Bytes::ZERO);
-        let comm = self.inter_stage_link.transfer_time(payload);
-        // Ring all-reduce of fp16 gradients across data-parallel replicas
-        // (≈ 2× payload over the slow link); overlapped with backward.
-        let grad_bytes = stages
-            .iter()
-            .map(|s| pipefill_device::Bytes::new(s.params_per_gpu * 2))
-            .max()
-            .unwrap_or(pipefill_device::Bytes::ZERO);
-        let grad_sync = if self.parallelism.data_parallel > 1 {
-            SimDuration::from_secs_f64(2.0 * grad_bytes.as_f64() / self.inter_stage_link.bandwidth)
-        } else {
-            SimDuration::ZERO
-        };
+            .unwrap_or(Bytes::ZERO);
         let mean = |get: fn(&crate::partition::StageProfile) -> SimDuration| -> Vec<SimDuration> {
-            if self.uniform_stages {
-                let total: SimDuration = stages.iter().map(get).sum();
-                vec![total / stages.len() as u64; stages.len()]
-            } else {
-                stages.iter().map(get).collect()
-            }
+            let total: SimDuration = stages.iter().map(get).sum();
+            vec![total / stages.len() as u64; stages.len()]
         };
         EngineConfig {
             schedule: self.schedule,
@@ -149,10 +125,8 @@ impl MainJobSpec {
             stage_fwd: mean(|s| s.fwd_time),
             stage_bwd: mean(|s| s.bwd_time),
             stage_opt: mean(|s| s.opt_time),
-            comm,
-            grad_sync,
-            overlap_grad_sync: true,
-            memory: self.memory.clone(),
+            comm: INTER_STAGE_LINK.transfer_time(payload),
+            bubble_free_memory: self.bubble_free_memory,
         }
     }
 
@@ -186,7 +160,7 @@ impl MainJobSpec {
             fillable_ratio: timeline.fillable_ratio(),
             iteration_time: timeline.period,
             days_to_train: days_to_train(
-                self.training_tokens,
+                TRAINING_TOKENS,
                 self.tokens_per_iteration(),
                 timeline.period,
             ),
@@ -199,6 +173,7 @@ impl MainJobSpec {
 mod tests {
     use super::*;
     use crate::analysis::bubble_fraction;
+    use crate::bubbles::BubbleKind;
 
     #[test]
     fn scaling_series_matches_paper_days() {
@@ -273,6 +248,36 @@ mod tests {
         let o = MainJobSpec::simulator_40b(8, ScheduleKind::OneFOneB).engine_timeline();
         let rel = (g.period.as_secs_f64() - o.period.as_secs_f64()).abs() / g.period.as_secs_f64();
         assert!(rel < 0.02, "periods differ by {rel}");
+    }
+
+    #[test]
+    fn bubble_free_memory_reaches_every_window() {
+        // Fig. 10b's axis: a non-default free memory set through the
+        // builder is what every window reports, on every stage and bubble
+        // kind, under every schedule.
+        let free = Bytes::from_gib(7);
+        assert_ne!(free, MEASURED_BUBBLE_FREE_MEMORY);
+        let mut fillable_kinds = Vec::new();
+        for schedule in ScheduleKind::ALL {
+            let timeline = MainJobSpec::physical_5b(8, schedule)
+                .with_bubble_free_memory(free)
+                .engine_timeline();
+            for stage in &timeline.stages {
+                for w in &stage.windows {
+                    assert_eq!(
+                        w.free_memory, free,
+                        "{schedule} stage {} {} window",
+                        stage.stage, w.kind
+                    );
+                    if w.fillable() && !fillable_kinds.contains(&w.kind) {
+                        fillable_kinds.push(w.kind);
+                    }
+                }
+            }
+        }
+        // Both fillable kinds were seen, so no kind escaped the check.
+        assert!(fillable_kinds.contains(&BubbleKind::FwdBwd));
+        assert!(fillable_kinds.contains(&BubbleKind::FillDrain));
     }
 
     #[test]

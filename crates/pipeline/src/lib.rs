@@ -4,7 +4,8 @@
 //! configuration, model-to-stage partitioning, pipeline instruction
 //! sequences with PipeFill's explicit *bubble instruction*, GPipe and 1F1B
 //! schedule generators, a dependency-driven engine that derives each
-//! stage's busy/bubble timeline, and the main-job memory model.
+//! stage's busy/bubble timeline, the measured bubble free memory and the
+//! schedules' activation residency.
 //!
 //! This is the reproduction of §4.2 of the paper ("Pipeline Engine
 //! Instrumentation") plus the §2 background machinery it instruments. The
@@ -48,7 +49,7 @@ pub use bubbles::{BubbleKind, BubbleWindow};
 pub use engine::{EngineConfig, EngineError, EngineTimeline, StageTimeline};
 pub use instructions::PipelineInstruction;
 pub use job::MainJobSpec;
-pub use memory::{activation_envelope, activation_peaks, BubbleMemoryModel, MainJobMemoryModel};
+pub use memory::{activation_envelope, activation_peaks, MEASURED_BUBBLE_FREE_MEMORY};
 pub use parallelism::ParallelismConfig;
 pub use partition::{StagePartition, StageProfile};
 pub use render::render_timeline;

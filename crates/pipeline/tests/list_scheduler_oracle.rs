@@ -9,7 +9,7 @@
 //!
 //! * `EngineConfig::run` timelines equal the reference's, for every
 //!   schedule and shape (including `m < p` and `p = 1`), non-uniform
-//!   stage times, optimizer and sync time, and comm latency;
+//!   stage times, optimizer time, and comm latency;
 //! * `EngineConfig::execute_streams` returns exactly the reference's
 //!   `Ok`/`Err` — the `Deadlock` payload, per-device iteration-0
 //!   progress included — on randomly mutated streams: swapped, dropped,
@@ -144,7 +144,7 @@ fn reference_run(cfg: &EngineConfig) -> EngineTimeline {
                         kind,
                         cursor - window_start,
                         start - cursor,
-                        cfg.memory.free(s, kind),
+                        cfg.bubble_free_memory,
                         stage_period,
                     ));
                 }
@@ -156,7 +156,7 @@ fn reference_run(cfg: &EngineConfig) -> EngineTimeline {
                     BubbleKind::FillDrain,
                     cursor - window_start,
                     window_end - cursor,
-                    cfg.memory.free(s, BubbleKind::FillDrain),
+                    cfg.bubble_free_memory,
                     stage_period,
                 ));
             }
@@ -190,7 +190,6 @@ fn config(
     m: usize,
     times: &[(u64, u64, u64)],
     comm_us: u64,
-    grad_sync_us: Option<u64>,
 ) -> EngineConfig {
     let us = SimDuration::from_micros;
     let mut cfg = EngineConfig::uniform(kind, p, m, us(1), us(1));
@@ -198,10 +197,6 @@ fn config(
     cfg.stage_bwd = (0..p).map(|s| us(times[s % times.len()].1)).collect();
     cfg.stage_opt = (0..p).map(|s| us(times[s % times.len()].2)).collect();
     cfg.comm = us(comm_us);
-    if let Some(sync) = grad_sync_us {
-        cfg.grad_sync = us(sync);
-        cfg.overlap_grad_sync = false;
-    }
     cfg
 }
 
@@ -301,9 +296,8 @@ proptest! {
         m in 1usize..13,
         times in prop::collection::vec((1u64..40, 1u64..80, 0u64..10), 1..5),
         comm_us in prop_oneof![Just(0u64), 1u64..30],
-        grad_sync_us in prop::option::of(1u64..50),
     ) {
-        let cfg = config(kind, p, m, &times, comm_us, grad_sync_us);
+        let cfg = config(kind, p, m, &times, comm_us);
         prop_assert_eq!(cfg.run(), reference_run(&cfg), "{} p={} m={}", kind, p, m);
     }
 
@@ -321,7 +315,7 @@ proptest! {
             0..6,
         ),
     ) {
-        let cfg = config(kind, p, m, &times, comm_us, None);
+        let cfg = config(kind, p, m, &times, comm_us);
         let mut streams = kind.all_stage_instructions(p, m);
         for &op in &mutations {
             mutate(&mut streams, m, kind.chunk_count(), op);
@@ -351,7 +345,7 @@ fn degenerate_shapes_match_the_reference() {
         .chain([ScheduleKind::Interleaved { chunks: 4 }])
     {
         for (p, m) in [(1, 1), (1, 5), (2, 1), (8, 1), (9, 2), (16, 3)] {
-            let cfg = config(kind, p, m, &[(7, 15, 2), (11, 19, 0)], 3, Some(9));
+            let cfg = config(kind, p, m, &[(7, 15, 2), (11, 19, 0)], 3);
             assert_eq!(cfg.run(), reference_run(&cfg), "{kind} p={p} m={m}");
         }
     }
@@ -376,7 +370,7 @@ fn a_wrapped_chunk_index_still_runs_once_its_key_is_published() {
         vec![Forward { microbatch: 0 }, wrapped],
         vec![Forward { microbatch: 0 }],
     ];
-    let cfg = config(ScheduleKind::OneFOneB, 3, 1, &[(5, 9, 0)], 2, None);
+    let cfg = config(ScheduleKind::OneFOneB, 3, 1, &[(5, 9, 0)], 2);
     let tagged: Vec<Vec<(usize, PipelineInstruction)>> = streams
         .iter()
         .map(|s| s.iter().map(|&i| (0, i)).collect())

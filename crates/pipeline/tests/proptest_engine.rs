@@ -40,8 +40,8 @@ proptest! {
     }
 
     /// For any schedule and shape: busy + bubbles = period on every
-    /// stage, windows are disjoint and ordered, and every window's free
-    /// memory matches the memory model.
+    /// stage, windows are disjoint and ordered, and every window reports
+    /// the configured free memory.
     #[test]
     fn timeline_partitions_the_period(
         schedule in prop_oneof![
@@ -71,6 +71,7 @@ proptest! {
             let mut cursor = SimDuration::ZERO;
             for w in &st.windows {
                 prop_assert!(w.offset >= cursor);
+                prop_assert_eq!(w.free_memory, cfg.bubble_free_memory);
                 cursor = w.offset + w.duration;
             }
             prop_assert!(cursor <= tl.period);

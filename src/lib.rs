@@ -14,9 +14,9 @@
 //!   and interconnect transfer times;
 //! * [`models`] — the model zoo (GPT-5B/40B main jobs, Table 1 fill
 //!   jobs) and its analytical FLOPs/memory cost model;
-//! * [`pipeline`] — pipeline schedules (GPipe, 1F1B), the instrumented
-//!   engine with explicit bubble instructions, the bubble profiler, the
-//!   main-job memory model and the optimizer-state offload planner;
+//! * [`pipeline`] — pipeline schedules (GPipe, 1F1B, interleaved, ZB-H1),
+//!   the instrumented engine with explicit bubble instructions, the
+//!   measured bubble free memory and the schedules' activation envelopes;
 //! * [`executor`] — per-configuration fill-job profiles, the Algorithm-1
 //!   bubble-packing planner and the per-device executor state machine;
 //! * [`scheduler`] — the score-function policy interface (FIFO / SJF /

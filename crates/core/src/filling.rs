@@ -32,13 +32,13 @@
 //! the conformance suite pins it.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
 use pipefill_executor::{ExecutorCheckpoint, FillJobExecutor, FillJobSpec, JobId, SWITCH_OVERHEAD};
 use pipefill_model_zoo::{JobKind, ModelId};
-use pipefill_pipeline::BubbleWindow;
+use pipefill_pipeline::{BubbleWindow, ScheduleKind};
 use pipefill_scheduler::{GlobalFillQueue, JobInfo, SystemState};
 use pipefill_sim_core::rng::DeterministicRng;
 use pipefill_sim_core::{EventHandler, EventQueue, LookupMap, SimDuration, SimTime, Simulation};
@@ -48,7 +48,7 @@ use crate::backend::{BackendKind, BackendMetrics, ClusterEvent, SimBackend};
 use crate::experiments::sweep;
 use crate::ff::{SteadyCounters, SteadyDetector};
 use crate::fleet::{FleetJobConfig, FleetJobResult, FleetSimConfig, FleetSimResult};
-use crate::plans::{ProfileMenus, StagePlans};
+use crate::plans::{fingerprint, ProfileMenus, StagePlans};
 
 /// Signature-history depth of a one-pipeline run: long enough for the
 /// realistic fill-cycle periods (plan cursor × rotation × job-completion
@@ -189,6 +189,104 @@ impl Shape {
 
     fn stages(&self) -> usize {
         self.plans.stages()
+    }
+}
+
+/// Sorts `jobs` into shape classes: jobs whose main job, executor tuning
+/// and stage devices are equal share one. Classes are interned in an
+/// ordered map keyed on [`shape_fingerprint`]; a job joins the first class
+/// in its bucket that it equals exactly, or opens a new one. So a job
+/// costs one map lookup and, unless fingerprints collide, at most one
+/// full comparison, however many shapes the fleet has. Returns each job's
+/// class and each class's first job, classes numbered in order of first
+/// appearance.
+fn shape_classes(jobs: &[FleetJobConfig]) -> (Vec<usize>, Vec<usize>) {
+    let mut buckets: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+    let mut class_of = Vec::with_capacity(jobs.len());
+    let mut reps: Vec<usize> = Vec::new();
+    for (j, job) in jobs.iter().enumerate() {
+        let bucket = buckets.entry(shape_fingerprint(job)).or_default();
+        let class = match bucket.iter().find(|&&c| same_shape(&jobs[reps[c]], job)) {
+            Some(&c) => c,
+            None => {
+                bucket.push(reps.len());
+                reps.push(j);
+                reps.len() - 1
+            }
+        };
+        class_of.push(class);
+    }
+    (class_of, reps)
+}
+
+/// The exact shape-class test: equal main job (model included), executor
+/// tuning and stage devices.
+fn same_shape(a: &FleetJobConfig, b: &FleetJobConfig) -> bool {
+    #[cfg(test)]
+    SHAPE_CHECKS.with(|n| n.set(n.get() + 1));
+    a.main_job == b.main_job && a.executor == b.executor && a.stage_devices == b.stage_devices
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Full [`same_shape`] comparisons made so far on this thread.
+    static SHAPE_CHECKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// A fingerprint of the fields that tell fleet shapes apart: parallelism
+/// degrees, schedule, bubble free memory, fill fraction, and the numbers
+/// of the main device and of every stage device. Names (the model's, its
+/// layers', the devices') are left to [`same_shape`]. Jobs that are
+/// [`same_shape`] fingerprint equal.
+fn shape_fingerprint(job: &FleetJobConfig) -> u64 {
+    let main = &job.main_job;
+    let p = main.parallelism;
+    let (schedule, chunks) = match main.schedule {
+        ScheduleKind::GPipe => (0, 0),
+        ScheduleKind::OneFOneB => (1, 0),
+        ScheduleKind::Interleaved { chunks } => (2, chunks),
+        ScheduleKind::ZbH1 => (3, 0),
+    };
+    let sizes = [
+        p.tensor_parallel,
+        p.pipeline_stages,
+        p.data_parallel,
+        p.microbatch_size,
+        p.global_minibatch,
+        schedule,
+        chunks,
+        job.stage_devices.len(),
+    ];
+    fingerprint(
+        sizes
+            .into_iter()
+            .map(|n| n as u64)
+            .chain([
+                main.bubble_free_memory.as_u64(),
+                float_word(job.executor.fill_fraction),
+            ])
+            .chain(
+                std::iter::once(&main.device)
+                    .chain(&job.stage_devices)
+                    .flat_map(|d| {
+                        [
+                            float_word(d.peak_tflops),
+                            d.hbm.as_u64(),
+                            float_word(d.hbm_bandwidth),
+                            float_word(d.host_link_bandwidth),
+                            float_word(d.nvme_bandwidth),
+                        ]
+                    }),
+            ),
+    )
+}
+
+/// `x`'s bits, with both zeros one word: they compare equal.
+fn float_word(x: f64) -> u64 {
+    if x == 0.0 {
+        0
+    } else {
+        x.to_bits()
     }
 }
 
@@ -925,7 +1023,8 @@ pub struct FillBackend<R> {
 }
 
 impl<R> FillBackend<R> {
-    /// Builds the engine: assigns shape classes, profiles each class once
+    /// Builds the engine: interns the jobs' shape classes through a
+    /// fingerprint map ([`shape_classes`]), profiles each class once
     /// (fanned across cores through the sweep driver), and lays the
     /// pipelines out on a flat device index space. `kind` is the label
     /// the run reports under.
@@ -935,23 +1034,7 @@ impl<R> FillBackend<R> {
     /// Panics if `cfg.jobs` is empty.
     pub(crate) fn build(cfg: FleetSimConfig, kind: BackendKind) -> Self {
         assert!(!cfg.jobs.is_empty(), "a fleet needs at least one main job");
-        let mut class_of: Vec<usize> = Vec::with_capacity(cfg.jobs.len());
-        let mut class_reps: Vec<usize> = Vec::new();
-        for (j, job) in cfg.jobs.iter().enumerate() {
-            let class = class_reps
-                .iter()
-                .position(|&r| {
-                    let rep = &cfg.jobs[r];
-                    rep.main_job == job.main_job
-                        && rep.executor == job.executor
-                        && rep.stage_devices == job.stage_devices
-                })
-                .unwrap_or_else(|| {
-                    class_reps.push(j);
-                    class_reps.len() - 1
-                });
-            class_of.push(class);
-        }
+        let (class_of, class_reps) = shape_classes(&cfg.jobs);
         // One menu and plan table over every stage device of the fleet,
         // shared by all shapes: a (model, kind) menu is profiled once per
         // device and planned once per stage geometry, however many shapes
@@ -2106,5 +2189,179 @@ mod merge_oracle {
                 .collect();
             prop_assert_eq!(merged_order(&pipes, &frontiers), kernel_order(&pipes));
         }
+    }
+}
+
+/// `shape_classes` against the linear scan it replaced, kept here
+/// verbatim: every job's class and every class's first job match, on
+/// generated fleets and on hand-made jobs that differ only where the
+/// fingerprint does not look, so that only the exact check tells them
+/// apart. And the full comparisons grow with the jobs, not with jobs ×
+/// shapes.
+#[cfg(test)]
+mod shape_class_oracle {
+    use super::{shape_classes, SHAPE_CHECKS};
+    use crate::fleet::{FleetJobConfig, FleetSimConfig};
+    use pipefill_device::{Bytes, DeviceSpec};
+    use pipefill_pipeline::{MainJobSpec, ScheduleKind};
+    use pipefill_trace::FleetWorkloadConfig;
+    use proptest::prelude::*;
+
+    /// The class loop `FillBackend::build` ran before classes were
+    /// interned: each job against every class representative so far.
+    fn linear_scan(jobs: &[FleetJobConfig]) -> (Vec<usize>, Vec<usize>) {
+        let mut class_of: Vec<usize> = Vec::with_capacity(jobs.len());
+        let mut class_reps: Vec<usize> = Vec::new();
+        for (j, job) in jobs.iter().enumerate() {
+            let class = class_reps
+                .iter()
+                .position(|&r| {
+                    let rep = &jobs[r];
+                    rep.main_job == job.main_job
+                        && rep.executor == job.executor
+                        && rep.stage_devices == job.stage_devices
+                })
+                .unwrap_or_else(|| {
+                    class_reps.push(j);
+                    class_reps.len() - 1
+                });
+            class_of.push(class);
+        }
+        (class_of, class_reps)
+    }
+
+    /// Runs `shape_classes` on `jobs`: its class count and the full
+    /// comparisons it made.
+    fn counted(jobs: &[FleetJobConfig]) -> (usize, usize) {
+        let before = SHAPE_CHECKS.with(|n| n.get());
+        let (_, reps) = shape_classes(jobs);
+        (reps.len(), SHAPE_CHECKS.with(|n| n.get()) - before)
+    }
+
+    const SCHEDULES: [ScheduleKind; 4] = [
+        ScheduleKind::GPipe,
+        ScheduleKind::OneFOneB,
+        ScheduleKind::Interleaved { chunks: 2 },
+        ScheduleKind::ZbH1,
+    ];
+
+    /// Hand-made variants of one job. Each group of the same fingerprint
+    /// holds jobs the exact check must split or merge: a renamed layer, a
+    /// renamed device, one renamed stage device; both zeros of the fill
+    /// fraction (equal) and a NaN one (equal to nothing, itself
+    /// included). Fields outside the shape (iterations, seed, admission)
+    /// must not split a class.
+    fn variant(v: usize) -> FleetJobConfig {
+        let mut job = FleetJobConfig::new(MainJobSpec::physical_5b(8, ScheduleKind::GPipe));
+        let stages = job.main_job.parallelism.pipeline_stages;
+        match v {
+            0 => {}
+            1 => job.main_job.model.layers[3].name.push('\''),
+            2 => job.main_job.device.name.push('\''),
+            3 => job.stage_devices = vec![DeviceSpec::v100(); stages],
+            4 => {
+                job.stage_devices = vec![DeviceSpec::v100(); stages];
+                job.stage_devices[stages / 2].name.push('\'');
+            }
+            5 => job.executor.fill_fraction = 0.0,
+            6 => job.executor.fill_fraction = -0.0,
+            7 => job.executor.fill_fraction = f64::NAN,
+            8 => job.main_job.bubble_free_memory = Bytes::from_mib(4096),
+            9 => job.main_job.schedule = ScheduleKind::Interleaved { chunks: 2 },
+            _ => {
+                job.iterations = 17;
+                job.seed = 99;
+                job.admits_foreign = false;
+            }
+        }
+        job
+    }
+
+    const VARIANTS: usize = 11;
+
+    /// A generated fleet whose every `rename_every`-th job has a renamed
+    /// model layer, so renamed and plain jobs of one shape collide.
+    fn generated(
+        jobs: usize,
+        gpus_per_job: usize,
+        seed: u64,
+        schedule: usize,
+        rename_every: usize,
+    ) -> Vec<FleetJobConfig> {
+        let workload = FleetWorkloadConfig::new(jobs, jobs * gpus_per_job, seed);
+        let mut fleet =
+            FleetSimConfig::from_workload_scheduled(&workload, SCHEDULES[schedule]).jobs;
+        for job in fleet.iter_mut().step_by(rename_every) {
+            job.main_job.model.layers[0].name.push('\'');
+        }
+        fleet
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn generated_fleets_match_the_linear_scan(
+            jobs in 1usize..64,
+            gpus_per_job in 8usize..1024,
+            seed in 0u64..1 << 32,
+            schedule in 0usize..SCHEDULES.len(),
+            rename_every in 2usize..9,
+        ) {
+            let fleet = generated(jobs, gpus_per_job, seed, schedule, rename_every);
+            prop_assert_eq!(shape_classes(&fleet), linear_scan(&fleet));
+        }
+
+        #[test]
+        fn hand_made_collisions_match_the_linear_scan(
+            picks in prop::collection::vec(0usize..VARIANTS, 1..40),
+        ) {
+            let jobs: Vec<FleetJobConfig> = picks.into_iter().map(variant).collect();
+            prop_assert_eq!(shape_classes(&jobs), linear_scan(&jobs));
+        }
+    }
+
+    /// The collisions the exact check must resolve, one by one.
+    #[test]
+    fn exact_check_splits_and_merges_within_a_bucket() {
+        let jobs: Vec<FleetJobConfig> = (0..VARIANTS).chain(0..VARIANTS).map(variant).collect();
+        let (class_of, reps) = shape_classes(&jobs);
+        assert_eq!((class_of.clone(), reps.clone()), linear_scan(&jobs));
+        // Variants 1–4 each open a class of their own; -0.0 joins 0.0,
+        // each NaN job opens one, and the last variant joins the plain job.
+        assert_eq!(&class_of[..VARIANTS], [0, 1, 2, 3, 4, 5, 5, 6, 7, 8, 0]);
+        assert_eq!(class_of[VARIANTS + 7], reps.len() - 1);
+        assert_eq!(reps.len(), 10);
+    }
+
+    /// One full comparison per job on a `fault_fleet`-sized fleet, and a
+    /// fleet with 4× its jobs and 4× its shapes makes at most 4× the
+    /// comparisons, where the linear scan's grew with jobs × shapes.
+    #[test]
+    fn full_checks_grow_with_jobs_not_shapes() {
+        let fleet = FleetSimConfig::from_workload(&FleetWorkloadConfig::new(2048, 262_144, 7)).jobs;
+        let (classes, checks) = counted(&fleet);
+        assert!(classes > 64, "{classes} shapes");
+        assert!(
+            checks <= fleet.len(),
+            "{checks} full checks for {} jobs",
+            fleet.len()
+        );
+
+        // Four copies of the fleet, each at its own bubble free memory.
+        let larger: Vec<FleetJobConfig> = (0..4)
+            .flat_map(|k| {
+                fleet.iter().cloned().map(move |mut job| {
+                    job.main_job.bubble_free_memory = Bytes::from_mib(4096 + 256 * k);
+                    job
+                })
+            })
+            .collect();
+        let (larger_classes, larger_checks) = counted(&larger);
+        assert_eq!(larger_classes, 4 * classes);
+        assert!(
+            larger_checks <= 4 * checks,
+            "{larger_checks} full checks at 4x, {checks} at 1x"
+        );
     }
 }

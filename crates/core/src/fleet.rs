@@ -365,9 +365,11 @@ impl FleetSimResult {
 pub type FleetBackend = FillBackend<FleetSimResult>;
 
 impl FleetBackend {
-    /// Builds the backend: assigns shape classes, profiles each class
-    /// once (fanned across cores through the sweep driver), and lays the
-    /// jobs out on a flat device index space.
+    /// Builds the backend: interns the jobs' shape classes through a
+    /// fingerprint map (one lookup and one exact comparison per job,
+    /// classes numbered by first appearance), profiles each class once
+    /// (fanned across cores through the sweep driver), and lays the jobs
+    /// out on a flat device index space.
     ///
     /// # Panics
     ///

@@ -75,6 +75,14 @@ struct Menu {
     prepared: OnceLock<PreparedMenu>,
 }
 
+/// Folds `words` into one word that an interning map orders by first,
+/// breaking ties on the exact key: equal keys must fold equal.
+pub(crate) fn fingerprint(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0, |h, word| {
+        (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
+}
+
 /// Everything a stage's plans depend on besides the fill-job type. Equal
 /// means bit-for-bit equal, so two stages share plans only when the menu
 /// search would be handed the same inputs.
@@ -98,12 +106,11 @@ impl Geometry {
             fingerprint: 0,
         };
         let (column, slots, fill_fraction) = geometry.key();
-        geometry.fingerprint = std::iter::once(column as u64)
-            .chain(slots.iter().flat_map(|&(d, m)| [d.as_nanos(), m.as_u64()]))
-            .chain([fill_fraction])
-            .fold(0, |h: u64, word| {
-                (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
-            });
+        geometry.fingerprint = fingerprint(
+            std::iter::once(column as u64)
+                .chain(slots.iter().flat_map(|&(d, m)| [d.as_nanos(), m.as_u64()]))
+                .chain([fill_fraction]),
+        );
         geometry
     }
 

@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 use pipefill_executor::{ExecutorCheckpoint, FillJobExecutor, FillJobSpec, JobId, SWITCH_OVERHEAD};
 use pipefill_model_zoo::{JobKind, ModelId};
-use pipefill_pipeline::{BubbleWindow, ScheduleKind};
+use pipefill_pipeline::{BubbleWindow, EngineTimeline, MainJobSpec, ScheduleKind};
 use pipefill_scheduler::{GlobalFillQueue, JobInfo, SystemState};
 use pipefill_sim_core::rng::DeterministicRng;
 use pipefill_sim_core::{EventHandler, EventQueue, LookupMap, SimDuration, SimTime, Simulation};
@@ -105,25 +105,28 @@ struct Shape {
 }
 
 impl Shape {
-    /// Profiles a job's pipeline once, planning through the fleet's
-    /// shared `menus`. A homogeneous job keeps the
-    /// engine's geometry; with per-stage devices the slowest stage paces
-    /// the pipeline, so the period stretches to `period × max(slow)` and
-    /// stage `s` keeps its busy time (scaled by its own slowness) while
-    /// absorbing the pacing slack as fillable span:
-    /// `W'_s = P' − slow_s × (P − W_s)`.
+    /// Profiles a job's pipeline once from its main job's engine
+    /// `timeline`, planning through the fleet's shared `menus`. A
+    /// homogeneous job keeps the engine's geometry; with per-stage
+    /// devices the slowest stage paces the pipeline, so the period
+    /// stretches to `period × max(slow)` and stage `s` keeps its busy
+    /// time (scaled by its own slowness) while absorbing the pacing
+    /// slack as fillable span: `W'_s = P' − slow_s × (P − W_s)`.
     ///
     /// # Panics
     ///
     /// Panics if `stage_devices` is non-empty with a length different
     /// from the pipeline depth, or if `menus` lacks one of the job's
     /// stage devices.
-    fn profile(job: &FleetJobConfig, menus: &Arc<ProfileMenus>) -> Shape {
+    fn profile(
+        job: &FleetJobConfig,
+        timeline: &EngineTimeline,
+        menus: &Arc<ProfileMenus>,
+    ) -> Shape {
         let main = &job.main_job;
-        let timeline = main.engine_timeline();
         let p = timeline.stages.len();
         let base_period = timeline.period;
-        let base_nominal = main.main_job_tflops_per_gpu(&timeline);
+        let base_nominal = main.main_job_tflops_per_gpu(timeline);
         let fillable = timeline.stages.iter().map(|s| s.fillable_windows());
         let (period, main_nominal, bubble_ratio, windows) = if job.stage_devices.is_empty() {
             let windows = fillable.collect();
@@ -221,16 +224,86 @@ fn shape_classes(jobs: &[FleetJobConfig]) -> (Vec<usize>, Vec<usize>) {
 
 /// The exact shape-class test: equal main job (model included), executor
 /// tuning and stage devices.
+///
+/// The model graphs are compared by pointer first (see
+/// [`same_main_job`]): a fleet's jobs share one graph, so the
+/// layer-by-layer comparison runs only for graphs built apart. This
+/// changes no answer unless a graph holds a NaN, which equals nothing,
+/// itself included; no graph the model zoo builds holds one, and the
+/// zoo's tests pin that every graph equals a fresh build of itself.
 fn same_shape(a: &FleetJobConfig, b: &FleetJobConfig) -> bool {
     #[cfg(test)]
     SHAPE_CHECKS.with(|n| n.set(n.get() + 1));
-    a.main_job == b.main_job && a.executor == b.executor && a.stage_devices == b.stage_devices
+    same_main_job(&a.main_job, &b.main_job)
+        && a.executor == b.executor
+        && a.stage_devices == b.stage_devices
+}
+
+/// `a == b`, with the model graphs compared by pointer before by value.
+fn same_main_job(a: &MainJobSpec, b: &MainJobSpec) -> bool {
+    let MainJobSpec {
+        model,
+        parallelism,
+        device,
+        schedule,
+        bubble_free_memory,
+    } = a;
+    *parallelism == b.parallelism
+        && *schedule == b.schedule
+        && *bubble_free_memory == b.bubble_free_memory
+        && *device == b.device
+        && (Arc::ptr_eq(model, &b.model) || {
+            #[cfg(test)]
+            GRAPH_VALUE_CHECKS.with(|n| n.set(n.get() + 1));
+            **model == *b.model
+        })
 }
 
 #[cfg(test)]
 thread_local! {
     /// Full [`same_shape`] comparisons made so far on this thread.
     static SHAPE_CHECKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Model graphs [`same_main_job`] compared by value so far on this
+    /// thread.
+    static GRAPH_VALUE_CHECKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Engine timelines [`main_job_timelines`] ran for calls made on
+    /// this thread.
+    static TIMELINE_RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Runs the engine once per distinct main job among the shape classes'
+/// first jobs `reps`, fanned across cores through the sweep driver:
+/// classes that differ only in executor tuning or stage devices share
+/// one timeline. Returns each class's timeline index and the timelines,
+/// numbered in order of first appearance.
+fn main_job_timelines(
+    jobs: &[FleetJobConfig],
+    reps: &[usize],
+) -> (Vec<usize>, Vec<EngineTimeline>) {
+    let mut mains: Vec<usize> = Vec::new();
+    let timeline_of = reps
+        .iter()
+        .map(|&rep| {
+            let main = &jobs[rep].main_job;
+            mains
+                .iter()
+                .position(|&m| same_main_job(&jobs[m].main_job, main))
+                .unwrap_or_else(|| {
+                    mains.push(rep);
+                    mains.len() - 1
+                })
+        })
+        .collect();
+    #[cfg(test)]
+    let runs = std::sync::atomic::AtomicUsize::new(0);
+    let timelines = sweep::par_map(mains, |m| {
+        #[cfg(test)]
+        runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        jobs[m].main_job.engine_timeline()
+    });
+    #[cfg(test)]
+    TIMELINE_RUNS.with(|n| n.set(n.get() + runs.into_inner()));
+    (timeline_of, timelines)
 }
 
 /// A fingerprint of the fields that tell fleet shapes apart: parallelism
@@ -1024,10 +1097,11 @@ pub struct FillBackend<R> {
 
 impl<R> FillBackend<R> {
     /// Builds the engine: interns the jobs' shape classes through a
-    /// fingerprint map ([`shape_classes`]), profiles each class once
-    /// (fanned across cores through the sweep driver), and lays the
-    /// pipelines out on a flat device index space. `kind` is the label
-    /// the run reports under.
+    /// fingerprint map ([`shape_classes`]), runs the engine timeline
+    /// once per distinct main job ([`main_job_timelines`]), profiles
+    /// each class once (fanned across cores through the sweep driver),
+    /// and lays the pipelines out on a flat device index space. `kind`
+    /// is the label the run reports under.
     ///
     /// # Panics
     ///
@@ -1046,8 +1120,11 @@ impl<R> FillBackend<R> {
                 listed => listed,
             }
         })));
-        let shapes: Vec<Shape> =
-            sweep::par_map(class_reps, |rep| Shape::profile(&cfg.jobs[rep], &menus));
+        let (timeline_of, timelines) = main_job_timelines(&cfg.jobs, &class_reps);
+        let shapes: Vec<Shape> = sweep::par_map(
+            class_reps.into_iter().zip(timeline_of).collect(),
+            |(rep, t)| Shape::profile(&cfg.jobs[rep], &timelines[t], &menus),
+        );
 
         // Faults feed the global queue and entangle the pipelines;
         // fast-forward only arms while each pipeline's iteration stream is
@@ -1666,9 +1743,10 @@ mod tests {
             ..empty.clone()
         };
         let menus = Arc::new(ProfileMenus::new([&main.device]));
+        let timeline = main.engine_timeline();
         let (a, b) = (
-            Shape::profile(&empty, &menus),
-            Shape::profile(&listed, &menus),
+            Shape::profile(&empty, &timeline, &menus),
+            Shape::profile(&listed, &timeline, &menus),
         );
         let mut trace = pipefill_trace::TraceConfig::physical(1);
         trace.horizon = SimDuration::from_secs(60);
@@ -2197,10 +2275,13 @@ mod merge_oracle {
 /// generated fleets and on hand-made jobs that differ only where the
 /// fingerprint does not look, so that only the exact check tells them
 /// apart. And the full comparisons grow with the jobs, not with jobs ×
-/// shapes.
+/// shapes. Renamed layers unshare their job's model graph, so the value
+/// comparison behind the pointer test stays covered.
 #[cfg(test)]
 mod shape_class_oracle {
-    use super::{shape_classes, SHAPE_CHECKS};
+    use std::sync::Arc;
+
+    use super::{shape_classes, GRAPH_VALUE_CHECKS, SHAPE_CHECKS};
     use crate::fleet::{FleetJobConfig, FleetSimConfig};
     use pipefill_device::{Bytes, DeviceSpec};
     use pipefill_pipeline::{MainJobSpec, ScheduleKind};
@@ -2256,7 +2337,9 @@ mod shape_class_oracle {
         let stages = job.main_job.parallelism.pipeline_stages;
         match v {
             0 => {}
-            1 => job.main_job.model.layers[3].name.push('\''),
+            1 => Arc::make_mut(&mut job.main_job.model).layers[3]
+                .name
+                .push('\''),
             2 => job.main_job.device.name.push('\''),
             3 => job.stage_devices = vec![DeviceSpec::v100(); stages],
             4 => {
@@ -2292,7 +2375,9 @@ mod shape_class_oracle {
         let mut fleet =
             FleetSimConfig::from_workload_scheduled(&workload, SCHEDULES[schedule]).jobs;
         for job in fleet.iter_mut().step_by(rename_every) {
-            job.main_job.model.layers[0].name.push('\'');
+            Arc::make_mut(&mut job.main_job.model).layers[0]
+                .name
+                .push('\'');
         }
         fleet
     }
@@ -2321,11 +2406,14 @@ mod shape_class_oracle {
         }
     }
 
-    /// The collisions the exact check must resolve, one by one.
+    /// The collisions the exact check must resolve, one by one. Every
+    /// variant builds its own graph, so the graphs are compared by value.
     #[test]
     fn exact_check_splits_and_merges_within_a_bucket() {
         let jobs: Vec<FleetJobConfig> = (0..VARIANTS).chain(0..VARIANTS).map(variant).collect();
+        let before = GRAPH_VALUE_CHECKS.with(|n| n.get());
         let (class_of, reps) = shape_classes(&jobs);
+        assert!(GRAPH_VALUE_CHECKS.with(|n| n.get()) > before);
         assert_eq!((class_of.clone(), reps.clone()), linear_scan(&jobs));
         // Variants 1–4 each open a class of their own; -0.0 joins 0.0,
         // each NaN job opens one, and the last variant joins the plain job.
@@ -2363,5 +2451,40 @@ mod shape_class_oracle {
             larger_checks <= 4 * checks,
             "{larger_checks} full checks at 4x, {checks} at 1x"
         );
+    }
+}
+
+/// `FillBackend::build` runs one engine timeline per distinct main job,
+/// not one per shape class, and on a fleet lowered from a generated
+/// workload, whose jobs share one model graph, it compares no graph by
+/// value.
+#[cfg(test)]
+mod timeline_count {
+    use super::{shape_classes, GRAPH_VALUE_CHECKS, TIMELINE_RUNS};
+    use crate::fleet::{FleetBackend, FleetSimConfig};
+    use pipefill_pipeline::MainJobSpec;
+    use pipefill_trace::FleetWorkloadConfig;
+
+    /// perfbench's `fault_fleet` composition: 2,048 jobs on 262,144 GPUs
+    /// in 108 shape classes over 36 distinct main jobs.
+    #[test]
+    fn one_timeline_per_distinct_main_job() {
+        let cfg = FleetSimConfig::from_workload(&FleetWorkloadConfig::new(2048, 262_144, 7));
+        let mut mains: Vec<&MainJobSpec> = Vec::new();
+        for job in &cfg.jobs {
+            if !mains.contains(&&job.main_job) {
+                mains.push(&job.main_job);
+            }
+        }
+        let distinct = mains.len();
+        let classes = shape_classes(&cfg.jobs).1.len();
+        assert_eq!((distinct, classes), (36, 108));
+
+        let runs = TIMELINE_RUNS.with(|n| n.get());
+        let value_checks = GRAPH_VALUE_CHECKS.with(|n| n.get());
+        let backend = FleetBackend::new(cfg);
+        assert_eq!(backend.shapes.len(), classes);
+        assert_eq!(TIMELINE_RUNS.with(|n| n.get()) - runs, distinct);
+        assert_eq!(GRAPH_VALUE_CHECKS.with(|n| n.get()), value_checks);
     }
 }

@@ -49,7 +49,7 @@ use pipefill_device::DeviceSpec;
 use pipefill_executor::{ExecutorConfig, JobId};
 use pipefill_pipeline::{MainJobSpec, ParallelismConfig, ScheduleKind};
 use pipefill_sim_core::SimDuration;
-use pipefill_trace::{DeviceGeneration, FleetJobPlan, FleetWorkloadConfig, ModelMix};
+use pipefill_trace::{DeviceGeneration, FleetWorkloadConfig, ModelMix};
 
 use crate::backend::{BackendDriver, BackendKind};
 use crate::cluster::PolicyKind;
@@ -90,37 +90,6 @@ impl FleetJobConfig {
             iterations: 200,
             seed: 7,
             admits_foreign: true,
-            stage_devices: Vec::new(),
-        }
-    }
-
-    /// Lowers a trace-crate fleet plan onto a concrete main-job spec.
-    pub fn from_plan(plan: &FleetJobPlan, schedule: ScheduleKind) -> Self {
-        let mut main_job = MainJobSpec::physical_5b(plan.microbatches, schedule);
-        main_job.parallelism = ParallelismConfig::new(
-            plan.tensor_parallel,
-            plan.pipeline_stages,
-            plan.data_parallel,
-            2,
-            2 * plan.microbatches * plan.data_parallel,
-        );
-        main_job.device = match plan.device_generation {
-            DeviceGeneration::V100 => DeviceSpec::v100(),
-            DeviceGeneration::A100 => DeviceSpec::a100_40g(),
-            DeviceGeneration::H100 => DeviceSpec::h100(),
-        };
-        let mut executor = ExecutorConfig::default();
-        if plan.fill_fraction == 0.0 {
-            executor.fill_fraction = 0.0;
-        } else {
-            executor = executor.with_fill_fraction(plan.fill_fraction);
-        }
-        FleetJobConfig {
-            main_job,
-            executor,
-            iterations: plan.iterations,
-            seed: plan.seed,
-            admits_foreign: plan.admits_foreign,
             stage_devices: Vec::new(),
         }
     }
@@ -221,11 +190,45 @@ impl FleetSimConfig {
     /// Like [`FleetSimConfig::from_workload`], with every main job
     /// running the given pipeline schedule — the fleet-level seam of the
     /// `--schedule` flag.
+    ///
+    /// Every job's main job is the physical GPT-5B spec with the plan's
+    /// parallelism and device generation, and all of them share one
+    /// model graph, built once per call.
     pub fn from_workload_scheduled(workload: &FleetWorkloadConfig, schedule: ScheduleKind) -> Self {
+        // Every job replaces the template's parallelism and device.
+        let template = MainJobSpec::physical_5b(8, schedule);
         let jobs = workload
             .generate()
             .iter()
-            .map(|plan| FleetJobConfig::from_plan(plan, schedule))
+            .map(|plan| {
+                let mut main_job = template.clone();
+                main_job.parallelism = ParallelismConfig::new(
+                    plan.tensor_parallel,
+                    plan.pipeline_stages,
+                    plan.data_parallel,
+                    2,
+                    2 * plan.microbatches * plan.data_parallel,
+                );
+                main_job.device = match plan.device_generation {
+                    DeviceGeneration::V100 => DeviceSpec::v100(),
+                    DeviceGeneration::A100 => DeviceSpec::a100_40g(),
+                    DeviceGeneration::H100 => DeviceSpec::h100(),
+                };
+                let mut executor = ExecutorConfig::default();
+                if plan.fill_fraction == 0.0 {
+                    executor.fill_fraction = 0.0;
+                } else {
+                    executor = executor.with_fill_fraction(plan.fill_fraction);
+                }
+                FleetJobConfig {
+                    main_job,
+                    executor,
+                    iterations: plan.iterations,
+                    seed: plan.seed,
+                    admits_foreign: plan.admits_foreign,
+                    stage_devices: Vec::new(),
+                }
+            })
             .collect();
         let mut cfg = FleetSimConfig::new(jobs);
         cfg.seed = workload.seed;
@@ -608,5 +611,95 @@ mod tests {
         let mut cfg = twin_fleet(1);
         cfg.jobs.clear();
         let _ = FleetBackend::new(cfg);
+    }
+}
+
+/// `FleetSimConfig::from_workload_scheduled` against the per-job lowering
+/// it replaced, kept here verbatim: every field of every job is equal,
+/// and every job shares job 0's model graph.
+#[cfg(test)]
+mod lowering_pin {
+    use std::sync::Arc;
+
+    use super::{FleetJobConfig, FleetSimConfig};
+    use pipefill_device::DeviceSpec;
+    use pipefill_executor::ExecutorConfig;
+    use pipefill_pipeline::{MainJobSpec, ParallelismConfig, ScheduleKind};
+    use pipefill_trace::{DeviceGeneration, FleetJobPlan, FleetWorkloadConfig};
+    use proptest::prelude::*;
+
+    /// `FleetJobConfig::from_plan` as it was: a fresh GPT-5B spec per job.
+    fn from_plan(plan: &FleetJobPlan, schedule: ScheduleKind) -> FleetJobConfig {
+        let mut main_job = MainJobSpec::physical_5b(plan.microbatches, schedule);
+        main_job.parallelism = ParallelismConfig::new(
+            plan.tensor_parallel,
+            plan.pipeline_stages,
+            plan.data_parallel,
+            2,
+            2 * plan.microbatches * plan.data_parallel,
+        );
+        main_job.device = match plan.device_generation {
+            DeviceGeneration::V100 => DeviceSpec::v100(),
+            DeviceGeneration::A100 => DeviceSpec::a100_40g(),
+            DeviceGeneration::H100 => DeviceSpec::h100(),
+        };
+        let mut executor = ExecutorConfig::default();
+        if plan.fill_fraction == 0.0 {
+            executor.fill_fraction = 0.0;
+        } else {
+            executor = executor.with_fill_fraction(plan.fill_fraction);
+        }
+        FleetJobConfig {
+            main_job,
+            executor,
+            iterations: plan.iterations,
+            seed: plan.seed,
+            admits_foreign: plan.admits_foreign,
+            stage_devices: Vec::new(),
+        }
+    }
+
+    const SCHEDULES: [ScheduleKind; 4] = [
+        ScheduleKind::GPipe,
+        ScheduleKind::OneFOneB,
+        ScheduleKind::Interleaved { chunks: 2 },
+        ScheduleKind::ZbH1,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn shared_template_lowers_like_the_per_job_build(
+            jobs in 1usize..96,
+            gpus_per_job in 8usize..2048,
+            seed in 0u64..1 << 32,
+            schedule in 0usize..SCHEDULES.len(),
+        ) {
+            let schedule = SCHEDULES[schedule];
+            let workload = FleetWorkloadConfig::new(jobs, jobs * gpus_per_job, seed);
+            let cfg = FleetSimConfig::from_workload_scheduled(&workload, schedule);
+            let plans = workload.generate();
+            prop_assert_eq!(cfg.seed, workload.seed);
+            prop_assert_eq!(cfg.jobs.len(), plans.len());
+            let shared = &cfg.jobs[0].main_job.model;
+            for (job, plan) in cfg.jobs.iter().zip(&plans) {
+                let FleetJobConfig {
+                    main_job,
+                    executor,
+                    iterations,
+                    seed,
+                    admits_foreign,
+                    stage_devices,
+                } = from_plan(plan, schedule);
+                prop_assert_eq!(&job.main_job, &main_job);
+                prop_assert_eq!(job.executor, executor);
+                prop_assert_eq!(job.iterations, iterations);
+                prop_assert_eq!(job.seed, seed);
+                prop_assert_eq!(job.admits_foreign, admits_foreign);
+                prop_assert_eq!(&job.stage_devices, &stage_devices);
+                prop_assert!(Arc::ptr_eq(&job.main_job.model, shared));
+            }
+        }
     }
 }

@@ -217,6 +217,28 @@ mod tests {
         }
     }
 
+    /// Every graph the zoo builds equals a fresh build of itself by
+    /// value, so it holds no NaN: comparing shared graphs by pointer
+    /// first, as fleet shape classes do, gives the value comparison's
+    /// answer. Main jobs (GPT-5B, GPT-40B and its Fig. 10a scalings,
+    /// LLaMA-7B) and every fill model.
+    #[test]
+    fn every_graph_equals_a_fresh_build_of_itself() {
+        let mut builds: Vec<(ModelGraph, ModelGraph)> = vec![
+            (gpt_5b(), gpt_5b()),
+            (gpt_40b(), gpt_40b()),
+            (llama_7b(), llama_7b()),
+        ];
+        builds.extend(
+            [0.5, 0.75, 1.0, 1.5, 2.0]
+                .map(|f| (crate::gpt_40b_scaled(f), crate::gpt_40b_scaled(f))),
+        );
+        builds.extend(ModelId::ALL.map(|id| (id.build(), id.build())));
+        for (graph, fresh) in builds {
+            assert_eq!(graph, fresh, "{}", graph.name);
+        }
+    }
+
     #[test]
     fn table1_metadata() {
         use ModelId::*;

@@ -1,6 +1,8 @@
 //! The main-job specification: everything needed to stand up one
 //! pipeline-parallel training job and extract its bubble timeline.
 
+use std::sync::Arc;
+
 use pipefill_device::{Bytes, DeviceSpec, LinkSpec};
 use pipefill_model_zoo::{gpt_40b, gpt_5b, ModelGraph};
 use pipefill_sim_core::SimDuration;
@@ -34,8 +36,10 @@ const INTER_STAGE_LINK: LinkSpec = LinkSpec::ethernet_25g();
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MainJobSpec {
-    /// The trained model.
-    pub model: ModelGraph,
+    /// The trained model. Shared: clones of one spec (a fleet's jobs)
+    /// hold one graph, and a spec that must change it unshares it with
+    /// [`Arc::make_mut`].
+    pub model: Arc<ModelGraph>,
     /// Combined-parallelism configuration.
     pub parallelism: ParallelismConfig,
     /// Per-GPU hardware.
@@ -62,7 +66,7 @@ impl MainJobSpec {
         );
         let dp = 512 / microbatches;
         MainJobSpec {
-            model: gpt_40b(),
+            model: Arc::new(gpt_40b()),
             parallelism: ParallelismConfig::new(8, 16, dp, 2, 1024),
             device: DeviceSpec::v100(),
             schedule,
@@ -74,7 +78,7 @@ impl MainJobSpec {
     /// tensor parallelism.
     pub fn physical_5b(microbatches: usize, schedule: ScheduleKind) -> Self {
         MainJobSpec {
-            model: gpt_5b(),
+            model: Arc::new(gpt_5b()),
             parallelism: ParallelismConfig::for_5b_physical(microbatches),
             device: DeviceSpec::v100(),
             schedule,
@@ -84,7 +88,7 @@ impl MainJobSpec {
 
     /// Replaces the model (sensitivity studies scale the main job).
     pub fn with_model(mut self, model: ModelGraph) -> Self {
-        self.model = model;
+        self.model = Arc::new(model);
         self
     }
 

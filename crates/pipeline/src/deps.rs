@@ -276,14 +276,15 @@ impl<T: Copy> DepSlots<T> {
     }
 
     /// Stores `value` in `iteration` for the key at dense `offset`:
-    /// [`DepSlots::insert`] without resolving the key.
+    /// [`DepSlots::insert`] without resolving the key. Returns the value
+    /// it replaced, if any.
     ///
     /// # Panics
     ///
     /// Panics if `iteration` is past the dense range.
-    pub fn insert_at(&mut self, iteration: usize, offset: usize, value: T) {
+    pub fn insert_at(&mut self, iteration: usize, offset: usize, value: T) -> Option<T> {
         let slot = iteration * self.slots_per_iteration() + offset;
-        self.dense[slot] = Some(value);
+        self.dense[slot].replace(value)
     }
 }
 

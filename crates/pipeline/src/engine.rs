@@ -24,9 +24,12 @@ use crate::schedule::ScheduleKind;
 const SIM_ITERATIONS: usize = 4;
 /// Which iteration the timeline is extracted from.
 const STEADY_ITER: usize = 2;
-/// The first iteration the timeline reads: the periodicity check looks
-/// one iteration back from the steady one. Earlier ones are not recorded.
-const FIRST_READ: usize = STEADY_ITER - 1;
+/// The iteration before the steady one: the periodicity check reads
+/// stage 0's start in it.
+const PREVIOUS_ITER: usize = STEADY_ITER - 1;
+/// The iteration after the steady one: each stage's start in it closes
+/// that stage's window.
+const NEXT_ITER: usize = STEADY_ITER + 1;
 
 /// Why an instruction-stream execution could not complete, or had no
 /// steady state to read a timeline from.
@@ -95,15 +98,146 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// When one executed instruction ran: `(start, end)`. A device's records
-/// follow its stream replayed iteration after iteration from the first
-/// recorded one, `first`, so record `k` is iteration `first + k / len` at
-/// stream position `k % len`.
+/// When one executed instruction ran: `(start, end)`.
 type ExecRecord = (SimTime, SimTime);
 
-/// One stream position as the list scheduler replays it, resolved once
-/// against the end-time table so that replaying it in any iteration
-/// touches no [`deps::DepKey`].
+/// Receives every instruction a simulation executes, in the order it
+/// executes them.
+trait Record {
+    /// Device `stage` ran stream position `position` of `iteration` from
+    /// `start` to `end`.
+    fn record(
+        &mut self,
+        iteration: usize,
+        stage: usize,
+        position: usize,
+        start: SimTime,
+        end: SimTime,
+    );
+}
+
+/// Records nothing: [`EngineConfig::execute_streams`] wants only the
+/// verdict.
+impl Record for () {
+    fn record(&mut self, _: usize, _: usize, _: usize, _: SimTime, _: SimTime) {}
+}
+
+/// The execution order of one scheduled iteration, as `(device, stream
+/// position)` pairs: the order [`Scheduled::replay`] repeats.
+impl Record for Vec<(u32, u32)> {
+    fn record(&mut self, _: usize, stage: usize, position: usize, _: SimTime, _: SimTime) {
+        // `stage` fits (the scheduler asserts `p` does).
+        let position = u32::try_from(position).expect("stream longer than 2^32 instructions");
+        self.push((stage as u32, position));
+    }
+}
+
+/// What [`EngineConfig::extract_timeline`] reads of a run, and nothing
+/// else: every record of the steady iteration, stage 0's first busy
+/// start in the iteration before it, and each stage's first busy start
+/// in the iteration after it. A busy instruction is one that ran for a
+/// non-zero time (`end > start`).
+struct SteadyRecords {
+    /// Per device, the steady iteration's records in stream order.
+    steady: Vec<Vec<ExecRecord>>,
+    /// Stage 0's first busy start in [`PREVIOUS_ITER`].
+    previous: Option<SimTime>,
+    /// Per device, its first busy start in [`NEXT_ITER`].
+    next: Vec<Option<SimTime>>,
+    /// Devices whose `next` start has not been seen yet.
+    unstarted: usize,
+}
+
+impl SteadyRecords {
+    fn new(streams: &[Vec<PipelineInstruction>]) -> Self {
+        SteadyRecords {
+            steady: streams
+                .iter()
+                .map(|s| Vec::with_capacity(s.len()))
+                .collect(),
+            previous: None,
+            next: vec![None; streams.len()],
+            unstarted: streams.len(),
+        }
+    }
+}
+
+impl Record for SteadyRecords {
+    fn record(&mut self, iteration: usize, stage: usize, _: usize, start: SimTime, end: SimTime) {
+        match iteration {
+            STEADY_ITER => self.steady[stage].push((start, end)),
+            PREVIOUS_ITER if stage == 0 && end > start && self.previous.is_none() => {
+                self.previous = Some(start);
+            }
+            NEXT_ITER if end > start && self.next[stage].is_none() => {
+                self.next[stage] = Some(start);
+                self.unstarted -= 1;
+            }
+            _ => {}
+        }
+    }
+}
+
+/// A completed list schedule of the streams, kept so that further
+/// iterations can be replayed in its order.
+struct Scheduled {
+    /// Per device, its resolved stream positions.
+    steps: Vec<Vec<Step>>,
+    /// Per device, when it finished its last instruction.
+    free_at: Vec<SimTime>,
+    /// Dense dependency slots per iteration.
+    slots_per_iteration: usize,
+    /// Whether every key a step waits on or publishes lives in a dense
+    /// slot and no dense key was published twice in one iteration: the
+    /// condition under which [`Scheduled::replay`] is exact.
+    one_producer_per_key: bool,
+}
+
+impl Scheduled {
+    /// Runs iterations `1..SIM_ITERATIONS` in `order`, the execution order
+    /// of the one iteration scheduled, into `records`, and stops once
+    /// [`NEXT_ITER`] has shown every device's first busy start.
+    ///
+    /// With one producer per dense key, each start is a longest path over
+    /// the iteration's dependencies plus the device's program order, so
+    /// any topological order yields the same times, and the scheduled
+    /// order is one. Iteration `k` reads only iteration `k`'s keys, and
+    /// in that order each key is published before it is read, so one
+    /// end-time table serves every iteration.
+    fn replay(mut self, comm: SimDuration, order: &[(u32, u32)], records: &mut SteadyRecords) {
+        debug_assert!(self.one_producer_per_key);
+        let mut published = vec![SimTime::ZERO; self.slots_per_iteration];
+        for iteration in 1..SIM_ITERATIONS {
+            for &(s, pos) in order {
+                let (s, pos) = (s as usize, pos as usize);
+                let step = &self.steps[s][pos];
+                let arrived = match step.waits {
+                    Slot::UNKEYED => SimTime::ZERO,
+                    Slot(offset) => published[offset as usize],
+                };
+                let link = if step.crosses_device {
+                    comm
+                } else {
+                    SimDuration::ZERO
+                };
+                let start = self.free_at[s].max(arrived + link);
+                let end = start + step.duration;
+                if step.publishes != Slot::UNKEYED {
+                    published[step.publishes.0 as usize] = end;
+                }
+                self.free_at[s] = end;
+                records.record(iteration, s, pos, start, end);
+                if iteration == NEXT_ITER && records.unstarted == 0 {
+                    return;
+                }
+            }
+        }
+    }
+}
+
+/// One stream position as the list scheduler and the replay run it,
+/// resolved once against the end-time table so that running it in any
+/// iteration touches no [`deps::DepKey`].
 struct Step {
     duration: SimDuration,
     /// Where the key it waits on lives.
@@ -144,6 +278,13 @@ impl Slot {
                 .map_or(Slot::OVERFLOW, Slot),
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Times [`EngineConfig::timeline_of`] list-scheduled all four
+    /// iterations instead of replaying one, on this thread.
+    static FULL_HORIZON_SCHEDULES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Everything the engine needs to run one main job.
@@ -227,6 +368,16 @@ impl EngineConfig {
     /// verifier's deadlock decision and bubble bound are one call of this
     /// function on stream text.
     ///
+    /// The streams run back to back for four iterations and the timeline
+    /// is read off iteration 2. Only iteration 0 is list-scheduled; when
+    /// every key it published lives in a dense slot and has one producer
+    /// (every well-formed stream set), iterations 1–3 replay its
+    /// execution order, which yields the same times (see
+    /// `Scheduled::replay`), and iteration 3 stops once every stage has
+    /// started. A duplicated producer, a key outside the dense range or a
+    /// deadlock instead list-schedules all four iterations, so the result
+    /// and every error payload are those of that schedule.
+    ///
     /// # Errors
     ///
     /// Any [`EngineError`]: a deadlock, an idle iteration or a
@@ -239,7 +390,18 @@ impl EngineConfig {
         &self,
         streams: &[Vec<PipelineInstruction>],
     ) -> Result<EngineTimeline, EngineError> {
-        let records = self.simulate(streams, SIM_ITERATIONS, FIRST_READ)?;
+        let mut records = SteadyRecords::new(streams);
+        let mut order = Vec::with_capacity(streams.iter().map(Vec::len).sum());
+        match self.simulate(streams, 1, &mut order) {
+            Ok(first) if first.one_producer_per_key => {
+                first.replay(self.comm, &order, &mut records)
+            }
+            _ => {
+                #[cfg(test)]
+                FULL_HORIZON_SCHEDULES.with(|n| n.set(n.get() + 1));
+                self.simulate(streams, SIM_ITERATIONS, &mut records)?;
+            }
+        }
         self.extract_timeline(streams, &records)
     }
 
@@ -251,7 +413,9 @@ impl EngineConfig {
     ///
     /// Dependency keying and instruction durations are identical to
     /// [`EngineConfig::run`] (chunk count taken from `self.schedule`);
-    /// unlike `run`, a wedged schedule is a value, not a panic.
+    /// unlike `run`, a wedged schedule is a value, not a panic. It is the
+    /// one list-scheduled iteration [`EngineConfig::timeline_of`] starts
+    /// from, with nothing recorded.
     ///
     /// # Errors
     ///
@@ -261,11 +425,12 @@ impl EngineConfig {
     ///
     /// Panics if `streams.len()` differs from the configured stage count.
     pub fn execute_streams(&self, streams: &[Vec<PipelineInstruction>]) -> Result<(), EngineError> {
-        self.simulate(streams, 1, 1).map(|_| ())
+        self.simulate(streams, 1, &mut ()).map(|_| ())
     }
 
     /// Dependency-driven list scheduling of `iterations` back-to-back
-    /// replays of one iteration's per-device streams.
+    /// runs of one iteration's per-device streams, each executed
+    /// instruction handed to `records` as it runs.
     ///
     /// Each device runs its stream in order, every instruction starting
     /// at `max(device free, dependency end [+ comm])`. A device that
@@ -279,15 +444,18 @@ impl EngineConfig {
     /// itself — virtual stages, cross-device hand-offs — lives in
     /// [`crate::deps`], shared with the static verifier. Each stream
     /// position is resolved against that table once, into a [`Step`]
-    /// holding its keys' in-iteration slot offsets, so the replay indexes
-    /// `iteration · slots_per_iteration + offset` directly. Only
-    /// iterations from `first_recorded` on are recorded.
+    /// holding its keys' in-iteration slot offsets, so the scheduler
+    /// indexes `iteration · slots_per_iteration + offset` directly.
+    ///
+    /// [`EngineConfig::timeline_of`] calls it with one iteration and
+    /// replays the rest from the returned [`Scheduled`], and with all
+    /// four only when that replay would not be exact.
     fn simulate(
         &self,
         streams: &[Vec<PipelineInstruction>],
         iterations: usize,
-        first_recorded: usize,
-    ) -> Result<Vec<Vec<ExecRecord>>, EngineError> {
+        records: &mut impl Record,
+    ) -> Result<Scheduled, EngineError> {
         let p = self.num_stages();
         assert_eq!(
             streams.len(),
@@ -299,7 +467,7 @@ impl EngineConfig {
         let instructions = streams.iter().map(Vec::len).sum::<usize>() * iterations;
         let mut done = DepSlots::new(p, chunks, self.microbatches, iterations, instructions);
         // Each stream position's slots, consumer, link and duration,
-        // resolved once and replayed every iteration.
+        // resolved once and run every iteration.
         let steps: Vec<Vec<Step>> = streams
             .iter()
             .enumerate()
@@ -322,14 +490,16 @@ impl EngineConfig {
                     .collect()
             })
             .collect();
+        // Any key outside the dense range, or any dense key published
+        // twice in one iteration, makes the order of execution matter.
+        let mut one_producer_per_key = steps
+            .iter()
+            .flatten()
+            .all(|step| step.waits != Slot::OVERFLOW && step.publishes != Slot::OVERFLOW);
         // Per device: the iteration and stream position it is at, and the
         // time it is free from.
         let mut at = vec![(0usize, 0usize); p];
         let mut free_at = vec![SimTime::ZERO; p];
-        let mut records: Vec<Vec<ExecRecord>> = streams
-            .iter()
-            .map(|s| Vec::with_capacity(s.len() * iterations.saturating_sub(first_recorded)))
-            .collect();
         let mut blocked = vec![false; p];
         let mut ready: Vec<usize> = (0..p).rev().collect();
         let mut settled = usize::MAX;
@@ -337,7 +507,6 @@ impl EngineConfig {
         loop {
             while let Some(s) = ready.pop() {
                 let stream = &steps[s];
-                let ran = &mut records[s];
                 let mut free = free_at[s];
                 let (mut iter, mut pos) = at[s];
                 while iter < iterations && !stream.is_empty() {
@@ -368,7 +537,8 @@ impl EngineConfig {
                             true
                         }
                         Slot(offset) => {
-                            done.insert_at(iter, offset as usize, end);
+                            let earlier = done.insert_at(iter, offset as usize, end);
+                            one_producer_per_key &= earlier.is_none();
                             true
                         }
                     };
@@ -376,9 +546,7 @@ impl EngineConfig {
                     if published && std::mem::take(&mut blocked[consumer]) {
                         ready.push(consumer);
                     }
-                    if iter >= first_recorded {
-                        ran.push((start, end));
-                    }
+                    records.record(iter, s, pos, start, end);
                     free = end;
                     pos += 1;
                     if pos == stream.len() {
@@ -422,7 +590,12 @@ impl EngineConfig {
                     .map(|(&(iter, pos), stream)| if iter > 0 { stream.len() } else { pos })
                     .collect(),
             }),
-            None => Ok(records),
+            None => Ok(Scheduled {
+                slots_per_iteration: done.slots_per_iteration(),
+                steps,
+                free_at,
+                one_producer_per_key,
+            }),
         }
     }
 
@@ -469,25 +642,27 @@ impl EngineConfig {
     fn extract_timeline(
         &self,
         streams: &[Vec<PipelineInstruction>],
-        records: &[Vec<ExecRecord>],
+        records: &SteadyRecords,
     ) -> Result<EngineTimeline, EngineError> {
         let p = self.num_stages();
-        // Stage `s`'s instructions of iteration `k`, with their records.
-        let iteration = |s: usize, k: usize| {
-            let len = streams[s].len();
-            let first = (k - FIRST_READ) * len;
-            records[s][first..first + len].iter().zip(&streams[s])
-        };
+        // Stage `s`'s instructions of the steady iteration, with their
+        // records.
+        let steady = |s: usize| records.steady[s].iter().zip(&streams[s]);
         // Start of an iteration on a stage = start of its first busy
         // (non-zero-duration) instruction of that iteration.
         let iter_start = |s: usize, k: usize| -> Result<SimTime, EngineError> {
-            iteration(s, k)
-                .find(|((start, end), _)| end > start)
-                .map(|(&(start, _), _)| start)
-                .ok_or(EngineError::IdleIteration {
-                    stage: s,
-                    iteration: k,
-                })
+            match (s, k) {
+                (_, STEADY_ITER) => steady(s)
+                    .find(|((start, end), _)| end > start)
+                    .map(|(&(start, _), _)| start),
+                (_, NEXT_ITER) => records.next[s],
+                (0, PREVIOUS_ITER) => records.previous,
+                _ => unreachable!("stage {s}'s iteration {k} is not recorded"),
+            }
+            .ok_or(EngineError::IdleIteration {
+                stage: s,
+                iteration: k,
+            })
         };
 
         let t0 = iter_start(0, STEADY_ITER)?;
@@ -509,7 +684,7 @@ impl EngineConfig {
 
             // Busy intervals inside the stage's window. The device runs its
             // stream in order, so stream order is time order.
-            let intervals = || iteration(s, STEADY_ITER).filter(|((start, end), _)| end > start);
+            let intervals = || steady(s).filter(|((start, end), _)| end > start);
             let first_bwd_start = intervals()
                 .find(|(_, i)| i.is_backward())
                 .map(|(&(start, _), _)| start);
@@ -629,9 +804,15 @@ impl EngineTimeline {
     }
 }
 
+/// The oracle inputs `tests/list_scheduler_oracle.rs` uses too.
+#[cfg(test)]
+#[path = "../tests/support/inputs.rs"]
+mod inputs;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ms(x: u64) -> SimDuration {
         SimDuration::from_millis(x)
@@ -1073,5 +1254,470 @@ mod tests {
                 assert!(cursor <= tl.period, "{schedule} windows exceed period");
             }
         }
+    }
+
+    /// The timeline's first iteration read, in the scheduler copied below.
+    const FIRST_READ: usize = STEADY_ITER - 1;
+
+    /// The engine before it replayed: `simulate` list-scheduled all four
+    /// iterations and `extract_timeline` read iterations 1–3 off full
+    /// per-device record vectors. Both bodies are verbatim copies; the
+    /// proptests below hold `timeline_of` to them bit for bit.
+    impl EngineConfig {
+        fn reference_timeline_of(
+            &self,
+            streams: &[Vec<PipelineInstruction>],
+        ) -> Result<EngineTimeline, EngineError> {
+            let records = self.reference_simulate(streams, SIM_ITERATIONS, FIRST_READ)?;
+            self.reference_extract_timeline(streams, &records)
+        }
+
+        /// Dependency-driven list scheduling of `iterations` back-to-back
+        /// replays of one iteration's per-device streams.
+        ///
+        /// Each device runs its stream in order, every instruction starting
+        /// at `max(device free, dependency end [+ comm])`. A device that
+        /// reaches an unpublished dependency blocks; publishing a key wakes
+        /// the one device that can consume it ([`deps::consumer_device`]), so
+        /// the pass is linear in the instruction count. For streams with one
+        /// producer per key, start times are longest paths and the set of
+        /// instructions that can ever run is unique, so the result does not
+        /// depend on which ready device runs first. End times live in
+        /// [`deps::DepSlots`], keyed by `(iteration, DepKey)`; the keying
+        /// itself — virtual stages, cross-device hand-offs — lives in
+        /// [`crate::deps`], shared with the static verifier. Each stream
+        /// position is resolved against that table once, into a [`Step`]
+        /// holding its keys' in-iteration slot offsets, so the replay indexes
+        /// `iteration · slots_per_iteration + offset` directly. Only
+        /// iterations from `first_recorded` on are recorded.
+        fn reference_simulate(
+            &self,
+            streams: &[Vec<PipelineInstruction>],
+            iterations: usize,
+            first_recorded: usize,
+        ) -> Result<Vec<Vec<ExecRecord>>, EngineError> {
+            let p = self.num_stages();
+            assert_eq!(
+                streams.len(),
+                p,
+                "stream count must match the configured stage count"
+            );
+            assert!(u32::try_from(p).is_ok(), "more than 2^32 stages");
+            let chunks = self.schedule.chunk_count();
+            let instructions = streams.iter().map(Vec::len).sum::<usize>() * iterations;
+            let mut done = DepSlots::new(p, chunks, self.microbatches, iterations, instructions);
+            // Each stream position's slots, consumer, link and duration,
+            // resolved once and replayed every iteration.
+            let steps: Vec<Vec<Step>> = streams
+                .iter()
+                .enumerate()
+                .map(|(s, stream)| {
+                    stream
+                        .iter()
+                        .map(|&instr| {
+                            let dep = deps::consumed(instr, s, p, chunks);
+                            let publishes = deps::produced(instr, s, p);
+                            Step {
+                                duration: self.instruction_duration(instr, s),
+                                waits: Slot::of(dep.map(|edge| edge.key), &done),
+                                publishes: Slot::of(publishes, &done),
+                                // Below `p`, which fits a `u32` (asserted above).
+                                consumer: publishes
+                                    .map_or(0, |key| deps::consumer_device(key, p) as u32),
+                                crosses_device: dep.is_some_and(|edge| edge.crosses_device),
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            // Per device: the iteration and stream position it is at, and the
+            // time it is free from.
+            let mut at = vec![(0usize, 0usize); p];
+            let mut free_at = vec![SimTime::ZERO; p];
+            let mut records: Vec<Vec<ExecRecord>> = streams
+                .iter()
+                .map(|s| Vec::with_capacity(s.len() * iterations.saturating_sub(first_recorded)))
+                .collect();
+            let mut blocked = vec![false; p];
+            let mut ready: Vec<usize> = (0..p).rev().collect();
+            let mut settled = usize::MAX;
+
+            loop {
+                while let Some(s) = ready.pop() {
+                    let stream = &steps[s];
+                    let ran = &mut records[s];
+                    let mut free = free_at[s];
+                    let (mut iter, mut pos) = at[s];
+                    while iter < iterations && !stream.is_empty() {
+                        let step = &stream[pos];
+                        let arrived = match step.waits {
+                            Slot::UNKEYED => Some(SimTime::ZERO),
+                            Slot::OVERFLOW => deps::consumed(streams[s][pos], s, p, chunks)
+                                .and_then(|edge| done.get(iter, edge.key)),
+                            Slot(offset) => done.get_at(iter, offset as usize),
+                        };
+                        let Some(arrived) = arrived else {
+                            blocked[s] = true;
+                            break;
+                        };
+                        let link = if step.crosses_device {
+                            self.comm
+                        } else {
+                            SimDuration::ZERO
+                        };
+                        let start = free.max(arrived + link);
+                        let end = start + step.duration;
+                        let published = match step.publishes {
+                            Slot::UNKEYED => false,
+                            Slot::OVERFLOW => {
+                                if let Some(key) = deps::produced(streams[s][pos], s, p) {
+                                    done.insert(iter, key, end);
+                                }
+                                true
+                            }
+                            Slot(offset) => {
+                                done.insert_at(iter, offset as usize, end);
+                                true
+                            }
+                        };
+                        let consumer = step.consumer as usize;
+                        if published && std::mem::take(&mut blocked[consumer]) {
+                            ready.push(consumer);
+                        }
+                        if iter >= first_recorded {
+                            ran.push((start, end));
+                        }
+                        free = end;
+                        pos += 1;
+                        if pos == stream.len() {
+                            (iter, pos) = (iter + 1, 0);
+                        }
+                    }
+                    at[s] = (iter, pos);
+                    free_at[s] = free;
+                }
+                // Quiescent: every device is done or blocked. Confirm the
+                // fixpoint by retrying each blocked device once — only a key
+                // whose virtual-stage arithmetic wrapped (a malformed chunk
+                // index) can have missed its wake-up — and stop when a retry
+                // round runs nothing.
+                let executed = at
+                    .iter()
+                    .zip(streams)
+                    .map(|(&(iter, pos), stream)| iter * stream.len() + pos)
+                    .sum();
+                if executed == settled {
+                    break;
+                }
+                settled = executed;
+                for s in (0..p).rev() {
+                    if std::mem::take(&mut blocked[s]) {
+                        ready.push(s);
+                    }
+                }
+                if ready.is_empty() {
+                    break;
+                }
+            }
+            match (0..p).find(|&s| at[s].0 < iterations && !streams[s].is_empty()) {
+                Some(s) => Err(EngineError::Deadlock {
+                    stage: s,
+                    position: at[s].1,
+                    instruction: streams[s][at[s].1],
+                    ran: at
+                        .iter()
+                        .zip(streams)
+                        .map(|(&(iter, pos), stream)| if iter > 0 { stream.len() } else { pos })
+                        .collect(),
+                }),
+                None => Ok(records),
+            }
+        }
+
+        fn reference_extract_timeline(
+            &self,
+            streams: &[Vec<PipelineInstruction>],
+            records: &[Vec<ExecRecord>],
+        ) -> Result<EngineTimeline, EngineError> {
+            let p = self.num_stages();
+            // Stage `s`'s instructions of iteration `k`, with their records.
+            let iteration = |s: usize, k: usize| {
+                let len = streams[s].len();
+                let first = (k - FIRST_READ) * len;
+                records[s][first..first + len].iter().zip(&streams[s])
+            };
+            // Start of an iteration on a stage = start of its first busy
+            // (non-zero-duration) instruction of that iteration.
+            let iter_start = |s: usize, k: usize| -> Result<SimTime, EngineError> {
+                iteration(s, k)
+                    .find(|((start, end), _)| end > start)
+                    .map(|(&(start, _), _)| start)
+                    .ok_or(EngineError::IdleIteration {
+                        stage: s,
+                        iteration: k,
+                    })
+            };
+
+            let t0 = iter_start(0, STEADY_ITER)?;
+            let period = iter_start(0, STEADY_ITER + 1)? - t0;
+            // Periodicity check: the previous iteration must show the same
+            // period, or we are not in steady state.
+            let previous = t0 - iter_start(0, STEADY_ITER - 1)?;
+            if period != previous {
+                return Err(EngineError::NonPeriodic { previous, period });
+            }
+
+            let mut stages = Vec::with_capacity(p);
+            for s in 0..p {
+                // The window's end is looked up first, so an idle stage past
+                // stage 0 reports the later iteration.
+                let window_end = iter_start(s, STEADY_ITER + 1)?;
+                let window_start = iter_start(s, STEADY_ITER)?;
+                let anchor_offset = window_start.saturating_since(t0);
+
+                // Busy intervals inside the stage's window. The device runs its
+                // stream in order, so stream order is time order.
+                let intervals =
+                    || iteration(s, STEADY_ITER).filter(|((start, end), _)| end > start);
+                let first_bwd_start = intervals()
+                    .find(|(_, i)| i.is_backward())
+                    .map(|(&(start, _), _)| start);
+
+                let period = window_end - window_start;
+                let mut windows = Vec::new();
+                let mut busy = SimDuration::ZERO;
+                let mut cursor = window_start;
+                for (&(start, end), _) in intervals() {
+                    if start > cursor {
+                        let kind = if Some(start) == first_bwd_start {
+                            BubbleKind::FwdBwd
+                        } else {
+                            BubbleKind::NonContiguous
+                        };
+                        windows.push(BubbleWindow::within_period(
+                            kind,
+                            cursor - window_start,
+                            start - cursor,
+                            self.bubble_free_memory,
+                            period,
+                        ));
+                    }
+                    busy += end - start;
+                    cursor = cursor.max(end);
+                }
+                if window_end > cursor {
+                    windows.push(BubbleWindow::within_period(
+                        BubbleKind::FillDrain,
+                        cursor - window_start,
+                        window_end - cursor,
+                        self.bubble_free_memory,
+                        period,
+                    ));
+                }
+                debug_assert!(
+                    windows
+                        .windows(2)
+                        .all(|w| w[0].offset + w[0].duration <= w[1].offset),
+                    "stage {s}: bubble windows overlap or are unordered"
+                );
+
+                stages.push(StageTimeline {
+                    stage: s,
+                    anchor_offset,
+                    windows,
+                    busy,
+                });
+            }
+
+            Ok(EngineTimeline { period, stages })
+        }
+    }
+
+    /// Full-horizon list schedules run on this thread so far.
+    fn full_horizon_schedules() -> usize {
+        FULL_HORIZON_SCHEDULES.with(std::cell::Cell::get)
+    }
+
+    fn any_schedule() -> impl Strategy<Value = ScheduleKind> {
+        prop_oneof![
+            Just(ScheduleKind::GPipe),
+            Just(ScheduleKind::OneFOneB),
+            Just(ScheduleKind::Interleaved { chunks: 2 }),
+            Just(ScheduleKind::Interleaved { chunks: 3 }),
+            Just(ScheduleKind::Interleaved { chunks: 4 }),
+            Just(ScheduleKind::ZbH1),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Generated streams: the replayed timeline is the full list
+        /// schedule's, bit for bit.
+        #[test]
+        fn timeline_of_matches_the_full_list_schedule(
+            kind in any_schedule(),
+            p in 1usize..10,
+            m in 1usize..14,
+            times in proptest::collection::vec((1u64..40, 1u64..80, 0u64..10), 1..5),
+            comm_us in prop_oneof![Just(0u64), 1u64..30],
+        ) {
+            let cfg = super::inputs::config(kind, p, m, &times, comm_us);
+            let streams = kind.all_stage_instructions(p, m);
+            prop_assert_eq!(
+                cfg.timeline_of(&streams),
+                cfg.reference_timeline_of(&streams),
+                "{} p={} m={}",
+                kind,
+                p,
+                m
+            );
+        }
+
+        /// Mutated streams — duplicated producers, out-of-range indices,
+        /// drops and moves that deadlock — give the full list schedule's
+        /// timeline or its error, payload included.
+        #[test]
+        fn timeline_of_matches_the_full_list_schedule_on_mutated_streams(
+            kind in any_schedule(),
+            p in 1usize..7,
+            m in 1usize..9,
+            times in proptest::collection::vec((1u64..40, 1u64..80, 0u64..10), 1..4),
+            comm_us in 0u64..20,
+            mutations in proptest::collection::vec(
+                (0u8..6, 0usize..1_000, 0usize..1_000, 0usize..1_000),
+                1..6,
+            ),
+        ) {
+            let cfg = super::inputs::config(kind, p, m, &times, comm_us);
+            let mut streams = kind.all_stage_instructions(p, m);
+            for &op in &mutations {
+                super::inputs::mutate(&mut streams, m, kind.chunk_count(), op);
+            }
+            prop_assert_eq!(
+                cfg.timeline_of(&streams),
+                cfg.reference_timeline_of(&streams),
+                "{} p={} m={} mutations {:?}",
+                kind,
+                p,
+                m,
+                mutations
+            );
+        }
+
+        /// Duplicated producers alone: the mutation that makes execution
+        /// order matter, so the one the replay must never take.
+        #[test]
+        fn timeline_of_matches_the_full_list_schedule_with_duplicated_producers(
+            kind in any_schedule(),
+            p in 1usize..6,
+            m in 1usize..6,
+            times in proptest::collection::vec((1u64..40, 1u64..80, 0u64..10), 1..4),
+            comm_us in 0u64..20,
+            duplicates in proptest::collection::vec(
+                (0usize..1_000, 0usize..1_000, 0usize..1_000),
+                1..4,
+            ),
+        ) {
+            let cfg = super::inputs::config(kind, p, m, &times, comm_us);
+            let mut streams = kind.all_stage_instructions(p, m);
+            for &(a, b, c) in &duplicates {
+                super::inputs::mutate(&mut streams, m, kind.chunk_count(), (2, a, b, c));
+            }
+            prop_assert_eq!(
+                cfg.timeline_of(&streams),
+                cfg.reference_timeline_of(&streams),
+                "{} p={} m={} duplicates {:?}",
+                kind,
+                p,
+                m,
+                duplicates
+            );
+        }
+    }
+
+    /// Every generated schedule replays: none list-schedules all four
+    /// iterations, at the certificate grid's shapes (`schedverify`'s
+    /// `certificate::grid`) nor at perfbench's `schedule_certify` shapes.
+    /// Only the stream structure decides, so uniform times stand in for
+    /// both weightings. A duplicated producer, a key outside the dense
+    /// range and a deadlock each take the full schedule once.
+    #[test]
+    fn only_malformed_streams_schedule_the_full_horizon() {
+        let certificate_grid = [
+            ScheduleKind::GPipe,
+            ScheduleKind::OneFOneB,
+            ScheduleKind::ZbH1,
+            ScheduleKind::Interleaved { chunks: 2 },
+            ScheduleKind::Interleaved { chunks: 4 },
+        ]
+        .into_iter()
+        .flat_map(|kind| [(2, 4), (2, 8), (4, 8), (4, 16), (8, 16)].map(|(p, m)| (kind, p, m)));
+        let certify_shapes = ScheduleKind::ALL.into_iter().flat_map(|kind| {
+            [(4, 8), (8, 16), (16, 128), (32, 256), (64, 512)].map(|(p, m)| (kind, p, m))
+        });
+        let before = full_horizon_schedules();
+        for (kind, p, m) in certificate_grid.chain(certify_shapes) {
+            let cfg = EngineConfig::uniform(kind, p, m, ms(10), ms(20));
+            let streams = kind.all_stage_instructions(p, m);
+            assert!(cfg.timeline_of(&streams).is_ok(), "{kind} p={p} m={m}");
+            assert_eq!(full_horizon_schedules(), before, "{kind} p={p} m={m}");
+        }
+
+        use PipelineInstruction::{Backward, Forward};
+        let well_formed = vec![
+            Forward { microbatch: 0 },
+            Backward { microbatch: 0 },
+            Forward { microbatch: 1 },
+            Backward { microbatch: 1 },
+        ];
+        // The last stage publishes B0's gradient twice. Replaying
+        // iteration 0's order would always read the first and report a
+        // steady 60 ms period; scheduled in full, later iterations read
+        // the second, and the periods disagree. One microbatch, so the
+        // dense table's four slots fit the five instructions (more slots
+        // than instructions would send every key to the overflow map).
+        let duplicated = vec![
+            vec![Forward { microbatch: 0 }, Backward { microbatch: 0 }],
+            vec![
+                Backward { microbatch: 0 },
+                Forward { microbatch: 0 },
+                Backward { microbatch: 0 },
+            ],
+        ];
+        // An activation for a microbatch past `m`, which nothing awaits.
+        let mut out_of_range = vec![well_formed.clone(), well_formed.clone()];
+        out_of_range[0].insert(1, Forward { microbatch: 2 });
+        // dev0 waits on B0 before forwarding F1; dev1 wants F1 first.
+        let deadlocked = vec![
+            well_formed,
+            vec![
+                Forward { microbatch: 1 },
+                Forward { microbatch: 0 },
+                Backward { microbatch: 0 },
+                Backward { microbatch: 1 },
+            ],
+        ];
+        let malformed = [(1, duplicated), (2, out_of_range), (2, deadlocked)];
+        let runs: Vec<_> = malformed
+            .iter()
+            .enumerate()
+            .map(|(n, (m, streams))| {
+                let cfg = EngineConfig::uniform(ScheduleKind::OneFOneB, 2, *m, ms(10), ms(20));
+                let run = cfg.timeline_of(streams);
+                assert_eq!(full_horizon_schedules(), before + n + 1, "{streams:?}");
+                assert_eq!(run, cfg.reference_timeline_of(streams), "{streams:?}");
+                run
+            })
+            .collect();
+        assert!(
+            matches!(runs[0], Err(EngineError::NonPeriodic { .. })),
+            "{runs:?}"
+        );
+        assert!(runs[1].is_ok(), "{runs:?}");
+        assert!(
+            matches!(runs[2], Err(EngineError::Deadlock { .. })),
+            "{runs:?}"
+        );
     }
 }

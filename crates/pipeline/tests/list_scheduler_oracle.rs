@@ -14,9 +14,12 @@
 //!   `Ok`/`Err` — the `Deadlock` payload, per-device iteration-0
 //!   progress included — on randomly mutated streams: swapped, dropped,
 //!   moved and duplicated instructions (so duplicated producers), and
-//!   out-of-range microbatch and chunk indices.
+//!   out-of-range microbatch and chunk indices;
+//! * `EngineConfig::timeline_of` returns exactly the reference's
+//!   timeline or error on those mutated streams whenever they keep one
+//!   producer per key, where the order devices run in cannot matter.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
@@ -26,6 +29,10 @@ use pipefill_pipeline::{
     ScheduleKind, StageTimeline,
 };
 use pipefill_sim_core::{SimDuration, SimTime};
+
+#[path = "support/inputs.rs"]
+mod inputs;
+use inputs::{config, mutate};
 
 /// The engine's unroll horizon and steady iteration.
 const SIM_ITERATIONS: usize = 4;
@@ -89,86 +96,125 @@ fn reference_simulate(
     Ok(records)
 }
 
-/// The steady-state timeline of the reference records, extracted as the
-/// engine does.
-fn reference_run(cfg: &EngineConfig) -> EngineTimeline {
-    let p = cfg.num_stages();
-    let streams: Vec<Vec<(usize, PipelineInstruction)>> = cfg
-        .schedule
-        .all_stage_instructions(p, cfg.microbatches)
-        .into_iter()
+/// The steady-state timeline of arbitrary streams by the reference:
+/// the streams unrolled for four iterations, scheduled round-robin, and
+/// read off as the engine does, failing in the engine's order of checks.
+/// A deadlock's position is reported within its stream.
+fn reference_timeline(
+    cfg: &EngineConfig,
+    streams: &[Vec<PipelineInstruction>],
+) -> Result<EngineTimeline, EngineError> {
+    let unrolled: Vec<Vec<(usize, PipelineInstruction)>> = streams
+        .iter()
         .map(|stream| {
             (0..SIM_ITERATIONS)
                 .flat_map(|iter| stream.iter().map(move |&i| (iter, i)))
                 .collect()
         })
         .collect();
-    let records = reference_simulate(cfg, &streams).expect("generated streams complete");
-    let iter_start = |s: usize, k: usize| -> SimTime {
+    let records = reference_simulate(cfg, &unrolled).map_err(|e| match e {
+        EngineError::Deadlock {
+            stage,
+            position,
+            instruction,
+            ran,
+        } => EngineError::Deadlock {
+            stage,
+            position: position % streams[stage].len(),
+            instruction,
+            ran,
+        },
+        other => other,
+    })?;
+    let iter_start = |s: usize, k: usize| -> Result<SimTime, EngineError> {
         records[s]
             .iter()
             .find(|(iter, _, start, end)| *iter == k && end > start)
             .map(|&(_, _, start, _)| start)
-            .expect("iteration has a busy instruction")
+            .ok_or(EngineError::IdleIteration {
+                stage: s,
+                iteration: k,
+            })
     };
-    let t0 = iter_start(0, STEADY_ITER);
-    let period = iter_start(0, STEADY_ITER + 1) - t0;
-    let stages = records
-        .iter()
-        .enumerate()
-        .map(|(s, stage_records)| {
-            let window_start = iter_start(s, STEADY_ITER);
-            let window_end = iter_start(s, STEADY_ITER + 1);
-            let mut intervals: Vec<(SimTime, SimTime, PipelineInstruction)> = stage_records
-                .iter()
-                .filter(|(iter, _, start, end)| *iter == STEADY_ITER && end > start)
-                .map(|&(_, instr, start, end)| (start, end, instr))
-                .collect();
-            intervals.sort_by_key(|&(start, _, _)| start);
-            let first_bwd_start = intervals
-                .iter()
-                .find(|(_, _, i)| i.is_backward())
-                .map(|&(start, _, _)| start);
-            let stage_period = window_end - window_start;
-            let mut windows = Vec::new();
-            let mut busy = SimDuration::ZERO;
-            let mut cursor = window_start;
-            for &(start, end, _) in &intervals {
-                if start > cursor {
-                    let kind = if Some(start) == first_bwd_start {
-                        BubbleKind::FwdBwd
-                    } else {
-                        BubbleKind::NonContiguous
-                    };
-                    windows.push(BubbleWindow::within_period(
-                        kind,
-                        cursor - window_start,
-                        start - cursor,
-                        cfg.bubble_free_memory,
-                        stage_period,
-                    ));
-                }
-                busy += end - start;
-                cursor = cursor.max(end);
-            }
-            if window_end > cursor {
+    let t0 = iter_start(0, STEADY_ITER)?;
+    let period = iter_start(0, STEADY_ITER + 1)? - t0;
+    let previous = t0 - iter_start(0, STEADY_ITER - 1)?;
+    if period != previous {
+        return Err(EngineError::NonPeriodic { previous, period });
+    }
+    let mut stages = Vec::new();
+    for (s, stage_records) in records.iter().enumerate() {
+        let window_end = iter_start(s, STEADY_ITER + 1)?;
+        let window_start = iter_start(s, STEADY_ITER)?;
+        let mut intervals: Vec<(SimTime, SimTime, PipelineInstruction)> = stage_records
+            .iter()
+            .filter(|(iter, _, start, end)| *iter == STEADY_ITER && end > start)
+            .map(|&(_, instr, start, end)| (start, end, instr))
+            .collect();
+        intervals.sort_by_key(|&(start, _, _)| start);
+        let first_bwd_start = intervals
+            .iter()
+            .find(|(_, _, i)| i.is_backward())
+            .map(|&(start, _, _)| start);
+        let stage_period = window_end - window_start;
+        let mut windows = Vec::new();
+        let mut busy = SimDuration::ZERO;
+        let mut cursor = window_start;
+        for &(start, end, _) in &intervals {
+            if start > cursor {
+                let kind = if Some(start) == first_bwd_start {
+                    BubbleKind::FwdBwd
+                } else {
+                    BubbleKind::NonContiguous
+                };
                 windows.push(BubbleWindow::within_period(
-                    BubbleKind::FillDrain,
+                    kind,
                     cursor - window_start,
-                    window_end - cursor,
+                    start - cursor,
                     cfg.bubble_free_memory,
                     stage_period,
                 ));
             }
-            StageTimeline {
-                stage: s,
-                anchor_offset: window_start.saturating_since(t0),
-                windows,
-                busy,
-            }
-        })
-        .collect();
-    EngineTimeline { period, stages }
+            busy += end - start;
+            cursor = cursor.max(end);
+        }
+        if window_end > cursor {
+            windows.push(BubbleWindow::within_period(
+                BubbleKind::FillDrain,
+                cursor - window_start,
+                window_end - cursor,
+                cfg.bubble_free_memory,
+                stage_period,
+            ));
+        }
+        stages.push(StageTimeline {
+            stage: s,
+            anchor_offset: window_start.saturating_since(t0),
+            windows,
+            busy,
+        });
+    }
+    Ok(EngineTimeline { period, stages })
+}
+
+/// The reference timeline of the generated streams.
+fn reference_run(cfg: &EngineConfig) -> EngineTimeline {
+    let streams = cfg
+        .schedule
+        .all_stage_instructions(cfg.num_stages(), cfg.microbatches);
+    reference_timeline(cfg, &streams).expect("generated streams complete")
+}
+
+/// Whether no key is published by two instructions of the streams.
+fn one_producer_per_key(streams: &[Vec<PipelineInstruction>]) -> bool {
+    let p = streams.len();
+    let mut seen = BTreeSet::new();
+    streams.iter().enumerate().all(|(s, stream)| {
+        stream
+            .iter()
+            .filter_map(|&instr| deps::produced(instr, s, p))
+            .all(|key| seen.insert(key))
+    })
 }
 
 fn schedule() -> impl Strategy<Value = ScheduleKind> {
@@ -180,109 +226,6 @@ fn schedule() -> impl Strategy<Value = ScheduleKind> {
         Just(ScheduleKind::Interleaved { chunks: 3 }),
         Just(ScheduleKind::ZbH1),
     ]
-}
-
-/// A config with per-stage times drawn from `times` (cycled), so stages
-/// differ.
-fn config(
-    kind: ScheduleKind,
-    p: usize,
-    m: usize,
-    times: &[(u64, u64, u64)],
-    comm_us: u64,
-) -> EngineConfig {
-    let us = SimDuration::from_micros;
-    let mut cfg = EngineConfig::uniform(kind, p, m, us(1), us(1));
-    cfg.stage_fwd = (0..p).map(|s| us(times[s % times.len()].0)).collect();
-    cfg.stage_bwd = (0..p).map(|s| us(times[s % times.len()].1)).collect();
-    cfg.stage_opt = (0..p).map(|s| us(times[s % times.len()].2)).collect();
-    cfg.comm = us(comm_us);
-    cfg
-}
-
-/// Applies one mutation to the streams. `op` picks the kind; `a`, `b`
-/// and `c` pick devices, positions and replacement indices.
-fn mutate(
-    streams: &mut [Vec<PipelineInstruction>],
-    m: usize,
-    chunks: usize,
-    (op, a, b, c): (u8, usize, usize, usize),
-) {
-    let p = streams.len();
-    let dev = a % p;
-    if streams[dev].is_empty() {
-        return;
-    }
-    let len = streams[dev].len();
-    let (i, j) = (b % len, c % len);
-    match op {
-        // Swap two instructions on one device.
-        0 => streams[dev].swap(i, j),
-        // Drop one.
-        1 => {
-            streams[dev].remove(i);
-        }
-        // Duplicate one onto a (possibly different) device: a second
-        // producer of the same key.
-        2 => {
-            let instr = streams[dev][i];
-            let to = c % p;
-            let at = b % (streams[to].len() + 1);
-            streams[to].insert(at, instr);
-        }
-        // Move one to another device.
-        3 => {
-            let instr = streams[dev].remove(i);
-            let to = c % p;
-            let at = b % (streams[to].len() + 1);
-            streams[to].insert(at, instr);
-        }
-        // Point one at a microbatch past the end.
-        4 => {
-            let mb = m + c % 3;
-            streams[dev][i] = match streams[dev][i] {
-                PipelineInstruction::Forward { .. } => {
-                    PipelineInstruction::Forward { microbatch: mb }
-                }
-                PipelineInstruction::Backward { .. } => {
-                    PipelineInstruction::Backward { microbatch: mb }
-                }
-                PipelineInstruction::ForwardChunk { chunk, .. } => {
-                    PipelineInstruction::ForwardChunk {
-                        chunk,
-                        microbatch: mb,
-                    }
-                }
-                PipelineInstruction::BackwardChunk { chunk, .. } => {
-                    PipelineInstruction::BackwardChunk {
-                        chunk,
-                        microbatch: mb,
-                    }
-                }
-                PipelineInstruction::BackwardInput { .. } => {
-                    PipelineInstruction::BackwardInput { microbatch: mb }
-                }
-                other => other,
-            };
-        }
-        // Point one at a chunk past the end (or rewrite unchunked
-        // compute as chunked).
-        _ => {
-            let chunk = chunks + c % 2;
-            streams[dev][i] = match streams[dev][i] {
-                PipelineInstruction::Forward { microbatch }
-                | PipelineInstruction::ForwardChunk { microbatch, .. } => {
-                    PipelineInstruction::ForwardChunk { chunk, microbatch }
-                }
-                PipelineInstruction::Backward { microbatch }
-                | PipelineInstruction::BackwardChunk { microbatch, .. }
-                | PipelineInstruction::BackwardInput { microbatch } => {
-                    PipelineInstruction::BackwardChunk { chunk, microbatch }
-                }
-                other => other,
-            };
-        }
-    }
 }
 
 proptest! {
@@ -333,6 +276,38 @@ proptest! {
             m,
             mutations
         );
+    }
+
+    /// `timeline_of` agrees with the reference, errors included, on
+    /// mutated streams that keep one producer per key.
+    #[test]
+    fn timeline_of_matches_the_reference_on_mutated_streams_with_one_producer_per_key(
+        kind in schedule(),
+        p in 1usize..7,
+        m in 1usize..9,
+        times in prop::collection::vec((1u64..40, 1u64..80, 0u64..10), 1..4),
+        comm_us in 0u64..20,
+        mutations in prop::collection::vec(
+            (0u8..6, 0usize..1_000, 0usize..1_000, 0usize..1_000),
+            1..6,
+        ),
+    ) {
+        let cfg = config(kind, p, m, &times, comm_us);
+        let mut streams = kind.all_stage_instructions(p, m);
+        for &op in &mutations {
+            mutate(&mut streams, m, kind.chunk_count(), op);
+        }
+        if one_producer_per_key(&streams) {
+            prop_assert_eq!(
+                cfg.timeline_of(&streams),
+                reference_timeline(&cfg, &streams),
+                "{} p={} m={} mutations {:?}",
+                kind,
+                p,
+                m,
+                mutations
+            );
+        }
     }
 }
 

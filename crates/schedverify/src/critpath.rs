@@ -11,11 +11,14 @@
 //! which over an acyclic graph is a longest-path computation — exactly
 //! the recurrence the engine's in-order list scheduler evaluates. So the
 //! bound is [`EngineConfig::timeline_of`] applied to the parsed streams:
-//! the same unrolled iterations, durations, dependency keys and
-//! steady-state extraction, which makes the bubble fraction
-//! [`EngineTimeline::bubble_ratio`] bit-for-bit by construction. This
-//! module only maps the engine's failures to findings in stream-file
-//! vocabulary.
+//! the same four iterations, durations, dependency keys and steady-state
+//! extraction, which makes the bubble fraction
+//! [`EngineTimeline::bubble_ratio`] bit-for-bit by construction. The
+//! engine list-schedules iteration 0 and replays the other three in its
+//! order: with one producer per key a longest path does not depend on
+//! the order it is evaluated in, and a set with a duplicated producer,
+//! where order would matter, is list-scheduled in full. This module only
+//! maps the engine's failures to findings in stream-file vocabulary.
 
 use pipefill_pipeline::{EngineConfig, EngineError, EngineTimeline};
 use pipefill_sim_core::SimDuration;

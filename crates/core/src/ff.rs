@@ -136,7 +136,7 @@ fn hash_sig(sig: &[u64]) -> u64 {
 #[derive(Debug)]
 pub(crate) struct SteadyDetector {
     enabled: bool,
-    last_fp: Option<[u64; 6]>,
+    last_fp: Option<[u64; 7]>,
     /// True while the RNG fingerprint has been frozen across at least one
     /// full iteration, i.e. the current iteration is being recorded.
     active: bool,
@@ -211,7 +211,7 @@ impl SteadyDetector {
     /// `true` when the caller should build a full state signature and
     /// finish the boundary with [`Self::end_iteration`]. Must be called
     /// with the RNG fingerprint and the *current absolute* counters.
-    pub fn observe(&mut self, fp: [u64; 6], counters: SteadyCounters) -> bool {
+    pub fn observe(&mut self, fp: [u64; 7], counters: SteadyCounters) -> bool {
         if !self.enabled {
             return false;
         }
@@ -335,7 +335,7 @@ mod tests {
     use super::*;
     use pipefill_sim_core::rng::DeterministicRng;
 
-    fn fp(rng: &DeterministicRng) -> [u64; 6] {
+    fn fp(rng: &DeterministicRng) -> [u64; 7] {
         rng.state_fingerprint()
     }
 

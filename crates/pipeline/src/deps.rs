@@ -19,7 +19,7 @@
 //! device a published key can unblock, so list schedulers wake exactly
 //! that device instead of polling every stage.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::instructions::PipelineInstruction;
 
@@ -178,25 +178,35 @@ pub fn consumer_device(key: DepKey, p: usize) -> usize {
 /// run has instructions: a well-formed run publishes one key per
 /// forward and backward, so a larger table could never fill, and an
 /// oversized shape cannot drive an allocation.
+///
+/// A dense slot holds a bare `T`, so it costs no more than its value: one
+/// value of `T`, `vacant`, marks an empty slot, and a small set records
+/// the slots where `vacant` itself was stored. A caller that picks a
+/// value it rarely or never stores pays nothing for that set.
 #[derive(Debug)]
 pub struct DepSlots<T> {
     virtual_stages: usize,
     microbatches: usize,
     iterations: usize,
-    dense: Vec<Option<T>>,
+    dense: Vec<T>,
+    vacant: T,
+    /// Dense slots that hold `vacant` as a stored value.
+    stored_vacant: BTreeSet<usize>,
     overflow: BTreeMap<(usize, DepKey), T>,
 }
 
-impl<T: Copy> DepSlots<T> {
+impl<T: Copy + PartialEq> DepSlots<T> {
     /// An empty map for `iterations` unrolled iterations of a `p`-device,
     /// `chunks`-chunk, `microbatches`-microbatch run of `instructions`
-    /// instruction occurrences in all.
+    /// instruction occurrences in all, whose empty dense slots hold
+    /// `vacant`.
     pub fn new(
         p: usize,
         chunks: usize,
         microbatches: usize,
         iterations: usize,
         instructions: usize,
+        vacant: T,
     ) -> Self {
         let slots = chunks
             .checked_mul(p)
@@ -212,9 +222,29 @@ impl<T: Copy> DepSlots<T> {
             virtual_stages,
             microbatches,
             iterations,
-            dense: vec![None; slots.unwrap_or(0)],
+            dense: vec![vacant; slots.unwrap_or(0)],
+            vacant,
+            stored_vacant: BTreeSet::new(),
             overflow: BTreeMap::new(),
         }
+    }
+
+    /// The value in dense slot `i`, if any.
+    fn read(&self, i: usize) -> Option<T> {
+        let value = self.dense[i];
+        (value != self.vacant || self.stored_vacant.contains(&i)).then_some(value)
+    }
+
+    /// Stores `value` in dense slot `i`, returning the value it replaced.
+    fn write(&mut self, i: usize, value: T) -> Option<T> {
+        let earlier = self.read(i);
+        if value == self.vacant {
+            self.stored_vacant.insert(i);
+        } else if earlier == Some(self.vacant) {
+            self.stored_vacant.remove(&i);
+        }
+        self.dense[i] = value;
+        earlier
     }
 
     /// Dense slots per iteration: `2·chunks·p·m`, or 0 when the dense
@@ -249,7 +279,7 @@ impl<T: Copy> DepSlots<T> {
     /// The value stored for `key` in `iteration`, if any.
     pub fn get(&self, iteration: usize, key: DepKey) -> Option<T> {
         match self.slot(iteration, key) {
-            Some(i) => self.dense[i],
+            Some(i) => self.read(i),
             None => self.overflow.get(&(iteration, key)).copied(),
         }
     }
@@ -257,7 +287,9 @@ impl<T: Copy> DepSlots<T> {
     /// Stores `value` for `key` in `iteration`, replacing any earlier one.
     pub fn insert(&mut self, iteration: usize, key: DepKey, value: T) {
         match self.slot(iteration, key) {
-            Some(i) => self.dense[i] = Some(value),
+            Some(i) => {
+                self.write(i, value);
+            }
             None => {
                 self.overflow.insert((iteration, key), value);
             }
@@ -272,7 +304,7 @@ impl<T: Copy> DepSlots<T> {
     ///
     /// Panics if `iteration` is past the dense range.
     pub fn get_at(&self, iteration: usize, offset: usize) -> Option<T> {
-        self.dense[iteration * self.slots_per_iteration() + offset]
+        self.read(iteration * self.slots_per_iteration() + offset)
     }
 
     /// Stores `value` in `iteration` for the key at dense `offset`:
@@ -283,8 +315,7 @@ impl<T: Copy> DepSlots<T> {
     ///
     /// Panics if `iteration` is past the dense range.
     pub fn insert_at(&mut self, iteration: usize, offset: usize, value: T) -> Option<T> {
-        let slot = iteration * self.slots_per_iteration() + offset;
-        self.dense[slot].replace(value)
+        self.write(iteration * self.slots_per_iteration() + offset, value)
     }
 }
 
@@ -420,13 +451,14 @@ mod tests {
 
     /// In-range keys take dense slots and out-of-range ones the overflow
     /// map; both read back exactly what was stored last, and no two keys
-    /// share a slot.
+    /// share a slot. The empty-slot marker (5, stored under the sixth
+    /// key, which is dense) is a value like any other.
     #[test]
     fn dep_slots_store_every_key_once() {
         let fwd = |vs, microbatch| DepKey::Fwd { vs, microbatch };
         let bwd = |vs, microbatch| DepKey::Bwd { vs, microbatch };
         let (p, chunks, m, iters) = (3, 2, 4, 2);
-        let mut slots = DepSlots::new(p, chunks, m, iters, 1_000);
+        let mut slots = DepSlots::new(p, chunks, m, iters, 1_000, 5);
         let keys: Vec<(usize, DepKey)> = (0..iters + 1)
             .flat_map(|it| {
                 (0..chunks * p + 2).flat_map(move |vs| {
@@ -449,8 +481,9 @@ mod tests {
             match slots.offset(key) {
                 Some(offset) => {
                     assert!(offset < slots.slots_per_iteration());
-                    assert_eq!(slots.get_at(it, offset), slots.get(it, key), "{it} {key:?}");
-                    slots.insert_at(it, offset, usize::MAX);
+                    let stored = slots.get(it, key);
+                    assert_eq!(slots.get_at(it, offset), stored, "{it} {key:?}");
+                    assert_eq!(slots.insert_at(it, offset, usize::MAX), stored);
                     assert_eq!(slots.get(it, key), Some(usize::MAX), "{it} {key:?}");
                 }
                 None => assert!(
@@ -460,9 +493,10 @@ mod tests {
                 ),
             }
         }
+        assert!(slots.stored_vacant.is_empty(), "the marker was overwritten");
         // A shape too large for its instruction count allocates nothing
         // dense, yet still stores and reads back.
-        let mut sparse = DepSlots::new(usize::MAX, 2, 2, 4, 10);
+        let mut sparse = DepSlots::new(usize::MAX, 2, 2, 4, 10, '\0');
         assert!(sparse.dense.is_empty());
         assert_eq!(sparse.offset(bwd(0, 0)), None);
         sparse.insert(3, bwd(5, 1), 'x');

@@ -104,31 +104,40 @@ type ExecRecord = (SimTime, SimTime);
 /// Receives every instruction a simulation executes, in the order it
 /// executes them.
 trait Record {
-    /// Device `stage` ran stream position `position` of `iteration` from
-    /// `start` to `end`.
-    fn record(
-        &mut self,
-        iteration: usize,
-        stage: usize,
-        position: usize,
-        start: SimTime,
-        end: SimTime,
-    );
+    /// Device `stage` ran `step` of `iteration` from `start` to `end`.
+    fn record(&mut self, iteration: usize, stage: usize, step: &Step, start: SimTime, end: SimTime);
 }
 
 /// Records nothing: [`EngineConfig::execute_streams`] wants only the
 /// verdict.
 impl Record for () {
-    fn record(&mut self, _: usize, _: usize, _: usize, _: SimTime, _: SimTime) {}
+    fn record(&mut self, _: usize, _: usize, _: &Step, _: SimTime, _: SimTime) {}
 }
 
-/// The execution order of one scheduled iteration, as `(device, stream
-/// position)` pairs: the order [`Scheduled::replay`] repeats.
-impl Record for Vec<(u32, u32)> {
-    fn record(&mut self, _: usize, stage: usize, position: usize, _: SimTime, _: SimTime) {
-        // `stage` fits (the scheduler asserts `p` does).
-        let position = u32::try_from(position).expect("stream longer than 2^32 instructions");
-        self.push((stage as u32, position));
+/// One stream position of a scheduled iteration as it ran: its device
+/// and what [`Scheduled::replay`] reads of its [`Step`].
+struct Ran {
+    duration: SimDuration,
+    waits: Slot,
+    publishes: Slot,
+    device: u32,
+    crosses_device: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<Ran>() == 24);
+
+/// The positions of one scheduled iteration in the order they ran: the
+/// order [`Scheduled::replay`] repeats.
+impl Record for Vec<Ran> {
+    fn record(&mut self, _: usize, stage: usize, step: &Step, _: SimTime, _: SimTime) {
+        self.push(Ran {
+            duration: step.duration,
+            waits: step.waits,
+            publishes: step.publishes,
+            // `stage` fits (the scheduler asserts `p` does).
+            device: stage as u32,
+            crosses_device: step.crosses_device,
+        });
     }
 }
 
@@ -162,8 +171,10 @@ impl SteadyRecords {
     }
 }
 
-impl Record for SteadyRecords {
-    fn record(&mut self, iteration: usize, stage: usize, _: usize, start: SimTime, end: SimTime) {
+impl SteadyRecords {
+    /// Device `stage` ran an instruction of `iteration` from `start` to
+    /// `end`.
+    fn push(&mut self, iteration: usize, stage: usize, start: SimTime, end: SimTime) {
         match iteration {
             STEADY_ITER => self.steady[stage].push((start, end)),
             PREVIOUS_ITER if stage == 0 && end > start && self.previous.is_none() => {
@@ -178,11 +189,15 @@ impl Record for SteadyRecords {
     }
 }
 
+impl Record for SteadyRecords {
+    fn record(&mut self, iteration: usize, stage: usize, _: &Step, start: SimTime, end: SimTime) {
+        self.push(iteration, stage, start, end);
+    }
+}
+
 /// A completed list schedule of the streams, kept so that further
 /// iterations can be replayed in its order.
 struct Scheduled {
-    /// Per device, its resolved stream positions.
-    steps: Vec<Vec<Step>>,
     /// Per device, when it finished its last instruction.
     free_at: Vec<SimTime>,
     /// Dense dependency slots per iteration.
@@ -194,9 +209,9 @@ struct Scheduled {
 }
 
 impl Scheduled {
-    /// Runs iterations `1..SIM_ITERATIONS` in `order`, the execution order
-    /// of the one iteration scheduled, into `records`, and stops once
-    /// [`NEXT_ITER`] has shown every device's first busy start.
+    /// Runs iterations `1..SIM_ITERATIONS` in `order`, the positions of
+    /// the one iteration scheduled as they ran, into `records`, and stops
+    /// once [`NEXT_ITER`] has shown every device's first busy start.
     ///
     /// With one producer per dense key, each start is a longest path over
     /// the iteration's dependencies plus the device's program order, so
@@ -204,29 +219,28 @@ impl Scheduled {
     /// order is one. Iteration `k` reads only iteration `k`'s keys, and
     /// in that order each key is published before it is read, so one
     /// end-time table serves every iteration.
-    fn replay(mut self, comm: SimDuration, order: &[(u32, u32)], records: &mut SteadyRecords) {
+    fn replay(mut self, comm: SimDuration, order: &[Ran], records: &mut SteadyRecords) {
         debug_assert!(self.one_producer_per_key);
         let mut published = vec![SimTime::ZERO; self.slots_per_iteration];
         for iteration in 1..SIM_ITERATIONS {
-            for &(s, pos) in order {
-                let (s, pos) = (s as usize, pos as usize);
-                let step = &self.steps[s][pos];
-                let arrived = match step.waits {
+            for ran in order {
+                let s = ran.device as usize;
+                let arrived = match ran.waits {
                     Slot::UNKEYED => SimTime::ZERO,
                     Slot(offset) => published[offset as usize],
                 };
-                let link = if step.crosses_device {
+                let link = if ran.crosses_device {
                     comm
                 } else {
                     SimDuration::ZERO
                 };
                 let start = self.free_at[s].max(arrived + link);
-                let end = start + step.duration;
-                if step.publishes != Slot::UNKEYED {
-                    published[step.publishes.0 as usize] = end;
+                let end = start + ran.duration;
+                if ran.publishes != Slot::UNKEYED {
+                    published[ran.publishes.0 as usize] = end;
                 }
                 self.free_at[s] = end;
-                records.record(iteration, s, pos, start, end);
+                records.push(iteration, s, start, end);
                 if iteration == NEXT_ITER && records.unstarted == 0 {
                     return;
                 }
@@ -235,9 +249,10 @@ impl Scheduled {
     }
 }
 
-/// One stream position as the list scheduler and the replay run it,
-/// resolved once against the end-time table so that running it in any
-/// iteration touches no [`deps::DepKey`].
+/// One stream position as the list scheduler runs it: its keys resolved
+/// to places in the end-time table, its consumer device, link and
+/// duration ([`Resolver`]).
+#[derive(Debug, PartialEq)]
 struct Step {
     duration: SimDuration,
     /// Where the key it waits on lives.
@@ -252,12 +267,10 @@ struct Step {
     crosses_device: bool,
 }
 
-const _: () = assert!(std::mem::size_of::<Step>() == 24);
-
 /// Where a step's key lives in the list scheduler's [`DepSlots`]: its
 /// dense offset within every iteration ([`DepSlots::offset`]), or one of
-/// two markers. Four bytes keep a [`Step`] at 24.
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// two markers. Four bytes keep a [`Ran`] at 24.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slot(u32);
 
 impl Slot {
@@ -276,6 +289,166 @@ impl Slot {
                 .and_then(|offset| u32::try_from(offset).ok())
                 .filter(|&offset| offset < Slot::OVERFLOW.0)
                 .map_or(Slot::OVERFLOW, Slot),
+        }
+    }
+}
+
+/// Turns stream positions into [`Step`]s for one run, each time one
+/// runs. Forwards and backwards (chunked or not) whose keys lie in the
+/// dense range resolve with one `match` against per-stage values computed
+/// once: no [`deps::DepKey`], no division, no modulo. Everything else —
+/// the `W` half, the markers, a chunk or microbatch past the dense range,
+/// a run with no dense table — goes through [`Resolver::generic`], the
+/// [`crate::deps`] keying itself, so a malformed stream resolves exactly
+/// as the keying says. Both paths build the same [`Step`] for every
+/// instruction (`tests/support/resolver_oracle.rs`).
+struct Resolver<'a> {
+    cfg: &'a EngineConfig,
+    p: usize,
+    chunks: usize,
+    microbatches: usize,
+    /// `chunks·p` when the dense table exists, every dense offset fits a
+    /// [`Slot`] and every chunk slice is computed without overflow; 0
+    /// sends every position to the generic path.
+    virtual_stages: usize,
+    /// Per stage, what its forwards and backwards resolve to.
+    stages: Vec<StageSteps>,
+    /// Per stage and chunk, at `stage·chunks + chunk`: the forward and
+    /// backward chunk slices ([`EngineConfig::instruction_duration`]).
+    slices: Vec<(SimDuration, SimDuration)>,
+}
+
+/// One stage's share of a [`Resolver`].
+struct StageSteps {
+    /// The device its activations unblock: the next one, wrapping.
+    next: u32,
+    /// The device its gradients unblock: the previous one, wrapping.
+    previous: u32,
+    fwd: SimDuration,
+    bwd: SimDuration,
+    /// The `B` half of a split backward.
+    bwd_input: SimDuration,
+}
+
+impl<'a> Resolver<'a> {
+    /// A resolver for `cfg`'s stages against `done`, the run's end-time
+    /// table, which every call then passes. `cfg` has at most 2^32
+    /// stages.
+    fn new(cfg: &'a EngineConfig, done: &DepSlots<SimTime>) -> Self {
+        let p = cfg.num_stages();
+        let chunks = cfg.schedule.chunk_count();
+        let slots = done.slots_per_iteration();
+        // A slice multiplies a stage total by at most `chunks`.
+        let slices_fit = cfg
+            .stage_fwd
+            .iter()
+            .chain(&cfg.stage_bwd)
+            .all(|total| total.as_nanos().checked_mul(chunks as u64).is_some());
+        let dense = slots > 0 && slots <= Slot::OVERFLOW.0 as usize && slices_fit;
+        let chunk_slice = |total: SimDuration, c: usize| {
+            let chunks = chunks as u64;
+            total * (c as u64 + 1) / chunks - total * c as u64 / chunks
+        };
+        Resolver {
+            cfg,
+            p,
+            chunks,
+            microbatches: cfg.microbatches,
+            virtual_stages: if dense { chunks * p } else { 0 },
+            stages: (0..p)
+                .map(|s| StageSteps {
+                    // Below `p`, which fits a `u32`.
+                    next: if s + 1 == p { 0 } else { s as u32 + 1 },
+                    previous: if s == 0 { p as u32 - 1 } else { s as u32 - 1 },
+                    fwd: cfg.stage_fwd[s],
+                    bwd: cfg.stage_bwd[s],
+                    bwd_input: cfg.stage_bwd[s] / 2,
+                })
+                .collect(),
+            slices: if dense {
+                (0..p)
+                    .flat_map(|s| {
+                        (0..chunks).map(move |c| {
+                            (
+                                chunk_slice(cfg.stage_fwd[s], c),
+                                chunk_slice(cfg.stage_bwd[s], c),
+                            )
+                        })
+                    })
+                    .collect()
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
+    /// Instruction `instr` on device `s`.
+    fn step(&self, instr: PipelineInstruction, s: usize, done: &DepSlots<SimTime>) -> Step {
+        use PipelineInstruction as I;
+        if self.virtual_stages == 0 {
+            return self.generic(instr, s, done);
+        }
+        let stage = &self.stages[s];
+        // Unchunked compute is virtual stage `s` of a `p`-stage chain,
+        // chunk `c` virtual stage `c·p + s` of the `chunks·p`-stage one.
+        let (backward, vs, last, microbatch, duration) = match instr {
+            I::Forward { microbatch } => (false, s, self.p - 1, microbatch, stage.fwd),
+            I::Backward { microbatch } => (true, s, self.p - 1, microbatch, stage.bwd),
+            I::BackwardInput { microbatch } => (true, s, self.p - 1, microbatch, stage.bwd_input),
+            I::ForwardChunk { chunk, microbatch } if chunk < self.chunks => (
+                false,
+                chunk * self.p + s,
+                self.virtual_stages - 1,
+                microbatch,
+                self.slices[s * self.chunks + chunk].0,
+            ),
+            I::BackwardChunk { chunk, microbatch } if chunk < self.chunks => (
+                true,
+                chunk * self.p + s,
+                self.virtual_stages - 1,
+                microbatch,
+                self.slices[s * self.chunks + chunk].1,
+            ),
+            _ => return self.generic(instr, s, done),
+        };
+        if microbatch >= self.microbatches {
+            return self.generic(instr, s, done);
+        }
+        // [`DepSlots::offset`]: below `slots_per_iteration`, which fits.
+        let slot = |backward: bool, vs: usize| {
+            let direction = usize::from(backward);
+            Slot(((direction * self.virtual_stages + vs) * self.microbatches + microbatch) as u32)
+        };
+        // A forward waits on the virtual stage before it, a backward on
+        // the one after it; the chain's ends wait on nothing.
+        let (waits, consumer) = match backward {
+            false => ((vs > 0).then(|| slot(false, vs - 1)), stage.next),
+            true => ((vs < last).then(|| slot(true, vs + 1)), stage.previous),
+        };
+        Step {
+            duration,
+            waits: waits.unwrap_or(Slot::UNKEYED),
+            publishes: slot(backward, vs),
+            consumer,
+            // Neighbouring virtual stages share a device only when p = 1.
+            crosses_device: waits.is_some() && self.p != 1,
+        }
+    }
+
+    /// Instruction `instr` on device `s`, resolved through the
+    /// [`crate::deps`] keying: [`Resolver::step`]'s reference, and its
+    /// path for everything outside the dense range.
+    fn generic(&self, instr: PipelineInstruction, s: usize, done: &DepSlots<SimTime>) -> Step {
+        let (p, chunks) = (self.p, self.chunks);
+        let dep = deps::consumed(instr, s, p, chunks);
+        let publishes = deps::produced(instr, s, p);
+        Step {
+            duration: self.cfg.instruction_duration(instr, s),
+            waits: Slot::of(dep.map(|edge| edge.key), done),
+            publishes: Slot::of(publishes, done),
+            // Below `p`, which fits a `u32`.
+            consumer: publishes.map_or(0, |key| deps::consumer_device(key, p) as u32),
+            crosses_device: dep.is_some_and(|edge| edge.crosses_device),
         }
     }
 }
@@ -442,10 +615,12 @@ impl EngineConfig {
     /// depend on which ready device runs first. End times live in
     /// [`deps::DepSlots`], keyed by `(iteration, DepKey)`; the keying
     /// itself — virtual stages, cross-device hand-offs — lives in
-    /// [`crate::deps`], shared with the static verifier. Each stream
-    /// position is resolved against that table once, into a [`Step`]
+    /// [`crate::deps`], shared with the static verifier. A stream
+    /// position is resolved into a [`Step`] as it runs ([`Resolver`]),
     /// holding its keys' in-iteration slot offsets, so the scheduler
-    /// indexes `iteration · slots_per_iteration + offset` directly.
+    /// indexes `iteration · slots_per_iteration + offset` directly. The
+    /// steps are not kept: a recorder that needs them, the replay's,
+    /// keeps what it reads.
     ///
     /// [`EngineConfig::timeline_of`] calls it with one iteration and
     /// replays the rest from the returned [`Scheduled`], and with all
@@ -465,37 +640,18 @@ impl EngineConfig {
         assert!(u32::try_from(p).is_ok(), "more than 2^32 stages");
         let chunks = self.schedule.chunk_count();
         let instructions = streams.iter().map(Vec::len).sum::<usize>() * iterations;
-        let mut done = DepSlots::new(p, chunks, self.microbatches, iterations, instructions);
-        // Each stream position's slots, consumer, link and duration,
-        // resolved once and run every iteration.
-        let steps: Vec<Vec<Step>> = streams
-            .iter()
-            .enumerate()
-            .map(|(s, stream)| {
-                stream
-                    .iter()
-                    .map(|&instr| {
-                        let dep = deps::consumed(instr, s, p, chunks);
-                        let publishes = deps::produced(instr, s, p);
-                        Step {
-                            duration: self.instruction_duration(instr, s),
-                            waits: Slot::of(dep.map(|edge| edge.key), &done),
-                            publishes: Slot::of(publishes, &done),
-                            // Below `p`, which fits a `u32` (asserted above).
-                            consumer: publishes
-                                .map_or(0, |key| deps::consumer_device(key, p) as u32),
-                            crosses_device: dep.is_some_and(|edge| edge.crosses_device),
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
+        let mut done = DepSlots::new(
+            p,
+            chunks,
+            self.microbatches,
+            iterations,
+            instructions,
+            SimTime::MAX,
+        );
+        let resolver = Resolver::new(self, &done);
         // Any key outside the dense range, or any dense key published
         // twice in one iteration, makes the order of execution matter.
-        let mut one_producer_per_key = steps
-            .iter()
-            .flatten()
-            .all(|step| step.waits != Slot::OVERFLOW && step.publishes != Slot::OVERFLOW);
+        let mut one_producer_per_key = true;
         // Per device: the iteration and stream position it is at, and the
         // time it is free from.
         let mut at = vec![(0usize, 0usize); p];
@@ -506,15 +662,18 @@ impl EngineConfig {
 
         loop {
             while let Some(s) = ready.pop() {
-                let stream = &steps[s];
+                let stream = &streams[s];
                 let mut free = free_at[s];
                 let (mut iter, mut pos) = at[s];
                 while iter < iterations && !stream.is_empty() {
-                    let step = &stream[pos];
+                    let step = resolver.step(stream[pos], s, &done);
                     let arrived = match step.waits {
                         Slot::UNKEYED => Some(SimTime::ZERO),
-                        Slot::OVERFLOW => deps::consumed(streams[s][pos], s, p, chunks)
-                            .and_then(|edge| done.get(iter, edge.key)),
+                        Slot::OVERFLOW => {
+                            one_producer_per_key = false;
+                            deps::consumed(stream[pos], s, p, chunks)
+                                .and_then(|edge| done.get(iter, edge.key))
+                        }
                         Slot(offset) => done.get_at(iter, offset as usize),
                     };
                     let Some(arrived) = arrived else {
@@ -531,7 +690,8 @@ impl EngineConfig {
                     let published = match step.publishes {
                         Slot::UNKEYED => false,
                         Slot::OVERFLOW => {
-                            if let Some(key) = deps::produced(streams[s][pos], s, p) {
+                            one_producer_per_key = false;
+                            if let Some(key) = deps::produced(stream[pos], s, p) {
                                 done.insert(iter, key, end);
                             }
                             true
@@ -546,7 +706,7 @@ impl EngineConfig {
                     if published && std::mem::take(&mut blocked[consumer]) {
                         ready.push(consumer);
                     }
-                    records.record(iter, s, pos, start, end);
+                    records.record(iter, s, &step, start, end);
                     free = end;
                     pos += 1;
                     if pos == stream.len() {
@@ -592,7 +752,6 @@ impl EngineConfig {
             }),
             None => Ok(Scheduled {
                 slots_per_iteration: done.slots_per_iteration(),
-                steps,
                 free_at,
                 one_producer_per_key,
             }),
@@ -808,6 +967,11 @@ impl EngineTimeline {
 #[cfg(test)]
 #[path = "../tests/support/inputs.rs"]
 mod inputs;
+
+/// The per-kind step resolver pinned to the generic `deps` path.
+#[cfg(test)]
+#[path = "../tests/support/resolver_oracle.rs"]
+mod resolver_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1305,7 +1469,14 @@ mod tests {
             assert!(u32::try_from(p).is_ok(), "more than 2^32 stages");
             let chunks = self.schedule.chunk_count();
             let instructions = streams.iter().map(Vec::len).sum::<usize>() * iterations;
-            let mut done = DepSlots::new(p, chunks, self.microbatches, iterations, instructions);
+            let mut done = DepSlots::new(
+                p,
+                chunks,
+                self.microbatches,
+                iterations,
+                instructions,
+                SimTime::MAX,
+            );
             // Each stream position's slots, consumer, link and duration,
             // resolved once and replayed every iteration.
             let steps: Vec<Vec<Step>> = streams

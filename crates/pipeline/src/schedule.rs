@@ -299,7 +299,11 @@ fn interleaved_all_stage_instructions(
         tree.set(vs, greedy.candidate(vs));
     }
 
-    let mut per_device: Vec<Vec<PipelineInstruction>> = vec![Vec::new(); p];
+    // Each device runs `2·v·m` units, the fwd-bwd marker in front of its
+    // first backward, and the three closing instructions.
+    let mut per_device: Vec<Vec<PipelineInstruction>> =
+        (0..p).map(|_| Vec::with_capacity(2 * v * m + 4)).collect();
+    let mut marked = vec![false; p];
     for _ in 0..2 * vs_total * m {
         let unit = tree.best();
         // Deadlock detector: a wedged schedule must panic loudly rather
@@ -308,7 +312,12 @@ fn interleaved_all_stage_instructions(
             unit != Unit::NONE,
             "interleaved schedule wedged: no runnable unit"
         );
-        let dev = unit.vs() % p;
+        let dev = greedy.device[unit.vs()];
+        if unit.kind() == Unit::BACKWARD && !std::mem::replace(&mut marked[dev], true) {
+            per_device[dev].push(PipelineInstruction::Bubble {
+                kind: BubbleKind::FwdBwd,
+            });
+        }
         per_device[dev].push(greedy.commit(unit));
         for vs in (dev..vs_total).step_by(p) {
             tree.set(vs, greedy.candidate(vs));
@@ -320,67 +329,65 @@ fn interleaved_all_stage_instructions(
         }
     }
 
-    per_device
-        .into_iter()
-        .map(|stream| {
-            let mut out = Vec::with_capacity(stream.len() + 4);
-            let first_bwd = stream
-                .iter()
-                .position(|i| i.is_backward())
-                .unwrap_or(stream.len());
-            out.extend_from_slice(&stream[..first_bwd]);
-            out.push(PipelineInstruction::Bubble {
-                kind: BubbleKind::FwdBwd,
-            });
-            out.extend_from_slice(&stream[first_bwd..]);
-            out.push(PipelineInstruction::GradSync);
-            out.push(PipelineInstruction::OptimizerStep);
-            out.push(PipelineInstruction::Bubble {
+    // Every device ran `v·m` backwards, so every stream has its marker.
+    for stream in &mut per_device {
+        stream.extend([
+            PipelineInstruction::GradSync,
+            PipelineInstruction::OptimizerStep,
+            PipelineInstruction::Bubble {
                 kind: BubbleKind::FillDrain,
-            });
-            out
-        })
-        .collect()
+            },
+        ]);
+    }
+    per_device
 }
 
 /// One runnable (chunk, microbatch) unit of the interleaved greedy, in
 /// the order it is picked: earliest start, backward (`kind` 0) before
 /// forward (1), lower Megatron rank, lower virtual stage.
 ///
-/// The four fields are packed into one integer whose order is that
-/// tuple order, most significant first: `start` in bits 64–127, `kind` in
-/// bit 63, `rank` in bits 32–62 and `vs` in bits 0–31. A start below
-/// `u64::MAX`, a rank below `2^31` and a virtual stage below `2^32` fit
-/// their fields; the generators' shape bound, [`ScheduleKind::MAX_UNITS`],
-/// keeps every unit within them.
+/// The four fields are packed into one `u64` whose order is that tuple
+/// order, most significant first: `start` in bits 41–62, `kind` in bit
+/// 40, `rank` in bits 20–39 and `vs` in bits 0–19. Bit 63 stays clear,
+/// so [`Unit::NONE`] loses to every unit. The generators' shape bound,
+/// [`ScheduleKind::MAX_UNITS`], keeps every unit within its fields (see
+/// the assertion below).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Unit(u128);
+struct Unit(u64);
 
 impl Unit {
-    const RANK_BITS: u32 = 31;
-    const VS_BITS: u32 = 32;
+    const START_BITS: u32 = 22;
+    const RANK_BITS: u32 = 20;
+    const VS_BITS: u32 = 20;
+    const KIND_SHIFT: u32 = Self::RANK_BITS + Self::VS_BITS;
+    const START_SHIFT: u32 = Self::KIND_SHIFT + 1;
 
-    /// No runnable unit: loses to every real one, whose start field is
-    /// below `u64::MAX`.
-    const NONE: Unit = Unit(u128::MAX);
+    const BACKWARD: u8 = 0;
+    const FORWARD: u8 = 1;
+
+    /// No runnable unit: loses to every real one, whose bit 63 is clear.
+    const NONE: Unit = Unit(u64::MAX);
 
     fn new(start: u64, kind: u8, rank: usize, vs: usize) -> Unit {
-        debug_assert!(start < u64::MAX && kind <= 1, "unit fields out of range");
+        debug_assert!(
+            start < 1 << Self::START_BITS && kind <= 1,
+            "unit fields out of range"
+        );
         debug_assert!(rank < 1 << Self::RANK_BITS && vs < 1 << Self::VS_BITS);
         Unit(
-            u128::from(start) << 64
-                | u128::from(kind) << 63
-                | (rank as u128) << Self::VS_BITS
-                | vs as u128,
+            start << Self::START_SHIFT
+                | u64::from(kind) << Self::KIND_SHIFT
+                | (rank as u64) << Self::VS_BITS
+                | vs as u64,
         )
     }
 
     fn start(self) -> u64 {
-        (self.0 >> 64) as u64
+        self.0 >> Self::START_SHIFT
     }
 
     fn kind(self) -> u8 {
-        (self.0 >> 63) as u8 & 1
+        (self.0 >> Self::KIND_SHIFT) as u8 & 1
     }
 
     fn vs(self) -> usize {
@@ -389,24 +396,33 @@ impl Unit {
 }
 
 // Every unit of a shape within the bound fits its fields: its rank is
-// below `v·m`, its virtual stage below `v·p`, and its start at most the
-// `3·v·p·m` time units of all work committed before it (a candidate
-// starts at 0 or at a committed unit's end).
+// below `v·m` and its virtual stage below `v·p`, both at most
+// `MAX_UNITS`, and its start is at most the `3·v·p·m` time units of all
+// work committed before it (a candidate starts at 0 or at a committed
+// unit's end). The fields leave bit 63 clear.
 const _: () = assert!(
-    ScheduleKind::MAX_UNITS < 1 << Unit::RANK_BITS
-        && ScheduleKind::MAX_UNITS < 1 << Unit::VS_BITS
-        && 3 * (ScheduleKind::MAX_UNITS as u64) < u64::MAX
+    ScheduleKind::MAX_UNITS <= 1 << Unit::RANK_BITS
+        && ScheduleKind::MAX_UNITS <= 1 << Unit::VS_BITS
+        && 3 * (ScheduleKind::MAX_UNITS as u64) < 1 << Unit::START_BITS
+        && Unit::START_SHIFT + Unit::START_BITS == 63
 );
 
 /// The interleaved greedy's state: per-virtual-stage microbatch cursors
-/// (microbatches run in order) and unit completion times.
+/// (microbatches run in order) and unit completion times, plus the
+/// per-virtual-stage and per-microbatch constants its picks read.
 struct Greedy {
-    p: usize,
     m: usize,
     v: usize,
-    /// Megatron's microbatch grouping: forwards proceed in rounds of `g`
-    /// microbatches per chunk (chunk 0's round, then chunk 1's, …).
-    g: usize,
+    vs_total: usize,
+    /// Per virtual stage, its device (`vs mod p`).
+    device: Vec<usize>,
+    /// Per virtual stage, its chunk (`vs / p`).
+    chunk: Vec<usize>,
+    /// Per microbatch, the Megatron rank its round starts at. Forwards
+    /// proceed in rounds of `g = min(p, m)` microbatches per chunk
+    /// (chunk 0's round, then chunk 1's, …), so microbatch `i`'s round
+    /// is `i / g` and spans `v` ranks.
+    round: Vec<usize>,
     next_f: Vec<usize>,
     next_b: Vec<usize>,
     /// Completion time of each (virtual stage, microbatch) unit, at
@@ -423,11 +439,14 @@ impl Greedy {
 
     fn new(p: usize, m: usize, v: usize) -> Greedy {
         let vs_total = v * p;
+        let g = p.min(m);
         Greedy {
-            p,
             m,
             v,
-            g: p.min(m),
+            vs_total,
+            device: (0..vs_total).map(|vs| vs % p).collect(),
+            chunk: (0..vs_total).map(|vs| vs / p).collect(),
+            round: (0..m).map(|i| i / g * v).collect(),
             next_f: vec![0; vs_total],
             next_b: vec![0; vs_total],
             f_end: vec![Self::UNSCHEDULED; vs_total * m],
@@ -443,19 +462,19 @@ impl Greedy {
     /// chunk-descending.
     fn candidate(&self, vs: usize) -> Unit {
         let (m, v) = (self.m, self.v);
-        let vs_total = v * self.p;
-        let free = self.dev_free[vs % self.p];
-        let chunk = vs / self.p;
+        let free = self.dev_free[self.device[vs]];
+        let chunk = self.chunk[vs];
         let mut best = Unit::NONE;
         let i = self.next_b[vs];
         if i < m && self.f_end[vs * m + i] != Self::UNSCHEDULED {
-            let dep = if vs == vs_total - 1 {
+            let dep = if vs == self.vs_total - 1 {
                 self.f_end[vs * m + i]
             } else {
                 self.b_end[(vs + 1) * m + i]
             };
             if dep != Self::UNSCHEDULED {
-                best = Unit::new(free.max(dep), 0, (i / self.g) * v + (v - 1 - chunk), vs);
+                let rank = self.round[i] + (v - 1 - chunk);
+                best = Unit::new(free.max(dep), Unit::BACKWARD, rank, vs);
             }
         }
         let i = self.next_f[vs];
@@ -466,7 +485,8 @@ impl Greedy {
                 self.f_end[(vs - 1) * m + i]
             };
             if dep != Self::UNSCHEDULED {
-                best = best.min(Unit::new(free.max(dep), 1, (i / self.g) * v + chunk, vs));
+                let rank = self.round[i] + chunk;
+                best = best.min(Unit::new(free.max(dep), Unit::FORWARD, rank, vs));
             }
         }
         best
@@ -475,12 +495,12 @@ impl Greedy {
     /// Runs `unit`, returning the instruction it becomes.
     fn commit(&mut self, unit: Unit) -> PipelineInstruction {
         let (vs, m) = (unit.vs(), self.m);
-        let chunk = vs / self.p;
-        if unit.kind() == 1 {
+        let chunk = self.chunk[vs];
+        if unit.kind() == Unit::FORWARD {
             let i = self.next_f[vs];
             self.next_f[vs] += 1;
             self.f_end[vs * m + i] = unit.start() + Self::T_FWD;
-            self.dev_free[vs % self.p] = unit.start() + Self::T_FWD;
+            self.dev_free[self.device[vs]] = unit.start() + Self::T_FWD;
             PipelineInstruction::ForwardChunk {
                 chunk,
                 microbatch: i,
@@ -489,7 +509,7 @@ impl Greedy {
             let i = self.next_b[vs];
             self.next_b[vs] += 1;
             self.b_end[vs * m + i] = unit.start() + Self::T_BWD;
-            self.dev_free[vs % self.p] = unit.start() + Self::T_BWD;
+            self.dev_free[self.device[vs]] = unit.start() + Self::T_BWD;
             PipelineInstruction::BackwardChunk {
                 chunk,
                 microbatch: i,
@@ -895,17 +915,24 @@ mod tests {
         Unit::new(start, kind, rank as usize, vs as usize)
     }
 
+    /// Any unit, each field up to the bound `Unit::new` asserts.
+    fn any_unit() -> impl Strategy<Value = (u64, u8, u64, u64)> {
+        (
+            field(1 << Unit::START_BITS),
+            0u8..2,
+            field(1 << Unit::RANK_BITS),
+            field(1 << Unit::VS_BITS),
+        )
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
-        /// Packed keys order exactly like `(start, kind, rank, vs)`
+        /// Packed `u64` keys order exactly like `(start, kind, rank, vs)`
         /// tuples, for fields up to the bounds `Unit::new` asserts, and
         /// decode back to their fields; `Unit::NONE` loses to every unit.
         #[test]
-        fn packed_unit_keys_order_like_their_field_tuples(
-            a in (field(u64::MAX), 0u8..2, field(1 << Unit::RANK_BITS), field(1 << Unit::VS_BITS)),
-            b in (field(u64::MAX), 0u8..2, field(1 << Unit::RANK_BITS), field(1 << Unit::VS_BITS)),
-        ) {
+        fn packed_unit_keys_order_like_their_field_tuples(a in any_unit(), b in any_unit()) {
             prop_assert_eq!(unit(a).cmp(&unit(b)), a.cmp(&b));
             prop_assert!(unit(a) < Unit::NONE);
             let (start, kind, _, vs) = a;

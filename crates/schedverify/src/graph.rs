@@ -42,9 +42,16 @@ type Loc = (usize, usize);
 pub fn explain(set: &StreamSet, ran: &[usize]) -> Finding {
     let p = set.stages();
     // Each key's publishing instruction, in dense slots. Well-formedness
-    // pins producers to one occurrence per key.
-    let mut producer: DepSlots<Loc> =
-        DepSlots::new(p, set.chunks, set.microbatches, 1, set.instruction_count());
+    // pins producers to one occurrence per key. No instruction sits at
+    // position `usize::MAX`, so that location marks a vacant slot.
+    let mut producer: DepSlots<Loc> = DepSlots::new(
+        p,
+        set.chunks,
+        set.microbatches,
+        1,
+        set.instruction_count(),
+        (usize::MAX, usize::MAX),
+    );
     for (s, stream) in set.streams.iter().enumerate() {
         for (i, &instr) in stream.iter().enumerate() {
             if let Some(key) = deps::produced(instr, s, p) {

@@ -245,24 +245,28 @@ impl DeterministicRng {
         }
     }
 
-    /// An opaque fingerprint of the generator's full state (xoshiro256++
-    /// words plus the value of the cached Box–Muller spare, evaluated from
-    /// its uniforms). Two generators with equal
+    /// An opaque fingerprint of the generator's full state: the
+    /// xoshiro256++ words, whether a Box–Muller spare is cached, and the
+    /// raw bits of that spare's two uniforms. Two generators with equal
     /// fingerprints produce identical future streams; a fingerprint that
     /// changed between two observation points proves randomness was
     /// consumed in between. Steady-state detection uses this to recognize
     /// stochastically quiescent stretches of a simulation.
-    pub fn state_fingerprint(&self) -> [u64; 6] {
-        let spare = self
-            .spare_pair
-            .map(|(u1, u2)| Half { u1, u2, sine: true }.value());
+    ///
+    /// The spare enters as its uniforms, not its value, so taking a
+    /// fingerprint evaluates no logarithm or sine. Nothing is lost: the
+    /// uniforms determine the value, and a spare taken without a fresh
+    /// draw clears the presence word.
+    pub fn state_fingerprint(&self) -> [u64; 7] {
+        let (u1, u2) = self.spare_pair.unwrap_or((0.0, 0.0));
         [
             self.inner.s[0],
             self.inner.s[1],
             self.inner.s[2],
             self.inner.s[3],
-            spare.is_some() as u64,
-            spare.unwrap_or(0.0).to_bits(),
+            self.spare_pair.is_some() as u64,
+            u1.to_bits(),
+            u2.to_bits(),
         ]
     }
 
@@ -596,6 +600,22 @@ mod tests {
         assert_ne!(after_first, fp);
         let _ = a.normal(0.0, 1.0);
         assert_ne!(a.state_fingerprint(), after_first);
+    }
+
+    /// A cached spare enters the fingerprint as the raw bits of its two
+    /// uniforms, behind a presence word; taking it zeroes all three.
+    #[test]
+    fn state_fingerprint_holds_the_spare_uniforms() {
+        let mut a = DeterministicRng::seed_from(34);
+        let mut draws = a.clone();
+        let _ = a.normal(0.0, 1.0);
+        let u1 = 1.0 - draws.inner.next_f64();
+        let u2 = draws.inner.next_f64();
+        let fp = a.state_fingerprint();
+        assert_eq!(fp[..4], draws.inner.s[..]);
+        assert_eq!(fp[4..], [1, u1.to_bits(), u2.to_bits()]);
+        let _ = a.normal(0.0, 1.0);
+        assert_eq!(a.state_fingerprint()[4..], [0, 0, 0]);
     }
 
     /// The smallest, a middling and the largest `u1` the generator yields

@@ -57,7 +57,9 @@ impl Experiment for Fig5FillFraction {
                 BackendConfig::Physical(cfg)
             })
             .collect();
-        let runs = sweep::run_sweep(configs).into_iter().zip(FIG5_FRACTIONS);
+        let runs = sweep::par_map(configs, BackendConfig::run)
+            .into_iter()
+            .zip(FIG5_FRACTIONS);
         Table::with_rows(
             self.columns(),
             runs.map(|(run, f)| {

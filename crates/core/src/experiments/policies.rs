@@ -67,7 +67,9 @@ impl Experiment for Fig9Policies {
                 BackendConfig::Coarse(cfg)
             })
             .collect();
-        let runs = sweep::run_sweep(configs).into_iter().zip(points);
+        let runs = sweep::par_map(configs, BackendConfig::run)
+            .into_iter()
+            .zip(points);
         Table::with_rows(
             self.columns(),
             runs.map(|(run, (load, policy))| {

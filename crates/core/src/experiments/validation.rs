@@ -162,7 +162,7 @@ impl Experiment for Fig6Agreement {
     }
     fn run(&self, grid: &Grid) -> Table {
         let seeds: Vec<u64> = (1..=grid.seeds).collect();
-        let rows = sweep::replicate(&seeds, |seed| {
+        let rows = sweep::par_map(seeds, |seed| {
             let main = MainJobSpec::physical_5b(8, ScheduleKind::GPipe);
             let mix = ModelMix::paper_mix();
 
@@ -175,10 +175,13 @@ impl Experiment for Fig6Agreement {
             trace.horizon = SimDuration::from_secs(7200);
             let coarse_cfg = ClusterSimConfig::new(main, trace);
 
-            let runs = sweep::run_sweep(vec![
-                BackendConfig::Coarse(coarse_cfg),
-                BackendConfig::Physical(phys),
-            ]);
+            let runs = sweep::par_map(
+                vec![
+                    BackendConfig::Coarse(coarse_cfg),
+                    BackendConfig::Physical(phys),
+                ],
+                BackendConfig::run,
+            );
             let coarse = runs[0].metrics;
             let physical = runs[1].metrics;
             row![

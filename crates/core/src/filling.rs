@@ -2281,7 +2281,7 @@ mod merge_oracle {
 mod shape_class_oracle {
     use std::sync::Arc;
 
-    use super::{shape_classes, GRAPH_VALUE_CHECKS, SHAPE_CHECKS};
+    use super::{shape_classes, sweep, GRAPH_VALUE_CHECKS, SHAPE_CHECKS};
     use crate::fleet::{FleetJobConfig, FleetSimConfig};
     use pipefill_device::{Bytes, DeviceSpec};
     use pipefill_pipeline::{MainJobSpec, ScheduleKind};
@@ -2394,7 +2394,9 @@ mod shape_class_oracle {
             rename_every in 2usize..9,
         ) {
             let fleet = generated(jobs, gpus_per_job, seed, schedule, rename_every);
-            prop_assert_eq!(shape_classes(&fleet), linear_scan(&fleet));
+            for _width in sweep::widths::one_and_two_workers() {
+                prop_assert_eq!(shape_classes(&fleet), linear_scan(&fleet));
+            }
         }
 
         #[test]
@@ -2402,7 +2404,9 @@ mod shape_class_oracle {
             picks in prop::collection::vec(0usize..VARIANTS, 1..40),
         ) {
             let jobs: Vec<FleetJobConfig> = picks.into_iter().map(variant).collect();
-            prop_assert_eq!(shape_classes(&jobs), linear_scan(&jobs));
+            for _width in sweep::widths::one_and_two_workers() {
+                prop_assert_eq!(shape_classes(&jobs), linear_scan(&jobs));
+            }
         }
     }
 
@@ -2411,15 +2415,18 @@ mod shape_class_oracle {
     #[test]
     fn exact_check_splits_and_merges_within_a_bucket() {
         let jobs: Vec<FleetJobConfig> = (0..VARIANTS).chain(0..VARIANTS).map(variant).collect();
-        let before = GRAPH_VALUE_CHECKS.with(|n| n.get());
-        let (class_of, reps) = shape_classes(&jobs);
-        assert!(GRAPH_VALUE_CHECKS.with(|n| n.get()) > before);
-        assert_eq!((class_of.clone(), reps.clone()), linear_scan(&jobs));
-        // Variants 1–4 each open a class of their own; -0.0 joins 0.0,
-        // each NaN job opens one, and the last variant joins the plain job.
-        assert_eq!(&class_of[..VARIANTS], [0, 1, 2, 3, 4, 5, 5, 6, 7, 8, 0]);
-        assert_eq!(class_of[VARIANTS + 7], reps.len() - 1);
-        assert_eq!(reps.len(), 10);
+        for _width in sweep::widths::one_and_two_workers() {
+            let before = GRAPH_VALUE_CHECKS.with(|n| n.get());
+            let (class_of, reps) = shape_classes(&jobs);
+            assert!(GRAPH_VALUE_CHECKS.with(|n| n.get()) > before);
+            assert_eq!((class_of.clone(), reps.clone()), linear_scan(&jobs));
+            // Variants 1–4 each open a class of their own; -0.0 joins 0.0,
+            // each NaN job opens one, and the last variant joins the plain
+            // job.
+            assert_eq!(&class_of[..VARIANTS], [0, 1, 2, 3, 4, 5, 5, 6, 7, 8, 0]);
+            assert_eq!(class_of[VARIANTS + 7], reps.len() - 1);
+            assert_eq!(reps.len(), 10);
+        }
     }
 
     /// One full comparison per job on a `fault_fleet`-sized fleet, and a
@@ -2428,14 +2435,6 @@ mod shape_class_oracle {
     #[test]
     fn full_checks_grow_with_jobs_not_shapes() {
         let fleet = FleetSimConfig::from_workload(&FleetWorkloadConfig::new(2048, 262_144, 7)).jobs;
-        let (classes, checks) = counted(&fleet);
-        assert!(classes > 64, "{classes} shapes");
-        assert!(
-            checks <= fleet.len(),
-            "{checks} full checks for {} jobs",
-            fleet.len()
-        );
-
         // Four copies of the fleet, each at its own bubble free memory.
         let larger: Vec<FleetJobConfig> = (0..4)
             .flat_map(|k| {
@@ -2445,12 +2444,21 @@ mod shape_class_oracle {
                 })
             })
             .collect();
-        let (larger_classes, larger_checks) = counted(&larger);
-        assert_eq!(larger_classes, 4 * classes);
-        assert!(
-            larger_checks <= 4 * checks,
-            "{larger_checks} full checks at 4x, {checks} at 1x"
-        );
+        for _width in sweep::widths::one_and_two_workers() {
+            let (classes, checks) = counted(&fleet);
+            assert!(classes > 64, "{classes} shapes");
+            assert!(
+                checks <= fleet.len(),
+                "{checks} full checks for {} jobs",
+                fleet.len()
+            );
+            let (larger_classes, larger_checks) = counted(&larger);
+            assert_eq!(larger_classes, 4 * classes);
+            assert!(
+                larger_checks <= 4 * checks,
+                "{larger_checks} full checks at 4x, {checks} at 1x"
+            );
+        }
     }
 }
 
@@ -2460,7 +2468,7 @@ mod shape_class_oracle {
 /// value.
 #[cfg(test)]
 mod timeline_count {
-    use super::{shape_classes, GRAPH_VALUE_CHECKS, TIMELINE_RUNS};
+    use super::{shape_classes, sweep, GRAPH_VALUE_CHECKS, TIMELINE_RUNS};
     use crate::fleet::{FleetBackend, FleetSimConfig};
     use pipefill_pipeline::MainJobSpec;
     use pipefill_trace::FleetWorkloadConfig;
@@ -2480,11 +2488,13 @@ mod timeline_count {
         let classes = shape_classes(&cfg.jobs).1.len();
         assert_eq!((distinct, classes), (36, 108));
 
-        let runs = TIMELINE_RUNS.with(|n| n.get());
-        let value_checks = GRAPH_VALUE_CHECKS.with(|n| n.get());
-        let backend = FleetBackend::new(cfg);
-        assert_eq!(backend.shapes.len(), classes);
-        assert_eq!(TIMELINE_RUNS.with(|n| n.get()) - runs, distinct);
-        assert_eq!(GRAPH_VALUE_CHECKS.with(|n| n.get()), value_checks);
+        for _width in sweep::widths::one_and_two_workers() {
+            let runs = TIMELINE_RUNS.with(|n| n.get());
+            let value_checks = GRAPH_VALUE_CHECKS.with(|n| n.get());
+            let backend = FleetBackend::new(cfg.clone());
+            assert_eq!(backend.shapes.len(), classes);
+            assert_eq!(TIMELINE_RUNS.with(|n| n.get()) - runs, distinct);
+            assert_eq!(GRAPH_VALUE_CHECKS.with(|n| n.get()), value_checks);
+        }
     }
 }

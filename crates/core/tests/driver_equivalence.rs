@@ -8,7 +8,8 @@
 //! included), the same `BackendMetrics` bits and the same
 //! `events_dispatched`: across shapes of different periods, staggered
 //! iteration counts, jobs that decline filling, jitter on and off and
-//! fast-forward on and off.
+//! fast-forward on and off. The parallel rounds run at one worker and at
+//! two.
 
 use proptest::prelude::*;
 
@@ -20,6 +21,13 @@ use pipefill_model_zoo::ModelId;
 use pipefill_pipeline::{MainJobSpec, ScheduleKind};
 use pipefill_sim_core::StepOutcome;
 use pipefill_trace::ModelMix;
+
+use pipefill_core::experiments::sweep::set_threads;
+
+#[path = "support/widths.rs"]
+mod widths;
+
+use widths::one_and_two_workers;
 
 /// Main-job shapes as (microbatches, schedule): four distinct periods.
 const SHAPES: [(usize, ScheduleKind); 4] = [
@@ -92,14 +100,17 @@ fn metric_bits(m: &BackendMetrics) -> [u64; 13] {
 }
 
 /// Both drivers over one fleet config, under `build` (the fleet or the
-/// fault label). Returns the run's result for further checks.
+/// fault label), the run at one worker and at two. Returns the run's
+/// result for further checks.
 fn fleet_agrees(cfg: FleetSimConfig, build: fn(FleetSimConfig) -> FleetBackend) -> FleetSimResult {
-    let (metrics, backend) = BackendDriver::new(build(cfg.clone())).run();
-    let (kernel_metrics, kernel) = stepped(build(cfg));
-    let (run, kernel) = (backend.into_result(), kernel.into_result());
-    assert_eq!(metric_bits(&metrics), metric_bits(&kernel_metrics));
-    assert_eq!(run, kernel);
-    run
+    let (kernel_metrics, kernel) = stepped(build(cfg.clone()));
+    let kernel = kernel.into_result();
+    for _width in one_and_two_workers() {
+        let (metrics, backend) = BackendDriver::new(build(cfg.clone())).run();
+        assert_eq!(metric_bits(&metrics), metric_bits(&kernel_metrics));
+        assert_eq!(backend.into_result(), kernel);
+    }
+    kernel
 }
 
 /// Both drivers over one physical config.

@@ -4,7 +4,8 @@
 //! *bit for bit* — across every simulation backend, every pipeline
 //! schedule and arbitrary seeds. A jittered run consumes RNG every
 //! iteration, so the quiescence pre-filter must keep the detector
-//! disarmed.
+//! disarmed. A no-fault fleet runs in parallel rounds, so every check
+//! holds at one worker and at two.
 
 use proptest::prelude::*;
 
@@ -14,6 +15,13 @@ use pipefill_core::{
 use pipefill_model_zoo::ModelId;
 use pipefill_pipeline::{MainJobSpec, ScheduleKind};
 use pipefill_trace::ModelMix;
+
+use pipefill_core::experiments::sweep::set_threads;
+
+#[path = "support/widths.rs"]
+mod widths;
+
+use widths::one_and_two_workers;
 
 const SCHEDULES: [ScheduleKind; 4] = [
     ScheduleKind::GPipe,
@@ -137,22 +145,24 @@ proptest! {
             BackendConfig::Fault(quiet_fault(seed, schedule)),
             BackendConfig::Fleet(quiet_fleet(seed, schedule)),
         ];
-        for cfg in configs {
-            let kind = cfg.kind();
-            let (r_on, r_off) = on_off(cfg);
-            prop_assert!(
-                fast_forwarded(&r_on) > 0,
-                "{kind}/{schedule} seed {seed}: steady state never detected"
-            );
-            prop_assert_eq!(
-                fast_forwarded(&r_off), 0,
-                "{}/{} seed {}: the off run must not skip", kind, schedule, seed
-            );
-            prop_assert_eq!(
-                metric_bits(r_on.metrics()),
-                metric_bits(r_off.metrics()),
-                "{}/{} seed {}: fast-forward changed the metrics", kind, schedule, seed
-            );
+        for _width in one_and_two_workers() {
+            for cfg in configs.clone() {
+                let kind = cfg.kind();
+                let (r_on, r_off) = on_off(cfg);
+                prop_assert!(
+                    fast_forwarded(&r_on) > 0,
+                    "{kind}/{schedule} seed {seed}: steady state never detected"
+                );
+                prop_assert_eq!(
+                    fast_forwarded(&r_off), 0,
+                    "{}/{} seed {}: the off run must not skip", kind, schedule, seed
+                );
+                prop_assert_eq!(
+                    metric_bits(r_on.metrics()),
+                    metric_bits(r_off.metrics()),
+                    "{}/{} seed {}: fast-forward changed the metrics", kind, schedule, seed
+                );
+            }
         }
     }
 
@@ -193,34 +203,36 @@ const LONG_ITERS: usize = 5_000;
 /// interleaving and must agree in sequence.
 #[test]
 fn long_horizon_skips_agree_bit_for_bit() {
-    for jobs in [4, 1] {
-        let cfg = quiet_fleet_of(jobs, LONG_ITERS, 11, ScheduleKind::GPipe);
-        let (r_on, r_off) = on_off(BackendConfig::Fleet(cfg));
-        assert_eq!(
-            metric_bits(r_on.metrics()),
-            metric_bits(r_off.metrics()),
-            "{jobs}-job fleet: fast-forward changed the metrics"
-        );
-        let mut on = r_on.as_fleet().expect("fleet detail").clone();
-        let mut off = r_off.as_fleet().expect("fleet detail").clone();
-        let total = (jobs * LONG_ITERS) as u64;
-        // At least 15/16 skipped: the skipped span is 15 times the
-        // simulated prefix or more, so the FLOP sums grow about 16x while
-        // fast-forward replays them.
-        assert!(
-            16 * on.iterations_fast_forwarded >= 15 * total,
-            "{jobs}-job fleet skipped only {} of {total} iterations",
-            on.iterations_fast_forwarded
-        );
-        assert_eq!(off.iterations_fast_forwarded, 0);
-        on.iterations_fast_forwarded = 0;
-        if jobs > 1 {
-            on.completed_fill_ids.sort_unstable();
-            off.completed_fill_ids.sort_unstable();
+    for _width in one_and_two_workers() {
+        for jobs in [4, 1] {
+            let cfg = quiet_fleet_of(jobs, LONG_ITERS, 11, ScheduleKind::GPipe);
+            let (r_on, r_off) = on_off(BackendConfig::Fleet(cfg));
+            assert_eq!(
+                metric_bits(r_on.metrics()),
+                metric_bits(r_off.metrics()),
+                "{jobs}-job fleet: fast-forward changed the metrics"
+            );
+            let mut on = r_on.as_fleet().expect("fleet detail").clone();
+            let mut off = r_off.as_fleet().expect("fleet detail").clone();
+            let total = (jobs * LONG_ITERS) as u64;
+            // At least 15/16 skipped: the skipped span is 15 times the
+            // simulated prefix or more, so the FLOP sums grow about 16x while
+            // fast-forward replays them.
+            assert!(
+                16 * on.iterations_fast_forwarded >= 15 * total,
+                "{jobs}-job fleet skipped only {} of {total} iterations",
+                on.iterations_fast_forwarded
+            );
+            assert_eq!(off.iterations_fast_forwarded, 0);
+            on.iterations_fast_forwarded = 0;
+            if jobs > 1 {
+                on.completed_fill_ids.sort_unstable();
+                off.completed_fill_ids.sort_unstable();
+            }
+            assert!(
+                on == off,
+                "{jobs}-job fleet: fast-forward changed the fleet result"
+            );
         }
-        assert!(
-            on == off,
-            "{jobs}-job fleet: fast-forward changed the fleet result"
-        );
     }
 }

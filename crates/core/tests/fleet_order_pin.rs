@@ -6,11 +6,20 @@
 //! The expected values are exact and must survive any change to the
 //! event queue's representation: an event that pops out of `(time,
 //! push)` order moves the completion-order digest or the metric bits.
+//! A no-fault fleet runs in parallel rounds, so each pin holds at one
+//! worker and at two.
 
 use pipefill_core::{BackendConfig, BackendMetrics, FleetJobConfig, FleetSimConfig};
 use pipefill_model_zoo::ModelId;
 use pipefill_pipeline::{MainJobSpec, ScheduleKind};
 use pipefill_trace::ModelMix;
+
+use pipefill_core::experiments::sweep::set_threads;
+
+#[path = "support/widths.rs"]
+mod widths;
+
+use widths::one_and_two_workers;
 
 /// FNV-1a over a word stream: order-sensitive and stable across hosts.
 fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -85,17 +94,18 @@ fn pin(cfg: FleetSimConfig) -> Pin {
 /// Default jitter: every bubble draws, fast-forward never fires.
 #[test]
 fn jittered_fleet_order_is_pinned() {
-    let got = pin(fleet(60));
-    assert_eq!(
-        got,
-        Pin {
-            metrics: 7046329053590503930,
-            events: 8160,
-            completed: 829,
-            completed_ids: 12692697037660692998,
-            fast_forwarded: 0,
-        }
-    );
+    for _width in one_and_two_workers() {
+        assert_eq!(
+            pin(fleet(60)),
+            Pin {
+                metrics: 7046329053590503930,
+                events: 8160,
+                completed: 829,
+                completed_ids: 12692697037660692998,
+                fast_forwarded: 0,
+            }
+        );
+    }
 }
 
 /// Jitter off and one model: every job runs the same iteration stream,
@@ -108,15 +118,16 @@ fn quiescent_fleet_order_is_pinned() {
     cfg.mix = ModelMix::single(ModelId::EfficientNet);
     cfg.backlog_job_gpu_hours = 0.0005;
     assert!(cfg.fast_forward);
-    let got = pin(cfg);
-    assert_eq!(
-        got,
-        Pin {
-            metrics: 9907902054312026338,
-            events: 54400,
-            completed: 17048,
-            completed_ids: 9058681337721705125,
-            fast_forwarded: 2736,
-        }
-    );
+    for _width in one_and_two_workers() {
+        assert_eq!(
+            pin(cfg.clone()),
+            Pin {
+                metrics: 9907902054312026338,
+                events: 54400,
+                completed: 17048,
+                completed_ids: 9058681337721705125,
+                fast_forwarded: 2736,
+            }
+        );
+    }
 }

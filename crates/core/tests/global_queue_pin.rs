@@ -6,11 +6,19 @@
 //! The expected values are exact and must survive any change to the
 //! queue's representation: a candidate scan that picks a different job
 //! moves the completion-order digest, the cross-job count or the metric
-//! bits.
+//! bits. The fleet profiles its shape classes in parallel, so the pins
+//! hold at one worker and at two.
 
 use pipefill_core::{BackendConfig, BackendMetrics, FleetSimConfig, PolicyKind};
 use pipefill_sim_core::SimDuration;
 use pipefill_trace::FleetWorkloadConfig;
+
+use pipefill_core::experiments::sweep::set_threads;
+
+#[path = "support/widths.rs"]
+mod widths;
+
+use widths::one_and_two_workers;
 
 /// Which main jobs admit fill work evicted from other jobs.
 #[derive(Debug, Clone, Copy)]
@@ -138,23 +146,25 @@ const EXPECTED: [Pin; 12] = [
 
 #[test]
 fn global_queue_behaviour_is_pinned() {
-    let mut actual = Vec::new();
-    for policy in POLICIES {
-        for admission in ADMISSIONS {
-            actual.push((policy, admission, run(policy, admission)));
+    for _width in one_and_two_workers() {
+        let mut actual = Vec::new();
+        for policy in POLICIES {
+            for admission in ADMISSIONS {
+                actual.push((policy, admission, run(policy, admission)));
+            }
         }
+        let table: Vec<String> = actual
+            .iter()
+            .map(|(p, a, pin)| format!("{p:?}/{a:?}: {pin:?}"))
+            .collect();
+        let got: Vec<Pin> = actual.iter().map(|&(_, _, pin)| pin).collect();
+        assert_eq!(
+            got,
+            EXPECTED,
+            "global queue behaviour moved:\n{}",
+            table.join("\n")
+        );
     }
-    let table: Vec<String> = actual
-        .iter()
-        .map(|(p, a, pin)| format!("{p:?}/{a:?}: {pin:?}"))
-        .collect();
-    let got: Vec<Pin> = actual.iter().map(|&(_, _, pin)| pin).collect();
-    assert_eq!(
-        got,
-        EXPECTED,
-        "global queue behaviour moved:\n{}",
-        table.join("\n")
-    );
 }
 
 #[test]

@@ -429,6 +429,14 @@ impl ScenarioSpec {
             }
             if m.is_finite() {
                 fits_clock("mtbf_secs", m)?;
+                // An MTBF that rounds to zero nanoseconds would hand the
+                // failure sampler a zero mean.
+                if mtbf_duration(m).is_zero() {
+                    return Err(SpecError::about(
+                        "mtbf_secs",
+                        format!("must be at least 1 ns, got {m:?}"),
+                    ));
+                }
             }
         }
         if let Some(c) = self.checkpoint_secs {
@@ -1000,13 +1008,16 @@ mod tests {
     #[test]
     fn validation_rejects_values_the_clock_cannot_hold() {
         // Each of these parses as a finite number but used to panic
-        // once lowered: the durations overflow the simulated clock, and
-        // the load rounds the mean inter-arrival time to zero.
+        // once lowered: the durations overflow the simulated clock, a tiny
+        // MTBF rounds to zero, and the load rounds the mean inter-arrival
+        // time to zero.
         let cases = [
             (BackendKind::Fault, "checkpoint_secs", "1e300"),
             (BackendKind::Fault, "mtbf_secs", "1e300"),
             (BackendKind::Fleet, "mtbf_secs", "1e300"),
             (BackendKind::Fault, "mtbf_secs", "1e11"),
+            (BackendKind::Fault, "mtbf_secs", "1e-10"),
+            (BackendKind::Fleet, "mtbf_secs", "1e-300"),
             (BackendKind::Coarse, "horizon_secs", "18446744074"),
             (BackendKind::Coarse, "load", "1e300"),
             (BackendKind::Coarse, "load", "1e-320"),
@@ -1025,6 +1036,7 @@ mod tests {
         for (backend, key, value) in [
             (BackendKind::Fault, "checkpoint_secs", "1e9"),
             (BackendKind::Fleet, "mtbf_secs", "1e9"),
+            (BackendKind::Fleet, "mtbf_secs", "1e-9"),
             (BackendKind::Coarse, "load", "1e9"),
             (BackendKind::Coarse, "horizon_secs", "18446744073"),
         ] {

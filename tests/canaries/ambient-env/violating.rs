@@ -27,8 +27,8 @@ pub fn paths() -> Vec<PathBuf> {
 
 /// Process-global state.
 pub fn set_up() -> std::io::Result<()> {
-    env::set_var("RAYON_NUM_THREADS", "1"); //~
-    env::remove_var("RAYON_NUM_THREADS"); //~
+    env::set_var("TZ", "UTC"); //~
+    env::remove_var("TZ"); //~
     env::set_current_dir("/") //~
 }
 

@@ -5,7 +5,7 @@
 //! seeds, mixes, GPU counts). The points are independent, so this module
 //! fans them out across cores while keeping results in input order — a
 //! sweep returns exactly what the serial loop would, just faster. Fleet
-//! set-up and a no-fault fleet's parallel rounds fan out the same way.
+//! set-up and a no-fault fleet's pipelines fan out the same way.
 //!
 //! Determinism is unaffected: each point owns its seeded RNG, and
 //! [`par_map`] preserves index order, so experiment output is byte-stable
@@ -40,9 +40,8 @@ fn width() -> usize {
 /// Applies `f` to every item across cores, preserving input order.
 ///
 /// Worker `w` of `t` takes items `w, w + t, …`, so a sweep whose cost
-/// varies smoothly with index balances statically, and each pipeline of
-/// a fleet's parallel rounds stays on one worker round after round. A
-/// panic in `f` propagates out of the call.
+/// varies smoothly with index balances statically. A panic in `f`
+/// propagates out of the call.
 pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,

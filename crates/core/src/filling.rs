@@ -31,8 +31,7 @@
 //! run and a one-job fleet both reproduce the physical run bit for bit —
 //! the conformance suite pins it.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -60,11 +59,6 @@ const STEADY_HISTORY: usize = 512;
 /// job carries its own detector and observed fleet cycles are short (a
 /// few iterations), so a modest window keeps thousand-job fleets cheap.
 const FLEET_STEADY_HISTORY: usize = 64;
-
-/// Iterations a pipeline of a no-fault fleet runs per round at most
-/// (see `FillBackend::run_pipelines`): bounds each round's traces,
-/// and so the memory, while keeping rounds few.
-const ROUND_ITERATIONS: u64 = 64;
 
 /// Draws per refill before a bubble is left idle this round.
 const MAX_DRAW_TRIES: usize = 5;
@@ -417,6 +411,9 @@ struct Pipeline {
     executed_flops: f64,
     lost_flops: f64,
     completed: usize,
+    /// Fill ids this pipeline's bubbles completed; `None` for a physical
+    /// run, whose result does not report them.
+    ids: Option<IdLog>,
     isolated_ooms: u64,
     failures: u64,
     evictions: u64,
@@ -474,7 +471,6 @@ impl Pipeline {
         stage: usize,
         plans: &StagePlans,
         cfg: &FleetSimConfig,
-        mut completed_ids: Option<&mut Vec<JobId>>,
         mut unpark: impl FnMut() -> Option<Box<FillLease>>,
     ) -> Option<SimDuration> {
         let mut delay = SimDuration::ZERO;
@@ -489,7 +485,7 @@ impl Pipeline {
                         .map(|exec| Box::new(FillLease::fresh(exec)))
                 });
             }
-            delay += self.run_bubble(stage, slot, plans, cfg, completed_ids.as_deref_mut());
+            delay += self.run_bubble(stage, slot, plans, cfg);
         }
         self.stage_delays.push(delay);
         (stage + 1 == self.leases.len()).then(|| {
@@ -509,7 +505,6 @@ impl Pipeline {
         slot: usize,
         plans: &StagePlans,
         cfg: &FleetSimConfig,
-        completed_ids: Option<&mut Vec<JobId>>,
     ) -> SimDuration {
         let window = plans.windows(stage)[slot];
         let Some(lease) = self.leases[stage].as_mut() else {
@@ -562,8 +557,8 @@ impl Pipeline {
             self.completed += 1;
             self.detector.record_completion(finished_id.0);
             self.leases[stage] = None;
-            if let Some(ids) = completed_ids {
-                ids.push(finished_id);
+            if let Some(ids) = &mut self.ids {
+                ids.literal.push(finished_id);
             }
         }
         bubble_stall(
@@ -710,6 +705,10 @@ impl Pipeline {
         self.stage_delays.clear();
         self.iterations_done += 1;
         if self.iterations_done >= self.iterations {
+            // The stream is over, so its cycle history is dead: free it
+            // now. A pipeline-major worker then holds the history of the
+            // one pipeline it runs, not of every pipeline it has run.
+            self.detector = SteadyDetector::new(false, 0);
             return Boundary::default();
         }
         let boundary = Boundary {
@@ -748,64 +747,38 @@ impl Pipeline {
         }
         // Each skipped iteration would have fired one StageBubbles per
         // stage plus one JobIterationEnd.
-        Boundary {
+        let boundary = Boundary {
             next: Some(now + (period * skip.len + skip.delay_sum) * skip.cycles),
             credit: skip.iterations() * (self.leases.len() as u64 + 1),
-            skipped: Some(SkippedIds {
+        };
+        if let Some(ids) = &mut self.ids {
+            ids.skip(SkippedIds {
                 cycle: skip.completed,
                 stride,
                 cycles: skip.cycles,
-            }),
+            });
         }
+        boundary
     }
 
-    /// Runs this pipeline's events pipeline-major, in the order the
-    /// kernel pops them, through every unit that fires at or before
-    /// `frontier` (all of them when `None`). A unit is a block (one
-    /// iteration's stage fan-out, which pops as one) or an iteration end;
-    /// each calls exactly what the kernel's handler calls for it.
-    fn advance(
-        &mut self,
-        job: usize,
-        shape: &Shape,
-        cfg: &FleetSimConfig,
-        frontier: Option<SimTime>,
-        trace: &mut Trace,
-    ) {
-        while let Some((at, due)) = trace.pending {
-            if frontier.is_some_and(|f| at > f) {
-                break;
+    /// Runs this pipeline's events pipeline-major, from its first block
+    /// to its last iteration end, calling exactly what the kernel's
+    /// handler calls for each; returns the events the kernel would have
+    /// dispatched, fast-forward credits included. A block is one
+    /// iteration's stage fan-out, which the kernel pops as one run.
+    fn advance(&mut self, job: usize, shape: &Shape, cfg: &FleetSimConfig) -> u64 {
+        let mut events = 0;
+        let mut block = self.filling.then_some(SimTime::ZERO);
+        while let Some(at) = block {
+            for stage in 0..self.leases.len() {
+                self.run_stage(job, stage, &shape.plans, cfg, || None);
             }
-            let (next, then) = match due {
-                Due::Block => {
-                    for stage in 0..self.leases.len() {
-                        self.run_stage(job, stage, &shape.plans, cfg, trace.ids.as_mut(), || None);
-                    }
-                    trace.events += self.leases.len() as u64;
-                    (Some(at + shape.period + self.iteration_delay), Due::End)
-                }
-                Due::End => {
-                    let boundary = self.end_iteration(at, shape.period);
-                    trace.events += 1 + boundary.credit;
-                    if let Some(skipped) = boundary.skipped {
-                        if trace.units.is_some() {
-                            trace.skips.push(skipped);
-                        } else if let Some(ids) = &mut trace.ids {
-                            skipped.write(ids);
-                        }
-                    }
-                    (boundary.next, Due::Block)
-                }
-            };
-            trace.pending = next.map(|next| (next, then));
-            if let Some(units) = &mut trace.units {
-                units.push(Unit {
-                    next,
-                    ids_end: trace.ids.as_ref().map_or(0, Vec::len),
-                    skips_end: trace.skips.len(),
-                });
-            }
+            let end = at + shape.period + self.iteration_delay;
+            let boundary = self.end_iteration(end, shape.period);
+            events += self.leases.len() as u64 + 1 + boundary.credit;
+            block = boundary.next;
         }
+        events
     }
 }
 
@@ -817,8 +790,6 @@ struct Boundary {
     next: Option<SimTime>,
     /// Events a fast-forward skip stood in for.
     credit: u64,
-    /// The completions the skip replayed.
-    skipped: Option<SkippedIds>,
 }
 
 /// The fill ids a fast-forward skip completed: `cycle`, one cycle's
@@ -831,152 +802,46 @@ struct SkippedIds {
 }
 
 impl SkippedIds {
+    fn len(&self) -> usize {
+        self.cycle.len() * self.cycles as usize
+    }
+
     fn write(&self, ids: &mut Vec<JobId>) {
-        ids.reserve(self.cycle.len() * self.cycles as usize);
         for m in 1..=self.cycles {
             ids.extend(self.cycle.iter().map(|&id| JobId(id + m * self.stride)));
         }
     }
 }
 
-/// A pipeline's next kernel unit.
-#[derive(Debug, Clone, Copy)]
-enum Due {
-    /// The iteration's stage fan-out.
-    Block,
-    /// The iteration boundary.
-    End,
+/// One pipeline's completed fill ids in its completion order: the ids of
+/// event-by-event completions as they are, and each fast-forward skip as
+/// one [`SkippedIds`] segment, expanded only when [`IdLog::write`] lays
+/// the log out.
+#[derive(Default)]
+struct IdLog {
+    literal: Vec<JobId>,
+    /// Each skip, after the first `.0` ids of `literal`.
+    skips: Vec<(usize, SkippedIds)>,
 }
 
-/// One unit a pipeline ran in a round, as the merge replays it.
-#[derive(Clone, Copy)]
-struct Unit {
-    /// When the unit's one push fires: a block's iteration end, an end's
-    /// next block; `None` when the end closed the pipeline's last
-    /// iteration.
-    next: Option<SimTime>,
-    /// Ends of this unit's literal completions in [`Trace::ids`] and of
-    /// its skip (an end's, if it skipped) in [`Trace::skips`]; each
-    /// starts where the previous unit's ends.
-    ids_end: usize,
-    skips_end: usize,
-}
-
-/// What one pipeline's pipeline-major run leaves behind.
-struct Trace {
-    /// The pipeline's next unit, not run yet.
-    pending: Option<(SimTime, Due)>,
-    /// Events run, fast-forward credits included.
-    events: u64,
-    /// Completed fill ids in completion order, skips excepted while a
-    /// merge is pending; `None` when the run records none (physical).
-    ids: Option<Vec<JobId>>,
-    /// This round's units for the merge; `None` for a one-pipeline run,
-    /// which needs no merge and so writes skips straight into `ids`.
-    units: Option<Vec<Unit>>,
-    /// This round's skipped ids, in order, for the merge to write.
-    skips: Vec<SkippedIds>,
-    /// Units of this round the merge has consumed.
-    merged: usize,
-}
-
-impl Trace {
-    /// A pipeline's trace before its first event: a filling pipeline's
-    /// first block fires at time zero.
-    fn new(pipe: &Pipeline, ids: Option<Vec<JobId>>, units: Option<Vec<Unit>>) -> Self {
-        Trace {
-            pending: pipe.filling.then_some((SimTime::ZERO, Due::Block)),
-            events: 0,
-            ids,
-            units,
-            skips: Vec::new(),
-            merged: 0,
-        }
-    }
-}
-
-/// The kernel's pop order over the pipelines' units, replayed without
-/// their bubble work: a heap keyed like the kernel's queue, by (time,
-/// push count), holding each pipeline's next unit.
-///
-/// The replay is exact. A block's stage events hold consecutive seqs at
-/// one instant, so no other event pops between them, and a pipeline's
-/// only pushes are its iteration end (from the block's last stage) and
-/// its next block (from that end). One entry per unit, pushed when the
-/// kernel would push it, therefore sorts exactly as the kernel's events
-/// do.
-struct Merge {
-    heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
-    pushes: u64,
-}
-
-impl Merge {
-    /// The primed kernel: each filling pipeline's first block, in
-    /// pipeline order.
-    fn new(traces: &[Trace]) -> Self {
-        let mut merge = Merge {
-            heap: BinaryHeap::with_capacity(traces.len()),
-            pushes: 0,
-        };
-        for (j, trace) in traces.iter().enumerate() {
-            if let Some((at, _)) = trace.pending {
-                merge.push(at, j);
-            }
-        }
-        merge
+impl IdLog {
+    fn skip(&mut self, skipped: SkippedIds) {
+        self.skips.push((self.literal.len(), skipped));
     }
 
-    fn push(&mut self, at: SimTime, pipe: usize) {
-        self.heap.push(Reverse((at, self.pushes, pipe)));
-        self.pushes += 1;
+    fn len(&self) -> usize {
+        self.literal.len() + self.skips.iter().map(|(_, s)| s.len()).sum::<usize>()
     }
 
-    /// Pops every unit at or before `frontier` (the round's traces hold
-    /// all of them), appends their completions to `out`, and empties
-    /// the traces for the next round. Returns the units the round held.
-    fn round(
-        &mut self,
-        traces: &mut [Trace],
-        frontier: SimTime,
-        mut out: Option<&mut Vec<JobId>>,
-    ) -> usize {
-        while let Some(&Reverse((at, _, j))) = self.heap.peek() {
-            if at > frontier {
-                break;
-            }
-            self.heap.pop();
-            let trace = &mut traces[j];
-            let units = trace.units.as_deref().unwrap_or_default();
-            let unit = units[trace.merged];
-            let (ids_from, skips_from) = match trace.merged.checked_sub(1) {
-                Some(prev) => (units[prev].ids_end, units[prev].skips_end),
-                None => (0, 0),
-            };
-            if let (Some(out), Some(ids)) = (out.as_deref_mut(), &trace.ids) {
-                out.extend_from_slice(&ids[ids_from..unit.ids_end]);
-                for skipped in &trace.skips[skips_from..unit.skips_end] {
-                    skipped.write(out);
-                }
-            }
-            trace.merged += 1;
-            if let Some(next) = unit.next {
-                self.push(next, j);
-            }
+    /// Appends the log to `ids` in completion order.
+    fn write(&self, ids: &mut Vec<JobId>) {
+        let mut from = 0;
+        for (at, skipped) in &self.skips {
+            ids.extend_from_slice(&self.literal[from..*at]);
+            skipped.write(ids);
+            from = *at;
         }
-        let mut held = 0;
-        for trace in traces {
-            let units = trace.units.as_mut().map_or(0, |units| {
-                let len = units.len();
-                units.clear();
-                len
-            });
-            debug_assert_eq!(trace.merged, units, "a unit of the round was left unmerged");
-            held += units;
-            trace.ids.iter_mut().for_each(Vec::clear);
-            trace.skips.clear();
-            trace.merged = 0;
-        }
-        held
+        ids.extend_from_slice(&self.literal[from..]);
     }
 }
 
@@ -1088,9 +953,6 @@ pub struct FillBackend<R> {
     /// outage's downtime to the run.
     down_until: Vec<SimTime>,
     pipes: Vec<Pipeline>,
-    /// Completed fill ids in completion order; `None` for a physical run,
-    /// whose result does not report them.
-    completed_ids: Option<Vec<JobId>>,
     report: Option<FleetSimResult>,
     view: PhantomData<fn() -> R>,
 }
@@ -1177,6 +1039,7 @@ impl<R> FillBackend<R> {
                     executed_flops: 0.0,
                     lost_flops: 0.0,
                     completed: 0,
+                    ids: (kind != BackendKind::Physical).then(IdLog::default),
                     isolated_ooms: 0,
                     failures: 0,
                     evictions: 0,
@@ -1197,7 +1060,6 @@ impl<R> FillBackend<R> {
             parked: LookupMap::new(),
             fail_rngs,
             pipes,
-            completed_ids: (kind != BackendKind::Physical).then(Vec::new),
             report: None,
             view: PhantomData,
             cfg,
@@ -1222,60 +1084,17 @@ impl<R> FillBackend<R> {
 
     /// Runs every pipeline pipeline-major instead of on the kernel; only
     /// valid while no device can fail, when the pipelines share nothing
-    /// but the kernel's event order. Returns the events the kernel would
-    /// have dispatched.
-    ///
-    /// One pipeline runs straight to its end. A fleet runs in rounds:
-    /// every pipeline with work left advances, striped across cores,
-    /// through its units at or before a common frontier, and a merge
-    /// then replays the kernel's order over those units to lay their
-    /// completions into `completed_ids`. The frontier is the earliest
-    /// `pending + ROUND_ITERATIONS × period` over those pipelines, so no
-    /// pipeline runs more than `ROUND_ITERATIONS + 1` blocks a round and
-    /// the round's traces, not the horizon, bound the memory. Returns
-    /// the events plus the most units one round's traces held.
-    fn run_pipelines(&mut self) -> (u64, usize) {
+    /// but the kernel's clock. Each pipeline runs straight to its end,
+    /// striped across cores, and keeps its own completed ids. Returns the
+    /// events the kernel would have dispatched.
+    fn run_pipelines(&mut self) -> u64 {
         let FillBackend {
-            cfg,
-            shapes,
-            pipes,
-            completed_ids,
-            ..
+            cfg, shapes, pipes, ..
         } = self;
-        if let [pipe] = pipes.as_mut_slice() {
-            let mut trace = Trace::new(pipe, completed_ids.take(), None);
-            pipe.advance(0, &shapes[pipe.shape], cfg, None, &mut trace);
-            *completed_ids = trace.ids;
-            return (trace.events, 0);
-        }
-        let mut traces: Vec<Trace> = pipes
-            .iter()
-            .map(|pipe| Trace::new(pipe, Some(Vec::new()), Some(Vec::new())))
-            .collect();
-        let mut merge = Merge::new(&traces);
-        let mut peak = 0;
-        loop {
-            let frontier = traces.iter().zip(pipes.iter()).filter_map(|(trace, pipe)| {
-                let (at, _) = trace.pending?;
-                let span = shapes[pipe.shape].period.as_nanos();
-                let span = SimDuration::from_nanos(span.saturating_mul(ROUND_ITERATIONS));
-                Some(at.checked_add(span).unwrap_or(SimTime::MAX))
-            });
-            let Some(frontier) = frontier.min() else {
-                break;
-            };
-            let lanes: Vec<(usize, (&mut Pipeline, &mut Trace))> = pipes
-                .iter_mut()
-                .zip(traces.iter_mut())
-                .enumerate()
-                .filter(|(_, (_, trace))| trace.pending.is_some_and(|(at, _)| at <= frontier))
-                .collect();
-            sweep::par_map(lanes, |(j, (pipe, trace))| {
-                pipe.advance(j, &shapes[pipe.shape], cfg, Some(frontier), trace);
-            });
-            peak = peak.max(merge.round(&mut traces, frontier, completed_ids.as_mut()));
-        }
-        (traces.iter().map(|trace| trace.events).sum(), peak)
+        let lanes: Vec<(usize, &mut Pipeline)> = pipes.iter_mut().enumerate().collect();
+        sweep::par_map(lanes, |(j, pipe)| pipe.advance(j, &shapes[pipe.shape], cfg))
+            .into_iter()
+            .sum()
     }
 
     /// Evicts the fill job running on pipeline `j`'s stage `s` (device
@@ -1311,6 +1130,18 @@ impl<R> FillBackend<R> {
         );
         self.queue.requeue_from(j, info);
         self.parked.insert(id, lease);
+    }
+
+    /// Every pipeline's completed fill ids, job-major: job 0's in its
+    /// completion order, then job 1's, and so on. Each log is freed
+    /// once written.
+    fn completed_fill_ids(&mut self) -> Vec<JobId> {
+        let total = self.pipes.iter().filter_map(|p| p.ids.as_ref()).map(IdLog::len).sum();
+        let mut ids = Vec::with_capacity(total);
+        for log in self.pipes.iter_mut().filter_map(|p| p.ids.take()) {
+            log.write(&mut ids);
+        }
+        ids
     }
 
     /// Per-pipeline results plus fleet aggregates.
@@ -1360,7 +1191,7 @@ impl<R> FillBackend<R> {
             mean_slowdown: per_stage(&|r| r.main_slowdown),
             bubble_ratio: per_stage(&|r| r.bubble_ratio),
             fill_jobs_completed: jobs.iter().map(|r| r.fill_jobs_completed).sum(),
-            completed_fill_ids: self.completed_ids.take().unwrap_or_default(),
+            completed_fill_ids: self.completed_fill_ids(),
             failures: jobs.iter().map(|r| r.failures).sum(),
             evictions: jobs.iter().map(|r| r.evictions).sum(),
             cross_job_dispatches: self.queue.cross_job_dispatches(),
@@ -1370,6 +1201,19 @@ impl<R> FillBackend<R> {
             iterations_fast_forwarded: self.pipes.iter().map(|p| p.fast_forwarded).sum(),
             jobs,
         }
+    }
+}
+
+impl FillBackend<FleetSimResult> {
+    /// Fill jobs each main job's bubbles have completed so far, in job
+    /// order. A kernel step completes fill jobs on one main job at most,
+    /// so reading this after every [`BackendDriver::step`] tells which
+    /// ids of the job-major [`FleetSimResult::completed_fill_ids`] each
+    /// step completed: that recovers the kernel's completion order.
+    ///
+    /// [`BackendDriver::step`]: crate::BackendDriver::step
+    pub fn completed_per_job(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.pipes.iter().map(|pipe| pipe.completed)
     }
 }
 
@@ -1384,14 +1228,9 @@ impl<R> EventHandler for FillBackend<R> {
                 let shape = &self.shapes[pipe.shape];
                 let (fill_queue, parked, idle_state) =
                     (&mut self.queue, &mut self.parked, &mut self.idle_state);
-                let delay = pipe.run_stage(
-                    j,
-                    s,
-                    &shape.plans,
-                    &self.cfg,
-                    self.completed_ids.as_mut(),
-                    || unpark(fill_queue, parked, idle_state, stage, now),
-                );
+                let delay = pipe.run_stage(j, s, &shape.plans, &self.cfg, || {
+                    unpark(fill_queue, parked, idle_state, stage, now)
+                });
                 // Once the pipeline's last stage ran, its stall aggregate
                 // is known; the iteration boundary lands at the
                 // *stretched* period so the kernel clock carries the
@@ -1407,10 +1246,6 @@ impl<R> EventHandler for FillBackend<R> {
                 let pipe = &mut self.pipes[job];
                 let boundary = pipe.end_iteration(now, self.shapes[pipe.shape].period);
                 queue.credit(boundary.credit);
-                if let (Some(skipped), Some(ids)) = (boundary.skipped, self.completed_ids.as_mut())
-                {
-                    skipped.write(ids);
-                }
                 if let Some(at) = boundary.next {
                     let stages = pipe.base..pipe.base + pipe.leases.len();
                     queue.push_run(at, stages.map(|stage| ClusterEvent::StageBubbles { stage }));
@@ -1487,7 +1322,7 @@ impl<R> SimBackend for FillBackend<R> {
         if self.cfg.mtbf != SimDuration::MAX {
             return None;
         }
-        let (events, _) = self.run_pipelines();
+        let events = self.run_pipelines();
         self.report = Some(self.collect());
         Some(events)
     }
@@ -1843,10 +1678,11 @@ mod tests {
     }
 
     #[test]
-    fn fleet_rounds_hold_as_many_units_at_any_horizon() {
-        // Jitter keeps fast-forward off, so every iteration runs; the
-        // round's iteration bound, not the horizon, caps its traces.
-        let peak = |iterations: usize| {
+    fn fleet_logs_hold_as_many_skip_segments_at_any_horizon() {
+        // Every job of a quiescent fleet skips, and each skip is one
+        // segment of its job's log: a horizon ten times longer adds
+        // cycles to the segments, not segments, on either driver.
+        let logs = |iterations: usize| {
             let main = MainJobSpec::physical_5b(8, ScheduleKind::GPipe);
             let jobs = (0..4)
                 .map(|j| FleetJobConfig {
@@ -1855,16 +1691,28 @@ mod tests {
                     ..FleetJobConfig::new(main.clone())
                 })
                 .collect();
-            let mut backend = FleetBackend::new(FleetSimConfig::new(jobs));
-            let (events, peak) = backend.run_pipelines();
-            assert!(events > 0);
-            peak
+            let mut cfg = FleetSimConfig::new(jobs);
+            cfg.jitter_cv = 0.0;
+            cfg.deterministic_mix = true;
+            cfg.mix = ModelMix::single(ModelId::EfficientNet);
+            cfg.backlog_job_gpu_hours = 0.0005;
+            let segments = |pipes: &[Pipeline]| -> Vec<usize> {
+                pipes
+                    .iter()
+                    .map(|pipe| pipe.ids.as_ref().map_or(0, |ids| ids.skips.len()))
+                    .collect()
+            };
+            let mut major = FleetBackend::new(cfg.clone());
+            assert!(major.run_pipelines() > 0);
+            let mut kernel = crate::BackendDriver::new(FleetBackend::new(cfg));
+            while kernel.step() == pipefill_sim_core::StepOutcome::Dispatched {}
+            let (major, kernel) = (segments(&major.pipes), segments(&kernel.backend().pipes));
+            assert_eq!(major, kernel);
+            major
         };
-        let (short, long) = (peak(200), peak(2000));
+        let (short, long) = (logs(400), logs(4000));
+        assert!(short.iter().all(|&skips| skips > 0), "{short:?}");
         assert_eq!(short, long);
-        // A pipeline runs at most ROUND_ITERATIONS + 1 blocks and
-        // ROUND_ITERATIONS iteration ends a round.
-        assert!(short <= 4 * (2 * ROUND_ITERATIONS as usize + 1), "{short}");
     }
 
     #[test]
@@ -2144,128 +1992,6 @@ mod decision_oracle {
                 "window {:?}·{} (lo {}), switch {:?}, used {:?}·{} (hi {})",
                 window, jw, window_lo, switch, time_used, ju, used_hi
             );
-        }
-    }
-}
-
-/// `Merge` against the kernel's own queue. Skeleton pipelines whose
-/// units fire at small integer times, so that same-instant ties abound,
-/// pop in the same order from both, over any sequence of round
-/// frontiers.
-#[cfg(test)]
-mod merge_oracle {
-    use super::{Due, Merge, Trace, Unit};
-    use pipefill_executor::JobId;
-    use pipefill_sim_core::{EventQueue, SimTime};
-    use proptest::prelude::*;
-
-    /// A skeleton pipeline: its stage count and, per unit after the
-    /// first, the gap from the unit that pushes it. Units alternate
-    /// block, end, block, … from a block at time zero.
-    type Skeleton = (usize, Vec<u64>);
-
-    /// Unit `u` of pipeline `j` as a completed id.
-    fn id(j: usize, u: usize) -> JobId {
-        JobId(((j as u64) << 32) | u as u64)
-    }
-
-    /// Each pipeline's unit start times.
-    fn times(gaps: &[u64]) -> Vec<u64> {
-        std::iter::once(0)
-            .chain(gaps.iter().scan(0, |at, gap| {
-                *at += gap;
-                Some(*at)
-            }))
-            .collect()
-    }
-
-    /// The units in the order the kernel pops them: a block is `p`
-    /// stage events pushed as a run (primed one by one), whose last
-    /// stage pushes the end; an end pushes the next block.
-    fn kernel_order(pipes: &[Skeleton]) -> Vec<JobId> {
-        let mut queue = EventQueue::new();
-        for (j, (stages, _)) in pipes.iter().enumerate() {
-            for stage in 0..*stages {
-                queue.push(SimTime::ZERO, (j, 0, stage));
-            }
-        }
-        let mut order = Vec::new();
-        while let Some((at, (j, u, stage))) = queue.pop() {
-            let (stages, gaps) = &pipes[j];
-            let block = u % 2 == 0;
-            if !block || stage == 0 {
-                order.push(id(j, u));
-            }
-            let Some(&gap) = gaps.get(u) else {
-                continue;
-            };
-            let next = SimTime::from_nanos(at.as_nanos() + gap);
-            if !block {
-                queue.push_run(next, (0..*stages).map(|s| (j, u + 1, s)));
-            } else if stage + 1 == *stages {
-                queue.push(next, (j, u + 1, 0));
-            }
-        }
-        order
-    }
-
-    /// The same units through `Merge`, each round's traces holding the
-    /// units at or before its frontier.
-    fn merged_order(pipes: &[Skeleton], frontiers: &[u64]) -> Vec<JobId> {
-        let starts: Vec<Vec<u64>> = pipes.iter().map(|(_, gaps)| times(gaps)).collect();
-        let mut traces: Vec<Trace> = pipes
-            .iter()
-            .map(|_| Trace {
-                pending: Some((SimTime::ZERO, Due::Block)),
-                events: 0,
-                ids: Some(Vec::new()),
-                units: Some(Vec::new()),
-                skips: Vec::new(),
-                merged: 0,
-            })
-            .collect();
-        let mut merge = Merge::new(&traces);
-        let mut out = Vec::new();
-        let mut run = vec![0; pipes.len()];
-        for &frontier in frontiers.iter().chain([&u64::MAX]) {
-            for (j, trace) in traces.iter_mut().enumerate() {
-                let (units, ids) = (trace.units.as_mut().unwrap(), trace.ids.as_mut().unwrap());
-                while starts[j].get(run[j]).is_some_and(|&at| at <= frontier) {
-                    let u = run[j];
-                    ids.push(id(j, u));
-                    units.push(Unit {
-                        next: starts[j].get(u + 1).map(|&at| SimTime::from_nanos(at)),
-                        ids_end: ids.len(),
-                        skips_end: 0,
-                    });
-                    run[j] += 1;
-                }
-            }
-            merge.round(&mut traces, SimTime::from_nanos(frontier), Some(&mut out));
-        }
-        out
-    }
-
-    fn skeleton() -> impl Strategy<Value = Skeleton> {
-        (1usize..4, prop::collection::vec(0u64..3, 0..12))
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
-
-        #[test]
-        fn merge_pops_units_in_kernel_order(
-            pipes in prop::collection::vec(skeleton(), 1..6),
-            steps in prop::collection::vec(0u64..6, 0..5),
-        ) {
-            let frontiers: Vec<u64> = steps
-                .iter()
-                .scan(0, |at, step| {
-                    *at += step;
-                    Some(*at)
-                })
-                .collect();
-            prop_assert_eq!(merged_order(&pipes, &frontiers), kernel_order(&pipes));
         }
     }
 }

@@ -1,15 +1,15 @@
 //! The two drivers of a no-fault run agree exactly.
 //!
 //! `BackendDriver::run` takes a fresh no-fault pipeline-filling backend
-//! off the event kernel: one pipeline runs straight through, and a fleet
-//! runs pipeline-major in parallel rounds whose merge replays the
-//! kernel's event order. A driver stepped with `step()` stays on the
-//! kernel. Both must give the same `FleetSimResult` (completed-id order
-//! included), the same `BackendMetrics` bits and the same
-//! `events_dispatched`: across shapes of different periods, staggered
-//! iteration counts, jobs that decline filling, jitter on and off and
-//! fast-forward on and off. The parallel rounds run at one worker and at
-//! two.
+//! off the event kernel: every pipeline runs pipeline-major to its end,
+//! in parallel, and keeps its own completed ids. A driver stepped with
+//! `step()` stays on the kernel, which logs each completion to the job
+//! whose bubble completed it. Both must give the same `FleetSimResult`
+//! (each job's completed-id order included, as the job-major sequence),
+//! the same `BackendMetrics` bits and the same `events_dispatched`:
+//! across shapes of different periods, staggered iteration counts, jobs
+//! that decline filling, jitter on and off and fast-forward on and off.
+//! The parallel run runs at one worker and at two.
 
 use proptest::prelude::*;
 
@@ -154,9 +154,8 @@ proptest! {
     }
 }
 
-/// A quiescent fleet whose jobs skip: each skip's ids must land at its
-/// iteration end in the merged order, between the literal ids of the
-/// jobs around it.
+/// A quiescent fleet whose jobs skip: each skip's ids must land in its
+/// job's log after that job's literal ids of the iterations before it.
 #[test]
 fn skipping_fleets_agree() {
     let jobs: Vec<JobDraw> = (0..5).map(|j| (j % 2, 300 + 17 * j, 1)).collect();

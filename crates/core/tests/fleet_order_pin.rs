@@ -6,19 +6,26 @@
 //! The expected values are exact and must survive any change to the
 //! event queue's representation: an event that pops out of `(time,
 //! push)` order moves the completion-order digest or the metric bits.
-//! A no-fault fleet runs in parallel rounds, so each pin holds at one
+//! That digest is over the ids in the kernel's completion order, which a
+//! run stepped on the kernel recovers (`support/kernel_order.rs`); the
+//! run's own ids are job-major and have a digest of their own. A no-fault
+//! fleet's `run()` takes it off the kernel and runs its pipelines in
+//! parallel, so each pin also holds `run()` to the stepped result at one
 //! worker and at two.
 
-use pipefill_core::{BackendConfig, BackendMetrics, FleetJobConfig, FleetSimConfig};
+use pipefill_core::{BackendConfig, BackendMetrics, FleetBackend, FleetJobConfig, FleetSimConfig};
 use pipefill_model_zoo::ModelId;
 use pipefill_pipeline::{MainJobSpec, ScheduleKind};
 use pipefill_trace::ModelMix;
 
 use pipefill_core::experiments::sweep::set_threads;
 
+#[path = "support/kernel_order.rs"]
+mod kernel_order;
 #[path = "support/widths.rs"]
 mod widths;
 
+use kernel_order::stepped;
 use widths::one_and_two_workers;
 
 /// FNV-1a over a word stream: order-sensitive and stable across hosts.
@@ -57,7 +64,10 @@ struct Pin {
     metrics: u64,
     events: u64,
     completed: usize,
+    /// Digest of the completed ids in the kernel's completion order.
     completed_ids: u64,
+    /// Digest of the completed ids as the run reports them, job-major.
+    job_major_ids: u64,
     fast_forwarded: u64,
 }
 
@@ -78,15 +88,23 @@ fn fleet(iterations: usize) -> FleetSimConfig {
     cfg
 }
 
+/// The pin of a run stepped on the kernel, after checking that `run()`
+/// gives the same metrics and result at one worker and at two.
 fn pin(cfg: FleetSimConfig) -> Pin {
-    let run = BackendConfig::Fleet(cfg).run();
-    let metrics = run.metrics;
-    let fleet = run.fleet().expect("fleet config yields fleet detail");
+    let kernel = stepped(FleetBackend::new(cfg.clone()));
+    let metrics = metrics_digest(&kernel.metrics);
+    for _width in one_and_two_workers() {
+        let run = BackendConfig::Fleet(cfg.clone()).run();
+        assert_eq!(metrics_digest(&run.metrics), metrics);
+        assert_eq!(run.fleet().as_ref(), Some(&kernel.result));
+    }
+    let fleet = &kernel.result;
     Pin {
-        metrics: metrics_digest(&metrics),
-        events: metrics.events_dispatched,
+        metrics,
+        events: kernel.metrics.events_dispatched,
         completed: fleet.completed_fill_ids.len(),
-        completed_ids: fnv(fleet.completed_fill_ids.iter().map(|id| id.0)),
+        completed_ids: fnv(kernel.kernel_order.iter().map(|id| id.0)),
+        job_major_ids: fnv(fleet.completed_fill_ids.iter().map(|id| id.0)),
         fast_forwarded: fleet.iterations_fast_forwarded,
     }
 }
@@ -94,18 +112,17 @@ fn pin(cfg: FleetSimConfig) -> Pin {
 /// Default jitter: every bubble draws, fast-forward never fires.
 #[test]
 fn jittered_fleet_order_is_pinned() {
-    for _width in one_and_two_workers() {
-        assert_eq!(
-            pin(fleet(60)),
-            Pin {
-                metrics: 7046329053590503930,
-                events: 8160,
-                completed: 829,
-                completed_ids: 12692697037660692998,
-                fast_forwarded: 0,
-            }
-        );
-    }
+    assert_eq!(
+        pin(fleet(60)),
+        Pin {
+            metrics: 7046329053590503930,
+            events: 8160,
+            completed: 829,
+            completed_ids: 12692697037660692998,
+            job_major_ids: 3050522798787795462,
+            fast_forwarded: 0,
+        }
+    );
 }
 
 /// Jitter off and one model: every job runs the same iteration stream,
@@ -118,16 +135,15 @@ fn quiescent_fleet_order_is_pinned() {
     cfg.mix = ModelMix::single(ModelId::EfficientNet);
     cfg.backlog_job_gpu_hours = 0.0005;
     assert!(cfg.fast_forward);
-    for _width in one_and_two_workers() {
-        assert_eq!(
-            pin(cfg.clone()),
-            Pin {
-                metrics: 9907902054312026338,
-                events: 54400,
-                completed: 17048,
-                completed_ids: 9058681337721705125,
-                fast_forwarded: 2736,
-            }
-        );
-    }
+    assert_eq!(
+        pin(cfg),
+        Pin {
+            metrics: 9907902054312026338,
+            events: 54400,
+            completed: 17048,
+            completed_ids: 9058681337721705125,
+            job_major_ids: 1821852363482543797,
+            fast_forwarded: 2736,
+        }
+    );
 }

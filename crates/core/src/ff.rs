@@ -13,6 +13,15 @@
 //! boundaries will repeat verbatim, forever, until an external transition
 //! (a fault, an arrival, the horizon) perturbs the state.
 //!
+//! Each history entry holds three things: the boundary's signature, the
+//! FLOP additions of the iteration that ended there, and the caller's
+//! *mark*, an opaque `Copy` value with its absolute counters at that
+//! boundary (for a pipeline: completions, fill-id draws, total stall).
+//! A match returns the mark at the cycle's first boundary, so one
+//! cycle's effect on every counter is `now − since`; nothing is
+//! differenced or summed per iteration. The detector resets whenever it
+//! returns a skip, so a later cycle lies wholly after it.
+//!
 //! Once a cycle of length `L` is confirmed, the backend skips `M` whole
 //! cycles. Clocks and integer counters advance in closed form. The
 //! floating-point accumulators cannot: `M` replays of one cycle's
@@ -45,80 +54,32 @@
 
 use std::collections::VecDeque;
 
-use pipefill_sim_core::SimDuration;
-
-/// Absolute monotone counters sampled at an iteration boundary; the
-/// detector differences consecutive samples to get per-iteration deltas.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct SteadyCounters {
-    /// Fill jobs completed (absolute).
-    pub completions: u64,
-    /// Fill jobs drawn from the backlog (absolute; advances job ids).
-    pub draws: u64,
-    /// Fill partitions killed by isolated OOMs (absolute).
-    pub isolated_ooms: u64,
-    /// Bubbles lost to device downtime (absolute). Both this and
-    /// `isolated_ooms` stay zero in quiescent runs but are carried so the
-    /// replay stays fully general.
-    pub bubbles_lost: u64,
-}
-
-impl SteadyCounters {
-    fn delta(self, earlier: SteadyCounters) -> SteadyCounters {
-        SteadyCounters {
-            completions: self.completions - earlier.completions,
-            draws: self.draws - earlier.draws,
-            isolated_ooms: self.isolated_ooms - earlier.isolated_ooms,
-            bubbles_lost: self.bubbles_lost - earlier.bubbles_lost,
-        }
-    }
-}
-
-/// Everything one iteration did to the backend's monotone accumulators,
-/// in exact order. Replaying the record reproduces the iteration's metric
-/// updates bit for bit.
-#[derive(Debug, Default)]
-pub(crate) struct IterRecord {
-    /// Per-bubble FLOP additions in event order.
-    pub flops: Vec<f64>,
-    /// Critical-path stall folded into the clock at the iteration end.
-    pub delay: SimDuration,
-    /// Counter deltas over the iteration.
-    pub counters: SteadyCounters,
-    /// Ids of fill jobs completed during the iteration. Ids are the only
-    /// non-cyclic part of the state (each cycle's ids sit exactly
-    /// `draws`-per-cycle above the previous cycle's), so replay shifts
-    /// them by that stride per skipped cycle.
-    pub completed: Vec<u64>,
-}
-
 /// A confirmed cycle and how many times to replay it.
-#[derive(Debug)]
-pub(crate) struct Skip {
+pub(crate) struct Skip<M> {
     /// Whole cycles to skip.
     pub cycles: u64,
     /// Iterations per cycle.
     pub len: u64,
-    /// Sum of the per-iteration clock stalls across one cycle.
-    pub delay_sum: SimDuration,
-    /// Counter deltas across one cycle.
-    pub counters: SteadyCounters,
+    /// The caller's mark at the boundary the cycle starts from: one
+    /// cycle moves each absolute counter in the mark by `now − since`.
+    pub since: M,
     /// One cycle's per-bubble FLOP additions, in event order.
     pub flops: Vec<f64>,
-    /// Ids of the fill jobs one cycle completes, in completion order.
-    pub completed: Vec<u64>,
 }
 
-impl Skip {
+impl<M> Skip<M> {
     /// Total iterations skipped.
     pub fn iterations(&self) -> u64 {
         self.cycles * self.len
     }
 }
 
-struct HistEntry {
+/// One recorded boundary: its signature, the FLOP additions of the
+/// iteration that ended there, and the caller's mark.
+struct HistEntry<M> {
     sig: Vec<u64>,
-    rec: IterRecord,
+    flops: Vec<f64>,
+    mark: M,
 }
 
 /// FxHash-style mixing — cheap, deterministic across platforms, and only
@@ -132,9 +93,9 @@ fn hash_sig(sig: &[u64]) -> u64 {
 }
 
 /// Detects steady-state cycles at iteration boundaries. One instance per
-/// independent iteration stream (one per main-job pipeline).
-#[derive(Debug)]
-pub(crate) struct SteadyDetector {
+/// independent iteration stream (one per main-job pipeline). `M` is the
+/// caller's mark: its absolute counters at a boundary, opaque here.
+pub(crate) struct SteadyDetector<M> {
     enabled: bool,
     last_fp: Option<[u64; 7]>,
     /// True while the RNG fingerprint has been frozen across at least one
@@ -143,29 +104,16 @@ pub(crate) struct SteadyDetector {
     /// Signature hashes, index-aligned with `hist`. The backward scan
     /// reads only this contiguous ring until a hash matches.
     hashes: VecDeque<u64>,
-    hist: VecDeque<HistEntry>,
+    hist: VecDeque<HistEntry<M>>,
     cap: usize,
     cur_flops: Vec<f64>,
-    cur_completed: Vec<u64>,
     /// Signature buffer handed out by [`Self::sig_buffer`], recycled from
     /// the entry the full history evicts, so a steady boundary allocates
     /// nothing.
     spare_sig: Vec<u64>,
-    /// Counters at the last recorded boundary.
-    snap: SteadyCounters,
-    /// Counters at the boundary currently being observed.
-    pending: SteadyCounters,
 }
 
-impl std::fmt::Debug for HistEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HistEntry")
-            .field("sig_len", &self.sig.len())
-            .finish()
-    }
-}
-
-impl SteadyDetector {
+impl<M: Copy> SteadyDetector<M> {
     /// Creates a detector. `cap` bounds the signature history, which
     /// bounds both memory and the longest detectable cycle.
     pub fn new(enabled: bool, cap: usize) -> Self {
@@ -177,10 +125,7 @@ impl SteadyDetector {
             hist: VecDeque::new(),
             cap,
             cur_flops: Vec::new(),
-            cur_completed: Vec::new(),
             spare_sig: Vec::new(),
-            snap: SteadyCounters::default(),
-            pending: SteadyCounters::default(),
         }
     }
 
@@ -199,29 +144,19 @@ impl SteadyDetector {
         }
     }
 
-    /// Records a fill-job completion (by id). No-op unless armed.
-    #[inline]
-    pub fn record_completion(&mut self, id: u64) {
-        if self.active {
-            self.cur_completed.push(id);
-        }
-    }
-
-    /// Phase 1 of an iteration boundary: quiescence bookkeeping. Returns
-    /// `true` when the caller should build a full state signature and
-    /// finish the boundary with [`Self::end_iteration`]. Must be called
-    /// with the RNG fingerprint and the *current absolute* counters.
-    pub fn observe(&mut self, fp: [u64; 7], counters: SteadyCounters) -> bool {
+    /// Phase 1 of an iteration boundary: quiescence bookkeeping on the
+    /// RNG fingerprint. Returns `true` when the caller should build a
+    /// full state signature and finish the boundary with
+    /// [`Self::end_iteration`].
+    pub fn observe(&mut self, fp: [u64; 7]) -> bool {
         if !self.enabled {
             return false;
         }
         let quiescent = self.last_fp == Some(fp);
         self.last_fp = Some(fp);
-        self.pending = counters;
         if !quiescent {
             // Randomness was consumed: any cycle hypothesis is void.
             self.reset();
-            self.snap = counters;
             return false;
         }
         if !self.active {
@@ -230,8 +165,6 @@ impl SteadyDetector {
             // record from the next iteration on.
             self.active = true;
             self.cur_flops.clear();
-            self.cur_completed.clear();
-            self.snap = counters;
             return false;
         }
         true
@@ -246,33 +179,22 @@ impl SteadyDetector {
     }
 
     /// Phase 2: closes the iteration with its post-state signature and
-    /// clock stall, then hunts for a cycle. Returns a [`Skip`] when a
-    /// confirmed cycle allows skipping at least one whole cycle within
-    /// `remaining` iterations (one iteration is always left to run for
-    /// real so the final iteration boundary fires as a genuine event).
-    pub fn end_iteration(
-        &mut self,
-        sig: Vec<u64>,
-        delay: SimDuration,
-        remaining: u64,
-    ) -> Option<Skip> {
+    /// the caller's `mark` at this boundary, then hunts for a cycle.
+    /// Returns a [`Skip`] when a confirmed cycle allows skipping at least
+    /// one whole cycle within `remaining` iterations (one iteration is
+    /// always left to run for real so the final iteration boundary fires
+    /// as a genuine event). Returning a skip resets the detector, so
+    /// every boundary of a later cycle lies after the skip.
+    pub fn end_iteration(&mut self, sig: Vec<u64>, mark: M, remaining: u64) -> Option<Skip<M>> {
         debug_assert!(self.active, "end_iteration without a true observe()");
-        let rec = IterRecord {
-            flops: std::mem::take(&mut self.cur_flops),
-            completed: std::mem::take(&mut self.cur_completed),
-            delay,
-            counters: self.pending.delta(self.snap),
-        };
-        self.snap = self.pending;
+        let flops = std::mem::take(&mut self.cur_flops);
         if self.hist.len() == self.cap {
             self.hashes.pop_front();
             if let Some(old) = self.hist.pop_front() {
                 // Recycle the evicted entry's buffers for the next boundary.
                 self.spare_sig = old.sig;
-                self.cur_flops = old.rec.flops;
+                self.cur_flops = old.flops;
                 self.cur_flops.clear();
-                self.cur_completed = old.rec.completed;
-                self.cur_completed.clear();
             }
         }
 
@@ -290,43 +212,35 @@ impl SteadyDetector {
             upto = i;
         };
         self.hashes.push_back(hash);
-        self.hist.push_back(HistEntry { sig, rec });
+        self.hist.push_back(HistEntry { sig, flops, mark });
         let i = found?;
         let len = (self.hist.len() - 1 - i) as u64;
         let cycles = remaining.saturating_sub(1) / len;
         if cycles == 0 {
             return None;
         }
-        let mut skip = Skip {
+        let mut flops = Vec::new();
+        for e in self.hist.range(i + 1..) {
+            flops.extend_from_slice(&e.flops);
+        }
+        let since = self.hist[i].mark;
+        self.reset();
+        Some(Skip {
             cycles,
             len,
-            delay_sum: SimDuration::ZERO,
-            counters: SteadyCounters::default(),
-            flops: Vec::new(),
-            completed: Vec::new(),
-        };
-        for e in self.hist.range(i + 1..) {
-            let r = &e.rec;
-            skip.delay_sum += r.delay;
-            skip.counters.completions += r.counters.completions;
-            skip.counters.draws += r.counters.draws;
-            skip.counters.isolated_ooms += r.counters.isolated_ooms;
-            skip.counters.bubbles_lost += r.counters.bubbles_lost;
-            skip.flops.extend_from_slice(&r.flops);
-            skip.completed.extend_from_slice(&r.completed);
-        }
-        Some(skip)
+            since,
+            flops,
+        })
     }
 
     /// Discards every cycle hypothesis (history and partial records).
-    /// Called whenever randomness was consumed or an external
-    /// transition (fault, arrival, eviction) perturbs the state.
+    /// Called whenever randomness was consumed, after a skip, and when an
+    /// external transition (a device failure) perturbs the state.
     pub fn reset(&mut self) {
         self.active = false;
         self.hashes.clear();
         self.hist.clear();
         self.cur_flops.clear();
-        self.cur_completed.clear();
     }
 }
 
@@ -334,6 +248,7 @@ impl SteadyDetector {
 mod tests {
     use super::*;
     use pipefill_sim_core::rng::DeterministicRng;
+    use pipefill_sim_core::SimDuration;
 
     fn fp(rng: &DeterministicRng) -> [u64; 7] {
         rng.state_fingerprint()
@@ -341,131 +256,146 @@ mod tests {
 
     #[test]
     fn disabled_detector_is_inert() {
-        let mut d = SteadyDetector::new(false, 16);
+        let mut d = SteadyDetector::<()>::new(false, 16);
         assert!(!d.enabled());
         let rng = DeterministicRng::seed_from(1);
-        assert!(!d.observe(fp(&rng), SteadyCounters::default()));
+        assert!(!d.observe(fp(&rng)));
         d.record_flops(1.0);
         assert!(d.cur_flops.is_empty());
     }
 
     #[test]
     fn arms_only_after_a_frozen_fingerprint_boundary() {
-        let mut d = SteadyDetector::new(true, 16);
+        let mut d = SteadyDetector::<()>::new(true, 16);
         let mut rng = DeterministicRng::seed_from(2);
         // First boundary: no baseline yet.
-        assert!(!d.observe(fp(&rng), SteadyCounters::default()));
+        assert!(!d.observe(fp(&rng)));
         // Consuming randomness keeps it disarmed.
         let _ = rng.uniform(0.0, 1.0);
-        assert!(!d.observe(fp(&rng), SteadyCounters::default()));
+        assert!(!d.observe(fp(&rng)));
         // One frozen boundary arms recording…
-        assert!(!d.observe(fp(&rng), SteadyCounters::default()));
+        assert!(!d.observe(fp(&rng)));
         // …and the next frozen boundary asks for a signature.
-        assert!(d.observe(fp(&rng), SteadyCounters::default()));
+        assert!(d.observe(fp(&rng)));
     }
 
     #[test]
     fn period_two_cycle_is_detected_and_scaled() {
+        // The mark is the total stall so far: 1 s, then 2 s per iteration.
         let mut d = SteadyDetector::new(true, 16);
         let rng = DeterministicRng::seed_from(3);
-        let c = SteadyCounters::default();
-        assert!(!d.observe(fp(&rng), c)); // baseline
-        assert!(!d.observe(fp(&rng), c)); // arm
-                                          // States alternate A, B, A, B…
-        assert!(d.observe(fp(&rng), c));
-        assert!(d
-            .end_iteration(vec![0xa], SimDuration::from_secs(1), 1000)
-            .is_none());
-        assert!(d.observe(fp(&rng), c));
-        assert!(d
-            .end_iteration(vec![0xb], SimDuration::from_secs(2), 999)
-            .is_none());
-        assert!(d.observe(fp(&rng), c));
+        let secs = SimDuration::from_secs;
+        assert!(!d.observe(fp(&rng))); // baseline
+        assert!(!d.observe(fp(&rng))); // arm
+
+        // States alternate A, B, A, B…
+        assert!(d.observe(fp(&rng)));
+        assert!(d.end_iteration(vec![0xa], secs(1), 1000).is_none());
+        assert!(d.observe(fp(&rng)));
+        assert!(d.end_iteration(vec![0xb], secs(3), 999).is_none());
+        assert!(d.observe(fp(&rng)));
         let skip = d
-            .end_iteration(vec![0xa], SimDuration::from_secs(1), 998)
+            .end_iteration(vec![0xa], secs(4), 998)
             .expect("A repeated: cycle of length 2");
         assert_eq!(skip.len, 2);
         // (998 - 1) / 2 whole cycles fit while leaving one real iteration.
         assert_eq!(skip.cycles, 498);
         assert_eq!(skip.iterations(), 996);
-        assert!(skip.flops.is_empty() && skip.completed.is_empty());
-        assert_eq!(skip.delay_sum, SimDuration::from_secs(3));
+        assert!(skip.flops.is_empty());
+        // The cycle starts at the first A: one cycle stalls 4 s − 1 s.
+        assert_eq!(skip.since, secs(1));
+        assert_eq!(secs(4) - skip.since, secs(3));
     }
 
     #[test]
     fn randomness_voids_the_hypothesis() {
         let mut d = SteadyDetector::new(true, 16);
         let mut rng = DeterministicRng::seed_from(6);
-        let c = SteadyCounters::default();
-        assert!(!d.observe(fp(&rng), c));
-        assert!(!d.observe(fp(&rng), c));
-        assert!(d.observe(fp(&rng), c));
-        assert!(d.end_iteration(vec![1], SimDuration::ZERO, 100).is_none());
+        assert!(!d.observe(fp(&rng)));
+        assert!(!d.observe(fp(&rng)));
+        assert!(d.observe(fp(&rng)));
+        assert!(d.end_iteration(vec![1], (), 100).is_none());
         let _ = rng.uniform(0.0, 1.0); // perturb
-        assert!(!d.observe(fp(&rng), c)); // disarmed again
-        assert!(!d.observe(fp(&rng), c)); // re-arm
-        assert!(d.observe(fp(&rng), c));
+        assert!(!d.observe(fp(&rng))); // disarmed again
+        assert!(!d.observe(fp(&rng))); // re-arm
+        assert!(d.observe(fp(&rng)));
         // History was wiped: the matching signature from before the
         // perturbation no longer counts.
-        assert!(d.end_iteration(vec![1], SimDuration::ZERO, 100).is_none());
-        assert!(d.observe(fp(&rng), c));
-        assert!(d.end_iteration(vec![1], SimDuration::ZERO, 100).is_some());
+        assert!(d.end_iteration(vec![1], (), 100).is_none());
+        assert!(d.observe(fp(&rng)));
+        assert!(d.end_iteration(vec![1], (), 100).is_some());
     }
 
     #[test]
-    fn counter_deltas_and_records_replay_exactly() {
+    fn marks_and_flops_replay_exactly() {
+        // The mark is (completions, draws), both absolute.
         let mut d = SteadyDetector::new(true, 16);
         let rng = DeterministicRng::seed_from(7);
-        let at = |n: u64| SteadyCounters {
-            completions: n,
-            draws: 2 * n,
-            ..SteadyCounters::default()
-        };
-        assert!(!d.observe(fp(&rng), at(0)));
-        assert!(!d.observe(fp(&rng), at(1)));
-        assert!(d.observe(fp(&rng), at(2)));
+        let at = |n: u64| (n, 2 * n);
+        assert!(!d.observe(fp(&rng)));
+        assert!(!d.observe(fp(&rng)));
+        assert!(d.observe(fp(&rng)));
         d.record_flops(1.5);
-        d.record_completion(40);
-        assert!(d.end_iteration(vec![5], SimDuration::ZERO, 100).is_none());
-        assert!(d.observe(fp(&rng), at(3)));
+        assert!(d.end_iteration(vec![5], at(2), 100).is_none());
+        assert!(d.observe(fp(&rng)));
         d.record_flops(2.5);
-        d.record_completion(41);
         let skip = d
-            .end_iteration(vec![5], SimDuration::ZERO, 100)
+            .end_iteration(vec![5], at(3), 100)
             .expect("cycle of length 1");
         assert_eq!(skip.len, 1);
-        assert_eq!(skip.counters.completions, 1);
-        assert_eq!(skip.counters.draws, 2);
+        assert_eq!(skip.since, at(2));
+        let (now, since) = (at(3), skip.since);
+        assert_eq!((now.0 - since.0, now.1 - since.1), (1, 2));
         assert_eq!(skip.flops, vec![2.5]);
-        assert_eq!(skip.completed, vec![41]);
+    }
+
+    #[test]
+    fn a_returned_skip_empties_the_history() {
+        let mut d = SteadyDetector::new(true, 16);
+        let rng = DeterministicRng::seed_from(4);
+        assert!(!d.observe(fp(&rng)));
+        assert!(!d.observe(fp(&rng)));
+        for mark in 0..2u64 {
+            assert!(d.observe(fp(&rng)));
+            d.record_flops(1.0);
+            let skip = d.end_iteration(vec![7], mark, 100);
+            assert_eq!(skip.is_some(), mark == 1);
+        }
+        assert!(d.hist.is_empty() && d.hashes.is_empty() && d.cur_flops.is_empty());
+        // Recording re-arms at the next frozen boundary and starts a
+        // fresh history: the signature before the skip no longer counts.
+        assert!(!d.observe(fp(&rng)));
+        assert!(d.observe(fp(&rng)));
+        assert!(d.end_iteration(vec![7], 2, 100).is_none());
+        assert_eq!(d.hist.len(), 1);
     }
 
     #[test]
     fn full_history_recycles_buffers_and_still_finds_the_nearest_match() {
         let mut d = SteadyDetector::new(true, 3);
         let rng = DeterministicRng::seed_from(9);
-        let c = SteadyCounters::default();
-        assert!(!d.observe(fp(&rng), c));
-        assert!(!d.observe(fp(&rng), c));
+        assert!(!d.observe(fp(&rng)));
+        assert!(!d.observe(fp(&rng)));
         // Five distinct boundaries overflow the 3-entry history twice.
         for w in [10u64, 11, 12, 13, 14] {
-            assert!(d.observe(fp(&rng), c));
+            assert!(d.observe(fp(&rng)));
             d.record_flops(w as f64);
             let mut sig = d.sig_buffer();
             assert!(sig.is_empty(), "a recycled buffer comes back cleared");
             sig.extend([w, w + 100]);
-            assert!(d.end_iteration(sig, SimDuration::ZERO, 100).is_none());
+            assert!(d.end_iteration(sig, w, 100).is_none());
         }
         // The history now holds 12, 13, 14: repeating 13 closes a cycle of
         // length 2 whose records are the iterations after it.
-        assert!(d.observe(fp(&rng), c));
+        assert!(d.observe(fp(&rng)));
         d.record_flops(15.0);
         let mut sig = d.sig_buffer();
         sig.extend([13, 113]);
         let skip = d
-            .end_iteration(sig, SimDuration::ZERO, 100)
+            .end_iteration(sig, 15, 100)
             .expect("13 repeated within the history");
         assert_eq!(skip.len, 2);
+        assert_eq!(skip.since, 13);
         assert_eq!(skip.flops, vec![14.0, 15.0]);
     }
 
@@ -473,13 +403,12 @@ mod tests {
     fn history_cap_bounds_detectable_cycles() {
         let mut d = SteadyDetector::new(true, 3);
         let rng = DeterministicRng::seed_from(8);
-        let c = SteadyCounters::default();
-        assert!(!d.observe(fp(&rng), c));
-        assert!(!d.observe(fp(&rng), c));
+        assert!(!d.observe(fp(&rng)));
+        assert!(!d.observe(fp(&rng)));
         // A cycle of length 4 never fits in a 3-entry history.
         for sig in [1u64, 2, 3, 4, 1, 2, 3, 4, 1, 2] {
-            assert!(d.observe(fp(&rng), c));
-            assert!(d.end_iteration(vec![sig], SimDuration::ZERO, 100).is_none());
+            assert!(d.observe(fp(&rng)));
+            assert!(d.end_iteration(vec![sig], (), 100).is_none());
         }
     }
 }

@@ -45,14 +45,16 @@ use pipefill_trace::ModelMix;
 
 use crate::backend::{BackendKind, BackendMetrics, ClusterEvent, SimBackend};
 use crate::experiments::sweep;
-use crate::ff::{SteadyCounters, SteadyDetector};
+use crate::ff::SteadyDetector;
 use crate::fleet::{FleetJobConfig, FleetJobResult, FleetSimConfig, FleetSimResult};
 use crate::plans::{fingerprint, ProfileMenus, StagePlans};
 
 /// Signature-history depth of a one-pipeline run: long enough for the
 /// realistic fill-cycle periods (plan cursor × rotation × job-completion
-/// interleavings), small enough that an undetectable workload just falls
-/// back to event fidelity.
+/// interleavings). A jitter-free workload that never cycles still pays
+/// for a signature and a history search at every boundary: on
+/// `jittered_physical`'s config at `jitter_cv = 0` (250K iterations, no
+/// skip) that took 1.6–2.0× the detector-off wall time over 10 pairs.
 const STEADY_HISTORY: usize = 512;
 
 /// Per-pipeline signature history of a multi-pipeline fleet. Each main
@@ -419,7 +421,7 @@ struct Pipeline {
     evictions: u64,
     bubbles_lost: u64,
     /// Steady-state detector over this pipeline's iteration stream.
-    detector: SteadyDetector,
+    detector: SteadyDetector<Mark>,
     fast_forwarded: u64,
 }
 
@@ -555,7 +557,6 @@ impl Pipeline {
         let used_jitter = self.rng.jitter_deferred(cfg.jitter_cv);
         if run.job_finished {
             self.completed += 1;
-            self.detector.record_completion(finished_id.0);
             self.leases[stage] = None;
             if let Some(ids) = &mut self.ids {
                 ids.literal.push(finished_id);
@@ -626,13 +627,13 @@ impl Pipeline {
         }
     }
 
-    /// The absolute counters the detector differences per iteration.
-    fn counters(&self) -> SteadyCounters {
-        SteadyCounters {
-            completions: self.completed as u64,
-            draws: self.next_fill_id,
-            isolated_ooms: self.isolated_ooms,
-            bubbles_lost: self.bubbles_lost,
+    /// The absolute counters a fast-forward skip advances, at this
+    /// boundary.
+    fn mark(&self) -> Mark {
+        Mark {
+            completed: self.completed,
+            next_fill_id: self.next_fill_id,
+            total_delay: self.total_delay,
         }
     }
 
@@ -715,29 +716,29 @@ impl Pipeline {
             next: Some(now),
             ..Boundary::default()
         };
-        if !self.detector.enabled()
-            || !self
-                .detector
-                .observe(self.rng.state_fingerprint(), self.counters())
-        {
+        if !self.detector.enabled() || !self.detector.observe(self.rng.state_fingerprint()) {
             return boundary;
         }
         let mut sig = self.detector.sig_buffer();
         self.steady_sig(&mut sig);
         let remaining = (self.iterations - self.iterations_done) as u64;
-        let Some(skip) = self.detector.end_iteration(sig, delay, remaining) else {
+        let mark = self.mark();
+        let Some(skip) = self.detector.end_iteration(sig, mark, remaining) else {
             return boundary;
         };
-        self.executed_flops = replay_adds(self.executed_flops, &skip.flops, skip.cycles);
+        // One cycle moves each counter by the difference of its marks.
         // Fill ids are the only non-cyclic state: each cycle's sit exactly
-        // `draws` above the previous cycle's.
-        let stride = skip.counters.draws;
-        self.total_delay += skip.delay_sum * skip.cycles;
+        // `stride` draws above the previous cycle's. Isolated OOMs and
+        // lost bubbles need a memory-jitter draw or a failure, so they
+        // stay put over any armed window.
+        let completions = mark.completed - skip.since.completed;
+        let stride = mark.next_fill_id - skip.since.next_fill_id;
+        let delay = mark.total_delay - skip.since.total_delay;
+        self.executed_flops = replay_adds(self.executed_flops, &skip.flops, skip.cycles);
+        self.total_delay += delay * skip.cycles;
         self.iterations_done += skip.iterations() as usize;
-        self.completed += (skip.counters.completions * skip.cycles) as usize;
+        self.completed += completions * skip.cycles as usize;
         self.next_fill_id += stride * skip.cycles;
-        self.isolated_ooms += skip.counters.isolated_ooms * skip.cycles;
-        self.bubbles_lost += skip.counters.bubbles_lost * skip.cycles;
         self.fast_forwarded += skip.iterations();
         // In-flight jobs were drawn a fixed number of cycles before they
         // complete; their ids advance with the skipped draws so post-skip
@@ -745,20 +746,19 @@ impl Pipeline {
         for lease in self.leases.iter_mut().flatten() {
             lease.exec.advance_job_id(stride * skip.cycles);
         }
-        // Each skipped iteration would have fired one StageBubbles per
-        // stage plus one JobIterationEnd.
-        let boundary = Boundary {
-            next: Some(now + (period * skip.len + skip.delay_sum) * skip.cycles),
-            credit: skip.iterations() * (self.leases.len() as u64 + 1),
-        };
         if let Some(ids) = &mut self.ids {
             ids.skip(SkippedIds {
-                cycle: skip.completed,
+                count: completions,
                 stride,
                 cycles: skip.cycles,
             });
         }
-        boundary
+        // Each skipped iteration would have fired one StageBubbles per
+        // stage plus one JobIterationEnd.
+        Boundary {
+            next: Some(now + (period * skip.len + delay) * skip.cycles),
+            credit: skip.iterations() * (self.leases.len() as u64 + 1),
+        }
     }
 
     /// Runs this pipeline's events pipeline-major, from its first block
@@ -792,31 +792,43 @@ struct Boundary {
     credit: u64,
 }
 
-/// The fill ids a fast-forward skip completed: `cycle`, one cycle's
-/// completion order, shifted up by `stride` per cycle, for cycles
-/// `1..=cycles`.
+/// A pipeline's absolute counters at an iteration boundary, the mark
+/// its [`SteadyDetector`] keeps per boundary: a cycle's effect on each is
+/// the difference of the marks at its two ends.
+#[derive(Clone, Copy)]
+struct Mark {
+    completed: usize,
+    next_fill_id: u64,
+    total_delay: SimDuration,
+}
+
+/// The fill ids a fast-forward skip completed: the last `count` literal
+/// ids before the skip (one cycle's completions, in order), shifted up by
+/// `stride` per cycle, for cycles `1..=cycles`.
 struct SkippedIds {
-    cycle: Vec<u64>,
+    count: usize,
     stride: u64,
     cycles: u64,
 }
 
 impl SkippedIds {
     fn len(&self) -> usize {
-        self.cycle.len() * self.cycles as usize
+        self.count * self.cycles as usize
     }
 
-    fn write(&self, ids: &mut Vec<JobId>) {
+    /// Appends the skipped ids, given the literal ids logged before it.
+    fn write(&self, before: &[JobId], ids: &mut Vec<JobId>) {
+        let cycle = &before[before.len() - self.count..];
         for m in 1..=self.cycles {
-            ids.extend(self.cycle.iter().map(|&id| JobId(id + m * self.stride)));
+            ids.extend(cycle.iter().map(|&JobId(id)| JobId(id + m * self.stride)));
         }
     }
 }
 
 /// One pipeline's completed fill ids in its completion order: the ids of
 /// event-by-event completions as they are, and each fast-forward skip as
-/// one [`SkippedIds`] segment, expanded only when [`IdLog::write`] lays
-/// the log out.
+/// one [`SkippedIds`] segment over the literal ids before it, expanded
+/// only when [`IdLog::write`] lays the log out.
 #[derive(Default)]
 struct IdLog {
     literal: Vec<JobId>,
@@ -825,8 +837,16 @@ struct IdLog {
 }
 
 impl IdLog {
+    /// Logs a skip over the tail of the literal ids. The detector resets
+    /// on every skip, so a cycle never reaches back past the previous
+    /// segment.
     fn skip(&mut self, skipped: SkippedIds) {
-        self.skips.push((self.literal.len(), skipped));
+        let at = self.literal.len();
+        debug_assert!(
+            skipped.count <= at - self.skips.last().map_or(0, |(prev, _)| *prev),
+            "a cycle's completions reach back past the previous skip"
+        );
+        self.skips.push((at, skipped));
     }
 
     fn len(&self) -> usize {
@@ -838,7 +858,7 @@ impl IdLog {
         let mut from = 0;
         for (at, skipped) in &self.skips {
             ids.extend_from_slice(&self.literal[from..*at]);
-            skipped.write(ids);
+            skipped.write(&self.literal[..*at], ids);
             from = *at;
         }
         ids.extend_from_slice(&self.literal[from..]);
@@ -1713,6 +1733,32 @@ mod tests {
         let (short, long) = (logs(400), logs(4000));
         assert!(short.iter().all(|&skips| skips > 0), "{short:?}");
         assert_eq!(short, long);
+    }
+
+    #[test]
+    fn id_log_segments_replay_the_literal_tail_shifted_per_cycle() {
+        // Each segment repeats the last `count` literal ids before it,
+        // shifted by `m·stride` for `m = 1..=cycles`, and the literal ids
+        // logged after it follow.
+        let mut log = IdLog::default();
+        log.literal.extend([1, 2, 3, 4].map(JobId));
+        log.skip(SkippedIds {
+            count: 2,
+            stride: 10,
+            cycles: 3,
+        });
+        log.literal.extend([35, 36, 37].map(JobId));
+        log.skip(SkippedIds {
+            count: 1,
+            stride: 2,
+            cycles: 2,
+        });
+        log.literal.push(JobId(42));
+        let mut ids = Vec::new();
+        log.write(&mut ids);
+        let expect = [1, 2, 3, 4, 13, 14, 23, 24, 33, 34, 35, 36, 37, 39, 41, 42].map(JobId);
+        assert_eq!(ids, expect);
+        assert_eq!(log.len(), expect.len());
     }
 
     #[test]

@@ -62,7 +62,8 @@ pub struct FleetJobConfig {
     /// The pipeline-parallel training job (its device is the GPU every
     /// stage of this job runs on).
     pub main_job: MainJobSpec,
-    /// Executor tuning; `fill_fraction == 0.0` means this job declines
+    /// Executor tuning; the no-fill config (`fill_fraction == 0.0`, see
+    /// [`ExecutorConfig::with_fill_fraction`]) means this job declines
     /// filling entirely.
     pub executor: ExecutorConfig,
     /// Main-job iterations to simulate.
@@ -214,15 +215,9 @@ impl FleetSimConfig {
                     DeviceGeneration::A100 => DeviceSpec::a100_40g(),
                     DeviceGeneration::H100 => DeviceSpec::h100(),
                 };
-                let mut executor = ExecutorConfig::default();
-                if plan.fill_fraction == 0.0 {
-                    executor.fill_fraction = 0.0;
-                } else {
-                    executor = executor.with_fill_fraction(plan.fill_fraction);
-                }
                 FleetJobConfig {
                     main_job,
-                    executor,
+                    executor: ExecutorConfig::default().with_fill_fraction(plan.fill_fraction),
                     iterations: plan.iterations,
                     seed: plan.seed,
                     admits_foreign: plan.admits_foreign,
@@ -248,9 +243,13 @@ impl FleetSimConfig {
     }
 }
 
-/// Per-job output of a fleet run. The accounting mirrors
-/// [`PhysicalSimResult`](crate::PhysicalSimResult) field for field so
-/// the degenerate single-job fleet can be diffed bit for bit.
+/// Per-job output of a fleet run. The degenerate single-job fleet is
+/// pinned bit for bit against [`PhysicalSimResult`](crate::PhysicalSimResult)
+/// on the fields the two share: `fill_flops`,
+/// `recovered_tflops_per_gpu`, `main_tflops_per_gpu`, `main_slowdown`,
+/// `nominal_period`, `mean_period`, and `fill_jobs_completed` against
+/// `jobs_completed`. The fault and fleet fields here have no physical
+/// twin, and the fast-forward count is on [`FleetSimResult`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetJobResult {
     /// Index within the fleet.

@@ -90,13 +90,10 @@ impl PhysicalSimConfig {
         }
     }
 
-    /// Sets the fill fraction (Fig. 5 sweep).
+    /// Sets the fill fraction (Fig. 5 sweep); `0.0` declines filling
+    /// (see [`ExecutorConfig::with_fill_fraction`]).
     pub fn with_fill_fraction(mut self, f: f64) -> Self {
-        if f == 0.0 {
-            self.executor.fill_fraction = 0.0; // sentinel: no filling
-        } else {
-            self.executor = self.executor.with_fill_fraction(f);
-        }
+        self.executor = self.executor.with_fill_fraction(f);
         self
     }
 

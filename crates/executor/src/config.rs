@@ -125,7 +125,8 @@ pub const SWITCH_OVERHEAD: SimDuration = SimDuration::from_millis(5);
 pub struct ExecutorConfig {
     /// Fraction of each measured bubble the Executor packs work into.
     /// Fig. 5: overhead to the main job stays <2% up to 68%, which is the
-    /// paper's (and our) default.
+    /// paper's (and our) default. `0.0` is the no-fill config (see
+    /// [`Self::with_fill_fraction`]).
     pub fill_fraction: f64,
 }
 
@@ -138,7 +139,8 @@ impl Default for ExecutorConfig {
 }
 
 impl ExecutorConfig {
-    /// Validates ranges.
+    /// Validates ranges for planning. The no-fill config fails it: a
+    /// planner has no capacity to pack into.
     ///
     /// # Panics
     ///
@@ -152,9 +154,18 @@ impl ExecutorConfig {
     }
 
     /// Returns a copy with a different fill fraction (the Fig. 5 sweep).
+    /// `f = 0.0` returns the no-fill config: a main job that carries it
+    /// declines filling entirely, and the filling backends schedule no
+    /// bubble work for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` is neither `0.0` nor in `(0, 1]`.
     pub fn with_fill_fraction(mut self, f: f64) -> Self {
         self.fill_fraction = f;
-        self.validate();
+        if f != 0.0 {
+            self.validate();
+        }
         self
     }
 }
@@ -203,6 +214,14 @@ mod tests {
     #[should_panic(expected = "fill fraction")]
     fn bad_fill_fraction_rejected() {
         let _ = ExecutorConfig::default().with_fill_fraction(1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "fill fraction")]
+    fn no_fill_config_builds_but_fails_planner_validation() {
+        let none = ExecutorConfig::default().with_fill_fraction(0.0);
+        assert_eq!(none.fill_fraction, 0.0);
+        none.validate();
     }
 
     #[test]

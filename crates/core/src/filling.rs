@@ -39,7 +39,7 @@ use pipefill_executor::{ExecutorCheckpoint, FillJobExecutor, FillJobSpec, JobId,
 use pipefill_model_zoo::{JobKind, ModelId};
 use pipefill_pipeline::{BubbleWindow, EngineTimeline, MainJobSpec, ScheduleKind};
 use pipefill_scheduler::{GlobalFillQueue, JobInfo, SystemState};
-use pipefill_sim_core::rng::DeterministicRng;
+use pipefill_sim_core::rng::{DeterministicRng, Jitter};
 use pipefill_sim_core::{EventHandler, EventQueue, LookupMap, SimDuration, SimTime, Simulation};
 use pipefill_trace::ModelMix;
 
@@ -69,10 +69,10 @@ const MAX_DRAW_TRIES: usize = 5;
 /// the engine needs the device back (receive setup, allocator work).
 const USABLE_FRACTION: f64 = 0.88;
 
-/// Slack of a stall decision taken on jitter bounds. The exact path
-/// rounds three times to whole nanoseconds, half a nanosecond each, and
-/// the f64 check itself rounds by under a nanosecond for spans below
-/// 2⁵⁰ ns (13 days).
+/// Slack of a stall decision taken on jitter bounds; the paired-halves
+/// test keeps two (see [`bubble_stall`]). The exact path rounds three
+/// times to whole nanoseconds, half a nanosecond each, and the f64 check
+/// itself rounds by under a nanosecond for spans below 2⁵⁰ ns (13 days).
 const STALL_MARGIN_NS: f64 = 4.0;
 
 /// Mean outage length once a device fails.
@@ -566,8 +566,7 @@ impl Pipeline {
             window.duration,
             SWITCH_OVERHEAD,
             run.time_used,
-            (window_jitter.bounds().0, used_jitter.bounds().1),
-            || (window_jitter.value(), used_jitter.value()),
+            (window_jitter, used_jitter),
         )
     }
 
@@ -1156,7 +1155,12 @@ impl<R> FillBackend<R> {
     /// completion order, then job 1's, and so on. Each log is freed
     /// once written.
     fn completed_fill_ids(&mut self) -> Vec<JobId> {
-        let total = self.pipes.iter().filter_map(|p| p.ids.as_ref()).map(IdLog::len).sum();
+        let total = self
+            .pipes
+            .iter()
+            .filter_map(|p| p.ids.as_ref())
+            .map(IdLog::len)
+            .sum();
         let mut ids = Vec::with_capacity(total);
         for log in self.pipes.iter_mut().filter_map(|p| p.ids.take()) {
             log.write(&mut ids);
@@ -1423,12 +1427,51 @@ fn unpark(
 /// The stall a bubble of profiled length `window` suffers when a
 /// partition profiled at `time_used` runs in it after a `switch`:
 /// `(switch + time_used·j_used − USABLE_FRACTION·window·j_window)⁺`, in
-/// whole nanoseconds. `window_lo` bounds `j_window` from below and
-/// `used_hi` bounds `j_used` from above; `jitters` evaluates the pair
-/// `(j_window, j_used)` and runs only when the bounds cannot rule a stall
-/// out. The answer is the exact one either way.
+/// whole nanoseconds, for the drawn factors `(j_window, j_used)`. The
+/// answer is the exact one, found by the cheapest of three tests that
+/// decides it:
+///
+/// - When the factors are the cosine and sine halves of one Box–Muller
+///   pair (every bubble without memory jitter), write `W` for the usable
+///   span and `t` for `time_used`. The stall's jittered part is
+///   `cv·r·(t·sin θ − W·cos θ) ≤ cv·r·√(t² + W²)` by Cauchy–Schwarz, so
+///   [`Jitter::pair_within`] rules the stall out at every angle, with no
+///   division, when `cv·r·√(t² + W²)` fits in `W − t − switch`. The
+///   slack keeps two [`STALL_MARGIN_NS`]: one for the exact path's
+///   roundings, as the bounds test does, and one for the evaluated
+///   factors' departure from `1 + cv·r·(cos θ, sin θ)` and the slack's
+///   own rounding.
+/// - Otherwise [`bounded_stall`] tries the factors' [`Jitter::bounds`],
+///   then evaluates them.
 #[inline]
 fn bubble_stall(
+    window: SimDuration,
+    switch: SimDuration,
+    time_used: SimDuration,
+    (window_jitter, used_jitter): (Jitter, Jitter),
+) -> SimDuration {
+    let usable = window.as_nanos() as f64 * USABLE_FRACTION;
+    let used = time_used.as_nanos() as f64;
+    let slack = usable - used - switch.as_nanos() as f64 - 2.0 * STALL_MARGIN_NS;
+    if window_jitter.pair_within(used_jitter, used * used + usable * usable, slack) {
+        return SimDuration::ZERO;
+    }
+    bounded_stall(
+        window,
+        switch,
+        time_used,
+        (window_jitter.bounds().0, used_jitter.bounds().1),
+        || (window_jitter.value(), used_jitter.value()),
+    )
+}
+
+/// [`bubble_stall`] from bounds on its factors: `window_lo` bounds
+/// `j_window` from below and `used_hi` bounds `j_used` from above;
+/// `jitters` evaluates the pair `(j_window, j_used)` and runs only when
+/// the bounds cannot rule a stall out. The answer is the exact one either
+/// way.
+#[inline]
+fn bounded_stall(
     window: SimDuration,
     switch: SimDuration,
     time_used: SimDuration,
@@ -1957,12 +2000,12 @@ mod replay_oracle {
     }
 }
 
-/// `bubble_stall` against the formula it stands for, evaluated eagerly,
-/// on random and on boundary cases.
+/// `bubble_stall` and `bounded_stall` against the formula they stand
+/// for, evaluated eagerly, on random and on boundary cases.
 #[cfg(test)]
 mod decision_oracle {
-    use super::{bubble_stall, USABLE_FRACTION};
-    use pipefill_sim_core::rng::DeterministicRng;
+    use super::{bounded_stall, bubble_stall, USABLE_FRACTION};
+    use pipefill_sim_core::rng::{DeterministicRng, Jitter};
     use pipefill_sim_core::SimDuration;
     use proptest::prelude::*;
 
@@ -1988,6 +2031,30 @@ mod decision_oracle {
             }),
             (0.0f64..3.0).prop_map(|v| (v, v, v)),
         ]
+    }
+
+    /// A bubble's two factors as `run_bubble` draws them, two deferred
+    /// draws in a row at one cv: from a fresh generator, the cosine and
+    /// sine halves of one pair. A quarter of the cases draw one normal
+    /// first, so the factors are the sine half of one pair and the cosine
+    /// half of the next. Another quarter skip to the first pair whose
+    /// radius is under 0.1, where the radius bound is within a few parts
+    /// in 10⁶ and the pair test's nanosecond margin decides.
+    fn bubble_factors() -> impl Strategy<Value = (Jitter, Jitter)> {
+        (0u64..1 << 48, 0usize..CVS.len(), 0u8..4).prop_map(|(seed, cv, kind)| {
+            let cv = CVS[cv];
+            let mut rng = DeterministicRng::seed_from(seed);
+            if kind == 0 {
+                let _ = rng.normal(0.0, 1.0);
+            }
+            loop {
+                let pair = (rng.jitter_deferred(cv), rng.jitter_deferred(cv));
+                let (x, y) = (pair.0.value() - 1.0, pair.1.value() - 1.0);
+                if kind != 1 || cv == 0.0 || x * x + y * y < (0.1 * cv) * (0.1 * cv) {
+                    return pair;
+                }
+            }
+        })
     }
 
     /// The stall with every factor evaluated.
@@ -2033,10 +2100,53 @@ mod decision_oracle {
                 );
             }
             prop_assert_eq!(
-                bubble_stall(window, switch, time_used, (window_lo, used_hi), || (jw, ju)),
+                bounded_stall(window, switch, time_used, (window_lo, used_hi), || (jw, ju)),
                 eager_stall(window, switch, time_used, jw, ju),
                 "window {:?}·{} (lo {}), switch {:?}, used {:?}·{} (hi {})",
                 window, jw, window_lo, switch, time_used, ju, used_hi
+            );
+        }
+
+        /// A bubble's factors drawn as `run_bubble` draws them, at every
+        /// cv, with a partition of 0–1.2× the usable span after a
+        /// 0–10 ms switch. `aligned` (half the cases) instead sizes the
+        /// partition so that `(time_used, usable)` points along the
+        /// factors' deviation `(j_used − 1, 1 − j_window)` where it can:
+        /// the angle at which Cauchy–Schwarz is tight, so only the pair
+        /// test's margin stands between it and a stall. `exact` 0 or 1
+        /// sets the switch so the eager stall is exactly 0 or 1 ns.
+        #[test]
+        fn paired_stall_decision_matches_the_eager_formula(
+            factors in bubble_factors(),
+            window_ns in 1_000u64..100_000_000,
+            switch_ns in 0u64..10_000_001,
+            fill in 0.0f64..1.2,
+            aligned in 0u8..2,
+            exact in 0u8..4,
+        ) {
+            let (jw, ju) = (factors.0.value(), factors.1.value());
+            let window = SimDuration::from_nanos(window_ns);
+            let fill = if aligned == 1 && jw < 1.0 && ju >= 1.0 {
+                ((ju - 1.0) / (1.0 - jw)).min(1e3)
+            } else {
+                fill
+            };
+            let time_used = SimDuration::from_nanos((fill * USABLE_FRACTION * window_ns as f64) as u64);
+            let mut switch = SimDuration::from_nanos(switch_ns);
+            let usable = window.mul_f64(jw).mul_f64(USABLE_FRACTION).as_nanos();
+            let used = time_used.mul_f64(ju).as_nanos();
+            if exact < 2 && usable + u64::from(exact) >= used {
+                switch = SimDuration::from_nanos(usable + u64::from(exact) - used);
+                prop_assert_eq!(
+                    eager_stall(window, switch, time_used, jw, ju),
+                    SimDuration::from_nanos(u64::from(exact))
+                );
+            }
+            prop_assert_eq!(
+                bubble_stall(window, switch, time_used, factors),
+                eager_stall(window, switch, time_used, jw, ju),
+                "window {:?}·{}, switch {:?}, used {:?}·{}",
+                window, jw, switch, time_used, ju
             );
         }
     }

@@ -5,6 +5,12 @@
 //! a bubble's stall decision and its OOM check, including jitter factors
 //! clipped at zero (cv 1.0).
 //!
+//! Without memory jitter each bubble's two timing factors are the cosine
+//! and sine halves of one Box–Muller pair, and the stall decision first
+//! tries the test that holds only for such a pair. A memory-jitter draw
+//! takes one half and shifts the pairing on alternate bubbles, so the
+//! high-jitter regimes are pinned both with memory jitter and without.
+//!
 //! The expected values are exact. A change to how jitter factors are
 //! drawn or evaluated that moves one stream value by one bit moves a
 //! digest here.
@@ -67,8 +73,10 @@ fn run(jitter_cv: f64, memory_jitter_cv: f64, seed: u64) -> Pin {
 }
 
 /// `(jitter_cv, memory_jitter_cv, seed, pin)`, recorded before bubble
-/// jitter was drawn deferred and evaluated only where it decides.
-const EXPECTED: [(f64, f64, u64, Pin); 12] = [
+/// jitter was drawn deferred and evaluated only where it decides. The
+/// high-jitter pins without memory jitter were recorded before the
+/// paired-halves stall test existed.
+const EXPECTED: [(f64, f64, u64, Pin); 18] = [
     (0.08, 0.0, 1, pin(0xc2ee_dfa0_50e9_11df, 565, 0)),
     (0.08, 0.0, 7, pin(0x8877_5c91_9328_0a68, 556, 0)),
     (0.08, 0.0, 711, pin(0xdb46_467b_9c64_ad56, 566, 0)),
@@ -81,6 +89,12 @@ const EXPECTED: [(f64, f64, u64, Pin); 12] = [
     (1.0, 0.2, 1, pin(0x094d_787d_2f70_a41c, 459, 8617)),
     (1.0, 0.2, 7, pin(0xd848_63e2_bdfa_44d9, 447, 9469)),
     (1.0, 0.2, 711, pin(0x53dc_ac2a_ad6c_6eac, 456, 8769)),
+    (0.3, 0.0, 1, pin(0x679b_4860_ce4e_592e, 565, 0)),
+    (0.3, 0.0, 7, pin(0x2724_17ab_19bd_fffb, 556, 0)),
+    (0.3, 0.0, 711, pin(0x8f47_c274_fb45_f2cc, 566, 0)),
+    (1.0, 0.0, 1, pin(0x1896_0266_3b45_6e04, 565, 0)),
+    (1.0, 0.0, 7, pin(0x622c_20fd_5631_75ab, 556, 0)),
+    (1.0, 0.0, 711, pin(0x1102_676d_8a82_1b56, 566, 0)),
 ];
 
 const fn pin(digest: u64, jobs_completed: usize, isolated_ooms: u64) -> Pin {
@@ -124,4 +138,14 @@ fn high_jitter_with_memory_jitter() {
 #[test]
 fn clipped_jitter_with_memory_jitter() {
     check(1.0, 0.2);
+}
+
+#[test]
+fn high_jitter_without_memory_jitter() {
+    check(0.3, 0.0);
+}
+
+#[test]
+fn clipped_jitter_without_memory_jitter() {
+    check(1.0, 0.0);
 }

@@ -30,6 +30,13 @@
 //! equal sectors of the circle, and a literal table holds the range of
 //! cos and sin over each. Both carry a small margin that covers every
 //! floating-point rounding between the bound and the evaluated value.
+//!
+//! Two consecutive deferred draws at one `cv` whose first starts a fresh
+//! pair are its cosine and sine halves, `1 + cv·r·(cos θ, sin θ)` before
+//! clipping, so their joint deviation has length `cv·r` at every angle.
+//! [`Jitter::pair_within`] bounds that length with the same radius bound
+//! and no angle at all, written as `(1 − u₁)(1 + u₁)·cv²·R² ≤ s²·u₁` so it
+//! takes neither a division nor a square root.
 
 use std::f64::consts::FRAC_1_SQRT_2;
 
@@ -186,6 +193,7 @@ impl DeterministicRng {
     /// The next half of a Box–Muller pair, unevaluated: the cached sine
     /// half if there is one, else the cosine half of a fresh pair whose
     /// sine half is cached.
+    #[inline]
     fn next_half(&mut self) -> Half {
         match self.spare_pair.take() {
             Some((u1, u2)) => Half { u1, u2, sine: true },
@@ -234,6 +242,7 @@ impl DeterministicRng {
     /// # Panics
     ///
     /// Panics if `cv` is negative or non-finite.
+    #[inline]
     pub fn jitter_deferred(&mut self, cv: f64) -> Jitter {
         if cv == 0.0 {
             return Jitter::ONE;
@@ -382,6 +391,15 @@ const SECTORS: usize = 16;
 /// magnitude.
 const RADIUS_MARGIN: f64 = 1.0 + 1.0 / 1_048_576.0;
 
+/// Relative widening of [`Jitter::pair_within`]'s squared radius bound.
+/// The evaluated radius and the test's own products round by a few parts
+/// in 2⁵³, and the cosine and sine of the rounded angle leave the unit
+/// circle by about as much; the margin covers them by ten orders of
+/// magnitude. Near `u1 = 1` the bound's excess over `−2 ln u1` is about
+/// `(1 − u1)²/6` of it, far below any rounding, so the margin alone
+/// decides there.
+const PAIR_MARGIN: f64 = 1.0 + 1.0 / 65_536.0;
+
 /// Absolute widening of each sector's cos and sin range. The evaluated
 /// angle `2π u2` is rounded, so its cosine or sine may leave the exact
 /// sector range by about 10⁻¹⁵.
@@ -491,6 +509,40 @@ impl Jitter {
             (1.0 + self.cv * z_lo).max(0.0),
             (1.0 + self.cv * z_hi).max(0.0),
         )
+    }
+
+    /// Whether `self` and `sine` are the cosine and sine halves of one
+    /// Box–Muller pair drawn at one `cv`, and the pair's radius `r`, as
+    /// [`value`](Self::value) evaluates it, certainly has
+    /// `cv·r·√reach_sq ≤ slack`. Such a pair's values `x` (cosine) and `y`
+    /// (sine) are `1 + cv·r·(cos θ, sin θ)` before clipping. So when
+    /// `slack² < reach_sq`, `cv·r < 1`, neither clips, and by
+    /// Cauchy–Schwarz `a·(x − 1) + b·(y − 1) ≤ slack` for every
+    /// `a² + b² ≤ reach_sq` at every angle, up to the values' last-bit
+    /// roundings. No logarithm, trigonometric call, square root or
+    /// division: the radius bound of [`bounds`](Self::bounds), squared and
+    /// multiplied through by `u1`. A factor of zero `cv` is never a sine
+    /// half, and `false` is always a safe answer.
+    ///
+    /// ```
+    /// use pipefill_sim_core::rng::DeterministicRng;
+    ///
+    /// let mut rng = DeterministicRng::seed_from(3);
+    /// let (cos, sin) = (rng.jitter_deferred(0.08), rng.jitter_deferred(0.08));
+    /// // The pair's deviation is under 1 along every unit direction.
+    /// assert!(cos.pair_within(sin, 1.0, 1.0));
+    /// // Not a pair: the next draw starts a fresh one.
+    /// assert!(!sin.pair_within(rng.jitter_deferred(0.08), 1.0, 1.0));
+    /// ```
+    #[inline]
+    pub fn pair_within(self, sine: Jitter, reach_sq: f64, slack: f64) -> bool {
+        let (c, s) = (self.half, sine.half);
+        let paired = !c.sine && s.sine && c.u1 == s.u1 && c.u2 == s.u2 && self.cv == sine.cv;
+        // r² ≤ 1/u1 − u1 = (1 − u1)(1 + u1)/u1, with u1 moved across.
+        paired
+            && slack > 0.0
+            && (1.0 - c.u1) * (1.0 + c.u1) * (self.cv * self.cv) * reach_sq * PAIR_MARGIN
+                <= slack * slack * c.u1
     }
 }
 
@@ -682,6 +734,126 @@ mod tests {
             assert!(radius(u1) <= bound(u1), "u1 = {u1:e}");
             u1 *= 0.999;
         }
+    }
+
+    /// The cosine and sine halves of the pair drawn at `(u1, u2)`.
+    fn pair(u1: f64, u2: f64, cv: f64) -> (Jitter, Jitter) {
+        let cos = Half {
+            u1,
+            u2,
+            sine: false,
+        };
+        let sin = Half { sine: true, ..cos };
+        (Jitter { cv, half: cos }, Jitter { cv, half: sin })
+    }
+
+    /// `pair_within`'s radius algebra against the radius as std evaluates
+    /// it, at one `u1`: the squared bound with its margin is at least
+    /// `−2 ln u1`; a slack just under `cv·r·√reach_sq` is never cleared;
+    /// and one 2⁻¹⁰ over the bound itself always is, so the test is not
+    /// vacuous.
+    fn check_pair_radius(u1: f64, u2: f64) {
+        let r_sq = -2.0 * u1.ln();
+        assert!(
+            (1.0 - u1) * (1.0 + u1) / u1 * PAIR_MARGIN >= r_sq,
+            "u1 {u1:e}: bound under {r_sq:e}"
+        );
+        let r = r_sq.sqrt();
+        for cv in [1e-6, 0.08, 1.0, 2.0] {
+            let (cos, sin) = pair(u1, u2, cv);
+            for reach_sq in [1.0f64, 3.0, 1e12] {
+                let reach = cv * r * reach_sq.sqrt();
+                let under = reach * (1.0 - f64::EPSILON);
+                assert!(
+                    !cos.pair_within(sin, reach_sq, under),
+                    "u1 {u1:e}, cv {cv}, reach² {reach_sq:e}: cleared {under:e} < {reach:e}"
+                );
+                let over = cv * ((1.0 / u1 - u1) * reach_sq).sqrt() * (1.0 + 1.0 / 1024.0);
+                assert!(
+                    u1 == 1.0 || cos.pair_within(sin, reach_sq, over),
+                    "u1 {u1:e}, cv {cv}, reach² {reach_sq:e}: missed {over:e}"
+                );
+            }
+            // The values' deviation has the radius as its length, up to
+            // their roundings, whenever neither clips.
+            let (x, y) = (cos.value() - 1.0, sin.value() - 1.0);
+            if cv * r < 1.0 {
+                let len = (x * x + y * y).sqrt();
+                assert!(
+                    len <= cv * r * (1.0 + 1e-12) + 1e-15,
+                    "u1 {u1:e}, u2 {u2}, cv {cv}: deviation {len:e} over {:e}",
+                    cv * r
+                );
+            }
+        }
+    }
+
+    /// The radius algebra at the smallest, a middling and the largest `u1`
+    /// the generator yields, at every sector edge and just below it.
+    #[test]
+    fn pair_radius_holds_at_the_extremes_and_every_sector_edge() {
+        let below = |u: f64| f64::from_bits(u.to_bits() - 1);
+        let mut angles = vec![0.0, below(1.0)];
+        for i in 1..SECTORS {
+            let edge = i as f64 / SECTORS as f64;
+            angles.extend([edge, below(edge)]);
+        }
+        for u1 in [f64::EPSILON / 2.0, 0.5, below(1.0), 1.0] {
+            for &u2 in &angles {
+                check_pair_radius(u1, u2);
+            }
+        }
+        // At u1 = 1 the radius is zero: any positive slack clears.
+        let (cos, sin) = pair(1.0, 0.25, 0.08);
+        assert!(cos.pair_within(sin, 1.0, f64::MIN_POSITIVE));
+        assert!(!cos.pair_within(sin, 1.0, 0.0), "zero slack");
+    }
+
+    /// The radius algebra over the last 10⁵ steps below 1, where the bound
+    /// cancels, and on a geometric sweep down to 2⁻⁵³.
+    #[test]
+    fn pair_radius_holds_on_a_dense_sweep() {
+        for k in 1..100_000u64 {
+            check_pair_radius(1.0 - k as f64 * f64::EPSILON / 2.0, (k % 97) as f64 / 97.0);
+        }
+        let mut u1 = 1.0f64;
+        while u1 >= f64::EPSILON / 2.0 {
+            check_pair_radius(u1, u1.fract());
+            u1 *= 0.999;
+        }
+    }
+
+    /// Only a cosine half followed by the sine half of the same pair, at
+    /// one `cv`, is a pair: not halves split by a memory-jitter draw, not
+    /// the sine half before the next pair's cosine, not zero-`cv` factors,
+    /// and not one pair's halves drawn at two `cv`s. A huge slack leaves
+    /// the pairing alone to decide.
+    #[test]
+    fn pair_within_takes_only_one_pairs_halves_at_one_cv() {
+        let paired = |a: Jitter, b: Jitter| a.pair_within(b, 1.0, 1e100);
+        let mut rng = DeterministicRng::seed_from(43);
+        for bubble in 0..2_000 {
+            // A memory-jitter draw ahead of every third bubble.
+            if bubble % 3 == 0 {
+                let _ = rng.jitter(0.1);
+            }
+            let fresh = rng.spare_pair.is_none();
+            let (window, used) = (rng.jitter_deferred(0.3), rng.jitter_deferred(0.3));
+            assert_eq!(paired(window, used), fresh, "bubble {bubble}");
+            assert!(!paired(used, window), "bubble {bubble}: halves swapped");
+        }
+        let one = rng.jitter_deferred(0.0);
+        assert_eq!(one, Jitter::ONE);
+        assert!(!paired(one, one));
+        if rng.spare_pair.is_some() {
+            let _ = rng.normal(0.0, 1.0);
+        }
+        let (cos, sin) = (rng.jitter_deferred(0.08), rng.jitter_deferred(0.08));
+        assert!(paired(cos, sin));
+        assert!(!paired(one, sin) && !paired(cos, one));
+        let (cos, sin) = (rng.jitter_deferred(0.08), rng.jitter_deferred(0.3));
+        assert_eq!((cos.half.u1, cos.half.u2), (sin.half.u1, sin.half.u2));
+        assert!(!paired(cos, sin), "two cvs");
     }
 
     /// The literal sector tables hold the range of cos and sin over each
